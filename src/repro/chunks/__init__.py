@@ -13,7 +13,7 @@ Layers:
 * :mod:`~repro.chunks.placement` — the seeded deterministic stripe
   placement policy;
 * :mod:`~repro.chunks.directory` — the ``chunk.*`` bus service
-  (init / commit / manifest / repair_done, txn-idempotent like
+  (init / commit / manifest / repair_done, writes exactly-once like
   ``task.*``) plus its site-side proxy;
 * :mod:`~repro.chunks.store` — the per-site client: ``put_object``
   (chunk, place, upload, verify, commit) and ``fetch_object``

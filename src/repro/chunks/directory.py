@@ -12,8 +12,8 @@ The upload protocol is DFS-style and crash-safe:
     After the per-chunk transfers verified, flips the manifest to
     ``committed``, records the chunk replica locations, bumps chunk
     refcounts, and registers the manifest record in the replica catalog
-    *exactly once* — the handler is txn-idempotent like the ``task.*``
-    ops (a crash-replayed commit returns the stored verdict) and the
+    *exactly once* — the handler sits behind the service's replay
+    window (a re-issued commit returns the stored verdict) and the
     catalog write itself rides the idempotent ``adopt`` path, so no
     replay can double-register.
 ``chunk.manifest`` / ``chunk.list``
@@ -37,12 +37,12 @@ from typing import Callable, Optional
 from repro.chunks.manifest import Manifest, build_manifest
 from repro.chunks.placement import place_stripe
 from repro.gdmp.request_manager import (
-    REQUEST_MESSAGE_SIZE,
     AuthenticatedRequest,
     GdmpError,
-    RequestClient,
+    RequestProxy,
     RequestServer,
 )
+from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Process
 
 __all__ = ["ChunkDirectory", "ChunkDirectoryService", "ChunkDirectoryProxy"]
@@ -241,15 +241,20 @@ class ChunkDirectory:
 
 
 class ChunkDirectoryService:
-    """``chunk.*`` operations on a site's request server (txn-idempotent)."""
+    """``chunk.*`` operations on a site's request server (writes
+    exactly-once behind the service's replay window)."""
 
     def __init__(self, server: RequestServer, directory: ChunkDirectory,
                  *, metrics=None):
         self.server = server
         self.directory = directory
         self.metrics = metrics
-        self._applied: dict[str, object] = {}
-        for op in ("init", "commit", "manifest", "list", "repair_done"):
+        self.replay = ReplayWindow(metrics, "chunks.txn_replays")
+        for op in ("init", "commit", "repair_done"):
+            server.register(
+                f"chunk.{op}", getattr(self, f"_op_{op}"), replay=self.replay
+            )
+        for op in ("manifest", "list"):
             server.register(f"chunk.{op}", getattr(self, f"_op_{op}"))
         if metrics is not None:
             metrics.add_collector(self._collect)
@@ -270,45 +275,26 @@ class ChunkDirectoryService:
         )
         registry.gauge("chunks.replicas").set(directory.replica_count())
 
-    def _seen(self, payload) -> tuple[Optional[str], bool]:
-        txn = payload.get("txn") if isinstance(payload, dict) else None
-        if txn is not None and txn in self._applied:
-            if self.metrics is not None:
-                self.metrics.counter("chunks.txn_replays").inc()
-            return txn, True
-        return txn, False
-
     # -- handlers -----------------------------------------------------------
     def _op_init(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         manifest, targets, needed = self.directory.init(
             p["object"], p["size"], p["content_key"], p["k"], p["m"]
         )
         self._count("init")
-        result = {
+        return {
             "manifest": manifest.to_wire(),
             "targets": targets,
             "needed": needed,
         }
-        if txn is not None:
-            self._applied[txn] = result
-        return result
         yield  # pragma: no cover - generator marker
 
     def _op_commit(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         result = self.directory.commit(
             p["object"], [tuple(item) for item in p["placements"]]
         )
         self._count("commit")
-        if txn is not None:
-            self._applied[txn] = result
         return result
         yield  # pragma: no cover
 
@@ -331,69 +317,46 @@ class ChunkDirectoryService:
 
     def _op_repair_done(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         result = self.directory.record_repair(
             p["object"],
             [tuple(item) for item in p.get("repaired", ())],
             [tuple(item) for item in p.get("removed", ())],
         )
         self._count("repair_done")
-        if txn is not None:
-            self._applied[txn] = result
         return result
         yield  # pragma: no cover
 
 
-class ChunkDirectoryProxy:
+class ChunkDirectoryProxy(RequestProxy):
     """Site-side client of the directory (one authenticated RPC each)."""
 
-    def __init__(self, client: RequestClient, directory_host: str):
-        self.client = client
-        self.directory_host = directory_host
-
-    def _txn(self) -> str:
-        sim = self.client.sim
-        return f"{self.client.host.name}:{sim.next_serial('chunk-txn')}"
-
-    def _call(self, operation: str, payload: dict,
-              n_items: int = 0) -> Process:
-        return self.client.call(
-            self.directory_host,
-            operation,
-            payload,
-            size=REQUEST_MESSAGE_SIZE + CHUNK_ITEM_SIZE * n_items,
-        )
+    ITEM_SIZE = CHUNK_ITEM_SIZE
 
     def init(self, object_name: str, size: float, content_key: str,
              k: int, m: int) -> Process:
-        return self._call("chunk.init", {
+        return self._write("chunk.init", {
             "object": object_name, "size": size,
             "content_key": content_key, "k": k, "m": m,
-            "txn": self._txn(),
         }, n_items=k + m)
 
     def commit(self, object_name: str,
                placements: list[tuple[str, str]]) -> Process:
-        return self._call("chunk.commit", {
+        return self._write("chunk.commit", {
             "object": object_name,
             "placements": [list(item) for item in placements],
-            "txn": self._txn(),
         }, n_items=len(placements))
 
     def manifest(self, object_name: str) -> Process:
-        return self._call("chunk.manifest", {"object": object_name})
+        return self._read("chunk.manifest", {"object": object_name})
 
     def list_objects(self, state: str = "committed") -> Process:
-        return self._call("chunk.list", {"state": state})
+        return self._read("chunk.list", {"state": state})
 
     def repair_done(self, object_name: str,
                     repaired: list[tuple[str, str]],
                     removed: list[tuple[str, str]]) -> Process:
-        return self._call("chunk.repair_done", {
+        return self._write("chunk.repair_done", {
             "object": object_name,
             "repaired": [list(item) for item in repaired],
             "removed": [list(item) for item in removed],
-            "txn": self._txn(),
         }, n_items=len(repaired) + len(removed))

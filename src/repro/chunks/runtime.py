@@ -8,7 +8,7 @@
   manifest-registration hook into the replica catalog when the grid
   runs a central catalog backend;
 * one :class:`~repro.chunks.store.ChunkStoreClient` per site (each with
-  its own txn-minting directory proxy and, when the grid weather
+  its own directory proxy and, when the grid weather
   service is up, that site's forecast cache for transfer-time-aware
   chunk ordering);
 * a dedicated :class:`~repro.workload.queue.TaskQueueService` for the
@@ -27,7 +27,7 @@ then wait for the queue to drain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.chunks.directory import (
@@ -65,7 +65,6 @@ class ChunkConfig:
     max_attempts: int = 6
     #: standing-mode scrub cadence (sim-seconds)
     scrub_period: float = 600.0
-    extra: dict = field(default_factory=dict)
 
 
 class ChunkRuntime:
@@ -169,11 +168,9 @@ class ChunkRuntime:
 
     # -- telemetry -----------------------------------------------------------
     def _collect(self, registry) -> None:
-        queue = self.queue_service.queue
-        queue._expire_leases()
         backlog = {"scrub": 0, "repair": 0}
-        for task in queue.tasks.values():
-            if task.type in backlog and task.state in ("pending", "claimed"):
+        for task, state in self.queue_service.queue.observed_states():
+            if task.type in backlog and state in ("pending", "claimed"):
                 backlog[task.type] += 1
         registry.gauge("chunks.repair_backlog").set(backlog["repair"])
         registry.gauge("chunks.scrub_backlog").set(backlog["scrub"])

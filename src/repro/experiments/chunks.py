@@ -29,7 +29,7 @@ recorded as ``repair_savings`` and floor-gated in BENCH_chunks.json.
 
 Exactly-once: chunk uploads are idempotent (content addressing +
 verify-don't-trust on 553), ``chunk.commit``/``chunk.repair_done`` are
-txn-replayed, repair re-verifies before spending traffic, and the
+exactly-once writes, repair re-verifies before spending traffic, and the
 converged state must fetch byte-identical fingerprints.
 
 ``python -m repro.experiments chunks --seed=7 --campaign=site_wipe``.

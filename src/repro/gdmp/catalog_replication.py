@@ -24,21 +24,14 @@ older than its own replica copy.
 from __future__ import annotations
 
 from repro.catalog.gdmp_catalog import GdmpCatalog
-from repro.gdmp.replica_service import CatalogProxy, ReplicaCatalogService
+from repro.gdmp.replica_service import (
+    READ_OPERATIONS,
+    CatalogProxy,
+    ReplicaCatalogService,
+)
 from repro.gdmp.request_manager import AuthenticatedRequest, GdmpError
 
 __all__ = ["CatalogReplica", "ReplicatedCatalogProxy", "enable_catalog_replication"]
-
-READ_OPERATIONS = (
-    "locations",
-    "locations_bulk",
-    "info",
-    "info_bulk",
-    "search",
-    "site_files",
-    "lfn_exists",
-    "list_lfns",
-)
 
 
 def _affected_lfns(operation: str, data: dict) -> list[str]:

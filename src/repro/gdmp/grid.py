@@ -30,17 +30,9 @@ from repro.netsim.link import Link
 from repro.netsim.topology import Host, Topology
 from repro.netsim.units import mbps
 from repro.objectdb.federation import Federation
-from repro.observatory.service import (
-    ForecastPusher,
-    WeatherRuntime,
-    WeatherService,
-    WeatherSubscriber,
-)
-from repro.observatory.station import SiteWeather, WeatherConfig, WeatherStation
-from repro.rls.digest import DigestSource, ReplicaLocationIndex
-from repro.rls.rli import RliService
-from repro.rls.router import RlsCatalogProxy
-from repro.rls.runtime import DigestPusher, RlsConfig, RlsRuntime
+from repro.observatory.service import WeatherRuntime
+from repro.observatory.station import WeatherConfig
+from repro.rls.runtime import RlsConfig, RlsRuntime
 from repro.security.ca import CertificateAuthority
 from repro.security.credentials import new_user_credential
 from repro.security.gridmap import GridMap
@@ -181,11 +173,11 @@ class DataGrid:
             # the RLI at (by default) the old catalog host
             self.catalog_backend = None
             self.catalog_service = None
-            self.rls = self._build_rls(rls)
+            self.rls = RlsRuntime(self, rls)
         #: the assembled WeatherRuntime when the observatory is on, else None
-        self.weather: Optional[WeatherRuntime] = None
-        if weather is not None:
-            self.weather = self._build_weather(weather)
+        self.weather: Optional[WeatherRuntime] = (
+            WeatherRuntime(self, weather) if weather is not None else None
+        )
         for site in self.sites.values():
             self._finish_site(site)
         #: the active ResilienceConfig once enable_resilience() has run
@@ -273,99 +265,9 @@ class DataGrid:
             server=server,
         )
 
-    def _build_rls(self, config: RlsConfig) -> RlsRuntime:
-        """Assemble the two-tier replica location service: one LRC per
-        site behind the site's own ``catalog.*`` endpoint, the RLI on
-        the index host, and one digest-pusher standing process per site
-        (spawned by ``grid.rls.start()``, not here, so fault-free event
-        schedules stay untouched until an experiment opts in)."""
-        rli_host = config.rli_host or self.catalog_host
-        if rli_host not in self.sites:
-            raise ValueError(f"RLI host {rli_host!r} is not a site")
-        rli_service = RliService(
-            self.sites[rli_host].request_server,
-            ReplicaLocationIndex(self.sites),
-            metrics=self.metrics,
-        )
-        runtime = RlsRuntime(config, rli_host, rli_service)
-        n_sites = len(self.sites)
-        for i, (name, site) in enumerate(self.sites.items()):
-            backend = GdmpCatalog(lfn_stem=f"{name}.file")
-            service = ReplicaCatalogService(
-                site.request_server, backend, metrics=self.metrics
-            )
-            source = DigestSource(name, backend.list_lfns, config.digest)
-            service.write_listeners.append(source.on_write)
-            phase = (
-                i * config.digest.period / n_sites if config.stagger else 0.0
-            )
-            pusher = DigestPusher(
-                self.sim,
-                site.request_client,
-                rli_host,
-                source,
-                phase=phase,
-                metrics=self.metrics,
-            )
-            runtime.backends[name] = backend
-            runtime.services[name] = service
-            runtime.sources[name] = source
-            runtime.pushers[name] = pusher
-        return runtime
-
-    def _build_weather(self, config: WeatherConfig) -> WeatherRuntime:
-        """Assemble the grid weather service: the station on the weather
-        host fed by the flow engine's transfer-retirement hook, one
-        ``weather.push_digest`` subscriber + site forecast cache per
-        site, and one forecast-pusher standing process per site (spawned
-        by ``grid.weather.start()``, not here, so fault-free event
-        schedules stay untouched until an experiment opts in)."""
-        weather_host = config.weather_host or self.catalog_host
-        if weather_host not in self.sites:
-            raise ValueError(f"weather host {weather_host!r} is not a site")
-        station = WeatherStation(config, self.sim, topology=self.topology)
-        service = WeatherService(
-            self.sites[weather_host].request_server, station,
-            metrics=self.metrics,
-        )
-        runtime = WeatherRuntime(config, weather_host, station, service)
-        # the observation feed: every retired transfer (drained or
-        # aborted) becomes one history sample at the station
-        self.engine.transfer_observers.append(station.on_transfer)
-        n_sites = len(self.sites)
-        for i, (name, site) in enumerate(self.sites.items()):
-            site_weather = SiteWeather(name, config, self.sim)
-            subscriber = WeatherSubscriber(
-                site.request_server, site_weather, metrics=self.metrics
-            )
-            phase = (
-                i * config.push_period / n_sites if config.stagger else 0.0
-            )
-            pusher = ForecastPusher(
-                self.sim,
-                self.sites[weather_host].request_client,
-                station,
-                name,
-                name,
-                phase=phase,
-                metrics=self.metrics,
-            )
-            runtime.site_weather[name] = site_weather
-            runtime.subscribers[name] = subscriber
-            runtime.pushers[name] = pusher
-        return runtime
-
     def _finish_site(self, site: GdmpSite) -> None:
         if self.rls is not None:
-            catalog_proxy = RlsCatalogProxy(
-                site.request_client,
-                site.name,
-                self.rls.rli_host,
-                {name: name for name in self.sites},
-                cache=self.rls.config.cache,
-                lookup_timeout=self.rls.config.lookup_timeout,
-                metrics=self.metrics,
-            )
+            catalog_proxy = self.rls.catalog_proxy(site)
         else:
             catalog_proxy = CatalogProxy(site.request_client, self.catalog_host)
         site.client = GdmpClient(
@@ -436,6 +338,7 @@ class DataGrid:
         The collector pattern keeps the scraped subsystems' hot paths
         uninstrumented: pool occupancy, cache hit counts, and the LDAP
         search-machinery counters are plain attributes read on demand.
+        The RLS, weather and chunk planes scrape their own state.
         """
         for name, site in self.sites.items():
             fs = site.fs
@@ -459,73 +362,6 @@ class DataGrid:
             directory = self.catalog_backend.catalog.directory
             for key, value in sorted(directory.stats.items()):
                 registry.gauge("catalog.ldap." + key).set(value)
-        if self.rls is not None:
-            for name, backend in self.rls.backends.items():
-                directory = backend.catalog.directory
-                for key, value in sorted(directory.stats.items()):
-                    registry.gauge("catalog.ldap." + key, site=name).set(value)
-            for key, value in sorted(self.rls.index.stats.items()):
-                registry.gauge("rls.rli." + key).set(value)
-            for site, state in self.rls.index.states.items():
-                registry.gauge("rls.rli.generation", site=site).set(
-                    state.generation
-                )
-                registry.gauge("rls.rli.entry_count", site=site).set(
-                    state.entry_count
-                )
-                if state.bloom is not None:
-                    registry.gauge("rls.rli.bloom_bytes", site=site).set(
-                        state.bloom.size_bytes
-                    )
-            for site, staleness in self.rls.index.staleness(
-                self.sim.now
-            ).items():
-                registry.gauge("rls.rli.staleness_seconds", site=site).set(
-                    staleness
-                )
-            for site, pusher in self.rls.pushers.items():
-                for key, value in sorted(pusher.stats.items()):
-                    registry.gauge(f"rls.pusher.{key}", site=site).set(value)
-        if self.weather is not None:
-            station = self.weather.station
-            now = self.sim.now
-            registry.gauge("weather.station.pairs").set(len(station.pairs))
-            for key, value in sorted(station.stats.items()):
-                registry.gauge(f"weather.station.{key}").set(value)
-            for (src, dst), history in sorted(station.pairs.items()):
-                if history.samples == 0:
-                    continue
-                labels = {"src": src, "dst": dst}
-                registry.gauge(
-                    "weather.pair.throughput", **labels
-                ).set(history.ewma.value or 0.0)
-                registry.gauge(
-                    "weather.pair.samples", **labels
-                ).set(history.samples)
-                registry.gauge(
-                    "weather.pair.failures", **labels
-                ).set(history.failures)
-                registry.gauge(
-                    "weather.pair.staleness_seconds", **labels
-                ).set(history.staleness(now))
-                registry.gauge(
-                    "weather.pair.confidence", **labels
-                ).set(history.confidence(now))
-                congestion = station.congestion(src, dst)
-                if congestion is not None:
-                    registry.gauge(
-                        "weather.pair.congestion", **labels
-                    ).set(congestion)
-            for site, pusher in self.weather.pushers.items():
-                for key, value in sorted(pusher.stats.items()):
-                    registry.gauge(
-                        f"weather.pusher.{key}", site=site
-                    ).set(value)
-            for site, cache in self.weather.site_weather.items():
-                for key, value in sorted(cache.stats.items()):
-                    registry.gauge(
-                        f"weather.site.{key}", site=site
-                    ).set(value)
 
     def health_report(self, top_n: int = 10) -> str:
         """The rendered grid health report (metrics + trace summary)."""

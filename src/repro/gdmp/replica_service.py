@@ -33,18 +33,49 @@ from typing import Optional
 from repro.catalog.gdmp_catalog import GdmpCatalog, LogicalFileInfo
 from repro.catalog.replica_catalog import CatalogError
 from repro.gdmp.request_manager import (
-    REQUEST_MESSAGE_SIZE,
     AuthenticatedRequest,
     GdmpError,
     RemoteError,
     RequestClient,
+    RequestProxy,
     RequestServer,
 )
+from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Process
 
-__all__ = ["ReplicaCatalogService", "CatalogProxy", "BULK_ITEM_SIZE"]
+__all__ = [
+    "ReplicaCatalogService",
+    "CatalogProxy",
+    "BULK_ITEM_SIZE",
+    "READ_OPERATIONS",
+    "WRITE_OPERATIONS",
+]
 
 SERVICE_NAME = "replica-catalog"
+
+#: ``catalog.*`` operations that change the catalog (exactly-once)
+WRITE_OPERATIONS = (
+    "publish",
+    "publish_bulk",
+    "add_replica",
+    "add_replica_bulk",
+    "adopt",
+    "adopt_bulk",
+    "remove_replica",
+    "remove_replica_bulk",
+)
+
+#: ``catalog.*`` operations any catalog copy can answer
+READ_OPERATIONS = (
+    "locations",
+    "locations_bulk",
+    "info",
+    "info_bulk",
+    "search",
+    "site_files",
+    "lfn_exists",
+    "list_lfns",
+)
 
 #: Wire-size increment per batched item: one envelope carrying N
 #: registrations costs a header plus N compact records, far below N full
@@ -69,30 +100,15 @@ class ReplicaCatalogService:
         #: called with (operation, payload) after each successful write —
         #: the hook :mod:`repro.gdmp.catalog_replication` propagates from.
         self.write_listeners: list = []
-        #: transaction-id -> result of writes already applied.  A client
-        #: whose *reply* was lost retries the same write with the same
-        #: ``txn``; replaying the stored result instead of re-applying
-        #: keeps writes exactly-once (no duplicate LFNs from a retried
-        #: ``publish``, no double notifications).
-        self._applied: dict[str, object] = {}
-        for op in (
-            "publish",
-            "publish_bulk",
-            "add_replica",
-            "add_replica_bulk",
-            "adopt",
-            "adopt_bulk",
-            "remove_replica",
-            "remove_replica_bulk",
-            "locations",
-            "locations_bulk",
-            "info",
-            "info_bulk",
-            "search",
-            "site_files",
-            "lfn_exists",
-            "list_lfns",
-        ):
+        #: a retried write whose *reply* was lost is answered from here,
+        #: not re-applied: no duplicate LFNs from a retried ``publish``,
+        #: no double notifications
+        self.replay = ReplayWindow(metrics, "catalog.txn_replays")
+        for op in WRITE_OPERATIONS:
+            server.register(
+                f"catalog.{op}", getattr(self, f"_op_{op}"), replay=self.replay
+            )
+        for op in READ_OPERATIONS:
             server.register(f"catalog.{op}", getattr(self, f"_op_{op}"))
 
     # Handlers are generators (the request manager spawns them); catalog
@@ -107,27 +123,8 @@ class ReplicaCatalogService:
         for listener in self.write_listeners:
             listener(operation, payload)
 
-    # -- exactly-once write plumbing -----------------------------------------
-    def _txn_seen(self, payload) -> tuple[Optional[str], bool]:
-        """(txn, already_applied) for an idempotent write request."""
-        txn = payload.get("txn") if isinstance(payload, dict) else None
-        if txn is not None and txn in self._applied:
-            if self.metrics is not None:
-                self.metrics.counter("catalog.txn_replays").inc()
-            return txn, True
-        return txn, False
-
-    @staticmethod
-    def _without_txn(payload: dict) -> dict:
-        """The write payload as listeners should see it (the transaction
-        id is client-side plumbing, not catalog state)."""
-        return {k: v for k, v in payload.items() if k != "txn"}
-
     def _op_publish(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         try:
             lfn = self.catalog.publish(
                 p["site"],
@@ -139,24 +136,17 @@ class ReplicaCatalogService:
             )
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = lfn
-        self._notify_write("publish", {**self._without_txn(p), "lfn": lfn})
+        self._notify_write("publish", {**p, "lfn": lfn})
         return lfn
         yield  # pragma: no cover - marks this function as a generator
 
     def _op_publish_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         self._observe_batch("publish", len(p["files"]))
         try:
             lfns = self.catalog.publish_bulk(p["site"], p["files"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = lfns
         # propagate with the generated LFNs filled in, so replicas replay
         # the registration byte-for-byte
         files = [
@@ -170,40 +160,27 @@ class ReplicaCatalogService:
 
     def _op_add_replica(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         try:
             self.catalog.add_replica(p["lfn"], p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("add_replica", self._without_txn(p))
+        self._notify_write("add_replica", dict(p))
         return True
         yield  # pragma: no cover
 
     def _op_add_replica_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         self._observe_batch("add_replica", len(p["lfns"]))
         try:
             self.catalog.add_replicas(list(p["lfns"]), p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("add_replica_bulk", self._without_txn(p))
+        self._notify_write("add_replica_bulk", dict(p))
         return True
         yield  # pragma: no cover
 
     def _op_adopt(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         try:
             self.catalog.adopt(
                 p["lfn"],
@@ -215,58 +192,41 @@ class ReplicaCatalogService:
             )
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("adopt", self._without_txn(p))
+        self._notify_write("adopt", dict(p))
         return True
         yield  # pragma: no cover
 
     def _op_adopt_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         self._observe_batch("adopt", len(p["files"]))
         try:
             self.catalog.adopt_bulk(list(p["files"]), p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        notified = self._without_txn(p)
-        notified["lfns"] = [item["lfn"] for item in p["files"]]
-        self._notify_write("adopt_bulk", notified)
+        self._notify_write(
+            "adopt_bulk", {**p, "lfns": [item["lfn"] for item in p["files"]]}
+        )
         return True
         yield  # pragma: no cover
 
     def _op_remove_replica(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         try:
             self.catalog.remove_replica(p["lfn"], p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("remove_replica", self._without_txn(p))
+        self._notify_write("remove_replica", dict(p))
         return True
         yield  # pragma: no cover
 
     def _op_remove_replica_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         self._observe_batch("remove_replica", len(p["lfns"]))
         try:
             self.catalog.remove_replicas(list(p["lfns"]), p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("remove_replica_bulk", self._without_txn(p))
+        self._notify_write("remove_replica_bulk", dict(p))
         return True
         yield  # pragma: no cover
 
@@ -328,7 +288,7 @@ class _NegativeEntry:
         self.error = error
 
 
-class CatalogProxy:
+class CatalogProxy(RequestProxy):
     """Site-side view of the central catalog.  Every method returns a
     :class:`Process` (a network round trip to the catalog host — or an
     immediate local completion on a location-cache hit).
@@ -338,14 +298,15 @@ class CatalogProxy:
     invalidates them, so repeated probes for absent files — which the
     RLI lookup path amplifies — cost no envelopes."""
 
+    ITEM_SIZE = BULK_ITEM_SIZE
+
     def __init__(
         self,
         client: RequestClient,
         catalog_host: str,
         cache: bool = True,
     ):
-        self.client = client
-        self.catalog_host = catalog_host
+        super().__init__(client, catalog_host)
         #: reads go here; catalog replication points it at a nearer copy
         self.read_host = catalog_host
         #: client-side info/locations cache toggle (experiments measuring
@@ -361,16 +322,10 @@ class CatalogProxy:
         }
 
     # -- plumbing -------------------------------------------------------------
-    def _txn(self) -> str:
-        """A fresh transaction id for one logical write.  Minted once per
-        write *process*, so transport-level retries of the same write
-        carry the same id and the catalog applies it exactly once."""
-        sim = self.client.sim
-        return (
-            f"{self.client.host.name}:{sim.next_serial('catalog-txn')}"
-        )
-
-    def _call(self, host: str, operation: str, payload, n_items: int = 0):
+    def _guarded(self, host: str, operation: str, payload, n_items: int,
+                 idempotent: bool = False) -> Process:
+        """One call under a guard process that counts the envelope and
+        drops the whole cache when the catalog host looks unwell."""
         self.stats["envelopes"] += 1
 
         def guarded():
@@ -380,11 +335,8 @@ class CatalogProxy:
             # down host) is observed here instead of crashing the sim as
             # an unwaited process.
             try:
-                result = yield self.client.call(
-                    host,
-                    operation,
-                    payload,
-                    size=REQUEST_MESSAGE_SIZE + BULK_ITEM_SIZE * n_items,
+                result = yield self._rpc(
+                    host, operation, payload, n_items, idempotent=idempotent
                 )
             except RemoteError:
                 # The server processed the request and answered with an
@@ -403,6 +355,14 @@ class CatalogProxy:
 
         return self.client.sim.spawn(
             guarded(), name=f"catalog-guard {operation}"
+        )
+
+    def _read(self, operation: str, payload, n_items: int = 0) -> Process:
+        return self._guarded(self.read_host, operation, payload, n_items)
+
+    def _write(self, operation: str, payload, n_items: int = 0) -> Process:
+        return self._guarded(
+            self.server_host, operation, payload, n_items, idempotent=True
         )
 
     def _immediate(self, value) -> Process:
@@ -463,8 +423,7 @@ class CatalogProxy:
         """Register a new logical file and its first replica (one WAN call)."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.publish",
                 {
                     "site": site,
@@ -473,7 +432,6 @@ class CatalogProxy:
                     "crc": crc,
                     "lfn": lfn,
                     "attributes": attributes,
-                    "txn": self._txn(),
                 },
             )
             self.invalidate(result)
@@ -486,10 +444,9 @@ class CatalogProxy:
         registrations.  Returns the list of LFNs."""
 
         def run():
-            lfns = yield self._call(
-                self.catalog_host,
+            lfns = yield self._write(
                 "catalog.publish_bulk",
-                {"site": site, "files": files, "txn": self._txn()},
+                {"site": site, "files": files},
                 n_items=len(files),
             )
             for fresh in lfns:
@@ -504,10 +461,8 @@ class CatalogProxy:
         """Record an additional replica of a logical file."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
-                "catalog.add_replica",
-                {"lfn": lfn, "site": site, "txn": self._txn()},
+            result = yield self._write(
+                "catalog.add_replica", {"lfn": lfn, "site": site}
             )
             self.invalidate(lfn)
             return result
@@ -519,10 +474,9 @@ class CatalogProxy:
         the flush of a transfer set's deferred registrations."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.add_replica_bulk",
-                {"lfns": list(lfns), "site": site, "txn": self._txn()},
+                {"lfns": list(lfns), "site": site},
                 n_items=len(lfns),
             )
             for lfn in lfns:
@@ -537,10 +491,8 @@ class CatalogProxy:
         """Remove a replica record (retiring the LFN when it was the last)."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
-                "catalog.remove_replica",
-                {"lfn": lfn, "site": site, "txn": self._txn()},
+            result = yield self._write(
+                "catalog.remove_replica", {"lfn": lfn, "site": site}
             )
             self.invalidate(lfn)
             return result
@@ -551,10 +503,9 @@ class CatalogProxy:
         """Remove a batch of replica records in one envelope."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.remove_replica_bulk",
-                {"lfns": list(lfns), "site": site, "txn": self._txn()},
+                {"lfns": list(lfns), "site": site},
                 n_items=len(lfns),
             )
             for lfn in lfns:
@@ -573,9 +524,7 @@ class CatalogProxy:
             return self._immediate([dict(loc) for loc in cached])
 
         def run():
-            result = yield self._call(
-                self.read_host, "catalog.locations", {"lfn": lfn}
-            )
+            result = yield self._read("catalog.locations", {"lfn": lfn})
             # snapshot copies: callers may mutate the dicts they receive
             self._cache_put(
                 ("locations", lfn), tuple(dict(loc) for loc in result)
@@ -595,9 +544,7 @@ class CatalogProxy:
 
         def run():
             try:
-                result = yield self._call(
-                    self.read_host, "catalog.info", {"lfn": lfn}
-                )
+                result = yield self._read("catalog.info", {"lfn": lfn})
             except RemoteError as exc:
                 # An application-level "unknown logical file" is a stable
                 # answer until someone publishes it: cache the absence.
@@ -627,8 +574,7 @@ class CatalogProxy:
                     # for unknown LFNs, so let the server say so
                     missing.append(lfn)
             if missing:
-                fetched = yield self._call(
-                    self.read_host,
+                fetched = yield self._read(
                     "catalog.info_bulk",
                     {"lfns": missing},
                     n_items=len(missing),
@@ -647,8 +593,7 @@ class CatalogProxy:
         lfns = list(lfns)
 
         def run():
-            result = yield self._call(
-                self.read_host,
+            result = yield self._read(
                 "catalog.locations_bulk",
                 {"lfns": lfns},
                 n_items=len(lfns),
@@ -665,11 +610,11 @@ class CatalogProxy:
 
     def search(self, filter_text: str) -> Process:
         """Logical files matching an LDAP filter over their metadata."""
-        return self._call(self.read_host, "catalog.search", {"filter": filter_text})
+        return self._read("catalog.search", {"filter": filter_text})
 
     def site_files(self, site: str) -> Process:
         """All LFNs a site holds (failure-recovery catalog diff)."""
-        return self._call(self.read_host, "catalog.site_files", {"site": site})
+        return self._read("catalog.site_files", {"site": site})
 
     def lfn_exists(self, lfn: str) -> Process:
         """Whether the logical file name is taken (both answers cached)."""
@@ -680,9 +625,7 @@ class CatalogProxy:
             return self._immediate(cached)
 
         def run():
-            result = yield self._call(
-                self.read_host, "catalog.lfn_exists", {"lfn": lfn}
-            )
+            result = yield self._read("catalog.lfn_exists", {"lfn": lfn})
             self._cache_put(("exists", lfn), bool(result))
             return result
 
@@ -690,4 +633,4 @@ class CatalogProxy:
 
     def list_lfns(self) -> Process:
         """Every logical file name in the catalog."""
-        return self._call(self.read_host, "catalog.list_lfns", {})
+        return self._read("catalog.list_lfns", {})

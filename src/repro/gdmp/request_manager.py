@@ -39,6 +39,7 @@ from repro.services.middleware import (
     MetricsMiddleware,
     ServerMonitorMiddleware,
 )
+from repro.services.replay import ReplayWindow
 from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Process, Simulator
 from repro.simulation.monitor import Monitor
@@ -50,6 +51,7 @@ __all__ = [
     "AuthenticatedRequest",
     "RequestServer",
     "RequestClient",
+    "RequestProxy",
 ]
 
 REQUEST_MESSAGE_SIZE = 512
@@ -135,23 +137,30 @@ class RequestServer(ServiceEndpoint):
             process_name=f"gdmp-request-manager@{host.name}",
         )
 
-    def register(self, operation: str, handler: Handler) -> None:
+    def register(self, operation: str, handler: Handler,
+                 replay: Optional[ReplayWindow] = None) -> None:
         """Bind a handler generator to an operation name.  Handlers receive
         an :class:`AuthenticatedRequest` built from the middleware's
-        verification result."""
+        verification result.  With ``replay`` — the owning service's
+        window — the operation is an exactly-once write: a re-issued
+        request is answered from the window, never handled twice."""
 
         def adapter(request: ServiceRequest):
             auth = request.state["auth"]
-            result = yield from handler(
-                AuthenticatedRequest(
-                    operation=request.operation,
-                    payload=request.payload,
-                    caller_host=request.caller_host,
-                    subject=auth.subject,
-                    identity=auth.identity,
-                    account=auth.account,
-                )
+            authenticated = AuthenticatedRequest(
+                operation=request.operation,
+                payload=request.payload,
+                caller_host=request.caller_host,
+                subject=auth.subject,
+                identity=auth.identity,
+                account=auth.account,
             )
+            if replay is None:
+                result = yield from handler(authenticated)
+            else:
+                result = yield from replay.apply(
+                    request.meta.get("txn"), handler, authenticated
+                )
             return result
 
         super().register(operation, adapter)
@@ -188,6 +197,7 @@ class RequestClient(ServiceClient):
         payload: Any = None,
         size: int = REQUEST_MESSAGE_SIZE,
         timeout: Optional[float] = None,
+        idempotent: bool = False,
     ) -> Process:
         """Invoke ``operation`` on the GDMP server at ``server_host``.
 
@@ -195,12 +205,52 @@ class RequestClient(ServiceClient):
         message) raises :class:`RequestTimeout` after that many seconds;
         without it the call waits indefinitely (in-order FIFO delivery
         means no reply can be merely late).  The late reply of a timed-out
-        call is discarded on arrival, never misdelivered to a later call."""
+        call is discarded on arrival, never misdelivered to a later call.
+        ``idempotent`` makes the call an exactly-once write (see
+        :meth:`ServiceClient.call`)."""
         return super().call(
             server_host,
             operation,
             payload,
             size=size,
             timeout=timeout,
+            idempotent=idempotent,
             meta={"chain": self.credential.chain},
+        )
+
+
+class RequestProxy:
+    """Base of the site-side stubs: one authenticated call per method.
+
+    Owns the two decisions every stub shares — the envelope is sized as
+    one request header plus ``ITEM_SIZE`` per batched item, and a
+    ``_write`` is an exactly-once call while a ``_read`` is a plain one.
+    Both return the call's :class:`Process`.
+    """
+
+    #: wire-size increment per item carried in one envelope
+    ITEM_SIZE = 0
+
+    def __init__(self, client: RequestClient, server_host: str):
+        self.client = client
+        self.server_host = server_host
+
+    def _rpc(self, host: str, operation: str, payload: Any,
+             n_items: int = 0, *, idempotent: bool = False,
+             timeout: Optional[float] = None) -> Process:
+        return self.client.call(
+            host,
+            operation,
+            payload,
+            size=REQUEST_MESSAGE_SIZE + self.ITEM_SIZE * n_items,
+            timeout=timeout,
+            idempotent=idempotent,
+        )
+
+    def _read(self, operation: str, payload: Any, n_items: int = 0) -> Process:
+        return self._rpc(self.server_host, operation, payload, n_items)
+
+    def _write(self, operation: str, payload: Any, n_items: int = 0) -> Process:
+        return self._rpc(
+            self.server_host, operation, payload, n_items, idempotent=True
         )

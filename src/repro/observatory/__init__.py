@@ -26,7 +26,6 @@ from .scenarios import (
 )
 from .service import (
     WEATHER_OP_PREFIX,
-    ForecastPusher,
     WeatherRuntime,
     WeatherService,
     WeatherSubscriber,
@@ -47,7 +46,6 @@ __all__ = [
     "WEATHER_OP_PREFIX",
     "WeatherService",
     "WeatherSubscriber",
-    "ForecastPusher",
     "WeatherRuntime",
     "forecast_wire_size",
     "TrafficEvent",

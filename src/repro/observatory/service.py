@@ -19,30 +19,26 @@ co-hosted ``catalog.*``/``task.*``/``rli.*`` traffic — pushes are then
 lost, site caches age past the staleness horizon, and replica selection
 silently degrades to the probe ladder until the restore reconverges it.
 
-:class:`ForecastPusher` mirrors the RLS :class:`~repro.rls.runtime.
-DigestPusher` soft-state discipline: one standing process per
-subscriber, staggered phases, lost pushes just folded into the next
-period (each digest is a full snapshot, so nothing needs replaying).
+:class:`WeatherRuntime` is the plane a grid builds from a
+:class:`~repro.observatory.station.WeatherConfig`: station, service, one
+subscriber + forecast cache per site, and one
+:class:`~repro.services.softstate.SoftStatePusher` per subscriber.  Each
+forecast digest is a full snapshot, so a lost push needs no replaying —
+the subscriber just ages toward its staleness horizon until one lands.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..gdmp.request_manager import (
-    REQUEST_MESSAGE_SIZE,
-    AuthenticatedRequest,
-    RequestClient,
-    RequestServer,
-)
-from ..simulation.kernel import Interrupt, Process, Simulator
+from ..gdmp.request_manager import AuthenticatedRequest, RequestServer
+from ..services.softstate import PushNames, PushPlane, SoftStatePusher
 from .station import SiteWeather, WeatherConfig, WeatherStation
 
 __all__ = [
     "WEATHER_OP_PREFIX",
     "WeatherService",
     "WeatherSubscriber",
-    "ForecastPusher",
     "WeatherRuntime",
     "forecast_wire_size",
 ]
@@ -53,6 +49,14 @@ WEATHER_OP_PREFIX = "weather."
 #: modelled wire cost of one per-source forecast entry (bins + scalars)
 _ENTRY_WIRE_BYTES = 96
 _DIGEST_HEADER_BYTES = 64
+
+_PUSH_NAMES = PushNames(
+    process="weather-pusher",
+    shutdown="weather-shutdown",
+    pushes="weather.pushes",
+    label="outcome",
+    bytes="weather.push_bytes",
+)
 
 
 def forecast_wire_size(payload: dict) -> int:
@@ -119,136 +123,58 @@ class WeatherSubscriber:
         yield  # pragma: no cover - marks this function as a generator
 
 
-class ForecastPusher:
-    """Standing process pushing forecast digests to one subscriber site.
-
-    Soft state, exactly as the RLS digest pushers: a lost push (black-
-    holed weather plane, dropped message) costs nothing but staleness at
-    the subscriber, because every digest is a full snapshot of that
-    site's inbound forecasts — the next period's push carries everything
-    this one did.
+class WeatherRuntime(PushPlane):
+    """The weather plane of one grid: the station on the weather host fed
+    by the flow engine's transfer-retirement hook, one
+    ``weather.push_digest`` subscriber + forecast cache per site, and one
+    forecast pusher per site.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        client: RequestClient,
-        station: WeatherStation,
-        site: str,
-        site_host: str,
-        phase: float = 0.0,
-        metrics=None,
-    ) -> None:
-        self.sim = sim
-        self.client = client
-        self.station = station
-        self.site = site
-        self.site_host = site_host
-        self.phase = phase
-        self.metrics = metrics
-        self.process: Optional[Process] = None
-        self.stats = {"pushes": 0, "pushes_lost": 0, "bytes_pushed": 0}
-
-    def start(self) -> Process:
-        self.process = self.sim.spawn(
-            self._run(), name=f"weather-pusher@{self.site}"
-        )
-        return self.process
-
-    def stop(self) -> None:
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt("weather-shutdown")
-
-    def running(self) -> bool:
-        return self.process is not None and self.process.is_alive
-
-    def push_once(self):
-        """Generator: build and push one forecast digest."""
-        payload = self.station.digest_for(self.site, self.sim.now)
-        size = forecast_wire_size(payload)
-        period = self.station.config.push_period
-        try:
-            yield self.client.call(
-                self.site_host,
-                "weather.push_digest",
-                payload,
-                size=REQUEST_MESSAGE_SIZE + size,
-                timeout=max(period * 0.5, 1.0),
-            )
-        except Interrupt:
-            raise
-        except Exception:
-            # lost push (down/black-holed weather plane): the subscriber
-            # just ages toward its staleness horizon until one lands
-            self.stats["pushes_lost"] += 1
-            self._count("lost")
-            return False
-        self.stats["pushes"] += 1
-        self.stats["bytes_pushed"] += size
-        self._count("pushed", size)
-        return True
-
-    def _run(self):
-        try:
-            if self.phase > 0:
-                yield self.sim.timeout(self.phase)
-            while True:
-                yield from self.push_once()
-                yield self.sim.timeout(self.station.config.push_period)
-        except Interrupt:
-            return
-
-    def _count(self, outcome: str, size: int = 0) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter(
-            "weather.pushes", site=self.site, outcome=outcome
-        ).inc()
-        if size:
-            self.metrics.counter(
-                "weather.push_bytes", site=self.site
-            ).inc(size)
-
-
-class WeatherRuntime:
-    """Everything the grid assembled for weather mode, in one place."""
-
-    def __init__(
-        self,
-        config: WeatherConfig,
-        weather_host: str,
-        station: WeatherStation,
-        service: WeatherService,
-    ) -> None:
+    def __init__(self, grid, config: WeatherConfig) -> None:
+        super().__init__()
         self.config = config
-        self.weather_host = weather_host
-        self.station = station
-        self.service = service
+        self.sim = grid.sim
+        self.weather_host = config.weather_host or grid.catalog_host
+        if self.weather_host not in grid.sites:
+            raise ValueError(
+                f"weather host {self.weather_host!r} is not a site"
+            )
+        host_site = grid.sites[self.weather_host]
+        self.station = WeatherStation(config, grid.sim, topology=grid.topology)
+        self.service = WeatherService(
+            host_site.request_server, self.station, metrics=grid.metrics
+        )
+        # the observation feed: every retired transfer (drained or
+        # aborted) becomes one history sample at the station
+        grid.engine.transfer_observers.append(self.station.on_transfer)
         #: site name -> that site's pushed-forecast cache
         self.site_weather: Dict[str, SiteWeather] = {}
         self.subscribers: Dict[str, WeatherSubscriber] = {}
-        self.pushers: Dict[str, ForecastPusher] = {}
-        self.started = False
-
-    def start(self) -> None:
-        """Spawn the standing forecast pushers (idempotent)."""
-        if self.started:
-            return
-        self.started = True
-        for pusher in self.pushers.values():
-            pusher.start()
-
-    def stop(self) -> None:
-        for pusher in self.pushers.values():
-            pusher.stop()
-        self.started = False
-
-    def push_stats(self) -> Dict[str, int]:
-        totals = {"pushes": 0, "pushes_lost": 0, "bytes_pushed": 0}
-        for pusher in self.pushers.values():
-            for key in totals:
-                totals[key] += pusher.stats[key]
-        return totals
+        period = config.push_period
+        for i, (name, site) in enumerate(grid.sites.items()):
+            cache = SiteWeather(name, config, grid.sim)
+            self.site_weather[name] = cache
+            self.subscribers[name] = WeatherSubscriber(
+                site.request_server, cache, metrics=grid.metrics
+            )
+            self.pushers[name] = SoftStatePusher(
+                host_site.request_client,
+                _PUSH_NAMES,
+                site=name,
+                target_host=name,
+                operation="weather.push_digest",
+                period=period,
+                build=lambda site=name: self.station.digest_for(
+                    site, self.sim.now
+                ),
+                wire_size=forecast_wire_size,
+                phase=(
+                    i * period / len(grid.sites) if config.stagger else 0.0
+                ),
+                metrics=grid.metrics,
+            )
+        if grid.metrics is not None:
+            grid.metrics.add_collector(self._collect)
 
     def selection_stats(self) -> Dict[str, int]:
         totals = {
@@ -262,18 +188,55 @@ class WeatherRuntime:
                 totals[key] += weather.stats[key]
         return totals
 
+    # -- telemetry ---------------------------------------------------------
+
+    def _collect(self, registry) -> None:
+        """Scrape station, pusher and site-cache state into gauges at
+        export time."""
+        station = self.station
+        now = self.sim.now
+        registry.gauge("weather.station.pairs").set(len(station.pairs))
+        for key, value in sorted(station.stats.items()):
+            registry.gauge(f"weather.station.{key}").set(value)
+        for (src, dst), history in sorted(station.pairs.items()):
+            if history.samples == 0:
+                continue
+            labels = {"src": src, "dst": dst}
+            registry.gauge(
+                "weather.pair.throughput", **labels
+            ).set(history.ewma.value or 0.0)
+            registry.gauge(
+                "weather.pair.samples", **labels
+            ).set(history.samples)
+            registry.gauge(
+                "weather.pair.failures", **labels
+            ).set(history.failures)
+            registry.gauge(
+                "weather.pair.staleness_seconds", **labels
+            ).set(history.staleness(now))
+            registry.gauge(
+                "weather.pair.confidence", **labels
+            ).set(history.confidence(now))
+            congestion = station.congestion(src, dst)
+            if congestion is not None:
+                registry.gauge(
+                    "weather.pair.congestion", **labels
+                ).set(congestion)
+        for site, pusher in self.pushers.items():
+            for key, value in sorted(pusher.stats.items()):
+                registry.gauge(f"weather.pusher.{key}", site=site).set(value)
+        for site, cache in self.site_weather.items():
+            for key, value in sorted(cache.stats.items()):
+                registry.gauge(f"weather.site.{key}", site=site).set(value)
+
     def fingerprint(self) -> str:
         """Deterministic digest of station state + push accounting."""
-        pushes = ",".join(
-            f"{site}:{self.pushers[site].stats['pushes']}"
-            f"/{self.pushers[site].stats['pushes_lost']}"
-            for site in sorted(self.pushers)
-        )
         selection = ",".join(
             f"{site}:{w.stats['history_selections']}"
             f"/{w.stats['probe_fallbacks']}"
             for site, w in sorted(self.site_weather.items())
         )
         return (
-            self.station.fingerprint() + "##" + pushes + "##" + selection
+            self.station.fingerprint()
+            + "##" + self.push_fingerprint() + "##" + selection
         )

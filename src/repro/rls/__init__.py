@@ -20,13 +20,12 @@ from .digest import (
 )
 from .rli import RliService
 from .router import RlsCatalogProxy
-from .runtime import DigestPusher, RlsConfig, RlsRuntime
+from .runtime import RlsConfig, RlsRuntime
 
 __all__ = [
     "BloomFilter",
     "DigestConfig",
     "DigestSource",
-    "DigestPusher",
     "ReplicaLocationIndex",
     "RliService",
     "RlsCatalogProxy",

@@ -34,16 +34,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..catalog.gdmp_catalog import LogicalFileInfo
-from ..gdmp.replica_service import (
-    BULK_ITEM_SIZE,
-    CatalogProxy,
-    _NegativeEntry,
-)
-from ..gdmp.request_manager import (
-    REQUEST_MESSAGE_SIZE,
-    RemoteError,
-    RequestClient,
-)
+from ..gdmp.replica_service import CatalogProxy, _NegativeEntry
+from ..gdmp.request_manager import RemoteError, RequestClient
 
 __all__ = ["RlsCatalogProxy"]
 
@@ -91,7 +83,7 @@ class RlsCatalogProxy(CatalogProxy):
     def _routed_call(
         self, host: str, operation: str, payload, n_items: int = 0
     ):
-        """An RPC to an RLI or candidate LRC.  Unlike the base `_call`,
+        """An RPC to an RLI or candidate LRC.  Unlike the base `_guarded`,
         a transport failure here does NOT clear the whole client cache —
         one dead shard or index host says nothing about answers already
         verified at other sites — and every call carries a deadline so a
@@ -99,11 +91,8 @@ class RlsCatalogProxy(CatalogProxy):
         self.stats["envelopes"] += 1
 
         def guarded():
-            result = yield self.client.call(
-                host,
-                operation,
-                payload,
-                size=REQUEST_MESSAGE_SIZE + BULK_ITEM_SIZE * n_items,
+            result = yield self._rpc(
+                host, operation, payload, n_items,
                 timeout=self.lookup_timeout,
             )
             return result
@@ -458,7 +447,7 @@ class RlsCatalogProxy(CatalogProxy):
 
     # -- writes ---------------------------------------------------------------
     # publish/publish_bulk/remove_replica(s) are inherited: the base
-    # class already targets ``catalog_host`` — this site's own LRC.
+    # class already writes to ``server_host`` — this site's own LRC.
     # Only explicit user-chosen LFNs need a grid-wide uniqueness probe,
     # and replica registration becomes metadata-carrying adoption.
 
@@ -519,8 +508,7 @@ class RlsCatalogProxy(CatalogProxy):
         def run():
             info = yield self.info(lfn)  # warm from the replicate read
             self.stats["adoptions"] += 1
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.adopt",
                 {
                     "lfn": lfn,
@@ -529,7 +517,6 @@ class RlsCatalogProxy(CatalogProxy):
                     "modified": info.modified,
                     "crc": info.crc,
                     "attributes": info.attributes,
-                    "txn": self._txn(),
                 },
             )
             self.invalidate(lfn)
@@ -553,10 +540,9 @@ class RlsCatalogProxy(CatalogProxy):
                 for info in infos
             ]
             self.stats["adoptions"] += len(files)
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.adopt_bulk",
-                {"files": files, "site": site, "txn": self._txn()},
+                {"files": files, "site": site},
                 n_items=len(files),
             )
             for lfn in lfns:

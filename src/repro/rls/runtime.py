@@ -1,11 +1,12 @@
 """Assembly of the Replica Location Service inside a `DataGrid`.
 
 :class:`RlsConfig` is the opt-in knob (``DataGrid(..., rls=RlsConfig())``)
-and :class:`RlsRuntime` is what the grid builds from it: one Local
+and :class:`RlsRuntime` is the plane the grid builds from it: one Local
 Replica Catalog per site (an indexed `GdmpCatalog` behind the site's own
 ``catalog.*`` endpoint), the `RliService` on the index host, one
-:class:`DigestPusher` standing process per site, and the per-site
-:class:`~repro.rls.router.RlsCatalogProxy` routers the clients use.
+soft-state digest pusher per site, the per-site
+:class:`~repro.rls.router.RlsCatalogProxy` routers the clients use, and
+the plane's own gauges.
 
 The runtime also carries the *ground truth* helpers experiments verify
 against — with no central catalog, "what does the grid hold?" is the
@@ -15,10 +16,12 @@ union over the per-site LRC backends, read directly in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from operator import itemgetter
+from typing import Dict, List, Optional
 
-from ..simulation.kernel import Interrupt, Process, Simulator
-from ..gdmp.request_manager import REQUEST_MESSAGE_SIZE, RequestClient
+from ..catalog.gdmp_catalog import GdmpCatalog
+from ..gdmp.replica_service import ReplicaCatalogService
+from ..services.softstate import PushNames, PushPlane, SoftStatePusher
 from .digest import (
     DigestConfig,
     DigestSource,
@@ -26,8 +29,17 @@ from .digest import (
     digest_wire_size,
 )
 from .rli import RliService
+from .router import RlsCatalogProxy
 
-__all__ = ["RlsConfig", "DigestPusher", "RlsRuntime"]
+__all__ = ["RlsConfig", "RlsRuntime"]
+
+_PUSH_NAMES = PushNames(
+    process="rls-digest-pusher",
+    shutdown="rls-shutdown",
+    pushes="rls.digest.pushes",
+    label="kind",
+    bytes="rls.digest.bytes",
+)
 
 
 @dataclass(frozen=True)
@@ -48,140 +60,109 @@ class RlsConfig:
     stagger: bool = True
 
 
-class DigestPusher:
-    """Standing per-site process pushing soft-state digests to the RLI.
-
-    Every period the site's :class:`DigestSource` builds the next full
-    or delta digest and pushes it over ``rli.push_digest``; the source
-    is only acknowledged when the index replies, so digests lost to
-    faults (black-holed RLI, dropped messages) are simply folded into
-    the next attempt.  Soft state: nothing here retries in a tight loop
-    or escalates — convergence comes from the cadence itself.
+class RlsRuntime(PushPlane):
+    """The RLS plane of one grid: built from the grid's sites, started
+    and stopped by the experiment that opts in.  Each digest pusher
+    acknowledges its :class:`DigestSource` only when the index replied,
+    so a lost digest is folded into the next one.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        client: RequestClient,
-        rli_host: str,
-        source: DigestSource,
-        phase: float = 0.0,
-        metrics=None,
-    ) -> None:
-        self.sim = sim
-        self.client = client
-        self.rli_host = rli_host
-        self.source = source
-        self.phase = phase
-        self.metrics = metrics
-        self.process: Optional[Process] = None
-        self.stats = {
-            "pushes": 0,
-            "pushes_full": 0,
-            "pushes_delta": 0,
-            "pushes_lost": 0,
-            "bytes_pushed": 0,
-        }
-
-    def start(self) -> Process:
-        self.process = self.sim.spawn(
-            self._run(), name=f"rls-digest-pusher@{self.source.site}"
-        )
-        return self.process
-
-    def stop(self) -> None:
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt("rls-shutdown")
-
-    def running(self) -> bool:
-        return self.process is not None and self.process.is_alive
-
-    def push_once(self):
-        """Generator: build, push, and (on success) acknowledge one digest."""
-        payload = self.source.next_digest()
-        size = digest_wire_size(payload)
-        period = self.source.config.period
-        try:
-            reply = yield self.client.call(
-                self.rli_host,
-                "rli.push_digest",
-                payload,
-                size=REQUEST_MESSAGE_SIZE + size,
-                timeout=max(period * 0.5, 1.0),
-            )
-        except Interrupt:
-            raise
-        except Exception:
-            # lost push (down/black-holed index): soft state, the next
-            # period's digest carries everything this one did
-            self.stats["pushes_lost"] += 1
-            self._count("lost")
-            return False
-        self.source.ack(payload)
-        self.stats["pushes"] += 1
-        self.stats["bytes_pushed"] += size
-        self.stats[f"pushes_{payload['kind']}"] += 1
-        self._count(payload["kind"], size)
-        return True
-
-    def _run(self):
-        try:
-            if self.phase > 0:
-                yield self.sim.timeout(self.phase)
-            while True:
-                yield from self.push_once()
-                yield self.sim.timeout(self.source.config.period)
-        except Interrupt:
-            return
-
-    def _count(self, kind: str, size: int = 0) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter(
-            "rls.digest.pushes", site=self.source.site, kind=kind
-        ).inc()
-        if size:
-            self.metrics.counter(
-                "rls.digest.bytes", site=self.source.site
-            ).inc(size)
-
-
-class RlsRuntime:
-    """Everything the grid assembled for RLS mode, in one place."""
-
-    def __init__(
-        self,
-        config: RlsConfig,
-        rli_host: str,
-        rli_service: RliService,
-    ) -> None:
+    def __init__(self, grid, config: RlsConfig) -> None:
+        super().__init__()
         self.config = config
-        self.rli_host = rli_host
-        self.rli_service = rli_service
+        self.sim = grid.sim
+        self.rli_host = config.rli_host or grid.catalog_host
+        if self.rli_host not in grid.sites:
+            raise ValueError(f"RLI host {self.rli_host!r} is not a site")
+        self.metrics = grid.metrics
+        self.rli_service = RliService(
+            grid.sites[self.rli_host].request_server,
+            ReplicaLocationIndex(grid.sites),
+            metrics=grid.metrics,
+        )
+        #: site name -> host of that site's LRC (site == host in DataGrid)
+        self.lrc_hosts = {name: name for name in grid.sites}
         #: site name -> that site's LRC backend (GdmpCatalog)
-        self.backends: Dict[str, object] = {}
+        self.backends: Dict[str, GdmpCatalog] = {}
         #: site name -> that site's ReplicaCatalogService
-        self.services: Dict[str, object] = {}
+        self.services: Dict[str, ReplicaCatalogService] = {}
         self.sources: Dict[str, DigestSource] = {}
-        self.pushers: Dict[str, DigestPusher] = {}
-        self.started = False
+        period = config.digest.period
+        for i, (name, site) in enumerate(grid.sites.items()):
+            backend = GdmpCatalog(lfn_stem=f"{name}.file")
+            service = ReplicaCatalogService(
+                site.request_server, backend, metrics=grid.metrics
+            )
+            source = DigestSource(name, backend.list_lfns, config.digest)
+            service.write_listeners.append(source.on_write)
+            self.backends[name] = backend
+            self.services[name] = service
+            self.sources[name] = source
+            self.pushers[name] = SoftStatePusher(
+                site.request_client,
+                _PUSH_NAMES,
+                site=name,
+                target_host=self.rli_host,
+                operation="rli.push_digest",
+                period=period,
+                build=source.next_digest,
+                wire_size=digest_wire_size,
+                on_ack=source.ack,
+                kinds=("full", "delta"),
+                kind_of=itemgetter("kind"),
+                phase=(
+                    i * period / len(grid.sites) if config.stagger else 0.0
+                ),
+                metrics=grid.metrics,
+            )
+        if grid.metrics is not None:
+            grid.metrics.add_collector(self._collect)
 
     @property
     def index(self) -> ReplicaLocationIndex:
         return self.rli_service.index
 
-    def start(self) -> None:
-        """Spawn the standing digest pushers (idempotent)."""
-        if self.started:
-            return
-        self.started = True
-        for pusher in self.pushers.values():
-            pusher.start()
+    def catalog_proxy(self, site) -> RlsCatalogProxy:
+        """The two-tier router one site's client uses as its catalog."""
+        return RlsCatalogProxy(
+            site.request_client,
+            site.name,
+            self.rli_host,
+            self.lrc_hosts,
+            cache=self.config.cache,
+            lookup_timeout=self.config.lookup_timeout,
+            metrics=self.metrics,
+        )
 
-    def stop(self) -> None:
-        for pusher in self.pushers.values():
-            pusher.stop()
-        self.started = False
+    # -- telemetry ---------------------------------------------------------
+
+    def _collect(self, registry) -> None:
+        """Scrape LRC, index and pusher state into gauges at export time."""
+        for name, backend in self.backends.items():
+            directory = backend.catalog.directory
+            for key, value in sorted(directory.stats.items()):
+                registry.gauge("catalog.ldap." + key, site=name).set(value)
+        index = self.index
+        for key, value in sorted(index.stats.items()):
+            registry.gauge("rls.rli." + key).set(value)
+        for site, state in index.states.items():
+            registry.gauge("rls.rli.generation", site=site).set(
+                state.generation
+            )
+            registry.gauge("rls.rli.entry_count", site=site).set(
+                state.entry_count
+            )
+            if state.bloom is not None:
+                registry.gauge("rls.rli.bloom_bytes", site=site).set(
+                    state.bloom.size_bytes
+                )
+        for site, staleness in index.staleness(self.sim.now).items():
+            registry.gauge("rls.rli.staleness_seconds", site=site).set(
+                staleness
+            )
+        for site, pusher in self.pushers.items():
+            for key, value in sorted(pusher.stats.items()):
+                registry.gauge(f"rls.pusher.{key}", site=site).set(value)
 
     # -- ground truth (direct memory reads for experiment verification) ----
 
@@ -203,24 +184,6 @@ class RlsRuntime:
     def total_entries(self) -> int:
         return sum(len(b.list_lfns()) for b in self.backends.values())
 
-    def push_stats(self) -> Dict[str, int]:
-        totals = {
-            "pushes": 0,
-            "pushes_full": 0,
-            "pushes_delta": 0,
-            "pushes_lost": 0,
-            "bytes_pushed": 0,
-        }
-        for pusher in self.pushers.values():
-            for key in totals:
-                totals[key] += pusher.stats[key]
-        return totals
-
     def fingerprint(self) -> str:
         """Deterministic digest of index state + push accounting."""
-        pushes = ",".join(
-            f"{site}:{self.pushers[site].stats['pushes']}"
-            f"/{self.pushers[site].stats['pushes_lost']}"
-            for site in sorted(self.pushers)
-        )
-        return self.index.fingerprint() + "##" + pushes
+        return self.index.fingerprint() + "##" + self.push_fingerprint()

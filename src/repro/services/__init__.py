@@ -2,8 +2,10 @@
 
 One request/reply implementation — dispatch, middleware, timeouts, trace
 propagation — shared by GDMP's Request Manager, the GridFTP control
-channel, and the replica catalog service.  See DESIGN.md, "Control plane:
-service bus and middleware".
+channel, and the replica catalog service, plus the two mechanisms every
+plane built on it shares: exactly-once writes (:mod:`~repro.services.replay`)
+and soft-state push (:mod:`~repro.services.softstate`).  See DESIGN.md,
+"Control plane: service bus and middleware".
 """
 
 from repro.services.bus import (
@@ -25,6 +27,8 @@ from repro.services.middleware import (
     GsiAuthMiddleware,
     ServerMonitorMiddleware,
 )
+from repro.services.replay import ReplayWindow
+from repro.services.softstate import PushNames, PushPlane, SoftStatePusher
 from repro.services.tracelog import Span, TraceLog
 
 __all__ = [
@@ -35,7 +39,10 @@ __all__ = [
     "DeadlineMiddleware",
     "GsiAuthenticator",
     "GsiAuthMiddleware",
+    "PushNames",
+    "PushPlane",
     "RemoteCallError",
+    "ReplayWindow",
     "RequestContext",
     "ServerMonitorMiddleware",
     "ServiceClient",
@@ -43,6 +50,7 @@ __all__ = [
     "ServiceError",
     "ServiceFault",
     "ServiceRequest",
+    "SoftStatePusher",
     "Span",
     "TraceLog",
 ]

@@ -414,6 +414,11 @@ class ServiceClient:
         self._pending: dict[int, Store] = {}
         self._pending_hosts: dict[int, str] = {}
         self._abandoned: set[int] = set()
+        #: idempotent-write serials (see :mod:`repro.services.replay`);
+        #: the open set is insertion-ordered, so its first key is the
+        #: lowest serial still in flight
+        self._txn_serials = itertools.count(1)
+        self._open_txns: dict[int, None] = {}
         sim.spawn(
             self._dispatch(), name=f"{reply_service}-dispatch@{host.name}"
         )
@@ -654,15 +659,38 @@ class ServiceClient:
         server_host: str,
         operation: str,
         payload: Any = None,
+        *,
+        idempotent: bool = False,
+        meta: Optional[dict] = None,
         **kwargs: Any,
     ) -> Process:
         """Spawned-process convenience over :meth:`invoke`: the process's
-        value is the final reply payload."""
+        value is the final reply payload.
+
+        ``idempotent`` marks a write the server must apply exactly once
+        however often the transport re-issues it: the call carries one
+        ``txn`` in its ``meta`` across every retry, answered from the
+        service's :class:`~repro.services.replay.ReplayWindow` when
+        repeated.  The write stays *open* until ``invoke`` returns or
+        raises — after that no retry of it can ever be sent."""
 
         def run():
-            outcome = yield from self.invoke(
-                server_host, operation, payload, **kwargs
-            )
+            call_meta = meta
+            if idempotent:
+                serial = next(self._txn_serials)
+                self._open_txns[serial] = None
+                call_meta = {**(meta or {}), "txn": (
+                    f"{self.host.name}/{self.reply_service}",
+                    serial,
+                    next(iter(self._open_txns)),
+                )}
+            try:
+                outcome = yield from self.invoke(
+                    server_host, operation, payload, meta=call_meta, **kwargs
+                )
+            finally:
+                if idempotent:
+                    del self._open_txns[serial]
             return outcome.payload
 
         return self.sim.spawn(

@@ -1,0 +1,96 @@
+"""Exactly-once writes: the server half of the idempotent-call protocol.
+
+A client whose *reply* was lost re-issues the same write; applying it
+again would double-claim a task, mint a second LFN, or notify write
+listeners twice.  The bus closes that gap once, for every service:
+
+* the client half (:meth:`repro.services.bus.ServiceClient.call` with
+  ``idempotent=True``) stamps one ``txn`` into the envelope ``meta`` per
+  logical write — ``(client id, serial, low)`` — shared by every
+  transport-level retry of that write.  ``low`` is the client's lowest
+  serial still in flight: everything below it has settled (its call
+  returned or raised) and will never be retried;
+* the server half (:class:`ReplayWindow`, one per service, applied by
+  ``RequestServer.register(op, handler, replay=window)``) stores each
+  applied write's result under its serial and answers a repeated serial
+  from the store instead of calling the handler again.
+
+The window needs no size or age knob: each request's ``low`` tells it
+which of that client's results can never be asked for again, so it holds
+at most one entry per write the client had in flight at once.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Generator, Optional
+
+from repro.services.bus import ServiceError
+
+__all__ = ["ReplayWindow"]
+
+
+class _ClientResults:
+    """One client's retained results and the serial they start at."""
+
+    __slots__ = ("low", "results")
+
+    def __init__(self) -> None:
+        self.low = 0
+        self.results: dict[int, Any] = {}
+
+
+class ReplayWindow:
+    """One service's table of applied-write results, bounded by each
+    client's in-flight watermark.
+
+    Several services share one request server, so each owns its window:
+    a ``task.claim`` and a ``catalog.publish`` from the same client draw
+    serials from one counter but must never answer for each other.
+    ``counter`` names the registry counter bumped per replayed write
+    (``None``, or no ``metrics``, keeps the window silent).
+    """
+
+    def __init__(self, metrics=None, counter: Optional[str] = None):
+        self.metrics = metrics
+        self.counter = counter
+        self._clients: dict[str, _ClientResults] = {}
+
+    def __len__(self) -> int:
+        """Results currently retained, over all clients."""
+        return sum(len(state.results) for state in self._clients.values())
+
+    def apply(
+        self,
+        txn: Optional[tuple[str, int, int]],
+        handler: Callable[[Any], Generator],
+        request: Any,
+    ):
+        """Generator: run ``handler(request)`` unless ``txn`` was already
+        applied, in which case return the stored result.  A request
+        without a ``txn`` (a read, or a caller that opted out) always
+        runs.  A handler that raises stores nothing, so the retry of a
+        failed write re-executes it."""
+        if txn is None:
+            result = yield from handler(request)
+            return result
+        client, serial, low = txn
+        state = self._clients.get(client)
+        if state is None:
+            state = self._clients[client] = _ClientResults()
+        if low > state.low:
+            state.low = low
+            for settled in [s for s in state.results if s < low]:
+                del state.results[settled]
+        if serial in state.results:
+            if self.metrics is not None and self.counter is not None:
+                self.metrics.counter(self.counter).inc()
+            return state.results[serial]
+        if serial < state.low:
+            # A duplicate that out-waited its own call (a delayed first
+            # attempt overtaken by its retry): the client settled this
+            # write long ago and discards whatever we answer — but
+            # applying it a second time would break exactly-once.
+            raise ServiceError(f"write {serial} of {client} already settled")
+        result = yield from handler(request)
+        state.results[serial] = result
+        return result

@@ -14,8 +14,9 @@ shape).  This module provides the queue in three layers:
   claim/inspection time, purely from the sim clock.
 * :class:`TaskQueueService` — the bus half: ``task.*`` operations
   registered on a :class:`~repro.gdmp.request_manager.RequestServer`
-  (next to the ``catalog.*`` operations), every write idempotent under
-  transport retries via the same ``txn`` replay scheme the catalog uses.
+  (next to the ``catalog.*`` operations), every write exactly-once under
+  transport retries through the service's
+  :class:`~repro.services.replay.ReplayWindow`.
   Lease deadlines therefore compose with the resilience middleware: a
   retried ``claim`` replays the original claim instead of double-claiming,
   and a retried ``complete`` replays the stored verdict.
@@ -37,12 +38,11 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.gdmp.request_manager import (
-    REQUEST_MESSAGE_SIZE,
     AuthenticatedRequest,
-    GdmpError,
-    RequestClient,
+    RequestProxy,
     RequestServer,
 )
+from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Process, Simulator
 
 __all__ = ["Task", "TaskQueue", "TaskQueueService", "TaskQueueProxy"]
@@ -261,6 +261,19 @@ class TaskQueue:
         return task.state
 
     # -- inspection -------------------------------------------------------
+    def observed_states(self):
+        """Read-only view for telemetry: ``(task, state)`` per task, with
+        the state the next :meth:`claim` would find — a claim whose lease
+        has run out reads ``pending`` though nothing has moved it yet.
+        Unlike every other inspector here this applies no expiry, so a
+        scrape can never reorder a lane."""
+        now = self.sim.now
+        for task in self.tasks.values():
+            if task.state == "claimed" and task.lease_deadline <= now:
+                yield task, "pending"
+            else:
+                yield task, task.state
+
     def counts(self) -> dict[str, int]:
         """Per-state task counts (lease expiry applied first)."""
         self._expire_leases()
@@ -312,9 +325,8 @@ class TaskQueueService:
     """``task.*`` operations hosted on a site's request server.
 
     Lives next to the ``catalog.*`` handlers on the same authenticated
-    bus endpoint; every mutating operation accepts a client-minted
-    ``txn`` and replays the stored result on retry, exactly like the
-    catalog's write plumbing — so the retry middleware can safely
+    bus endpoint; every mutating operation is registered behind the
+    service's own replay window, so the retry middleware can safely
     re-issue a claim or completion whose reply was lost.
     """
 
@@ -329,10 +341,13 @@ class TaskQueueService:
         )
         self.server = server
         self.metrics = metrics
-        self._applied: dict[str, object] = {}
+        self.replay = ReplayWindow(metrics, "workload.txn_replays")
         for op in ("submit", "submit_bulk", "claim", "renew", "complete",
-                   "fail", "counts"):
-            server.register(f"task.{op}", getattr(self, f"_op_{op}"))
+                   "fail"):
+            server.register(
+                f"task.{op}", getattr(self, f"_op_{op}"), replay=self.replay
+            )
+        server.register("task.counts", self._op_counts)
         if metrics is not None:
             metrics.add_collector(self._collect)
 
@@ -350,45 +365,34 @@ class TaskQueueService:
             ).observe(age)
 
     def _collect(self, registry) -> None:
-        """Scrape queue depth per state into gauges at export time."""
-        for state, value in sorted(self.queue.counts().items()):
+        """Scrape queue depth per state into gauges at export time,
+        as the next claim would find it but without touching the queue."""
+        depth = dict.fromkeys(STATES, 0)
+        lapsed = 0
+        for task, state in self.queue.observed_states():
+            depth[state] += 1
+            lapsed += state != task.state
+        for state, value in sorted(depth.items()):
             registry.gauge("workload.queue.depth", state=state).set(value)
         registry.gauge("workload.queue.expired_leases").set(
-            self.queue.stats.expired_leases
+            self.queue.stats.expired_leases + lapsed
         )
         registry.gauge("workload.queue.stale_ops").set(
             self.queue.stats.stale_ops
         )
 
-    # -- txn replay plumbing ---------------------------------------------
-    def _seen(self, payload) -> tuple[Optional[str], bool]:
-        txn = payload.get("txn") if isinstance(payload, dict) else None
-        if txn is not None and txn in self._applied:
-            if self.metrics is not None:
-                self.metrics.counter("workload.txn_replays").inc()
-            return txn, True
-        return txn, False
-
     # -- handlers ---------------------------------------------------------
     def _op_submit(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         task_id = self.queue.submit(
             p["type"], p["site"], p.get("payload") or {}, key=p.get("key")
         )
         self._count("submitted", p["type"])
-        if txn is not None:
-            self._applied[txn] = task_id
         return task_id
         yield  # pragma: no cover - generator marker
 
     def _op_submit_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         ids = []
         for item in p["tasks"]:
             ids.append(self.queue.submit(
@@ -396,16 +400,11 @@ class TaskQueueService:
                 key=item.get("key"),
             ))
             self._count("submitted", item["type"])
-        if txn is not None:
-            self._applied[txn] = ids
         return ids
         yield  # pragma: no cover
 
     def _op_claim(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         now = self.server.sim.now
         tasks = self.queue.claim(
             p["worker"], p["type"], p["site"],
@@ -417,30 +416,18 @@ class TaskQueueService:
                 self._observe_age(
                     "claim_age", task.type, now - task.submitted_at
                 )
-        result = [task.public() for task in tasks]
-        if txn is not None:
-            self._applied[txn] = result
-        return result
+        return [task.public() for task in tasks]
         yield  # pragma: no cover
 
     def _op_renew(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
-        deadline = self.queue.renew(
+        return self.queue.renew(
             p["task_id"], p["claim_token"], lease=p.get("lease")
         )
-        if txn is not None:
-            self._applied[txn] = deadline
-        return deadline
         yield  # pragma: no cover
 
     def _op_complete(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         task = self.queue.tasks.get(p["task_id"])
         ok = self.queue.complete(
             p["task_id"], p["claim_token"], result=p.get("result")
@@ -453,16 +440,11 @@ class TaskQueueService:
             )
         elif task is not None:
             self._count("stale", task.type)
-        if txn is not None:
-            self._applied[txn] = ok
         return ok
         yield  # pragma: no cover
 
     def _op_fail(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         task = self.queue.tasks.get(p["task_id"])
         state = self.queue.fail(
             p["task_id"], p["claim_token"],
@@ -476,8 +458,6 @@ class TaskQueueService:
                 self._count("failed", task.type)
                 if state == "dead":
                     self._count("dead", task.type)
-        if txn is not None:
-            self._applied[txn] = state
         return state
         yield  # pragma: no cover
 
@@ -486,73 +466,54 @@ class TaskQueueService:
         yield  # pragma: no cover
 
 
-class TaskQueueProxy:
+class TaskQueueProxy(RequestProxy):
     """Site-side client of the queue service (one RPC per method)."""
 
-    def __init__(self, client: RequestClient, queue_host: str):
-        self.client = client
-        self.queue_host = queue_host
-
-    def _txn(self) -> str:
-        sim = self.client.sim
-        return f"{self.client.host.name}:{sim.next_serial('workload-txn')}"
-
-    def _call(self, operation: str, payload: dict,
-              n_items: int = 0) -> Process:
-        return self.client.call(
-            self.queue_host,
-            operation,
-            payload,
-            size=REQUEST_MESSAGE_SIZE + TASK_ITEM_SIZE * n_items,
-        )
+    ITEM_SIZE = TASK_ITEM_SIZE
 
     def submit(self, type: str, site: str, payload: dict,
                key: Optional[str] = None) -> Process:
-        return self._call("task.submit", {
+        return self._write("task.submit", {
             "type": type, "site": site, "payload": payload, "key": key,
-            "txn": self._txn(),
         })
 
     def submit_bulk(self, tasks: list[dict]) -> Process:
         """Enqueue a batch in one envelope.  Each item: ``type``,
         ``site``, ``payload``, optional ``key``."""
-        return self._call(
-            "task.submit_bulk",
-            {"tasks": list(tasks), "txn": self._txn()},
-            n_items=len(tasks),
+        return self._write(
+            "task.submit_bulk", {"tasks": list(tasks)}, n_items=len(tasks)
         )
 
     def claim(self, worker: str, type: str, site: str, *,
               limit: int = 1, lease: Optional[float] = None) -> Process:
-        return self._call(
+        return self._write(
             "task.claim",
             {
                 "worker": worker, "type": type, "site": site,
-                "limit": limit, "lease": lease, "txn": self._txn(),
+                "limit": limit, "lease": lease,
             },
             n_items=limit,
         )
 
     def renew(self, task_id: int, claim_token: int,
               lease: Optional[float] = None) -> Process:
-        return self._call("task.renew", {
+        return self._write("task.renew", {
             "task_id": task_id, "claim_token": claim_token, "lease": lease,
-            "txn": self._txn(),
         })
 
     def complete(self, task_id: int, claim_token: int,
                  result=None) -> Process:
-        return self._call("task.complete", {
+        return self._write("task.complete", {
             "task_id": task_id, "claim_token": claim_token,
-            "result": result, "txn": self._txn(),
+            "result": result,
         })
 
     def fail(self, task_id: int, claim_token: int, error: str = "",
              retryable: bool = True) -> Process:
-        return self._call("task.fail", {
+        return self._write("task.fail", {
             "task_id": task_id, "claim_token": claim_token,
-            "error": error, "retryable": retryable, "txn": self._txn(),
+            "error": error, "retryable": retryable,
         })
 
     def counts(self) -> Process:
-        return self._call("task.counts", {})
+        return self._read("task.counts", {})

@@ -2,8 +2,9 @@
 
 Covers the DFS-style write path (init -> per-chunk STOR + CKSM ->
 commit), content-address dedup, the 553 "file exists" race in both its
-benign and hostile forms, txn-idempotent commits, ranked failover on
-the read path, and staging-debris hygiene.
+benign and hostile forms, ranked failover on the read path, and
+staging-debris hygiene.  (Exactly-once commits under a lost reply are
+in ``tests/services/test_replay.py``, with every other service's.)
 """
 
 import pytest
@@ -16,7 +17,6 @@ from repro.chunks import (
     chunk_path,
 )
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.gdmp.request_manager import AuthenticatedRequest
 
 SITES = ["hub", "s1", "s2", "s3"]
 SIZE = 9_000_000.0
@@ -135,58 +135,6 @@ def test_squatter_with_wrong_content_is_evicted_and_replaced(grid, runtime):
     ) == 1
     stored = grid.site(target).fs.stat(chunk_path(cid))
     assert stored.content_id == chunk_content_id(cid)
-
-
-# -- txn idempotency ------------------------------------------------------
-
-def _drive(handler, payload):
-    gen = handler(AuthenticatedRequest(
-        "op", payload, "test-host", "s", "id", "acct"
-    ))
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("directory handlers must not yield")
-
-
-def test_replayed_commit_returns_stored_verdict(grid, runtime):
-    directory = runtime.directory
-    manifest, targets, needed = directory.init("obj", SIZE, "key-1", K, M)
-    placements = [[cid, targets[cid]] for cid in needed]
-    payload = {"object": "obj", "placements": placements, "txn": "host:1"}
-    first = _drive(runtime.service._op_commit, payload)
-    replay = _drive(runtime.service._op_commit, payload)
-    assert replay is first                  # stored verdict, not recomputed
-    assert first["first_commit"] is True
-    assert directory.stats.commits == 1
-    assert directory.stats.recommits == 0   # replay never re-applied
-    # a *fresh* txn for the same object is a recommit, not a double count
-    retry = _drive(runtime.service._op_commit, {**payload, "txn": "host:2"})
-    assert retry["first_commit"] is False
-    assert directory.stats.commits == 1
-    assert directory.stats.recommits == 1
-    for cid in needed:
-        assert directory.refcounts[cid] == 1
-
-
-def test_replayed_repair_done_applies_once(grid, runtime):
-    _put(grid, runtime, "obj")
-    directory = runtime.directory
-    manifest = directory.manifests["obj"]
-    cid = manifest.chunks[0].chunk_id
-    holder = next(iter(directory.locations[cid]))
-    payload = {
-        "object": "obj",
-        "repaired": [[cid, "s3"]],
-        "removed": [[cid, holder]],
-        "txn": "fixer:1",
-    }
-    first = _drive(runtime.service._op_repair_done, payload)
-    replay = _drive(runtime.service._op_repair_done, payload)
-    assert replay is first
-    assert directory.stats.repairs == 1
-    assert directory.locations[cid] == {"s3"}
 
 
 # -- read path ------------------------------------------------------------

@@ -65,9 +65,7 @@ def test_weather_blackhole_degrades_then_reconverges(grid):
     campaign_proc = injector.start()
 
     # deep inside the window the site caches have aged past the horizon
-    lost_before = grid.weather.push_stats()["pushes_lost"]
     grid.run(until=grid.sim.timeout(0.5 + config.staleness_horizon + 2.0))
-    assert grid.weather.push_stats()["pushes_lost"] > lost_before
     delta = _delta(
         grid,
         lambda: grid.run(until=grid.site("anl").client.replicate("f2.dat")),

@@ -11,7 +11,9 @@ from .conftest import FAST_DIGESTS, converge, publish
 
 def test_rli_blackhole_spares_colocated_catalog(rls_grid):
     """Black-holing ``rli.*`` at cern must leave cern's own LRC fully
-    answerable — pushes are lost, catalog writes and probes still land."""
+    answerable — catalog writes and probes still land.  (That the digest
+    pushes into the hole are lost and later folded forward is pinned in
+    ``tests/services/test_softstate.py``.)"""
     grid = rls_grid
     publish(grid, "anl", "before.dat")
     converge(grid)
@@ -27,10 +29,7 @@ def test_rli_blackhole_spares_colocated_catalog(rls_grid):
     assert {loc["location"] for loc in info.locations} == {"cern"}
     assert reader.stats["rli_unavailable"] >= 1
 
-    # digest pushes into the black hole are counted lost, not retried hot
-    lost_before = grid.rls.push_stats()["pushes_lost"]
     grid.run(until=grid.sim.timeout(FAST_DIGESTS.period * 3))
-    assert grid.rls.push_stats()["pushes_lost"] > lost_before
 
     # after the window closes the re-pushed digests converge the index
     grid.msgnet.set_service_down("cern", "gdmp", False, prefix="rli.")

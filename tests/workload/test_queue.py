@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.gdmp.request_manager import AuthenticatedRequest
+from repro.gdmp import DataGrid, GdmpConfig
 from repro.simulation.kernel import Simulator
-from repro.workload.queue import TaskQueue, TaskQueueService
+from repro.workload.queue import TaskQueue, TaskQueueProxy, TaskQueueService
 
 
 @pytest.fixture
@@ -15,35 +15,6 @@ def sim():
 @pytest.fixture
 def queue(sim):
     return TaskQueue(sim, default_lease=30.0, max_attempts=3)
-
-
-class StubServer:
-    """Just enough RequestServer surface for TaskQueueService."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.ops = {}
-
-    def register(self, operation, handler):
-        self.ops[operation] = handler
-
-
-def call(service, op, payload):
-    """Drive one queue handler to completion (they never yield)."""
-    gen = service.server.ops[f"task.{op}"](
-        AuthenticatedRequest(op, payload, "test-host", "s", "id", "acct")
-    )
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("queue handlers must complete without yielding")
-
-
-@pytest.fixture
-def service(sim):
-    return TaskQueueService(StubServer(sim), default_lease=30.0,
-                            max_attempts=3)
 
 
 # -- TaskQueue state machine ----------------------------------------------
@@ -156,41 +127,48 @@ def test_fingerprint_is_stable_and_covers_every_task(queue):
     assert "xfer@anl" in fp and "verify@anl" in fp and "k1" in fp
 
 
-# -- TaskQueueService txn idempotency --------------------------------------
-
-def test_submit_txn_replays_instead_of_duplicating(service):
-    payload = {"type": "xfer", "site": "anl", "payload": {}, "txn": "h:1"}
-    first = call(service, "submit", payload)
-    second = call(service, "submit", payload)
-    assert first == second
-    assert service.queue.stats.submitted == 1
 
 
-def test_claim_txn_replay_does_not_double_claim(service):
-    for i in range(2):
-        call(service, "submit",
-             {"type": "xfer", "site": "anl", "payload": {"n": i}})
-    claim = {"worker": "w", "type": "xfer", "site": "anl",
-             "limit": 1, "lease": None, "txn": "h:2"}
-    first = call(service, "claim", claim)
-    replay = call(service, "claim", claim)
-    assert replay == first           # same task, same token
-    assert len(first) == 1
-    # a *fresh* txn claims the next task, proving the queue still moves
-    other = call(service, "claim", dict(claim, txn="h:3"))
-    assert other[0]["task_id"] != first[0]["task_id"]
+# -- telemetry is read-only -------------------------------------------------
+
+def _run_with_abandoned_claims(scrape_at=None):
+    """Two workers claim one task each and die; the *later* task's lease
+    runs out first.  A third worker then claims one task and finishes it.
+    ``scrape_at`` injects a metrics snapshot between the two expiries."""
+    grid = DataGrid([GdmpConfig("cern"), GdmpConfig("anl")], seed=3)
+    service = TaskQueueService(
+        grid.site("cern").request_server, metrics=grid.metrics
+    )
+    proxy = TaskQueueProxy(grid.site("anl").request_client, "cern")
+    for n in range(2):
+        grid.run(until=proxy.submit("xfer", "anl", {"n": n}))
+    grid.run(until=proxy.claim("w1", "xfer", "anl", lease=20.0))
+    grid.run(until=proxy.claim("w2", "xfer", "anl", lease=10.0))
+    if scrape_at is not None:
+        grid.run(until=scrape_at)
+        depth = grid.metrics.snapshot()["workload.queue.depth"]
+        assert {
+            c["labels"]["state"]: c["value"] for c in depth["children"]
+        } == {"pending": 1, "claimed": 1, "done": 0, "dead": 0}
+        assert grid.metrics.value("workload.queue.expired_leases") == 1
+    grid.run(until=25.0)
+    [task] = grid.run(until=proxy.claim("w3", "xfer", "anl"))
+    grid.run(until=proxy.complete(task["task_id"], task["claim_token"]))
+    return service.queue.fingerprint()
 
 
-def test_complete_txn_replay_returns_stored_verdict(service):
-    call(service, "submit", {"type": "xfer", "site": "anl", "payload": {}})
-    [task] = call(service, "claim", {
-        "worker": "w", "type": "xfer", "site": "anl",
-        "limit": 1, "lease": None, "txn": "h:4",
-    })
-    done = {"task_id": task["task_id"], "claim_token": task["claim_token"],
-            "result": {"ok": 1}, "txn": "h:5"}
-    assert call(service, "complete", done) is True
-    # the retry of a completion whose reply was lost replays True — it
-    # does not become a stale-token False
-    assert call(service, "complete", done) is True
-    assert service.queue.stats.completed == 1
+def test_a_metrics_scrape_never_changes_what_the_next_claim_returns():
+    assert _run_with_abandoned_claims(scrape_at=15.0) \
+        == _run_with_abandoned_claims()
+
+
+def test_observed_states_reads_lapsed_claims_as_pending(sim, queue):
+    tid = queue.submit("xfer", "anl", {})
+    queue.claim("w", "xfer", "anl", lease=5.0)
+    sim.run(until=6.0)
+    assert [(t.task_id, s) for t, s in queue.observed_states()] \
+        == [(tid, "pending")]
+    # nothing moved: the claim is still on the books until a claim or an
+    # inspector applies the expiry
+    assert queue.tasks[tid].state == "claimed"
+    assert queue.stats.expired_leases == 0

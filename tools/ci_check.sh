@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, the determinism record, an engine microbench
-# smoke run, the telemetry exporter smoke gate, the chaos fault-injection
-# gate, the workload standing-pipeline gate, and (when available) ruff.
+# CI gate: tier-1 tests (which include the recorded-output determinism
+# record and the netsim/catalog differential suites), the e2e benchmark
+# harness smoke tests, an engine microbench smoke run, the telemetry
+# exporter smoke gate, the chaos fault-injection gate, the workload
+# standing-pipeline gate, and (when available) ruff.
 #
 #   tools/ci_check.sh
 #
@@ -14,8 +16,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== determinism: figure5/figure6 vs recorded seed outputs =="
-python -m pytest -x -q tests/experiments/test_recorded_determinism.py
+echo "== e2e benchmark harness: five workloads at smoke size =="
+python -m pytest -q benchmarks/e2e
 
 echo "== determinism: back-to-back simulations in one process =="
 python tools/determinism_check.py
@@ -28,15 +30,9 @@ echo "== telemetry: exporter shape + determinism (smoke) =="
 python tools/telemetry_smoke.py
 python tools/perf_report.py --telemetry --smoke --output - > /dev/null
 
-echo "== netsim kernels: vector-vs-scalar differential =="
-python -m pytest -x -q tests/netsim/test_vector_scalar_differential.py
-
 echo "== flow scale (smoke) + regression gate =="
 python benchmarks/bench_flow_scale.py --smoke > /dev/null
 python tools/perf_report.py --flow-scale --smoke --output - > /dev/null
-
-echo "== catalog: indexed-vs-naive differential =="
-python -m pytest -x -q tests/catalog/test_search_differential.py
 
 echo "== catalog scale (smoke) + regression gate =="
 python benchmarks/bench_catalog_scale.py --smoke > /dev/null
