@@ -317,6 +317,10 @@ class GdmpCatalog:
         """
         if missing_ok:
             lfns = [lfn for lfn in lfns if self.lfn_exists(lfn)]
+            if not lfns:
+                # "none of them here": answered from the membership index
+                # alone, without walking the location entries
+                return []
         by_lfn = self.catalog.bulk_locations_of(self.collection, lfns)
         results = []
         for lfn in lfns:
@@ -335,6 +339,8 @@ class GdmpCatalog:
 
     def locations_bulk(self, lfns: list[str]) -> dict[str, list[dict]]:
         """Physical locations for a whole file set in one pass."""
+        if not lfns:
+            return {}
         return self.catalog.bulk_locations_of(self.collection, lfns)
 
     def search(self, filter_text: str = "(lfn=*)") -> list[LogicalFileInfo]:

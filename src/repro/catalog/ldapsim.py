@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 __all__ = [
@@ -68,11 +69,20 @@ def split_dn(dn: str) -> list[str]:
     return parts
 
 
+#: spellings remembered by :func:`normalize_dn` / :func:`parent_dn`: the
+#: hot DNs are a handful of collections and locations, asked about once
+#: per membership test.  Malformed DNs raise every time (errors are not
+#: memoised).
+_DN_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_DN_CACHE_SIZE)
 def normalize_dn(dn: str) -> str:
     """The canonical spelling of a DN (whitespace variants collapse)."""
     return ",".join(split_dn(dn))
 
 
+@lru_cache(maxsize=_DN_CACHE_SIZE)
 def parent_dn(dn: str) -> Optional[str]:
     """The (normalized) parent DN, or None for a top-level entry."""
     parts = split_dn(dn)

@@ -172,14 +172,25 @@ class DigestSource:
         }
 
     def ack(self, payload: dict) -> None:
-        """The index accepted ``payload``: clear what it covered."""
+        """The index accepted ``payload``: clear what it covered — and
+        only that.  A write that landed while the push was in flight is
+        not in the payload and must ride the next delta."""
         self.generation = payload["generation"]
-        self._pending_added.clear()
-        self._pending_removed.clear()
         if payload["kind"] == "full":
+            # the index now answers from this bloom: an add it contains
+            # is covered; a remove it still advertises is not
+            bloom = payload["bloom"]
+            self._pending_added = {
+                lfn for lfn in self._pending_added if lfn not in bloom
+            }
+            self._pending_removed = {
+                lfn for lfn in self._pending_removed if lfn in bloom
+            }
             self.needs_full = False
             self.pushes_since_full = 0
         else:
+            self._pending_added.difference_update(payload["added"])
+            self._pending_removed.difference_update(payload["removed"])
             self.pushes_since_full += 1
 
 

@@ -13,12 +13,15 @@ central catalog:
   with a real ``catalog.*`` read (verify-on-use).  A bloom false
   positive or a stale index entry costs one wasted probe, never a wrong
   answer;
+* **every fan-out is one wave** — the per-site RPCs of a multi-site
+  question are in flight together and gathered in a fixed site order,
+  so it costs one round trip (one timeout, if shards are dead) and the
+  merged answer does not depend on arrival order;
 * **degradation is total-order-free** — if the RLI is unreachable, or
   the index returns no candidates, or every candidate denies the file,
-  the router falls back to probing every site's LRC (counted as a
-  fallback broadcast), so a stale or dead index only ever costs extra
-  RPCs.  A dead LRC is skipped and the remaining sites still answer;
-  the existing retry/breaker middleware applies per call.
+  the router widens to every site's LRC (a fallback broadcast), so a
+  stale or dead index only ever costs extra RPCs.  A dead LRC is
+  skipped and the rest still answer; retry/breaker apply per call.
 
 The consistency contract this implements (see DESIGN.md): a read
 observes every replica whose registration digest has reached the index,
@@ -31,7 +34,8 @@ every location in an answer came from the owning LRC itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional
 
 from ..catalog.gdmp_catalog import LogicalFileInfo
 from ..gdmp.replica_service import CatalogProxy, _NegativeEntry
@@ -63,7 +67,7 @@ class RlsCatalogProxy(CatalogProxy):
         self.rli_host = rli_host
         #: site name -> host of that site's LRC (site == host in DataGrid)
         self.lrc_hosts = dict(lrc_hosts)
-        #: deterministic probe order for fallback broadcasts
+        #: deterministic scatter and gather order of every wave
         self.site_order = list(lrc_hosts)
         self.lookup_timeout = lookup_timeout
         self.metrics = metrics
@@ -72,6 +76,7 @@ class RlsCatalogProxy(CatalogProxy):
                 "rli_lookups": 0,
                 "rli_unavailable": 0,
                 "fallback_broadcasts": 0,
+                "uniqueness_probes": 0,
                 "verify_misses": 0,
                 "lrc_failures": 0,
                 "adoptions": 0,
@@ -80,26 +85,59 @@ class RlsCatalogProxy(CatalogProxy):
 
     # -- plumbing -------------------------------------------------------------
 
-    def _routed_call(
-        self, host: str, operation: str, payload, n_items: int = 0
-    ):
-        """An RPC to an RLI or candidate LRC.  Unlike the base `_guarded`,
-        a transport failure here does NOT clear the whole client cache —
-        one dead shard or index host says nothing about answers already
-        verified at other sites — and every call carries a deadline so a
-        black-holed endpoint costs a timeout, not a hang."""
+    def _routed_call(self, host: str, operation: str, payload: dict):
+        """One leg: an RPC to the RLI or to an LRC, as a process that
+        *returns* its outcome — the reply, or the exception instance.
+
+        A leg never raises: the gatherer of a wave is parked on one leg
+        at a time, and the kernel treats a process that fails with nobody
+        waiting on it as a crashed simulation.  Unlike the base
+        `_guarded`, a transport failure here does NOT clear the whole
+        client cache — one dead shard or index host says nothing about
+        answers already verified at other sites — and every call carries
+        a deadline so a black-holed endpoint costs a timeout, not a hang.
+        A bulk envelope is sized by the name list it carries."""
         self.stats["envelopes"] += 1
 
-        def guarded():
-            result = yield self._rpc(
-                host, operation, payload, n_items,
-                timeout=self.lookup_timeout,
-            )
-            return result
+        def leg():
+            try:
+                return (
+                    yield self._rpc(
+                        host, operation, payload, len(payload.get("lfns", ())),
+                        timeout=self.lookup_timeout,
+                    )
+                )
+            except Exception as exc:
+                return exc
 
-        return self.client.sim.spawn(
-            guarded(), name=f"rls-{operation}@{host}"
-        )
+        return self.client.sim.spawn(leg(), name=f"rls-{operation}@{host}")
+
+    def _wave(self, operation: str, payloads: Dict[str, dict]):
+        """Generator: scatter ``operation`` to the LRC of every site in
+        ``payloads`` (site -> its request) with all legs in flight at
+        once, and gather the outcomes in the order of ``payloads``
+        whatever order the replies arrive in, so a merged answer does
+        not depend on the network.  The wave costs its slowest leg: dead
+        shards share one ``lookup_timeout``."""
+        legs = [
+            self._routed_call(self.lrc_hosts[site], operation, payload)
+            for site, payload in payloads.items()
+        ]
+        outcomes = []
+        for leg in legs:
+            # a leg that finished behind an earlier one is read in place
+            outcomes.append(leg.value if leg.processed else (yield leg))
+        return outcomes
+
+    def _ask_index(self, operation: str, payload: dict):
+        """Generator: ``(answer, used_index)`` from the RLI; an
+        unreachable index answers ``(None, False)``."""
+        answer = yield self._routed_call(self.rli_host, operation, payload)
+        if isinstance(answer, Exception):
+            self.stats["rli_unavailable"] += 1
+            return None, False
+        self.stats["rli_lookups"] += 1
+        return answer, True
 
     def _observe_hops(self, hops: int) -> None:
         if self.metrics is not None:
@@ -107,83 +145,59 @@ class RlsCatalogProxy(CatalogProxy):
                 "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
             ).observe(hops)
 
-    def _probe_sites(
-        self, candidates: List[str], used_index: bool
-    ) -> Tuple[List[str], bool]:
-        """(probe order, exhaustive) — own site first, then candidates;
-        an unusable index or an empty candidate set widens to everyone."""
-        if not used_index or not candidates:
-            if used_index:
-                self.stats["fallback_broadcasts"] += 1
-            sites = self.site_order
-            exhaustive = True
-        else:
-            sites = candidates
-            exhaustive = len(set(candidates)) >= len(self.site_order)
-        order = [self.own_site]
-        order.extend(s for s in sites if s != self.own_site and s in self.lrc_hosts)
-        return order, exhaustive
-
-    def _lookup_candidates(self, lfn: str):
-        """Generator: ask the RLI which sites might hold ``lfn``."""
-        try:
-            candidates = yield self._routed_call(
-                self.rli_host, "rli.lookup", {"lfn": lfn}
-            )
-        except Exception:
-            self.stats["rli_unavailable"] += 1
-            return [], False
-        self.stats["rli_lookups"] += 1
-        return list(candidates), True
-
     def _not_found(self, operation: str, lfn: str) -> RemoteError:
-        return RemoteError(
-            operation, "rls", f"unknown logical file {lfn!r}"
-        )
+        return RemoteError(operation, "rls", f"unknown logical file {lfn!r}")
 
     def _resolve(self, lfn: str, record_negative: bool = True):
         """Generator: two-tier resolve of one LFN into a merged
         :class:`LogicalFileInfo` (or None when no LRC holds it).
 
-        Probes every candidate (each confirming LRC contributes its
-        locations), escalating to the remaining sites if nobody
-        confirmed — index staleness costs probes, never answers."""
-        candidates, used_index = yield from self._lookup_candidates(lfn)
-        order, exhaustive = self._probe_sites(candidates, used_index)
+        One wave probes the own site and every candidate (each
+        confirming LRC contributes its locations); if nobody confirmed,
+        a second wave asks the sites not yet probed — index staleness
+        costs probes, never answers."""
+        candidates, used_index = yield from self._ask_index(
+            "rli.lookup", {"lfn": lfn}
+        )
+        if not candidates:
+            # unusable index or empty candidate set: widen to everyone
+            if used_index:
+                self.stats["fallback_broadcasts"] += 1
+            candidates = self.site_order
+        first = [self.own_site]
+        first.extend(
+            s for s in candidates if s != self.own_site and s in self.lrc_hosts
+        )
         merged: Optional[LogicalFileInfo] = None
         locations: list[dict] = []
-        hops = 0
-        probed: set[str] = set()
 
-        def probe(site: str):
-            nonlocal merged, hops
-            hops += 1
-            probed.add(site)
-            try:
-                info = yield self._routed_call(
-                    self.lrc_hosts[site], "catalog.info", {"lfn": lfn}
+        def probe(sites: List[str]):
+            nonlocal merged
+            for info in (
+                yield from self._wave(
+                    "catalog.info", dict.fromkeys(sites, {"lfn": lfn})
                 )
-            except RemoteError:
-                # verified miss: bloom false positive or stale entry
-                self.stats["verify_misses"] += 1
-                return
-            except Exception:
-                # dead/unreachable LRC: degrade to the remaining sites
-                self.stats["lrc_failures"] += 1
-                return
-            locations.extend(dict(loc) for loc in info.locations)
-            if merged is None:
-                merged = info
+            ):
+                if isinstance(info, RemoteError):
+                    # verified miss: bloom false positive or stale entry
+                    self.stats["verify_misses"] += 1
+                elif isinstance(info, Exception):
+                    # dead/unreachable LRC: degrade to the remaining sites
+                    self.stats["lrc_failures"] += 1
+                else:
+                    locations.extend(dict(loc) for loc in info.locations)
+                    if merged is None:
+                        merged = info
 
-        for site in order:
-            yield from probe(site)
-        if merged is None and not exhaustive:
+        yield from probe(first)
+        hops = len(first)
+        rest = [s for s in self.site_order if s not in first]
+        if merged is None and rest:
             # every candidate denied the file; the holder may simply be
             # younger than the last digest push — ask everyone else.
             self.stats["fallback_broadcasts"] += 1
-            for site in self.site_order:
-                if site not in probed:
-                    yield from probe(site)
+            yield from probe(rest)
+            hops += len(rest)
         self._observe_hops(hops)
         if merged is None:
             if record_negative:
@@ -193,14 +207,7 @@ class RlsCatalogProxy(CatalogProxy):
                 )
                 self._cache_put(("exists", lfn), False)
             return None
-        result = LogicalFileInfo(
-            lfn=merged.lfn,
-            size=merged.size,
-            modified=merged.modified,
-            crc=merged.crc,
-            attributes=merged.attributes,
-            locations=tuple(locations),
-        )
+        result = replace(merged, locations=tuple(locations))
         self._cache_put(("info", lfn), result)
         self._cache_put(
             ("locations", lfn), tuple(dict(loc) for loc in result.locations)
@@ -254,8 +261,7 @@ class RlsCatalogProxy(CatalogProxy):
                 else:
                     missing.append(lfn)
             if missing:
-                resolved = yield from self._resolve_bulk(missing)
-                known.update(resolved)
+                known.update((yield from self._resolve_bulk(missing)))
             absent = [lfn for lfn in lfns if lfn not in known]
             if absent:
                 # match the central bulk contract: unknown LFNs raise
@@ -264,79 +270,68 @@ class RlsCatalogProxy(CatalogProxy):
 
         return self.client.sim.spawn(run(), name=f"rls-info-bulk x{len(lfns)}")
 
-    def _resolve_bulk(self, lfns: list[str]):
+    def _resolve_bulk(
+        self, lfns: list[str], widened: str = "fallback_broadcasts"
+    ):
         """Generator: two-tier bulk resolve — one ``rli.lookup_bulk``,
-        then one speculative ``catalog.info_bulk(missing_ok)`` envelope
-        per involved site, locations merged across confirming sites."""
-        try:
-            cand_map = yield self._routed_call(
-                self.rli_host,
-                "rli.lookup_bulk",
-                {"lfns": lfns},
-                n_items=len(lfns),
-            )
-            used_index = True
-            self.stats["rli_lookups"] += 1
-        except Exception:
-            self.stats["rli_unavailable"] += 1
-            cand_map = {}
-            used_index = False
-
-        def plan(pending: list[str], broadcast: bool) -> dict[str, list[str]]:
-            by_site: dict[str, list[str]] = {}
-            for lfn in pending:
-                if broadcast:
-                    sites = self.site_order
-                else:
-                    sites = cand_map.get(lfn) or self.site_order
-                    if not cand_map.get(lfn):
-                        self.stats["fallback_broadcasts"] += 1
-                for site in {self.own_site, *sites}:
-                    if site in self.lrc_hosts:
-                        by_site.setdefault(site, []).append(lfn)
-            return by_site
-
+        then one wave of speculative ``catalog.info_bulk(missing_ok)``
+        envelopes, one per involved site, locations merged across
+        confirming sites.  Names nobody confirmed go, in a second wave,
+        to the sites not yet asked about them.  ``widened`` is the stat a
+        wave that had to go beyond the index's candidates counts under."""
+        cand_map, used_index = yield from self._ask_index(
+            "rli.lookup_bulk", {"lfns": lfns}
+        )
+        cand_map = cand_map or {}
         merged: dict[str, LogicalFileInfo] = {}
         locations: dict[str, list[dict]] = {lfn: [] for lfn in lfns}
+        asked: dict[str, set[str]] = {site: set() for site in self.site_order}
 
-        def sweep(by_site: dict[str, list[str]]):
-            for site in sorted(by_site, key=self.site_order.index):
-                wanted = by_site[site]
-                try:
-                    found = yield self._routed_call(
-                        self.lrc_hosts[site],
-                        "catalog.info_bulk",
-                        {"lfns": wanted, "missing_ok": True},
-                        n_items=len(wanted),
+        def sweep(pending: list[str], everywhere: bool):
+            by_site: dict[str, list[str]] = {}
+            for site in self.site_order:
+                wanted = [
+                    lfn
+                    for lfn in pending
+                    if lfn not in asked[site]
+                    and (
+                        everywhere
+                        or site == self.own_site
+                        or site in (cand_map.get(lfn) or self.site_order)
                     )
-                except Exception:
+                ]
+                if wanted:
+                    by_site[site] = wanted
+                    asked[site].update(wanted)
+            answers = yield from self._wave(
+                "catalog.info_bulk",
+                {
+                    site: {"lfns": wanted, "missing_ok": True}
+                    for site, wanted in by_site.items()
+                },
+            )
+            for wanted, found in zip(by_site.values(), answers):
+                if isinstance(found, Exception):
                     self.stats["lrc_failures"] += 1
                     continue
-                hits = set()
                 for info in found:
-                    hits.add(info.lfn)
                     locations[info.lfn].extend(
                         dict(loc) for loc in info.locations
                     )
                     merged.setdefault(info.lfn, info)
-                self.stats["verify_misses"] += len(wanted) - len(hits)
+                self.stats["verify_misses"] += len(wanted) - len(found)
+            return bool(by_site)
 
-        yield from sweep(plan(lfns, broadcast=False))
+        if used_index and not all(cand_map.get(lfn) for lfn in lfns):
+            self.stats[widened] += 1
+        yield from sweep(lfns, everywhere=False)
         unresolved = [lfn for lfn in lfns if lfn not in merged]
-        if unresolved and used_index:
-            self.stats["fallback_broadcasts"] += 1
-            yield from sweep(plan(unresolved, broadcast=True))
+        if (yield from sweep(unresolved, everywhere=True)):
+            self.stats[widened] += 1
 
         results: dict[str, LogicalFileInfo] = {}
         for lfn, info in merged.items():
-            full = LogicalFileInfo(
-                lfn=lfn,
-                size=info.size,
-                modified=info.modified,
-                crc=info.crc,
-                attributes=info.attributes,
-                locations=tuple(locations[lfn]),
-            )
+            full = replace(info, locations=tuple(locations[lfn]))
             results[lfn] = full
             self._cache_put(("info", lfn), full)
             self._cache_put(
@@ -384,20 +379,19 @@ class RlsCatalogProxy(CatalogProxy):
         return self.client.sim.spawn(run(), name=f"rls-lfn-exists {lfn}")
 
     def search(self, filter_text: str):
-        """Filtered metadata search, fanned out over every LRC and merged
+        """Filtered metadata search: one wave over every LRC, merged
         (locations concatenated per LFN; dead shards are skipped)."""
 
         def run():
             merged: dict[str, LogicalFileInfo] = {}
             locations: dict[str, list[dict]] = {}
-            for site in self.site_order:
-                try:
-                    found = yield self._routed_call(
-                        self.lrc_hosts[site],
-                        "catalog.search",
-                        {"filter": filter_text},
-                    )
-                except Exception:
+            for found in (
+                yield from self._wave(
+                    "catalog.search",
+                    dict.fromkeys(self.site_order, {"filter": filter_text}),
+                )
+            ):
+                if isinstance(found, Exception):
                     self.stats["lrc_failures"] += 1
                     continue
                 for info in found:
@@ -406,14 +400,7 @@ class RlsCatalogProxy(CatalogProxy):
                     )
                     merged.setdefault(info.lfn, info)
             return [
-                LogicalFileInfo(
-                    lfn=lfn,
-                    size=info.size,
-                    modified=info.modified,
-                    crc=info.crc,
-                    attributes=info.attributes,
-                    locations=tuple(locations[lfn]),
-                )
+                replace(info, locations=tuple(locations[lfn]))
                 for lfn, info in sorted(merged.items())
             ]
 
@@ -424,23 +411,32 @@ class RlsCatalogProxy(CatalogProxy):
         host = self.lrc_hosts.get(site)
         if host is None:
             return self._immediate([])
-        return self._routed_call(host, "catalog.site_files", {"site": site})
+
+        def run():
+            found = yield self._routed_call(
+                host, "catalog.site_files", {"site": site}
+            )
+            if isinstance(found, Exception):
+                raise found
+            return found
+
+        return self.client.sim.spawn(run(), name=f"rls-site-files {site}")
 
     def list_lfns(self):
-        """Every logical file name in the grid (union over all LRCs,
-        sorted for a deterministic order; dead shards are skipped)."""
+        """Every logical file name in the grid (union over all LRCs in
+        one wave, sorted; dead shards are skipped)."""
 
         def run():
             names: set[str] = set()
-            for site in self.site_order:
-                try:
-                    found = yield self._routed_call(
-                        self.lrc_hosts[site], "catalog.list_lfns", {}
-                    )
-                except Exception:
+            for found in (
+                yield from self._wave(
+                    "catalog.list_lfns", dict.fromkeys(self.site_order, {})
+                )
+            ):
+                if isinstance(found, Exception):
                     self.stats["lrc_failures"] += 1
-                    continue
-                names.update(found)
+                else:
+                    names.update(found)
             return sorted(names)
 
         return self.client.sim.spawn(run(), name="rls-list-lfns")
@@ -450,6 +446,27 @@ class RlsCatalogProxy(CatalogProxy):
     # class already writes to ``server_host`` — this site's own LRC.
     # Only explicit user-chosen LFNs need a grid-wide uniqueness probe,
     # and replica registration becomes metadata-carrying adoption.
+
+    def _publish_unique(self, operation: str, lfns: list[str], write, name):
+        """Probe the whole grid for the explicit names of one publish —
+        one bulk resolve, however many names — then write locally.  A
+        fresh name's empty candidate set is the expected answer here, so
+        the widening counts as a uniqueness probe, not index degradation.
+        Probe-then-write is check-then-act: two sites publishing the
+        same new name within one probe round trip both succeed."""
+
+        def run():
+            taken = yield from self._resolve_bulk(lfns, "uniqueness_probes")
+            for lfn in lfns:
+                if lfn in taken:
+                    raise RemoteError(
+                        operation,
+                        "rls",
+                        f"logical file name {lfn!r} already in use",
+                    )
+            return (yield write())
+
+        return self.client.sim.spawn(run(), name=name)
 
     def publish(
         self,
@@ -464,41 +481,24 @@ class RlsCatalogProxy(CatalogProxy):
             # auto-generated names carry the site-unique stem; the local
             # LRC alone can guarantee uniqueness
             return super().publish(site, size, modified, crc, **attributes)
-
-        def run():
-            taken = yield self.lfn_exists(lfn)
-            if taken:
-                raise RemoteError(
-                    "catalog.publish",
-                    "rls",
-                    f"logical file name {lfn!r} already in use",
-                )
-            result = yield CatalogProxy.publish(
+        return self._publish_unique(
+            "catalog.publish",
+            [lfn],
+            lambda: CatalogProxy.publish(
                 self, site, size, modified, crc, lfn=lfn, **attributes
-            )
-            return result
-
-        return self.client.sim.spawn(run(), name=f"rls-publish {lfn}")
+            ),
+            f"rls-publish {lfn}",
+        )
 
     def publish_bulk(self, site: str, files: list[dict]):
         explicit = [f["lfn"] for f in files if f.get("lfn") is not None]
         if not explicit:
             return super().publish_bulk(site, files)
-
-        def run():
-            for lfn in explicit:
-                taken = yield self.lfn_exists(lfn)
-                if taken:
-                    raise RemoteError(
-                        "catalog.publish_bulk",
-                        "rls",
-                        f"logical file name {lfn!r} already in use",
-                    )
-            result = yield CatalogProxy.publish_bulk(self, site, files)
-            return result
-
-        return self.client.sim.spawn(
-            run(), name=f"rls-publish-bulk x{len(files)}"
+        return self._publish_unique(
+            "catalog.publish_bulk",
+            explicit,
+            lambda: CatalogProxy.publish_bulk(self, site, files),
+            f"rls-publish-bulk x{len(files)}",
         )
 
     def add_replica(self, lfn: str, site: str):

@@ -63,6 +63,32 @@ def test_unacked_push_changes_are_recarried():
     assert source.pending_changes == 0
 
 
+@pytest.mark.parametrize("kind", ["full", "delta"])
+def test_write_during_push_survives_the_ack(kind):
+    """A write landing between ``next_digest()`` and ``ack()`` is not in
+    the payload; the ack must leave it pending for the next delta."""
+    holdings = {f"f{i}.dat" for i in range(40)}
+    source = make_source(holdings)
+    if kind == "delta":
+        source.ack(source.next_digest())
+        holdings.add("before.dat")
+        source.on_write("publish", {"lfn": "before.dat"})
+    in_flight = source.next_digest()
+    assert in_flight["kind"] == kind
+    # the push is on the wire: one publish and one removal land now
+    holdings.add("during.dat")
+    source.on_write("publish", {"lfn": "during.dat"})
+    holdings.discard("f0.dat")
+    source.on_write("remove_replica", {"lfn": "f0.dat"})
+    source.ack(in_flight)
+    follow_up = source.next_digest()
+    assert follow_up["kind"] == "delta"
+    assert follow_up["added"] == ["during.dat"]
+    assert follow_up["removed"] == ["f0.dat"]
+    source.ack(follow_up)
+    assert source.pending_changes == 0
+
+
 def test_publish_then_remove_nets_to_nothing():
     holdings = {"a.dat"}
     source = make_source(holdings)

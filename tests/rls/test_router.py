@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.catalog.gdmp_catalog import LogicalFileInfo
+from repro.gdmp import DataGrid, GdmpConfig
 from repro.gdmp.request_manager import RemoteError
+from repro.rls import RlsConfig
 from repro.rls.digest import DigestConfig, DigestSource
 
 from .conftest import FAST_DIGESTS, converge, publish
@@ -148,3 +151,195 @@ def test_replication_adopts_metadata_at_destination(rls_grid):
     assert sorted(grid.rls.holders("spread.dat")) == ["anl", "cern"]
     grid.run(until=grid.sim.timeout(FAST_DIGESTS.period * 5))
     assert grid.rls.index.candidate_sites("spread.dat") == ["cern", "anl"]
+
+
+# -- scatter-gather waves -----------------------------------------------------
+
+WAVE_SITES = ["cern", "anl", "caltech", "fnal"]
+MESH_SITES = [f"s{i}" for i in range(8)]
+
+
+def sharded_grid(sites):
+    return DataGrid(
+        [GdmpConfig(name) for name in sites],
+        catalog_host=sites[0],
+        seed=2001,
+        rls=RlsConfig(digest=FAST_DIGESTS, lookup_timeout=10.0),
+    )
+
+
+def blackhole_lrc(grid, site, down=True):
+    """The site's LRC swallows ``catalog.*`` requests: callers time out."""
+    grid.msgnet.set_service_down(site, "gdmp", down, prefix="catalog.")
+
+
+def bus_requests(grid):
+    """Requests the service bus has carried (``rpc.requests``, all labels)."""
+    return sum(child.value for child in grid.metrics.children("rpc.requests"))
+
+
+def explicit_files(*lfns):
+    """``publish_bulk`` items with user-chosen names."""
+    return [
+        {"lfn": lfn, "size": 1.0, "modified": 0.0, "crc": 1, "attributes": {}}
+        for lfn in lfns
+    ]
+
+
+def loc(site, lfn):
+    return {
+        "location": site,
+        "hostname": site,
+        "url": f"gsiftp://{site}/storage/{lfn}",
+    }
+
+
+def test_wave_answers_equal_the_serial_router():
+    """The merged answers of every routed read — pinned to what the
+    serial per-site loops returned for this grid: one file on three
+    live sites and a crashed one, one bloom false positive, one file
+    only the crashed LRC knows."""
+    grid = sharded_grid(WAVE_SITES)
+    for site, lfn, run in (
+        ("anl", "shared.dat", 1),
+        ("anl", "anl-only.dat", 1),
+        ("fnal", "fnal-only.dat", 2),
+        ("caltech", "lost.dat", 1),
+    ):
+        proxy = proxy_of(grid, site)
+        grid.run(until=proxy.publish(site, 1000.0, 0.0, 7, lfn=lfn, run=run))
+    converge(grid)
+    for dest in ("fnal", "caltech", "cern"):
+        grid.run(until=proxy_of(grid, dest).add_replica("shared.dat", dest))
+    grid.run(until=grid.sim.timeout(FAST_DIGESTS.period * 5))
+    grid.rls.stop()
+    # false positive: the index believes cern also holds anl-only.dat
+    ghost = DigestSource(
+        "cern", lambda: ["shared.dat", "anl-only.dat"], FAST_DIGESTS
+    )
+    payload = ghost.next_digest()
+    payload["generation"] = grid.rls.index.states["cern"].generation + 1
+    assert grid.rls.index.apply(payload, now=grid.sim.now)
+    assert grid.rls.index.candidate_sites("anl-only.dat") == ["cern", "anl"]
+    grid.msgnet.set_host_down("caltech", True)
+
+    def record(lfn, run, *sites):
+        return LogicalFileInfo(
+            lfn=lfn, size=1000.0, modified=0.0, crc=7,
+            attributes={"run": str(run)},
+            locations=tuple(loc(site, lfn) for site in sites),
+        )
+
+    reader = proxy_of(grid, "fnal")
+    # one LFN: the reader's own site first, then the index's candidates
+    assert grid.run(until=reader.info("shared.dat")) == record(
+        "shared.dat", 1, "fnal", "cern", "anl"
+    )
+    assert grid.run(until=reader.info("anl-only.dat")) == record(
+        "anl-only.dat", 1, "anl"
+    )
+    reader.invalidate()
+    # bulk and search: locations in site order, answers in request order
+    assert grid.run(
+        until=reader.info_bulk(["anl-only.dat", "shared.dat", "fnal-only.dat"])
+    ) == [
+        record("anl-only.dat", 1, "anl"),
+        record("shared.dat", 1, "cern", "anl", "fnal"),
+        record("fnal-only.dat", 2, "fnal"),
+    ]
+    reader.invalidate()
+    assert grid.run(
+        until=reader.locations_bulk(
+            ["shared.dat", "lost.dat", "nowhere.dat", "anl-only.dat"]
+        )
+    ) == {
+        "shared.dat": [loc(s, "shared.dat") for s in ("cern", "anl", "fnal")],
+        "lost.dat": [],
+        "nowhere.dat": [],
+        "anl-only.dat": [loc("anl", "anl-only.dat")],
+    }
+    assert grid.run(until=reader.search("(run=1)")) == [
+        record("anl-only.dat", 1, "anl"),
+        record("shared.dat", 1, "cern", "anl", "fnal"),
+    ]
+    assert grid.run(until=reader.list_lfns()) == [
+        "anl-only.dat", "fnal-only.dat", "shared.dat",
+    ]
+    assert reader.stats["lrc_failures"] >= 4  # caltech, once per wave
+
+
+def test_dead_legs_share_one_timeout():
+    """Two black-holed LRCs time out while the gatherer is still parked
+    on an earlier, live leg's successor: no leg crashes the simulation,
+    and the lookup costs one ``lookup_timeout``, not one per dead site."""
+    grid = sharded_grid(WAVE_SITES)
+    publish(grid, "fnal", "far.dat")
+    blackhole_lrc(grid, "anl")
+    blackhole_lrc(grid, "caltech")
+    reader = proxy_of(grid, "cern")
+    began = grid.sim.now
+    # the index is empty: one broadcast wave, legs cern, anl, caltech, fnal
+    info = grid.run(until=reader.info("far.dat"))
+    assert [entry["location"] for entry in info.locations] == ["fnal"]
+    assert reader.stats["lrc_failures"] == 2
+    assert 10.0 <= grid.sim.now - began < 11.0
+
+    began = grid.sim.now
+    assert grid.run(until=reader.list_lfns()) == ["far.dat"]
+    assert 10.0 <= grid.sim.now - began < 11.0
+
+
+def test_publish_set_envelope_budget():
+    """Ten explicit LFNs on an 8-site mesh: one index question, one
+    probe envelope per site, one local write — not one probe per name
+    per site."""
+    grid = sharded_grid(MESH_SITES)
+    client = grid.site("s3").client
+    specs = []
+    for i in range(10):
+        path = f"/storage/set-{i}.dat"
+        grid.site("s3").fs.create(path, 1000.0)
+        specs.append({"path": path, "lfn": f"set-{i}.dat"})
+    requests_before = bus_requests(grid)
+    lfns = grid.run(until=client.publish_set(specs))
+    assert lfns == [spec["lfn"] for spec in specs]
+    assert bus_requests(grid) - requests_before <= len(MESH_SITES) + 3
+    assert client.catalog.stats["uniqueness_probes"] == 1
+    assert client.catalog.stats["fallback_broadcasts"] == 0
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_duplicate_inside_the_digest_period_is_refused(bulk):
+    """The other site's registration has not been digested — the index
+    returns no candidate — yet the broadcast wave still finds it."""
+    grid = sharded_grid(WAVE_SITES)
+    grid.rls.start()
+    grid.run(until=grid.sim.timeout(FAST_DIGESTS.period * 2))
+    publish(grid, "fnal", "taken.dat")
+    assert grid.rls.index.candidate_sites("taken.dat") == []
+    writer = proxy_of(grid, "anl")
+    files = explicit_files("free.dat", "taken.dat")
+    with pytest.raises(RemoteError, match="'taken.dat' already in use"):
+        if bulk:
+            grid.run(until=writer.publish_bulk("anl", files))
+        else:
+            grid.run(until=writer.publish("anl", 1.0, 0.0, 1, lfn="taken.dat"))
+    assert grid.rls.holders("taken.dat") == ["fnal"]
+    assert grid.rls.holders("free.dat") == []  # the refused set wrote nothing
+
+
+def test_name_probed_free_is_found_once_published_elsewhere():
+    """A uniqueness probe that found a name free leaves no negative
+    entry behind: when another site publishes the name and its digest
+    lands, this site's next ``info`` sees it."""
+    grid = sharded_grid(WAVE_SITES)
+    publish(grid, "fnal", "taken.dat")
+    prober = proxy_of(grid, "anl")
+    with pytest.raises(RemoteError):  # later.dat is probed and found free
+        grid.run(until=prober.publish_bulk(
+            "anl", explicit_files("later.dat", "taken.dat")
+        ))
+    publish(grid, "cern", "later.dat")
+    converge(grid)
+    info = grid.run(until=prober.info("later.dat"))
+    assert [entry["location"] for entry in info.locations] == ["cern"]
