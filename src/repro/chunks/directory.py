@@ -249,7 +249,7 @@ class ChunkDirectoryService:
         self.server = server
         self.directory = directory
         self.metrics = metrics
-        self.replay = ReplayWindow(metrics, "chunks.txn_replays")
+        self.replay = ReplayWindow(server.sim, metrics, "chunks.txn_replays")
         for op in ("init", "commit", "repair_done"):
             server.register(
                 f"chunk.{op}", getattr(self, f"_op_{op}"), replay=self.replay

@@ -86,7 +86,7 @@ class _ProbeMixin:
                         outcomes[(chunk_id, holder)] = "ok"
                 continue
             try:
-                session = yield site.gridftp_client.connect(holder)
+                session = yield from site.gridftp_client.open_session(holder)
             except (TransferError, ServiceError):
                 for chunk_id, _ in checks:
                     outcomes[(chunk_id, holder)] = "unreachable"
@@ -107,10 +107,7 @@ class _ProbeMixin:
                         "ok" if remote == crc else "corrupt"
                     )
             finally:
-                try:
-                    yield site.gridftp_client.quit(session)
-                except (TransferError, ServiceError):
-                    pass
+                yield from site.gridftp_client.close_session(session)
         return outcomes
 
     def _scrub_count(self, outcome: str, amount: int = 1) -> None:

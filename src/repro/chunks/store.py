@@ -190,9 +190,10 @@ class ChunkStoreClient:
         )
         placements: list[tuple[str, str]] = []
         bytes_uploaded = 0.0
+        ftp = self.site.gridftp_client
         for target in order:
             try:
-                session = yield self.site.gridftp_client.connect(target)
+                session = yield from ftp.open_session(target)
             except TransferError as exc:
                 raise ChunkStoreError(
                     f"connect to {target!r} failed: {exc}"
@@ -204,10 +205,7 @@ class ChunkStoreClient:
                     )
                     placements.append((chunk_id, target))
             finally:
-                try:
-                    yield self.site.gridftp_client.quit(session)
-                except TransferError:
-                    pass
+                yield from ftp.close_session(session)
         return placements, bytes_uploaded
 
     # -- write path ---------------------------------------------------------

@@ -66,7 +66,7 @@ class ChaosResult:
     @property
     def converged(self) -> bool:
         return (self.all_held and self.crc_ok and self.catalog_exact
-                and self.no_active_faults)
+                and self.no_active_faults and not self.errors)
 
 
 def _build_campaign(name: str, seed: int, grid: DataGrid):
@@ -241,6 +241,13 @@ def run(
     grid.run(until=campaign_proc)
 
     all_held, crc_ok, catalog_exact, errors = _verify(grid, anl, lfns)
+    for site in grid.sites.values():
+        # every transfer is over: a pin still held will never be released
+        errors.extend(
+            f"{stored.path}: still pinned at {site.name}"
+            for stored in site.fs.listing()
+            if site.pool.pin_count(stored.path)
+        )
     no_active = not injector.active_faults()
     if not no_active:
         errors.append(f"fault windows still open: {injector.active_faults()}")

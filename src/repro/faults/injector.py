@@ -8,7 +8,8 @@ fault hooks the subsystems expose —
   ``set_service_down`` / ``set_service_delay`` for the control plane,
 * :meth:`NetworkEngine.cancel_pool` (via ``pools_on_link`` /
   ``pools_touching_host``) for data flows in flight,
-* :meth:`GridFTPServer.drop_sessions` for crash-time state loss,
+* :meth:`GridFTPServer.drop_sessions` and :meth:`DiskPool.drop_pins`
+  for crash-time state loss,
 * :meth:`ServiceClient.fail_pending` so peers' outstanding calls to a
   crashed host fail as connection resets instead of waiting out their
   full timeouts,
@@ -170,6 +171,9 @@ class FaultInjector:
         site = grid.sites.get(host)
         if site is not None:
             site.gridftp_server.drop_sessions()
+            # transfer pins are the same kind of state: whoever took one
+            # can no longer be told apart from whoever never did
+            site.pool.drop_pins()
         # peers' outstanding calls to this host will never be answered:
         # surface them as connection resets now (clients whose requests
         # are mid-flight still pay their own timeout, as on a real crash

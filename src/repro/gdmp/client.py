@@ -24,10 +24,16 @@ from repro.gdmp.config import GdmpConfig
 from repro.gdmp.data_mover import DataMover
 from repro.gdmp.failover import failover_walk, ranked_sources
 from repro.gdmp.plugins import PluginRegistry
-from repro.gdmp.replica_service import CatalogProxy
-from repro.gdmp.request_manager import GdmpError, RequestClient
+from repro.gdmp.replica_service import BULK_ITEM_SIZE, CatalogProxy
+from repro.gdmp.request_manager import (
+    REQUEST_MESSAGE_SIZE,
+    GdmpError,
+    RemoteError,
+    RequestClient,
+)
 from repro.gdmp.server import GdmpServer
 from repro.gdmp.storage_manager import StorageManager
+from repro.gridftp.client import ClientSession
 from repro.netsim.topology import Topology
 from repro.services.bus import ServiceError
 from repro.services.tracelog import TraceLog
@@ -60,6 +66,145 @@ class ReplicationReport:
     def throughput(self) -> float:
         """End-to-end goodput including all pipeline overheads."""
         return self.size / self.total_duration if self.total_duration > 0 else 0.0
+
+
+class _TransferSet:
+    """The control-plane work one :meth:`GdmpClient.replicate_set` shares
+    across its files: per source, one GridFTP session, one staging wave
+    and one list of pins to hand back.
+
+    Always a local of the set's own process, never state on the client
+    or the mover: a set orphaned by a component crash keeps running
+    beside its re-claimed re-run, and each must hang up only its own
+    sessions and release only its own pins.
+    """
+
+    def __init__(self, client: "GdmpClient"):
+        self.client = client
+        #: source -> the open session with it; the mover dials into the
+        #: table for the first file from a source (and again after a
+        #: daemon restart), every later file rides what it finds
+        self.sessions: dict[str, ClientSession] = {}
+        #: lfn -> (source, leg) for every file the wave asked about; a
+        #: leg is a process that *returns* {lfn: stage answer} for the
+        #: files its source pinned, never raises
+        self._wave: dict[str, tuple[str, Process]] = {}
+        #: source -> LFNs pinned there for this set, wave or single
+        self._pins: dict[str, list[str]] = {}
+        self.prestaged = 0   # files that found the wave's answer waiting
+        self.restaged = 0    # files that had to ask at their turn
+
+    def counts(self) -> dict:
+        """The set's span attributes."""
+        return {
+            "sessions": len(self.sessions),
+            "prestaged": self.prestaged,
+            "restaged": self.restaged,
+        }
+
+    def prestage(self, infos, prefer_site: Optional[str]) -> None:
+        """The staging wave: ask each file's likely source, in one
+        envelope per source, to pin its files now and to start bringing
+        the ones on tape to disk — tape mounts overlap each other and
+        the transfers, and a file on disk finds its answer waiting at
+        its turn.  Nothing is awaited here."""
+        client = self.client
+        per_source: dict[str, list[str]] = {}
+        for info in infos:
+            try:
+                likely = ranked_sources(
+                    client.topology, info.locations, client.site, info.size,
+                    prefer_site=prefer_site, weather=client.weather,
+                )[0].site
+            except GdmpError:
+                continue  # no usable source: the file says so at its turn
+            per_source.setdefault(likely, []).append(info.lfn)
+        for source, lfns in per_source.items():
+            leg = client.sim.spawn(
+                self._prestage_leg(source, lfns),
+                name=f"gdmp-prestage x{len(lfns)}@{source}",
+            )
+            for lfn in lfns:
+                self._wave[lfn] = (source, leg)
+
+    def stage(self, source: str, lfns: list, ahead: bool = False):
+        """Generator: one ``request_stage`` envelope of the set's.  Every
+        pin it takes goes on the set's list — and every pin it *may* have
+        taken, when no reply came: no reply is not no pins, and releasing
+        a file that is not pinned changes nothing."""
+        try:
+            answers = yield self.client._stage_call(
+                source, "request_stage", lfns, ahead
+            )
+        except ServiceError as exc:
+            if exc.retryable:
+                self._pins.setdefault(source, []).extend(lfns)
+            raise
+        self._pins.setdefault(source, []).extend(
+            lfn for lfn, answer in answers.items() if "error" not in answer
+        )
+        return answers
+
+    def _prestage_leg(self, source: str, lfns: list):
+        try:
+            answers = yield from self.stage(source, lfns, ahead=True)
+        except ServiceError:
+            return {}  # forgotten: each file asks again at its turn
+        return {
+            lfn: answer for lfn, answer in answers.items()
+            if "error" not in answer
+        }
+
+    def take_prestaged(self, source: str, lfn: str):
+        """Generator: the wave's stage answer for ``lfn`` if it asked
+        ``source`` and the source had the file on disk, else None — the
+        caller then stages singly, exactly as outside a set.  A pin the
+        wave took at another source stays on the set's list."""
+        asked, leg = self._wave.get(lfn, (None, None))
+        if asked == source:
+            answer = (yield leg).get(lfn)
+            if answer is not None:
+                self.prestaged += 1
+                return answer
+        self.restaged += 1
+        return None
+
+    def close(self, member: Optional[Process], registered: list):
+        """Generator: the set's end.  Whatever is still in flight lands
+        first — when the set is interrupted under it, the file being
+        moved (``member``), which keeps its pin and its session until it
+        is done, and the wave's legs, whose pins are not known before
+        they answer.  Then one ``release`` envelope per source for
+        every pin taken, used or not, and one ``QUIT`` per session fly —
+        none of them raises — while the deferred registrations of
+        ``registered`` flush in one catalog envelope."""
+        if member is not None and not member.processed:
+            try:
+                yield member
+            except Exception:
+                pass  # its failure is its own
+        for _, leg in self._wave.values():
+            if not leg.processed:
+                yield leg
+        client = self.client
+        goodbyes = [
+            client.sim.spawn(
+                client._release(source, lfns), name=f"gdmp-release@{source}"
+            )
+            for source, lfns in self._pins.items()
+        ] + [
+            client.sim.spawn(
+                client.mover.ftp.close_session(session),
+                name=f"gridftp-close->{source}",
+            )
+            for source, session in self.sessions.items()
+        ]
+        try:
+            if registered:
+                yield client.catalog.add_replicas(registered, client.site)
+        finally:
+            for goodbye in goodbyes:
+                yield goodbye
 
 
 class GdmpClient:
@@ -205,23 +350,55 @@ class GdmpClient:
         prefer_site: Optional[str] = None,
         streams: Optional[int] = None,
         tcp_buffer: Optional[int] = None,
-        *,
-        info=None,
-        register: bool = True,
     ) -> Process:
         """Create a local replica of ``lfn`` (the §4.1 pipeline).
 
-        ``info`` and ``register`` exist for :meth:`replicate_set`: a batched
-        caller passes the already-fetched :class:`LogicalFileInfo` (skipping
-        the per-file catalog lookup) and defers the ``add_replica``
-        registration to one bulk flush at the transfer-set boundary.
+        One file pays its whole control conversation — stage request,
+        GridFTP dial and negotiation, goodbye, release — which is the
+        per-transfer setup cost Figure 5 measures; :meth:`replicate_set`
+        pays it once per source for a whole transfer set.
         """
+        return self._replicate(lfn, prefer_site, streams, tcp_buffer)
+
+    def _replicate(
+        self,
+        lfn: str,
+        prefer_site: Optional[str],
+        streams: Optional[int],
+        tcp_buffer: Optional[int],
+        info=None,
+        transfer_set: Optional[_TransferSet] = None,
+    ) -> Process:
+        """The §4.1 pipeline for one file, alone or as a member of
+        ``transfer_set``.  A member arrives with its already-fetched
+        :class:`LogicalFileInfo`, rides the set's session with its source
+        and the set's staging wave, and leaves its pin and its catalog
+        registration to the set's end."""
+        streams = streams or self.config.parallel_streams
+        tcp_buffer = tcp_buffer or self.config.tcp_buffer
+
+        def stage_at(source):
+            """The stage answer for this file at ``source``: the wave's
+            when it asked this source, else one request of its own."""
+            if transfer_set is None:
+                answers = yield self._stage_call(
+                    source, "request_stage", [lfn]
+                )
+            else:
+                answer = yield from transfer_set.take_prestaged(source, lfn)
+                if answer is not None:
+                    return answer
+                answers = yield from transfer_set.stage(source, [lfn])
+            answer = answers[lfn]
+            if "error" in answer:
+                raise RemoteError("request_stage", source, answer["error"])
+            return answer
 
         def attempt_from(source, info, local_path):
             """One full attempt against one source.  Returns
             (move_report, stage_wait, transfer_duration)."""
             stage_started = self.sim.now
-            staged = yield self.rpc.call(source, "request_stage", {"lfn": lfn})
+            staged = yield from stage_at(source)
             stage_wait = self.sim.now - stage_started
             reservation = None
             try:
@@ -240,8 +417,12 @@ class GdmpClient:
                     remote_path=staged["path"],
                     local_path=local_path,
                     expected_crc=info.crc,
-                    streams=streams or self.config.parallel_streams,
-                    tcp_buffer=tcp_buffer or self.config.tcp_buffer,
+                    streams=streams,
+                    tcp_buffer=tcp_buffer,
+                    sessions=(
+                        None if transfer_set is None
+                        else transfer_set.sessions
+                    ),
                 )
                 transfer_duration = self.sim.now - transfer_started
                 # post-processing (e.g. attach to the local federation)
@@ -254,12 +435,8 @@ class GdmpClient:
                     reservation.release()
                 raise
             finally:
-                # best-effort: a crashed source cannot answer, and the
-                # goodbye must never mask the failure being propagated
-                try:
-                    yield self.rpc.call(source, "release", {"lfn": lfn})
-                except ServiceError:
-                    self.monitor.count("release_failures")
+                if transfer_set is None:
+                    yield from self._release(source, [lfn])
             self.storage.commit_incoming(report.stored, reservation)
             return report, stage_wait, transfer_duration
 
@@ -305,7 +482,7 @@ class GdmpClient:
             # source ranking: preferred producer first if it has a replica,
             # then the cost-function order; failed sources are skipped
             # (§4.3's pluggable error recovery: alternate-replica failover)
-            candidates = ranked_sources(
+            ranking = ranked_sources(
                 self.topology,
                 file_info.locations,
                 self.site,
@@ -313,6 +490,13 @@ class GdmpClient:
                 prefer_site=prefer_site,
                 weather=self.weather,
             )
+            if self.weather is not None:
+                # provenance accounting: did history or the probe ladder
+                # make this selection?
+                self.weather.note_selection(
+                    "history" if any(s.basis == "history" for s in ranking)
+                    else "probe"
+                )
 
             def on_failover(_source, _error):
                 self.monitor.count("source_failovers")
@@ -323,7 +507,7 @@ class GdmpClient:
 
             (report, stage_wait, transfer_duration), source, failed = (
                 yield from failover_walk(
-                    candidates,
+                    [score.site for score in ranking],
                     lambda source: self.sim.spawn(
                         attempt_from(source, file_info, local_path),
                         name=f"gdmp-attempt {lfn}@{source}",
@@ -332,9 +516,9 @@ class GdmpClient:
                     on_failover=on_failover,
                 )
             )
-            # make the replica visible to the grid (a batched caller defers
-            # this to one bulk registration at the transfer-set boundary)
-            if register:
+            # make the replica visible to the grid (a set defers this to
+            # one bulk registration at the transfer-set boundary)
+            if transfer_set is None:
                 yield self.catalog.add_replica(lfn, self.site)
             self.server.record_held(lfn, local_path)
             self.monitor.count("replicated")
@@ -357,6 +541,30 @@ class GdmpClient:
 
         return self.sim.spawn(run(), name=f"gdmp-replicate {lfn}")
 
+    def _stage_call(self, source: str, operation: str, lfns: list,
+                    ahead: bool = False) -> Process:
+        """``request_stage`` / ``release`` for ``lfns`` at ``source``;
+        ``ahead`` marks a set's staging wave, which the source answers
+        without waiting for tape.  Pins are counted at the source, so
+        the envelope is an exactly-once write: a transport retry must
+        not count twice."""
+        return self.rpc.call(
+            source, operation,
+            {"lfns": lfns, "ahead": True} if ahead else {"lfns": lfns},
+            size=REQUEST_MESSAGE_SIZE + BULK_ITEM_SIZE * (len(lfns) - 1),
+            idempotent=True,
+        )
+
+    def _release(self, source: str, lfns: list):
+        """Generator: hand the transfer pins on ``lfns`` back to
+        ``source``.  Best-effort, and it never raises: a crashed source
+        cannot answer, and the goodbye must neither mask the failure
+        being propagated nor crash a caller that is not waiting yet."""
+        try:
+            yield self._stage_call(source, "release", lfns)
+        except ServiceError:
+            self.monitor.count("release_failures")
+
     def replicate_set(
         self,
         lfns,
@@ -365,15 +573,23 @@ class GdmpClient:
         tcp_buffer: Optional[int] = None,
         skip_held: bool = False,
     ) -> Process:
-        """Replicate a whole transfer set with batched catalog traffic.
+        """Replicate a whole transfer set, the set being the unit of
+        control-plane work.
 
-        Where N calls to :meth:`replicate` would pay 2N catalog round
-        trips (info + add_replica per file), this pays two *envelopes* for
-        the whole set: one ``info_bulk`` up front and one bulk
-        ``add_replicas`` flush at the transfer-set boundary.  Files are
-        transferred in order; if one fails, the replicas fetched so far
-        are still registered before the error propagates (no replica is
-        left invisible to the grid).  Returns the list of
+        Where N calls to :meth:`replicate` would pay N of everything, the
+        set pays per *source*: two catalog envelopes (one ``info_bulk``
+        up front, one bulk ``add_replicas`` flush at the boundary), one
+        ``request_stage`` wave at the start — every file not yet held is
+        ranked and its likely source asked to stage and pin it, tape
+        mounts overlapping each other and the transfers — one GridFTP
+        session per source, dialled and negotiated by the first file
+        that needs it, and one ``release`` and one ``QUIT`` per source at
+        the end.  A file at its turn is one ``RETR``.
+
+        Files still move one at a time, in input order (a set does not
+        share its tail link with itself); if one fails, the replicas
+        fetched so far are still registered before the error propagates
+        (no replica is left invisible to the grid).  Returns the list of
         :class:`ReplicationReport` in input order.
 
         ``skip_held`` makes the call re-entrant after an interruption:
@@ -388,31 +604,37 @@ class GdmpClient:
             span = self._root_span("gdmp:replicate-set", count=len(lfns))
             reports: list[ReplicationReport] = []
             registered: list[str] = []
+            # a local of this process, never client state: a set orphaned
+            # by a component crash keeps running beside its re-run
+            transfer_set = _TransferSet(self)
             try:
                 if lfns:
                     infos = yield self.catalog.info_bulk(lfns)
+                    member = None  # the file being moved
                     try:
+                        transfer_set.prestage(
+                            [i for i in infos if i.lfn not in self.server.held],
+                            prefer_site,
+                        )
                         for file_info in infos:
                             if skip_held and file_info.lfn in self.server.held:
                                 registered.append(file_info.lfn)
                                 continue
-                            report = yield self.replicate(
-                                file_info.lfn,
-                                prefer_site=prefer_site,
-                                streams=streams,
-                                tcp_buffer=tcp_buffer,
-                                info=file_info,
-                                register=False,
+                            member = self._replicate(
+                                file_info.lfn, prefer_site, streams,
+                                tcp_buffer, file_info, transfer_set,
                             )
-                            reports.append(report)
+                            reports.append((yield member))
                             registered.append(file_info.lfn)
                     finally:
-                        # flush the deferred registrations in one envelope,
-                        # even when a later file failed mid-set
-                        if registered:
-                            yield self.catalog.add_replicas(
-                                registered, self.site
-                            )
+                        # hang up, hand the pins back and flush the
+                        # deferred registrations in one envelope — even
+                        # when a later file failed mid-set
+                        try:
+                            yield from transfer_set.close(member, registered)
+                        finally:
+                            if span is not None:
+                                span.attrs.update(transfer_set.counts())
             except BaseException as exc:
                 if span is not None:
                     self.tracelog.finish(span, "error", detail=str(exc))

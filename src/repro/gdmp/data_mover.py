@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.gridftp.client import GridFTPClient, TransferError
+from repro.gridftp.client import ClientSession, GridFTPClient, TransferError
 from repro.gridftp.markers import RangeSet
 from repro.simulation.kernel import Process, Simulator
 from repro.simulation.monitor import Monitor
@@ -98,165 +98,170 @@ class DataMover:
         expected_crc: Optional[int] = None,
         streams: int = 1,
         tcp_buffer: Optional[int] = None,
+        sessions: Optional[dict[str, ClientSession]] = None,
     ) -> Process:
         """Fetch ``remote_path`` from ``src_host`` into ``local_path`` with
         restart recovery and end-to-end CRC verification.  Returns a
-        :class:`MoveReport`."""
+        :class:`MoveReport`.
+
+        Without ``sessions`` the fetch is one whole conversation: dial,
+        negotiate ``tcp_buffer``/``streams``, transfer, ``QUIT``.  With
+        ``sessions`` — a transfer set's table of open sessions by source,
+        all negotiated to the same settings — it rides the table's
+        session with ``src_host``, dialling into the table when it is the
+        first to need one, and leaves it open for the next file: the
+        table's owner says the goodbyes."""
 
         def run():
             started = self.sim.now
             try:
-                session = yield self.ftp.connect(src_host)
+                if sessions is None:
+                    return (yield from self.ftp.session(
+                        src_host,
+                        lambda session: transfer(session, started),
+                        tcp_buffer, streams,
+                    ))
+                if src_host in sessions:
+                    self._count("sessions_reused")
+                else:
+                    sessions[src_host] = yield from dial()
+                return (yield from transfer(sessions[src_host], started))
             except TransferError as exc:
+                # transfer() raises DataMoverError only: this is a dial's
                 raise DataMoverError(
-                    f"connect to {src_host!r} failed: {exc}"
+                    f"session with {src_host!r} failed: {exc}"
                 ) from exc
+
+        def dial():
+            return self.ftp.open_session(src_host, tcp_buffer, streams)
+
+        def transfer(session, started):
             attempts = 0
             crc_retries = 0
-            try:
+            redialled = False
+            if expected_crc is None:
+                # no catalog CRC available: ask the source (CKSM)
                 try:
-                    if tcp_buffer is not None:
-                        yield self.ftp.set_buffer(session, tcp_buffer)
-                    if streams != 1:
-                        yield self.ftp.set_parallelism(session, streams)
+                    crc = yield self.ftp.checksum(session, remote_path)
                 except TransferError as exc:
                     raise DataMoverError(str(exc)) from exc
-                if expected_crc is None:
-                    # no catalog CRC available: ask the source (CKSM)
-                    try:
-                        crc = yield self.ftp.checksum(session, remote_path)
-                    except TransferError as exc:
-                        raise DataMoverError(str(exc)) from exc
-                else:
-                    crc = expected_crc
+            else:
+                crc = expected_crc
+            while True:
+                restart: Optional[RangeSet] = None
+                # ranges known delivered, merged from every marker seen
+                progress = RangeSet()
+                consumed = 0    # restarts that actually gained bytes
+                stalled = 0     # consecutive zero-progress restarts
+                # content ids of aborted attempts whose bytes are on
+                # disk (consumed markers); if any differs from the
+                # final attempt's, the assembly is mixed content
+                contributed: list[str] = []
+                # inner loop: restart-marker recovery of one transfer
                 while True:
-                    restart: Optional[RangeSet] = None
-                    # ranges known delivered, merged from every marker seen
-                    progress = RangeSet()
-                    consumed = 0    # restarts that actually gained bytes
-                    stalled = 0     # consecutive zero-progress restarts
-                    # content ids of aborted attempts whose bytes are on
-                    # disk (consumed markers); if any differs from the
-                    # final attempt's, the assembly is mixed content
-                    contributed: list[str] = []
-                    # inner loop: restart-marker recovery of one transfer
-                    while True:
-                        attempts += 1
-                        try:
-                            yield self.ftp.get(
-                                session, remote_path, local_path, restart=restart
-                            )
-                            break
-                        except TransferError as exc:
-                            marker = exc.restart_marker
-                            if marker is None:
-                                raise DataMoverError(str(exc)) from exc
-                            before = progress.total
-                            for start, end in marker.ranges:
-                                if end > start:
-                                    progress.add(start, end)
-                            if progress.total > before:
-                                # the marker bought new bytes: it is
-                                # consumed, and only then burns budget
-                                consumed += 1
-                                stalled = 0
-                                descriptor = exc.descriptor
-                                if descriptor is not None:
-                                    contributed.append(descriptor.content_id)
-                                self.monitor.count("restarts")
-                                if self.metrics is not None:
-                                    self.metrics.counter(
-                                        "gdmp.mover.restarts", site=self.site
-                                    ).inc()
-                                if consumed > self.max_restart_attempts:
-                                    self._count_abandoned()
-                                    raise TransferAbandoned(
-                                        f"gave up on {remote_path!r} after "
-                                        f"{consumed} consumed restart "
-                                        f"markers",
-                                        partial=progress,
-                                    ) from exc
-                            else:
-                                stalled += 1
-                                self.monitor.count("stalled_restarts")
-                                if self.metrics is not None:
-                                    self.metrics.counter(
-                                        "gdmp.mover.stalls", site=self.site
-                                    ).inc()
-                                if stalled > self.max_stalled_attempts:
-                                    self._count_abandoned()
-                                    raise TransferAbandoned(
-                                        f"no progress on {remote_path!r} "
-                                        f"after {stalled} stalled attempts",
-                                        partial=progress,
-                                    ) from exc
-                                if self.stall_backoff > 0:
-                                    yield self.sim.timeout(self.stall_backoff)
-                            restart = progress if len(progress) else None
-                    stored = self.fs.stat(local_path)
-                    if any(c != stored.content_id for c in contributed):
-                        # an earlier aborted attempt delivered *different*
-                        # bytes (e.g. one-shot injected corruption consumed
-                        # by that attempt): the file is a mixed assembly.
-                        # Restamp it so its CRC matches neither source —
-                        # the check below then purges and re-transfers.
-                        stored.content_id = mixed_content_id(
-                            [*contributed, stored.content_id]
+                    attempts += 1
+                    try:
+                        yield self.ftp.get(
+                            session, remote_path, local_path, restart=restart
                         )
-                        self.monitor.count("mixed_assemblies")
-                        if self.metrics is not None:
-                            self.metrics.counter(
-                                "gdmp.mover.mixed_assemblies", site=self.site
-                            ).inc()
-                    if stored.crc == crc:
-                        self.monitor.count("bytes_moved", stored.size)
-                        self.monitor.count("files_moved")
-                        if self.metrics is not None:
-                            self.metrics.counter(
-                                "gdmp.mover.files_moved", site=self.site
-                            ).inc()
-                            self.metrics.counter(
-                                "gdmp.mover.bytes_moved", site=self.site
-                            ).inc(stored.size)
-                        return MoveReport(
-                            stored=stored,
-                            bytes_expected=stored.size,
-                            attempts=attempts,
-                            crc_retries=crc_retries,
-                            duration=self.sim.now - started,
-                            streams=streams,
-                            buffer=session.buffer,
-                        )
-                    # corruption slipped past TCP's 16-bit checksums: purge
-                    # the bad copy and transfer again from scratch
-                    self.monitor.count("crc_failures")
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "gdmp.mover.crc_failures", site=self.site
-                        ).inc()
-                    crc_retries += 1
-                    self.fs.delete(local_path)
-                    if crc_retries > self.max_crc_retries:
-                        raise DataMoverError(
-                            f"CRC mismatch persists for {remote_path!r} "
-                            f"after {crc_retries} re-transfers"
-                        )
-            finally:
-                try:
-                    yield self.ftp.quit(session)
-                except TransferError:
-                    # a dead server cannot answer QUIT; don't let the
-                    # goodbye mask the real failure
-                    self.monitor.count("quit_failures")
+                        break
+                    except TransferError as exc:
+                        marker = exc.restart_marker
+                        if marker is None:
+                            if (exc.session_lost and sessions is not None
+                                    and not redialled):
+                                # the source's daemon restarted under the
+                                # set's session: a 503 carries no restart
+                                # marker, but nothing is wrong with the
+                                # source — dial again, once, and resume
+                                redialled = True
+                                attempts -= 1  # no data connection opened
+                                session = sessions[src_host] = (
+                                    yield from dial()
+                                )
+                                self._count("redials")
+                                continue
+                            raise DataMoverError(str(exc)) from exc
+                        before = progress.total
+                        for start, end in marker.ranges:
+                            if end > start:
+                                progress.add(start, end)
+                        if progress.total > before:
+                            # the marker bought new bytes: it is
+                            # consumed, and only then burns budget
+                            consumed += 1
+                            stalled = 0
+                            descriptor = exc.descriptor
+                            if descriptor is not None:
+                                contributed.append(descriptor.content_id)
+                            self._count("restarts")
+                            if consumed > self.max_restart_attempts:
+                                self._count("abandoned")
+                                raise TransferAbandoned(
+                                    f"gave up on {remote_path!r} after "
+                                    f"{consumed} consumed restart "
+                                    f"markers",
+                                    partial=progress,
+                                ) from exc
+                        else:
+                            stalled += 1
+                            self.monitor.count("stalled_restarts")
+                            if self.metrics is not None:
+                                self.metrics.counter(
+                                    "gdmp.mover.stalls", site=self.site
+                                ).inc()
+                            if stalled > self.max_stalled_attempts:
+                                self._count("abandoned")
+                                raise TransferAbandoned(
+                                    f"no progress on {remote_path!r} "
+                                    f"after {stalled} stalled attempts",
+                                    partial=progress,
+                                ) from exc
+                            if self.stall_backoff > 0:
+                                yield self.sim.timeout(self.stall_backoff)
+                        restart = progress if len(progress) else None
+                stored = self.fs.stat(local_path)
+                if any(c != stored.content_id for c in contributed):
+                    # an earlier aborted attempt delivered *different*
+                    # bytes (e.g. one-shot injected corruption consumed
+                    # by that attempt): the file is a mixed assembly.
+                    # Restamp it so its CRC matches neither source —
+                    # the check below then purges and re-transfers.
+                    stored.content_id = mixed_content_id(
+                        [*contributed, stored.content_id]
+                    )
+                    self._count("mixed_assemblies")
+                if stored.crc == crc:
+                    self._count("bytes_moved", stored.size)
+                    self._count("files_moved")
+                    return MoveReport(
+                        stored=stored,
+                        bytes_expected=stored.size,
+                        attempts=attempts,
+                        crc_retries=crc_retries,
+                        duration=self.sim.now - started,
+                        streams=streams,
+                        buffer=session.buffer,
+                    )
+                # corruption slipped past TCP's 16-bit checksums: purge
+                # the bad copy and transfer again from scratch
+                self._count("crc_failures")
+                crc_retries += 1
+                self.fs.delete(local_path)
+                if crc_retries > self.max_crc_retries:
+                    raise DataMoverError(
+                        f"CRC mismatch persists for {remote_path!r} "
+                        f"after {crc_retries} re-transfers"
+                    )
 
         return self.sim.spawn(run(), name=f"data-mover {remote_path}")
 
-    def _count_abandoned(self) -> None:
-        self.monitor.count("abandoned")
+    def _count(self, event: str, amount: float = 1.0) -> None:
+        self.monitor.count(event, amount)
         if self.metrics is not None:
             self.metrics.counter(
-                "gdmp.mover.abandoned", site=self.site
-            ).inc()
+                f"gdmp.mover.{event}", site=self.site
+            ).inc(amount)
 
     def verify_local(self, path: str, expected_crc: int) -> bool:
         """Check a file already on disk against a catalog CRC."""

@@ -8,7 +8,7 @@ components of :mod:`repro.workload` — used to carry their own copy of
 the candidate ordering and the retryable-error classification; this
 module is the single shared implementation.
 
-* :func:`ranked_sources` — catalog locations → candidate source sites,
+* :func:`ranked_sources` — catalog locations → scored candidate sources,
   cheapest first by the §4.2 cost function, with an optional preferred
   producer promoted to the front;
 * :data:`FAILOVER_ERRORS` — the closed set of failures that mean "try
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.gdmp.data_mover import DataMoverError
-from repro.gdmp.replica_selection import rank_replicas
+from repro.gdmp.replica_selection import ReplicaScore, rank_replicas
 from repro.gdmp.request_manager import (
     GdmpError,
     RemoteError,
@@ -55,8 +55,8 @@ def ranked_sources(
     size: float,
     prefer_site: Optional[str] = None,
     weather=None,
-) -> list[str]:
-    """Candidate source sites for a replica fetch, best first.
+) -> list[ReplicaScore]:
+    """Candidate sources for a replica fetch, best first, as scored.
 
     Sources are ordered by the §4.2 cost function (measured RTT plus
     size over available bandwidth), upgraded to history-blended
@@ -64,20 +64,17 @@ def ranked_sources(
     — typically the producer that announced the file — is promoted to
     the front when it holds a replica.  Raises :class:`GdmpError` when
     no usable source exists (no replicas, or only the destination
-    itself).
+    itself).  Ranking decides nothing: the caller that goes on to fetch
+    from the head counts the selection in the weather cache.
     """
     try:
-        candidates = [
-            score.site
-            for score in rank_replicas(
-                topology, list(locations), dst_site, size, weather=weather
-            )
-        ]
+        candidates = rank_replicas(
+            topology, list(locations), dst_site, size, weather=weather
+        )
     except ValueError as exc:
         raise GdmpError(str(exc)) from exc
-    if prefer_site is not None and prefer_site in candidates:
-        candidates.remove(prefer_site)
-        candidates.insert(0, prefer_site)
+    # stable: the preferred site moves to the front, the rest keep order
+    candidates.sort(key=lambda score: score.site != prefer_site)
     return candidates
 
 

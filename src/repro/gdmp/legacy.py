@@ -69,10 +69,11 @@ class LegacyGdmp:
                     f"{lfn!r} is not one"
                 )
             local_path = dst.config.storage_path(lfn)
-            session = yield dst.gridftp_client.connect(from_site)
             attempts = 0
             wire_bytes = 0.0
-            try:
+
+            def pull(session):
+                nonlocal attempts, wire_bytes
                 # one stream, default buffers: no negotiation happened in 1.2
                 assert session.parallelism == 1
                 assert session.buffer == DEFAULT_BUFFER_BYTES
@@ -95,8 +96,8 @@ class LegacyGdmp:
                                 f"{attempts} full attempts"
                             ) from exc
                         # no restart markers in 1.2: start over from byte 0
-            finally:
-                yield dst.gridftp_client.quit(session)
+
+            yield from dst.gridftp_client.session(from_site, pull)
             # Objectivity post-processing existed in 1.2: attach the file.
             db = dst.fs.stat(local_path).payload
             if hasattr(db, "iter_objects"):

@@ -134,11 +134,6 @@ def rank_replicas(
             continue  # unreachable replica: not a candidate
     if not scores:
         raise ValueError(f"no usable replica source for destination {dst_site!r}")
-    if weather is not None:
-        # provenance accounting: did history or the probe ladder rank this?
-        weather.note_selection(
-            "history" if any(s.basis == "history" for s in scores) else "probe"
-        )
     return sorted(scores, key=lambda s: s.estimated_time)
 
 

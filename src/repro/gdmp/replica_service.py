@@ -103,7 +103,7 @@ class ReplicaCatalogService:
         #: a retried write whose *reply* was lost is answered from here,
         #: not re-applied: no duplicate LFNs from a retried ``publish``,
         #: no double notifications
-        self.replay = ReplayWindow(metrics, "catalog.txn_replays")
+        self.replay = ReplayWindow(server.sim, metrics, "catalog.txn_replays")
         for op in WRITE_OPERATIONS:
             server.register(
                 f"catalog.{op}", getattr(self, f"_op_{op}"), replay=self.replay

@@ -8,9 +8,12 @@ Registers the site's request-manager operations:
   configured for automatic replication the files are fetched immediately;
 * ``get_catalog`` — "obtaining a remote site's file catalog for failure
   recovery" (§4.1);
-* ``request_stage`` — ask the site to stage a file from its MSS to its disk
-  pool and pin it for an upcoming transfer (§4.4);
-* ``release`` — drop the transfer pin afterwards.
+* ``request_stage`` — ask the site to stage files from its MSS to its disk
+  pool and pin them for upcoming transfers (§4.4);
+* ``release`` — drop the transfer pins afterwards.
+
+Both carry a list of LFNs and answer per LFN, so a transfer set pays one
+envelope per source where single files would pay one each.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from repro.gdmp.request_manager import (
     RequestServer,
 )
 from repro.gdmp.storage_manager import StorageManager
+from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Simulator
 from repro.simulation.monitor import Monitor
+from repro.storage.hrm import StageStatus
 
 __all__ = ["GdmpServer"]
 
@@ -61,8 +66,14 @@ class GdmpServer:
         request_server.register("unsubscribe", self._op_unsubscribe)
         request_server.register("notify", self._op_notify)
         request_server.register("get_catalog", self._op_get_catalog)
-        request_server.register("request_stage", self._op_request_stage)
-        request_server.register("release", self._op_release)
+        # pins are counted, so a re-issued envelope must not count twice
+        self.replay = ReplayWindow(sim)
+        request_server.register(
+            "request_stage", self._op_request_stage, replay=self.replay
+        )
+        request_server.register(
+            "release", self._op_release, replay=self.replay
+        )
 
     # -- bookkeeping used by the client ---------------------------------------
     def record_held(self, lfn: str, path: str) -> None:
@@ -137,17 +148,62 @@ class GdmpServer:
         yield  # pragma: no cover
 
     def _op_request_stage(self, request: AuthenticatedRequest):
-        """Ensure an LFN is on this site's disk pool (staging from tape if
-        needed) and pin it; the reply carries the local path and size so the
-        caller can start the GridFTP get."""
-        lfn = request.payload["lfn"]
-        path = self.path_of(lfn)
-        stored = yield self.storage.ensure_on_disk(path, pin=True)
-        self.monitor.count("stage_served")
+        """Ensure each of ``lfns`` is on this site's disk pool (staging
+        from tape if needed) and pin it.  The files stage concurrently —
+        tape drives overlap — and the reply answers per LFN: the local
+        path, size and CRC the caller needs to start its GridFTP get, or
+        that file's ``error`` (not held, pool full of pins), which costs
+        the other files nothing.
+
+        ``ahead`` marks a transfer set's wave, sent before any of its
+        files is due.  It must never outlast its caller's patience, so
+        it does not wait for tape: a file on disk is pinned and answered
+        as always, a file on tape starts staging — overlapping the other
+        mounts and the set's transfers — and answers "staging" at once,
+        unpinned.  Its owner asks again at the file's turn and joins the
+        staging under way."""
+        ahead = request.payload.get("ahead", False)
+        answers, legs = {}, {}
+        for lfn in request.payload["lfns"]:
+            cold = (
+                ahead and lfn in self.held
+                and self.storage.status(self.held[lfn]) in (
+                    StageStatus.ON_TAPE, StageStatus.STAGING
+                )
+            )
+            leg = self.sim.spawn(
+                self._stage(lfn, pin=not cold), name=f"gdmp-stage {lfn}"
+            )
+            if cold:
+                answers[lfn] = {"error": "staging from tape"}
+            else:
+                legs[lfn] = leg
+        for lfn, leg in legs.items():
+            answers[lfn] = yield leg
+        return answers
+
+    def _stage(self, lfn: str, pin: bool):
+        """One file's leg of ``request_stage``; *returns* its error, as a
+        failure nobody is waiting on would crash the simulation."""
+        try:
+            path = self.path_of(lfn)
+            stored = yield self.storage.ensure_on_disk(path, pin=pin)
+        except Exception as exc:
+            return {"error": str(exc)}
+        if pin:
+            self.monitor.count("stage_served")
         return {"path": path, "size": stored.size, "crc": stored.crc}
 
     def _op_release(self, request: AuthenticatedRequest):
-        path = self.path_of(request.payload["lfn"])
-        self.storage.release(path)
-        return True
+        """Drop one transfer pin per listed LFN.  A file that is not
+        pinned (or no longer held) answers False and changes nothing."""
+        released = {}
+        for lfn in request.payload["lfns"]:
+            path = self.held.get(lfn)
+            released[lfn] = (
+                path is not None and self.storage.pool.pin_count(path) > 0
+            )
+            if released[lfn]:
+                self.storage.release(path)
+        return released
         yield  # pragma: no cover

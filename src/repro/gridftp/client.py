@@ -27,7 +27,12 @@ from repro.netsim.channels import MessageNetwork
 from repro.netsim.topology import Host
 from repro.netsim.units import KiB
 from repro.security.credentials import Credential
-from repro.services.bus import CallTimeout, ConnectionReset, ServiceClient
+from repro.services.bus import (
+    CallTimeout,
+    ConnectionReset,
+    ServiceClient,
+    ServiceError,
+)
 from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Process, Simulator
 from repro.storage.filesystem import FileSystem, StoredFile
@@ -47,6 +52,12 @@ class TransferError(Exception):
         if self.reply and isinstance(self.reply.payload, dict):
             return self.reply.payload.get("restart_marker")
         return None
+
+    @property
+    def session_lost(self) -> bool:
+        """True when the server no longer knows the session (503): its
+        daemon restarted since the session was dialled."""
+        return self.reply is not None and self.reply.code == 503
 
     @property
     def descriptor(self) -> Optional["TransferDescriptor"]:
@@ -216,6 +227,48 @@ class GridFTPClient:
             session.closed = True
 
         return self.sim.spawn(run(), name="gridftp-quit")
+
+    # -- session lifetime ----------------------------------------------------------
+    # Generators, driven with ``yield from`` inside the caller's own
+    # process: a session costs its commands and nothing else.
+    def open_session(self, server_host: str,
+                     tcp_buffer: Optional[int] = None, streams: int = 1):
+        """Dial ``server_host`` and negotiate: AUTH/ADAT, SBUF when
+        ``tcp_buffer`` is given, OPTS when ``streams`` is not 1.  Returns
+        the tuned :class:`ClientSession`, which holds for every transfer
+        until :meth:`close_session`; a failed negotiation hangs up before
+        raising."""
+        session = yield self.connect(server_host)
+        try:
+            if tcp_buffer is not None:
+                yield self.set_buffer(session, tcp_buffer)
+            if streams != 1:
+                yield self.set_parallelism(session, streams)
+        except BaseException:
+            yield from self.close_session(session)
+            raise
+        return session
+
+    def close_session(self, session: ClientSession):
+        """QUIT.  Never raises: a dead server cannot answer, and the
+        goodbye must not mask the failure being propagated (nor crash a
+        caller that does not wait for it) — the error is returned
+        instead, ``None`` for a clean goodbye."""
+        try:
+            yield self.quit(session)
+        except (TransferError, ServiceError) as exc:
+            return exc
+        return None
+
+    def session(self, server_host: str, work,
+                tcp_buffer: Optional[int] = None, streams: int = 1):
+        """One whole conversation: open, run the generator
+        ``work(session)``, close.  Returns what ``work`` returns."""
+        session = yield from self.open_session(server_host, tcp_buffer, streams)
+        try:
+            return (yield from work(session))
+        finally:
+            yield from self.close_session(session)
 
     # -- negotiation ---------------------------------------------------------------
     def set_buffer(self, session: ClientSession, size: int) -> Process:

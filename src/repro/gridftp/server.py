@@ -239,6 +239,10 @@ class GridFTPServer:
         session.authenticated = True
         session.buffer = self.default_buffer
         self.monitor.count("auth_successes")
+        if self.metrics is not None:
+            self.metrics.counter(
+                "gridftp.sessions_opened", host=self.host.name
+            ).inc()
         return Reply(
             235,
             f"GSSAPI authentication succeeded; user {auth.account} logged in",

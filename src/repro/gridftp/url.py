@@ -82,44 +82,34 @@ def globus_url_copy(
     dst = parse_url(dst_url)
     sim = client.sim
 
+    def get(session):
+        return (yield client.get(session, src.path, dst.path))
+
+    def put(session):
+        return (yield client.put(session, src.path, dst.path))
+
+    def third_party(src_session):
+        def relay(dst_session):
+            return (yield client.third_party_transfer(
+                src_session, dst_session, src.path, dst.path
+            ))
+
+        return (yield from client.session(dst.host, relay))
+
     def run():
+        # buffers and streams are negotiated with the sending or
+        # receiving server the client talks data to; in a third-party
+        # copy that is the source
         if src.scheme == "gsiftp" and dst.scheme == "file":
-            session = yield client.connect(src.host)
-            try:
-                if tcp_buffer is not None:
-                    yield client.set_buffer(session, tcp_buffer)
-                if streams != 1:
-                    yield client.set_parallelism(session, streams)
-                result = yield client.get(session, src.path, dst.path)
-            finally:
-                yield client.quit(session)
-            return result
-        if src.scheme == "file" and dst.scheme == "gsiftp":
-            session = yield client.connect(dst.host)
-            try:
-                if tcp_buffer is not None:
-                    yield client.set_buffer(session, tcp_buffer)
-                if streams != 1:
-                    yield client.set_parallelism(session, streams)
-                result = yield client.put(session, src.path, dst.path)
-            finally:
-                yield client.quit(session)
-            return result
-        if src.scheme == "gsiftp" and dst.scheme == "gsiftp":
-            src_session = yield client.connect(src.host)
-            dst_session = yield client.connect(dst.host)
-            try:
-                if tcp_buffer is not None:
-                    yield client.set_buffer(src_session, tcp_buffer)
-                if streams != 1:
-                    yield client.set_parallelism(src_session, streams)
-                result = yield client.third_party_transfer(
-                    src_session, dst_session, src.path, dst.path
-                )
-            finally:
-                yield client.quit(src_session)
-                yield client.quit(dst_session)
-            return result
-        raise TransferError(f"unsupported URL pair {src_url!r} -> {dst_url!r}")
+            host, work = src.host, get
+        elif src.scheme == "file" and dst.scheme == "gsiftp":
+            host, work = dst.host, put
+        elif src.scheme == "gsiftp" and dst.scheme == "gsiftp":
+            host, work = src.host, third_party
+        else:
+            raise TransferError(
+                f"unsupported URL pair {src_url!r} -> {dst_url!r}"
+            )
+        return (yield from client.session(host, work, tcp_buffer, streams))
 
     return sim.spawn(run(), name=f"globus-url-copy {src_url}")

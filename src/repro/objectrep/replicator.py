@@ -185,7 +185,8 @@ class ObjectReplicator:
             raise
         finally:
             # step 4: delete the temporary at the source
-            src.pool.unpin(temp_path)
+            if src.pool.pin_count(temp_path):  # a source crash drops pins
+                src.pool.unpin(temp_path)
             src.fs.delete(temp_path)
         # attach at the destination (schema follows the objects)
         for obj in db.iter_objects():

@@ -13,7 +13,10 @@ listeners twice.  The bus closes that gap once, for every service:
 * the server half (:class:`ReplayWindow`, one per service, applied by
   ``RequestServer.register(op, handler, replay=window)``) stores each
   applied write's result under its serial and answers a repeated serial
-  from the store instead of calling the handler again.
+  from the store instead of calling the handler again — and a repeat
+  that arrives while the first delivery is still being handled (a slow
+  write out-waited its caller's timeout) waits for that delivery's
+  answer rather than starting a second one.
 
 The window needs no size or age knob: each request's ``low`` tells it
 which of that client's results can never be asked for again, so it holds
@@ -25,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from repro.services.bus import ServiceError
+from repro.simulation.kernel import Event, Simulator
 
 __all__ = ["ReplayWindow"]
 
@@ -32,11 +36,14 @@ __all__ = ["ReplayWindow"]
 class _ClientResults:
     """One client's retained results and the serial they start at."""
 
-    __slots__ = ("low", "results")
+    __slots__ = ("low", "results", "applying")
 
     def __init__(self) -> None:
         self.low = 0
         self.results: dict[int, Any] = {}
+        #: serial -> None while its first delivery is being handled, or
+        #: the event its repeats are waiting on
+        self.applying: dict[int, Optional[Event]] = {}
 
 
 class ReplayWindow:
@@ -50,7 +57,9 @@ class ReplayWindow:
     (``None``, or no ``metrics``, keeps the window silent).
     """
 
-    def __init__(self, metrics=None, counter: Optional[str] = None):
+    def __init__(self, sim: Simulator, metrics=None,
+                 counter: Optional[str] = None):
+        self.sim = sim
         self.metrics = metrics
         self.counter = counter
         self._clients: dict[str, _ClientResults] = {}
@@ -66,7 +75,8 @@ class ReplayWindow:
         request: Any,
     ):
         """Generator: run ``handler(request)`` unless ``txn`` was already
-        applied, in which case return the stored result.  A request
+        applied, in which case return the stored result, or is being
+        applied right now, in which case wait for that result.  A request
         without a ``txn`` (a read, or a caller that opted out) always
         runs.  A handler that raises stores nothing, so the retry of a
         failed write re-executes it."""
@@ -81,16 +91,31 @@ class ReplayWindow:
             state.low = low
             for settled in [s for s in state.results if s < low]:
                 del state.results[settled]
-        if serial in state.results:
+        if serial in state.results or serial in state.applying:
             if self.metrics is not None and self.counter is not None:
                 self.metrics.counter(self.counter).inc()
-            return state.results[serial]
+            if serial in state.results:
+                return state.results[serial]
+            joined = state.applying[serial]
+            if joined is None:
+                joined = state.applying[serial] = self.sim.event()
+            return (yield joined)
         if serial < state.low:
             # A duplicate that out-waited its own call (a delayed first
             # attempt overtaken by its retry): the client settled this
             # write long ago and discards whatever we answer — but
             # applying it a second time would break exactly-once.
             raise ServiceError(f"write {serial} of {client} already settled")
-        result = yield from handler(request)
+        state.applying[serial] = None
+        try:
+            result = yield from handler(request)
+        except Exception as exc:
+            joined = state.applying.pop(serial)
+            if joined is not None:
+                joined.fail(exc)
+            raise
+        joined = state.applying.pop(serial)
         state.results[serial] = result
+        if joined is not None:
+            joined.succeed(result)
         return result

@@ -83,6 +83,14 @@ class DiskPool:
         """Current pin count of a path (0 when unpinned)."""
         return self._pins.get(path, 0)
 
+    def drop_pins(self) -> int:
+        """Forget every pin (the daemon holding them crashed: pins serve
+        in-flight operations, and those died with it).  Returns how many
+        were dropped."""
+        dropped = sum(self._pins.values())
+        self._pins.clear()
+        return dropped
+
     # -- cache behaviour ------------------------------------------------------
     def lookup(self, path: str, now: float) -> StoredFile | None:
         """Cache probe; updates hit/miss statistics and recency."""

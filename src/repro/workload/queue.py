@@ -341,9 +341,9 @@ class TaskQueueService:
         )
         self.server = server
         self.metrics = metrics
-        self.replay = ReplayWindow(metrics, "workload.txn_replays")
+        self.replay = ReplayWindow(server.sim, metrics, "workload.txn_replays")
         for op in ("submit", "submit_bulk", "claim", "renew", "complete",
-                   "fail"):
+                   "complete_bulk", "fail"):
             server.register(
                 f"task.{op}", getattr(self, f"_op_{op}"), replay=self.replay
             )
@@ -426,12 +426,9 @@ class TaskQueueService:
         )
         yield  # pragma: no cover
 
-    def _op_complete(self, request: AuthenticatedRequest):
-        p = request.payload
-        task = self.queue.tasks.get(p["task_id"])
-        ok = self.queue.complete(
-            p["task_id"], p["claim_token"], result=p.get("result")
-        )
+    def _complete(self, task_id: int, claim_token: int, result) -> bool:
+        task = self.queue.tasks.get(task_id)
+        ok = self.queue.complete(task_id, claim_token, result=result)
         if ok and task is not None:
             self._count("completed", task.type)
             self._observe_age(
@@ -441,6 +438,19 @@ class TaskQueueService:
         elif task is not None:
             self._count("stale", task.type)
         return ok
+
+    def _op_complete(self, request: AuthenticatedRequest):
+        p = request.payload
+        return self._complete(p["task_id"], p["claim_token"], p.get("result"))
+        yield  # pragma: no cover
+
+    def _op_complete_bulk(self, request: AuthenticatedRequest):
+        """Settle a batch in one envelope: a verdict per item, in order,
+        so a stale token fails its own item and nothing else."""
+        return [
+            self._complete(task_id, claim_token, result)
+            for task_id, claim_token, result in request.payload["items"]
+        ]
         yield  # pragma: no cover
 
     def _op_fail(self, request: AuthenticatedRequest):
@@ -507,6 +517,14 @@ class TaskQueueProxy(RequestProxy):
             "task_id": task_id, "claim_token": claim_token,
             "result": result,
         })
+
+    def complete_bulk(self, items: list[tuple]) -> Process:
+        """Settle several claimed tasks in one envelope.  Each item:
+        ``(task_id, claim_token, result)``; returns the per-item
+        verdicts (False = that item's claim was stale)."""
+        return self._write(
+            "task.complete_bulk", {"items": list(items)}, n_items=len(items)
+        )
 
     def fail(self, task_id: int, claim_token: int, error: str = "",
              retryable: bool = True) -> Process:

@@ -16,6 +16,7 @@ from repro.gdmp import DataGrid, GdmpConfig
 from repro.services.bus import ServiceError
 from repro.services.replay import ReplayWindow
 from repro.services.resilience import ResilienceConfig
+from repro.simulation.kernel import Simulator
 from repro.workload.queue import TaskQueueProxy, TaskQueueService
 
 K, M = 2, 1
@@ -200,7 +201,7 @@ def test_lost_reply_is_replayed_not_reapplied(case_type):
 def test_a_late_duplicate_of_a_settled_write_is_refused():
     """A first attempt that out-waits its own retry must not be applied
     after the window forgot the write (delay faults make this real)."""
-    window = ReplayWindow()
+    window = ReplayWindow(Simulator())
     applied = []
 
     def handler(request):
@@ -222,6 +223,41 @@ def test_a_late_duplicate_of_a_settled_write_is_refused():
         drive(("c", 1, 1))
     assert len(applied) == 2 and len(window) == 1
     assert drive(None) == 3                 # no txn: always runs
+
+
+def test_a_duplicate_of_a_write_still_being_applied_joins_it():
+    """A write slower than its caller's timeout is re-issued while the
+    first delivery is still in the handler: it is applied once, and
+    every delivery gets that one answer."""
+    sim = Simulator()
+    window = ReplayWindow(sim)
+    applied = []
+
+    def slow_handler(request):
+        yield sim.timeout(10.0)
+        applied.append(request)
+        if request == "doomed":
+            raise ServiceError("no")
+        return len(applied)
+
+    def deliver(at, txn, request, outcomes):
+        yield sim.timeout(at)
+        try:
+            outcomes.append((yield from window.apply(txn, slow_handler, request)))
+        except ServiceError as exc:
+            outcomes.append(str(exc))
+
+    fine, doomed = [], []
+    for at in (0.0, 4.0, 8.0):
+        sim.spawn(deliver(at, ("c", 1, 1), "fine", fine))
+        sim.spawn(deliver(at, ("c", 2, 1), "doomed", doomed))
+    sim.run()
+    assert applied == ["fine", "doomed"] and sim.now == 10.0
+    assert fine == [1, 1, 1] and doomed == ["no"] * 3
+    # the failed write stored nothing: its next retry runs it again
+    sim.spawn(deliver(0.0, ("c", 2, 1), "doomed", doomed))
+    sim.run()
+    assert applied == ["fine", "doomed", "doomed"] and len(window) == 1
 
 
 def test_windows_stay_at_in_flight_size_under_sequential_writes():

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.gdmp import DataGrid, GdmpConfig
+from repro.services.resilience import ResilienceConfig
 from repro.simulation.kernel import Simulator
 from repro.workload.queue import TaskQueue, TaskQueueProxy, TaskQueueService
+from tests.services.test_replay import lose_first_reply
 
 
 @pytest.fixture
@@ -172,3 +174,48 @@ def test_observed_states_reads_lapsed_claims_as_pending(sim, queue):
     # inspector applies the expiry
     assert queue.tasks[tid].state == "claimed"
     assert queue.stats.expired_leases == 0
+
+
+# -- task.complete_bulk: one envelope, per-item verdicts ---------------------
+
+def _bulk_fixture():
+    grid = DataGrid([GdmpConfig("cern"), GdmpConfig("anl")], seed=3)
+    grid.enable_resilience(ResilienceConfig(rpc_timeout=5.0))
+    service = TaskQueueService(
+        grid.site("cern").request_server, metrics=grid.metrics
+    )
+    proxy = TaskQueueProxy(grid.site("anl").request_client, "cern")
+    for n in range(3):
+        service.queue.submit("xfer", "anl", {"n": n})
+    tasks = grid.run(until=proxy.claim("w", "xfer", "anl", limit=3))
+    return grid, service, proxy, tasks
+
+
+def test_complete_bulk_replayed_after_a_lost_reply_applies_once():
+    grid, service, proxy, tasks = _bulk_fixture()
+    lost = lose_first_reply(
+        grid.site("cern").request_server, "task.complete_bulk"
+    )
+    verdicts = grid.run(until=proxy.complete_bulk([
+        (t["task_id"], t["claim_token"], {"bundle": 1}) for t in tasks
+    ]))
+    # the retry was answered from the replay window: a second
+    # application would have found three stale tokens
+    assert len(lost) == 1 and verdicts == [True, True, True]
+    assert service.queue.stats.completed == 3
+    assert service.queue.stats.stale_ops == 0
+    assert grid.metrics.value("workload.txn_replays") == 1
+    assert all(
+        service.queue.tasks[t["task_id"]].result == {"bundle": 1}
+        for t in tasks
+    )
+
+
+def test_stale_token_in_a_bulk_settle_fails_only_its_own_item():
+    grid, service, proxy, tasks = _bulk_fixture()
+    items = [(t["task_id"], t["claim_token"], None) for t in tasks]
+    items[1] = (items[1][0], items[1][1] + 999, None)
+    assert grid.run(until=proxy.complete_bulk(items)) == [True, False, True]
+    states = [service.queue.tasks[t["task_id"]].state for t in tasks]
+    assert states == ["done", "claimed", "done"]
+    assert service.queue.stats.stale_ops == 1

@@ -17,6 +17,11 @@ checks:
   leases that are silently re-claimed, and the keyed task queue keeps
   re-delivery exactly-once.
 
+* **transfer-set path** — what the replicator drives for every bundle:
+  a set costs its sources, not its files.  On a three-site grid, bus
+  requests per replicated file stay at or below 3 (per-file dialling
+  costs 8) and no set opens more GridFTP sessions than it has sources.
+
 Usage:  PYTHONPATH=src python tools/workload_smoke.py
 """
 
@@ -25,6 +30,8 @@ from __future__ import annotations
 import sys
 
 from repro.experiments import workload
+from repro.gdmp import DataGrid, GdmpConfig
+from repro.netsim.units import MB
 
 SEED = 2001
 #: smoke-sized arrival stream: enough ticks for the diurnal profile,
@@ -62,8 +69,53 @@ def check(campaign: str) -> list[str]:
     return problems
 
 
+def check_transfer_set_path() -> list[str]:
+    """Request and session budget of ``replicate_set``, in seconds: a
+    regression to dialling per file fails here, not in the benchmark."""
+    files = 8
+    grid = DataGrid(
+        [GdmpConfig("cern"), GdmpConfig("anl"), GdmpConfig("caltech")],
+        catalog_host="cern", seed=SEED,
+    )
+    cern = grid.site("cern")
+    lfns = [f"set-{i}.db" for i in range(files)]
+    for lfn in lfns:
+        grid.run(until=cern.client.produce_and_publish(lfn, 2 * MB))
+
+    def total(name: str) -> float:
+        return sum(child.value for child in grid.metrics.children(name))
+
+    problems: list[str] = []
+    # the second puller has two sources to choose from per file
+    for puller in ("anl", "caltech"):
+        requests, sessions = total("rpc.requests"), total(
+            "gridftp.sessions_opened"
+        )
+        reports = grid.run(until=grid.site(puller).client.replicate_set(lfns))
+        per_file = (total("rpc.requests") - requests) / files
+        opened = total("gridftp.sessions_opened") - sessions
+        sources = len({report.source for report in reports})
+        if per_file > 3:
+            problems.append(
+                f"transfer-set path: {puller} paid {per_file:.2f} bus "
+                f"requests per replicated file (budget 3)"
+            )
+        if opened > sources:
+            problems.append(
+                f"transfer-set path: {puller} opened {opened:.0f} GridFTP "
+                f"sessions for {sources} sources"
+            )
+        if not problems:
+            print(
+                f"  transfer-set path: {puller} pulled {files} files at "
+                f"{per_file:.2f} bus requests each over {opened:.0f} "
+                f"session(s)"
+            )
+    return problems
+
+
 def main() -> int:
-    failures: list[str] = []
+    failures: list[str] = check_transfer_set_path()
     for campaign in ("", *workload.CAMPAIGNS):
         print(f"workload_smoke: {campaign or 'fault-free'}")
         failures.extend(check(campaign))
