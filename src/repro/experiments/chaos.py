@@ -248,6 +248,13 @@ def run(
             for stored in site.fs.listing()
             if site.pool.pin_count(stored.path)
         )
+        # ... and a GridFTP session still open (with whatever data
+        # channels it has parked) belongs to a set that never hung up
+        if site.gridftp_server.open_sessions:
+            errors.append(
+                f"{site.gridftp_server.open_sessions} GridFTP session(s) "
+                f"still open at {site.name}"
+            )
     no_active = not injector.active_faults()
     if not no_active:
         errors.append(f"fault windows still open: {injector.active_faults()}")

@@ -93,6 +93,7 @@ class _TransferSet:
         self._pins: dict[str, list[str]] = {}
         self.prestaged = 0   # files that found the wave's answer waiting
         self.restaged = 0    # files that had to ask at their turn
+        self.warm = 0        # files whose data channels opened warm
 
     def counts(self) -> dict:
         """The set's span attributes."""
@@ -100,6 +101,7 @@ class _TransferSet:
             "sessions": len(self.sessions),
             "prestaged": self.prestaged,
             "restaged": self.restaged,
+            "warm": self.warm,
         }
 
     def prestage(self, infos, prefer_site: Optional[str]) -> None:
@@ -425,6 +427,8 @@ class GdmpClient:
                     ),
                 )
                 transfer_duration = self.sim.now - transfer_started
+                if transfer_set is not None and report.channels == "warm":
+                    transfer_set.warm += 1
                 # post-processing (e.g. attach to the local federation)
                 yield self.sim.spawn(
                     plugin.post_process(self.site_runtime, report.stored),

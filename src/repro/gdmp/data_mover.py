@@ -51,6 +51,7 @@ class MoveReport:
     duration: float
     streams: int
     buffer: int
+    channels: str = "cold"  # how the attempt that delivered the file opened
 
     @property
     def throughput(self) -> float:
@@ -110,7 +111,9 @@ class DataMover:
         all negotiated to the same settings — it rides the table's
         session with ``src_host``, dialling into the table when it is the
         first to need one, and leaves it open for the next file: the
-        table's owner says the goodbyes."""
+        table's owner says the goodbyes.  A table's session is dialled
+        to keep its data channels open between files; whether a file
+        then finds them warm is the server's business alone."""
 
         def run():
             started = self.sim.now
@@ -133,7 +136,9 @@ class DataMover:
                 ) from exc
 
         def dial():
-            return self.ftp.open_session(src_host, tcp_buffer, streams)
+            return self.ftp.open_session(
+                src_host, tcp_buffer, streams, cache_channels=True
+            )
 
         def transfer(session, started):
             attempts = 0
@@ -161,7 +166,7 @@ class DataMover:
                 while True:
                     attempts += 1
                     try:
-                        yield self.ftp.get(
+                        result = yield self.ftp.get(
                             session, remote_path, local_path, restart=restart
                         )
                         break
@@ -242,6 +247,7 @@ class DataMover:
                         duration=self.sim.now - started,
                         streams=streams,
                         buffer=session.buffer,
+                        channels=result.channels,
                     )
                 # corruption slipped past TCP's 16-bit checksums: purge
                 # the bad copy and transfer again from scratch

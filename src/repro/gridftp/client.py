@@ -82,6 +82,9 @@ class TransferResult:
     stored: Optional[StoredFile] = None
     perf_markers: tuple[PerfMarker, ...] = ()
     restart_markers: tuple[RestartMarker, ...] = ()
+    #: how the server says the data channels opened: "cold" (slow start)
+    #: or "warm" (from the windows the session's last transfer left)
+    channels: str = "cold"
 
     @property
     def throughput(self) -> float:
@@ -124,6 +127,12 @@ class GridFTPClient:
         #: markers every few seconds, so silence means a cut link or a
         #: crashed server.
         self.idle_timeout: Optional[float] = None
+        #: server host -> ids of sessions there that this client gave up
+        #: on without the server being known to have heard: a login
+        #: whose answer was lost, a goodbye that did not get through.
+        #: The server may still hold them (and their parked data
+        #: channels), so the next dial to that host hangs them up first.
+        self._unclosed: dict[str, list[str]] = {}
         # Per-simulator serial (not a module global): back-to-back
         # simulations in one process name their endpoints identically.
         self.service = f"gridftp-client-{sim.next_serial('gridftp-client')}"
@@ -198,6 +207,7 @@ class GridFTPClient:
         """AUTH/ADAT handshake; returns a :class:`ClientSession`."""
 
         def run():
+            yield from self._hang_up_unclosed(server_host)
             auth = Command("AUTH", "GSSAPI")
             reply, _ = yield from self._rpc(server_host, auth)
             if reply.code != 334:
@@ -208,7 +218,12 @@ class GridFTPClient:
                 session=session_id,
                 extras={"chain": self.credential.chain},
             )
-            reply, _ = yield from self._rpc(server_host, adat)
+            try:
+                reply, _ = yield from self._rpc(server_host, adat)
+            except (TransferError, ServiceError):
+                # no answer is not no login
+                self._unclosed.setdefault(server_host, []).append(session_id)
+                raise
             if reply.code != 235:
                 raise TransferError(f"authentication failed: {reply}", reply)
             return ClientSession(
@@ -232,18 +247,22 @@ class GridFTPClient:
     # Generators, driven with ``yield from`` inside the caller's own
     # process: a session costs its commands and nothing else.
     def open_session(self, server_host: str,
-                     tcp_buffer: Optional[int] = None, streams: int = 1):
+                     tcp_buffer: Optional[int] = None, streams: int = 1,
+                     cache_channels: bool = False):
         """Dial ``server_host`` and negotiate: AUTH/ADAT, SBUF when
-        ``tcp_buffer`` is given, OPTS when ``streams`` is not 1.  Returns
-        the tuned :class:`ClientSession`, which holds for every transfer
-        until :meth:`close_session`; a failed negotiation hangs up before
+        ``tcp_buffer`` is given, OPTS when ``streams`` is not 1 or the
+        session is to keep its data channels open between transfers
+        (``cache_channels`` — worth asking for only when more than one
+        transfer will ride the session).  Returns the tuned
+        :class:`ClientSession`, which holds for every transfer until
+        :meth:`close_session`; a failed negotiation hangs up before
         raising."""
         session = yield self.connect(server_host)
         try:
             if tcp_buffer is not None:
                 yield self.set_buffer(session, tcp_buffer)
-            if streams != 1:
-                yield self.set_parallelism(session, streams)
+            if streams != 1 or cache_channels:
+                yield self.set_parallelism(session, streams, cache_channels)
         except BaseException:
             yield from self.close_session(session)
             raise
@@ -257,8 +276,29 @@ class GridFTPClient:
         try:
             yield self.quit(session)
         except (TransferError, ServiceError) as exc:
+            self._unclosed.setdefault(session.server_host, []).append(
+                session.session_id
+            )
             return exc
         return None
+
+    def _hang_up_unclosed(self, server_host: str):
+        """``QUIT`` the sessions at ``server_host`` this client walked
+        away from unheard.  Any answer settles one — a restarted daemon
+        no longer knows it, which is as good; silence keeps it, and the
+        rest, for the next dial."""
+        session_ids = self._unclosed.pop(server_host, [])
+        for done, session_id in enumerate(session_ids):
+            try:
+                yield from self._rpc(
+                    server_host, Command("QUIT", session=session_id)
+                )
+            except (TransferError, ServiceError):
+                # (another dial may have walked away from one meanwhile)
+                self._unclosed.setdefault(server_host, []).extend(
+                    session_ids[done:]
+                )
+                return
 
     def session(self, server_host: str, work,
                 tcp_buffer: Optional[int] = None, streams: int = 1):
@@ -282,11 +322,16 @@ class GridFTPClient:
 
         return self.sim.spawn(run(), name="gridftp-sbuf")
 
-    def set_parallelism(self, session: ClientSession, streams: int) -> Process:
-        """OPTS RETR Parallelism=n: number of parallel data streams."""
+    def set_parallelism(self, session: ClientSession, streams: int,
+                        cache_channels: bool = False) -> Process:
+        """OPTS RETR Parallelism=n: number of parallel data streams, and
+        (``Cache=on``) whether the server keeps them open, windows and
+        all, for the session's next transfer."""
         def run():
             reply, _ = yield from self._command(
-                session, "OPTS", f"RETR Parallelism={streams};"
+                session, "OPTS",
+                f"RETR Parallelism={streams};"
+                + ("Cache=on;" if cache_channels else ""),
             )
             if not reply.is_success:
                 raise TransferError(f"OPTS failed: {reply}", reply)
@@ -402,6 +447,7 @@ class GridFTPClient:
                 restart_markers=tuple(
                     r.payload for r in markers if r.code == 111
                 ),
+                channels=info.get("channels", "cold"),
             )
 
         return self.sim.spawn(run(), name=f"gridftp-get {remote_path}")

@@ -10,6 +10,13 @@ preliminary replies (150 opening, 111/112 markers) stream back as non-final
 bus replies.  Data transfers run as parallel TCP flows on the shared
 :class:`~repro.netsim.engine.NetworkEngine`.
 
+A session whose opener asked for it (``OPTS ... Cache=on``, which only a
+transfer set's dial does) keeps its data channels open between data
+commands: each stream's congestion state is parked in the session when a
+transfer ends ``ok`` and the next transfer to the same peer opens from it
+instead of from slow start (DESIGN.md, "Data channels stay warm inside a
+set").
+
 A :class:`FailureInjector` can abort a transfer after N delivered bytes or
 corrupt the next transfer of a path — the failure modes GDMP's data mover
 must recover from (§4.3).
@@ -48,6 +55,11 @@ __all__ = ["GridFTPServer", "FailureInjector", "TransferDescriptor"]
 #: How often the server emits performance markers during a transfer.
 PERF_MARKER_INTERVAL = 5.0
 
+#: How long a parked data channel's congestion state is trusted: RFC 2988's
+#: minimum RTO, the idle time after which RFC 2861 has a sender stop
+#: believing the window it had.  Physics, not policy — so not a setting.
+CHANNEL_IDLE_LIMIT = 1.0
+
 #: Histogram bounds for parallel-stream fan-out (streams x stripes).
 _FANOUT_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -83,6 +95,14 @@ class _Session:
     parallelism: int = 1
     restart: RangeSet = field(default_factory=RangeSet)
     client_write_rate: float = float("inf")
+    #: data channels stay open between this session's data commands
+    #: (asked for in ``OPTS``); a session that did not ask never parks
+    cache_channels: bool = False
+    #: (source host, destination host, stream) -> (congestion state,
+    #: parked at) of each idle data channel.  A data command takes the
+    #: entries it opens from and parks them again only if it ends ``ok``,
+    #: so nothing here describes a channel that is in use or broken.
+    parked: dict = field(default_factory=dict)
 
 
 class FailureInjector:
@@ -184,7 +204,8 @@ class GridFTPServer:
     # -- session/login state machine -----------------------------------------
     def _session_gate(self, request: ServiceRequest, call_next):
         """Middleware enforcing the FTP conversation order: AUTH allocates a
-        session, ADAT logs it in, everything else requires a login."""
+        session, ADAT logs it in, everything else requires a login —
+        except the goodbye, which a client whose ADAT was lost owes too."""
         verb = request.operation
         if verb != "AUTH":
             command: Command = request.payload
@@ -192,10 +213,17 @@ class GridFTPServer:
             if session is None:
                 raise ServiceFault(protocol.bad_sequence("no such session"))
             request.state["session"] = session
-            if verb != "ADAT" and not session.authenticated:
+            if verb not in ("ADAT", "QUIT") and not session.authenticated:
                 raise ServiceFault(protocol.denied("authenticate first"))
         result = yield from call_next(request)
         return result
+
+    @property
+    def open_sessions(self) -> int:
+        """Control sessions the daemon holds right now — each with
+        whatever data channels it has parked.  Zero once every set and
+        every conversation has said its goodbye."""
+        return len(self._sessions)
 
     def drop_sessions(self) -> int:
         """Crash semantics for fault injection: forget every control
@@ -204,6 +232,8 @@ class GridFTPServer:
         re-authenticate; in-flight transfer descriptors are gone, so
         recovery rests entirely on client-side restart markers."""
         count = len(self._sessions)
+        for session in self._sessions.values():
+            self._drop_parked(session, "crash")
         self._sessions.clear()
         if count:
             self.monitor.count("sessions_dropped", count)
@@ -263,22 +293,36 @@ class GridFTPServer:
                 raise ValueError
         except ValueError:
             raise ServiceFault(Reply(501, "bad buffer size")) from None
+        if size != session.buffer:
+            self._drop_parked(session, "renegotiated")
         session.buffer = size
         return protocol.ok(f"SBUF {size}")
 
     def _cmd_opts(self, request: ServiceRequest):
+        """OPTS RETR Parallelism=n;[Cache=on;] — the stream count, and
+        whether the data channels stay open between data commands."""
         session: _Session = request.state["session"]
         arg = request.payload.argument.strip()
-        if arg.upper().startswith("RETR PARALLELISM="):
-            try:
-                n = int(arg.split("=", 1)[1].rstrip(";"))
-                if not 1 <= n <= self.max_parallelism:
-                    raise ValueError
-            except ValueError:
-                raise ServiceFault(Reply(501, "bad parallelism")) from None
-            session.parallelism = n
-            return protocol.ok(f"Parallelism={n}")
-        raise ServiceFault(Reply(501, f"unknown OPTS {arg!r}"))
+        verb, _, tail = arg.partition(" ")
+        options = {}
+        for item in filter(None, map(str.strip, tail.split(";"))):
+            key, _, value = item.partition("=")
+            options[key.strip().upper()] = value.strip()
+        if (verb.upper() != "RETR" or "PARALLELISM" not in options
+                or options.keys() - {"PARALLELISM", "CACHE"}):
+            raise ServiceFault(Reply(501, f"unknown OPTS {arg!r}"))
+        try:
+            n = int(options["PARALLELISM"])
+            if not 1 <= n <= self.max_parallelism:
+                raise ValueError
+        except ValueError:
+            raise ServiceFault(Reply(501, "bad parallelism")) from None
+        cache = options.get("CACHE", "").upper() == "ON"
+        if n != session.parallelism or cache != session.cache_channels:
+            self._drop_parked(session, "renegotiated")
+        session.parallelism = n
+        session.cache_channels = cache
+        return protocol.ok(f"Parallelism={n}")
 
     def _cmd_rest(self, request: ServiceRequest):
         session: _Session = request.state["session"]
@@ -324,6 +368,7 @@ class GridFTPServer:
 
     def _cmd_quit(self, request: ServiceRequest):
         session: _Session = request.state["session"]
+        self._drop_parked(session, "quit")
         self._sessions.pop(session.session_id, None)
         return Reply(221, "Goodbye")
 
@@ -381,63 +426,36 @@ class GridFTPServer:
             self.fs.read_rate,
             command.extras.get("write_rate", session.client_write_rate),
         )
-        # The transfer gets its own span; flows inherit it via the pool's
-        # context, so the trace covers RPC -> control channel -> data flows.
-        span = None
-        if self.tracelog is not None:
-            span = self.tracelog.begin(
-                "gridftp:transfer",
-                parent=request.context,
-                kind="transfer",
-                host=self.host.name,
-                service=self.SERVICE,
-                path=path,
-                dest=dest,
-            )
-            self.sim.active_process.context = span.context
+        metrics = self.metrics
+
+        def on_open(pool, flows):
+            if metrics is not None:
+                metrics.histogram(
+                    "gridftp.transfer.fanout",
+                    bounds=_FANOUT_BOUNDS,
+                    host=self.host.name,
+                ).observe(len(flows))
+                if already > 0:
+                    metrics.counter(
+                        "gridftp.transfer.restarts", host=self.host.name
+                    ).inc()
+            abort_at = self.failures.take_abort(path)
+            if abort_at is not None:
+                self.sim.spawn(
+                    self._abort_watchdog(pool, abort_at),
+                    name=f"abort-watchdog:{path}",
+                )
+            self._stream_markers(request, pool, already)
+
         # one stripe per server data node (SPAS), each with the session's
         # parallelism; the single-host case degenerates to a plain transfer
-        stripe_hosts = (self.host.name, *self.data_nodes)
-        pool = self.engine.new_pool(remaining)
-        flows = []
-        for stripe_index, stripe_host in enumerate(stripe_hosts):
-            for i in range(session.parallelism):
-                flows.append(self.engine.open_flow(
-                    stripe_host,
-                    dest,
-                    pool=pool,
-                    tcp=TcpParams(buffer=session.buffer),
-                    rate_cap=rate_cap,
-                    name=f"retr:{path}[{stripe_index}.{i}]",
-                ))
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.histogram(
-                "gridftp.transfer.fanout",
-                bounds=_FANOUT_BOUNDS,
-                host=self.host.name,
-            ).observe(len(flows))
-            if already > 0:
-                metrics.counter(
-                    "gridftp.transfer.restarts", host=self.host.name
-                ).inc()
-        abort_at = self.failures.take_abort(path)
-        if abort_at is not None:
-            self.sim.spawn(
-                self._abort_watchdog(pool, abort_at),
-                name=f"abort-watchdog:{path}",
-            )
-        self._stream_markers(request, pool, already)
         try:
-            yield pool.done
+            pool, flows, channels = yield from self._move(
+                request, session, f"retr:{path}",
+                sources=(self.host.name, *self.data_nodes), dest=dest,
+                nbytes=remaining, rate_cap=rate_cap, on_open=on_open,
+            )
         except TransferAborted as exc:
-            self.monitor.count("aborted_transfers")
-            if metrics is not None:
-                metrics.counter(
-                    "gridftp.transfers_aborted", host=self.host.name
-                ).inc()
-            if span is not None:
-                self.tracelog.finish(span, "error", detail="aborted")
             marker = RestartMarker(RangeSet([(0.0, already + exc.delivered)]))
             raise ServiceFault(
                 protocol.aborted(
@@ -445,8 +463,6 @@ class GridFTPServer:
                     payload={"restart_marker": marker, "descriptor": descriptor},
                 )
             ) from exc
-        if span is not None:
-            self.tracelog.finish(span, "ok")
         self.monitor.count("bytes_sent", remaining)
         self.monitor.count("files_sent")
         if metrics is not None:
@@ -471,8 +487,114 @@ class GridFTPServer:
                 "descriptor": descriptor,
                 "sent": remaining,
                 "duration": pool.completed_at - pool.started_at,
+                "channels": channels,
             }
         )
+
+    # -- data channels ------------------------------------------------------------
+    def _move(self, request: ServiceRequest, session: _Session, label: str,
+              sources, dest: str, nbytes: float, rate_cap: float,
+              on_open=None):
+        """The data channels of one data command (``RETR``, ``ERET``,
+        ``STOR``), from open to close.
+
+        One stream per source host and per unit of the session's
+        parallelism, all draining one pool.  A stream opens from the
+        congestion state the session parked for its channel — same
+        endpoints, same stream — when there is one and it is fresh, and
+        cold otherwise; a session that did not ask for cached channels
+        never has one.  The channels are parked again if, and only if,
+        the bytes all arrived: an abort leaves nothing behind, so
+        whatever resumes the transfer reconnects cold.
+
+        Returns ``(pool, flows, "warm" | "cold")``.  An abort is counted,
+        closes the transfer's span and propagates as
+        :class:`TransferAborted` for the caller's 426.
+        """
+        keys = [
+            (source, dest, stream)
+            for source in sources
+            for stream in range(session.parallelism)
+        ]
+        seeds = [self._take_parked(session, key) for key in keys]
+        reused = sum(seed is not None for seed in seeds)
+        channels = "warm" if reused else "cold"
+        if reused:
+            self._count_channels("reused", reused)
+        # The transfer gets its own span; flows inherit it via the pool's
+        # context, so the trace covers RPC -> control channel -> data flows.
+        span = None
+        if self.tracelog is not None:
+            span = self.tracelog.begin(
+                "gridftp:transfer",
+                parent=request.context,
+                kind="transfer",
+                host=self.host.name,
+                service=self.SERVICE,
+                path=request.payload.argument,
+                dest=dest,
+                channels=channels,
+            )
+            self.sim.active_process.context = span.context
+        pool = self.engine.new_pool(nbytes)
+        tcp = TcpParams(buffer=session.buffer)
+        flows = [
+            self.engine.open_flow(
+                key[0], dest, pool=pool, tcp=tcp, rate_cap=rate_cap,
+                name=f"{label}[{index}]", congestion=seed,
+            )
+            for index, (key, seed) in enumerate(zip(keys, seeds))
+        ]
+        if span is not None:
+            # what the streams may have in flight before their first ack
+            span.attrs["window"] = sum(flow.tcp.window for flow in flows)
+        if on_open is not None:
+            on_open(pool, flows)
+        try:
+            yield pool.done
+        except TransferAborted:
+            self.monitor.count("aborted_transfers")
+            if self.metrics is not None:
+                self.metrics.counter(
+                    "gridftp.transfers_aborted", host=self.host.name
+                ).inc()
+            if reused:
+                self._count_channels("dropped", reused, reason="abort")
+            if span is not None:
+                self.tracelog.finish(span, "error", detail="aborted")
+            raise
+        if span is not None:
+            self.tracelog.finish(span, "ok")
+        if session.cache_channels:
+            now = self.sim.now
+            for key, flow in zip(keys, flows):
+                session.parked[key] = (flow.tcp.congestion, now)
+        return pool, flows, channels
+
+    def _take_parked(self, session: _Session, key):
+        """The congestion state parked for one channel, if still good;
+        either way the entry is gone — the channel is in use now."""
+        parked = session.parked.pop(key, None)
+        if parked is None:
+            return None
+        state, parked_at = parked
+        if self.sim.now - parked_at > CHANNEL_IDLE_LIMIT:
+            self._count_channels("expired")
+            return None
+        return state
+
+    def _drop_parked(self, session: _Session, reason: str) -> None:
+        """Close the session's idle data channels."""
+        if session.parked:
+            self._count_channels("dropped", len(session.parked), reason=reason)
+            session.parked.clear()
+
+    def _count_channels(self, event: str, count: int = 1, **labels) -> None:
+        self.monitor.count(f"channels_{event}", count)
+        if self.metrics is not None:
+            self.metrics.counter(
+                f"gridftp.channels_{event}", host=self.host.name, **labels
+            ).inc(count)
 
     def _abort_watchdog(self, pool, abort_at: float):
         while not pool.done.triggered:
@@ -544,43 +666,19 @@ class GridFTPServer:
         if descriptor.size > self.fs.free:
             raise ServiceFault(Reply(452, "no space"))
         yield request.preliminary(protocol.opening(f"STOR {path}"))
-        span = None
-        if self.tracelog is not None:
-            span = self.tracelog.begin(
-                "gridftp:transfer",
-                parent=request.context,
-                kind="transfer",
-                host=self.host.name,
-                service=self.SERVICE,
-                path=path,
-                dest=self.host.name,
-            )
-            self.sim.active_process.context = span.context
-        pool = self.engine.open_transfer(
-            session.client_host,
-            self.host.name,
-            nbytes=descriptor.size,
-            streams=session.parallelism,
-            tcp=TcpParams(buffer=session.buffer),
-            rate_cap=min(self.fs.write_rate, command.extras.get("read_rate",
-                                                               float("inf"))),
-            name=f"stor:{path}",
-        )
         try:
-            yield pool.done
+            yield from self._move(
+                request, session, f"stor:{path}",
+                sources=(session.client_host,), dest=self.host.name,
+                nbytes=descriptor.size,
+                rate_cap=min(self.fs.write_rate,
+                             command.extras.get("read_rate", float("inf"))),
+            )
         except TransferAborted as exc:
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "gridftp.transfers_aborted", host=self.host.name
-                ).inc()
-            if span is not None:
-                self.tracelog.finish(span, "error", detail="aborted")
             raise ServiceFault(
                 protocol.aborted("Data connection closed",
                                  payload={"received": exc.delivered})
             ) from exc
-        if span is not None:
-            self.tracelog.finish(span, "ok")
         if self.metrics is not None:
             self.metrics.counter(
                 "gridftp.bytes_received", host=self.host.name

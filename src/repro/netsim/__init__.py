@@ -11,7 +11,7 @@ simulated ``ping`` / ``pipechar`` / ``iperf`` used by the §6 tuning workflow.
 from repro.netsim.calibration import TestbedParams, cern_anl_testbed
 from repro.netsim.engine import Flow, NetworkEngine, SharedBytePool
 from repro.netsim.link import Link
-from repro.netsim.tcp import TcpParams, TcpState
+from repro.netsim.tcp import CongestionState, TcpParams, TcpState
 from repro.netsim.tools import iperf, ping, pipechar
 from repro.netsim.topology import Host, Topology
 from repro.netsim.tuning import optimal_buffer_size, recommend_streams
@@ -29,6 +29,7 @@ from repro.netsim.units import (
 )
 
 __all__ = [
+    "CongestionState",
     "Flow",
     "GB",
     "GiB",

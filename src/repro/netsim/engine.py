@@ -68,7 +68,7 @@ from typing import Optional
 
 from repro.netsim.flowtable import FlowTable, LinkIsland, resolve_kernel
 from repro.netsim.link import Link
-from repro.netsim.tcp import TcpParams, TcpState
+from repro.netsim.tcp import CongestionState, TcpParams, TcpState
 from repro.netsim.topology import Host, Topology
 from repro.simulation.kernel import Event, Interrupt, Simulator
 from repro.simulation.monitor import Monitor
@@ -457,9 +457,13 @@ class NetworkEngine:
         tcp: Optional[TcpParams] = None,
         rate_cap: float = float("inf"),
         name: str = "",
+        congestion: Optional[CongestionState] = None,
     ) -> Flow:
         """Start a TCP stream.  Provide either ``nbytes`` (a private pool is
-        created) or an existing ``pool`` shared with sibling streams."""
+        created) or an existing ``pool`` shared with sibling streams.
+        ``congestion`` is the window state of a connection kept open from
+        an earlier transfer: the stream starts from it (clamped to its own
+        buffer) instead of from the initial window."""
         if (nbytes is None) == (pool is None):
             raise ValueError("pass exactly one of nbytes / pool")
         src_host = self.topology.host(src) if isinstance(src, str) else src
@@ -478,7 +482,7 @@ class NetworkEngine:
             dst=dst_host,
             path=path,
             pool=pool,
-            tcp=TcpState(tcp or TcpParams()),
+            tcp=TcpState(tcp or TcpParams(), resume=congestion),
             rate_cap=rate_cap,
             name=name,
             flow_id=self._flow_seq,

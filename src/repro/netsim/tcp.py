@@ -23,13 +23,19 @@ this method's float operations exactly — change one, change all three.
 The object here is the seed state at ``open_flow`` time, the detached
 state after retirement, and the reference implementation the differential
 tests compare the kernels against.
+
+A connection that is kept open between transfers keeps what it learned
+about its path: :attr:`TcpState.congestion` is that knowledge as a value,
+and a :class:`TcpState` built ``resume``-d from one starts where the last
+transfer stopped instead of in slow start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-__all__ = ["TcpParams", "TcpState"]
+__all__ = ["TcpParams", "TcpState", "CongestionState"]
 
 
 @dataclass(frozen=True)
@@ -49,16 +55,32 @@ class TcpParams:
             raise ValueError("initial cwnd must be >= 1 segment")
 
 
+@dataclass(frozen=True)
+class CongestionState:
+    """What a stream has learned about its path, as a value that can
+    outlive the transfer it was learned on."""
+
+    cwnd: float
+    ssthresh: float
+
+
 class TcpState:
     """Mutable congestion-control state for one stream."""
 
-    def __init__(self, params: TcpParams):
+    def __init__(self, params: TcpParams,
+                 resume: Optional[CongestionState] = None):
         self.params = params
         self.cwnd = float(params.initial_cwnd_segments * params.mss)
         # Classic BSD behaviour: initial ssthresh is the receiver window,
         # i.e. the socket buffer — slow start runs until the buffer clamp
         # (untuned) or until the first loss (tuned, large buffer).
         self.ssthresh = float(params.buffer)
+        if resume is not None:
+            # a kept-open connection: whatever it is handed, it never
+            # opens above its socket buffer or below a fresh connection
+            initial, buffer = self.cwnd, self.ssthresh
+            self.cwnd = min(max(float(resume.cwnd), initial), buffer)
+            self.ssthresh = min(max(float(resume.ssthresh), initial), buffer)
         self.rounds = 0
         self.losses = 0
         self.timeouts = 0
@@ -81,6 +103,11 @@ class TcpState:
     @property
     def in_slow_start(self) -> bool:
         return self.cwnd < self.ssthresh
+
+    @property
+    def congestion(self) -> CongestionState:
+        """The window state a later stream can ``resume`` from."""
+        return CongestionState(self.cwnd, self.ssthresh)
 
     def on_round(self, loss: bool, timeout: bool = False) -> None:
         """Advance one RTT of window evolution.

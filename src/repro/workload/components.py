@@ -150,14 +150,7 @@ class PipelineComponent:
             try:
                 result = yield from self.work(task)
             except ServiceError as exc:
-                self.failed_tasks += 1
-                self._count("task_failed")
-                yield from self._settle(
-                    self.proxy.fail(
-                        task["task_id"], task["claim_token"],
-                        error=str(exc), retryable=True,
-                    )
-                )
+                yield from self._fail(task, exc)
             else:
                 self.completed += 1
                 self._count("task_done")
@@ -166,6 +159,17 @@ class PipelineComponent:
                         task["task_id"], task["claim_token"], result=result
                     )
                 )
+
+    def _fail(self, task: dict, exc: ServiceError):
+        """Fail one task retryably: back to pending for another claim."""
+        self.failed_tasks += 1
+        self._count("task_failed")
+        yield from self._settle(
+            self.proxy.fail(
+                task["task_id"], task["claim_token"],
+                error=str(exc), retryable=True,
+            )
+        )
 
     def _settle(self, call):
         """Report a verdict to the queue; a lost report is fine — the
@@ -320,10 +324,42 @@ class Verifier(PipelineComponent):
     TYPE = "verify"
     BATCH = 8
 
+    def _handle(self, tasks: list[dict]):
+        """Audit the claimed batch in two envelopes — one ``info_bulk``
+        for the catalog's records, one ``complete_bulk`` for the passes —
+        where a task at a time would pay two WAN round trips each.  A
+        member that fails its check is failed alone.  The bulk read
+        raises for the whole batch if any one LFN is unknown (or the
+        catalog is unreachable), and then says nothing about the others:
+        the batch falls back to one task at a time."""
+        try:
+            infos = yield self.site.client.catalog.info_bulk(
+                [task["payload"]["lfn"] for task in tasks]
+            )
+        except ServiceError:
+            yield from super()._handle(tasks)
+            return
+        passed = []
+        for task, info in zip(tasks, infos):
+            try:
+                result = self._audit(info)
+            except GdmpError as exc:
+                yield from self._fail(task, exc)
+            else:
+                self.completed += 1
+                self._count("task_done")
+                passed.append((task["task_id"], task["claim_token"], result))
+        if passed:
+            yield from self._settle(self.proxy.complete_bulk(passed))
+
     def work(self, task: dict):
-        lfn = task["payload"]["lfn"]
+        info = yield self.site.client.catalog.info(task["payload"]["lfn"])
+        return self._audit(info)
+
+    def _audit(self, info) -> dict:
+        """The checks on one replica against its catalog record."""
+        lfn = info.lfn
         site = self.site
-        info = yield site.client.catalog.info(lfn)
         path = site.server.held.get(lfn)
         if path is None or not site.fs.exists(path):
             raise GdmpError(f"{lfn!r} not held at {site.name}")

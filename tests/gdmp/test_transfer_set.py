@@ -33,6 +33,19 @@ def client_requests(grid, since=0):
     return [s.name for s in list(grid.tracelog)[since:] if s.kind == "client"]
 
 
+def transfer_channels(grid, since=0):
+    """How each data transfer since span index ``since`` opened its
+    channels ("cold" / "warm"), in order."""
+    return [s.attrs["channels"] for s in list(grid.tracelog)[since:]
+            if s.name == "gridftp:transfer"]
+
+
+def assert_no_sessions(grid):
+    """No control session — so no parked data channel — outlives its set."""
+    for site in grid.sites.values():
+        assert site.gridftp_server.open_sessions == 0, site.name
+
+
 def assert_no_pins(grid):
     for site in grid.sites.values():
         for stored in site.fs.listing():
@@ -90,15 +103,31 @@ def test_eight_file_set_from_one_source_costs_seventeen_requests():
     # the wave belongs to the set, not to whichever file came first
     wave = grid.tracelog.find("gdmp:request_stage", kind="client")
     assert wave.parent_id == span.span_id
+    # the first file opens its data channels, the other seven find them
+    # warm; the goodbye closes them
+    assert transfer_channels(grid, mark) == ["cold"] + ["warm"] * 7
+    assert span.attrs["warm"] == 7
+    streams = TUNING["streams"]
+    assert grid.metrics.value(
+        "gridftp.channels_reused", host="cern") == 7 * streams
+    assert grid.metrics.value(
+        "gridftp.channels_dropped", host="cern", reason="quit") == streams
+    windows = [s.attrs["window"] for s in list(grid.tracelog)[mark:]
+               if s.name == "gridftp:transfer"]
+    assert windows[0] == streams * 2 * 1460
+    assert all(streams * 2 * 1460 < w <= streams * TUNING["tcp_buffer"]
+               for w in windows[1:])
     assert_no_pins(grid)
+    assert_no_sessions(grid)
 
 
 def test_single_replicate_keeps_its_eight_requests_in_order():
     """The per-transfer setup cost is Figure 5's measurement."""
     grid = make_grid("cern", "anl")
-    publish(grid, "cern", ["one.db"])
+    publish(grid, "cern", ["one.db", "two.db"])
     mark = len(grid.tracelog)
-    grid.run(until=grid.site("anl").client.replicate("one.db"))
+    anl = grid.site("anl").client
+    report = grid.run(until=anl.replicate("one.db"))
     assert client_requests(grid, mark) == [
         "gdmp:catalog.info",
         "gdmp:request_stage",
@@ -107,7 +136,18 @@ def test_single_replicate_keeps_its_eight_requests_in_order():
         "gdmp:release",
         "gdmp:catalog.add_replica",
     ]
+    # ... to the tick: the timings of the commit before cached channels
+    assert report.total_duration == 2.210343199999999
+    assert report.transfer_duration == 1.7010324799999998
+    # a single conversation never asks for cached channels, so the next
+    # one, an instant later, pays its slow start again
+    again = grid.run(until=anl.replicate("two.db"))
+    assert again.transfer_duration == pytest.approx(
+        report.transfer_duration, rel=1e-9)
+    assert transfer_channels(grid, mark) == ["cold", "cold"]
+    assert grid.metrics.value("gridftp.channels_reused", host="cern") == 0
     assert_no_pins(grid)
+    assert_no_sessions(grid)
 
 
 # -- (b) same outcome as file-by-file ------------------------------------------
@@ -203,7 +243,12 @@ def test_corruption_retransfers_only_its_file_on_the_same_session():
     requests = Counter(client_requests(grid, mark))
     assert requests["gridftp:RETR"] == 5
     assert requests["gridftp:AUTH"] == requests["gridftp:QUIT"] == 1
+    # the corrupt copy arrived whole, so its channels were parked: the
+    # re-transfer rides them, as does everything after
+    assert transfer_channels(grid, mark) == ["cold"] + ["warm"] * 4
+    assert grid.tracelog.find("gdmp:replicate-set").attrs["warm"] == 3
     assert_no_pins(grid)
+    assert_no_sessions(grid)
 
 
 # -- (e) a link flap resumes from the marker, on the same session ---------------
@@ -211,7 +256,7 @@ def test_corruption_retransfers_only_its_file_on_the_same_session():
 def test_link_flap_mid_file_resumes_on_the_same_session():
     grid = make_grid("cern", "anl")
     grid.enable_resilience()
-    publish(grid, "cern", ["small.db"])
+    publish(grid, "cern", ["small.db", "after.db"])
     publish(grid, "cern", ["big.db"], size=60 * MB)
     injector = FaultInjector(grid, FaultCampaign("flap", (
         FaultEvent(grid.sim.now + 12.0, "link_down", "wan-cern-anl"),
@@ -220,15 +265,25 @@ def test_link_flap_mid_file_resumes_on_the_same_session():
     injector.start()
     anl = grid.site("anl")
     mark = len(grid.tracelog)
-    small, big = grid.run(
-        until=anl.client.replicate_set(["small.db", "big.db"])
+    small, big, after = grid.run(
+        until=anl.client.replicate_set(["small.db", "big.db", "after.db"])
     )
     assert small.attempts == 1 and big.attempts >= 2
     assert big.stored.size == 60 * MB and big.failed_sources == ()
     assert anl.mover.monitor.counter("restarts") >= 1
     requests = Counter(client_requests(grid, mark))
     assert requests["gridftp:AUTH"] == 1 and requests["gridftp:REST"] >= 1
+    # the cut took the data channels with it: the file that was riding
+    # them warm reconnects cold at its restart marker, and what that
+    # reconnect learns is there again for the file after
+    channels = transfer_channels(grid, mark)
+    assert channels[:2] == ["cold", "warm"] and channels[-1] == "warm"
+    assert set(channels[2:-1]) == {"cold"}
+    assert grid.metrics.value(
+        "gridftp.channels_dropped", host="cern", reason="abort"
+    ) == anl.config.parallel_streams
     assert_no_pins(grid)
+    assert_no_sessions(grid)
 
 
 # -- (f) two sets on one client --------------------------------------------------
@@ -249,7 +304,13 @@ def test_overlapping_sets_hang_up_only_their_own_sessions():
     assert requests["gridftp:AUTH"] == requests["gridftp:QUIT"] == 2
     assert requests["gridftp:RETR"] == 9
     assert anl.mover.monitor.counter("redials") == 0
+    # nor did either ride the other's data channels: to the same peer,
+    # at the same time, each set's first file still opened cold
+    spans = grid.tracelog.spans(name="gdmp:replicate-set")[-2:]
+    assert [span.attrs["warm"] for span in spans] == [2, 5]
+    assert Counter(transfer_channels(grid, mark)) == {"cold": 2, "warm": 7}
     assert_no_pins(grid)
+    assert_no_sessions(grid)
 
 
 # -- (g) pins on the remaining exits ---------------------------------------------
@@ -467,4 +528,28 @@ def test_wave_whose_reply_is_lost_still_hands_its_pins_back():
     assert [r.lfn for r in reports] == names
     span = grid.tracelog.find("gdmp:replicate-set")
     assert (span.attrs["prestaged"], span.attrs["restaged"]) == (0, 3)
+    assert_no_pins(grid)
+
+
+# -- (i) a session the client walked away from unheard ---------------------------
+
+def test_login_whose_answer_was_lost_is_hung_up_at_the_next_dial():
+    from tests.services.test_replay import lose_first_reply
+
+    grid = make_grid("cern", "anl")
+    grid.enable_resilience(ResilienceConfig(rpc_timeout=5.0))
+    names = publish(grid, "cern", ["f0.db", "f1.db"])
+    anl, ftpd = grid.site("anl"), grid.site("cern").gridftp_server
+    lost = lose_first_reply(ftpd.bus, "ADAT")
+    with pytest.raises(GdmpError, match="replica sources failed"):
+        grid.run(until=anl.client.replicate_set(names))
+    # the daemon logged the set in; the set never heard and gave up
+    assert len(lost) == 1 and ftpd.open_sessions == 1
+    mark = len(grid.tracelog)
+    reports = grid.run(until=anl.client.replicate_set(names))
+    assert [r.lfn for r in reports] == names
+    # the goodbye it owed went out before the new dial's AUTH
+    assert [n for n in client_requests(grid, mark) if n.startswith("gridftp:")][
+        :2] == ["gridftp:QUIT", "gridftp:AUTH"]
+    assert_no_sessions(grid)
     assert_no_pins(grid)

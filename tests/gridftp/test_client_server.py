@@ -338,3 +338,194 @@ def test_put_and_get_throughput_are_similar(grid):
         grid, grid.client.put(session, "/local/sym.db", "/store/sym-up.db")
     )
     assert got.throughput == pytest.approx(put.throughput, rel=0.25)
+
+
+# ------------------------------------------------- cached data channels ---
+STREAMS = 4
+
+
+@pytest.fixture
+def quiet_grid():
+    """The two sites plus a third, on clean idle links: a transfer's
+    duration is a function of its opening windows and nothing else."""
+    from repro.netsim import TestbedParams
+    from tests.gridftp.conftest import TwoSiteGrid
+
+    g = TwoSiteGrid(TestbedParams(
+        loss_rate=0.0, cross_traffic_mbps=0.0, extra_sites=("fnal",)
+    ))
+    for name in "abcd":
+        g.fs["cern"].create(f"/store/{name}", 2 * MB, now=0.0)
+    return g
+
+
+def open_session(grid, cache_channels, server="cern"):
+    return run_process(grid, grid.sim.spawn(grid.client.open_session(
+        server, 64 * KiB, STREAMS, cache_channels=cache_channels
+    )))
+
+
+def get(grid, session, name, **kwargs):
+    grid.gets = getattr(grid, "gets", 0) + 1
+    return run_process(grid, grid.client.get(
+        session, f"/store/{name}", f"/pool/{name}-{grid.gets}", **kwargs
+    ))
+
+
+def test_second_retr_is_warm_on_a_caching_session(quiet_grid):
+    grid = quiet_grid
+    session = open_session(grid, cache_channels=True)
+    first = get(grid, session, "a")
+    second = get(grid, session, "b")
+    assert (first.channels, second.channels) == ("cold", "warm")
+    assert second.duration < 0.8 * first.duration
+    server = grid.servers["cern"]
+    assert server.monitor.counter("channels_reused") == STREAMS
+    # a goodbye leaves nothing behind
+    run_process(grid, grid.client.quit(session))
+    assert server.open_sessions == 0
+    assert server.monitor.counter("channels_dropped") == STREAMS
+
+
+def test_plain_session_never_caches(quiet_grid):
+    grid = quiet_grid
+    session = open_session(grid, cache_channels=False)
+    first = get(grid, session, "a")
+    second = get(grid, session, "b")
+    assert (first.channels, second.channels) == ("cold", "cold")
+    assert second.duration == pytest.approx(first.duration, rel=1e-9)
+    server = grid.servers["cern"]
+    assert not server._sessions[session.session_id].parked
+    assert server.monitor.counter("channels_reused") == 0
+
+
+def test_same_sbuf_and_opts_keep_the_channels(quiet_grid):
+    grid = quiet_grid
+    session = open_session(grid, cache_channels=True)
+    get(grid, session, "a")
+    run_process(grid, grid.client.set_buffer(session, 64 * KiB))
+    run_process(grid, grid.client.set_parallelism(session, STREAMS, True))
+    assert get(grid, session, "b").channels == "warm"
+
+
+@pytest.mark.parametrize("change", ["sbuf", "opts", "opts-cache-off"])
+def test_renegotiation_makes_the_next_retr_cold(quiet_grid, change):
+    grid = quiet_grid
+    session = open_session(grid, cache_channels=True)
+    get(grid, session, "a")
+    if change == "sbuf":
+        run_process(grid, grid.client.set_buffer(session, 128 * KiB))
+    elif change == "opts":
+        run_process(grid, grid.client.set_parallelism(session, 2, True))
+    else:
+        run_process(grid, grid.client.set_parallelism(session, STREAMS))
+    assert get(grid, session, "b").channels == "cold"
+    server = grid.servers["cern"]
+    assert server.monitor.counter("channels_dropped") == STREAMS
+    assert server.monitor.counter("channels_reused") == 0
+
+
+def test_abort_drops_the_channels_and_the_restart_is_cold(quiet_grid):
+    grid = quiet_grid
+    server = grid.servers["cern"]
+    session = open_session(grid, cache_channels=True)
+    get(grid, session, "a")
+    server.failures.abort_after_bytes("/store/b", 1 * MB)
+    with pytest.raises(TransferError) as exc_info:
+        get(grid, session, "b")
+    assert server.monitor.counter("channels_reused") == STREAMS  # opened warm
+    assert not server._sessions[session.session_id].parked
+    resumed = get(grid, session, "b",
+                  restart=exc_info.value.restart_marker.ranges)
+    assert resumed.channels == "cold"
+    # the reconnect's windows are good again for the next file
+    assert get(grid, session, "c").channels == "warm"
+
+
+def test_drop_sessions_forgets_the_channels(quiet_grid):
+    grid = quiet_grid
+    server = grid.servers["cern"]
+    session = open_session(grid, cache_channels=True)
+    get(grid, session, "a")
+    assert server.drop_sessions() == 1
+    assert server.monitor.counter("channels_dropped") == STREAMS
+    with pytest.raises(TransferError) as exc_info:
+        get(grid, session, "b")
+    assert exc_info.value.session_lost
+    redialled = open_session(grid, cache_channels=True)
+    assert get(grid, redialled, "b").channels == "cold"
+
+
+def test_idle_channels_expire(quiet_grid):
+    grid = quiet_grid
+    session = open_session(grid, cache_channels=True)
+    first = get(grid, session, "a")
+    grid.sim.run(until=grid.sim.now + 1.5)
+    second = get(grid, session, "b")
+    assert second.channels == "cold"
+    assert second.duration == pytest.approx(first.duration, rel=1e-9)
+    server = grid.servers["cern"]
+    assert server.monitor.counter("channels_expired") == STREAMS
+    assert server.monitor.counter("channels_reused") == 0
+
+
+def test_channels_belong_to_one_peer(quiet_grid):
+    """Parked channels are keyed by their endpoints: a transfer to
+    another host — whole or partial — opens its own, cold."""
+    grid = quiet_grid
+    server = grid.servers["cern"]
+    session = open_session(grid, cache_channels=True)
+    get(grid, session, "a")                     # parks cern -> anl
+
+    def third_party(verb, **extras):
+        reply, _ = yield from grid.client._command(
+            session, verb, "/store/b", dest_host="fnal", **extras
+        )
+        return reply.payload["channels"]
+
+    parked = server._sessions[session.session_id].parked
+    assert run_process(
+        grid, grid.sim.spawn(third_party("RETR"))
+    ) == "cold"
+    assert server.monitor.counter("channels_reused") == 0
+    assert {key[:2] for key in parked} == {("cern", "anl"), ("cern", "fnal")}
+    # a partial transfer to the same peer rides that peer's channels ...
+    assert run_process(
+        grid, grid.sim.spawn(third_party("ERET", offset=0.0, length=1.0 * MB))
+    ) == "warm"
+    assert server.monitor.counter("channels_reused") == STREAMS
+    # ... and one to the first peer that one's, never the other's
+    assert len(parked) == 2 * STREAMS
+    part = get(grid, session, "c", offset=1.0 * MB, length=0.5 * MB)
+    assert part.channels == "cold"      # cern -> anl idled too long
+    assert server.monitor.counter("channels_expired") == STREAMS
+    assert server.monitor.counter("channels_reused") == STREAMS
+
+
+def test_stor_opens_cold_and_conserves_bytes(quiet_grid):
+    """An upload opens the same way a download does: one helper."""
+    grid = quiet_grid
+    grid.fs["anl"].create("/local/up", 3 * MB)
+    session = open_session(grid, cache_channels=False)
+    run_process(grid, grid.client.put(session, "/local/up", "/store/up"))
+    assert grid.fs["cern"].stat("/store/up").size == 3 * MB
+    assert grid.servers["cern"].monitor.counter("bytes_received") == 3 * MB
+
+
+def test_quit_hangs_up_a_session_that_never_logged_in(grid):
+    """The goodbye a client owes after its ADAT went unanswered must
+    work whether or not the ADAT ever arrived."""
+    from repro.gridftp.protocol import Command
+
+    def half_open():
+        reply, _ = yield from grid.client._rpc("cern", Command("AUTH", "GSSAPI"))
+        denied, _ = yield from grid.client._rpc(
+            "cern", Command("SIZE", "/store/data.db", session=reply.payload)
+        )
+        goodbye, _ = yield from grid.client._rpc(
+            "cern", Command("QUIT", session=reply.payload)
+        )
+        return denied.code, goodbye.code
+
+    assert run_process(grid, grid.sim.spawn(half_open())) == (530, 221)
+    assert grid.servers["cern"].open_sessions == 0

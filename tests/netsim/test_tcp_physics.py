@@ -91,3 +91,48 @@ def test_no_loss_no_contention_saturates_link():
                                 tcp=TcpParams(buffer=1 * MiB))
     sim.run(until=pool.done)
     assert to_mbps(pool.throughput()) > 8.5
+
+
+def _two_megabytes(congestion):
+    """2 MB over a clean 40 Mbit/s, 20 ms path (BDP 100 KB) on one
+    stream whose buffer covers the BDP."""
+    sim = Simulator()
+    topo = Topology()
+    topo.add_host(Host("a"))
+    topo.add_host(Host("b"))
+    topo.connect("a", "b", Link("l", capacity=mbps(40), delay=0.01))
+    engine = NetworkEngine(sim, topo, seed=0)
+    pool = engine.new_pool(2 * MB)
+    flow = engine.open_flow("a", "b", pool=pool,
+                            tcp=TcpParams(buffer=128 * KiB),
+                            congestion=congestion)
+    sim.run(until=pool.done)
+    assert flow.delivered == pool.delivered == 2 * MB
+    assert pool.remaining == 0.0
+    return pool.completed_at - pool.started_at
+
+
+def test_seeded_flow_skips_slow_start():
+    """A stream that opens with its window already at the BDP moves a
+    short file at link speed; a cold one spends a quarter again of that
+    time getting there (Fig. 5's short-transfer penalty)."""
+    from repro.netsim import CongestionState
+
+    ideal = 2 * MB / mbps(40)
+    warm = _two_megabytes(CongestionState(128.0 * KiB, 128.0 * KiB))
+    cold = _two_megabytes(None)
+    assert warm == pytest.approx(ideal, rel=0.05)
+    assert cold >= 1.25 * ideal
+
+
+def test_seed_is_clamped_to_buffer_and_initial_window():
+    from repro.netsim import CongestionState, TcpState
+
+    params = TcpParams(buffer=64 * KiB)
+    fresh = TcpState(params)
+    huge = TcpState(params, resume=CongestionState(1e12, 1e12))
+    assert huge.cwnd == huge.ssthresh == 64 * KiB
+    tiny = TcpState(params, resume=CongestionState(0.0, 0.0))
+    assert tiny.cwnd == tiny.ssthresh == fresh.cwnd
+    kept = TcpState(params, resume=CongestionState(30000.0, 20000.0))
+    assert kept.congestion == CongestionState(30000.0, 20000.0)

@@ -119,3 +119,86 @@ def test_fault_kinds_require_an_attached_engine():
     proc = injector.start()
     with pytest.raises(Exception, match="no workload engine"):
         grid.run(until=proc)
+
+
+# -- the verifier audits its batch in two envelopes ---------------------------
+
+def _verify_batch(replicated=8, unknown=()):
+    """anl holds ``replicated`` good replicas; one ``verify`` task per
+    replica (and per ``unknown`` LFN) is pending, the verifier not yet
+    started."""
+    from repro.workload.components import verify_key
+
+    grid, engine = _small_engine(files=replicated)
+    anl = grid.site("anl")
+    lfns = sorted(engine.arrivals.lfns)
+    grid.run(until=anl.client.replicate_set(lfns))
+    for lfn in [*lfns, *unknown]:
+        engine.queue.submit(
+            "verify", "anl", {"lfn": lfn}, key=verify_key(lfn, "anl")
+        )
+    return grid, engine, engine.components["verifier@anl"], lfns
+
+
+def _requests_of_one_claim(grid, verifier):
+    """Run the verifier's claim loop for most of a poll interval;
+    returns the client requests it issued for its first claimed batch."""
+    mark = len(grid.tracelog)
+    verifier.start()
+    grid.run(until=grid.sim.now + verifier.poll - 0.5)
+    verifier.crash()
+    names = [s.name for s in list(grid.tracelog)[mark:] if s.kind == "client"]
+    assert names[0] == "gdmp:task.claim"
+    return names[1:names.index("gdmp:task.claim", 1)]
+
+
+def test_verifier_audits_a_batch_of_eight_in_two_envelopes():
+    grid, engine, verifier, lfns = _verify_batch()
+    # the set's flush invalidated anl's cached records: the audit reads
+    # the catalog, in one envelope, and settles in one more
+    assert _requests_of_one_claim(grid, verifier) == [
+        "gdmp:catalog.info_bulk", "gdmp:task.complete_bulk",
+    ]
+    assert verifier.completed == 8 and verifier.failed_tasks == 0
+    assert [t.state for t in engine.queue.tasks.values()] == ["done"] * 8
+    anl = grid.site("anl")
+    assert all(
+        task.result == {
+            "crc": anl.fs.stat(anl.server.held[task.payload["lfn"]]).crc,
+            "size": 2 * MB,
+        }
+        for task in engine.queue.tasks.values()
+    )
+
+
+def test_one_bad_replica_fails_alone():
+    grid, engine, verifier, lfns = _verify_batch()
+    anl = grid.site("anl")
+    anl.fs.stat(anl.server.held[lfns[3]]).content_id = "rotten"
+    assert _requests_of_one_claim(grid, verifier) == [
+        "gdmp:catalog.info_bulk", "gdmp:task.fail",
+        "gdmp:task.complete_bulk",
+    ]
+    # the failure is retryable: re-claimed, alone, until it is dead
+    by_lfn = {t.payload["lfn"]: t for t in engine.queue.tasks.values()}
+    bad = by_lfn[lfns[3]]
+    assert verifier.completed == 7
+    assert verifier.failed_tasks == bad.attempts == engine.queue.max_attempts
+    assert bad.state == "dead" and "corrupt" in bad.error
+    assert all(by_lfn[lfn].state == "done" for lfn in lfns if lfn != lfns[3])
+
+
+def test_unknown_lfn_cannot_fail_the_good_audits_of_its_batch():
+    grid, engine, verifier, lfns = _verify_batch(
+        replicated=3, unknown=["ghost.db"]
+    )
+    requests = _requests_of_one_claim(grid, verifier)
+    # the bulk read raised for the whole batch and said nothing about
+    # the others: one task at a time, as before the batch path
+    assert requests[0] == "gdmp:catalog.info_bulk"
+    assert "gdmp:task.complete_bulk" not in requests
+    assert requests.count("gdmp:task.complete") == 3
+    assert requests.count("gdmp:task.fail") == 1
+    by_lfn = {t.payload["lfn"]: t for t in engine.queue.tasks.values()}
+    assert by_lfn["ghost.db"].state == "dead"
+    assert all(by_lfn[lfn].state == "done" for lfn in lfns)
