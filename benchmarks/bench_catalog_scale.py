@@ -5,22 +5,16 @@ answered through the attribute index beat the naive full scan by ≥50x at
 100k entries, and a 100-file transfer set pays ≥5x fewer catalog round
 trips through ``replicate_set`` than through per-file ``replicate`` calls.
 
-Run standalone for a quick smoke (small sizes, used by tools/ci_check.sh)::
-
-    PYTHONPATH=src python benchmarks/bench_catalog_scale.py --smoke
-
-or under pytest-benchmark along with the rest of the suite::
-
-    pytest benchmarks/bench_catalog_scale.py --benchmark-only
+``tools/perf_report.py --suite catalog [--smoke] --output -`` prints the
+record and gates it (recorded floors, microsecond unique-key lookups, an
+indexed path that does not grow with the population).
 """
 
 from __future__ import annotations
 
-import argparse
-
 from repro.experiments import catalog_scale
 
-__all__ = ["run_bench", "main"]
+__all__ = ["run_bench"]
 
 #: pytest/CI sizes: big enough that the scan/index gap is unambiguous,
 #: small enough to build in well under a second
@@ -36,53 +30,3 @@ def run_bench(smoke: bool = False) -> catalog_scale.CatalogScaleResult:
         searches=32 if smoke else 64,
         naive_searches=2 if smoke else 3,
     )
-
-
-def test_catalog_scale(once):
-    result = once(run_bench, smoke=True)
-
-    for row in result.rows:
-        # the index plan must beat the naive scan decisively even at small
-        # populations (the gap only widens with size)
-        assert row.search_speedup > 20
-        # unique-key lookups stay microsecond-scale regardless of size
-        assert row.lfn_lookup_s < 1e-3
-    # larger catalogs must not slow the indexed path down materially
-    # (O(matches), not O(population))
-    small, large = result.rows[0], result.rows[-1]
-    assert large.indexed_search_s < small.indexed_search_s * 20
-    # batching: a 100-file replicate in a handful of envelopes, not 200
-    assert result.per_file_envelopes >= 5 * result.batched_envelopes
-
-    once.benchmark.extra_info.update(
-        {
-            "sizes": [row.n_files for row in result.rows],
-            "search_speedups": [round(r.search_speedup, 1) for r in result.rows],
-            "register_rates": [round(r.register_rate) for r in result.rows],
-            "per_file_envelopes": result.per_file_envelopes,
-            "batched_envelopes": result.batched_envelopes,
-        }
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sizes for the CI sanity gate")
-    args = parser.parse_args(argv)
-    result = run_bench(smoke=args.smoke)
-    catalog_scale.report(result)
-    worst = min(row.search_speedup for row in result.rows)
-    if worst < 20:
-        print(f"FAIL: equality-search speedup collapsed to {worst:.1f}x")
-        return 1
-    if result.per_file_envelopes < 5 * result.batched_envelopes:
-        print(
-            "FAIL: batched replicate no longer saves >=5x catalog envelopes"
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

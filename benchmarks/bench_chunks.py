@@ -15,22 +15,20 @@ Measures both halves of the chunk stack's durability claim:
   drains clean, and — the headline — chunked repair moves fewer bytes
   than whole-file re-replication.  The recorded ``repair_savings`` on
   the ``site_wipe`` leg ((k+L)/k object-sizes vs L whole objects) is
-  floor-gated by ``tools/perf_report.py --chunks``.
+  floor-gated by ``tools/perf_report.py --suite chunks``.
 
-Run standalone::
-
-    PYTHONPATH=src python benchmarks/bench_chunks.py [--smoke]
+Print the record with ``tools/perf_report.py --suite chunks [--smoke]
+--output -``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.chunks.gf256 import ReedSolomon
 from repro.experiments import chunks as chunks_experiment
 
-__all__ = ["run_bench", "main"]
+__all__ = ["run_bench"]
 
 SEED = 2001
 K, M = 4, 2
@@ -142,39 +140,3 @@ def run_bench(smoke: bool = False) -> dict:
             "converged": wipe.converged,
         },
     }
-
-
-def test_chunks_scale(once):
-    result = once(run_bench, smoke=True)
-
-    # order-of-magnitude guards; perf_report holds the recorded floors
-    assert result["coder"]["encode_mb_s"] > 1.0
-    assert result["coder"]["decode_mb_s"] > 1.0
-    # the headline: chunked repair beats whole-file re-replication
-    assert result["site_wipe"]["repair_savings"] > 1.0
-    assert result["site_wipe"]["converged"]
-    assert result["chunk_corrupt"]["converged"]
-
-    once.benchmark.extra_info.update(
-        {
-            "encode_mb_s": round(result["coder"]["encode_mb_s"], 1),
-            "repair_savings": round(
-                result["site_wipe"]["repair_savings"], 2
-            ),
-        }
-    )
-
-
-def main(argv: list[str] | None = None) -> None:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrunk shards for the CI gate")
-    args = parser.parse_args(argv)
-    report = run_bench(smoke=args.smoke)
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
-if __name__ == "__main__":
-    main()

@@ -226,7 +226,7 @@ def run_islands_parallel(
 
 
 def run_bench(smoke: bool = False, parallel: bool = False) -> dict:
-    """The record ``tools/perf_report.py --flow-scale`` persists."""
+    """The record ``tools/perf_report.py --suite flow_scale`` persists."""
     if smoke:
         # keep flows_per_island at 20: fewer streams would drop aggregate
         # demand below the bottleneck and the scenario would stretch

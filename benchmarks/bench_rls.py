@@ -16,7 +16,7 @@ catalog it replaces, on real data structures at full population:
   single-stream rate times the site count.  The recorded
   ``aggregate_speedup`` (vs the central single-stream rate at *equal
   total entry count*) must stay >= 8x at 10 sites — the acceptance
-  floor, gated by ``tools/perf_report.py --rls``;
+  floor, gated by ``tools/perf_report.py --suite rls``;
 * **index quality** — measured bloom false-positive rate over LFNs the
   probed site does not hold (each one costs a wasted verify RPC), and
   the digest compression ratio against shipping exact LFN deltas;
@@ -25,14 +25,12 @@ catalog it replaces, on real data structures at full population:
   the recorded rate is never bought by dropping the soft-state
   machinery.
 
-Run standalone::
-
-    PYTHONPATH=src python benchmarks/bench_rls.py [--smoke]
+Print the record with ``tools/perf_report.py --suite rls [--smoke]
+--output -``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -42,7 +40,7 @@ from repro.experiments import rls as rls_experiment
 from repro.rls import DigestConfig, DigestSource, ReplicaLocationIndex
 from repro.rls.digest import DELTA_ITEM_SIZE, digest_wire_size
 
-__all__ = ["run_bench", "main"]
+__all__ = ["run_bench"]
 
 SEED = 2001
 FULL_SITES = 10
@@ -188,7 +186,7 @@ def run_bench(smoke: bool = False) -> dict:
     # ---- convergence leg: the soft-state machinery under fire --------
     chaos = rls_experiment.run(
         sites=sites,
-        files_per_site=10 if smoke else 30,
+        files=10 if smoke else 30,
         lookups_per_site=5 if smoke else 10,
         replicas_per_site=2 if smoke else 5,
         seed=SEED,
@@ -246,47 +244,3 @@ def run_bench(smoke: bool = False) -> dict:
             "converged": chaos.converged,
         },
     }
-
-
-def test_rls_scale(once):
-    result = once(run_bench, smoke=True)
-
-    # the two-tier lookup must stay within striking distance of a direct
-    # central hit: the whole design collapses if the index tier costs a
-    # full extra catalog's worth of work per lookup
-    assert result["two_tier_per_s"] > 0.5 * result["central"]["info_per_s"]
-    # smoke runs 4 sites, so the full-mode 8x floor scales to >= 2x here
-    assert result["aggregate_speedup"] >= 0.5 * result["sites"]
-    # the bloom must stay near its 1% design point (order-of-magnitude
-    # guard: saturation would push this towards 1.0)
-    assert result["rli"]["false_positive_rate"] < 0.05
-    # digests must beat shipping exact per-LFN updates
-    assert result["rli"]["digest_compression"] > 5
-    assert result["chaos"]["converged"]
-
-    once.benchmark.extra_info.update(
-        {
-            "sites": result["sites"],
-            "entries": result["entries"],
-            "aggregate_speedup": round(result["aggregate_speedup"], 1),
-            "two_tier_per_s": round(result["two_tier_per_s"]),
-            "false_positive_rate": round(
-                result["rli"]["false_positive_rate"], 4
-            ),
-        }
-    )
-
-
-def main(argv: list[str] | None = None) -> None:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrunk population for the CI gate")
-    args = parser.parse_args(argv)
-    report = run_bench(smoke=args.smoke)
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
-if __name__ == "__main__":
-    main()

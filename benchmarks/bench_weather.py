@@ -15,7 +15,7 @@ Measures both halves of the observatory's contract:
   completion time under the diurnal congestion peak, every measured
   transfer completes, and the post-peak wave still selects on history.
   The recorded ``improvement`` (static mean / smart mean) is the
-  headline number, floor-gated by ``tools/perf_report.py --weather`` —
+  headline number, floor-gated by ``tools/perf_report.py --suite weather`` —
   the gate that keeps future selection changes honest;
 * **degradation leg** — EXP-WEATHER under the ``weather_blackhole``
   campaign must converge too: the black-holed weather plane forces
@@ -24,14 +24,12 @@ Measures both halves of the observatory's contract:
   recorded improvement is never bought by a selection policy that
   falls over when its telemetry does.
 
-Run standalone::
-
-    PYTHONPATH=src python benchmarks/bench_weather.py [--smoke]
+Print the record with ``tools/perf_report.py --suite weather [--smoke]
+--output -``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -39,7 +37,7 @@ import numpy as np
 from repro.experiments import weather as weather_experiment
 from repro.observatory.station import SiteWeather, WeatherConfig, WeatherStation
 
-__all__ = ["run_bench", "main"]
+__all__ = ["run_bench"]
 
 SEED = 2001
 #: synthetic observation-plane population
@@ -198,44 +196,3 @@ def run_bench(smoke: bool = False) -> dict:
             "converged": chaos.converged,
         },
     }
-
-
-def test_weather_scale(once):
-    result = once(run_bench, smoke=True)
-
-    # the observation plane must be cheap enough to tail every transfer
-    # retirement (order-of-magnitude guards; perf_report holds the
-    # recorded floors)
-    assert result["station"]["observations_per_s"] > 10_000
-    assert result["station"]["predictions_per_s"] > 10_000
-    # the headline: history-blended selection beat the probe ladder
-    assert result["selection"]["improvement"] > 1.0
-    assert result["selection"]["converged"]
-    # and the recorded improvement survives its telemetry dying
-    assert result["chaos"]["converged"]
-    assert result["chaos"]["probe_fallbacks"] > 0
-
-    once.benchmark.extra_info.update(
-        {
-            "improvement": round(result["selection"]["improvement"], 2),
-            "observations_per_s": round(
-                result["station"]["observations_per_s"]
-            ),
-            "chaos_improvement": round(result["chaos"]["improvement"], 2),
-        }
-    )
-
-
-def main(argv: list[str] | None = None) -> None:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrunk observation stream for the CI gate")
-    args = parser.parse_args(argv)
-    report = run_bench(smoke=args.smoke)
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
-if __name__ == "__main__":
-    main()

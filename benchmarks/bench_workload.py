@@ -17,18 +17,15 @@ orders of magnitude if any of those layers degrades to per-request work.
 A chaos leg re-runs the pipeline at a smaller request count under the
 ``component_crash`` campaign and asserts exactly-once convergence (all
 tasks terminal, CRCs intact, no leaked claims), so the recorded rate is
-never bought by dropping the recovery machinery.  Run standalone::
-
-    PYTHONPATH=src python benchmarks/bench_workload.py [--smoke]
+never bought by dropping the recovery machinery.  Print the record with
+``tools/perf_report.py --suite workload [--smoke] --output -``.
 """
 
 from __future__ import annotations
 
-import json
-
 from repro.experiments import workload
 
-__all__ = ["run_bench", "main"]
+__all__ = ["run_bench"]
 
 SEED = 2001
 FULL_REQUESTS = 1_000_000
@@ -77,18 +74,3 @@ def run_bench(smoke: bool = False) -> dict:
             "converged": chaos.converged,
         },
     }
-
-
-def main(argv: list[str] | None = None) -> None:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrunk request counts for the CI gate")
-    args = parser.parse_args(argv)
-    report = run_bench(smoke=args.smoke)
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,8 +1,9 @@
-"""CLI: ``python -m repro.experiments [name ...|all]`` regenerates the
-paper's figures/tables as text reports.
+"""CLI: ``python -m repro.experiments [name ...|all] [flags]`` regenerates
+the paper's figures/tables as text reports — for each named experiment,
+``report(run(**flags))`` with the flags its ``run`` accepts (the others
+are ignored, so one command line can name several experiments).
 
-Telemetry flags (honored by every experiment whose ``main`` supports the
-matching keyword; others simply ignore them):
+Telemetry flags:
 
 * ``--trace-json=PATH`` — dump the request-trace log (the span tree of
   every RPC, GridFTP command, transfer, and catalog update) as JSON;
@@ -11,13 +12,15 @@ matching keyword; others simply ignore them):
   (load in Perfetto / chrome://tracing);
 * ``--report`` — print the terminal grid health report after the run.
 
-Experiment parameters (likewise forwarded only where supported):
+Experiment parameters:
 
-* ``--seed=N`` — simulation seed (e.g. the chaos campaign schedule);
-* ``--campaign=NAME`` — fault class for the chaos/workload experiments;
-* ``--requests=N`` — arrival-stream size for the workload experiment;
-* ``--sites=N`` / ``--files=N`` — grid width and per-site file count for
-  the RLS experiment.
+* ``--seed=N`` — simulation seed (e.g. the fault campaign schedule);
+* ``--campaign=NAME`` — one of the experiment's ``CAMPAIGNS``; without
+  it a campaign experiment runs its fault-free leg, or — chaos, which
+  has none — every campaign in turn;
+* ``--requests=N`` (workload), ``--sites=N`` (rls), ``--files=N`` (rls:
+  per site; weather: per destination; chaos, workload: in all),
+  ``--objects=N`` (chunks) — problem size.
 """
 
 from __future__ import annotations
@@ -26,16 +29,13 @@ import inspect
 import sys
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.scaffold import legs
 
-#: flag prefix -> main() keyword carrying a path argument
-_PATH_FLAGS = {
-    "--trace-json=": "trace_path",
-    "--metrics-json=": "metrics_json",
-    "--trace-chrome=": "trace_chrome",
-}
-
-#: flag prefix -> (main() keyword, value converter) for typed flags
-_VALUE_FLAGS = {
+#: flag prefix -> (run() keyword, value converter)
+_FLAGS = {
+    "--trace-json=": ("trace_path", str),
+    "--metrics-json=": ("metrics_json", str),
+    "--trace-chrome=": ("trace_chrome", str),
     "--seed=": ("seed", int),
     "--campaign=": ("campaign", str),
     "--requests=": ("requests", int),
@@ -45,25 +45,33 @@ _VALUE_FLAGS = {
 }
 
 
+def _calls(module, flags: dict) -> list[dict]:
+    """The keyword sets to call ``module.run`` with: the flags its
+    signature accepts — once per campaign when it has no fault-free leg
+    and none was named."""
+    params = inspect.signature(module.run).parameters
+    kwargs = {key: value for key, value in flags.items() if key in params}
+    if "campaign" in params and "campaign" not in kwargs:
+        every = legs(module)
+        if "" not in every:
+            return [{**kwargs, "campaign": name} for name in every]
+    return [kwargs]
+
+
 def main(argv: list[str]) -> int:
     """Entry point: run the named experiments (or all) and print reports."""
-    forwarded: dict[str, object] = {}
+    flags: dict[str, object] = {}
     names: list[str] = []
     for arg in argv:
-        for prefix, keyword in _PATH_FLAGS.items():
+        if arg == "--report":
+            flags["show_report"] = True
+            continue
+        for prefix, (keyword, convert) in _FLAGS.items():
             if arg.startswith(prefix):
-                forwarded[keyword] = arg.split("=", 1)[1]
+                flags[keyword] = convert(arg[len(prefix):])
                 break
         else:
-            for prefix, (keyword, convert) in _VALUE_FLAGS.items():
-                if arg.startswith(prefix):
-                    forwarded[keyword] = convert(arg.split("=", 1)[1])
-                    break
-            else:
-                if arg == "--report":
-                    forwarded["show_report"] = True
-                else:
-                    names.append(arg)
+            names.append(arg)
     names = names or ["all"]
     if names == ["all"]:
         names = list(EXPERIMENTS)
@@ -72,12 +80,18 @@ def main(argv: list[str]) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}")
         print(f"available: {', '.join(EXPERIMENTS)}  (or 'all')")
         return 2
+    if "campaign" in flags:
+        for name in names:
+            known = getattr(EXPERIMENTS[name], "CAMPAIGNS", None)
+            if known is not None and flags["campaign"] not in known:
+                print(f"unknown campaign {flags['campaign']!r} for {name} "
+                      f"(one of: {', '.join(known)})")
+                return 2
     for name in names:
         module = EXPERIMENTS[name]
         print(f"=== {name} ===")
-        supported = inspect.signature(module.main).parameters
-        kwargs = {k: v for k, v in forwarded.items() if k in supported}
-        module.main(**kwargs)
+        for kwargs in _calls(module, flags):
+            module.report(module.run(**kwargs))
     return 0
 
 

@@ -89,8 +89,3 @@ def report(sweep: BufferSweep) -> None:
     )
     print(f"measured: best buffer in sweep = {sweep.best_buffer // KiB} KiB")
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

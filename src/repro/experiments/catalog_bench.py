@@ -88,8 +88,3 @@ def report(result: CatalogLatency) -> None:
         f"{result.remote_publish / result.local_publish:.1f}x"
     )
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

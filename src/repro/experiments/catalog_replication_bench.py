@@ -117,8 +117,3 @@ def report(result: CatalogReplicationResult) -> None:
     print(f"staleness window after a write ack: "
           f"{result.staleness_window * 1000:.0f} ms")
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

@@ -209,7 +209,9 @@ def run(
     replicate_files: int = 100,
     seed: int = 2001,
 ) -> CatalogScaleResult:
-    """Measure catalog scaling and RPC batching."""
+    """Measure catalog scaling and RPC batching (the default sizes keep
+    ``experiments all`` fast; the million-file point takes ~90 s to build
+    — get it with ``sizes=(10_000, 100_000, 1_000_000)``)."""
     rows = [
         measure_size(n, searches=searches, naive_searches=naive_searches)
         for n in sizes
@@ -248,10 +250,3 @@ def report(result: CatalogScaleResult) -> None:
         f"({result.envelope_reduction:.0f}x fewer round trips)"
     )
     print()
-
-
-def main() -> None:
-    """Run and report at the record sizes (the million-file point takes
-    ~90 s to build — get it with ``run(sizes=(10_000, 100_000,
-    1_000_000))``, keeping ``experiments all`` fast)."""
-    report(run())

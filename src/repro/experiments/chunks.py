@@ -39,22 +39,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.chunks import ChunkConfig, ChunkRuntime
-from repro.experiments.common import export_telemetry, print_table
-from repro.faults import (
-    FaultInjector,
-    chunk_corrupt_campaign,
-    site_wipe_campaign,
+from repro.experiments.common import export_telemetry
+from repro.experiments.scaffold import (
+    ArmedFaults,
+    Verdict,
+    counter_total,
+    fingerprint,
+    print_verdict,
 )
+from repro.faults import chunk_corrupt_campaign, site_wipe_campaign
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import MB
-from repro.simulation.randomness import RandomStreams
 
 __all__ = ["CAMPAIGNS", "ChunksResult", "run", "report"]
-
-#: fault classes this experiment can arm
-CAMPAIGNS = ("chunk_corrupt", "site_wipe")
 
 #: consecutive all-clean scrub passes that mean "converged"
 CLEAN_PASSES = 2
@@ -66,12 +66,21 @@ _HUB = "hub"
 _PLACEMENT = ("s1", "s2", "s3", "s4", "s5", "s6")
 
 
+#: fault classes this experiment can arm
+CAMPAIGNS = {
+    "chunk_corrupt": lambda streams, grid: chunk_corrupt_campaign(
+        streams, list(_PLACEMENT), corruptions=4, start=2.0, spread=20.0,
+    ),
+    "site_wipe": lambda streams, grid: site_wipe_campaign(
+        streams, list(_PLACEMENT), wipes=2, start=2.0, spread=10.0,
+    ),
+}
+
+
 @dataclass(frozen=True)
-class ChunksResult:
+class ChunksResult(Verdict):
     """Outcome + invariant checks for one EXP-CHUNKS run."""
 
-    seed: int
-    campaign: str              # "" = fault-free
     sites: int
     objects: int
     k: int
@@ -79,7 +88,6 @@ class ChunksResult:
     chunks_uploaded: int
     chunks_deduped: int
     put_bytes: float
-    faults_injected: int
     scrub_passes: int
     scrub_ok: int              # healthy probe outcomes, all passes
     scrub_bad: int             # corrupt + missing + unreachable outcomes
@@ -96,8 +104,11 @@ class ChunksResult:
     queue_clean: bool          # no dead tasks, no backlog
     duration: float
     wall_seconds: float
-    fingerprint: str
-    errors: tuple[str, ...]
+
+    CHECKS: ClassVar = (
+        "dedup_ok", "detection_ok", "fingerprints_ok", "repair_cheaper",
+        "queue_clean",
+    )
 
     @property
     def repair_savings(self) -> float:
@@ -106,41 +117,6 @@ class ChunksResult:
         if self.repair_bytes <= 0:
             return 0.0
         return self.whole_file_bytes / self.repair_bytes
-
-    @property
-    def converged(self) -> bool:
-        return (self.dedup_ok and self.detection_ok
-                and self.fingerprints_ok and self.repair_cheaper
-                and self.queue_clean and not self.errors)
-
-
-def _build_campaign(name: str, seed: int):
-    streams = RandomStreams(seed)
-    if name == "chunk_corrupt":
-        return chunk_corrupt_campaign(
-            streams, list(_PLACEMENT), corruptions=4,
-            start=2.0, spread=20.0,
-        )
-    if name == "site_wipe":
-        return site_wipe_campaign(
-            streams, list(_PLACEMENT), wipes=2,
-            start=2.0, spread=10.0,
-        )
-    raise ValueError(
-        f"unknown campaign {name!r} (one of: {', '.join(CAMPAIGNS)})"
-    )
-
-
-def _counter_total(grid, name: str, **labels) -> float:
-    """Sum one counter family across its label sets."""
-    if grid.metrics is None:
-        return 0.0
-    total = 0.0
-    for child in grid.metrics.children(name):
-        have = dict(child.labels)
-        if all(have.get(k) == str(v) for k, v in labels.items()):
-            total += child.value
-    return total
 
 
 def run(
@@ -153,8 +129,6 @@ def run(
     show_report: bool = False,
 ) -> ChunksResult:
     """One EXP-CHUNKS leg: upload, break, scrub/repair, verify reads."""
-    from repro.telemetry import to_prometheus_text
-
     wall_started = time.perf_counter()
     errors: list[str] = []
     size = float(int(size_mb * MB))
@@ -204,11 +178,8 @@ def run(
 
     # -- break things -----------------------------------------------------
     runtime.start()
-    fault_campaign = _build_campaign(campaign, seed) if campaign else None
-    injector = None
-    if fault_campaign is not None:
-        injector = FaultInjector(grid, fault_campaign)
-        grid.run(until=injector.start())
+    faults = ArmedFaults(grid, CAMPAIGNS, campaign, seed)
+    faults.drain()
 
     # -- scrub until converged: CLEAN_PASSES consecutive all-clean --------
     clean = 0
@@ -249,17 +220,17 @@ def run(
     )
 
     # -- accounting -------------------------------------------------------
-    scrub_ok = int(_counter_total(grid, "chunks.scrub", outcome="ok"))
+    scrub_ok = int(counter_total(grid, "chunks.scrub", outcome="ok"))
     scrub_bad = int(
-        _counter_total(grid, "chunks.scrub")
-        - _counter_total(grid, "chunks.scrub", outcome="ok")
+        counter_total(grid, "chunks.scrub")
+        - counter_total(grid, "chunks.scrub", outcome="ok")
     )
-    repaired = int(_counter_total(
-        grid, "chunks.repair", event="chunks_rebuilt"
-    ))
+    repaired = int(
+        counter_total(grid, "chunks.repair", event="chunks_rebuilt")
+    )
     repair_bytes = (
-        _counter_total(grid, "chunks.repair", event="bytes_fetched")
-        + _counter_total(grid, "chunks.repair", event="bytes_uploaded")
+        counter_total(grid, "chunks.repair", event="bytes_fetched")
+        + counter_total(grid, "chunks.repair", event="bytes_uploaded")
     )
     # replication at equal durability (3 full copies) loses one whole
     # copy per stripe member this campaign destroyed
@@ -281,8 +252,8 @@ def run(
     else:
         repair_cheaper = True
     detection_ok = True
-    if campaign and injector is not None:
-        applied = injector.injected - injector.monitor.counters.get(
+    if campaign:
+        applied = faults.injected - faults.injector.monitor.counters.get(
             "chunk_corrupt_noop", 0
         )
         if applied > 0 and scrub_bad == 0:
@@ -299,14 +270,6 @@ def run(
     if not queue_clean:
         errors.append(f"scrub queue not clean at end: {counts}")
 
-    fingerprint = "\n".join(
-        filter(None, [
-            fault_campaign.schedule_repr() if fault_campaign else "",
-            runtime.fingerprint(),
-            " ".join(r.fingerprint for r in fetch_reports),
-            to_prometheus_text(grid.metrics),
-        ])
-    )
     export_telemetry(
         grid.metrics, grid.tracelog,
         metrics_json=metrics_json, trace_chrome=trace_chrome,
@@ -322,7 +285,8 @@ def run(
         chunks_uploaded=uploaded,
         chunks_deduped=deduped,
         put_bytes=put_bytes,
-        faults_injected=injector.injected if injector else 0,
+        faults_injected=faults.injected,
+        no_active_faults=faults.windows_closed(errors),
         scrub_passes=passes,
         scrub_ok=scrub_ok,
         scrub_bad=scrub_bad,
@@ -339,22 +303,23 @@ def run(
         queue_clean=queue_clean,
         duration=grid.sim.now,
         wall_seconds=time.perf_counter() - wall_started,
-        fingerprint=fingerprint,
+        fingerprint=fingerprint(
+            grid,
+            faults.schedule,
+            runtime.fingerprint(),
+            " ".join(r.fingerprint for r in fetch_reports),
+        ),
         errors=tuple(errors),
     )
 
 
 def report(result: ChunksResult) -> None:
     """Print the durability verdict."""
-    verdict = "CONVERGED" if result.converged else "FAILED"
-    title = (
+    print_verdict(
+        result,
         f"EXP-CHUNKS — seed {result.seed}, {result.sites} sites, "
         f"{result.objects} objects as ({result.k},{result.m}) stripes"
-        + (f", campaign {result.campaign}" if result.campaign else "")
-        + f": {verdict}"
-    )
-    print_table(
-        ["check", "value"],
+        f"{result.under}",
         [
             ["chunks uploaded (deduped)",
              f"{result.chunks_uploaded} ({result.chunks_deduped})"],
@@ -378,31 +343,4 @@ def report(result: ChunksResult) -> None:
             ["sim-time (s)", f"{result.duration:.1f}"],
             ["wall time (s)", f"{result.wall_seconds:.1f}"],
         ],
-        title,
     )
-    for line in result.errors:
-        print(f"  !! {line}")
-    print()
-
-
-def main(
-    objects: int = 6,
-    seed: int = 2001,
-    campaign: str | None = None,
-    metrics_json: str | None = None,
-    trace_chrome: str | None = None,
-    show_report: bool = False,
-) -> None:
-    """Run EXP-CHUNKS (optionally under one fault class)."""
-    if campaign and campaign not in CAMPAIGNS:
-        raise SystemExit(
-            f"unknown campaign {campaign!r} (one of: {', '.join(CAMPAIGNS)})"
-        )
-    report(run(
-        objects=objects,
-        seed=seed,
-        campaign=campaign or "",
-        metrics_json=metrics_json,
-        trace_chrome=trace_chrome,
-        show_report=show_report,
-    ))

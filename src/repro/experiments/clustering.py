@@ -129,8 +129,3 @@ def report(result: ClusteringAblation) -> None:
         "correlates with it"
     )
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

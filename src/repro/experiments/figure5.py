@@ -74,8 +74,3 @@ def report(series: dict[int, dict[int, float]], title: str | None = None) -> Non
         title or
         "Figure 5 — GridFTP transfer rates, default TCP buffers (64 KiB)",
     )
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

@@ -31,8 +31,3 @@ def report(series) -> None:
         series,
         title="Figure 6 — GridFTP transfer rates, TCP buffers tuned to 1 MB",
     )
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

@@ -103,12 +103,3 @@ def report(result: PipelineRuns) -> None:
         "injection",
     )
     print()
-
-
-def main(trace_path: str | None = None,
-         metrics_json: str | None = None,
-         trace_chrome: str | None = None,
-         show_report: bool = False) -> None:
-    """Run and report with default parameters."""
-    report(run(trace_path=trace_path, metrics_json=metrics_json,
-               trace_chrome=trace_chrome, show_report=show_report))

@@ -143,8 +143,3 @@ def report(result: LegacyComparison) -> None:
         f"failure retransmission waste: {result.failure_waste_ratio:.2f}x"
     )
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

@@ -121,8 +121,3 @@ def report(result: ObjectVsFile) -> None:
     print(f"crossover: file replication competitive from selection fraction "
           f"~{result.crossover_fraction}")
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

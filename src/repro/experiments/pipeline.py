@@ -80,8 +80,3 @@ def report(result: PipelineResult) -> None:
     )
     print(f"speedup from pipelining: {result.speedup:.2f}x")
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

@@ -135,8 +135,3 @@ def report(result: RemoteAccessResult) -> None:
         "slower than replicate-then-read — the §5.2 rationale"
     )
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

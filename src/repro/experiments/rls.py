@@ -37,10 +37,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar
 
-from repro.experiments.common import export_telemetry, print_table
-from repro.faults import FaultInjector, rli_blackhole_campaign
+from repro.experiments.common import export_telemetry
+from repro.experiments.scaffold import (
+    ArmedFaults,
+    ReplicaAudit,
+    Verdict,
+    fingerprint,
+    print_verdict,
+)
+from repro.faults import rli_blackhole_campaign
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.gdmp.request_manager import REQUEST_MESSAGE_SIZE
 from repro.netsim.units import MB
@@ -50,9 +57,6 @@ from repro.simulation.randomness import RandomStreams
 
 __all__ = ["CAMPAIGNS", "RlsResult", "run", "report"]
 
-#: fault classes the RLS gate can aim at the index
-CAMPAIGNS = ("rli_blackhole", "digest_loss")
-
 #: site names for grids up to ten sites (beyond that: site-NN)
 _SITE_NAMES = (
     "cern", "anl", "caltech", "slac", "fnal",
@@ -61,17 +65,15 @@ _SITE_NAMES = (
 
 
 @dataclass(frozen=True)
-class RlsResult:
+class RlsResult(Verdict):
     """Outcome + invariant checks for one EXP-RLS run."""
 
-    seed: int
-    campaign: str              # "" = fault-free
     sites: int
     files: int                 # total files published (both waves)
     lookups: int               # routed cross-site lookups performed
     exact_lookups: int         # final-wave lookups matching ground truth
     degraded_lookups: int      # mid-fault lookups that still answered
-    phantom_answers: int       # locations not confirmed by ground truth
+    phantom_answers: int       # locations ground truth disowns, any wave
     fallback_broadcasts: int
     verify_misses: int         # bloom false positives + stale hits
     rli_unavailable: int
@@ -85,25 +87,35 @@ class RlsResult:
     pushes_lost: int
     replicas_made: int         # replication wave: replicas registered
     coverage_ok: bool          # index covers ground truth at the end
-    lookups_ok: bool           # final wave exact, no phantoms anywhere
+    lookups_ok: bool           # all answered, no phantom, final wave exact
     staleness_ok: bool
     replication_ok: bool
-    faults_injected: int
-    no_active_faults: bool
     duration: float            # sim-time for the whole experiment
     wall_seconds: float
-    fingerprint: str
-    errors: tuple[str, ...]
 
-    @property
-    def converged(self) -> bool:
-        return (self.coverage_ok and self.lookups_ok and self.staleness_ok
-                and self.replication_ok and self.no_active_faults)
+    CHECKS: ClassVar = (
+        "coverage_ok", "lookups_ok", "staleness_ok", "replication_ok",
+    )
 
     @property
     def digest_compression(self) -> float:
         """Naive per-write fan-out bytes per digest byte."""
         return self.naive_bytes / self.digest_bytes if self.digest_bytes else 0.0
+
+
+def _index_fault(**windows):
+    """Builder for black-hole and/or digest-loss windows at the RLI."""
+    return lambda streams, grid: rli_blackhole_campaign(
+        streams, grid.rls.rli_host, **windows,
+        start=5.0, spread=40.0, min_down=25.0, max_down=50.0,
+    )
+
+
+#: fault classes the RLS gate can aim at the index
+CAMPAIGNS = {
+    "rli_blackhole": _index_fault(windows=2, digest_loss_windows=0),
+    "digest_loss": _index_fault(windows=0, digest_loss_windows=2),
+}
 
 
 def _site_names(sites: int) -> list[str]:
@@ -112,23 +124,6 @@ def _site_names(sites: int) -> list[str]:
     return list(_SITE_NAMES) + [
         f"site-{i:02d}" for i in range(len(_SITE_NAMES), sites)
     ]
-
-
-def _build_campaign(name: str, seed: int, rli_host: str):
-    streams = RandomStreams(seed)
-    if name == "rli_blackhole":
-        return rli_blackhole_campaign(
-            streams, rli_host, windows=2, digest_loss_windows=0,
-            start=5.0, spread=40.0, min_down=25.0, max_down=50.0,
-        )
-    if name == "digest_loss":
-        return rli_blackhole_campaign(
-            streams, rli_host, windows=0, digest_loss_windows=2,
-            start=5.0, spread=40.0, min_down=25.0, max_down=50.0,
-        )
-    raise ValueError(
-        f"unknown campaign {name!r} (one of: {', '.join(CAMPAIGNS)})"
-    )
 
 
 def _publish_wave(grid: DataGrid, prefix: str, per_site: int,
@@ -213,7 +208,7 @@ def _lookup_wave(grid: DataGrid, samples: list[tuple[str, str]],
 
 def run(
     sites: int = 10,
-    files_per_site: int = 30,
+    files: int = 30,
     seed: int = 2001,
     campaign: str = "",
     lookups_per_site: int = 20,
@@ -225,9 +220,8 @@ def run(
     trace_chrome: str | None = None,
     show_report: bool = False,
 ) -> RlsResult:
-    """Run the two-tier location service through its full life cycle."""
-    from repro.telemetry import to_prometheus_text
-
+    """Run the two-tier location service through its full life cycle
+    (``files`` is per site, in the first publish wave)."""
     wall_started = time.perf_counter()
     names = _site_names(sites)
     digest = DigestConfig(period=period, full_every=full_every)
@@ -243,22 +237,16 @@ def run(
     started = grid.sim.now
 
     # -- wave 1: every site publishes its own files (writes stay local)
-    wave1 = _publish_wave(grid, "rls1", files_per_site, size_mb)
+    wave1 = _publish_wave(grid, "rls1", files, size_mb)
 
     # -- arm the digest cadence (and, optionally, the fault campaign)
     grid.rls.start()
-    schedule = ""
-    injector = None
-    campaign_proc = None
-    if campaign:
-        fault_campaign = _build_campaign(campaign, seed, grid.rls.rli_host)
-        schedule = fault_campaign.schedule_repr()
-        injector = FaultInjector(grid, fault_campaign)
-        campaign_proc = injector.start()
+    faults = ArmedFaults(grid, CAMPAIGNS, campaign, seed)
 
     # -- mid-fault degradation probe: lookups must answer while the
     #    index is black-holed or starving (verify-on-use carries them)
-    degraded = 0
+    degraded = phantoms = 0
+    degraded_ok = True
     if campaign:
         grid.run(until=grid.sim.timeout(20.0))  # inside the first window
         rng = streams["rls.lookups.degraded"]
@@ -270,22 +258,19 @@ def run(
             )
             for _ in range(sites * 2)
         ]
-        performed, _, phantoms = _lookup_wave(
+        degraded, _, phantoms = _lookup_wave(
             grid, samples, require_exact=False, errors=errors,
             label="degraded",
         )
-        degraded = performed
-        if performed < len(samples):
+        degraded_ok = degraded == len(samples)
+        if not degraded_ok:
             errors.append(
-                f"degraded: only {performed}/{len(samples)} lookups "
+                f"degraded: only {degraded}/{len(samples)} lookups "
                 "answered under faults"
             )
 
     # -- wait out the campaign, then require full index coverage
-    campaign_horizon = 0.0
-    if campaign_proc is not None:
-        grid.run(until=campaign_proc)
-        campaign_horizon = grid.sim.now - started
+    faults.drain()
     wave1_lfns = sorted(lfn for lfns in wave1.values() for lfn in lfns)
     deadline = grid.sim.now + (full_every + 1) * period + 30.0
     settled = grid.run(
@@ -297,7 +282,7 @@ def run(
 
     # -- wave 2: publish into a (now converged) index and time the
     #    staleness window until the index covers the new files
-    wave2 = _publish_wave(grid, "rls2", max(2, files_per_site // 10), size_mb)
+    wave2 = _publish_wave(grid, "rls2", max(2, files // 10), size_mb)
     wave2_lfns = sorted(lfn for lfns in wave2.values() for lfn in lfns)
     staleness_bound = (full_every + 1) * period + 30.0
     staleness = grid.run(
@@ -324,11 +309,13 @@ def run(
             samples.append(
                 (reader, all_lfns[int(rng.integers(0, len(all_lfns)))])
             )
-    performed, exact, phantoms = _lookup_wave(
+    performed, exact, final_phantoms = _lookup_wave(
         grid, samples, require_exact=True, errors=errors, label="final"
     )
+    phantoms += final_phantoms
     lookups_ok = (
-        performed == len(samples)
+        degraded_ok
+        and performed == len(samples)
         and exact == performed
         and phantoms == 0
     )
@@ -338,6 +325,7 @@ def run(
     rng = streams["rls.replication"]
     replicas_made = 0
     replication_ok = True
+    adoption = ReplicaAudit(errors)
     for i, reader in enumerate(names):
         donor = names[(i + 1) % len(names)]
         picks = list(wave1[donor])
@@ -352,30 +340,13 @@ def run(
             replication_ok = False
             errors.append(f"replication: {reader} <- {donor} failed: {exc}")
             continue
-        backend = grid.rls.backends[reader]
-        for lfn in take:
-            if not backend.lfn_exists(lfn):
-                replication_ok = False
-                errors.append(
-                    f"replication: {reader} LRC never adopted {lfn}"
-                )
-                continue
-            mine = [
-                loc for loc in backend.info(lfn).locations
-                if loc.get("location") == reader
-            ]
-            if len(mine) != 1:
-                replication_ok = False
-                errors.append(
-                    f"replication: {len(mine)} location records for "
-                    f"{lfn} at {reader} (want exactly 1)"
-                )
-            else:
-                replicas_made += 1
-
-    no_active = injector is None or not injector.active_faults()
-    if not no_active:
-        errors.append(f"fault windows still open: {injector.active_faults()}")
+        # adopted: held at the reader, and in the reader's own LRC
+        replicas_made += sum(
+            adoption.check(grid.site(reader), lfn, grid.rls.backends[reader])
+            for lfn in take
+        )
+    replication_ok = replication_ok and adoption.ok
+    no_active = faults.windows_closed(errors)
 
     # -- accounting: digest bandwidth vs naive per-write fan-out
     index_stats = grid.rls.index.stats
@@ -393,14 +364,6 @@ def run(
         )
     }
 
-    fingerprint = "\n".join(
-        filter(None, [
-            schedule,
-            grid.rls.fingerprint(),
-            ",".join(f"{k}={v}" for k, v in sorted(proxy_stats.items())),
-            to_prometheus_text(grid.metrics),
-        ])
-    )
     export_telemetry(
         grid.metrics, grid.tracelog,
         metrics_json=metrics_json, trace_chrome=trace_chrome,
@@ -431,26 +394,26 @@ def run(
         lookups_ok=lookups_ok,
         staleness_ok=staleness_ok,
         replication_ok=replication_ok,
-        faults_injected=injector.injected if injector else 0,
+        faults_injected=faults.injected,
         no_active_faults=no_active,
         duration=grid.sim.now - started,
         wall_seconds=time.perf_counter() - wall_started,
-        fingerprint=fingerprint,
+        fingerprint=fingerprint(
+            grid,
+            faults.schedule,
+            grid.rls.fingerprint(),
+            ",".join(f"{k}={v}" for k, v in sorted(proxy_stats.items())),
+        ),
         errors=tuple(errors),
     )
 
 
 def report(result: RlsResult) -> None:
     """Print the convergence/contract verdict."""
-    verdict = "CONVERGED" if result.converged else "FAILED"
-    title = (
+    print_verdict(
+        result,
         f"EXP-RLS — seed {result.seed}, {result.sites} sites, "
-        f"{result.files} files"
-        + (f", campaign {result.campaign}" if result.campaign else "")
-        + f": {verdict}"
-    )
-    print_table(
-        ["check", "value"],
+        f"{result.files} files{result.under}",
         [
             ["files published", result.files],
             ["routed lookups", result.lookups],
@@ -477,33 +440,4 @@ def report(result: RlsResult) -> None:
             ["sim-time (s)", f"{result.duration:.1f}"],
             ["wall time (s)", f"{result.wall_seconds:.1f}"],
         ],
-        title,
     )
-    for line in result.errors:
-        print(f"  !! {line}")
-    print()
-
-
-def main(
-    sites: int = 10,
-    files: int = 30,
-    seed: int = 2001,
-    campaign: str | None = None,
-    metrics_json: str | None = None,
-    trace_chrome: str | None = None,
-    show_report: bool = False,
-) -> None:
-    """Run EXP-RLS (optionally under one fault class)."""
-    if campaign and campaign not in CAMPAIGNS:
-        raise SystemExit(
-            f"unknown campaign {campaign!r} (one of: {', '.join(CAMPAIGNS)})"
-        )
-    report(run(
-        sites=sites,
-        files_per_site=files,
-        seed=seed,
-        campaign=campaign or "",
-        metrics_json=metrics_json,
-        trace_chrome=trace_chrome,
-        show_report=show_report,
-    ))

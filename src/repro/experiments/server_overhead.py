@@ -93,8 +93,3 @@ def report(result: OverheadResult) -> None:
     )
     print(f"45 Mbps WAN unaffected in all modes: {result.wan_unaffected}")
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

@@ -80,11 +80,3 @@ def report(result: StagingResult) -> None:
     print(f"staging penalty: {result.staging_penalty:.1f} s "
           "(tape mount + seek + stream)")
     print()
-
-
-def main(metrics_json: str | None = None,
-         trace_chrome: str | None = None,
-         show_report: bool = False) -> None:
-    """Run and report with default parameters."""
-    report(run(metrics_json=metrics_json, trace_chrome=trace_chrome,
-               show_report=show_report))

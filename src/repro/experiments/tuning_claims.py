@@ -77,8 +77,3 @@ def report(claims: TuningClaims) -> None:
         f"the tuned peak (paper: ~100%)"
     )
     print()
-
-
-def main() -> None:
-    """Run and report with default parameters."""
-    report(run())

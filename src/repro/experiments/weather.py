@@ -46,11 +46,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar
 
-from repro.experiments.common import export_telemetry, print_table
+from repro.experiments.common import export_telemetry
+from repro.experiments.scaffold import (
+    ArmedFaults,
+    Verdict,
+    fingerprint,
+    print_verdict,
+)
 from repro.faults import (
-    FaultInjector,
     crash_restart_campaign,
     link_flap_campaign,
     weather_blackhole_campaign,
@@ -64,9 +69,6 @@ from repro.services.resilience import ResilienceConfig
 from repro.simulation.randomness import RandomStreams
 
 __all__ = ["CAMPAIGNS", "WeatherResult", "run", "report"]
-
-#: fault classes the weather gate can arm
-CAMPAIGNS = ("weather_blackhole", "link_flap", "crash_restart")
 
 #: smart leg never slower than static by more than this factor
 DEGRADATION_BOUND = 1.15
@@ -83,11 +85,9 @@ _WEATHER = dict(
 
 
 @dataclass(frozen=True)
-class WeatherResult:
+class WeatherResult(Verdict):
     """Outcome + invariant checks for one EXP-WEATHER run."""
 
-    seed: int
-    campaign: str              # "" = fault-free
     sites: int
     files: int                 # measured files per T2 destination
     measured: int              # measured transfers per leg
@@ -103,28 +103,47 @@ class WeatherResult:
     pushes_lost: int
     bg_launched: int           # background scenario transfers opened
     bg_aborted: int
-    faults_injected: int
     speedup_ok: bool           # smart beat static (fault-free contract)
     bounded_ok: bool           # smart within DEGRADATION_BOUND of static
     completion_ok: bool        # every measured transfer completed
     degraded_ok: bool          # blackhole forced probe fallbacks
     reconverged: bool          # post-wave selections ride history again
-    no_active_faults: bool
     duration: float            # sim-time, smart leg
     wall_seconds: float
-    fingerprint: str
-    errors: tuple[str, ...]
+
+    CHECKS: ClassVar = (
+        "speedup_ok", "bounded_ok", "completion_ok", "degraded_ok",
+        "reconverged",
+    )
 
     @property
     def improvement(self) -> float:
         """Static mean over smart mean (>1 = smart is faster)."""
         return self.static_mean / self.smart_mean if self.smart_mean else 0.0
 
-    @property
-    def converged(self) -> bool:
-        return (self.speedup_ok and self.bounded_ok and self.completion_ok
-                and self.degraded_ok and self.reconverged
-                and self.no_active_faults and not self.errors)
+
+#: fault classes the weather gate can arm
+CAMPAIGNS = {
+    "weather_blackhole": lambda streams, grid, tspec: (
+        weather_blackhole_campaign(
+            streams, tspec.t0, windows=2,
+            start=5.0, spread=40.0, min_down=25.0, max_down=45.0,
+        )
+    ),
+    "link_flap": lambda streams, grid, tspec: link_flap_campaign(
+        streams,
+        [
+            link.name
+            for _, _, link, *_ in tspec.wan_links
+            if link.name.startswith("t1x-")   # the T1-T1 mesh
+        ],
+        flaps=3, start=5.0, spread=50.0, min_down=4.0, max_down=10.0,
+    ),
+    "crash_restart": lambda streams, grid, tspec: crash_restart_campaign(
+        streams, list(tspec.t1_sites), crashes=2,
+        start=8.0, spread=40.0, min_down=8.0, max_down=15.0,
+    ),
+}
 
 
 def _far_t1(tspec, t2: str) -> str:
@@ -132,33 +151,6 @@ def _far_t1(tspec, t2: str) -> str:
     parent = tspec.parents[t2]
     others = [t1 for t1 in tspec.t1_sites if t1 != parent]
     return others[0]
-
-
-def _build_campaign(name: str, seed: int, tspec):
-    streams = RandomStreams(seed)
-    if name == "weather_blackhole":
-        return weather_blackhole_campaign(
-            streams, tspec.t0, windows=2,
-            start=5.0, spread=40.0, min_down=25.0, max_down=45.0,
-        )
-    if name == "link_flap":
-        mesh = [
-            link.name
-            for _, _, link, *_ in tspec.wan_links
-            if link.name.startswith("t1x-")
-        ]
-        return link_flap_campaign(
-            streams, mesh, flaps=3,
-            start=5.0, spread=50.0, min_down=4.0, max_down=10.0,
-        )
-    if name == "crash_restart":
-        return crash_restart_campaign(
-            streams, list(tspec.t1_sites), crashes=2,
-            start=8.0, spread=40.0, min_down=8.0, max_down=15.0,
-        )
-    raise ValueError(
-        f"unknown campaign {name!r} (one of: {', '.join(CAMPAIGNS)})"
-    )
 
 
 def _produce_wave(grid, site: str, lfns, size: float) -> None:
@@ -266,11 +258,7 @@ def _run_leg(
     driver.start()
     grid.run(until=grid.sim.timeout(ramp))
 
-    injector = None
-    campaign_proc = None
-    if campaign is not None:
-        injector = FaultInjector(grid, campaign)
-        campaign_proc = injector.start()
+    faults = ArmedFaults(grid, CAMPAIGNS, campaign, seed, tspec)
 
     before = _selection_totals(grid)
     # interleave each region's two T2s so the mesh never carries more
@@ -292,8 +280,7 @@ def _run_leg(
     after = _selection_totals(grid)
 
     # -- settle: close any remaining fault windows, let pushes land
-    if campaign_proc is not None:
-        grid.run(until=campaign_proc)
+    faults.drain()
     grid.run(until=grid.sim.timeout(3 * _WEATHER["push_period"]))
 
     # -- post wave: one fresh file per T2, after the faults/peak — the
@@ -310,11 +297,6 @@ def _run_leg(
         grid.run(until=proc)
     post_after = _selection_totals(grid)
 
-    no_active = injector is None or not injector.active_faults()
-    if not no_active:
-        errors.append(
-            f"fault windows still open: {injector.active_faults()}"
-        )
     return {
         "grid": grid,
         "durations": durations,
@@ -327,8 +309,8 @@ def _run_leg(
             key: post_after[key] - post_before[key] for key in post_before
         },
         "bg_stats": dict(driver.stats),
-        "faults_injected": injector.injected if injector else 0,
-        "no_active_faults": no_active,
+        "faults": faults,
+        "no_active_faults": faults.windows_closed(errors),
         "errors": errors,
         "measured_count": sum(len(v) for v in measured.values()),
     }
@@ -345,8 +327,6 @@ def run(
     show_report: bool = False,
 ) -> WeatherResult:
     """Run both legs of EXP-WEATHER from one seed and compare them."""
-    from repro.telemetry import to_prometheus_text
-
     wall_started = time.perf_counter()
     tspec = tiered_grid_spec(TieredSpec())
     streams = RandomStreams(seed)
@@ -364,17 +344,12 @@ def run(
         sources=[tspec.t0],
         destinations=list(tspec.t1_sites),
     )
-    fault_campaign = (
-        _build_campaign(campaign, seed, tspec) if campaign else None
-    )
     # the weather black-hole only exists in the smart leg (the static
     # grid has no weather plane to break — it is the degraded baseline)
-    static_campaign = (
-        None if campaign == "weather_blackhole" else fault_campaign
-    )
+    static_campaign = "" if campaign == "weather_blackhole" else campaign
 
     smart = _run_leg(
-        True, seed, tspec, scenario, fault_campaign, files, size_mb, ramp
+        True, seed, tspec, scenario, campaign, files, size_mb, ramp
     )
     static = _run_leg(
         False, seed, tspec, scenario, static_campaign, files, size_mb, ramp
@@ -438,16 +413,6 @@ def run(
         f"{d:.6f}" for d in smart["durations"] + static["durations"]
         + smart["post_durations"] + static["post_durations"]
     )
-    fingerprint = "\n".join(
-        filter(None, [
-            scenario.schedule_repr(),
-            fault_campaign.schedule_repr() if fault_campaign else "",
-            grid.weather.fingerprint(),
-            durations_repr,
-            ",".join(f"{k}={v}" for k, v in sorted(delta.items())),
-            to_prometheus_text(grid.metrics),
-        ])
-    )
     export_telemetry(
         grid.metrics, grid.tracelog,
         metrics_json=metrics_json, trace_chrome=trace_chrome,
@@ -471,7 +436,7 @@ def run(
         pushes_lost=push_stats["pushes_lost"],
         bg_launched=smart["bg_stats"]["launched"],
         bg_aborted=smart["bg_stats"]["aborted"],
-        faults_injected=smart["faults_injected"],
+        faults_injected=smart["faults"].injected,
         speedup_ok=speedup_ok,
         bounded_ok=bounded_ok,
         completion_ok=completion_ok,
@@ -482,22 +447,24 @@ def run(
         ),
         duration=grid.sim.now,
         wall_seconds=time.perf_counter() - wall_started,
-        fingerprint=fingerprint,
+        fingerprint=fingerprint(
+            grid,
+            scenario.schedule_repr(),
+            smart["faults"].schedule,
+            grid.weather.fingerprint(),
+            durations_repr,
+            ",".join(f"{k}={v}" for k, v in sorted(delta.items())),
+        ),
         errors=tuple(errors),
     )
 
 
 def report(result: WeatherResult) -> None:
     """Print the smart-vs-static verdict."""
-    verdict = "CONVERGED" if result.converged else "FAILED"
-    title = (
+    print_verdict(
+        result,
         f"EXP-WEATHER — seed {result.seed}, {result.sites} sites, "
-        f"{result.measured} measured transfers"
-        + (f", campaign {result.campaign}" if result.campaign else "")
-        + f": {verdict}"
-    )
-    print_table(
-        ["check", "value"],
+        f"{result.measured} measured transfers{result.under}",
         [
             ["smart mean completion (s)", f"{result.smart_mean:.2f}"],
             ["static mean completion (s)", f"{result.static_mean:.2f}"],
@@ -520,31 +487,4 @@ def report(result: WeatherResult) -> None:
             ["sim-time (s)", f"{result.duration:.1f}"],
             ["wall time (s)", f"{result.wall_seconds:.1f}"],
         ],
-        title,
     )
-    for line in result.errors:
-        print(f"  !! {line}")
-    print()
-
-
-def main(
-    files: int = 4,
-    seed: int = 2001,
-    campaign: str | None = None,
-    metrics_json: str | None = None,
-    trace_chrome: str | None = None,
-    show_report: bool = False,
-) -> None:
-    """Run EXP-WEATHER (optionally under one fault class)."""
-    if campaign and campaign not in CAMPAIGNS:
-        raise SystemExit(
-            f"unknown campaign {campaign!r} (one of: {', '.join(CAMPAIGNS)})"
-        )
-    report(run(
-        files=files,
-        seed=seed,
-        campaign=campaign or "",
-        metrics_json=metrics_json,
-        trace_chrome=trace_chrome,
-        show_report=show_report,
-    ))

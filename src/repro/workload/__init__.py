@@ -7,6 +7,15 @@ service bus, and standing picker/bundler/replicator/verifier components
 claim, execute and audit the work — the operational shape described in
 "Grid Data Management in Action", at the request volumes of the T0/T1
 replication simulation studies.
+
+Two scripted generators from the paper's application domain (§2.1, §5.1)
+live beside the engine and are imported from their own modules:
+:mod:`~repro.workload.production` (a detector/reconstruction production
+run: a site periodically creates Objectivity database files, publishes
+them to its subscribers, and archives them to its MSS) and
+:mod:`~repro.workload.analysis` (a physicist's analysis session: run a
+selection funnel over the event store, object-replicate the surviving
+objects to the home site, and read them there).
 """
 
 from repro.workload.admission import FairShareAdmission, TokenBucket

@@ -11,7 +11,7 @@ import pytest
 
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import GB, MB
-from repro.workloads import ProductionRun
+from repro.workload.production import ProductionRun
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ from repro.netsim.units import MB
 from repro.objectdb import EventStoreBuilder, ObjectTypeSpec
 from repro.objectrep import AnalysisChain, GlobalObjectIndex
 from repro.objectrep.selection import AnalysisStep
-from repro.workloads import AnalysisSession, ProductionRun
+from repro.workload.analysis import AnalysisSession
+from repro.workload.production import ProductionRun
 
 
 @pytest.fixture

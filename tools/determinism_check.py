@@ -24,7 +24,7 @@ from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import MB
 from repro.objectrep.index_service import IndexService
 from repro.telemetry import to_prometheus_text
-from repro.workloads.production import ProductionRun
+from repro.workload.production import ProductionRun
 
 
 def run_scenario() -> dict:

@@ -1,0 +1,424 @@
+#!/usr/bin/env python
+"""The smoke gate: every campaign experiment converges, deterministically.
+
+For each suite in ``SUITES`` and each of its legs — fault-free (where
+``run`` has one) and every campaign in its ``CAMPAIGNS`` — the experiment
+runs twice in this process at smoke size and a fixed seed, and the gate
+checks, per leg:
+
+* **convergence** — both verdicts hold (every declared check, every
+  fault window closed, no ``errors``);
+* **fault coverage** — a campaign leg injected at least one fault;
+* **determinism** — the two fingerprints (fault schedule + plane state +
+  experiment extras + full Prometheus export) are byte-identical;
+* the suite's own assertions, declared beside its params below.
+
+Then the named checks in ``CHECKS``: three path budgets that fail here in
+seconds instead of in a benchmark in minutes (``publish_path``,
+``transfer_set_path``, ``warm_channels``) and ``recorded``, which diffs
+``python -m repro.experiments all`` against the committed
+``results/experiments_output.txt``.
+
+Usage:  PYTHONPATH=src python tools/smoke.py [name ...]
+
+Names select suites and checks; with none, everything runs.  Adding a
+plane's experiment to the gate is one ``SUITES`` entry.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import io
+import re
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+from repro.experiments import chaos, chunks, rls, weather, workload
+from repro.experiments.__main__ import main as experiments_cli
+from repro.experiments.scaffold import counter_total, legs
+from repro.gdmp import DataGrid, GdmpConfig
+from repro.netsim.units import MB
+from repro.rls import DigestConfig, RlsConfig
+
+SEED = 2001
+RECORDED = (
+    Path(__file__).resolve().parent.parent / "results/experiments_output.txt"
+)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One campaign experiment at smoke size."""
+
+    module: object            # exposes CAMPAIGNS and run(campaign=, seed=)
+    params: dict              # smoke-size keywords for run
+    #: the experiment-specific part of the one-line summary, from a result
+    summary: Callable
+    #: (legs it applies to or None for all, predicate over one result,
+    #: what to report when the predicate is false)
+    asserts: tuple = ()
+
+
+SUITES = {
+    # enough files/bytes for faults to intersect live transfers
+    "chaos": Suite(
+        chaos, dict(files=4, size_mb=8, chunk=2),
+        asserts=(
+            (None,
+             lambda r: r.faults_injected == len(r.schedule.splitlines()) - 1,
+             "the whole schedule was not applied (events applied != "
+             "schedule lines below the header)"),
+        ),
+        summary=lambda r: f"{r.rounds} round(s)",
+    ),
+    # enough ticks for the diurnal profile, admission and coalescing to
+    # all engage
+    "workload": Suite(
+        workload, dict(requests=20_000),
+        summary=lambda r: f"{r.tasks} queue tasks",
+    ),
+    # enough sites for routing/fan-out to matter, small file counts
+    "rls": Suite(
+        rls,
+        dict(sites=4, files=10, lookups_per_site=5, replicas_per_site=2),
+        asserts=(
+            (("rli_blackhole",),
+             lambda r: r.rli_unavailable or r.fallback_broadcasts,
+             "lookups never degraded to verify-on-use fallback"),
+            (("digest_loss",), lambda r: r.pushes_lost,
+             "no digest pushes were dropped"),
+            (None, lambda r: not r.phantom_answers,
+             "lookups returned phantom locations (the one thing "
+             "staleness must never cause)"),
+        ),
+        summary=lambda r: (
+            f"{r.lookups} lookups ({r.verify_misses} verify misses, "
+            f"{r.fallback_broadcasts} fallbacks), "
+            f"staleness {r.staleness_window:.1f}s"
+        ),
+    ),
+    # weather and chunks are already smoke-sized: 7 hosts, 16 measured
+    # transfers per leg / a handful of objects plus one dedup twin —
+    # these are the recorded-baseline params
+    "weather": Suite(
+        weather, dict(files=4),
+        asserts=(
+            (("weather_blackhole",), lambda r: r.probe_fallbacks,
+             "the black-holed weather plane never forced a probe fallback"),
+            (("",), lambda r: r.improvement > 1.0,
+             "smart selection did not beat static"),
+            (None, lambda r: r.post_history,
+             "the post wave never selected on history again"),
+        ),
+        summary=lambda r: (
+            f"{r.improvement:.2f}x improvement ({r.history_selections} "
+            f"history selections, {r.probe_fallbacks} probe fallbacks, "
+            f"{r.post_history} post-wave)"
+        ),
+    ),
+    "chunks": Suite(
+        chunks, dict(objects=4),
+        asserts=(
+            (tuple(chunks.CAMPAIGNS), lambda r: r.chunks_repaired,
+             "nothing was repaired"),
+            (tuple(chunks.CAMPAIGNS), lambda r: r.repair_savings > 1.0,
+             "chunked repair was not cheaper than whole-file "
+             "re-replication"),
+            (None, lambda r: r.chunks_deduped,
+             "the shared-content twin deduped nothing"),
+        ),
+        summary=lambda r: (
+            f"{r.chunks_uploaded} chunks placed ({r.chunks_deduped} "
+            f"deduped), {r.scrub_passes} scrub passes"
+            + (f", {r.chunks_repaired} chunks rebuilt, "
+               f"{r.repair_savings:.2f}x repair savings" if r.campaign else "")
+        ),
+    ),
+}
+
+
+def check_leg(name: str, suite: Suite, campaign: str) -> list[str]:
+    """Run one leg twice; the problems found (none: print its summary)."""
+    label = f"{name}/{campaign or 'fault-free'}"
+    first, second = (
+        suite.module.run(campaign=campaign, seed=SEED, **suite.params)
+        for _ in range(2)
+    )
+    problems: list[str] = []
+    for run_label, result in (("run1", first), ("run2", second)):
+        if not result.converged:
+            problems.append(
+                f"{label}/{run_label}: did not converge: "
+                + "; ".join(result.errors)
+            )
+        if campaign and result.faults_injected == 0:
+            problems.append(f"{label}/{run_label}: no faults were injected")
+        problems.extend(
+            f"{label}/{run_label}: {message}"
+            for applies_to, holds, message in suite.asserts
+            if (applies_to is None or campaign in applies_to)
+            and not holds(result)
+        )
+    if first.fingerprint != second.fingerprint:
+        problems.append(
+            f"{label}: run fingerprints differ (schedule/plane state/"
+            "telemetry are not deterministic)"
+        )
+    if not problems:
+        faults = f"{first.faults_injected} faults, " if campaign else ""
+        print(
+            f"  {label}: converged twice, {suite.summary(first)}, {faults}"
+            f"fingerprints identical ({len(first.fingerprint)} bytes)"
+        )
+    return problems
+
+
+def check_publish_path() -> list[str]:
+    """Envelope budget of one ``publish_set`` and the coverage delay
+    after closed-loop publishing that overlaps the digest pushes: on an
+    8-site grid with every site publishing 10-name sets back to back
+    across several pushes, one set stays within ``sites + 3`` bus
+    requests (a regression to per-name uniqueness probing is ten times
+    that), and the index covers every name within ``period + max phase``
+    of the last publish (a digest ack that drops the writes landing
+    while its push is in flight leaves them uncovered until the next
+    full refresh)."""
+    sites, set_size, period = 8, 10, 5.0
+    names = [f"s{i}" for i in range(sites)]
+    grid = DataGrid(
+        [GdmpConfig(name) for name in names],
+        catalog_host=names[0],
+        seed=SEED,
+        # the next full refresh is far away: only deltas can cover
+        rls=RlsConfig(digest=DigestConfig(period=period, full_every=50)),
+    )
+    grid.rls.start()
+    grid.run(until=grid.sim.timeout(period))
+    published: list[tuple[str, str]] = []  # (holding site, lfn)
+
+    def publish_set(name: str, batch: int):
+        site = grid.site(name)
+        specs = []
+        for i in range(set_size):
+            lfn = f"smoke-{name}-{batch:03d}-{i}.dat"
+            path = site.config.storage_path(lfn)
+            site.fs.create(path, 1000, now=grid.sim.now)
+            specs.append({"path": path, "lfn": lfn})
+            published.append((name, lfn))
+        return site.client.publish_set(specs)
+
+    before = counter_total(grid, "rpc.requests")
+    grid.run(until=publish_set(names[-1], 0))
+    set_cost = counter_total(grid, "rpc.requests") - before
+
+    stop_at = grid.sim.now + 2.0 * period
+
+    def publisher(name: str):
+        batch = 1
+        while grid.sim.now < stop_at:
+            yield publish_set(name, batch)
+            batch += 1
+
+    grid.run(until=grid.sim.all_of(
+        [grid.sim.spawn(publisher(name)) for name in names]
+    ))
+    last_publish = grid.sim.now
+    states = grid.rls.index.states
+    bound = period + period * (sites - 1) / sites
+    while grid.sim.now - last_publish <= bound and not all(
+        states[site].might_hold(lfn) for site, lfn in published
+    ):
+        grid.run(until=grid.sim.timeout(period / 16.0))
+    waited = grid.sim.now - last_publish
+
+    problems: list[str] = []
+    if set_cost > sites + 3:
+        problems.append(
+            f"publish path: one publish_set of {set_size} names cost "
+            f"{set_cost:.0f} bus requests (budget {sites + 3})"
+        )
+    if waited > bound:
+        problems.append(
+            f"publish path: index did not cover {len(published)} names "
+            f"within {bound:.1f}s of the last publish"
+        )
+    if not problems:
+        print(
+            f"  publish path: {set_cost:.0f} requests per {set_size}-name "
+            f"set on {sites} sites, {len(published)} names covered "
+            f"{waited:.1f}s after the last publish (bound {bound:.1f}s)"
+        )
+    return problems
+
+
+#: files per transfer set on the path-check grid (a bundle's worth)
+FILES = 8
+PULLERS = ("anl", "caltech")
+
+
+def _set_grid():
+    """Three sites, ``FILES`` 2 MB files published at cern."""
+    grid = DataGrid(
+        [GdmpConfig("cern"), GdmpConfig("anl"), GdmpConfig("caltech")],
+        catalog_host="cern", seed=SEED,
+    )
+    lfns = [f"set-{i}.db" for i in range(FILES)]
+    for lfn in lfns:
+        grid.run(
+            until=grid.site("cern").client.produce_and_publish(lfn, 2 * MB)
+        )
+    return grid, lfns
+
+
+def check_transfer_set_path() -> list[str]:
+    """What the replicator drives for every bundle: a set costs its
+    sources, not its files.  Bus requests per replicated file stay at or
+    below 3 (per-file dialling costs 8) and no set opens more GridFTP
+    sessions than it has sources."""
+    grid, lfns = _set_grid()
+    problems: list[str] = []
+    # the second puller has two sources to choose from per file
+    for puller in PULLERS:
+        requests = counter_total(grid, "rpc.requests")
+        sessions = counter_total(grid, "gridftp.sessions_opened")
+        reports = grid.run(until=grid.site(puller).client.replicate_set(lfns))
+        per_file = (counter_total(grid, "rpc.requests") - requests) / FILES
+        opened = counter_total(grid, "gridftp.sessions_opened") - sessions
+        sources = len({report.source for report in reports})
+        if per_file > 3:
+            problems.append(
+                f"transfer-set path: {puller} paid {per_file:.2f} bus "
+                f"requests per replicated file (budget 3)"
+            )
+        if opened > sources:
+            problems.append(
+                f"transfer-set path: {puller} opened {opened:.0f} GridFTP "
+                f"sessions for {sources} sources"
+            )
+        if not problems:
+            print(
+                f"  transfer-set path: {puller} pulled {FILES} files at "
+                f"{per_file:.2f} bus requests each over {opened:.0f} "
+                f"session(s)"
+            )
+    return problems
+
+
+def check_warm_channels() -> list[str]:
+    """Every file of a set after the first from its source opens its
+    data channels from the windows the file before it left: at least
+    (files − sets) × streams channels reused, fewer netsim flow-ticks
+    per file than the same files pulled one conversation each (the cold
+    cost is measured on a twin grid, not remembered), and no control
+    session — so no parked channel — left at any server."""
+    by_set, lfns = _set_grid()
+    for puller in PULLERS:
+        by_set.run(until=by_set.site(puller).client.replicate_set(lfns))
+    singly, _ = _set_grid()
+    for puller in PULLERS:
+        for lfn in lfns:
+            singly.run(until=singly.site(puller).client.replicate(lfn))
+    moved = FILES * len(PULLERS)
+    warm = by_set.engine.flow_tick_count / moved
+    cold = singly.engine.flow_tick_count / moved
+    reused = counter_total(by_set, "gridftp.channels_reused")
+    streams = by_set.site(PULLERS[0]).config.parallel_streams
+    expected = (FILES - 1) * len(PULLERS) * streams
+
+    problems: list[str] = []
+    if reused < expected:
+        problems.append(
+            f"warm channels: {reused:.0f} data channels reused, expected "
+            f"at least {expected} ((files - sets) x streams)"
+        )
+    if not warm < cold:
+        problems.append(
+            f"warm channels: {warm:.1f} netsim flow-ticks per file in a "
+            f"set, {cold:.1f} one conversation each: no slow start saved"
+        )
+    for site in by_set.sites.values():
+        left = site.gridftp_server.open_sessions
+        if left:
+            problems.append(
+                f"warm channels: {left} GridFTP session(s) left open at "
+                f"{site.name} after its sets closed"
+            )
+    if not problems:
+        print(
+            f"  warm channels: {reused:.0f} channels reused, {warm:.1f} "
+            f"flow-ticks per file (cold: {cold:.1f}), no session left"
+        )
+    return problems
+
+
+#: the recorded output's lines that derive from the host's clock: the two
+#: catalog-scale rows (a population, then five rates/latencies), the
+#: workload's requests/s, and the three ``wall time (s)`` rows
+WALL_DERIVED = re.compile(
+    r"\s*\d+(\s+\d+\.\d+){5}$"
+    r"|sustained requests/s \(wall\)"
+    r"|\s*wall time \(s\)"
+)
+
+
+def check_recorded() -> list[str]:
+    """``python -m repro.experiments all`` still prints the committed
+    ``results/experiments_output.txt``, wall-derived lines aside."""
+
+    def masked(text: str) -> list[str]:
+        return [
+            "<wall-derived>" if WALL_DERIVED.match(line) else line
+            for line in text.splitlines()
+        ]
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        experiments_cli(["all"])
+    diff = list(difflib.unified_diff(
+        masked(RECORDED.read_text(encoding="utf-8")),
+        masked(printed.getvalue()),
+        "results/experiments_output.txt", "experiments all",
+        lineterm="", n=0,
+    ))
+    if diff:
+        return [f"recorded: {line}" for line in diff]
+    print("  recorded: `experiments all` matches the committed output")
+    return []
+
+
+CHECKS = {
+    "publish_path": check_publish_path,
+    "transfer_set_path": check_transfer_set_path,
+    "warm_channels": check_warm_channels,
+    "recorded": check_recorded,
+}
+
+
+def main(argv: list[str], suites=SUITES, checks=CHECKS) -> int:
+    unknown = [name for name in argv if name not in {**suites, **checks}]
+    if unknown:
+        print(f"unknown suite/check: {', '.join(unknown)} "
+              f"(one of: {', '.join([*suites, *checks])})")
+        return 2
+    failures: list[str] = []
+    for name in argv or [*suites, *checks]:
+        print(f"smoke: {name}")
+        if name in suites:
+            for campaign in legs(suites[name].module):
+                failures.extend(check_leg(name, suites[name], campaign))
+        else:
+            failures.extend(checks[name]())
+    if failures:
+        print("smoke: FAILED")
+        for line in failures:
+            print(f"  - {line}")
+        return 1
+    print("smoke: every leg converged deterministically, every check held")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
