@@ -96,31 +96,48 @@ class GdmpCatalog:
 
         User-selected LFNs are "verified to be unique before adding them to
         the replica catalog"; pass ``lfn=None`` for automatic generation.
-        Returns the LFN.
+        Returns the LFN.  A name is a batch of one: every check and every
+        entry written is :meth:`publish_bulk`'s.
         """
-        if size < 0:
+        return self.publish_bulk(
+            site,
+            [{"size": size, "modified": modified, "crc": crc, "lfn": lfn,
+              "attributes": attributes}],
+        )[0]
+
+    @staticmethod
+    def _checked(item: dict) -> Optional[str]:
+        """Sanity checks on one registration; returns its LFN, if any."""
+        if item.get("size", 0) < 0:
             raise CatalogError("size must be non-negative")
-        if lfn is not None:
-            if not lfn or "/" in lfn or "," in lfn:
-                raise CatalogError(f"invalid logical file name {lfn!r}")
-            if self.lfn_exists(lfn):
-                raise CatalogError(f"logical file name {lfn!r} already in use")
-        else:
-            lfn = self.generate_lfn()
-        self.register_site(site)
-        self.catalog.add_filename_to_collection(self.collection, lfn)
-        self.catalog.create_logical_file_entry(
-            self.collection,
-            lfn,
-            {
-                "size": f"{size:.0f}",
-                "modified": f"{modified:.6f}",
-                "crc": str(crc),
-                **{k: str(v) for k, v in attributes.items()},
-            },
-        )
-        self.catalog.add_filename_to_location(self.collection, site, lfn)
+        lfn = item.get("lfn")
+        if lfn is not None and (not lfn or "/" in lfn or "," in lfn):
+            raise CatalogError(f"invalid logical file name {lfn!r}")
         return lfn
+
+    def _register(self, specs: list[tuple[str, dict]]) -> None:
+        """Name-list and attribute entries for new logical files."""
+        self.catalog.bulk_add_filenames_to_collection(
+            self.collection, [lfn for lfn, _ in specs]
+        )
+        self.catalog.bulk_create_logical_file_entries(
+            self.collection,
+            (
+                (
+                    lfn,
+                    {
+                        "size": f"{item.get('size', 0):.0f}",
+                        "modified": f"{item.get('modified', 0):.6f}",
+                        "crc": str(item.get("crc", 0)),
+                        **{
+                            k: str(v)
+                            for k, v in (item.get("attributes") or {}).items()
+                        },
+                    },
+                )
+                for lfn, item in specs
+            ),
+        )
 
     def publish_bulk(self, site: str, files: list[dict]) -> list[str]:
         """Register a whole file set and its first replicas in one batch.
@@ -136,50 +153,22 @@ class GdmpCatalog:
         specs: list[tuple[str, dict]] = []
         seen: set[str] = set()
         for item in files:
-            if item.get("size", 0) < 0:
-                raise CatalogError("size must be non-negative")
-            lfn = item.get("lfn")
-            if lfn is not None:
-                if not lfn or "/" in lfn or "," in lfn:
-                    raise CatalogError(f"invalid logical file name {lfn!r}")
-                if lfn in seen or self.lfn_exists(lfn):
-                    raise CatalogError(
-                        f"logical file name {lfn!r} already in use"
-                    )
-            else:
+            lfn = self._checked(item)
+            if lfn is None:
                 lfn = self.generate_lfn()
+            elif lfn in seen or self.lfn_exists(lfn):
+                raise CatalogError(f"logical file name {lfn!r} already in use")
             seen.add(lfn)
             specs.append((lfn, item))
         self.register_site(site)
+        self._register(specs)
         lfns = [lfn for lfn, _ in specs]
-        self.catalog.bulk_add_filenames_to_collection(self.collection, lfns)
-        self.catalog.bulk_create_logical_file_entries(
-            self.collection,
-            (
-                (
-                    lfn,
-                    {
-                        "size": f"{item.get('size', 0):.0f}",
-                        "modified": f"{item.get('modified', 0):.6f}",
-                        "crc": str(item.get("crc", 0)),
-                        **{
-                            k: str(v)
-                            for k, v in item.get("attributes", {}).items()
-                        },
-                    },
-                )
-                for lfn, item in specs
-            ),
-        )
         self.catalog.bulk_add_filenames_to_location(self.collection, site, lfns)
         return lfns
 
     def add_replica(self, lfn: str, site: str) -> None:
         """Record that ``site`` now also holds ``lfn``."""
-        if not self.lfn_exists(lfn):
-            raise CatalogError(f"unknown logical file {lfn!r}")
-        self.register_site(site)
-        self.catalog.add_filename_to_location(self.collection, site, lfn)
+        self.add_replicas([lfn], site)
 
     def adopt(
         self,
@@ -199,24 +188,11 @@ class GdmpCatalog:
         ``adopt`` creates the logical-file entry on first contact and is
         idempotent throughout (re-adoption updates nothing).
         """
-        if size < 0:
-            raise CatalogError("size must be non-negative")
-        if not lfn or "/" in lfn or "," in lfn:
-            raise CatalogError(f"invalid logical file name {lfn!r}")
-        self.register_site(site)
-        if not self.lfn_exists(lfn):
-            self.catalog.add_filename_to_collection(self.collection, lfn)
-            self.catalog.create_logical_file_entry(
-                self.collection,
-                lfn,
-                {
-                    "size": f"{size:.0f}",
-                    "modified": f"{modified:.6f}",
-                    "crc": str(crc),
-                    **{k: str(v) for k, v in (attributes or {}).items()},
-                },
-            )
-        self.catalog.add_filename_to_location(self.collection, site, lfn)
+        self.adopt_bulk(
+            [{"lfn": lfn, "size": size, "modified": modified, "crc": crc,
+              "attributes": attributes}],
+            site,
+        )
 
     def adopt_bulk(self, files: list[dict], site: str) -> None:
         """Adopt a whole batch of foreign logical files at one site.
@@ -228,37 +204,15 @@ class GdmpCatalog:
         fresh: list[tuple[str, dict]] = []
         seen: set[str] = set()
         for item in files:
-            lfn = item["lfn"]
-            if item.get("size", 0) < 0:
-                raise CatalogError("size must be non-negative")
-            if not lfn or "/" in lfn or "," in lfn:
+            lfn = self._checked(item)
+            if lfn is None:  # only a publish may leave the name to us
                 raise CatalogError(f"invalid logical file name {lfn!r}")
             if lfn not in seen and not self.lfn_exists(lfn):
                 fresh.append((lfn, item))
             seen.add(lfn)
         self.register_site(site)
         if fresh:
-            self.catalog.bulk_add_filenames_to_collection(
-                self.collection, [lfn for lfn, _ in fresh]
-            )
-            self.catalog.bulk_create_logical_file_entries(
-                self.collection,
-                (
-                    (
-                        lfn,
-                        {
-                            "size": f"{item.get('size', 0):.0f}",
-                            "modified": f"{item.get('modified', 0):.6f}",
-                            "crc": str(item.get("crc", 0)),
-                            **{
-                                k: str(v)
-                                for k, v in item.get("attributes", {}).items()
-                            },
-                        },
-                    )
-                    for lfn, item in fresh
-                ),
-            )
+            self._register(fresh)
         self.catalog.bulk_add_filenames_to_location(
             self.collection, site, [item["lfn"] for item in files]
         )
@@ -293,15 +247,7 @@ class GdmpCatalog:
 
     def info(self, lfn: str) -> LogicalFileInfo:
         """Metadata plus locations of one logical file."""
-        attrs = self.catalog.logical_file_attributes(self.collection, lfn)
-        return LogicalFileInfo(
-            lfn=lfn,
-            size=float(attrs.pop("size", "0")),
-            modified=float(attrs.pop("modified", "0")),
-            crc=int(attrs.pop("crc", "0")),
-            attributes={k: v for k, v in attrs.items() if k != "lfn"},
-            locations=tuple(self.locations(lfn)),
-        )
+        return self.info_bulk([lfn])[0]
 
     def info_bulk(
         self, lfns: list[str], missing_ok: bool = False
@@ -313,29 +259,31 @@ class GdmpCatalog:
         :meth:`~repro.catalog.replica_catalog.ReplicaCatalog.bulk_locations_of`).
         With ``missing_ok`` unknown LFNs are silently skipped — the
         speculative-probe mode sharded lookups use, where "not here" is
-        an answer rather than an error.
+        an answer rather than an error.  Either way an unknown name is
+        settled (skipped, or refused) from its membership/attribute entry
+        before the location entries are walked: a miss is the common
+        answer of a verify-on-use probe and must stay the cheap one.
         """
         if missing_ok:
             lfns = [lfn for lfn in lfns if self.lfn_exists(lfn)]
-            if not lfns:
-                # "none of them here": answered from the membership index
-                # alone, without walking the location entries
-                return []
+        attributes = [
+            self.catalog.logical_file_attributes(self.collection, lfn)
+            for lfn in lfns
+        ]
+        if not lfns:
+            return []
         by_lfn = self.catalog.bulk_locations_of(self.collection, lfns)
-        results = []
-        for lfn in lfns:
-            attrs = self.catalog.logical_file_attributes(self.collection, lfn)
-            results.append(
-                LogicalFileInfo(
-                    lfn=lfn,
-                    size=float(attrs.pop("size", "0")),
-                    modified=float(attrs.pop("modified", "0")),
-                    crc=int(attrs.pop("crc", "0")),
-                    attributes={k: v for k, v in attrs.items() if k != "lfn"},
-                    locations=tuple(by_lfn[lfn]),
-                )
+        return [
+            LogicalFileInfo(
+                lfn=lfn,
+                size=float(attrs.pop("size", "0")),
+                modified=float(attrs.pop("modified", "0")),
+                crc=int(attrs.pop("crc", "0")),
+                attributes={k: v for k, v in attrs.items() if k != "lfn"},
+                locations=tuple(by_lfn[lfn]),
             )
-        return results
+            for lfn, attrs in zip(lfns, attributes)
+        ]
 
     def locations_bulk(self, lfns: list[str]) -> dict[str, list[dict]]:
         """Physical locations for a whole file set in one pass."""

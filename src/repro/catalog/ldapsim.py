@@ -308,7 +308,7 @@ class LdapDirectory:
         #: attr -> value -> insertion-ordered set of DNs holding that value
         self._index: dict[str, dict[str, dict[str, None]]] = {}
         self._filter_cache: dict[str, CompiledFilter] = {}
-        self.operations = 0  # op counter (feeds the catalog-latency bench)
+        self.operations = 0  # directory calls served (search, get, add, ...)
         #: observable search-machinery counters (see DESIGN.md "Catalog")
         self.stats = {
             "filter_cache_hits": 0,
@@ -387,14 +387,7 @@ class LdapDirectory:
 
     def add(self, dn: str, attributes: dict[str, Iterable[str]]) -> Entry:
         """Add an entry; its parent must already exist."""
-        self.operations += 1
-        dn = normalize_dn(dn)
-        if dn in self._entries:
-            raise LdapError(f"entry exists: {dn!r}")
-        parent = parent_dn(dn)
-        if parent is not None and parent not in self._entries:
-            raise LdapError(f"parent {parent!r} of {dn!r} does not exist")
-        return self._insert(dn, attributes)
+        return self.add_many([(dn, attributes)])[0]
 
     def add_many(self, items: Iterable[tuple[str, dict]]) -> list[Entry]:
         """Add a batch of entries in one operation.
@@ -430,19 +423,7 @@ class LdapDirectory:
 
     def delete(self, dn: str) -> None:
         """Delete a leaf entry; entries with children are protected."""
-        self.operations += 1
-        dn = normalize_dn(dn)
-        entry = self._entries.get(dn)
-        if entry is None:
-            raise LdapError(f"no such entry: {dn!r}")
-        if self._children[dn]:
-            raise LdapError(f"entry {dn!r} has children")
-        self._unindex_entry(entry)
-        parent = self._parent.pop(dn)
-        if parent is not None:
-            self._children[parent].pop(dn, None)
-        del self._children[dn]
-        del self._entries[dn]
+        self.delete_many([dn])
 
     def delete_many(self, dns: Iterable[str]) -> None:
         """Delete a batch of leaf entries in one operation.
@@ -480,26 +461,17 @@ class LdapDirectory:
 
     def modify_add(self, dn: str, attr: str, value: str) -> None:
         """Add a value to a (possibly new) attribute; idempotent."""
-        entry = self.get(dn)
-        postings = self._index.get(attr, {}).get(value)
-        if postings is not None and entry.dn in postings:
-            return  # already present (index-backed O(1) membership)
-        entry.attributes.setdefault(attr, []).append(value)
-        self._post(entry.dn, attr, value)
+        self.modify_add_many(dn, attr, [value])
 
     def modify_add_many(self, dn: str, attr: str, values: Iterable[str]) -> None:
         """Add many values to one attribute in one operation; idempotent."""
-        self.operations += 1
-        try:
-            entry = self._entries[normalize_dn(dn)]
-        except KeyError:
-            raise LdapError(f"no such entry: {dn!r}") from None
+        entry = self.get(dn)
         existing = entry.attributes.setdefault(attr, [])
         by_value = self._index.setdefault(attr, {})
         for value in values:
             postings = by_value.get(value)
             if postings is not None and entry.dn in postings:
-                continue
+                continue  # already present (index-backed O(1) membership)
             existing.append(value)
             by_value.setdefault(value, {})[entry.dn] = None
 

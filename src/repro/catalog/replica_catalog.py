@@ -109,8 +109,7 @@ class ReplicaCatalog:
 
     def add_filename_to_collection(self, collection: str, lfn: str) -> None:
         """Register a logical file name in the collection's name list."""
-        self._require_collection(collection)
-        self.directory.modify_add(self.collection_dn(collection), "filename", lfn)
+        self.bulk_add_filenames_to_collection(collection, [lfn])
 
     def remove_filename_from_collection(self, collection: str, lfn: str) -> None:
         """Remove a logical file name from the collection's name list."""
@@ -197,14 +196,7 @@ class ReplicaCatalog:
         self, collection: str, location: str, lfn: str
     ) -> None:
         """Record that the location holds a replica of the logical file."""
-        if not self.collection_contains(collection, lfn):
-            raise CatalogError(
-                f"{lfn!r} is not in collection {collection!r}; register it first"
-            )
-        dn = self.location_dn(collection, location)
-        if not self.directory.exists(dn):
-            raise CatalogError(f"no location {location!r} in {collection!r}")
-        self.directory.modify_add(dn, "filename", lfn)
+        self.bulk_add_filenames_to_location(collection, location, [lfn])
 
     def bulk_add_filenames_to_location(
         self, collection: str, location: str, lfns: Iterable[str]
@@ -267,18 +259,7 @@ class ReplicaCatalog:
         self, collection: str, lfn: str, attributes: dict[str, str]
     ) -> None:
         """Create the optional attribute-value entry for a logical file."""
-        self._require_collection(collection)
-        try:
-            self.directory.add(
-                self.logical_file_dn(collection, lfn),
-                {
-                    "objectClass": ["GlobusReplicaLogicalFile"],
-                    "lfn": [lfn],
-                    **{k: [str(v)] for k, v in attributes.items()},
-                },
-            )
-        except LdapError as exc:
-            raise CatalogError(str(exc)) from exc
+        self.bulk_create_logical_file_entries(collection, [(lfn, attributes)])
 
     def logical_file_attributes(self, collection: str, lfn: str) -> dict[str, str]:
         """Attribute-value pairs stored for a logical file."""
@@ -317,10 +298,7 @@ class ReplicaCatalog:
 
     def delete_logical_file_entry(self, collection: str, lfn: str) -> None:
         """Delete a logical file's attribute entry."""
-        try:
-            self.directory.delete(self.logical_file_dn(collection, lfn))
-        except LdapError as exc:
-            raise CatalogError(str(exc)) from exc
+        self.bulk_delete_logical_file_entries(collection, [lfn])
 
     def bulk_delete_logical_file_entries(
         self, collection: str, lfns: Iterable[str]
@@ -370,7 +348,7 @@ class ReplicaCatalog:
             location = entry.dn.split(",", 1)[0].split("=", 1)[1]
             hostname = entry.first("hostname", "")
             prefix = entry.first("urlPrefix", "").rstrip("/")
-            for lfn in lfns:
+            for lfn in results:  # each name once, however often it was asked
                 if self.directory.has_value(entry.dn, "filename", lfn):
                     results[lfn].append(
                         {

@@ -287,7 +287,6 @@ class ChunkDirectoryService:
             "targets": targets,
             "needed": needed,
         }
-        yield  # pragma: no cover - generator marker
 
     def _op_commit(self, request: AuthenticatedRequest):
         p = request.payload
@@ -296,7 +295,6 @@ class ChunkDirectoryService:
         )
         self._count("commit")
         return result
-        yield  # pragma: no cover
 
     def _op_manifest(self, request: AuthenticatedRequest):
         manifest, locations, targets = self.directory.manifest_info(
@@ -308,12 +306,10 @@ class ChunkDirectoryService:
             "locations": locations,
             "targets": targets,
         }
-        yield  # pragma: no cover
 
     def _op_list(self, request: AuthenticatedRequest):
         state = request.payload.get("state", "committed")
         return self.directory.objects(state)
-        yield  # pragma: no cover
 
     def _op_repair_done(self, request: AuthenticatedRequest):
         p = request.payload
@@ -324,7 +320,6 @@ class ChunkDirectoryService:
         )
         self._count("repair_done")
         return result
-        yield  # pragma: no cover
 
 
 class ChunkDirectoryProxy(RequestProxy):

@@ -32,6 +32,8 @@ trace.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.faults.campaign import FaultCampaign, FaultEvent
 from repro.gdmp.request_manager import RequestServer
 from repro.simulation.kernel import Process
@@ -41,12 +43,49 @@ __all__ = ["FaultInjector"]
 
 #: operation prefix black-holed/delayed on the catalog host's gdmp service
 _CATALOG_PREFIX = "catalog."
-#: operation prefixes for the Replica Location Index faults: the whole
-#: index, or just its digest feed (lookups keep answering, stale)
-_RLI_PREFIX = "rli."
-_DIGEST_PREFIX = "rli.push_digest"
-#: operation prefix for the grid weather plane (forecast pushes + pulls)
-_WEATHER_PREFIX = "weather."
+
+
+@dataclass(frozen=True)
+class _Blackhole:
+    """One kind of control-plane black-hole window: while one is open,
+    every operation under ``prefix`` of the gdmp service vanishes at the
+    event's target host — or, ``grid_wide``, at every site."""
+
+    key: str                # refcount key in ``active_faults()``; a
+                            # ``<key>_restore`` event closes a window
+    down: str               # event kind that opens one (and span name)
+    prefix: str
+    plane: str = ""         # grid attribute that must be built, if any
+    missing: str = ""       # ... and what the grid lacks when it is not
+    grid_wide: bool = False
+
+
+_BLACKHOLES = (
+    _Blackhole("catalog", "catalog_blackhole", _CATALOG_PREFIX),
+    # the whole index: digest pushes are lost (soft state — sources
+    # re-push after the window) and lookups time out, degrading readers
+    # to verify-on-use broadcasts over the LRCs
+    _Blackhole("rli", "rli_blackhole", "rli.",
+               plane="rls", missing="replica location service"),
+    # only the digest feed: the index keeps serving lookups, but its
+    # answers go stale — verify-on-use must absorb the drift until the
+    # window closes and the re-pushed digests converge the index
+    _Blackhole("digest", "digest_loss", "rli.push_digest",
+               plane="rls", missing="replica location service"),
+    # an observatory outage: forecast pushes are dropped at every
+    # subscriber and ``weather.report`` pulls vanish at the station.  Site
+    # caches silently age past the staleness horizon and replica selection
+    # degrades to the probe ladder; nothing retries — the first pushes
+    # after the restore reconverge it (soft state)
+    _Blackhole("weather", "weather_blackhole", "weather.",
+               plane="weather", missing="weather service", grid_wide=True),
+)
+#: event kind -> (the black-hole it opens or closes, whether it opens it)
+_BLACKHOLE_EVENTS = {
+    kind: (hole, kind == hole.down)
+    for hole in _BLACKHOLES
+    for kind in (hole.down, f"{hole.key}_restore")
+}
 
 
 class FaultInjector:
@@ -83,7 +122,10 @@ class FaultInjector:
         return self.injected
 
     def _apply(self, event: FaultEvent) -> None:
-        getattr(self, "_apply_" + event.kind)(event)
+        if event.kind in _BLACKHOLE_EVENTS:
+            self._blackhole(event, *_BLACKHOLE_EVENTS[event.kind])
+        else:
+            getattr(self, "_apply_" + event.kind)(event)
         self.injected += 1
         self.monitor.count(f"faults.{event.kind}")
         if self.grid.metrics is not None:
@@ -226,26 +268,28 @@ class FaultInjector:
         self._site_mss(event.target).inject_errors(int(event.param) or 1)
         self._flash_span("fault:mss_error", event.target)
 
-    # -- replica catalog --------------------------------------------------------
-    def _apply_catalog_blackhole(self, event: FaultEvent) -> None:
-        key = ("catalog", event.target)
-        if self._bump(key, +1) > 1:
-            return
-        self.grid.msgnet.set_service_down(
-            event.target, RequestServer.SERVICE, True,
-            prefix=_CATALOG_PREFIX,
-        )
-        self._open_span(key, "fault:catalog_blackhole")
-
-    def _apply_catalog_restore(self, event: FaultEvent) -> None:
-        key = ("catalog", event.target)
-        if self._bump(key, -1) == 0:
-            self.grid.msgnet.set_service_down(
-                event.target, RequestServer.SERVICE, False,
-                prefix=_CATALOG_PREFIX,
+    # -- control-plane black-holes (catalog, RLI, digest feed, weather) ---------
+    def _blackhole(self, event: FaultEvent, hole: _Blackhole, down: bool) -> None:
+        """Open or close one window of ``hole`` (refcounted per target)."""
+        if down and hole.plane and getattr(self.grid, hole.plane, None) is None:
+            raise ValueError(
+                f"cannot apply {event.kind!r}: this grid has no "
+                f"{hole.missing} (build it with DataGrid({hole.plane}=...))"
             )
+        key = (hole.key, event.target)
+        if self._bump(key, +1 if down else -1) != int(down):
+            return  # a nested window: the outermost pair does the work
+        hosts = sorted(self.grid.sites) if hole.grid_wide else [event.target]
+        for host in hosts:
+            self.grid.msgnet.set_service_down(
+                host, RequestServer.SERVICE, down, prefix=hole.prefix
+            )
+        if down:
+            self._open_span(key, f"fault:{hole.down}")
+        else:
             self._close_span(key)
 
+    # -- replica catalog --------------------------------------------------------
     def _apply_catalog_delay(self, event: FaultEvent) -> None:
         self.grid.msgnet.set_service_delay(
             event.target, RequestServer.SERVICE, extra=event.param,
@@ -259,98 +303,6 @@ class FaultInjector:
             event.target, RequestServer.SERVICE, extra=0.0,
             prefix=_CATALOG_PREFIX,
         )
-
-    # -- replica location index --------------------------------------------------
-    def _require_rls(self, kind: str) -> None:
-        if getattr(self.grid, "rls", None) is None:
-            raise ValueError(
-                f"cannot apply {kind!r}: this grid has no replica "
-                "location service (build it with DataGrid(rls=...))"
-            )
-
-    def _apply_rli_blackhole(self, event: FaultEvent) -> None:
-        """Black-hole every ``rli.*`` operation at the index host: digest
-        pushes are lost (soft state — sources re-push after the window)
-        and lookups time out, degrading readers to verify-on-use
-        broadcasts over the LRCs."""
-        self._require_rls("rli_blackhole")
-        key = ("rli", event.target)
-        if self._bump(key, +1) > 1:
-            return
-        self.grid.msgnet.set_service_down(
-            event.target, RequestServer.SERVICE, True,
-            prefix=_RLI_PREFIX,
-        )
-        self._open_span(key, "fault:rli_blackhole")
-
-    def _apply_rli_restore(self, event: FaultEvent) -> None:
-        key = ("rli", event.target)
-        if self._bump(key, -1) == 0:
-            self.grid.msgnet.set_service_down(
-                event.target, RequestServer.SERVICE, False,
-                prefix=_RLI_PREFIX,
-            )
-            self._close_span(key)
-
-    def _apply_digest_loss(self, event: FaultEvent) -> None:
-        """Drop only the digest feed (``rli.push_digest``): the index
-        keeps serving lookups, but its answers go stale — the
-        verify-on-use path must absorb the drift until the window closes
-        and the re-pushed digests converge the index."""
-        self._require_rls("digest_loss")
-        key = ("digest", event.target)
-        if self._bump(key, +1) > 1:
-            return
-        self.grid.msgnet.set_service_down(
-            event.target, RequestServer.SERVICE, True,
-            prefix=_DIGEST_PREFIX,
-        )
-        self._open_span(key, "fault:digest_loss")
-
-    def _apply_digest_restore(self, event: FaultEvent) -> None:
-        key = ("digest", event.target)
-        if self._bump(key, -1) == 0:
-            self.grid.msgnet.set_service_down(
-                event.target, RequestServer.SERVICE, False,
-                prefix=_DIGEST_PREFIX,
-            )
-            self._close_span(key)
-
-    # -- grid weather plane ------------------------------------------------------
-    def _require_weather(self, kind: str) -> None:
-        if getattr(self.grid, "weather", None) is None:
-            raise ValueError(
-                f"cannot apply {kind!r}: this grid has no weather "
-                "service (build it with DataGrid(weather=...))"
-            )
-
-    def _apply_weather_blackhole(self, event: FaultEvent) -> None:
-        """Black-hole every ``weather.*`` operation grid-wide: forecast
-        pushes are dropped at every subscriber and ``weather.report``
-        pulls vanish at the station, modelling an observatory outage.
-        Site caches silently age past the staleness horizon and replica
-        selection degrades to the probe ladder; nothing retries — the
-        first pushes after the restore reconverge it (soft state)."""
-        self._require_weather("weather_blackhole")
-        key = ("weather", event.target)
-        if self._bump(key, +1) > 1:
-            return
-        for name in sorted(self.grid.sites):
-            self.grid.msgnet.set_service_down(
-                name, RequestServer.SERVICE, True,
-                prefix=_WEATHER_PREFIX,
-            )
-        self._open_span(key, "fault:weather_blackhole")
-
-    def _apply_weather_restore(self, event: FaultEvent) -> None:
-        key = ("weather", event.target)
-        if self._bump(key, -1) == 0:
-            for name in sorted(self.grid.sites):
-                self.grid.msgnet.set_service_down(
-                    name, RequestServer.SERVICE, False,
-                    prefix=_WEATHER_PREFIX,
-                )
-            self._close_span(key)
 
     # -- chunk stores -------------------------------------------------------------
     _CHUNK_PREFIX = "chunks/"

@@ -24,21 +24,11 @@ older than its own replica copy.
 from __future__ import annotations
 
 from repro.catalog.gdmp_catalog import GdmpCatalog
-from repro.gdmp.replica_service import (
-    READ_OPERATIONS,
-    CatalogProxy,
-    ReplicaCatalogService,
-)
+from repro.catalog.operations import OPERATIONS, READ_OPERATIONS
+from repro.gdmp.replica_service import CatalogProxy, ReplicaCatalogService
 from repro.gdmp.request_manager import AuthenticatedRequest, GdmpError
 
 __all__ = ["CatalogReplica", "ReplicatedCatalogProxy", "enable_catalog_replication"]
-
-
-def _affected_lfns(operation: str, data: dict) -> list[str]:
-    """The LFNs a propagated write touches (for cache invalidation)."""
-    if operation in ("publish_bulk", "add_replica_bulk", "remove_replica_bulk"):
-        return list(data["lfns"])
-    return [data["lfn"]]
 
 
 class CatalogReplica:
@@ -53,69 +43,28 @@ class CatalogReplica:
         self.apply_listeners: list = []
         # read operations answer from the local copy
         for op in READ_OPERATIONS:
-            site.request_server.register(f"catalog.{op}", self._make_read(op))
+            site.request_server.register(
+                f"catalog.{op}",
+                lambda request, read=OPERATIONS[op].apply: read(
+                    self.catalog, request.payload
+                ),
+            )
         # the primary pushes writes here
         site.request_server.register("catalog.apply", self._op_apply)
 
-    def _make_read(self, op: str):
-        catalog = self.catalog
-
-        def handler(request: AuthenticatedRequest, op=op):
-            payload = request.payload
-            if op == "locations":
-                return catalog.locations(payload["lfn"])
-            if op == "locations_bulk":
-                return catalog.locations_bulk(list(payload["lfns"]))
-            if op == "info":
-                return catalog.info(payload["lfn"])
-            if op == "info_bulk":
-                return catalog.info_bulk(list(payload["lfns"]))
-            if op == "search":
-                return catalog.search(payload["filter"])
-            if op == "site_files":
-                return catalog.site_files(payload["site"])
-            if op == "lfn_exists":
-                return catalog.lfn_exists(payload["lfn"])
-            if op == "list_lfns":
-                return catalog.list_lfns()
-            raise GdmpError(f"unknown read operation {op!r}")  # pragma: no cover
-            yield  # pragma: no cover - generator marker
-
-        return handler
-
     def _op_apply(self, request: AuthenticatedRequest):
-        operation = request.payload["operation"]
-        data = request.payload["data"]
-        self.apply(operation, data)
+        self.apply(request.payload["operation"], request.payload["data"])
         return True
-        yield  # pragma: no cover
 
     def apply(self, operation: str, data: dict) -> None:
-        """Apply one propagated write (possibly a whole batch) locally."""
-        if operation == "publish":
-            self.catalog.publish(
-                data["site"],
-                size=data["size"],
-                modified=data["modified"],
-                crc=data["crc"],
-                lfn=data["lfn"],
-                **data.get("attributes", {}),
-            )
-        elif operation == "publish_bulk":
-            # the primary filled in generated LFNs, so this replays exactly
-            self.catalog.publish_bulk(data["site"], data["files"])
-        elif operation == "add_replica":
-            self.catalog.add_replica(data["lfn"], data["site"])
-        elif operation == "add_replica_bulk":
-            self.catalog.add_replicas(list(data["lfns"]), data["site"])
-        elif operation == "remove_replica":
-            self.catalog.remove_replica(data["lfn"], data["site"])
-        elif operation == "remove_replica_bulk":
-            self.catalog.remove_replicas(list(data["lfns"]), data["site"])
-        else:
+        """Apply one propagated write (possibly a whole batch) locally.
+        The primary filled in generated LFNs, so this replays exactly."""
+        row = OPERATIONS.get(operation)
+        if row is None or row.effect is None:
             raise GdmpError(f"unknown catalog write {operation!r}")
+        row.apply(self.catalog, data)
         self.applied_writes += 1
-        lfns = _affected_lfns(operation, data)
+        lfns = row.lfns(data)
         for listener in self.apply_listeners:
             listener(lfns)
 
@@ -128,9 +77,8 @@ class ReplicatedCatalogProxy(CatalogProxy):
     so the location cache behaves identically in both deployments.
     """
 
-    def __init__(self, client, primary_host: str, read_host: str,
-                 cache: bool = True):
-        super().__init__(client, primary_host, cache=cache)
+    def __init__(self, client, primary_host: str, read_host: str):
+        super().__init__(client, primary_host)
         self.read_host = read_host
 
 
@@ -154,20 +102,14 @@ def enable_catalog_replication(grid, replica_sites: list[str]) -> dict:
             raise ValueError("the primary already holds the catalog")
         site = grid.site(name)
         replica = CatalogReplica(site)
-        # seed from the primary's current state
-        for lfn in service.catalog.list_lfns():
-            info = service.catalog.info(lfn)
-            locations = [loc["location"] for loc in info.locations]
-            replica.catalog.publish(
-                locations[0],
-                size=info.size,
-                modified=info.modified,
-                crc=info.crc,
-                lfn=lfn,
-                **info.attributes,
-            )
-            for extra in locations[1:]:
-                replica.catalog.add_replica(lfn, extra)
+        # seed from the primary's current state: the first location
+        # adopted creates the entry, the others only add their record
+        for info in map(service.catalog.info, service.catalog.list_lfns()):
+            for location in info.locations:
+                replica.catalog.adopt(
+                    info.lfn, location["location"], info.size, info.modified,
+                    info.crc, info.attributes,
+                )
         replicas[name] = replica
 
     primary_site = grid.site(primary_host)

@@ -28,9 +28,11 @@ bottleneck):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.catalog.gdmp_catalog import GdmpCatalog, LogicalFileInfo
+from repro.catalog.operations import OPERATIONS, CatalogOperation
 from repro.catalog.replica_catalog import CatalogError
 from repro.gdmp.request_manager import (
     AuthenticatedRequest,
@@ -47,35 +49,7 @@ __all__ = [
     "ReplicaCatalogService",
     "CatalogProxy",
     "BULK_ITEM_SIZE",
-    "READ_OPERATIONS",
-    "WRITE_OPERATIONS",
 ]
-
-SERVICE_NAME = "replica-catalog"
-
-#: ``catalog.*`` operations that change the catalog (exactly-once)
-WRITE_OPERATIONS = (
-    "publish",
-    "publish_bulk",
-    "add_replica",
-    "add_replica_bulk",
-    "adopt",
-    "adopt_bulk",
-    "remove_replica",
-    "remove_replica_bulk",
-)
-
-#: ``catalog.*`` operations any catalog copy can answer
-READ_OPERATIONS = (
-    "locations",
-    "locations_bulk",
-    "info",
-    "info_bulk",
-    "search",
-    "site_files",
-    "lfn_exists",
-    "list_lfns",
-)
 
 #: Wire-size increment per batched item: one envelope carrying N
 #: registrations costs a header plus N compact records, far below N full
@@ -104,177 +78,34 @@ class ReplicaCatalogService:
         #: not re-applied: no duplicate LFNs from a retried ``publish``,
         #: no double notifications
         self.replay = ReplayWindow(server.sim, metrics, "catalog.txn_replays")
-        for op in WRITE_OPERATIONS:
+        for row in OPERATIONS.values():
             server.register(
-                f"catalog.{op}", getattr(self, f"_op_{op}"), replay=self.replay
+                f"catalog.{row.name}",
+                partial(self._handle, row),
+                replay=None if row.effect is None else self.replay,
             )
-        for op in READ_OPERATIONS:
-            server.register(f"catalog.{op}", getattr(self, f"_op_{op}"))
 
-    # Handlers are generators (the request manager spawns them); catalog
-    # operations themselves are in-memory and immediate.
-    def _observe_batch(self, op: str, n_items: int) -> None:
-        if self.metrics is not None:
+    def _handle(self, row: CatalogOperation, request: AuthenticatedRequest):
+        """Every ``catalog.*`` request: catalog operations are in-memory
+        and immediate, so the handler is a plain function."""
+        payload = request.payload
+        if row.batch is not None and self.metrics is not None:
             self.metrics.histogram(
-                "catalog.bulk.batch_size", bounds=_BATCH_BOUNDS, op=op
-            ).observe(n_items)
-
-    def _notify_write(self, operation: str, payload) -> None:
+                "catalog.bulk.batch_size", bounds=_BATCH_BOUNDS,
+                op=row.name.removesuffix("_bulk"),  # one series per operation
+            ).observe(row.n_items(payload))
+        try:
+            answer = row.apply(self.catalog, payload)
+        except CatalogError as exc:
+            raise GdmpError(str(exc)) from exc
+        if row.effect is None:
+            return answer
+        if not row.mints:
+            answer = True
+        propagated = row.propagated(payload, answer)
         for listener in self.write_listeners:
-            listener(operation, payload)
-
-    def _op_publish(self, request: AuthenticatedRequest):
-        p = request.payload
-        try:
-            lfn = self.catalog.publish(
-                p["site"],
-                size=p["size"],
-                modified=p["modified"],
-                crc=p["crc"],
-                lfn=p.get("lfn"),
-                **p.get("attributes", {}),
-            )
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        self._notify_write("publish", {**p, "lfn": lfn})
-        return lfn
-        yield  # pragma: no cover - marks this function as a generator
-
-    def _op_publish_bulk(self, request: AuthenticatedRequest):
-        p = request.payload
-        self._observe_batch("publish", len(p["files"]))
-        try:
-            lfns = self.catalog.publish_bulk(p["site"], p["files"])
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        # propagate with the generated LFNs filled in, so replicas replay
-        # the registration byte-for-byte
-        files = [
-            {**item, "lfn": lfn} for item, lfn in zip(p["files"], lfns)
-        ]
-        self._notify_write(
-            "publish_bulk", {"site": p["site"], "files": files, "lfns": lfns}
-        )
-        return lfns
-        yield  # pragma: no cover
-
-    def _op_add_replica(self, request: AuthenticatedRequest):
-        p = request.payload
-        try:
-            self.catalog.add_replica(p["lfn"], p["site"])
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        self._notify_write("add_replica", dict(p))
-        return True
-        yield  # pragma: no cover
-
-    def _op_add_replica_bulk(self, request: AuthenticatedRequest):
-        p = request.payload
-        self._observe_batch("add_replica", len(p["lfns"]))
-        try:
-            self.catalog.add_replicas(list(p["lfns"]), p["site"])
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        self._notify_write("add_replica_bulk", dict(p))
-        return True
-        yield  # pragma: no cover
-
-    def _op_adopt(self, request: AuthenticatedRequest):
-        p = request.payload
-        try:
-            self.catalog.adopt(
-                p["lfn"],
-                p["site"],
-                size=p["size"],
-                modified=p["modified"],
-                crc=p["crc"],
-                attributes=p.get("attributes"),
-            )
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        self._notify_write("adopt", dict(p))
-        return True
-        yield  # pragma: no cover
-
-    def _op_adopt_bulk(self, request: AuthenticatedRequest):
-        p = request.payload
-        self._observe_batch("adopt", len(p["files"]))
-        try:
-            self.catalog.adopt_bulk(list(p["files"]), p["site"])
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        self._notify_write(
-            "adopt_bulk", {**p, "lfns": [item["lfn"] for item in p["files"]]}
-        )
-        return True
-        yield  # pragma: no cover
-
-    def _op_remove_replica(self, request: AuthenticatedRequest):
-        p = request.payload
-        try:
-            self.catalog.remove_replica(p["lfn"], p["site"])
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        self._notify_write("remove_replica", dict(p))
-        return True
-        yield  # pragma: no cover
-
-    def _op_remove_replica_bulk(self, request: AuthenticatedRequest):
-        p = request.payload
-        self._observe_batch("remove_replica", len(p["lfns"]))
-        try:
-            self.catalog.remove_replicas(list(p["lfns"]), p["site"])
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        self._notify_write("remove_replica_bulk", dict(p))
-        return True
-        yield  # pragma: no cover
-
-    def _op_locations(self, request: AuthenticatedRequest):
-        return self.catalog.locations(request.payload["lfn"])
-        yield  # pragma: no cover
-
-    def _op_locations_bulk(self, request: AuthenticatedRequest):
-        self._observe_batch("locations", len(request.payload["lfns"]))
-        return self.catalog.locations_bulk(list(request.payload["lfns"]))
-        yield  # pragma: no cover
-
-    def _op_info(self, request: AuthenticatedRequest):
-        try:
-            return self.catalog.info(request.payload["lfn"])
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        yield  # pragma: no cover
-
-    def _op_info_bulk(self, request: AuthenticatedRequest):
-        self._observe_batch("info", len(request.payload["lfns"]))
-        try:
-            return self.catalog.info_bulk(
-                list(request.payload["lfns"]),
-                missing_ok=request.payload.get("missing_ok", False),
-            )
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        yield  # pragma: no cover
-
-    def _op_search(self, request: AuthenticatedRequest):
-        try:
-            return self.catalog.search(request.payload["filter"])
-        except CatalogError as exc:
-            raise GdmpError(str(exc)) from exc
-        yield  # pragma: no cover
-
-    def _op_site_files(self, request: AuthenticatedRequest):
-        return self.catalog.site_files(request.payload["site"])
-        yield  # pragma: no cover
-
-    def _op_lfn_exists(self, request: AuthenticatedRequest):
-        return self.catalog.lfn_exists(request.payload["lfn"])
-        yield  # pragma: no cover
-
-    def _op_list_lfns(self, request: AuthenticatedRequest):
-        return self.catalog.list_lfns()
-        yield  # pragma: no cover
+            listener(row.name, propagated)
+        return answer
 
 
 class _NegativeEntry:
@@ -300,18 +131,13 @@ class CatalogProxy(RequestProxy):
 
     ITEM_SIZE = BULK_ITEM_SIZE
 
-    def __init__(
-        self,
-        client: RequestClient,
-        catalog_host: str,
-        cache: bool = True,
-    ):
+    def __init__(self, client: RequestClient, catalog_host: str):
         super().__init__(client, catalog_host)
         #: reads go here; catalog replication points it at a nearer copy
         self.read_host = catalog_host
         #: client-side info/locations cache toggle (experiments measuring
         #: raw deployment latency switch it off)
-        self.cache_enabled = cache
+        self.cache_enabled = True
         self._cache: dict[tuple[str, str], object] = {}
         self.stats = {
             "cache_hits": 0,
@@ -322,11 +148,15 @@ class CatalogProxy(RequestProxy):
         }
 
     # -- plumbing -------------------------------------------------------------
-    def _guarded(self, host: str, operation: str, payload, n_items: int,
+    def _guarded(self, host: str, op: str, payload: dict,
                  idempotent: bool = False) -> Process:
-        """One call under a guard process that counts the envelope and
-        drops the whole cache when the catalog host looks unwell."""
+        """One ``catalog.<op>`` call, its envelope sized by the batch the
+        operation table says it carries, under a guard process that counts
+        the envelope and drops the whole cache when the catalog host looks
+        unwell."""
         self.stats["envelopes"] += 1
+        operation = f"catalog.{op}"
+        n_items = OPERATIONS[op].n_items(payload)
 
         def guarded():
             # The RPC process is created *inside* the guard, so the guard
@@ -357,13 +187,23 @@ class CatalogProxy(RequestProxy):
             guarded(), name=f"catalog-guard {operation}"
         )
 
-    def _read(self, operation: str, payload, n_items: int = 0) -> Process:
-        return self._guarded(self.read_host, operation, payload, n_items)
+    def _read(self, op: str, payload: dict) -> Process:
+        return self._guarded(self.read_host, op, payload)
 
-    def _write(self, operation: str, payload, n_items: int = 0) -> Process:
-        return self._guarded(
-            self.server_host, operation, payload, n_items, idempotent=True
-        )
+    def _write(self, op: str, payload: dict) -> Process:
+        return self._guarded(self.server_host, op, payload, idempotent=True)
+
+    def _apply_write(self, op: str, payload: dict):
+        """Generator: one write, then this site's cached answers dropped
+        for every LFN the operation table says it touched (names the
+        catalog generated come back in the answer)."""
+        answer = yield self._write(op, payload)
+        for lfn in OPERATIONS[op].lfns(payload, answer):
+            self.invalidate(lfn)
+        return answer
+
+    def _spawn_write(self, name: str, op: str, **payload) -> Process:
+        return self.client.sim.spawn(self._apply_write(op, payload), name=name)
 
     def _immediate(self, value) -> Process:
         """A completed-at-now process carrying a cached value."""
@@ -397,6 +237,27 @@ class CatalogProxy(RequestProxy):
         if self.cache_enabled:
             self._cache[key] = value
 
+    def _cache_locations(self, lfn: str, locations) -> None:
+        # snapshot copies: callers may mutate the dicts they receive
+        self._cache_put(("locations", lfn), tuple(dict(loc) for loc in locations))
+
+    def _cached_read(self, kind: str, lfn: str, name: str, miss) -> Process:
+        """One per-name read: the cached ``kind`` answer as a completed
+        process (an absence re-raised or answered False, and counted) —
+        or, when the question has to travel, ``miss()``: a generator
+        that fetches the answer, caches it and returns it."""
+        cached = self._cache_get((kind, lfn))
+        if cached is None:
+            return self.client.sim.spawn(miss(), name=f"{name} {lfn}")
+        if isinstance(cached, _NegativeEntry):
+            self.stats["negative_hits"] += 1
+            return self._immediate_error(cached.error)
+        if cached is False:
+            self.stats["negative_hits"] += 1
+        elif kind == "locations":
+            cached = [dict(loc) for loc in cached]
+        return self._immediate(cached)
+
     def invalidate(self, lfn: Optional[str] = None) -> None:
         """Drop cached answers for one LFN (or all of them).
 
@@ -421,130 +282,63 @@ class CatalogProxy(RequestProxy):
         **attributes,
     ) -> Process:
         """Register a new logical file and its first replica (one WAN call)."""
-
-        def run():
-            result = yield self._write(
-                "catalog.publish",
-                {
-                    "site": site,
-                    "size": size,
-                    "modified": modified,
-                    "crc": crc,
-                    "lfn": lfn,
-                    "attributes": attributes,
-                },
-            )
-            self.invalidate(result)
-            return result
-
-        return self.client.sim.spawn(run(), name=f"catalog-publish {lfn}")
+        return self._spawn_write(
+            f"catalog-publish {lfn}", "publish", site=site, size=size,
+            modified=modified, crc=crc, lfn=lfn, attributes=attributes,
+        )
 
     def publish_bulk(self, site: str, files: list[dict]) -> Process:
         """Register a whole file set in one envelope carrying N
         registrations.  Returns the list of LFNs."""
-
-        def run():
-            lfns = yield self._write(
-                "catalog.publish_bulk",
-                {"site": site, "files": files},
-                n_items=len(files),
-            )
-            for fresh in lfns:
-                self.invalidate(fresh)
-            return lfns
-
-        return self.client.sim.spawn(
-            run(), name=f"catalog-publish-bulk x{len(files)}"
+        return self._spawn_write(
+            f"catalog-publish-bulk x{len(files)}", "publish_bulk",
+            site=site, files=files,
         )
 
     def add_replica(self, lfn: str, site: str) -> Process:
         """Record an additional replica of a logical file."""
-
-        def run():
-            result = yield self._write(
-                "catalog.add_replica", {"lfn": lfn, "site": site}
-            )
-            self.invalidate(lfn)
-            return result
-
-        return self.client.sim.spawn(run(), name=f"catalog-add-replica {lfn}")
+        return self._spawn_write(
+            f"catalog-add-replica {lfn}", "add_replica", lfn=lfn, site=site
+        )
 
     def add_replicas(self, lfns: list[str], site: str) -> Process:
         """Record a batch of new replicas at one site in one envelope —
         the flush of a transfer set's deferred registrations."""
-
-        def run():
-            result = yield self._write(
-                "catalog.add_replica_bulk",
-                {"lfns": list(lfns), "site": site},
-                n_items=len(lfns),
-            )
-            for lfn in lfns:
-                self.invalidate(lfn)
-            return result
-
-        return self.client.sim.spawn(
-            run(), name=f"catalog-add-replicas x{len(lfns)}"
+        return self._spawn_write(
+            f"catalog-add-replicas x{len(lfns)}", "add_replica_bulk",
+            lfns=list(lfns), site=site,
         )
 
     def remove_replica(self, lfn: str, site: str) -> Process:
         """Remove a replica record (retiring the LFN when it was the last)."""
-
-        def run():
-            result = yield self._write(
-                "catalog.remove_replica", {"lfn": lfn, "site": site}
-            )
-            self.invalidate(lfn)
-            return result
-
-        return self.client.sim.spawn(run(), name=f"catalog-remove-replica {lfn}")
+        return self._spawn_write(
+            f"catalog-remove-replica {lfn}", "remove_replica", lfn=lfn, site=site
+        )
 
     def remove_replicas(self, lfns: list[str], site: str) -> Process:
         """Remove a batch of replica records in one envelope."""
-
-        def run():
-            result = yield self._write(
-                "catalog.remove_replica_bulk",
-                {"lfns": list(lfns), "site": site},
-                n_items=len(lfns),
-            )
-            for lfn in lfns:
-                self.invalidate(lfn)
-            return result
-
-        return self.client.sim.spawn(
-            run(), name=f"catalog-remove-replicas x{len(lfns)}"
+        return self._spawn_write(
+            f"catalog-remove-replicas x{len(lfns)}", "remove_replica_bulk",
+            lfns=list(lfns), site=site,
         )
 
     # -- reads (served by read_host; info/locations cached) -----------------------
     def locations(self, lfn: str) -> Process:
         """All physical locations of a logical file."""
-        cached = self._cache_get(("locations", lfn))
-        if cached is not None:
-            return self._immediate([dict(loc) for loc in cached])
 
-        def run():
-            result = yield self._read("catalog.locations", {"lfn": lfn})
-            # snapshot copies: callers may mutate the dicts they receive
-            self._cache_put(
-                ("locations", lfn), tuple(dict(loc) for loc in result)
-            )
+        def miss():
+            result = yield self._read("locations", {"lfn": lfn})
+            self._cache_locations(lfn, result)
             return result
 
-        return self.client.sim.spawn(run(), name=f"catalog-locations {lfn}")
+        return self._cached_read("locations", lfn, "catalog-locations", miss)
 
     def info(self, lfn: str) -> Process:
         """Metadata and locations of a logical file."""
-        cached = self._cache_get(("info", lfn))
-        if isinstance(cached, _NegativeEntry):
-            self.stats["negative_hits"] += 1
-            return self._immediate_error(cached.error)
-        if cached is not None:
-            return self._immediate(cached)
 
-        def run():
+        def miss():
             try:
-                result = yield self._read("catalog.info", {"lfn": lfn})
+                result = yield self._read("info", {"lfn": lfn})
             except RemoteError as exc:
                 # An application-level "unknown logical file" is a stable
                 # answer until someone publishes it: cache the absence.
@@ -554,12 +348,20 @@ class CatalogProxy(RequestProxy):
                 self._cache_put(("info", lfn), result)
             return result
 
-        return self.client.sim.spawn(run(), name=f"catalog-info {lfn}")
+        return self._cached_read("info", lfn, "catalog-info", miss)
+
+    def _fetch_infos(self, lfns: list[str]):
+        """Generator: ``{lfn: info}`` for names the cache could not
+        answer, in one envelope; an unknown name raises."""
+        fetched = yield self._read("info_bulk", {"lfns": lfns})
+        for info in fetched:
+            self._cache_put(("info", info.lfn), info)
+        return {info.lfn: info for info in fetched}
 
     def info_bulk(self, lfns: list[str]) -> Process:
         """Metadata and locations for a whole file set: cached entries are
-        served locally, the misses travel in one envelope, and the answers
-        warm the cache for the per-file pipeline that follows."""
+        served locally, the misses travel together, and the answers warm
+        the cache for the per-file pipeline that follows."""
         lfns = list(lfns)
 
         def run():
@@ -571,37 +373,22 @@ class CatalogProxy(RequestProxy):
                     known[lfn] = cached
                 else:
                     # negative entries re-probe: the bulk contract raises
-                    # for unknown LFNs, so let the server say so
+                    # for unknown LFNs, so let the catalog say so
                     missing.append(lfn)
             if missing:
-                fetched = yield self._read(
-                    "catalog.info_bulk",
-                    {"lfns": missing},
-                    n_items=len(missing),
-                )
-                for info in fetched:
-                    known[info.lfn] = info
-                    self._cache_put(("info", info.lfn), info)
+                known.update((yield from self._fetch_infos(missing)))
             return [known[lfn] for lfn in lfns]
 
-        return self.client.sim.spawn(
-            run(), name=f"catalog-info-bulk x{len(lfns)}"
-        )
+        return self.client.sim.spawn(run(), name=f"catalog-info-bulk x{len(lfns)}")
 
     def locations_bulk(self, lfns: list[str]) -> Process:
         """Physical locations for a whole file set in one envelope."""
         lfns = list(lfns)
 
         def run():
-            result = yield self._read(
-                "catalog.locations_bulk",
-                {"lfns": lfns},
-                n_items=len(lfns),
-            )
+            result = yield self._read("locations_bulk", {"lfns": lfns})
             for lfn, locs in result.items():
-                self._cache_put(
-                    ("locations", lfn), tuple(dict(loc) for loc in locs)
-                )
+                self._cache_locations(lfn, locs)
             return result
 
         return self.client.sim.spawn(
@@ -610,27 +397,22 @@ class CatalogProxy(RequestProxy):
 
     def search(self, filter_text: str) -> Process:
         """Logical files matching an LDAP filter over their metadata."""
-        return self._read("catalog.search", {"filter": filter_text})
+        return self._read("search", {"filter": filter_text})
 
     def site_files(self, site: str) -> Process:
         """All LFNs a site holds (failure-recovery catalog diff)."""
-        return self._read("catalog.site_files", {"site": site})
+        return self._read("site_files", {"site": site})
 
     def lfn_exists(self, lfn: str) -> Process:
         """Whether the logical file name is taken (both answers cached)."""
-        cached = self._cache_get(("exists", lfn))
-        if cached is not None:
-            if cached is False:
-                self.stats["negative_hits"] += 1
-            return self._immediate(cached)
 
-        def run():
-            result = yield self._read("catalog.lfn_exists", {"lfn": lfn})
+        def miss():
+            result = yield self._read("lfn_exists", {"lfn": lfn})
             self._cache_put(("exists", lfn), bool(result))
             return result
 
-        return self.client.sim.spawn(run(), name=f"catalog-lfn-exists {lfn}")
+        return self._cached_read("exists", lfn, "catalog-lfn-exists", miss)
 
     def list_lfns(self) -> Process:
         """Every logical file name in the catalog."""
-        return self._read("catalog.list_lfns", {})
+        return self._read("list_lfns", {})

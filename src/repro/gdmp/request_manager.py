@@ -19,7 +19,7 @@ attaches the proxy chain to every call and maps faults/timeouts to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.netsim.channels import MessageNetwork
 from repro.netsim.topology import Host
@@ -93,7 +93,7 @@ class AuthenticatedRequest:
     account: str      # gridmap-mapped local account
 
 
-Handler = Callable[[AuthenticatedRequest], Generator]
+Handler = Callable[[AuthenticatedRequest], Any]
 
 
 class RequestServer(ServiceEndpoint):
@@ -139,8 +139,9 @@ class RequestServer(ServiceEndpoint):
 
     def register(self, operation: str, handler: Handler,
                  replay: Optional[ReplayWindow] = None) -> None:
-        """Bind a handler generator to an operation name.  Handlers receive
-        an :class:`AuthenticatedRequest` built from the middleware's
+        """Bind a handler — a plain function, or a generator function when
+        it holds the simulated clock — to an operation name.  Handlers
+        receive an :class:`AuthenticatedRequest` built from the middleware's
         verification result.  With ``replay`` — the owning service's
         window — the operation is an exactly-once write: a re-issued
         request is answered from the window, never handled twice."""
@@ -155,13 +156,10 @@ class RequestServer(ServiceEndpoint):
                 identity=auth.identity,
                 account=auth.account,
             )
+            # the answer, or the generator the endpoint drives to get it
             if replay is None:
-                result = yield from handler(authenticated)
-            else:
-                result = yield from replay.apply(
-                    request.meta.get("txn"), handler, authenticated
-                )
-            return result
+                return handler(authenticated)
+            return replay.apply(request.meta.get("txn"), handler, authenticated)
 
         super().register(operation, adapter)
 

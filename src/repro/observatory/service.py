@@ -80,22 +80,19 @@ class WeatherService:
         for op in ("report", "stats"):
             server.register(f"weather.{op}", getattr(self, f"_op_{op}"))
 
-    # Handlers are generators (the request manager spawns them); the
-    # station itself is in-memory and immediate.
+    # Handlers are plain functions: the station is in-memory and immediate.
 
     def _op_report(self, request: AuthenticatedRequest):
         site = request.payload["site"]
         if self.metrics is not None:
             self.metrics.counter("weather.reports", site=site).inc()
         return self.station.digest_for(site, self.sim.now)
-        yield  # pragma: no cover - marks this function as a generator
 
     def _op_stats(self, request: AuthenticatedRequest):
         return {
             "pairs": len(self.station.pairs),
             **self.station.stats,
         }
-        yield  # pragma: no cover - marks this function as a generator
 
 
 class WeatherSubscriber:
@@ -120,7 +117,6 @@ class WeatherSubscriber:
                 outcome="applied" if applied else "stale",
             ).inc()
         return {"applied": applied}
-        yield  # pragma: no cover - marks this function as a generator
 
 
 class WeatherRuntime(PushPlane):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
+from ..catalog.operations import OPERATIONS
 from .bloom import BloomFilter, hash_pair
 
 __all__ = [
@@ -103,22 +104,11 @@ class DigestSource:
 
     # -- write stream --------------------------------------------------
 
-    _ADD_OPS = frozenset(
-        {"publish", "add_replica", "adopt"}
-    )
-    _ADD_BULK_OPS = frozenset({"publish_bulk", "add_replica_bulk", "adopt_bulk"})
-
     def on_write(self, operation: str, payload: dict) -> None:
-        if operation in self._ADD_OPS:
-            self._record_add(payload["lfn"])
-        elif operation in self._ADD_BULK_OPS:
-            for lfn in payload["lfns"]:
-                self._record_add(lfn)
-        elif operation == "remove_replica":
-            self._record_remove(payload["lfn"])
-        elif operation == "remove_replica_bulk":
-            for lfn in payload["lfns"]:
-                self._record_remove(lfn)
+        row = OPERATIONS[operation]
+        record = self._record_add if row.effect == "add" else self._record_remove
+        for lfn in row.lfns(payload):
+            record(lfn)
 
     def _record_add(self, lfn: str) -> None:
         self._pending_removed.discard(lfn)

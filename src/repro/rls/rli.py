@@ -50,8 +50,7 @@ class RliService:
         for op in ("push_digest", "lookup", "lookup_bulk", "stats"):
             server.register(f"rli.{op}", getattr(self, f"_op_{op}"))
 
-    # Handlers are generators (the request manager spawns them); the
-    # index itself is in-memory and immediate.
+    # Handlers are plain functions: the index is in-memory and immediate.
 
     def _op_push_digest(self, request: AuthenticatedRequest):
         payload = request.payload
@@ -65,17 +64,14 @@ class RliService:
             "applied": applied,
             "generation": self.index.states[payload["site"]].generation,
         }
-        yield  # pragma: no cover - marks this function as a generator
 
     def _op_lookup(self, request: AuthenticatedRequest):
         lfn = request.payload["lfn"]
         return self.index.candidate_sites(lfn)
-        yield  # pragma: no cover - marks this function as a generator
 
     def _op_lookup_bulk(self, request: AuthenticatedRequest):
         lfns = request.payload["lfns"]
         return {lfn: self.index.candidate_sites(lfn) for lfn in lfns}
-        yield  # pragma: no cover - marks this function as a generator
 
     def _op_stats(self, request: AuthenticatedRequest):
         return {
@@ -95,4 +91,3 @@ class RliService:
             },
             "staleness": self.index.staleness(self.sim.now),
         }
-        yield  # pragma: no cover - marks this function as a generator

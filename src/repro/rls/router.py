@@ -56,13 +56,12 @@ class RlsCatalogProxy(CatalogProxy):
         own_site: str,
         rli_host: str,
         lrc_hosts: Dict[str, str],
-        cache: bool = True,
         lookup_timeout: float = 30.0,
         metrics=None,
     ):
         # the "catalog host" of the base class is the site's own LRC:
         # every inherited write path is already one-site-local.
-        super().__init__(client, catalog_host=lrc_hosts[own_site], cache=cache)
+        super().__init__(client, catalog_host=lrc_hosts[own_site])
         self.own_site = own_site
         self.rli_host = rli_host
         #: site name -> host of that site's LRC (site == host in DataGrid)
@@ -209,66 +208,50 @@ class RlsCatalogProxy(CatalogProxy):
             return None
         result = replace(merged, locations=tuple(locations))
         self._cache_put(("info", lfn), result)
-        self._cache_put(
-            ("locations", lfn), tuple(dict(loc) for loc in result.locations)
-        )
+        self._cache_locations(lfn, result.locations)
         self._cache_put(("exists", lfn), True)
         return result
 
     # -- reads ----------------------------------------------------------------
 
-    def info(self, lfn: str):
-        cached = self._cache_get(("info", lfn))
-        if isinstance(cached, _NegativeEntry):
-            self.stats["negative_hits"] += 1
-            return self._immediate_error(cached.error)
-        if cached is not None:
-            return self._immediate(cached)
+    def _lookup(self, kind: str, lfn: str, name: str, shape):
+        """One per-name read: the cached ``kind`` answer if there is one,
+        else a two-tier resolve whose outcome (the merged info, or None)
+        ``shape`` turns into this read's answer."""
 
-        def run():
-            result = yield from self._resolve(lfn)
+        def miss():
+            return shape((yield from self._resolve(lfn)))
+
+        return self._cached_read(kind, lfn, f"rls-{name}", miss)
+
+    def info(self, lfn: str):
+        def found(result):
             if result is None:
                 raise self._not_found("catalog.info", lfn)
             return result
 
-        return self.client.sim.spawn(run(), name=f"rls-info {lfn}")
+        return self._lookup("info", lfn, "info", found)
 
     def locations(self, lfn: str):
-        cached = self._cache_get(("locations", lfn))
-        if cached is not None:
-            return self._immediate([dict(loc) for loc in cached])
+        return self._lookup(
+            "locations", lfn, "locations",
+            lambda result: [] if result is None
+            else [dict(loc) for loc in result.locations],
+        )
 
-        def run():
-            result = yield from self._resolve(lfn)
-            if result is None:
-                return []
-            return [dict(loc) for loc in result.locations]
+    def lfn_exists(self, lfn: str):
+        return self._lookup(
+            "exists", lfn, "lfn-exists", lambda result: result is not None
+        )
 
-        return self.client.sim.spawn(run(), name=f"rls-locations {lfn}")
-
-    def info_bulk(self, lfns: list[str]):
-        lfns = list(lfns)
-
-        def run():
-            known: dict[str, LogicalFileInfo] = {}
-            missing: list[str] = []
-            for lfn in lfns:
-                cached = self._cache_get(("info", lfn))
-                if cached is not None and not isinstance(
-                    cached, _NegativeEntry
-                ):
-                    known[lfn] = cached
-                else:
-                    missing.append(lfn)
-            if missing:
-                known.update((yield from self._resolve_bulk(missing)))
-            absent = [lfn for lfn in lfns if lfn not in known]
-            if absent:
+    def _fetch_infos(self, lfns: list[str]):
+        """The misses of an ``info_bulk``: one two-tier bulk resolve."""
+        found = yield from self._resolve_bulk(lfns)
+        for lfn in lfns:
+            if lfn not in found:
                 # match the central bulk contract: unknown LFNs raise
-                raise self._not_found("catalog.info_bulk", absent[0])
-            return [known[lfn] for lfn in lfns]
-
-        return self.client.sim.spawn(run(), name=f"rls-info-bulk x{len(lfns)}")
+                raise self._not_found("catalog.info_bulk", lfn)
+        return found
 
     def _resolve_bulk(
         self, lfns: list[str], widened: str = "fallback_broadcasts"
@@ -334,9 +317,7 @@ class RlsCatalogProxy(CatalogProxy):
             full = replace(info, locations=tuple(locations[lfn]))
             results[lfn] = full
             self._cache_put(("info", lfn), full)
-            self._cache_put(
-                ("locations", lfn), tuple(dict(loc) for loc in full.locations)
-            )
+            self._cache_locations(lfn, full.locations)
         return results
 
     def locations_bulk(self, lfns: list[str]):
@@ -364,19 +345,6 @@ class RlsCatalogProxy(CatalogProxy):
         return self.client.sim.spawn(
             run(), name=f"rls-locations-bulk x{len(lfns)}"
         )
-
-    def lfn_exists(self, lfn: str):
-        cached = self._cache_get(("exists", lfn))
-        if cached is not None:
-            if cached is False:
-                self.stats["negative_hits"] += 1
-            return self._immediate(cached)
-
-        def run():
-            result = yield from self._resolve(lfn)
-            return result is not None
-
-        return self.client.sim.spawn(run(), name=f"rls-lfn-exists {lfn}")
 
     def search(self, filter_text: str):
         """Filtered metadata search: one wave over every LRC, merged
@@ -501,6 +469,17 @@ class RlsCatalogProxy(CatalogProxy):
             f"rls-publish-bulk x{len(files)}",
         )
 
+    @staticmethod
+    def _adoption(info: LogicalFileInfo) -> dict:
+        """What an LRC needs to adopt a logical file it never saw."""
+        return {
+            "lfn": info.lfn,
+            "size": info.size,
+            "modified": info.modified,
+            "crc": info.crc,
+            "attributes": info.attributes,
+        }
+
     def add_replica(self, lfn: str, site: str):
         """Register a replica at this site's LRC, adopting the logical
         file (metadata and all) if the LRC has never seen it."""
@@ -508,19 +487,11 @@ class RlsCatalogProxy(CatalogProxy):
         def run():
             info = yield self.info(lfn)  # warm from the replicate read
             self.stats["adoptions"] += 1
-            result = yield self._write(
-                "catalog.adopt",
-                {
-                    "lfn": lfn,
-                    "site": site,
-                    "size": info.size,
-                    "modified": info.modified,
-                    "crc": info.crc,
-                    "attributes": info.attributes,
-                },
+            return (
+                yield from self._apply_write(
+                    "adopt", {**self._adoption(info), "site": site}
+                )
             )
-            self.invalidate(lfn)
-            return result
 
         return self.client.sim.spawn(run(), name=f"rls-adopt {lfn}")
 
@@ -529,25 +500,14 @@ class RlsCatalogProxy(CatalogProxy):
 
         def run():
             infos = yield self.info_bulk(lfns)  # cache-warm after a set
-            files = [
-                {
-                    "lfn": info.lfn,
-                    "size": info.size,
-                    "modified": info.modified,
-                    "crc": info.crc,
-                    "attributes": info.attributes,
-                }
-                for info in infos
-            ]
-            self.stats["adoptions"] += len(files)
-            result = yield self._write(
-                "catalog.adopt_bulk",
-                {"files": files, "site": site},
-                n_items=len(files),
+            self.stats["adoptions"] += len(infos)
+            return (
+                yield from self._apply_write(
+                    "adopt_bulk",
+                    {"files": [self._adoption(info) for info in infos],
+                     "site": site},
+                )
             )
-            for lfn in lfns:
-                self.invalidate(lfn)
-            return result
 
         return self.client.sim.spawn(
             run(), name=f"rls-adopt-bulk x{len(lfns)}"

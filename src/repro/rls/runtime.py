@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..catalog.gdmp_catalog import GdmpCatalog
 from ..gdmp.replica_service import ReplicaCatalogService
@@ -48,13 +48,9 @@ class RlsConfig:
 
     #: digest cadence and bloom sizing (shared by every site)
     digest: DigestConfig = field(default_factory=DigestConfig)
-    #: host carrying the RLI (defaults to the grid's catalog host)
-    rli_host: Optional[str] = None
     #: deadline on RLI lookups and LRC probes — a black-holed endpoint
     #: costs a timeout and a fallback, never a hung lookup
     lookup_timeout: float = 30.0
-    #: client-side proxy caching (as for the central CatalogProxy)
-    cache: bool = True
     #: stagger first pushes across sites (fraction of a period apart)
     #: so ten sites don't all push in the same instant
     stagger: bool = True
@@ -71,9 +67,9 @@ class RlsRuntime(PushPlane):
         super().__init__()
         self.config = config
         self.sim = grid.sim
-        self.rli_host = config.rli_host or grid.catalog_host
-        if self.rli_host not in grid.sites:
-            raise ValueError(f"RLI host {self.rli_host!r} is not a site")
+        #: the index lives where the central catalog would: on the
+        #: grid's catalog host
+        self.rli_host = grid.catalog_host
         self.metrics = grid.metrics
         self.rli_service = RliService(
             grid.sites[self.rli_host].request_server,
@@ -129,7 +125,6 @@ class RlsRuntime(PushPlane):
             site.name,
             self.rli_host,
             self.lrc_hosts,
-            cache=self.config.cache,
             lookup_timeout=self.config.lookup_timeout,
             metrics=self.metrics,
         )

@@ -48,6 +48,7 @@ __all__ = [
     "ServiceEndpoint",
     "ServiceClient",
     "ClientCall",
+    "run_handler",
 ]
 
 #: Default control-message size in bytes (one small framed request).
@@ -144,8 +145,20 @@ class CallOutcome:
 #: generator; ``call_next(request)`` invokes the rest of the chain.
 Middleware = Callable[["ServiceRequest", Callable], Generator]
 
-#: A terminal handler: ``handler(request)`` returning a generator.
-Handler = Callable[["ServiceRequest"], Generator]
+#: A terminal handler: ``handler(request)`` returning the answer, or a
+#: generator of simulation events that returns it.
+Handler = Callable[["ServiceRequest"], Any]
+
+
+def run_handler(handler: Callable[[Any], Any], request: Any):
+    """Generator: the answer of ``handler(request)``.  A handler whose
+    operation is immediate is a plain function; one that holds the
+    simulated clock is a generator function, driven here inside the
+    calling request process."""
+    result = handler(request)
+    if isinstance(result, GeneratorType):
+        result = yield from result
+    return result
 
 
 @dataclass
@@ -259,7 +272,7 @@ class ServiceEndpoint:
 
     # -- registration ----------------------------------------------------
     def register(self, operation: str, handler: Handler) -> None:
-        """Bind a handler generator to an operation name."""
+        """Bind a handler (plain or generator function) to an operation."""
         if operation in self._handlers:
             raise ValueError(f"handler for {operation!r} already registered")
         self._handlers[operation] = handler
@@ -269,11 +282,7 @@ class ServiceEndpoint:
             handler = self._handlers.get(request.operation)
             if handler is None:
                 raise self._unknown_operation(request)
-            result = handler(request)
-            if isinstance(result, GeneratorType):
-                # coroutine handler: drive it inside the request process
-                result = yield from result
-            return result
+            return (yield from run_handler(handler, request))
 
         chain = terminal
         for middleware in reversed(middlewares):

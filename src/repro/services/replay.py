@@ -25,9 +25,9 @@ at most one entry per write the client had in flight at once.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
-from repro.services.bus import ServiceError
+from repro.services.bus import ServiceError, run_handler
 from repro.simulation.kernel import Event, Simulator
 
 __all__ = ["ReplayWindow"]
@@ -71,18 +71,18 @@ class ReplayWindow:
     def apply(
         self,
         txn: Optional[tuple[str, int, int]],
-        handler: Callable[[Any], Generator],
+        handler: Callable[[Any], Any],
         request: Any,
     ):
-        """Generator: run ``handler(request)`` unless ``txn`` was already
-        applied, in which case return the stored result, or is being
-        applied right now, in which case wait for that result.  A request
-        without a ``txn`` (a read, or a caller that opted out) always
-        runs.  A handler that raises stores nothing, so the retry of a
+        """Generator: run ``handler(request)`` (a plain or a generator
+        function, see :func:`~repro.services.bus.run_handler`) unless
+        ``txn`` was already applied, in which case return the stored
+        result, or is being applied right now, in which case wait for that
+        result.  A request without a ``txn`` (a read, or a caller that
+        opted out) always runs.  A handler that raises stores nothing, so the retry of a
         failed write re-executes it."""
         if txn is None:
-            result = yield from handler(request)
-            return result
+            return (yield from run_handler(handler, request))
         client, serial, low = txn
         state = self._clients.get(client)
         if state is None:
@@ -108,7 +108,7 @@ class ReplayWindow:
             raise ServiceError(f"write {serial} of {client} already settled")
         state.applying[serial] = None
         try:
-            result = yield from handler(request)
+            result = yield from run_handler(handler, request)
         except Exception as exc:
             joined = state.applying.pop(serial)
             if joined is not None:

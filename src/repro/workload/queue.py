@@ -389,7 +389,6 @@ class TaskQueueService:
         )
         self._count("submitted", p["type"])
         return task_id
-        yield  # pragma: no cover - generator marker
 
     def _op_submit_bulk(self, request: AuthenticatedRequest):
         p = request.payload
@@ -401,7 +400,6 @@ class TaskQueueService:
             ))
             self._count("submitted", item["type"])
         return ids
-        yield  # pragma: no cover
 
     def _op_claim(self, request: AuthenticatedRequest):
         p = request.payload
@@ -417,14 +415,12 @@ class TaskQueueService:
                     "claim_age", task.type, now - task.submitted_at
                 )
         return [task.public() for task in tasks]
-        yield  # pragma: no cover
 
     def _op_renew(self, request: AuthenticatedRequest):
         p = request.payload
         return self.queue.renew(
             p["task_id"], p["claim_token"], lease=p.get("lease")
         )
-        yield  # pragma: no cover
 
     def _complete(self, task_id: int, claim_token: int, result) -> bool:
         task = self.queue.tasks.get(task_id)
@@ -442,7 +438,6 @@ class TaskQueueService:
     def _op_complete(self, request: AuthenticatedRequest):
         p = request.payload
         return self._complete(p["task_id"], p["claim_token"], p.get("result"))
-        yield  # pragma: no cover
 
     def _op_complete_bulk(self, request: AuthenticatedRequest):
         """Settle a batch in one envelope: a verdict per item, in order,
@@ -451,7 +446,6 @@ class TaskQueueService:
             self._complete(task_id, claim_token, result)
             for task_id, claim_token, result in request.payload["items"]
         ]
-        yield  # pragma: no cover
 
     def _op_fail(self, request: AuthenticatedRequest):
         p = request.payload
@@ -469,11 +463,9 @@ class TaskQueueService:
                 if state == "dead":
                     self._count("dead", task.type)
         return state
-        yield  # pragma: no cover
 
     def _op_counts(self, request: AuthenticatedRequest):
         return self.queue.counts()
-        yield  # pragma: no cover
 
 
 class TaskQueueProxy(RequestProxy):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.catalog.gdmp_catalog import GdmpCatalog
+from repro.catalog.gdmp_catalog import GdmpCatalog, LogicalFileInfo
 from repro.catalog.replica_catalog import CatalogError, ReplicaCatalog
 
 
@@ -55,15 +55,58 @@ def files(n, **extra):
     ]
 
 
+def cern(lfn):
+    return {"location": "cern", "hostname": "cern",
+            "url": f"gsiftp://cern/storage/{lfn}"}
+
+
+def anl(lfn):
+    return {"location": "anl", "hostname": "anl",
+            "url": f"gsiftp://anl/storage/{lfn}"}
+
+
 def test_publish_bulk_matches_per_file_publish():
-    bulk, single = GdmpCatalog(), GdmpCatalog()
-    bulk.publish_bulk("cern", files(3, attributes={"run": "7"}))
-    for item in files(3):
-        single.publish("cern", size=item["size"], modified=item["modified"],
-                       crc=item["crc"], lfn=item["lfn"], run="7")
-    assert bulk.list_lfns() == single.list_lfns()
-    for lfn in bulk.list_lfns():
-        assert bulk.info(lfn) == single.info(lfn)
+    catalog = GdmpCatalog()
+    specs = files(3, attributes={"run": "7"})
+    specs[1]["lfn"] = None  # the catalog chooses this one
+    assert catalog.publish_bulk("cern", specs) == [
+        "b0.db", "file.000001", "b2.db"
+    ]
+    assert catalog.list_lfns() == ["b0.db", "file.000001", "b2.db"]
+    assert catalog.info("file.000001") == LogicalFileInfo(
+        lfn="file.000001", size=101.0, modified=1.0, crc=1,
+        attributes={"run": "7"}, locations=(cern("file.000001"),),
+    )
+    assert catalog.info("b2.db") == LogicalFileInfo(
+        lfn="b2.db", size=102.0, modified=1.0, crc=2,
+        attributes={"run": "7"}, locations=(cern("b2.db"),),
+    )
+
+
+def test_publish_of_one_is_publish_bulk_of_one():
+    item = {"size": 5.0, "modified": 2.5, "crc": 3, "lfn": "one.db"}
+    single, bulk = GdmpCatalog(), GdmpCatalog()
+    assert single.publish("cern", run="7", **item) == "one.db"
+    assert bulk.publish_bulk(
+        "cern", [{**item, "attributes": {"run": "7"}}]) == ["one.db"]
+    assert single.publish("cern", 1.0, 0.0, 0) == "file.000001"
+    assert bulk.publish_bulk(
+        "cern", [{"size": 1.0, "modified": 0.0, "crc": 0}]) == ["file.000001"]
+    assert (single.catalog.directory.search("o=grid")
+            == bulk.catalog.directory.search("o=grid"))
+    for bad, text in (
+        ({"size": -1.0}, "size must be non-negative"),
+        ({"lfn": "a/b"}, "invalid logical file name 'a/b'"),
+        ({"lfn": ""}, "invalid logical file name ''"),
+        ({"lfn": "one.db"}, "logical file name 'one.db' already in use"),
+    ):
+        spec = {"size": 1.0, "modified": 0.0, "crc": 0, **bad}
+        with pytest.raises(CatalogError) as one:
+            single.publish("cern", **spec)
+        with pytest.raises(CatalogError) as many:
+            bulk.publish_bulk("cern", [spec])
+        assert str(one.value) == str(many.value) == text
+    assert single.list_lfns() == bulk.list_lfns() == ["one.db", "file.000001"]
 
 
 def test_publish_bulk_generates_missing_lfns_in_order():
@@ -116,11 +159,40 @@ def test_info_bulk_matches_info_in_input_order():
     catalog = GdmpCatalog()
     lfns = catalog.publish_bulk("cern", files(4))
     catalog.add_replicas(lfns[:2], "anl")
-    shuffled = [lfns[2], lfns[0], lfns[3], lfns[1]]
-    infos = catalog.info_bulk(shuffled)
-    assert [i.lfn for i in infos] == shuffled
-    for info in infos:
-        assert info == catalog.info(info.lfn)
+    assert catalog.info_bulk(["b2.db", "b0.db", "b3.db", "b1.db"]) == [
+        LogicalFileInfo("b2.db", 102.0, 1.0, 2, {}, (cern("b2.db"),)),
+        LogicalFileInfo("b0.db", 100.0, 1.0, 0, {},
+                        (anl("b0.db"), cern("b0.db"))),
+        LogicalFileInfo("b3.db", 103.0, 1.0, 3, {}, (cern("b3.db"),)),
+        LogicalFileInfo("b1.db", 101.0, 1.0, 1, {},
+                        (anl("b1.db"), cern("b1.db"))),
+    ]
+
+
+def test_info_bulk_answers_every_position_of_a_repeated_name():
+    catalog = GdmpCatalog()
+    catalog.publish_bulk("cern", files(2))
+    b0 = LogicalFileInfo("b0.db", 100.0, 1.0, 0, {}, (cern("b0.db"),))
+    b1 = LogicalFileInfo("b1.db", 101.0, 1.0, 1, {}, (cern("b1.db"),))
+    assert catalog.info_bulk(["b0.db", "b1.db", "b0.db"]) == [b0, b1, b0]
+
+
+def test_an_unknown_name_is_refused_before_any_location_search():
+    """A miss is the common answer of a verify-on-use probe: it is settled
+    from the membership/attribute entry, not by walking the locations."""
+    catalog = GdmpCatalog()
+    catalog.publish_bulk("cern", files(2))
+    stats = catalog.catalog.directory.stats
+    before = dict(stats)
+    with pytest.raises(CatalogError, match="no such entry: 'lf=ghost.db,"):
+        catalog.info("ghost.db")
+    with pytest.raises(CatalogError, match="no such entry: 'lf=ghost.db,"):
+        catalog.info_bulk(["b0.db", "ghost.db"])
+    assert catalog.info_bulk(["ghost.db"], missing_ok=True) == []
+    assert stats == before
+    assert [i.lfn for i in catalog.info_bulk(
+        ["ghost.db", "b1.db"], missing_ok=True)] == ["b1.db"]
+    assert stats["index_searches"] == before["index_searches"] + 1
 
 
 def test_info_bulk_unknown_lfn_raises():
@@ -134,6 +206,9 @@ def test_locations_bulk_matches_locations():
     catalog = GdmpCatalog()
     lfns = catalog.publish_bulk("cern", files(3))
     catalog.add_replicas(lfns[1:], "anl")
-    by_lfn = catalog.locations_bulk(lfns)
-    for lfn in lfns:
-        assert by_lfn[lfn] == catalog.locations(lfn)
+    assert catalog.locations_bulk(lfns) == {
+        "b0.db": [cern("b0.db")],
+        "b1.db": [anl("b1.db"), cern("b1.db")],
+        "b2.db": [anl("b2.db"), cern("b2.db")],
+    }
+    assert catalog.locations("b1.db") == [anl("b1.db"), cern("b1.db")]

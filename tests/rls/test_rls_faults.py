@@ -63,7 +63,7 @@ def test_rli_fault_kinds_require_an_rls_grid():
     campaign = rli_blackhole_campaign(RandomStreams(7), "cern")
     injector = FaultInjector(central, campaign)
     with pytest.raises(ValueError, match="no replica location service"):
-        injector._require_rls("rli_blackhole")
+        central.run(until=injector.start())
 
 
 def test_rli_campaign_schedule_is_seed_deterministic():

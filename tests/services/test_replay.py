@@ -198,6 +198,62 @@ def test_lost_reply_is_replayed_not_reapplied(case_type):
     assert grid.metrics.value(case.counter) == 1
 
 
+@pytest.mark.parametrize("windowed", [False, True], ids=["plain", "replay"])
+def test_plain_and_generator_handlers_both_answer(windowed):
+    """An immediate operation is a plain function, one that holds the
+    clock a generator function; the request server takes either, with
+    or without a replay window."""
+    grid = _grid()
+    server = grid.site("hub").request_server
+    window = ReplayWindow(grid.sim) if windowed else None
+    applied = []
+
+    def plain(request):
+        applied.append(request.operation)
+        return {"echo": request.payload, "n": len(applied)}
+
+    def generator(request):
+        yield grid.sim.timeout(2.0)
+        applied.append(request.operation)
+        return {"echo": request.payload, "n": len(applied)}
+
+    server.register("test.plain", plain, replay=window)
+    server.register("test.generator", generator, replay=window)
+    client = grid.site("s1").request_client
+    start = grid.sim.now
+    assert grid.run(until=client.call(
+        "hub", "test.plain", "p", idempotent=windowed)) == {"echo": "p", "n": 1}
+    took = grid.sim.now - start
+    assert grid.run(until=client.call(
+        "hub", "test.generator", "g", idempotent=windowed,
+    )) == {"echo": "g", "n": 2}
+    assert grid.sim.now - start == pytest.approx(2 * took + 2.0)
+    assert applied == ["test.plain", "test.generator"]
+    assert window is None or len(window) == 1     # the settled one is gone
+
+
+def test_a_replayed_plain_write_is_served_from_the_window():
+    grid = _grid()
+    hub = grid.site("hub").request_server
+    window = ReplayWindow(grid.sim)
+    applied = []
+
+    def plain(request):
+        applied.append(request.payload)
+        return len(applied)
+
+    hub.register("test.write", plain, replay=window)
+    lost = lose_first_reply(hub, "test.write")
+    call = grid.site("s1").request_client.call(
+        "hub", "test.write", "once", idempotent=True
+    )
+    assert grid.run(until=call) == 1
+    assert lost == [1] and applied == ["once"]
+    assert grid.metrics.value(
+        "rpc.retries", service="gdmp", operation="test.write"
+    ) == 1
+
+
 def test_a_late_duplicate_of_a_settled_write_is_refused():
     """A first attempt that out-waits its own retry must not be applied
     after the window forgot the write (delay faults make this real)."""

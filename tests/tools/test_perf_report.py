@@ -145,6 +145,27 @@ def test_a_section_suite_merges_into_its_file(tmp_path, monkeypatch):
     assert "fake_section" not in json.loads(other.read_text())
 
 
+def test_a_file_owner_keeps_the_sections_merged_into_its_file(
+        tmp_path, monkeypatch):
+    # --suite netsim used to rewrite BENCH_netsim.json whole and drop the
+    # flow_scale section another suite had merged into it
+    monkeypatch.setattr(perf_report, "REPO_ROOT", tmp_path)
+    monkeypatch.setitem(SUITES, "owner", fake_suite(tmp_path))
+    monkeypatch.setitem(
+        SUITES, "tenant", fake_suite(tmp_path, section="tenant_section"))
+    target = tmp_path / "BENCH_fake.json"
+    target.write_text(json.dumps({
+        "current": {"stale": True},
+        "tenant_section": {"current": {"kept": True}},
+        "nobody_owns_this": 1,
+    }))
+    assert perf_report.main(["--suite", "owner"]) == 0
+    rewritten = json.loads(target.read_text())
+    assert rewritten["current"]["rate"] == 5.0
+    assert rewritten["tenant_section"] == {"current": {"kept": True}}
+    assert "nobody_owns_this" not in rewritten
+
+
 def test_suite_is_required_and_all_takes_no_output_file(tmp_path, capsys):
     with pytest.raises(SystemExit):
         perf_report.main(["--smoke"])

@@ -638,18 +638,25 @@ def write(suite: Suite, record: dict, output: Path | None,
           smoke: bool) -> None:
     """Print the record (``-``), write it to ``output``, or — full mode,
     no ``--output`` — regenerate the committed file at the repo root."""
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if output == Path("-"):
-        print(text, end="")
-        return
     if output is None:
         if smoke:
             return
         output = REPO_ROOT / suite.output
+        existing = json.loads(output.read_text()) if output.exists() else {}
         if suite.section is not None:
-            merged = json.loads(output.read_text()) if output.exists() else {}
-            merged[suite.section] = record
-            text = json.dumps(merged, indent=2, sort_keys=True) + "\n"
+            record = {**existing, suite.section: record}
+        else:
+            # the file's owner rewrites it whole, but the sections other
+            # suites merged into it are theirs: carry them over
+            record = {**record, **{
+                other.section: existing[other.section]
+                for other in SUITES.values()
+                if other.output == suite.output and other.section in existing
+            }}
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    if output == Path("-"):
+        print(text, end="")
+        return
     output.write_text(text)
     print(f"wrote {output}")
 
