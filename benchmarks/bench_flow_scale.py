@@ -23,15 +23,6 @@ acceptance bar is staying within 10x of it despite running 10k coupled
 flows through full (unstretchable) ticks.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_flow_scale.py [--smoke]
-
-``run_islands_parallel`` additionally demonstrates island-partitioned
-execution: each island is simulated by its own engine (seeded per island)
-and islands are packed across worker processes with
-:func:`repro.experiments.parallel.run_weighted` using ``LinkIsland``
-weights.  Per-island results are deterministic for a given spec, but the
-loss-RNG interleaving differs from the monolithic run (one shared stream
-vs one stream per island), so the variant reports its own fingerprint
-rather than being compared byte-for-byte against the monolithic engine.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ from __future__ import annotations
 import json
 import time
 
-from repro.experiments.parallel import run_weighted
 from repro.netsim import TcpParams
 from repro.netsim.engine import NetworkEngine
 from repro.netsim.link import Link
@@ -52,7 +42,6 @@ __all__ = [
     "build_scenario",
     "run_flow_scale",
     "run_clean_reference",
-    "run_islands_parallel",
     "run_bench",
     "main",
 ]
@@ -180,52 +169,7 @@ def run_clean_reference(streams: int = 4, size_mb: int = 2000) -> dict:
     }
 
 
-def _run_island(spec: dict) -> dict:
-    """Worker: simulate one island on its own engine (picklable)."""
-    sim, engine, pools = build_scenario(
-        [dict(spec, index=0)], seed=2001 + spec["index"],
-    )
-    sim.run()
-    return {
-        "index": spec["index"],
-        "sim_s": sim.now,
-        "flow_ticks": engine.flow_tick_count,
-        "delivered": sum(pool.delivered for pool in pools),
-    }
-
-
-def run_islands_parallel(
-    n_islands: int = 500,
-    flows_per_island: int = 20,
-    base_size_mb: int = 60,
-    processes: int | None = None,
-) -> dict:
-    """Island-partitioned execution across worker processes.
-
-    Uses the monolithic engine's :class:`LinkIsland` partition for the
-    scheduling weights, then runs each island on a dedicated engine via
-    :func:`run_weighted` (LPT packing, deterministic assignment)."""
-    specs = island_specs(n_islands, flows_per_island, base_size_mb)
-    _, engine, _ = build_scenario(specs)
-    weights = [island.weight for island in engine.islands()]
-    start = time.perf_counter()
-    results = run_weighted(_run_island, specs, weights, processes=processes)
-    wall = time.perf_counter() - start
-    flow_ticks = sum(r["flow_ticks"] for r in results)
-    return {
-        "scenario": "flow_scale_parallel",
-        "n_islands": n_islands,
-        "n_flows": n_islands * flows_per_island,
-        "wall_s": wall,
-        "flow_ticks": flow_ticks,
-        "flow_ticks_per_s": flow_ticks / wall,
-        # order-independent determinism fingerprint of the island results
-        "sim_s_total": sum(r["sim_s"] for r in results),
-        "delivered_total": sum(r["delivered"] for r in results),
-    }
-
-
-def run_bench(smoke: bool = False, parallel: bool = False) -> dict:
+def run_bench(smoke: bool = False) -> dict:
     """The record ``tools/perf_report.py --suite flow_scale`` persists."""
     if smoke:
         # keep flows_per_island at 20: fewer streams would drop aggregate
@@ -237,7 +181,7 @@ def run_bench(smoke: bool = False, parallel: bool = False) -> dict:
     else:
         scale = run_flow_scale()
         clean = run_clean_reference()
-    report = {
+    return {
         "mode": "smoke" if smoke else "full",
         "flow_scale": scale,
         "clean_reference": clean,
@@ -247,13 +191,6 @@ def run_bench(smoke: bool = False, parallel: bool = False) -> dict:
             scale["flow_ticks_per_s"] / clean["flow_ticks_per_s"]
         ),
     }
-    if parallel:
-        report["parallel"] = run_islands_parallel(
-            n_islands=20 if smoke else 500,
-            flows_per_island=20,
-            base_size_mb=20 if smoke else 60,
-        )
-    return report
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -262,11 +199,8 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sizes for a fast sanity run")
-    parser.add_argument("--parallel", action="store_true",
-                        help="also run the island-partitioned variant")
     args = parser.parse_args(argv)
-    print(json.dumps(run_bench(smoke=args.smoke, parallel=args.parallel),
-                     indent=2))
+    print(json.dumps(run_bench(smoke=args.smoke), indent=2))
 
 
 if __name__ == "__main__":

@@ -63,8 +63,8 @@ def main() -> None:
 
     for name in ("anl", "caltech"):
         site = grid.site(name)
-        restarts = site.mover.monitor.counter("restarts")
-        crc_failures = site.mover.monitor.counter("crc_failures")
+        restarts = grid.metrics.value("gdmp.mover.restarts", site=name)
+        crc_failures = grid.metrics.value("gdmp.mover.crc_failures", site=name)
         print(
             f"[{grid.sim.now:8.2f}s] {name}: holds {sorted(site.server.held)}; "
             f"federation files attached: {len(site.federation.database_names)}; "
@@ -89,8 +89,8 @@ def main() -> None:
 
     # tape archive state at cern
     print(
-        f"cern MSS: {cern.mss.monitor.counter('migrated_files'):.0f} files "
-        f"archived, {cern.mss.monitor.counter('staged_files'):.0f} staged back"
+        f"cern MSS: {cern.mss.stats['migrated_files']} files "
+        f"archived, {cern.mss.stats['staged_files']} staged back"
     )
 
 

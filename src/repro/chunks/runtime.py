@@ -21,8 +21,8 @@
 
 Standing processes are spawned by :meth:`start`, never the constructor,
 so fault-free event schedules stay untouched until an experiment opts
-in.  :meth:`run_scrub_pass` is the driven alternative: one audit pass,
-then wait for the queue to drain.
+in.  :meth:`run_scrub_pass` drives the audit: one planned pass, then
+wait for the queue to drain.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ class ChunkConfig:
     poll: float = 5.0
     lease: float = 120.0
     max_attempts: int = 6
-    #: standing-mode scrub cadence (sim-seconds)
-    scrub_period: float = 600.0
 
 
 class ChunkRuntime:
@@ -179,16 +177,13 @@ class ChunkRuntime:
     def store(self, site: str) -> ChunkStoreClient:
         return self.stores[site]
 
-    def start(self, *, standing_planner: bool = False) -> None:
-        """Opt in: spawn the scrub/repair claim loops (and, optionally,
-        the standing planner)."""
+    def start(self) -> None:
+        """Opt in: spawn the scrub/repair claim loops."""
         if self.started:
             return
         self.started = True
         for component in [*self.scrubbers, *self.repairers]:
             component.start()
-        if standing_planner:
-            self.planner.start(self.config.scrub_period)
 
     def run_scrub_pass(self, poll: float = 5.0,
                        timeout: float = 100_000.0) -> Process:

@@ -36,14 +36,12 @@ queue's leases + ``max_attempts`` turn persistent trouble into visible
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.chunks.gf256 import ReedSolomon
 from repro.chunks.manifest import Manifest, chunk_path
 from repro.chunks.store import ChunkStoreClient, ChunkStoreError
 from repro.gridftp.client import TransferError
 from repro.services.bus import ServiceError
-from repro.simulation.kernel import Interrupt, Process
+from repro.simulation.kernel import Process
 from repro.workload.components import PipelineComponent
 
 __all__ = ["ScrubPlanner", "Scrubber", "Repairer",
@@ -279,7 +277,6 @@ class ScrubPlanner:
         self.metrics = metrics
         self.cycle = 0
         self.passes = 0
-        self.process: Optional[Process] = None
 
     def _pass(self):
         self.cycle += 1
@@ -303,24 +300,5 @@ class ScrubPlanner:
         return len(tasks)
 
     def run_pass(self) -> Process:
-        """One driven audit pass (the experiment harness's mode)."""
+        """One driven audit pass."""
         return self.sim.spawn(self._pass(), name="chunk-scrub-pass")
-
-    def start(self, period: float) -> Process:
-        """Standing mode: a pass every ``period`` sim-seconds.  Spawned
-        explicitly (never from a constructor) so fault-free event
-        schedules stay untouched until an experiment opts in."""
-
-        def run():
-            try:
-                while True:
-                    yield self.sim.timeout(period)
-                    try:
-                        yield from self._pass()
-                    except ServiceError:
-                        continue  # queue/directory unreachable: next tick
-            except Interrupt:
-                return
-
-        self.process = self.sim.spawn(run(), name="chunk-scrub-planner")
-        return self.process

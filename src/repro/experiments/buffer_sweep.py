@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import print_table
-from repro.experiments.parallel import run_sweep
 from repro.experiments.testbed import extended_get, gridftp_testbed
 from repro.netsim.calibration import TestbedParams
 from repro.netsim.tools import ping, pipechar
@@ -40,19 +39,11 @@ class BufferSweep:
         return max(self.rates, key=self.rates.get)
 
 
-def _point(args: tuple[int, int, int, int]) -> float:
-    """One sweep point: throughput on a fresh seeded testbed."""
-    buffer, file_size_mb, streams, seed = args
-    testbed = gridftp_testbed(TestbedParams(seed=seed))
-    return extended_get(testbed, file_size_mb * MB, streams, buffer)
-
-
 def run(
     buffer_sizes=BUFFER_SIZES,
     file_size_mb: int = 100,
     streams: int = 1,
     seed: int = 2001,
-    processes: int | None = None,
 ) -> BufferSweep:
     """Measure throughput across buffer sizes; returns the sweep with the formula prediction."""
     buffer_sizes = tuple(buffer_sizes)
@@ -60,9 +51,14 @@ def run(
     rtt = ping(probe.topology, "anl", "cern").rtt
     bottleneck = pipechar(probe.topology, "anl", "cern").available_bandwidth
     formula = optimal_buffer_size(rtt, bottleneck)
-    points = [(buffer, file_size_mb, streams, seed) for buffer in buffer_sizes]
-    measured = run_sweep(_point, points, processes=processes)
-    rates = dict(zip(buffer_sizes, measured))
+    # every point is measured on a fresh testbed of the same seed
+    rates = {
+        buffer: extended_get(
+            gridftp_testbed(TestbedParams(seed=seed)),
+            file_size_mb * MB, streams, buffer,
+        )
+        for buffer in buffer_sizes
+    }
     return BufferSweep(
         measured_rtt=rtt,
         measured_bottleneck=bottleneck,

@@ -219,7 +219,7 @@ def run(
         rounds=rounds,
         duration=duration,
         faults_injected=faults.injected,
-        pools_cancelled=faults.injector.pools_cancelled,
+        pools_cancelled=faults.injector.stats["pools_cancelled"],
         retries=counter_total(grid, "rpc.retries"),
         failovers=counter_total(grid, "gdmp.mover.failovers"),
         restarts=counter_total(grid, "gdmp.mover.restarts"),

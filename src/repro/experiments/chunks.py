@@ -253,8 +253,8 @@ def run(
         repair_cheaper = True
     detection_ok = True
     if campaign:
-        applied = faults.injected - faults.injector.monitor.counters.get(
-            "chunk_corrupt_noop", 0
+        applied = (
+            faults.injected - faults.injector.stats["chunk_corrupt_noop"]
         )
         if applied > 0 and scrub_bad == 0:
             detection_ok = False

@@ -10,7 +10,6 @@ low (slow start + per-transfer setup dominate).
 from __future__ import annotations
 
 from repro.experiments.common import print_table
-from repro.experiments.parallel import run_sweep
 from repro.experiments.testbed import extended_get, gridftp_testbed
 from repro.netsim.calibration import DEFAULT_BUFFER_BYTES, TestbedParams
 from repro.netsim.units import MB
@@ -22,41 +21,28 @@ STREAM_COUNTS = tuple(range(1, 11))
 BUFFER = DEFAULT_BUFFER_BYTES
 
 
-def _point(args: tuple[int, int, int, int, int]) -> float:
-    """One sweep point: mean rate over ``repeats`` fresh seeded testbeds."""
-    size_mb, streams, buffer, seed, repeats = args
-    rates = []
-    for repeat in range(repeats):
-        testbed = gridftp_testbed(TestbedParams(seed=seed + repeat))
-        rates.append(extended_get(testbed, size_mb * MB, streams, buffer))
-    return sum(rates) / len(rates)
-
-
 def run(
     file_sizes_mb=FILE_SIZES_MB,
     stream_counts=STREAM_COUNTS,
     buffer: int = BUFFER,
     seed: int = 2001,
     repeats: int = 1,
-    processes: int | None = None,
 ) -> dict[int, dict[int, float]]:
     """-> {file_size_mb: {streams: rate_mbps}}.  Each point runs on a fresh
     testbed (independent measurements, as in the paper); ``repeats`` > 1
     averages over independent loss realizations (seed, seed+1, ...).
-
-    Points are independent seeded simulations, so they are fanned across
-    worker processes (``processes=None`` -> CPU count, 1 -> serial); the
-    numbers are identical either way.
     """
-    points = [
-        (size_mb, streams, buffer, seed, repeats)
-        for size_mb in file_sizes_mb
-        for streams in stream_counts
-    ]
-    rates = run_sweep(_point, points, processes=processes)
     series: dict[int, dict[int, float]] = {}
-    for (size_mb, streams, *_), rate in zip(points, rates):
-        series.setdefault(size_mb, {})[streams] = rate
+    for size_mb in file_sizes_mb:
+        for streams in stream_counts:
+            rates = [
+                extended_get(
+                    gridftp_testbed(TestbedParams(seed=seed + repeat)),
+                    size_mb * MB, streams, buffer,
+                )
+                for repeat in range(repeats)
+            ]
+            series.setdefault(size_mb, {})[streams] = sum(rates) / len(rates)
     return series
 
 

@@ -16,12 +16,11 @@ def run(
     stream_counts=figure5.STREAM_COUNTS,
     seed: int = 2001,
     repeats: int = 1,
-    processes: int | None = None,
 ) -> dict[int, dict[int, float]]:
     """The Figure 5 sweep with 1 MiB tuned buffers."""
     return figure5.run(
         file_sizes_mb, stream_counts, buffer=TUNED_BUFFER_BYTES, seed=seed,
-        repeats=repeats, processes=processes,
+        repeats=repeats,
     )
 
 

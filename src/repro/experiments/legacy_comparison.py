@@ -86,9 +86,9 @@ def run(size_mb: int = 25) -> LegacyComparison:
             grid.run(until=grid.site("anl").client.replicate("flaky.db"))
         else:
             grid.run(until=LegacyGdmp(grid, "anl").replicate("flaky.db", "cern"))
-        monitor = grid.engine.monitor
-        return monitor.counter("bytes_delivered") + monitor.counter(
-            "bytes_delivered_aborted"
+        return (
+            grid.metrics.value("netsim.bytes_delivered")
+            + grid.engine.stats["bytes_delivered_aborted"]
         )
 
     # corruption: does the receiver end up with a correct file?

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.common import print_table
-from repro.experiments.parallel import run_sweep
 from repro.objectdb import EventStoreBuilder, Federation, ObjectTypeSpec
 from repro.objectrep import compare_replication_strategies, select_events
 
@@ -40,22 +39,12 @@ class ObjectVsFile:
         return 1.0
 
 
-def _compare(args) -> object:
-    """One sweep point: compare both strategies for a pre-drawn selection."""
-    federation, catalog, selected, type_name, events_per_file = args
-    return compare_replication_strategies(
-        federation, catalog, selected, type_name,
-        objects_per_new_file=events_per_file,
-    )
-
-
 def run(
     n_events: int = 100_000,
     events_per_file: int = 1000,
     object_size: float = 10_000.0,
     fractions=SELECTION_FRACTIONS,
     seed: int = 42,
-    processes: int | None = None,
 ) -> ObjectVsFile:
     """Sweep selection fractions and compare both strategies' shipped bytes."""
     federation = Federation("cms", site="cern")
@@ -64,22 +53,18 @@ def run(
         federation, n_events=n_events, types=types,
         events_per_file=events_per_file,
     )
-    # Selections are drawn serially from one shared generator: each draw
-    # consumes the stream, so the draw order (and thus every selection) is
-    # part of the experiment's determinism contract.  The expensive
-    # strategy comparisons are independent per selection and fan out.
+    # Selections are drawn from one shared generator: each draw consumes
+    # the stream, so the draw order (and thus every selection) is part of
+    # the experiment's determinism contract.
     rng = np.random.Generator(np.random.PCG64(seed + 1))
-    points = [
-        (
-            federation,
-            catalog,
-            select_events(catalog.event_numbers, fraction, rng),
-            "aod",
-            events_per_file,
+    comparisons = [
+        compare_replication_strategies(
+            federation, catalog,
+            select_events(catalog.event_numbers, fraction, rng), "aod",
+            objects_per_new_file=events_per_file,
         )
         for fraction in fractions
     ]
-    comparisons = run_sweep(_compare, points, processes=processes)
     return ObjectVsFile(
         n_events=n_events,
         events_per_file=events_per_file,

@@ -16,7 +16,7 @@ fault hooks the subsystems expose —
 * :meth:`MassStorageSystem.inject_stall` / ``inject_errors`` for the
   tape system.
 
-Down windows run a coarse watchdog (default every 250 ms of sim-time)
+Down windows run a coarse watchdog (every 250 ms of sim-time)
 that tears down data pools newly opened across a partitioned link or
 crashed host — the fluid flow engine itself has no notion of link
 health, so without this a transfer started inside a window would
@@ -37,9 +37,12 @@ from dataclasses import dataclass
 from repro.faults.campaign import FaultCampaign, FaultEvent
 from repro.gdmp.request_manager import RequestServer
 from repro.simulation.kernel import Process
-from repro.simulation.monitor import Monitor
 
 __all__ = ["FaultInjector"]
+
+#: how often (sim-seconds) a down window's watchdog re-checks for data
+#: pools opened across the broken element
+WATCHDOG_INTERVAL = 0.25
 
 #: operation prefix black-holed/delayed on the catalog host's gdmp service
 _CATALOG_PREFIX = "catalog."
@@ -91,17 +94,19 @@ _BLACKHOLE_EVENTS = {
 class FaultInjector:
     """Applies a campaign's events, in schedule order, to one grid."""
 
-    def __init__(self, grid, campaign: FaultCampaign,
-                 watchdog_interval: float = 0.25):
+    def __init__(self, grid, campaign: FaultCampaign):
         self.grid = grid
         self.campaign = campaign
         self.sim = grid.sim
-        self.watchdog_interval = watchdog_interval
-        self.monitor = Monitor()
         #: number of events applied so far
         self.injected = 0
-        #: data pools torn down by partitions/crashes
-        self.pools_cancelled = 0
+        #: data pools torn down by partitions/crashes; ``chunk_corrupt``
+        #: events that found no chunk to damage; chunk files wiped
+        self.stats = {
+            "pools_cancelled": 0,
+            "chunk_corrupt_noop": 0,
+            "chunks_wiped": 0,
+        }
         self._active: dict[tuple[str, str], int] = {}
         self._spans: dict[tuple[str, str], object] = {}
 
@@ -127,7 +132,6 @@ class FaultInjector:
         else:
             getattr(self, "_apply_" + event.kind)(event)
         self.injected += 1
-        self.monitor.count(f"faults.{event.kind}")
         if self.grid.metrics is not None:
             self.grid.metrics.counter(
                 "faults.injected", kind=event.kind
@@ -168,14 +172,13 @@ class FaultInjector:
             self.grid.engine.cancel_pool(pool, reason)
         except ValueError:
             return  # pool completed in the same timestep; nothing to kill
-        self.pools_cancelled += 1
-        self.monitor.count("pools_cancelled")
+        self.stats["pools_cancelled"] += 1
 
     def _watchdog(self, key: tuple[str, str], pools_of, reason: str):
         """While a down window is active, tear down any data pool that
         (re)opened across the broken element."""
         while self._active.get(key, 0) > 0:
-            yield self.sim.timeout(self.watchdog_interval)
+            yield self.sim.timeout(WATCHDOG_INTERVAL)
             for pool in pools_of():
                 self._cancel(pool, reason)
 
@@ -315,7 +318,7 @@ class FaultInjector:
         site = self.grid.site(event.target)
         chunks = site.fs.listing(self._CHUNK_PREFIX)
         if not chunks:
-            self.monitor.count("chunk_corrupt_noop")
+            self.stats["chunk_corrupt_noop"] += 1
             return
         victim = chunks[int(event.param) % len(chunks)]
         site.fs.corrupt(victim.path)
@@ -332,7 +335,7 @@ class FaultInjector:
         for stored in site.fs.listing(self._CHUNK_PREFIX):
             site.fs.delete(stored.path)
             wiped += 1
-        self.monitor.count("chunks_wiped", wiped)
+        self.stats["chunks_wiped"] += wiped
         self._flash_span("fault:site_wipe", event.target, wiped=wiped)
 
     # -- workload pipeline components -------------------------------------------

@@ -17,6 +17,7 @@ Objectivity attach) -> register the new replica in the catalog.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +39,6 @@ from repro.netsim.topology import Topology
 from repro.services.bus import ServiceError
 from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Process, Simulator
-from repro.simulation.monitor import Monitor
 from repro.storage.filesystem import StoredFile
 
 __all__ = ["GdmpClient", "ReplicationReport"]
@@ -243,16 +243,28 @@ class GdmpClient:
         #: forecast cache when the grid runs the weather service (wired
         #: by DataGrid); None keeps ranking on the pure-probe path
         self.weather = None
-        self.monitor = Monitor()
+        self.stats = {
+            "published": 0,
+            "replicated": 0,
+            "bytes_replicated": 0.0,
+            "replicas_deleted": 0,
+            "orphans_purged": 0,
+            "release_failures": 0,
+        }
         self._replicating: set[str] = set()
         server.client = self
 
+    @contextmanager
     def _root_span(self, name: str, **attrs):
-        """Open a span for a top-level client command and make it the
-        current process's ambient context, so every nested call — RPC,
-        GridFTP control, transfer flows, catalog update — joins its trace."""
+        """Span a top-level client command: the span becomes the current
+        process's ambient context, so every nested call — RPC, GridFTP
+        control, transfer flows, catalog update — joins its trace, and
+        it closes ``ok`` when the block ends or ``error`` (with the
+        exception's text) when anything escapes it.  Yields the span, or
+        None without a trace log."""
         if self.tracelog is None:
-            return None
+            yield None
+            return
         span = self.tracelog.begin(
             name,
             parent=self.sim.current_context,
@@ -262,7 +274,12 @@ class GdmpClient:
             **attrs,
         )
         self.sim.active_process.context = span.context
-        return span
+        try:
+            yield span
+        except BaseException as exc:
+            self.tracelog.finish(span, "error", detail=str(exc))
+            raise
+        self.tracelog.finish(span, "ok")
 
     # -- service 1: subscribe -------------------------------------------------
     def subscribe_to(self, producer_site: str,
@@ -289,34 +306,33 @@ class GdmpClient:
         the replica catalog and notify all subscribers."""
 
         def run():
-            span = self._root_span("gdmp:publish", lfn=lfn)
-            stored = self.storage.fs.stat(path)
-            yield self.catalog.publish(
-                self.site,
-                size=stored.size,
-                modified=stored.created_at,
-                crc=stored.crc,
-                lfn=lfn,
-                **attributes,
-            )
-            self.server.record_held(lfn, path)
-            self.monitor.count("published")
-            # §4.2: "The subscribers are notified of the existence of new
-            # files." — subscription filters select who hears about this one
-            file_attrs = {
-                "lfn": lfn,
-                "size": f"{stored.size:.0f}",
-                **{k: str(v) for k, v in attributes.items()},
-            }
-            for subscriber in self.server.subscribers_for(file_attrs):
-                yield self.rpc.call(
-                    subscriber,
-                    "notify",
-                    {"producer": self.site, "lfns": [lfn],
-                     "attributes": file_attrs},
+            with self._root_span("gdmp:publish", lfn=lfn):
+                stored = self.storage.fs.stat(path)
+                yield self.catalog.publish(
+                    self.site,
+                    size=stored.size,
+                    modified=stored.created_at,
+                    crc=stored.crc,
+                    lfn=lfn,
+                    **attributes,
                 )
-            if span is not None:
-                self.tracelog.finish(span, "ok")
+                self.server.record_held(lfn, path)
+                self.stats["published"] += 1
+                # §4.2: "The subscribers are notified of the existence of
+                # new files." — subscription filters select who hears
+                # about this one
+                file_attrs = {
+                    "lfn": lfn,
+                    "size": f"{stored.size:.0f}",
+                    **{k: str(v) for k, v in attributes.items()},
+                }
+                for subscriber in self.server.subscribers_for(file_attrs):
+                    yield self.rpc.call(
+                        subscriber,
+                        "notify",
+                        {"producer": self.site, "lfns": [lfn],
+                         "attributes": file_attrs},
+                    )
             return lfn
 
         return self.sim.spawn(run(), name=f"gdmp-publish {lfn}")
@@ -446,8 +462,7 @@ class GdmpClient:
 
         def run():
             started = self.sim.now
-            span = self._root_span("gdmp:replicate", lfn=lfn)
-            try:
+            with self._root_span("gdmp:replicate", lfn=lfn):
                 if lfn in self._replicating:
                     raise GdmpError(
                         f"{self.site} is already replicating {lfn!r}"
@@ -457,12 +472,6 @@ class GdmpClient:
                     result = yield from replicate_body(started)
                 finally:
                     self._replicating.discard(lfn)
-            except BaseException as exc:
-                if span is not None:
-                    self.tracelog.finish(span, "error", detail=str(exc))
-                raise
-            if span is not None:
-                self.tracelog.finish(span, "ok")
             return result
 
         def replicate_body(started):
@@ -481,7 +490,7 @@ class GdmpClient:
                 # interrupted replication converges instead of wedging on
                 # "already present"
                 self.storage.fs.delete(local_path)
-                self.monitor.count("orphans_purged")
+                self.stats["orphans_purged"] += 1
 
             # source ranking: preferred producer first if it has a replica,
             # then the cost-function order; failed sources are skipped
@@ -503,7 +512,6 @@ class GdmpClient:
                 )
 
             def on_failover(_source, _error):
-                self.monitor.count("source_failovers")
                 if self.mover.metrics is not None:
                     self.mover.metrics.counter(
                         "gdmp.mover.failovers", site=self.site
@@ -525,8 +533,8 @@ class GdmpClient:
             if transfer_set is None:
                 yield self.catalog.add_replica(lfn, self.site)
             self.server.record_held(lfn, local_path)
-            self.monitor.count("replicated")
-            self.monitor.count("bytes_replicated", file_info.size)
+            self.stats["replicated"] += 1
+            self.stats["bytes_replicated"] += file_info.size
             return ReplicationReport(
                 lfn=lfn,
                 source=source,
@@ -567,7 +575,7 @@ class GdmpClient:
         try:
             yield self._stage_call(source, "release", lfns)
         except ServiceError:
-            self.monitor.count("release_failures")
+            self.stats["release_failures"] += 1
 
     def replicate_set(
         self,
@@ -605,13 +613,14 @@ class GdmpClient:
         lfns = list(lfns)
 
         def run():
-            span = self._root_span("gdmp:replicate-set", count=len(lfns))
             reports: list[ReplicationReport] = []
             registered: list[str] = []
             # a local of this process, never client state: a set orphaned
             # by a component crash keeps running beside its re-run
             transfer_set = _TransferSet(self)
-            try:
+            with self._root_span(
+                "gdmp:replicate-set", count=len(lfns)
+            ) as span:
                 if lfns:
                     infos = yield self.catalog.info_bulk(lfns)
                     member = None  # the file being moved
@@ -639,12 +648,6 @@ class GdmpClient:
                         finally:
                             if span is not None:
                                 span.attrs.update(transfer_set.counts())
-            except BaseException as exc:
-                if span is not None:
-                    self.tracelog.finish(span, "error", detail=str(exc))
-                raise
-            if span is not None:
-                self.tracelog.finish(span, "ok")
             return reports
 
         return self.sim.spawn(run(), name=f"gdmp-replicate-set x{len(lfns)}")
@@ -662,8 +665,7 @@ class GdmpClient:
         specs = list(specs)
 
         def run():
-            span = self._root_span("gdmp:publish-set", count=len(specs))
-            try:
+            with self._root_span("gdmp:publish-set", count=len(specs)):
                 files = []
                 stats = []
                 for spec in specs:
@@ -685,7 +687,7 @@ class GdmpClient:
                     attrs_by_lfn: dict[str, dict] = {}
                     for spec, stored, lfn in zip(specs, stats, lfns):
                         self.server.record_held(lfn, spec["path"])
-                        self.monitor.count("published")
+                        self.stats["published"] += 1
                         file_attrs = {
                             "lfn": lfn,
                             "size": f"{stored.size:.0f}",
@@ -711,12 +713,6 @@ class GdmpClient:
                                 },
                             },
                         )
-            except BaseException as exc:
-                if span is not None:
-                    self.tracelog.finish(span, "error", detail=str(exc))
-                raise
-            if span is not None:
-                self.tracelog.finish(span, "ok")
             return lfns
 
         return self.sim.spawn(run(), name=f"gdmp-publish-set x{len(specs)}")
@@ -766,7 +762,7 @@ class GdmpClient:
                     detached = True
             self.storage.fs.delete(path)
             del self.server.held[lfn]
-            self.monitor.count("replicas_deleted")
+            self.stats["replicas_deleted"] += 1
             return {"lfn": lfn, "freed_bytes": stored.size,
                     "detached": detached}
 

@@ -8,6 +8,9 @@ from repro.netsim.units import GB, KiB, mbps
 
 __all__ = ["GdmpConfig"]
 
+#: Directory every site stores its replicas under.
+STORAGE_PREFIX = "/storage"
+
 
 @dataclass
 class GdmpConfig:
@@ -20,7 +23,6 @@ class GdmpConfig:
     """
 
     site: str
-    storage_prefix: str = "/storage"
     disk_capacity: float = 500 * GB
     disk_read_rate: float = mbps(400)
     disk_write_rate: float = mbps(400)
@@ -30,8 +32,6 @@ class GdmpConfig:
     max_transfer_retries: int = 3
     # mass storage
     has_mss: bool = False
-    tape_drives: int = 2
-    tape_mount_seek: float = 45.0
     tape_rate: float = 15e6
     # behaviour
     auto_replicate: bool = False  # fetch files as soon as a notify arrives
@@ -39,4 +39,4 @@ class GdmpConfig:
 
     def storage_path(self, lfn: str) -> str:
         """The site-local path an LFN is stored under."""
-        return f"{self.storage_prefix}/{lfn}"
+        return f"{STORAGE_PREFIX}/{lfn}"

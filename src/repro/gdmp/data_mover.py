@@ -19,7 +19,6 @@ from typing import Optional
 from repro.gridftp.client import ClientSession, GridFTPClient, TransferError
 from repro.gridftp.markers import RangeSet
 from repro.simulation.kernel import Process, Simulator
-from repro.simulation.monitor import Monitor
 from repro.storage.filesystem import FileSystem, StoredFile
 from repro.storage.integrity import mixed_content_id
 
@@ -86,7 +85,6 @@ class DataMover:
         #: pause before re-dialling after a zero-progress restart; never
         #: taken on a healthy transfer.
         self.stall_backoff = stall_backoff
-        self.monitor = Monitor()
         #: optional MetricsRegistry + site label for recovery counters
         self.metrics = metrics
         self.site = site
@@ -210,11 +208,7 @@ class DataMover:
                                 ) from exc
                         else:
                             stalled += 1
-                            self.monitor.count("stalled_restarts")
-                            if self.metrics is not None:
-                                self.metrics.counter(
-                                    "gdmp.mover.stalls", site=self.site
-                                ).inc()
+                            self._count("stalls")
                             if stalled > self.max_stalled_attempts:
                                 self._count("abandoned")
                                 raise TransferAbandoned(
@@ -263,7 +257,6 @@ class DataMover:
         return self.sim.spawn(run(), name=f"data-mover {remote_path}")
 
     def _count(self, event: str, amount: float = 1.0) -> None:
-        self.monitor.count(event, amount)
         if self.metrics is not None:
             self.metrics.counter(
                 f"gdmp.mover.{event}", site=self.site

@@ -90,7 +90,7 @@ def failover_walk(
     ``attempt`` returns an event (typically a spawned process) that is
     yielded; a failure in :data:`FAILOVER_ERRORS` records the source and
     moves on, anything else propagates.  ``on_failover`` is called with
-    ``(source, error)`` per skipped source (metrics/monitor hooks).
+    ``(source, error)`` per skipped source (the metrics hook).
     Returns ``(result, source, failed_sources)``; raises
     :class:`GdmpError` when every candidate failed.
     """

@@ -44,7 +44,6 @@ from repro.services.resilience import (
 from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Simulator
 from repro.simulation.randomness import RandomStreams
-from repro.simulation.monitor import Monitor
 from repro.storage.diskpool import DiskPool
 from repro.storage.filesystem import FileSystem
 from repro.storage.hrm import HierarchicalResourceManager
@@ -116,9 +115,6 @@ class DataGrid:
         #: it draws no random numbers and schedules no events — so the
         #: simulated outcome is bit-identical with or without it.
         self.metrics = MetricsRegistry(self.sim) if metrics else None
-        #: grid-level monitor; the registry rides along in its snapshot so
-        #: the determinism gate fingerprints the metrics too
-        self.monitor = Monitor(registry=self.metrics)
         self.topology = Topology()
         self.engine_seed = seed
         self.ca = CertificateAuthority()
@@ -205,8 +201,6 @@ class DataGrid:
             mss = MassStorageSystem(
                 self.sim,
                 name,
-                drives=config.tape_drives,
-                mount_seek_time=config.tape_mount_seek,
                 tape_rate=config.tape_rate,
                 metrics=self.metrics,
             )

@@ -37,6 +37,11 @@ __all__ = ["ReplicaScore", "choose_replica", "estimate_transfer_time",
 #: Control-channel overhead charged per transfer (connect + auth + commands).
 SETUP_ROUND_TRIPS = 5
 
+#: Minimum forecast confidence for history to drive the ranking; below it
+#: the probe estimate wins (above it the forecast blends in proportionally
+#: to its confidence).
+MIN_FORECAST_CONFIDENCE = 0.2
+
 
 @dataclass(frozen=True)
 class ReplicaScore:
@@ -84,7 +89,7 @@ def estimate_transfer_time(
     if (
         forecast is None
         or forecast.throughput <= 0.0
-        or forecast.confidence < weather.config.min_confidence
+        or forecast.confidence < MIN_FORECAST_CONFIDENCE
     ):
         return ReplicaScore(
             site=src,

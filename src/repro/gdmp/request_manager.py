@@ -9,9 +9,10 @@ security service."
 
 This module is a thin protocol profile over the shared service bus
 (:mod:`repro.services`): the server is a :class:`ServiceEndpoint` whose
-middleware chain counts operations, verifies the caller's proxy chain
-against the trusted CAs, maps the identity through the gridmap, and sheds
-deadline-expired requests; the client is a :class:`ServiceClient` that
+middleware chain verifies the caller's proxy chain against the trusted
+CAs, maps the identity through the gridmap, and sheds deadline-expired
+requests (and, given a metrics registry, counts and times every
+operation); the client is a :class:`ServiceClient` that
 attaches the proxy chain to every call and maps faults/timeouts to
 :class:`RemoteError` / :class:`RequestTimeout`.
 """
@@ -37,12 +38,10 @@ from repro.services.middleware import (
     GsiAuthenticator,
     GsiAuthMiddleware,
     MetricsMiddleware,
-    ServerMonitorMiddleware,
 )
 from repro.services.replay import ReplayWindow
 from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Process, Simulator
-from repro.simulation.monitor import Monitor
 
 __all__ = [
     "GdmpError",
@@ -113,15 +112,13 @@ class RequestServer(ServiceEndpoint):
         tracelog: Optional[TraceLog] = None,
         metrics=None,
     ):
-        monitor = Monitor()
         self.credential = credential
         self.trusted_cas = trusted_cas
         self.gridmap = gridmap
         self.authenticator = GsiAuthenticator(trusted_cas, gridmap)
         middlewares = [
-            ServerMonitorMiddleware(monitor),
-            GsiAuthMiddleware(self.authenticator, monitor),
-            DeadlineMiddleware(monitor, metrics=metrics, service=service),
+            GsiAuthMiddleware(self.authenticator),
+            DeadlineMiddleware(metrics=metrics, service=service),
         ]
         if metrics is not None:
             middlewares.insert(0, MetricsMiddleware(metrics, service=service))
@@ -132,7 +129,6 @@ class RequestServer(ServiceEndpoint):
             service,
             middlewares=tuple(middlewares),
             tracelog=tracelog,
-            monitor=monitor,
             message_size=REQUEST_MESSAGE_SIZE,
             process_name=f"gdmp-request-manager@{host.name}",
         )

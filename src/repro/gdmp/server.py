@@ -29,7 +29,6 @@ from repro.gdmp.request_manager import (
 from repro.gdmp.storage_manager import StorageManager
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Simulator
-from repro.simulation.monitor import Monitor
 from repro.storage.hrm import StageStatus
 
 __all__ = ["GdmpServer"]
@@ -49,7 +48,7 @@ class GdmpServer:
         self.site = site
         self.request_server = request_server
         self.storage = storage
-        self.monitor = Monitor()
+        self.stats = {"subscriptions": 0, "notifications": 0, "stage_served": 0}
         #: subscriber site -> LDAP filter text (None = everything); filters
         #: are evaluated against a published file's attributes, so a
         #: regional center can subscribe to, e.g.,
@@ -97,7 +96,7 @@ class GdmpServer:
             except FilterSyntaxError as exc:
                 raise GdmpError(f"bad subscription filter: {exc}") from exc
         self.subscribers[subscriber] = filter_text
-        self.monitor.count("subscriptions")
+        self.stats["subscriptions"] += 1
         return sorted(self.subscribers)
 
     def _op_unsubscribe(self, request: AuthenticatedRequest):
@@ -126,7 +125,7 @@ class GdmpServer:
             "attributes": dict(request.payload.get("attributes", {})),
             "received_at": self.sim.now,
         }
-        self.monitor.count("notifications")
+        self.stats["notifications"] += 1
         client = self.client
         if client is not None and client.config.auto_replicate:
             if len(news["lfns"]) > 1:
@@ -187,7 +186,7 @@ class GdmpServer:
         except Exception as exc:
             return {"error": str(exc)}
         if pin:
-            self.monitor.count("stage_served")
+            self.stats["stage_served"] += 1
         return {"path": path, "size": stored.size, "crc": stored.crc}
 
     def _op_release(self, request: AuthenticatedRequest):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.gdmp.request_manager import GdmpError
 from repro.simulation.kernel import Process, Simulator
-from repro.simulation.monitor import Monitor
 from repro.storage.filesystem import StorageError, StoredFile
 from repro.storage.hrm import HierarchicalResourceManager, StageStatus
 
@@ -24,7 +23,12 @@ class StorageManager:
     def __init__(self, sim: Simulator, hrm: HierarchicalResourceManager):
         self.sim = sim
         self.hrm = hrm
-        self.monitor = Monitor()
+        self.stats = {
+            "stage_requests": 0,
+            "evictions_for_incoming": 0,
+            "replicas_received": 0,
+            "files_archived": 0,
+        }
 
     @property
     def pool(self):
@@ -44,7 +48,7 @@ class StorageManager:
 
         def run():
             if self.hrm.status(path) is StageStatus.ON_TAPE:
-                self.monitor.count("stage_requests")
+                self.stats["stage_requests"] += 1
             try:
                 stored = yield self.hrm.stage_file(path)
             except StorageError as exc:
@@ -72,15 +76,15 @@ class StorageManager:
             reservation = self.pool.reserve(size)
         except StorageError as exc:
             raise GdmpError(f"no space for {path!r}: {exc}") from exc
-        freed = self.pool.evictions - evictions_before
-        if freed:
-            self.monitor.count("evictions_for_incoming", freed)
+        self.stats["evictions_for_incoming"] += (
+            self.pool.evictions - evictions_before
+        )
         return reservation
 
     def commit_incoming(self, stored: StoredFile, reservation=None,
                         pin: bool = False) -> None:
         """Bookkeeping after the data mover materialized the replica."""
-        self.monitor.count("replicas_received")
+        self.stats["replicas_received"] += 1
         if reservation is not None:
             reservation.consume()
         if pin:
@@ -91,7 +95,7 @@ class StorageManager:
 
         def run():
             record = yield self.hrm.archive_file(path)
-            self.monitor.count("files_archived")
+            self.stats["files_archived"] += 1
             return record
 
         return self.sim.spawn(run(), name=f"archive {path}")

@@ -39,14 +39,9 @@ from repro.security.ca import CertificateAuthority, CertificateError
 from repro.security.credentials import Credential
 from repro.security.gridmap import AuthorizationError, GridMap
 from repro.services.bus import ServiceEndpoint, ServiceFault, ServiceRequest
-from repro.services.middleware import (
-    GsiAuthenticator,
-    MetricsMiddleware,
-    ServerMonitorMiddleware,
-)
+from repro.services.middleware import GsiAuthenticator, MetricsMiddleware
 from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Simulator
-from repro.simulation.monitor import Monitor
 from repro.storage.filesystem import FileSystem, StorageError
 from repro.storage.integrity import corrupt_content_id, partial_content_id
 
@@ -59,6 +54,12 @@ PERF_MARKER_INTERVAL = 5.0
 #: minimum RTO, the idle time after which RFC 2861 has a sender stop
 #: believing the window it had.  Physics, not policy — so not a setting.
 CHANNEL_IDLE_LIMIT = 1.0
+
+#: The socket buffer a session has until it negotiates one with ``SBUF``.
+DEFAULT_BUFFER = 64 * KiB
+
+#: Most parallel streams ``OPTS RETR Parallelism=n`` may ask for.
+MAX_PARALLELISM = 16
 
 #: Histogram bounds for parallel-stream fan-out (streams x stripes).
 _FANOUT_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -91,7 +92,7 @@ class _Session:
     account: str = ""
     authenticated: bool = False
     auth_started: bool = False
-    buffer: int = 64 * KiB
+    buffer: int = DEFAULT_BUFFER
     parallelism: int = 1
     restart: RangeSet = field(default_factory=RangeSet)
     client_write_rate: float = float("inf")
@@ -147,8 +148,6 @@ class GridFTPServer:
         credential: Credential,
         trusted_cas: list[CertificateAuthority],
         gridmap: GridMap,
-        default_buffer: int = 64 * KiB,
-        max_parallelism: int = 16,
         data_nodes: tuple[str, ...] = (),
         tracelog: Optional[TraceLog] = None,
         metrics=None,
@@ -161,14 +160,11 @@ class GridFTPServer:
         self.credential = credential
         self.trusted_cas = trusted_cas
         self.gridmap = gridmap
-        self.default_buffer = default_buffer
-        self.max_parallelism = max_parallelism
         #: additional stripe hosts sharing this server's filesystem (SPAS
         #: mode: "striped data transfer (m hosts to n hosts)"); data
         #: channels are opened from every stripe host in parallel.
         self.data_nodes = tuple(data_nodes)
         self.failures = FailureInjector()
-        self.monitor = Monitor()
         self.tracelog = tracelog
         #: optional MetricsRegistry; per-stream throughput, marker counts,
         #: and fan-out are recorded per transfer (never per tick)
@@ -176,10 +172,7 @@ class GridFTPServer:
         self.authenticator = GsiAuthenticator(trusted_cas, gridmap)
         self._sessions: dict[str, _Session] = {}
         self._session_counter = 0
-        middlewares = [
-            ServerMonitorMiddleware(self.monitor, prefix="cmd_"),
-            self._session_gate,
-        ]
+        middlewares = [self._session_gate]
         if metrics is not None:
             middlewares.insert(
                 0, MetricsMiddleware(metrics, service=self.SERVICE)
@@ -191,13 +184,15 @@ class GridFTPServer:
             self.SERVICE,
             middlewares=tuple(middlewares),
             tracelog=tracelog,
-            monitor=self.monitor,
             message_size=CONTROL_MESSAGE_SIZE,
             unknown_operation=lambda request: ServiceFault(
                 Reply(502, f"{request.operation} not implemented")
             ),
             process_name=f"gridftpd@{host.name}",
         )
+        #: the daemon is its endpoint: one server, one ``stats``
+        self.stats = self.bus.stats
+        self.stats.update(sessions_dropped=0, corrupted_transfers=0)
         for verb in VERBS:
             self.bus.register(verb, getattr(self, f"_cmd_{verb.lower()}"))
 
@@ -235,8 +230,7 @@ class GridFTPServer:
         for session in self._sessions.values():
             self._drop_parked(session, "crash")
         self._sessions.clear()
-        if count:
-            self.monitor.count("sessions_dropped", count)
+        self.stats["sessions_dropped"] += count
         return count
 
     # -- authentication ----------------------------------------------------------
@@ -260,15 +254,13 @@ class GridFTPServer:
                 command.extras.get("chain"), self.sim.now
             )
         except (CertificateError, AuthorizationError) as exc:
-            self.monitor.count("auth_failures")
+            self.stats["auth_failures"] += 1
             del self._sessions[session.session_id]
             raise ServiceFault(protocol.denied(str(exc))) from exc
         session.subject = auth.subject
         session.identity = auth.identity
         session.account = auth.account
         session.authenticated = True
-        session.buffer = self.default_buffer
-        self.monitor.count("auth_successes")
         if self.metrics is not None:
             self.metrics.counter(
                 "gridftp.sessions_opened", host=self.host.name
@@ -313,7 +305,7 @@ class GridFTPServer:
             raise ServiceFault(Reply(501, f"unknown OPTS {arg!r}"))
         try:
             n = int(options["PARALLELISM"])
-            if not 1 <= n <= self.max_parallelism:
+            if not 1 <= n <= MAX_PARALLELISM:
                 raise ValueError
         except ValueError:
             raise ServiceFault(Reply(501, "bad parallelism")) from None
@@ -363,7 +355,6 @@ class GridFTPServer:
         evicting a corrupt chunk replica before re-uploading it)."""
         stored = self._stat_or_fault(request.payload.argument)
         self.fs.delete(stored.path)
-        self.monitor.count("files_deleted")
         return Reply(250, f"{stored.path} deleted")
 
     def _cmd_quit(self, request: ServiceRequest):
@@ -404,7 +395,7 @@ class GridFTPServer:
         content_id = stored.content_id
         if self.failures.take_corruption(path):
             content_id = corrupt_content_id(content_id)
-            self.monitor.count("corrupted_transfers")
+            self.stats["corrupted_transfers"] += 1
         if offset > 0 or (length is not None and total < stored.size):
             content_id = partial_content_id(content_id, offset, total)
         descriptor = TransferDescriptor(
@@ -463,8 +454,6 @@ class GridFTPServer:
                     payload={"restart_marker": marker, "descriptor": descriptor},
                 )
             ) from exc
-        self.monitor.count("bytes_sent", remaining)
-        self.monitor.count("files_sent")
         if metrics is not None:
             metrics.counter("gridftp.bytes_sent", host=self.host.name).inc(
                 remaining
@@ -553,7 +542,6 @@ class GridFTPServer:
         try:
             yield pool.done
         except TransferAborted:
-            self.monitor.count("aborted_transfers")
             if self.metrics is not None:
                 self.metrics.counter(
                     "gridftp.transfers_aborted", host=self.host.name
@@ -590,7 +578,6 @@ class GridFTPServer:
             session.parked.clear()
 
     def _count_channels(self, event: str, count: int = 1, **labels) -> None:
-        self.monitor.count(f"channels_{event}", count)
         if self.metrics is not None:
             self.metrics.counter(
                 f"gridftp.channels_{event}", host=self.host.name, **labels
@@ -652,7 +639,6 @@ class GridFTPServer:
             )
         except StorageError as exc:
             raise ServiceFault(Reply(452, str(exc))) from exc
-        self.monitor.count("files_received")
         return protocol.closing(payload={"received": descriptor.size})
 
     def _cmd_stor(self, request: ServiceRequest):
@@ -694,6 +680,4 @@ class GridFTPServer:
             payload=descriptor.payload,
             **descriptor.attrs,
         )
-        self.monitor.count("bytes_received", descriptor.size)
-        self.monitor.count("files_received")
         return protocol.closing(payload={"received": descriptor.size})

@@ -19,6 +19,9 @@ from repro.simulation.resources import Store
 
 __all__ = ["Envelope", "Mailbox", "MessageNetwork"]
 
+#: Host-side cost of handling one message (seconds), paid even on loopback.
+PER_MESSAGE_OVERHEAD = 0.001
+
 @dataclass(frozen=True)
 class Envelope:
     """A delivered message.
@@ -60,15 +63,9 @@ class Mailbox:
 class MessageNetwork:
     """Registry of service mailboxes plus the latency model between them."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        per_message_overhead: float = 0.001,
-    ):
+    def __init__(self, sim: Simulator, topology: Topology):
         self.sim = sim
         self.topology = topology
-        self.per_message_overhead = per_message_overhead
         self._mailboxes: dict[tuple[str, str], Mailbox] = {}
         self._down_hosts: set[str] = set()
         self._down_links: set[str] = set()
@@ -198,12 +195,12 @@ class MessageNetwork:
         src_name = src.name if isinstance(src, Host) else src
         dst_name = dst.name if isinstance(dst, Host) else dst
         if src_name == dst_name:
-            return self.per_message_overhead
+            return PER_MESSAGE_OVERHEAD
         links = self.topology.route(src_name, dst_name)
         propagation = sum(link.delay for link in links)
         queueing = sum(link.queueing_delay for link in links)
         bandwidth = min(link.available_capacity for link in links)
-        return self.per_message_overhead + propagation + queueing + size / bandwidth
+        return PER_MESSAGE_OVERHEAD + propagation + queueing + size / bandwidth
 
     def send(
         self,

@@ -57,9 +57,9 @@ deliveries and RTT-boundary window updates lazily (on wake, or on demand
 when a pool is observed or the flow set changes mid-stretch).  See
 DESIGN.md ("Adaptive tick stretching" and "Flow tables and link islands").
 
-Monitoring is kept out of the hot loop: per-tick link queue sampling is
-opt-in via ``link_monitor_interval``, and per-flow byte counters are
-derived on read (``Flow.monitor``) instead of being updated per tick.
+Instrumentation is kept out of the hot loop: counts are taken when a flow
+opens or retires, a pool drains or is cancelled, or a queue overflows —
+never per tick (see ``NetworkEngine.metrics``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from repro.netsim.link import Link
 from repro.netsim.tcp import CongestionState, TcpParams, TcpState
 from repro.netsim.topology import Host, Topology
 from repro.simulation.kernel import Event, Interrupt, Simulator
-from repro.simulation.monitor import Monitor
 from repro.simulation.randomness import RandomStreams
 
 try:
@@ -235,8 +234,6 @@ class Flow:
     is flushed back and the object stands alone again.
     """
 
-    _counter = 0
-
     def __init__(
         self,
         src: Host,
@@ -246,13 +243,9 @@ class Flow:
         tcp: TcpState,
         rate_cap: float,
         name: str,
-        flow_id: Optional[int] = None,
+        flow_id: int,
     ):
-        if flow_id is None:
-            # Back-compat fallback for flows built outside an engine; the
-            # engine always passes its own per-engine sequence number.
-            Flow._counter += 1
-            flow_id = Flow._counter
+        #: the opening engine's own sequence number
         self.id = flow_id
         self.name = name or f"flow-{self.id}"
         self.src = src
@@ -265,7 +258,6 @@ class Flow:
         self.base_rtt = 2.0 * sum(link.delay for link in path)
         self.next_round_at = 0.0
         self._tcp = tcp
-        self._monitor = Monitor()
         self._delivered = 0.0
         self._loss_pending = False
         self._timeout_pending = False
@@ -328,15 +320,6 @@ class Flow:
             self._timeout_pending = value
 
     @property
-    def monitor(self) -> Monitor:
-        """Per-flow monitor; its ``bytes`` counter is derived from the
-        delivered total on read rather than updated every tick."""
-        delivered = self.delivered
-        if delivered:
-            self._monitor.counters["bytes"] = delivered
-        return self._monitor
-
-    @property
     def rtt(self) -> float:
         """Most recent effective RTT (propagation + queueing)."""
         t = self._table
@@ -383,7 +366,6 @@ class NetworkEngine:
         topology: Topology,
         seed: int = 0,
         adaptive_ticks: bool = True,
-        link_monitor_interval: Optional[float] = None,
         metrics=None,
         kernel: Optional[str] = None,
     ):
@@ -391,16 +373,15 @@ class NetworkEngine:
         self.topology = topology
         self.random = RandomStreams(seed)
         self.adaptive_ticks = adaptive_ticks
-        self.link_monitor_interval = link_monitor_interval
         #: tick kernel: "vector" (numpy arrays), "scalar" (python lists),
         #: or "auto" (per-table size cutover at VECTOR_MIN_FLOWS);
         #: ``None`` feature-detects, ``REPRO_NETSIM_KERNEL`` overrides.
         self.kernel = resolve_kernel(kernel)
         #: optional :class:`~repro.telemetry.metrics.MetricsRegistry`.
-        #: Instrumentation is event-driven (flow open/retire, drops, the
-        #: opt-in link sampling grid) — never per-tick — and purely
-        #: observational, so attaching a registry changes no simulation
-        #: output and stays out of the hot loop.
+        #: Instrumentation is event-driven (flow open/retire, drops) —
+        #: never per-tick — and purely observational, so attaching a
+        #: registry changes no simulation output and stays out of the
+        #: hot loop.
         self.metrics = metrics
         if metrics is not None:
             for link in topology.links:
@@ -419,7 +400,9 @@ class NetworkEngine:
         self._flows: list[Flow] = []
         self._running = False
         self._process = None
-        self.monitor = Monitor()
+        #: bytes cancelled pools had delivered: with the registry's
+        #: ``netsim.bytes_delivered``, every byte the engine ever moved
+        self.stats = {"bytes_delivered_aborted": 0.0}
         #: full ticks executed / fine ticks settled analytically
         self.tick_count = 0
         self.settled_tick_count = 0
@@ -434,7 +417,6 @@ class NetworkEngine:
         # stretched-tick state
         self._stretch: Optional[_Stretch] = None
         self._realign_at = 0.0
-        self._next_link_sample = 0.0
         # scratch flags describing the most recent full tick
         self._tick_quiet = False
 
@@ -496,7 +478,6 @@ class NetworkEngine:
         flow.next_round_at = self.sim.now + max(flow.base_rtt, self.MIN_RTT)
         self._flows.append(flow)
         self._cache_dirty = True
-        self.monitor.count("flows_opened")
         if self.metrics is not None:
             self.metrics.counter(
                 "netsim.flows_opened",
@@ -542,8 +523,7 @@ class NetworkEngine:
 
         Connected components of the flow/link/NIC/pool incidence graph:
         flows in different islands share no coupling, so their dynamics
-        are fully independent and can be simulated on disjoint workers
-        (see ``repro.experiments.parallel.run_weighted``)."""
+        are fully independent."""
         if self._cache_dirty or self._table is None:
             self._rebuild_cache()
         return self._table.islands()
@@ -594,8 +574,7 @@ class NetworkEngine:
         self._flows = [f for f in self._flows if f.pool is not pool]
         self._cache_dirty = True
         pool.completed_at = self.sim.now
-        self.monitor.count("transfers_aborted")
-        self.monitor.count("bytes_delivered_aborted", pool._delivered)
+        self.stats["bytes_delivered_aborted"] += pool._delivered
         if self.metrics is not None:
             self.metrics.counter("netsim.transfers_aborted").inc()
             for f in cancelled:
@@ -683,7 +662,7 @@ class NetworkEngine:
         return self._tick_scalar(t)
 
     def _advance_links(self, t: FlowTable, link_demand, dt: float,
-                       sim_now: float, link_scale, link_dropped):
+                       link_scale, link_dropped):
         """Advance queue state on every touched link (plain loop: links are
         few next to flows).  ``link_demand`` must hold python floats;
         ``link_scale``/``link_dropped`` may be lists or ndarrays.  Returns
@@ -691,10 +670,6 @@ class NetworkEngine:
         queue) are skipped exactly: their advance would be the identity."""
         links = t.links
         link_queue = t.link_queue
-        sample_links = (
-            self.link_monitor_interval is not None
-            and sim_now >= self._next_link_sample
-        )
         metrics = self.metrics
         congested = False
         dropped_any = False
@@ -721,19 +696,6 @@ class NetworkEngine:
                 link.advance_queue(demand, dt)
                 link_queue[slot] = link.queue
             # else: advance_queue would be a no-op (queue stays 0, no drop)
-            if sample_links:
-                link.monitor.timeseries("queue").sample(sim_now, link.queue)
-                if metrics is not None:
-                    metrics.observe(
-                        "netsim.link.queue", link.queue, link=link.name
-                    )
-                    metrics.observe(
-                        "netsim.link.utilization",
-                        min(demand / link.capacity, 1.0),
-                        link=link.name,
-                    )
-        if sample_links:
-            self._next_link_sample = sim_now + self.link_monitor_interval
         return congested, dropped_any
 
     def _detect_finished(self, t: FlowTable) -> list[int]:
@@ -786,8 +748,6 @@ class NetworkEngine:
                         True,
                     )
         for pool in finished_pools:
-            self.monitor.count("transfers_completed")
-            self.monitor.count("bytes_delivered", pool.size)
             if metrics is not None:
                 metrics.counter("netsim.transfers_completed").inc()
                 metrics.counter("netsim.bytes_delivered").inc(pool.size)
@@ -804,8 +764,7 @@ class NetworkEngine:
         """One fluid tick over python-list columns (the numpy-free path).
 
         A faithful port of the per-object tick: same passes, same float
-        operation order, with attribute lookups hoisted into locals and
-        per-tick monitor updates removed (derived on read instead).
+        operation order, with attribute lookups hoisted into locals.
         """
         sim_now = self.sim.now
         n = t.n_flows
@@ -920,7 +879,7 @@ class NetworkEngine:
         link_scale = [1.0] * nlinks
         link_dropped = [0.0] * nlinks
         congested, dropped_any = self._advance_links(
-            t, link_demand, dt, sim_now, link_scale, link_dropped
+            t, link_demand, dt, link_scale, link_dropped
         )
 
         achieved = t.achieved
@@ -1136,7 +1095,7 @@ class NetworkEngine:
         link_scale = np.ones(t.n_links)
         link_dropped = np.zeros(t.n_links)
         congested, dropped_any = self._advance_links(
-            t, link_demand.tolist(), dt, sim_now, link_scale, link_dropped
+            t, link_demand.tolist(), dt, link_scale, link_dropped
         )
 
         achieved = t.achieved

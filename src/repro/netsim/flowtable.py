@@ -24,9 +24,7 @@ tables and link islands").
 A table also partitions its flows into **link islands** — connected
 components of the flow/link/NIC/pool incidence graph.  Flows in different
 islands share no link, no endpoint NIC, and no byte pool, so their
-dynamics are fully independent; the partition is what lets scenario
-builders schedule disjoint islands across worker processes
-(:func:`repro.experiments.parallel.run_weighted`).
+dynamics are fully independent.
 """
 
 from __future__ import annotations

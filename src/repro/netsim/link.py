@@ -13,8 +13,8 @@ The Link object stays *authoritative* for queue state even under the
 flow-table kernels: the engine calls :meth:`Link.advance_queue` per
 touched link each tick and mirrors ``queue`` back into its table column
 (a read-only copy used for the whole-array RTT pass), so external readers
-— :meth:`queueing_delay` for control-message latency, ``tools.ping``,
-monitors — always see the current value without any flush step.
+— :meth:`queueing_delay` for control-message latency, ``tools.ping`` —
+always see the current value without any flush step.
 ``capacity``/``cross_traffic``/``loss_rate``/``queue_capacity`` are
 treated as immutable after construction; the table snapshots them once
 per rebuild.
@@ -23,8 +23,6 @@ per rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.simulation.monitor import Monitor
 
 __all__ = ["Link"]
 
@@ -59,7 +57,6 @@ class Link:
     loss_rate: float = 0.0
 
     queue: float = field(default=0.0, init=False)
-    monitor: Monitor = field(default_factory=Monitor, init=False)
     #: fault-injection state: a down link delivers nothing (control
     #: messages routed across it are dropped, data flows crossing it are
     #: cancelled by the injector).  Toggled via
@@ -100,9 +97,6 @@ class Link:
             dropped = new_queue - self.queue_capacity
             new_queue = self.queue_capacity
         self.queue = max(0.0, new_queue)
-        if dropped:
-            self.monitor.count("dropped_bytes", dropped)
-            self.monitor.count("overflow_events")
         return dropped
 
     def reset(self) -> None:

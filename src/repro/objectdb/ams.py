@@ -25,12 +25,14 @@ from repro.objectdb.objects import PersistentObject
 from repro.objectdb.oid import OID
 from repro.objectdb.persistency import PAGE_SIZE, ObjectReader
 from repro.simulation.kernel import Process, Simulator
-from repro.simulation.monitor import Monitor
 
 __all__ = ["AmsPageServer", "RemoteObjectReader"]
 
 #: Request message: (db, container, page) triple plus framing.
 PAGE_REQUEST_SIZE = 64
+
+#: Server-side time to look up and serve one page (seconds).
+PAGE_SERVICE_TIME = 0.001
 
 
 class AmsPageServer:
@@ -44,14 +46,12 @@ class AmsPageServer:
         msgnet: MessageNetwork,
         host: Host,
         federation: Federation,
-        page_service_time: float = 0.001,
     ):
         self.sim = sim
         self.msgnet = msgnet
         self.host = host
         self.federation = federation
-        self.page_service_time = page_service_time
-        self.monitor = Monitor()
+        self.stats = {"pages_served": 0}
         self._mailbox = msgnet.register(host, self.SERVICE)
         sim.spawn(self._serve(), name=f"ams@{host.name}")
 
@@ -62,8 +62,8 @@ class AmsPageServer:
 
     def _handle(self, envelope):
         request = envelope.payload
-        yield self.sim.timeout(self.page_service_time)
-        self.monitor.count("pages_served")
+        yield self.sim.timeout(PAGE_SERVICE_TIME)
+        self.stats["pages_served"] += 1
         self.msgnet.send(
             self.host,
             envelope.src,
@@ -93,7 +93,7 @@ class RemoteObjectReader:
         self.msgnet = msgnet
         self.local_host = local_host
         self.server = server
-        self.monitor = Monitor()
+        self.stats = {"page_fetches": 0, "bytes_fetched": 0, "objects_read": 0}
         self._cached_pages: set[tuple[int, int, int]] = set()
         self._local_layout = ObjectReader(server.federation)
         self.reply_service = f"ams-client-{sim.next_serial('ams-client')}"
@@ -120,8 +120,8 @@ class RemoteObjectReader:
             if envelope.payload["request_id"] == request_id:
                 break
         self._cached_pages.add(page)
-        self.monitor.count("page_fetches")
-        self.monitor.count("bytes_fetched", PAGE_SIZE)
+        self.stats["page_fetches"] += 1
+        self.stats["bytes_fetched"] += PAGE_SIZE
 
     # -- reading -----------------------------------------------------------------
     def read(self, oid: OID) -> Process:
@@ -135,7 +135,7 @@ class RemoteObjectReader:
                 page = (oid.database, oid.container, page0 + extra)
                 if page not in self._cached_pages:
                     yield from self._fetch_page(page)
-            self.monitor.count("objects_read")
+            self.stats["objects_read"] += 1
             return obj
 
         return self.sim.spawn(run(), name=f"ams-read {oid}")
@@ -164,7 +164,7 @@ class RemoteObjectReader:
 
     @property
     def page_fetches(self) -> int:
-        return int(self.monitor.counter("page_fetches"))
+        return self.stats["page_fetches"]
 
     def drop_cache(self) -> None:
         """Forget all cached pages."""

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 from repro.objectdb.federation import Federation
 from repro.objectdb.objects import PersistentObject
 from repro.objectdb.oid import OID
-from repro.simulation.monitor import Monitor
 
 __all__ = ["PAGE_SIZE", "ObjectReader", "page_of"]
 
@@ -42,7 +41,7 @@ class ObjectReader:
 
     def __init__(self, federation: Federation):
         self.federation = federation
-        self.monitor = Monitor()
+        self.stats = {"objects_read": 0, "bytes_read": 0.0, "page_reads": 0}
         self._cached_pages: set[tuple[int, int, int]] = set()
         # per-container slot -> starting page index, built on first touch
         # (containers are write-once in analysis workloads)
@@ -89,23 +88,23 @@ class ObjectReader:
 
     # -- accounting -----------------------------------------------------------
     def _charge(self, obj: PersistentObject) -> None:
-        self.monitor.count("objects_read")
-        self.monitor.count("bytes_read", obj.size)
+        self.stats["objects_read"] += 1
+        self.stats["bytes_read"] += obj.size
         page0 = self._start_page(obj.oid)
         spanned = max(1, -(-int(obj.size) // PAGE_SIZE))  # ceil
         for extra in range(spanned):
             page = (obj.oid.database, obj.oid.container, page0 + extra)
             if page not in self._cached_pages:
                 self._cached_pages.add(page)
-                self.monitor.count("page_reads")
+                self.stats["page_reads"] += 1
 
     @property
     def page_reads(self) -> int:
-        return int(self.monitor.counter("page_reads"))
+        return self.stats["page_reads"]
 
     @property
     def bytes_read(self) -> float:
-        return self.monitor.counter("bytes_read")
+        return self.stats["bytes_read"]
 
     def drop_cache(self) -> None:
         """Forget all cached pages (cold-cache measurements)."""

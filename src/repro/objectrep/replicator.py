@@ -25,7 +25,6 @@ from repro.gdmp.request_manager import GdmpError
 from repro.objectrep.copier import CopyCostModel, ObjectCopier
 from repro.objectrep.index import GlobalObjectIndex
 from repro.simulation.kernel import Process
-from repro.simulation.monitor import Monitor
 
 __all__ = ["ObjectReplicationReport", "ObjectReplicator"]
 
@@ -64,7 +63,7 @@ class ObjectReplicator:
         self.dst = grid.site(destination)
         self.index = index
         self.cost_model = cost_model or CopyCostModel()
-        self.monitor = Monitor()
+        self.stats = {"cycles": 0, "objects_moved": 0}
 
     # -- the cycle -----------------------------------------------------------
     def replicate_objects(
@@ -134,8 +133,8 @@ class ObjectReplicator:
                         yield transfer
             if in_flight:
                 yield sim.all_of(in_flight)
-            self.monitor.count("cycles")
-            self.monitor.count("objects_moved", objects_moved)
+            self.stats["cycles"] += 1
+            self.stats["objects_moved"] += objects_moved
             return ObjectReplicationReport(
                 keys_requested=len(requested),
                 keys_already_present=len(requested) - len(missing),

@@ -127,15 +127,18 @@ class ThroughputRegressor:
     underestimating throughput is the safe direction), else nothing.
     """
 
+    #: decayed evidence below which a bin is silent rather than serving
+    #: a fossil
+    MIN_WEIGHT = 0.5
+
     def __init__(self, bins: int = 8, base_size: float = 1e6,
-                 half_life: float = 120.0, min_weight: float = 0.5):
+                 half_life: float = 120.0):
         if bins < 1:
             raise ValueError(f"need at least one bin, got {bins}")
         if base_size <= 0:
             raise ValueError(f"base_size must be positive, got {base_size}")
         self.bins = bins
         self.base_size = base_size
-        self.min_weight = min_weight
         self._stats = [DecayedStats(half_life) for _ in range(bins)]
 
     def bin_index(self, size: float) -> int:
@@ -152,7 +155,7 @@ class ThroughputRegressor:
             for idx in (home - distance, home + distance):
                 if 0 <= idx < self.bins:
                     stats = self._stats[idx]
-                    if stats.weight(now) >= self.min_weight:
+                    if stats.weight(now) >= self.MIN_WEIGHT:
                         return stats.mean
         return None
 
@@ -160,7 +163,7 @@ class ThroughputRegressor:
         """Per-bin decayed means (None where evidence decayed away) —
         the payload a forecast digest carries."""
         return [
-            s.mean if s.weight(now) >= self.min_weight else None
+            s.mean if s.weight(now) >= self.MIN_WEIGHT else None
             for s in self._stats
         ]
 

@@ -50,10 +50,6 @@ class WeatherConfig:
     #: a site-cached forecast older than this is not consulted at all:
     #: selection falls through to the probe ladder
     staleness_horizon: float = 90.0
-    #: minimum forecast confidence for history to drive the ranking;
-    #: below it the probe estimate wins (the forecast still blends in
-    #: proportionally to its confidence)
-    min_confidence: float = 0.2
     #: forecast digest push cadence (and stagger base) per subscriber
     push_period: float = 15.0
     #: host carrying the station (defaults to the grid's catalog host)
@@ -66,8 +62,6 @@ class WeatherConfig:
             raise ValueError("push_period must be positive")
         if self.staleness_horizon <= 0:
             raise ValueError("staleness_horizon must be positive")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ValueError("min_confidence must be in [0, 1]")
 
 
 def bin_index(size: float, base_size: float, bins: int) -> int:

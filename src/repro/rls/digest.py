@@ -39,6 +39,8 @@ __all__ = [
 DIGEST_HEADER_SIZE = 64
 #: per-LFN wire cost inside a delta digest (name + op tag + framing)
 DELTA_ITEM_SIZE = 48
+#: bloom capacity floor, so small sites get stable filter shapes
+MIN_BLOOM_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,6 @@ class DigestConfig:
     full_every: int = 10
     #: bloom false-positive target at ``capacity`` entries
     fpp: float = 0.01
-    #: bloom capacity floor so small sites get stable filter shapes
-    min_capacity: int = 1024
     #: a delta larger than this fraction of the full set is promoted to
     #: a full refresh (the bloom is cheaper than the explicit list)
     delta_promote_ratio: float = 0.25
@@ -127,7 +127,7 @@ class DigestSource:
     def build_bloom(self, lfns: Iterable[str]) -> BloomFilter:
         lfns = list(lfns)
         bloom = BloomFilter.for_capacity(
-            max(len(lfns), self.config.min_capacity), fpp=self.config.fpp
+            max(len(lfns), MIN_BLOOM_CAPACITY), fpp=self.config.fpp
         )
         bloom.update(lfns)
         return bloom

@@ -25,7 +25,6 @@ from repro.services.middleware import (
     DeadlineMiddleware,
     GsiAuthenticator,
     GsiAuthMiddleware,
-    ServerMonitorMiddleware,
 )
 from repro.services.replay import ReplayWindow
 from repro.services.softstate import PushNames, PushPlane, SoftStatePusher
@@ -44,7 +43,6 @@ __all__ = [
     "RemoteCallError",
     "ReplayWindow",
     "RequestContext",
-    "ServerMonitorMiddleware",
     "ServiceClient",
     "ServiceEndpoint",
     "ServiceError",

@@ -33,7 +33,6 @@ from repro.netsim.topology import Host
 from repro.services.context import RequestContext
 from repro.services.tracelog import Span, TraceLog
 from repro.simulation.kernel import Event, Process, Simulator
-from repro.simulation.monitor import Monitor
 from repro.simulation.resources import Store
 
 __all__ = [
@@ -245,7 +244,6 @@ class ServiceEndpoint:
         *,
         middlewares: tuple = (),
         tracelog: Optional[TraceLog] = None,
-        monitor: Optional[Monitor] = None,
         message_size: int = DEFAULT_MESSAGE_SIZE,
         unknown_operation: Optional[Callable[["ServiceRequest"], Exception]] = None,
         process_name: Optional[str] = None,
@@ -255,7 +253,9 @@ class ServiceEndpoint:
         self.host = host
         self.service = service
         self.tracelog = tracelog
-        self.monitor = monitor if monitor is not None else Monitor()
+        #: ``auth_failures`` is moved by whichever stage authenticates for
+        #: this endpoint (``GsiAuthMiddleware``, GridFTP's ``ADAT``)
+        self.stats = {"handler_errors": 0, "auth_failures": 0}
         self.message_size = message_size
         self._unknown_operation = unknown_operation or (
             lambda request: ServiceError(
@@ -363,7 +363,7 @@ class ServiceEndpoint:
             yield self._respond(request, ok=False, payload=str(exc))
             return
         except Exception as exc:  # handler bug or substrate error: surface it
-            self.monitor.count("handler_errors")
+            self.stats["handler_errors"] += 1
             if span is not None:
                 self.tracelog.finish(
                     span, "error", detail=f"{type(exc).__name__}: {exc}"
@@ -389,7 +389,6 @@ class ServiceClient:
         *,
         reply_service: Optional[str] = None,
         tracelog: Optional[TraceLog] = None,
-        monitor: Optional[Monitor] = None,
         message_size: int = DEFAULT_MESSAGE_SIZE,
         default_timeout: Optional[float] = None,
         remote_error: Callable[[str, str, str], Exception] = RemoteCallError,
@@ -401,7 +400,14 @@ class ServiceClient:
         self.host = host
         self.service = service
         self.tracelog = tracelog
-        self.monitor = monitor if monitor is not None else Monitor()
+        self.stats = {
+            "calls": 0,
+            "call_failures": 0,
+            "call_timeouts": 0,
+            "late_replies_discarded": 0,
+            "connection_resets": 0,
+            "fast_failures": 0,
+        }
         self.message_size = message_size
         self.default_timeout = default_timeout
         self.remote_error = remote_error
@@ -472,7 +478,7 @@ class ServiceClient:
             })
             failed += 1
         if failed:
-            self.monitor.count("connection_resets", failed)
+            self.stats["connection_resets"] += failed
         return failed
 
     # -- reply routing ---------------------------------------------------
@@ -489,7 +495,7 @@ class ServiceClient:
             if store is not None:
                 store.put(body)
             elif request_id in self._abandoned:
-                self.monitor.count("late_replies_discarded")
+                self.stats["late_replies_discarded"] += 1
                 if body.get("final", True):
                     self._abandoned.discard(request_id)
 
@@ -545,7 +551,7 @@ class ServiceClient:
             # rolling idle deadline is the liveness check
             timeout = self.default_timeout
         if self.fail_fast_when_down and self.msgnet.is_host_down(server_host):
-            self.monitor.count("fast_failures")
+            self.stats["fast_failures"] += 1
             raise ConnectionReset(operation, server_host, "host is down")
         parent = (
             call.context if call.context is not None
@@ -576,7 +582,7 @@ class ServiceClient:
         store = Store(self.sim)
         self._pending[request_id] = store
         self._pending_hosts[request_id] = server_host
-        self.monitor.count("calls")
+        self.stats["calls"] += 1
         self.msgnet.send(
             self.host,
             server_host,
@@ -615,7 +621,7 @@ class ServiceClient:
                 )
             if body is _TIMED_OUT:
                 self._discard(request_id)
-                self.monitor.count("call_timeouts")
+                self.stats["call_timeouts"] += 1
                 if span is not None:
                     self.tracelog.finish(span, "timeout")
                 exc = self.timeout_error(
@@ -653,7 +659,7 @@ class ServiceClient:
             context=ctx,
         )
         if not outcome.ok:
-            self.monitor.count("call_failures")
+            self.stats["call_failures"] += 1
             if span is not None:
                 self.tracelog.finish(span, "error", detail=str(outcome.payload))
             if call.raise_on_fault and isinstance(outcome.payload, str):
@@ -715,5 +721,5 @@ class ServiceClient:
             # a reply may have raced in at this very instant: drain it
             while len(store):
                 store.get()
-                self.monitor.count("late_replies_discarded")
+                self.stats["late_replies_discarded"] += 1
         self._abandoned.add(request_id)

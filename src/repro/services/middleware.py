@@ -8,7 +8,6 @@ The chain is composed once at endpoint construction, outermost first.
 The stock middlewares reproduce what the bespoke GDMP and GridFTP servers
 each implemented privately:
 
-* :class:`ServerMonitorMiddleware` — per-operation request counters;
 * :class:`GsiAuthMiddleware` — GSI chain verification + gridmap mapping
   (the paper's "every client request ... is authenticated and authorized
   by a security service");
@@ -22,18 +21,15 @@ each implemented privately:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.security.ca import CertificateAuthority, CertificateError, verify_chain
 from repro.security.gridmap import AuthorizationError, GridMap
 from repro.services.bus import ServiceError, ServiceFault, ServiceRequest
-from repro.simulation.monitor import Monitor
 
 __all__ = [
     "AuthResult",
     "GsiAuthenticator",
     "GsiAuthMiddleware",
-    "ServerMonitorMiddleware",
     "DeadlineMiddleware",
     "MetricsMiddleware",
 ]
@@ -73,14 +69,12 @@ class GsiAuthMiddleware:
 
     Expects the caller's proxy chain in ``request.meta["chain"]``; on
     success stores the :class:`AuthResult` in ``request.state["auth"]``,
-    on failure counts ``auth_failures`` and faults with ``security: ...``.
+    on failure counts ``auth_failures`` in the endpoint's ``stats`` and
+    faults with ``security: ...``.
     """
 
-    def __init__(
-        self, authenticator: GsiAuthenticator, monitor: Optional[Monitor] = None
-    ):
+    def __init__(self, authenticator: GsiAuthenticator):
         self.authenticator = authenticator
-        self.monitor = monitor
 
     def __call__(self, request: ServiceRequest, call_next):
         try:
@@ -88,22 +82,8 @@ class GsiAuthMiddleware:
                 request.meta.get("chain"), request.sim.now
             )
         except (CertificateError, AuthorizationError) as exc:
-            if self.monitor is not None:
-                self.monitor.count("auth_failures")
+            request.endpoint.stats["auth_failures"] += 1
             raise ServiceError(f"security: {exc}") from exc
-        result = yield from call_next(request)
-        return result
-
-
-class ServerMonitorMiddleware:
-    """Count every arriving request as ``{prefix}{operation}``."""
-
-    def __init__(self, monitor: Monitor, prefix: str = "op_"):
-        self.monitor = monitor
-        self.prefix = prefix
-
-    def __call__(self, request: ServiceRequest, call_next):
-        self.monitor.count(f"{self.prefix}{request.operation}")
         result = yield from call_next(request)
         return result
 
@@ -111,9 +91,7 @@ class ServerMonitorMiddleware:
 class DeadlineMiddleware:
     """Shed requests whose propagated deadline expired before dispatch."""
 
-    def __init__(self, monitor: Optional[Monitor] = None, metrics=None,
-                 service: str = ""):
-        self.monitor = monitor
+    def __init__(self, metrics=None, service: str = ""):
         self.metrics = metrics
         self.service = service
 
@@ -124,8 +102,6 @@ class DeadlineMiddleware:
             and context.deadline is not None
             and request.sim.now > context.deadline
         ):
-            if self.monitor is not None:
-                self.monitor.count("deadline_expired")
             if self.metrics is not None:
                 self.metrics.counter(
                     "rpc.deadline_sheds",

@@ -34,7 +34,6 @@ from repro.simulation.kernel import (
     Simulator,
     Timeout,
 )
-from repro.simulation.monitor import Monitor, TimeSeries, Trace
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.resources import Container, Resource, Store
 
@@ -44,14 +43,11 @@ __all__ = [
     "Container",
     "Event",
     "Interrupt",
-    "Monitor",
     "Process",
     "RandomStreams",
     "Resource",
     "SimulationError",
     "Simulator",
     "Store",
-    "TimeSeries",
     "Timeout",
-    "Trace",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from repro.simulation.kernel import Event, Simulator
-from repro.simulation.monitor import Monitor
 from repro.simulation.resources import Resource
 from repro.storage.diskpool import DiskPool
 from repro.storage.filesystem import StorageError, StoredFile
@@ -52,7 +51,12 @@ class MassStorageSystem:
         self.tape_rate = tape_rate
         self._drives = Resource(sim, capacity=drives)
         self._archive: dict[str, _ArchivedFile] = {}
-        self.monitor = Monitor()
+        self.stats = {
+            "staged_files": 0,
+            "migrated_files": 0,
+            "stage_faults": 0,
+            "stage_stalls": 0,
+        }
         #: optional MetricsRegistry: per-site staging latency histograms
         self.metrics = metrics
         #: fault injection (see :mod:`repro.faults`): stagings holding a
@@ -121,18 +125,17 @@ class MassStorageSystem:
             request = self._drives.request()
             queued_at = sim.now
             yield request
-            self.monitor.timeseries("drive_wait").sample(sim.now, sim.now - queued_at)
             try:
                 if self.fault_error_next > 0:
                     self.fault_error_next -= 1
-                    self.monitor.count("stage_faults")
+                    self.stats["stage_faults"] += 1
                     raise TapeError(
                         f"{self.site} MSS: injected drive error staging "
                         f"{record.path!r}"
                     )
                 extra = self.fault_stall_until - sim.now
                 if extra > 0:
-                    self.monitor.count("stage_stalls")
+                    self.stats["stage_stalls"] += 1
                     yield sim.timeout(extra)
                 yield sim.timeout(self.stage_time(record.size))
                 if pool.fs.exists(record.path):
@@ -147,8 +150,7 @@ class MassStorageSystem:
                         payload=record.payload,
                         **record.attrs,
                     )
-                self.monitor.count("staged_files")
-                self.monitor.count("staged_bytes", record.size)
+                self.stats["staged_files"] += 1
                 if self.metrics is not None:
                     # end-to-end staging latency: queue wait + mount/seek
                     # + streaming time, observed once per staged file
@@ -179,7 +181,7 @@ class MassStorageSystem:
             yield request
             yield sim.timeout(self.stage_time(stored.size))
             self.ingest(stored)
-            self.monitor.count("migrated_files")
+            self.stats["migrated_files"] += 1
             self._drives.release(request)
             done.succeed(self._archive[path])
 

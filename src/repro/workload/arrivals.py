@@ -28,6 +28,11 @@ from repro.workload.admission import FairShareAdmission, TokenBucket
 
 __all__ = ["ArrivalProfile", "ArrivalGenerator"]
 
+#: Length of one diurnal cycle, sim-seconds.
+DIURNAL_PERIOD = 3600.0
+#: Zipf exponent of file popularity over the supplied file list.
+POPULARITY_ALPHA = 1.1
+
 
 @dataclass(frozen=True)
 class ArrivalProfile:
@@ -37,8 +42,6 @@ class ArrivalProfile:
     mix: tuple = (("atlas", 3.0), ("cms", 2.0), ("alice", 1.0))
     tick: float = 30.0                   # admission tick, sim-seconds
     diurnal_amplitude: float = 0.0       # 0..1; 0 = flat rate
-    diurnal_period: float = 3600.0
-    popularity_alpha: float = 1.1        # Zipf exponent over the file set
     admit_rate: float = 600.0            # token-bucket refill, requests/s
     admit_burst: float = 20_000.0        # token-bucket capacity
     max_backlog: int = 200_000           # per-VO backlog cap (then shed)
@@ -53,7 +56,7 @@ class ArrivalProfile:
         if self.diurnal_amplitude <= 0.0:
             return 1.0
         return 1.0 + self.diurnal_amplitude * math.sin(
-            2.0 * math.pi * now / self.diurnal_period
+            2.0 * math.pi * now / DIURNAL_PERIOD
         )
 
 
@@ -88,7 +91,7 @@ class ArrivalGenerator:
         )
         # fixed (dest, lfn) category grid: destinations uniform, files
         # Zipf-popular by position in the supplied list
-        pop = [1.0 / (rank + 1) ** profile.popularity_alpha
+        pop = [1.0 / (rank + 1) ** POPULARITY_ALPHA
                for rank in range(len(self.lfns))]
         pop_total = sum(pop)
         self._categories = [

@@ -4,6 +4,11 @@ from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import GB
 
 
+def moved(grid, event, site="anl"):
+    """One site's data-mover count of a recovery event."""
+    return grid.metrics.value(f"gdmp.mover.{event}", site=site)
+
+
 @pytest.fixture
 def grid():
     """Two-site grid: CERN (catalog host) and ANL."""

@@ -6,14 +6,17 @@ import pytest
 from repro.experiments.testbed import gridftp_testbed
 from repro.gdmp.data_mover import DataMover, DataMoverError
 from repro.netsim.units import KiB, MB
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture
 def mover_setup():
-    testbed = gridftp_testbed()
+    registry = MetricsRegistry()
+    testbed = gridftp_testbed(metrics=registry)
     mover = DataMover(
         testbed.sim, testbed.client, testbed.client_fs,
         max_restart_attempts=3, max_crc_retries=1,
+        metrics=registry, site="anl",
     )
     testbed.server_fs.create("/store/f", 10 * MB)
     return testbed, mover
@@ -30,7 +33,7 @@ def test_fetch_with_expected_crc(mover_setup):
     assert report.crc_retries == 0
     assert report.buffer == 256 * KiB
     assert report.throughput > 0
-    assert mover.monitor.counter("files_moved") == 1
+    assert mover.metrics.value("gdmp.mover.files_moved", site="anl") == 1
 
 
 def test_fetch_without_crc_asks_source_cksm(mover_setup):
@@ -39,7 +42,9 @@ def test_fetch_without_crc_asks_source_cksm(mover_setup):
     testbed, mover = mover_setup
     report = testbed.sim.run(until=mover.fetch("cern", "/store/f", "/recv/f"))
     assert report.stored.crc == testbed.server_fs.stat("/store/f").crc
-    assert testbed.server.monitor.counter("cmd_CKSM") == 1
+    assert mover.metrics.value(
+        "rpc.requests", service="gridftp", operation="CKSM", outcome="ok"
+    ) == 1
 
 
 def test_fetch_detects_corruption_even_without_catalog_crc(mover_setup):

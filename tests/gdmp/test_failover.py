@@ -43,7 +43,7 @@ def test_failover_to_second_replica(grid3):
     assert report.source == "anl"
     assert report.failed_sources == ("cern",)
     assert grid3.site("caltech").fs.exists(f"/storage/{lfn}")
-    assert grid3.site("caltech").client.monitor.counter("source_failovers") == 1
+    assert grid3.metrics.value("gdmp.mover.failovers", site="caltech") == 1
 
 
 def test_failover_releases_failed_sources_pins(grid3):

@@ -11,6 +11,8 @@ from repro.gdmp.data_mover import TransferAbandoned
 from repro.gridftp.markers import RangeSet
 from repro.netsim.units import MB
 
+from .conftest import moved
+
 SIZE = 60 * MB
 
 
@@ -43,9 +45,9 @@ def test_transfer_resumes_from_marker_after_link_loss(rgrid):
     report = rgrid.run(until=anl.client.replicate("big.db"))
     assert report.stored.size == SIZE
     assert report.attempts >= 2              # the transfer was reissued
-    counters = anl.mover.monitor.counters
-    assert counters.get("restarts", 0) >= 1  # a marker was consumed
-    assert injector.pools_cancelled >= 1     # the cut killed a live flow
+    assert moved(rgrid, "restarts") >= 1    # a marker was consumed
+    # the cut killed a live flow
+    assert injector.stats["pools_cancelled"] >= 1
     assert not injector.active_faults()
 
 
@@ -79,12 +81,11 @@ def test_no_marker_progress_does_not_count_as_restart(rgrid):
     assert isinstance(abandoned.partial, RangeSet)
     # one 5 s marker landed before the cut: partial progress, not zero
     assert 0 < abandoned.partial.total < SIZE
-    counters = anl.mover.monitor.counters
     # exactly the marker-bearing reissue counts as a restart...
-    assert counters.get("restarts", 0) >= 1
+    assert moved(rgrid, "restarts") >= 1
     # ...and the no-progress probes were tallied separately
-    assert counters.get("stalled_restarts", 0) >= 3
-    assert counters.get("abandoned", 0) == 1
+    assert moved(rgrid, "stalls") >= 3
+    assert moved(rgrid, "abandoned") == 1
     # the partial local file was not committed
     assert not anl.fs.exists("/incoming/doomed.db")
 

@@ -17,6 +17,8 @@ from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import MB
 from repro.storage.integrity import file_crc
 
+from .conftest import moved
+
 SIZE = 60 * MB
 CONTENT = "clean-bytes-v1"
 PATH = "store/mixed.db"
@@ -47,10 +49,9 @@ def test_mixed_assembly_is_restamped_and_retransferred(grid):
     # mixed first assembly failed the CRC check and was re-sent whole
     assert report.stored.content_id == CONTENT
     assert report.crc_retries == 1
-    counters = grid.site("anl").mover.monitor.counters
-    assert counters.get("restarts", 0) >= 1
-    assert counters.get("mixed_assemblies", 0) == 1
-    assert counters.get("crc_failures", 0) == 1
+    assert moved(grid, "restarts") >= 1
+    assert moved(grid, "mixed_assemblies") == 1
+    assert moved(grid, "crc_failures") == 1
     assert grid.metrics.value(
         "gdmp.mover.mixed_assemblies", site="anl"
     ) == 1
@@ -64,9 +65,8 @@ def test_resumed_same_content_is_not_a_mixture(grid):
     report = _fetch(grid)
     assert report.stored.content_id == CONTENT
     assert report.crc_retries == 0
-    counters = grid.site("anl").mover.monitor.counters
-    assert counters.get("restarts", 0) >= 1
-    assert counters.get("mixed_assemblies", 0) == 0
+    assert moved(grid, "restarts") >= 1
+    assert moved(grid, "mixed_assemblies") == 0
 
 
 def test_unconsumed_corruption_is_caught_whole(grid):
@@ -76,6 +76,5 @@ def test_unconsumed_corruption_is_caught_whole(grid):
     report = _fetch(grid)
     assert report.stored.content_id == CONTENT
     assert report.crc_retries == 1
-    counters = grid.site("anl").mover.monitor.counters
-    assert counters.get("mixed_assemblies", 0) == 0
-    assert counters.get("crc_failures", 0) == 1
+    assert moved(grid, "mixed_assemblies") == 0
+    assert moved(grid, "crc_failures") == 1

@@ -15,7 +15,7 @@ def test_call_to_down_host_times_out(grid):
         )
     assert grid.sim.now >= 5.0
     assert grid.msgnet.dropped_messages >= 1
-    assert anl.request_client.monitor.counter("call_timeouts") == 1
+    assert anl.request_client.stats["call_timeouts"] == 1
 
 
 def test_recovered_host_answers_again(grid):

@@ -39,7 +39,7 @@ def test_publish_without_subscribers_is_quiet(grid):
     cern, anl = grid.site("cern"), grid.site("anl")
     grid.run(until=cern.client.produce_and_publish("solo.db", 1 * MB))
     assert anl.server.pending_news == []
-    assert anl.server.monitor.counter("notifications") == 0
+    assert anl.server.stats["notifications"] == 0
 
 
 def test_duplicate_lfn_rejected_globally(grid):
@@ -48,6 +48,8 @@ def test_duplicate_lfn_rejected_globally(grid):
     anl.fs.create("/storage/same.db", 1 * MB)
     with pytest.raises(RemoteError, match="already in use"):
         grid.run(until=anl.client.publish("same.db", "/storage/same.db"))
+    # the refused publish closed its root span on the way out
+    assert grid.tracelog.open_spans() == []
 
 
 def test_get_remote_catalog(grid):

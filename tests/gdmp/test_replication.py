@@ -52,7 +52,7 @@ def test_replication_recovers_from_connection_failure(grid):
     report = grid.run(until=grid.site("anl").client.replicate("flaky.db"))
     assert report.attempts == 2  # one failure, one successful restart
     assert grid.site("anl").fs.stat("/storage/flaky.db").size == 20 * MB
-    assert grid.site("anl").mover.monitor.counter("restarts") == 1
+    assert grid.metrics.value("gdmp.mover.restarts", site="anl") == 1
 
 
 def test_replication_recovers_from_corruption(grid):
@@ -62,7 +62,7 @@ def test_replication_recovers_from_corruption(grid):
     assert report.crc_retries == 1
     received = grid.site("anl").fs.stat("/storage/corrupt.db")
     assert received.crc == grid.site("cern").fs.stat("/storage/corrupt.db").crc
-    assert grid.site("anl").mover.monitor.counter("crc_failures") == 1
+    assert grid.metrics.value("gdmp.mover.crc_failures", site="anl") == 1
 
 
 def test_persistent_failure_exhausts_retry_budget(grid):
@@ -173,7 +173,7 @@ def test_replication_from_tape_pays_staging(grid3):
     # staging time: 45s mount+seek dominates
     assert report.stage_wait > 45.0
     assert grid3.site("anl").fs.exists("/storage/cold.db")
-    assert cern.mss.monitor.counter("staged_files") == 1
+    assert cern.mss.stats["staged_files"] == 1
 
 
 def test_stage_request_for_warm_file_is_fast(grid):

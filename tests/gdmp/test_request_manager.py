@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.scaffold import counter_total
 from repro.gdmp import RemoteError
 from repro.gdmp.request_manager import GdmpError
 from repro.security import new_user_credential
@@ -27,7 +28,7 @@ def test_unauthorized_caller_rejected(grid):
     anl.request_client.credential = new_user_credential(grid.ca, "/O=Grid/CN=Intruder")
     with pytest.raises(RemoteError, match="security"):
         grid.run(until=anl.request_client.call("cern", "get_catalog", {}))
-    assert grid.site("cern").request_server.monitor.counter("auth_failures") == 1
+    assert grid.site("cern").request_server.stats["auth_failures"] == 1
 
 
 def test_untrusted_ca_rejected(grid):
@@ -80,5 +81,7 @@ def test_concurrent_calls_resolve_to_correct_callers(grid):
 def test_operation_counter(grid):
     anl = grid.site("anl")
     grid.run(until=anl.request_client.call("cern", "get_catalog", {}))
-    assert grid.site("cern").request_server.monitor.counter("op_get_catalog") == 1
-    assert anl.request_client.monitor.counter("calls") == 1
+    assert counter_total(
+        grid, "rpc.requests", service="gdmp", operation="get_catalog"
+    ) == 1
+    assert anl.request_client.stats["calls"] == 1

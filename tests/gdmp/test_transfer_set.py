@@ -224,9 +224,9 @@ def test_dropped_session_is_redialled_once_without_failover():
     reports = grid.run(until=anl.client.replicate_set(names))
     assert [r.lfn for r in reports] == names
     assert all(r.failed_sources == () and r.attempts == 1 for r in reports)
-    assert anl.mover.monitor.counter("redials") == 1
+    assert grid.metrics.value("gdmp.mover.redials", site="anl") == 1
     assert grid.metrics.value("gridftp.sessions_opened", host="cern") == 2
-    assert anl.client.monitor.counter("source_failovers") == 0
+    assert grid.metrics.value("gdmp.mover.failovers", site="anl") == 0
     assert_no_pins(grid)
 
 
@@ -270,7 +270,7 @@ def test_link_flap_mid_file_resumes_on_the_same_session():
     )
     assert small.attempts == 1 and big.attempts >= 2
     assert big.stored.size == 60 * MB and big.failed_sources == ()
-    assert anl.mover.monitor.counter("restarts") >= 1
+    assert grid.metrics.value("gdmp.mover.restarts", site="anl") >= 1
     requests = Counter(client_requests(grid, mark))
     assert requests["gridftp:AUTH"] == 1 and requests["gridftp:REST"] >= 1
     # the cut took the data channels with it: the file that was riding
@@ -303,7 +303,7 @@ def test_overlapping_sets_hang_up_only_their_own_sessions():
     # the short set's goodbye did not cut the long one off
     assert requests["gridftp:AUTH"] == requests["gridftp:QUIT"] == 2
     assert requests["gridftp:RETR"] == 9
-    assert anl.mover.monitor.counter("redials") == 0
+    assert grid.metrics.value("gdmp.mover.redials", site="anl") == 0
     # nor did either ride the other's data channels: to the same peer,
     # at the same time, each set's first file still opened cold
     spans = grid.tracelog.spans(name="gdmp:replicate-set")[-2:]
@@ -461,7 +461,7 @@ def test_staging_wave_overlaps_tape_mounts():
     started = grid.sim.now
     reports = grid.run(until=grid.site("anl").client.replicate_set(names))
     makespan = grid.sim.now - started
-    assert grid.site("cern").mss.monitor.counter("staged_files") == 4
+    assert grid.site("cern").mss.stats["staged_files"] == 4
 
     serial, names = _cold_grid(4)
     started = serial.sim.now
@@ -499,9 +499,9 @@ def test_deep_tape_queue_neither_times_the_wave_out_nor_leaks_a_pin():
     wave = [s for s in list(grid.tracelog)[mark:]
             if s.kind == "client" and s.name == "gdmp:request_stage"][0]
     assert wave.status == "ok" and wave.duration < 1.0
-    assert anl.client.rpc.monitor.counter("call_timeouts") == 0
+    assert anl.client.rpc.stats["call_timeouts"] == 0
     # staged once each: the turn-time request joined the wave's staging
-    assert cern.mss.monitor.counter("staged_files") == 8
+    assert cern.mss.stats["staged_files"] == 8
     assert_no_pins(grid)
 
 

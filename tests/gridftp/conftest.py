@@ -8,13 +8,18 @@ from repro.netsim.channels import MessageNetwork
 from repro.netsim.units import GB, MB
 from repro.security import CertificateAuthority, GridMap, new_user_credential
 from repro.storage import FileSystem
+from repro.telemetry import MetricsRegistry
 
 
 class TwoSiteGrid:
     """CERN and ANL with a GridFTP daemon each and a client at ANL."""
 
     def __init__(self, params=None):
-        self.sim, self.topology, self.engine = cern_anl_testbed(params)
+        #: what the daemons and the engine count is read from here
+        self.metrics = MetricsRegistry(lambda: self.sim.now)
+        self.sim, self.topology, self.engine = cern_anl_testbed(
+            params, metrics=self.metrics
+        )
         self.msgnet = MessageNetwork(self.sim, self.topology)
         self.ca = CertificateAuthority()
         self.gridmap = GridMap()
@@ -37,6 +42,7 @@ class TwoSiteGrid:
                 cred,
                 [self.ca],
                 self.gridmap,
+                metrics=self.metrics,
             )
         self.user = new_user_credential(self.ca, "/O=Grid/OU=cern.ch/CN=Alice")
         self.gridmap.add(self.user.subject, "alice")

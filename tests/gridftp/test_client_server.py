@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.scaffold import counter_total
 from repro.gridftp import (
     RangeSet,
     TransferError,
@@ -25,7 +26,7 @@ def test_connect_authenticates_and_maps_account(grid):
     session = connect(grid)
     assert session.account == "alice"
     assert session.server_subject.startswith("/O=Grid/OU=cern")
-    assert grid.servers["cern"].monitor.counter("auth_successes") == 1
+    assert grid.metrics.value("gridftp.sessions_opened", host="cern") == 1
 
 
 def test_connect_rejects_unmapped_user(grid):
@@ -33,7 +34,7 @@ def test_connect_rejects_unmapped_user(grid):
     grid.client.credential = stranger
     with pytest.raises(TransferError, match="authentication failed"):
         connect(grid)
-    assert grid.servers["cern"].monitor.counter("auth_failures") == 1
+    assert grid.servers["cern"].stats["auth_failures"] == 1
 
 
 def test_feat_lists_extensions(grid):
@@ -165,7 +166,7 @@ def test_restarted_get_moves_only_remaining_bytes(grid):
     assert received.size == 20 * MB
     assert received.crc == grid.fs["cern"].stat("/store/flaky.db").crc
     # the retry moved only the missing bytes (plus nothing else)
-    sent = grid.servers["cern"].monitor.counter("bytes_sent")
+    sent = grid.metrics.value("gridftp.bytes_sent", host="cern")
     assert sent == pytest.approx(20 * MB - marker.bytes_on_disk)
 
 
@@ -296,10 +297,10 @@ def test_rest_applies_to_one_transfer_only(grid):
         grid.client.get(session, "/store/two.db", "/pool/two-a",
                         restart=RangeSet([(0, 2 * MB)])),
     )
-    sent_first = grid.servers["cern"].monitor.counter("bytes_sent")
+    sent_first = grid.metrics.value("gridftp.bytes_sent", host="cern")
     assert sent_first == pytest.approx(2 * MB)
     run_process(grid, grid.client.get(session, "/store/two.db", "/pool/two-b"))
-    sent_total = grid.servers["cern"].monitor.counter("bytes_sent")
+    sent_total = grid.metrics.value("gridftp.bytes_sent", host="cern")
     assert sent_total == pytest.approx(2 * MB + 4 * MB)
 
 
@@ -359,6 +360,12 @@ def quiet_grid():
     return g
 
 
+def channels(grid, event):
+    """Data channels the cern daemon has seen ``event`` happen to (for
+    ``dropped``, whatever the reason)."""
+    return counter_total(grid, f"gridftp.channels_{event}", host="cern")
+
+
 def open_session(grid, cache_channels, server="cern"):
     return run_process(grid, grid.sim.spawn(grid.client.open_session(
         server, 64 * KiB, STREAMS, cache_channels=cache_channels
@@ -380,11 +387,11 @@ def test_second_retr_is_warm_on_a_caching_session(quiet_grid):
     assert (first.channels, second.channels) == ("cold", "warm")
     assert second.duration < 0.8 * first.duration
     server = grid.servers["cern"]
-    assert server.monitor.counter("channels_reused") == STREAMS
+    assert channels(grid, "reused") == STREAMS
     # a goodbye leaves nothing behind
     run_process(grid, grid.client.quit(session))
     assert server.open_sessions == 0
-    assert server.monitor.counter("channels_dropped") == STREAMS
+    assert channels(grid, "dropped") == STREAMS
 
 
 def test_plain_session_never_caches(quiet_grid):
@@ -396,7 +403,7 @@ def test_plain_session_never_caches(quiet_grid):
     assert second.duration == pytest.approx(first.duration, rel=1e-9)
     server = grid.servers["cern"]
     assert not server._sessions[session.session_id].parked
-    assert server.monitor.counter("channels_reused") == 0
+    assert channels(grid, "reused") == 0
 
 
 def test_same_sbuf_and_opts_keep_the_channels(quiet_grid):
@@ -421,8 +428,8 @@ def test_renegotiation_makes_the_next_retr_cold(quiet_grid, change):
         run_process(grid, grid.client.set_parallelism(session, STREAMS))
     assert get(grid, session, "b").channels == "cold"
     server = grid.servers["cern"]
-    assert server.monitor.counter("channels_dropped") == STREAMS
-    assert server.monitor.counter("channels_reused") == 0
+    assert channels(grid, "dropped") == STREAMS
+    assert channels(grid, "reused") == 0
 
 
 def test_abort_drops_the_channels_and_the_restart_is_cold(quiet_grid):
@@ -433,7 +440,7 @@ def test_abort_drops_the_channels_and_the_restart_is_cold(quiet_grid):
     server.failures.abort_after_bytes("/store/b", 1 * MB)
     with pytest.raises(TransferError) as exc_info:
         get(grid, session, "b")
-    assert server.monitor.counter("channels_reused") == STREAMS  # opened warm
+    assert channels(grid, "reused") == STREAMS  # opened warm
     assert not server._sessions[session.session_id].parked
     resumed = get(grid, session, "b",
                   restart=exc_info.value.restart_marker.ranges)
@@ -448,7 +455,7 @@ def test_drop_sessions_forgets_the_channels(quiet_grid):
     session = open_session(grid, cache_channels=True)
     get(grid, session, "a")
     assert server.drop_sessions() == 1
-    assert server.monitor.counter("channels_dropped") == STREAMS
+    assert channels(grid, "dropped") == STREAMS
     with pytest.raises(TransferError) as exc_info:
         get(grid, session, "b")
     assert exc_info.value.session_lost
@@ -465,8 +472,8 @@ def test_idle_channels_expire(quiet_grid):
     assert second.channels == "cold"
     assert second.duration == pytest.approx(first.duration, rel=1e-9)
     server = grid.servers["cern"]
-    assert server.monitor.counter("channels_expired") == STREAMS
-    assert server.monitor.counter("channels_reused") == 0
+    assert channels(grid, "expired") == STREAMS
+    assert channels(grid, "reused") == 0
 
 
 def test_channels_belong_to_one_peer(quiet_grid):
@@ -487,19 +494,19 @@ def test_channels_belong_to_one_peer(quiet_grid):
     assert run_process(
         grid, grid.sim.spawn(third_party("RETR"))
     ) == "cold"
-    assert server.monitor.counter("channels_reused") == 0
+    assert channels(grid, "reused") == 0
     assert {key[:2] for key in parked} == {("cern", "anl"), ("cern", "fnal")}
     # a partial transfer to the same peer rides that peer's channels ...
     assert run_process(
         grid, grid.sim.spawn(third_party("ERET", offset=0.0, length=1.0 * MB))
     ) == "warm"
-    assert server.monitor.counter("channels_reused") == STREAMS
+    assert channels(grid, "reused") == STREAMS
     # ... and one to the first peer that one's, never the other's
     assert len(parked) == 2 * STREAMS
     part = get(grid, session, "c", offset=1.0 * MB, length=0.5 * MB)
     assert part.channels == "cold"      # cern -> anl idled too long
-    assert server.monitor.counter("channels_expired") == STREAMS
-    assert server.monitor.counter("channels_reused") == STREAMS
+    assert channels(grid, "expired") == STREAMS
+    assert channels(grid, "reused") == STREAMS
 
 
 def test_stor_opens_cold_and_conserves_bytes(quiet_grid):
@@ -509,7 +516,7 @@ def test_stor_opens_cold_and_conserves_bytes(quiet_grid):
     session = open_session(grid, cache_channels=False)
     run_process(grid, grid.client.put(session, "/local/up", "/store/up"))
     assert grid.fs["cern"].stat("/store/up").size == 3 * MB
-    assert grid.servers["cern"].monitor.counter("bytes_received") == 3 * MB
+    assert grid.metrics.value("gridftp.bytes_received", host="cern") == 3 * MB
 
 
 def test_quit_hangs_up_a_session_that_never_logged_in(grid):

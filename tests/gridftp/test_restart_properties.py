@@ -46,8 +46,8 @@ def test_restart_resume_equivalent_to_clean_transfer(size_mb, abort_fraction):
     assert received.size == original.size
     assert received.crc == original.crc
     # restart wasted nothing: total wire bytes == file size
-    engine = grid.engine.monitor
-    total_wire = engine.counter("bytes_delivered") + engine.counter(
-        "bytes_delivered_aborted"
+    total_wire = (
+        grid.metrics.value("netsim.bytes_delivered")
+        + grid.engine.stats["bytes_delivered_aborted"]
     )
     assert total_wire == pytest.approx(size, rel=0.01)

@@ -53,9 +53,6 @@ def test_delivered_bytes_are_conserved_across_flows():
     per_flow = sum(f.delivered for f in flows)
     assert per_flow == pytest.approx(10 * MB, abs=1e-6)
     assert pool.delivered == pytest.approx(10 * MB, abs=1e-6)
-    # each flow's own monitor agrees with its delivered counter
-    for f in flows:
-        assert f.monitor.counter("bytes") == pytest.approx(f.delivered)
 
 
 def test_incidence_cache_survives_midflight_open_flow():

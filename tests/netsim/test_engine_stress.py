@@ -4,11 +4,13 @@ import pytest
 
 from repro.netsim import TcpParams, TestbedParams, cern_anl_testbed, to_mbps
 from repro.netsim.units import KiB, MB, mbps
+from repro.telemetry import MetricsRegistry
 
 
 def test_fifty_concurrent_transfers_complete_and_conserve_bytes():
     params = TestbedParams(extra_sites=("caltech", "lyon"), seed=11)
-    sim, topo, engine = cern_anl_testbed(params)
+    registry = MetricsRegistry()
+    sim, topo, engine = cern_anl_testbed(params, metrics=registry)
     routes = [("cern", "anl"), ("cern", "caltech"), ("cern", "lyon"),
               ("anl", "caltech"), ("lyon", "anl")]
     pools = []
@@ -28,10 +30,10 @@ def test_fifty_concurrent_transfers_complete_and_conserve_bytes():
         assert pool.exhausted
         assert pool.delivered == pytest.approx(pool.size)
         assert pool.completed_at > pool.started_at
-    assert engine.monitor.counter("bytes_delivered") == pytest.approx(
+    assert registry.value("netsim.bytes_delivered") == pytest.approx(
         total_expected
     )
-    assert engine.monitor.counter("transfers_completed") == 50
+    assert registry.value("netsim.transfers_completed") == 50
     # aggregate goodput can never exceed the sum of link capacities
     elapsed = max(p.completed_at for p in pools)
     assert total_expected / elapsed < 4 * mbps(45)

@@ -76,7 +76,9 @@ def test_read_many_scales_with_distinct_pages(remote_setup):
     # 20 x 4000 B objects = ~10 pages; sequential fetches dominate
     assert 9 <= reader.page_fetches <= 11
     assert sim.now - start > 9 * 0.125
-    assert server.monitor.counter("pages_served") == reader.page_fetches
+    assert server.stats["pages_served"] == reader.page_fetches
+    assert reader.stats["objects_read"] == 20
+    assert reader.stats["bytes_fetched"] == reader.page_fetches * PAGE_SIZE
 
 
 def test_remote_navigation(remote_setup):

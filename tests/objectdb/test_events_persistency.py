@@ -134,4 +134,4 @@ def test_scan_database(store):
     reader = ObjectReader(fed)
     objects = list(reader.scan_database(fed.database_names[0]))
     assert len(objects) == 50
-    assert reader.monitor.counter("objects_read") == 50
+    assert reader.stats["objects_read"] == 50

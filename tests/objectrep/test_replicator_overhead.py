@@ -45,6 +45,7 @@ def test_cycle_moves_only_selected_objects(grid_with_store):
         until=rep.replicate_objects(keys_for(selected), chunk_objects=50)
     )
     assert report.objects_moved == len(selected)
+    assert rep.stats == {"cycles": 1, "objects_moved": len(selected)}
     assert report.useful_bytes == len(selected) * 10_000
     assert report.wire_bytes < report.useful_bytes * 1.2
     # destination can read the objects

@@ -1,4 +1,4 @@
-"""Observability of the two-tier RLS: monitor snapshot + health report."""
+"""Observability of the two-tier RLS: registry snapshot + health report."""
 
 from .conftest import converge, publish
 
@@ -14,8 +14,7 @@ def test_snapshot_carries_ldap_and_rli_stats(rls_grid):
     converge(grid)
     _lookup(grid, "cern", "watched.dat")
 
-    snapshot = grid.monitor.snapshot()
-    metrics = snapshot["metrics"]
+    metrics = grid.metrics.snapshot()
 
     # per-site LRC search machinery (LDAP index/filter-cache counters)
     ldap = metrics["catalog.ldap.index_searches"]

@@ -14,7 +14,7 @@ from repro.services import (
     ServiceFault,
     TraceLog,
 )
-from repro.simulation.monitor import Monitor
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture
@@ -56,8 +56,8 @@ def test_round_trip_with_generator_and_plain_handlers(net):
 
     assert sim.run(until=client.call("cern", "echo", "hi")) == {"echo": "hi"}
     assert sim.run(until=client.call("cern", "plain", 21)) == 42
-    assert endpoint.monitor.counter("handler_errors") == 0
-    assert client.monitor.counter("calls") == 2
+    assert endpoint.stats["handler_errors"] == 0
+    assert client.stats["calls"] == 2
 
 
 def test_unknown_operation_faults(net):
@@ -65,7 +65,7 @@ def test_unknown_operation_faults(net):
     _endpoint, client = make_pair(sim, msgnet)
     with pytest.raises(RemoteCallError, match="unknown operation"):
         sim.run(until=client.call("cern", "nope"))
-    assert client.monitor.counter("call_failures") == 1
+    assert client.stats["call_failures"] == 1
 
 
 def test_service_error_maps_to_remote_error(net):
@@ -89,7 +89,7 @@ def test_handler_bug_is_surfaced_and_counted(net):
     endpoint.register("broken", broken)
     with pytest.raises(RemoteCallError, match="KeyError"):
         sim.run(until=client.call("cern", "broken"))
-    assert endpoint.monitor.counter("handler_errors") == 1
+    assert endpoint.stats["handler_errors"] == 1
 
 
 def test_service_fault_carries_protocol_payload(net):
@@ -170,19 +170,20 @@ def test_timeout_raises_and_late_reply_is_discarded(net):
     # handler is still working and its reply arrives much later
     with pytest.raises(CallTimeout, match="no reply within"):
         sim.run(until=client.call("cern", "slow", timeout=0.2))
-    assert client.monitor.counter("call_timeouts") == 1
+    assert client.stats["call_timeouts"] == 1
 
     # the next call must see its own reply, not the stale "slow-reply"
     assert sim.run(until=client.call("cern", "fast")) == "fast-reply"
     sim.run(until=sim.timeout(30.0))  # let the slow reply arrive and drain
-    assert client.monitor.counter("late_replies_discarded") == 1
+    assert client.stats["late_replies_discarded"] == 1
 
 
 def test_deadline_middleware_sheds_expired_requests(net):
     sim, msgnet = net
-    monitor = Monitor()
+    registry = MetricsRegistry(sim)
     endpoint, client = make_pair(
-        sim, msgnet, middlewares=(DeadlineMiddleware(monitor),),
+        sim, msgnet,
+        middlewares=(DeadlineMiddleware(metrics=registry, service="svc"),),
         tracelog=TraceLog(sim),
     )
 
@@ -197,7 +198,9 @@ def test_deadline_middleware_sheds_expired_requests(net):
     with pytest.raises(CallTimeout):
         sim.run(until=client.call("cern", "op", timeout=0.001))
     sim.run(until=sim.timeout(5.0))
-    assert monitor.counter("deadline_expired") == 1
+    assert registry.value(
+        "rpc.deadline_sheds", service="svc", operation="op"
+    ) == 1
 
 
 def test_reply_service_names_are_per_simulator(net):

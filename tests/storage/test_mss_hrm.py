@@ -73,7 +73,7 @@ def test_duplicate_stage_requests_join(site):
     assert stored.path == "/a"
     # only one drive occupancy: both done at single-stage time
     assert sim.now == pytest.approx(31.0)
-    assert mss.monitor.counter("staged_files") == 1
+    assert mss.stats["staged_files"] == 1
 
 
 def test_status_transitions(site):

@@ -101,11 +101,9 @@ def test_registry_off_is_pure_observation(replicated):
     assert len(grid_off.tracelog) == len(grid_on.tracelog)
 
 
-def test_monitor_snapshot_merges_registry(replicated):
+def test_registry_snapshot_covers_the_data_plane(replicated):
     grid, _ = replicated
-    snap = grid.monitor.snapshot()
-    assert "metrics" in snap
-    assert "gridftp.bytes_sent" in snap["metrics"]
+    assert "gridftp.bytes_sent" in grid.metrics.snapshot()
 
 
 def test_health_report_renders(replicated):

@@ -65,8 +65,15 @@ def test_check_on_synthetic_rls_records(change, expected):
 
 
 def test_an_ungated_suite_checks_clean_whatever_it_measured():
-    assert check(SUITES["telemetry"], {"current": {"mode": "full"}}) == []
     assert check(SUITES["netsim"], {"current": {"micro": []}}) == []
+
+
+def test_the_telemetry_series_budget():
+    """The registry's cardinality is bounded: a 49th series fails."""
+    suite = SUITES["telemetry"]
+    assert check(suite, {"current": {"mode": "full", "metric_series": 48}}) == []
+    [failure] = check(suite, {"current": {"mode": "smoke", "metric_series": 49}})
+    assert "49 breaks the hard bound metric_series < 49" in failure
 
 
 @pytest.mark.parametrize("name", list(SUITES))

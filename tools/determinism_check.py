@@ -3,9 +3,9 @@
 
 Runs a small grid scenario twice *in the same process* and diffs a full
 fingerprint of each run: the trace log (every span, id, and timestamp),
-the catalog contents, service endpoint names, monitor snapshots, the
-grid's metrics-registry snapshot (via the grid monitor, which merges it),
-and the rendered Prometheus text exposition.
+the catalog contents, service endpoint names, the grid's metrics-registry
+snapshot, the ``stats`` of every site's servers and clients (what the
+registry does not carry), and the rendered Prometheus text exposition.
 
 This is the regression net for global-state leaks: a module-level counter
 (id sequences, endpoint serials) advances across runs and shows up here as
@@ -62,17 +62,19 @@ def run_scenario() -> dict:
             ]
             for name, site in sorted(grid.sites.items())
         },
-        "monitors": {
+        # the mover has no ``stats``: all it counts is in the registry
+        "stats": {
             name: {
-                "request_server": site.request_server.monitor.snapshot(),
-                "gridftp_server": site.gridftp_server.monitor.snapshot(),
-                "client": site.client.monitor.snapshot(),
+                "request_server": site.request_server.stats,
+                "request_client": site.request_client.stats,
+                "gridftp_server": site.gridftp_server.stats,
+                "gridftp_client": site.gridftp_client.bus.stats,
+                "gdmp_server": site.server.stats,
+                "gdmp_client": site.client.stats,
             }
             for name, site in sorted(grid.sites.items())
         },
-        # the grid monitor merges the metrics registry's snapshot under
-        # "metrics", so the labelled telemetry is fingerprinted too
-        "grid_monitor": grid.monitor.snapshot(),
+        "metrics": grid.metrics.snapshot(),
         "prometheus": to_prometheus_text(grid.metrics),
     }
 

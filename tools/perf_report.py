@@ -415,6 +415,11 @@ SUITES = {
             "without registry: {without_registry_s:.3f} s",
             "overhead ratio:   {overhead_ratio:.2f}x",
         ),
+        # the series-cardinality half of ROADMAP item 5's budget (48 full,
+        # 47 smoke): a new family or label shows here before it shows as
+        # wall time.  The wall-clock half has no floor yet — 6-56 ms walls
+        # are noise-bound
+        bounds=(Bound("metric_series", "<", 49),),
     ),
     # rides in BENCH_netsim.json next to the micro/figure record instead
     # of claiming its own file
