@@ -164,13 +164,6 @@ class ReplicaCatalog:
         except LdapError as exc:
             raise CatalogError(str(exc)) from exc
 
-    def delete_location(self, collection: str, location: str) -> None:
-        """Delete a location object."""
-        try:
-            self.directory.delete(self.location_dn(collection, location))
-        except LdapError as exc:
-            raise CatalogError(str(exc)) from exc
-
     def location_exists(self, collection: str, location: str) -> bool:
         """Whether the location exists in the collection."""
         return self.directory.exists(self.location_dn(collection, location))
@@ -214,15 +207,6 @@ class ReplicaCatalog:
             raise CatalogError(f"no location {location!r} in {collection!r}")
         self.directory.modify_add_many(dn, "filename", lfns)
 
-    def location_contains(self, collection: str, location: str, lfn: str) -> bool:
-        """Index-backed membership: does the location hold ``lfn``?"""
-        try:
-            return self.directory.has_value(
-                self.location_dn(collection, location), "filename", lfn
-            )
-        except LdapError as exc:
-            raise CatalogError(str(exc)) from exc
-
     def remove_filename_from_location(
         self, collection: str, location: str, lfn: str
     ) -> None:
@@ -242,17 +226,6 @@ class ReplicaCatalog:
             )
         except LdapError as exc:
             raise CatalogError(str(exc)) from exc
-
-    def location_info(self, collection: str, location: str) -> dict[str, str]:
-        """The location's hostname and URL prefix."""
-        try:
-            entry = self.directory.get(self.location_dn(collection, location))
-        except LdapError as exc:
-            raise CatalogError(str(exc)) from exc
-        return {
-            "hostname": entry.first("hostname", ""),
-            "urlPrefix": entry.first("urlPrefix", ""),
-        }
 
     # -- logical file entries -----------------------------------------------------
     def create_logical_file_entry(

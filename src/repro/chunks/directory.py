@@ -37,11 +37,11 @@ from typing import Callable, Optional
 from repro.chunks.manifest import Manifest, build_manifest
 from repro.chunks.placement import place_stripe
 from repro.gdmp.request_manager import (
-    AuthenticatedRequest,
     GdmpError,
     RequestProxy,
     RequestServer,
 )
+from repro.services.bus import ServiceRequest
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Process
 
@@ -276,7 +276,7 @@ class ChunkDirectoryService:
         registry.gauge("chunks.replicas").set(directory.replica_count())
 
     # -- handlers -----------------------------------------------------------
-    def _op_init(self, request: AuthenticatedRequest):
+    def _op_init(self, request: ServiceRequest):
         p = request.payload
         manifest, targets, needed = self.directory.init(
             p["object"], p["size"], p["content_key"], p["k"], p["m"]
@@ -288,7 +288,7 @@ class ChunkDirectoryService:
             "needed": needed,
         }
 
-    def _op_commit(self, request: AuthenticatedRequest):
+    def _op_commit(self, request: ServiceRequest):
         p = request.payload
         result = self.directory.commit(
             p["object"], [tuple(item) for item in p["placements"]]
@@ -296,7 +296,7 @@ class ChunkDirectoryService:
         self._count("commit")
         return result
 
-    def _op_manifest(self, request: AuthenticatedRequest):
+    def _op_manifest(self, request: ServiceRequest):
         manifest, locations, targets = self.directory.manifest_info(
             request.payload["object"]
         )
@@ -307,11 +307,11 @@ class ChunkDirectoryService:
             "targets": targets,
         }
 
-    def _op_list(self, request: AuthenticatedRequest):
+    def _op_list(self, request: ServiceRequest):
         state = request.payload.get("state", "committed")
         return self.directory.objects(state)
 
-    def _op_repair_done(self, request: AuthenticatedRequest):
+    def _op_repair_done(self, request: ServiceRequest):
         p = request.payload
         result = self.directory.record_repair(
             p["object"],

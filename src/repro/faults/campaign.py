@@ -367,7 +367,7 @@ def weather_blackhole_campaign(
     """Black-hole the grid weather plane for random windows.
 
     Every ``weather.*`` operation vanishes grid-wide — forecast pushes
-    never land and ``weather.report`` pulls time out — so the per-site
+    never land at any subscriber — so the per-site
     forecast caches silently age past the staleness horizon and replica
     selection degrades to the instantaneous-probe ladder (never worse
     than the pre-observatory selector).  The restore lets the next

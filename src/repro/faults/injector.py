@@ -76,8 +76,8 @@ _BLACKHOLES = (
     _Blackhole("digest", "digest_loss", "rli.push_digest",
                plane="rls", missing="replica location service"),
     # an observatory outage: forecast pushes are dropped at every
-    # subscriber and ``weather.report`` pulls vanish at the station.  Site
-    # caches silently age past the staleness horizon and replica selection
+    # subscriber (``weather.push_digest`` is the plane's one operation).
+    # Site caches silently age past the staleness horizon and selection
     # degrades to the probe ladder; nothing retries — the first pushes
     # after the restore reconverge it (soft state)
     _Blackhole("weather", "weather_blackhole", "weather.",

@@ -39,10 +39,8 @@ from repro.gdmp.replica_selection import choose_replica, rank_replicas
 from repro.gdmp.replica_service import CatalogProxy, ReplicaCatalogService
 from repro.gdmp.request_manager import (
     GdmpError,
-    RemoteError,
     RequestClient,
     RequestServer,
-    RequestTimeout,
 )
 from repro.gdmp.server import GdmpServer
 from repro.gdmp.storage_manager import StorageManager
@@ -63,12 +61,10 @@ __all__ = [
     "GdmpSite",
     "ObjectivityPlugin",
     "PluginRegistry",
-    "RemoteError",
     "ReplicaCatalogService",
     "ReplicationReport",
     "RequestClient",
     "RequestServer",
-    "RequestTimeout",
     "StorageManager",
     "choose_replica",
     "rank_replicas",

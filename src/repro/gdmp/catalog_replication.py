@@ -26,7 +26,8 @@ from __future__ import annotations
 from repro.catalog.gdmp_catalog import GdmpCatalog
 from repro.catalog.operations import OPERATIONS, READ_OPERATIONS
 from repro.gdmp.replica_service import CatalogProxy, ReplicaCatalogService
-from repro.gdmp.request_manager import AuthenticatedRequest, GdmpError
+from repro.gdmp.request_manager import GdmpError
+from repro.services.bus import ServiceRequest
 
 __all__ = ["CatalogReplica", "ReplicatedCatalogProxy", "enable_catalog_replication"]
 
@@ -52,7 +53,7 @@ class CatalogReplica:
         # the primary pushes writes here
         site.request_server.register("catalog.apply", self._op_apply)
 
-    def _op_apply(self, request: AuthenticatedRequest):
+    def _op_apply(self, request: ServiceRequest):
         self.apply(request.payload["operation"], request.payload["data"])
         return True
 

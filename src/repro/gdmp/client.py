@@ -29,14 +29,13 @@ from repro.gdmp.replica_service import BULK_ITEM_SIZE, CatalogProxy
 from repro.gdmp.request_manager import (
     REQUEST_MESSAGE_SIZE,
     GdmpError,
-    RemoteError,
     RequestClient,
 )
 from repro.gdmp.server import GdmpServer
 from repro.gdmp.storage_manager import StorageManager
 from repro.gridftp.client import ClientSession
 from repro.netsim.topology import Topology
-from repro.services.bus import ServiceError
+from repro.services.bus import RemoteCallError, ServiceError
 from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Process, Simulator
 from repro.storage.filesystem import StoredFile
@@ -409,7 +408,9 @@ class GdmpClient:
                 answers = yield from transfer_set.stage(source, [lfn])
             answer = answers[lfn]
             if "error" in answer:
-                raise RemoteError("request_stage", source, answer["error"])
+                raise RemoteCallError(
+                    "request_stage", source, answer["error"]
+                )
             return answer
 
         def attempt_from(source, info, local_path):

@@ -25,13 +25,9 @@ from typing import Callable, Optional, Sequence
 
 from repro.gdmp.data_mover import DataMoverError
 from repro.gdmp.replica_selection import ReplicaScore, rank_replicas
-from repro.gdmp.request_manager import (
-    GdmpError,
-    RemoteError,
-    RequestTimeout,
-)
+from repro.gdmp.request_manager import GdmpError
 from repro.netsim.topology import Topology
-from repro.services.bus import ConnectionReset
+from repro.services.bus import CallTimeout, ConnectionReset, RemoteCallError
 from repro.services.resilience import CircuitOpenError
 
 __all__ = ["FAILOVER_ERRORS", "ranked_sources", "failover_walk"]
@@ -41,8 +37,8 @@ __all__ = ["FAILOVER_ERRORS", "ranked_sources", "failover_walk"]
 #: propagates immediately — another source would fail the same way.
 FAILOVER_ERRORS = (
     DataMoverError,
-    RemoteError,
-    RequestTimeout,
+    RemoteCallError,
+    CallTimeout,
     ConnectionReset,
     CircuitOpenError,
 )

@@ -35,13 +35,12 @@ from repro.catalog.gdmp_catalog import GdmpCatalog, LogicalFileInfo
 from repro.catalog.operations import OPERATIONS, CatalogOperation
 from repro.catalog.replica_catalog import CatalogError
 from repro.gdmp.request_manager import (
-    AuthenticatedRequest,
     GdmpError,
-    RemoteError,
     RequestClient,
     RequestProxy,
     RequestServer,
 )
+from repro.services.bus import RemoteCallError, ServiceRequest
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Process
 
@@ -85,7 +84,7 @@ class ReplicaCatalogService:
                 replay=None if row.effect is None else self.replay,
             )
 
-    def _handle(self, row: CatalogOperation, request: AuthenticatedRequest):
+    def _handle(self, row: CatalogOperation, request: ServiceRequest):
         """Every ``catalog.*`` request: catalog operations are in-memory
         and immediate, so the handler is a plain function."""
         payload = request.payload
@@ -115,7 +114,7 @@ class _NegativeEntry:
 
     __slots__ = ("error",)
 
-    def __init__(self, error: RemoteError) -> None:
+    def __init__(self, error: RemoteCallError) -> None:
         self.error = error
 
 
@@ -168,7 +167,7 @@ class CatalogProxy(RequestProxy):
                 result = yield self._rpc(
                     host, operation, payload, n_items, idempotent=idempotent
                 )
-            except RemoteError:
+            except RemoteCallError:
                 # The server processed the request and answered with an
                 # application fault: the host is healthy and cached
                 # entries are still trustworthy.
@@ -339,7 +338,7 @@ class CatalogProxy(RequestProxy):
         def miss():
             try:
                 result = yield self._read("info", {"lfn": lfn})
-            except RemoteError as exc:
+            except RemoteCallError as exc:
                 # An application-level "unknown logical file" is a stable
                 # answer until someone publishes it: cache the absence.
                 self._cache_put(("info", lfn), _NegativeEntry(exc))

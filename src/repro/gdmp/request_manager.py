@@ -13,14 +13,16 @@ middleware chain verifies the caller's proxy chain against the trusted
 CAs, maps the identity through the gridmap, and sheds deadline-expired
 requests (and, given a metrics registry, counts and times every
 operation); the client is a :class:`ServiceClient` that
-attaches the proxy chain to every call and maps faults/timeouts to
-:class:`RemoteError` / :class:`RequestTimeout`.
+attaches the proxy chain to every call.  Handlers take the bus's
+:class:`~repro.services.bus.ServiceRequest` and callers see the bus's
+faults (:class:`~repro.services.bus.RemoteCallError`,
+:class:`~repro.services.bus.CallTimeout`): this layer adds credentials,
+not vocabulary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.netsim.channels import MessageNetwork
 from repro.netsim.topology import Host
@@ -28,10 +30,10 @@ from repro.security.ca import CertificateAuthority
 from repro.security.credentials import Credential
 from repro.security.gridmap import GridMap
 from repro.services.bus import (
+    Handler,
     ServiceClient,
     ServiceEndpoint,
     ServiceError,
-    ServiceRequest,
 )
 from repro.services.middleware import (
     DeadlineMiddleware,
@@ -45,9 +47,6 @@ from repro.simulation.kernel import Process, Simulator
 
 __all__ = [
     "GdmpError",
-    "RequestTimeout",
-    "RemoteError",
-    "AuthenticatedRequest",
     "RequestServer",
     "RequestClient",
     "RequestProxy",
@@ -58,41 +57,6 @@ REQUEST_MESSAGE_SIZE = 512
 
 class GdmpError(ServiceError):
     """GDMP operation failure."""
-
-
-class RequestTimeout(GdmpError):
-    """No reply from the remote GDMP server within the deadline."""
-
-    retryable = True
-
-
-class RemoteError(GdmpError):
-    """An error raised by a remote handler, re-raised at the caller."""
-
-    def __init__(self, operation: str, server: str, message: str):
-        super().__init__(f"{operation}@{server}: {message}")
-        self.operation = operation
-        self.server = server
-        self.remote_message = message
-
-
-def _request_timeout(operation: str, server: str, timeout: float) -> RequestTimeout:
-    return RequestTimeout(f"{operation}@{server}: no reply within {timeout}s")
-
-
-@dataclass(frozen=True)
-class AuthenticatedRequest:
-    """What a handler receives after the security layer has done its job."""
-
-    operation: str
-    payload: Any
-    caller_host: str
-    subject: str      # the presented (proxy) subject
-    identity: str     # the authenticated end-entity DN
-    account: str      # gridmap-mapped local account
-
-
-Handler = Callable[[AuthenticatedRequest], Any]
 
 
 class RequestServer(ServiceEndpoint):
@@ -130,34 +94,24 @@ class RequestServer(ServiceEndpoint):
             middlewares=tuple(middlewares),
             tracelog=tracelog,
             message_size=REQUEST_MESSAGE_SIZE,
-            process_name=f"gdmp-request-manager@{host.name}",
         )
 
     def register(self, operation: str, handler: Handler,
                  replay: Optional[ReplayWindow] = None) -> None:
         """Bind a handler — a plain function, or a generator function when
-        it holds the simulated clock — to an operation name.  Handlers
-        receive an :class:`AuthenticatedRequest` built from the middleware's
-        verification result.  With ``replay`` — the owning service's
-        window — the operation is an exactly-once write: a re-issued
-        request is answered from the window, never handled twice."""
-
-        def adapter(request: ServiceRequest):
-            auth = request.state["auth"]
-            authenticated = AuthenticatedRequest(
-                operation=request.operation,
-                payload=request.payload,
-                caller_host=request.caller_host,
-                subject=auth.subject,
-                identity=auth.identity,
-                account=auth.account,
+        it holds the simulated clock — to an operation name.  It receives
+        the bus's request once the middleware has verified the caller
+        (the :class:`~repro.services.middleware.AuthResult` is in
+        ``request.state["auth"]``).  With ``replay`` — the owning
+        service's window — the operation is an exactly-once write: a
+        re-issued request is answered from the window, never handled
+        twice."""
+        if replay is not None:
+            handler = (
+                lambda request, write=handler:
+                replay.apply(request.meta.get("txn"), write, request)
             )
-            # the answer, or the generator the endpoint drives to get it
-            if replay is None:
-                return handler(authenticated)
-            return replay.apply(request.meta.get("txn"), handler, authenticated)
-
-        super().register(operation, adapter)
+        super().register(operation, handler)
 
 
 class RequestClient(ServiceClient):
@@ -179,8 +133,6 @@ class RequestClient(ServiceClient):
             service,
             tracelog=tracelog,
             message_size=REQUEST_MESSAGE_SIZE,
-            remote_error=RemoteError,
-            timeout_error=_request_timeout,
         )
         self.credential = credential
 
@@ -196,9 +148,9 @@ class RequestClient(ServiceClient):
         """Invoke ``operation`` on the GDMP server at ``server_host``.
 
         With ``timeout`` set, a missing reply (crashed server, dropped
-        message) raises :class:`RequestTimeout` after that many seconds;
-        without it the call waits indefinitely (in-order FIFO delivery
-        means no reply can be merely late).  The late reply of a timed-out
+        message) raises :class:`~repro.services.bus.CallTimeout` after that
+        many seconds; without it the call waits indefinitely (in-order FIFO
+        delivery means no reply can be merely late).  The late reply of a timed-out
         call is discarded on arrival, never misdelivered to a later call.
         ``idempotent`` makes the call an exactly-once write (see
         :meth:`ServiceClient.call`)."""

@@ -21,12 +21,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.catalog.ldapsim import Entry, FilterSyntaxError, parse_filter
-from repro.gdmp.request_manager import (
-    AuthenticatedRequest,
-    GdmpError,
-    RequestServer,
-)
+from repro.gdmp.request_manager import GdmpError, RequestServer
 from repro.gdmp.storage_manager import StorageManager
+from repro.services.bus import ServiceRequest
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Simulator
 from repro.storage.hrm import StageStatus
@@ -87,7 +84,7 @@ class GdmpServer:
             raise GdmpError(f"{self.site} does not hold {lfn!r}") from None
 
     # -- handlers -----------------------------------------------------------------
-    def _op_subscribe(self, request: AuthenticatedRequest):
+    def _op_subscribe(self, request: ServiceRequest):
         subscriber = request.payload["site"]
         filter_text = request.payload.get("filter")
         if filter_text is not None:
@@ -99,7 +96,7 @@ class GdmpServer:
         self.stats["subscriptions"] += 1
         return sorted(self.subscribers)
 
-    def _op_unsubscribe(self, request: AuthenticatedRequest):
+    def _op_unsubscribe(self, request: ServiceRequest):
         self.subscribers.pop(request.payload["site"], None)
         return sorted(self.subscribers)
 
@@ -115,7 +112,7 @@ class GdmpServer:
                 matching.append(site)
         return matching
 
-    def _op_notify(self, request: AuthenticatedRequest):
+    def _op_notify(self, request: ServiceRequest):
         """A producer announces new files.  With ``auto_replicate`` the
         consumer pulls each file at once (the production CMS deployment
         behaviour); otherwise the news is queued for a later explicit get."""
@@ -139,10 +136,10 @@ class GdmpServer:
             self.pending_news.append(news)
         return True
 
-    def _op_get_catalog(self, request: AuthenticatedRequest):
+    def _op_get_catalog(self, request: ServiceRequest):
         return dict(self.held)
 
-    def _op_request_stage(self, request: AuthenticatedRequest):
+    def _op_request_stage(self, request: ServiceRequest):
         """Ensure each of ``lfns`` is on this site's disk pool (staging
         from tape if needed) and pin it.  The files stage concurrently —
         tape drives overlap — and the reply answers per LFN: the local
@@ -189,7 +186,7 @@ class GdmpServer:
             self.stats["stage_served"] += 1
         return {"path": path, "size": stored.size, "crc": stored.crc}
 
-    def _op_release(self, request: AuthenticatedRequest):
+    def _op_release(self, request: ServiceRequest):
         """Drop one transfer pin per listed LFN.  A file that is not
         pinned (or no longer held) answers False and changes nothing."""
         released = {}

@@ -133,15 +133,11 @@ class GridFTPClient:
         #: The server may still hold them (and their parked data
         #: channels), so the next dial to that host hangs them up first.
         self._unclosed: dict[str, list[str]] = {}
-        # Per-simulator serial (not a module global): back-to-back
-        # simulations in one process name their endpoints identically.
-        self.service = f"gridftp-client-{sim.next_serial('gridftp-client')}"
         self.bus = ServiceClient(
             sim,
             msgnet,
             host,
             GridFTPServer.SERVICE,
-            reply_service=self.service,
             tracelog=tracelog,
             message_size=CONTROL_MESSAGE_SIZE,
         )

@@ -117,21 +117,6 @@ def ready() -> Reply:
     return Reply(220, "GridFTP server ready (GSI)")
 
 
-def auth_ok(subject: str) -> Reply:
-    """235: GSSAPI authentication succeeded."""
-    return Reply(235, f"GSSAPI authentication succeeded for {subject}")
-
-
-def auth_continue() -> Reply:
-    """335: more ADAT data required."""
-    return Reply(335, "ADAT continue")
-
-
-def logged_in(account: str) -> Reply:
-    """230: user mapped and logged in."""
-    return Reply(230, f"User {account} logged in")
-
-
 def opening(text: str = "Opening data connection") -> Reply:
     """150: preliminary reply, data connection opening."""
     return Reply(150, text)

@@ -188,7 +188,6 @@ class GridFTPServer:
             unknown_operation=lambda request: ServiceFault(
                 Reply(502, f"{request.operation} not implemented")
             ),
-            process_name=f"gridftpd@{host.name}",
         )
         #: the daemon is its endpoint: one server, one ``stats``
         self.stats = self.bus.stats

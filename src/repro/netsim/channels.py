@@ -113,10 +113,6 @@ class MessageNetwork:
         else:
             self._down_links.discard(link_name)
 
-    def is_link_down(self, link_name: str) -> bool:
-        """Whether the named link is currently partitioned."""
-        return link_name in self._down_links
-
     def set_service_down(
         self,
         host: Host | str,

@@ -24,6 +24,7 @@ from repro.objectdb.federation import Federation
 from repro.objectdb.objects import PersistentObject
 from repro.objectdb.oid import OID
 from repro.objectdb.persistency import PAGE_SIZE, ObjectReader
+from repro.services.bus import ServiceClient, ServiceEndpoint, ServiceRequest
 from repro.simulation.kernel import Process, Simulator
 
 __all__ = ["AmsPageServer", "RemoteObjectReader"]
@@ -35,8 +36,11 @@ PAGE_REQUEST_SIZE = 64
 PAGE_SERVICE_TIME = 0.001
 
 
-class AmsPageServer:
-    """A site's page server: serves federation pages to remote readers."""
+class AmsPageServer(ServiceEndpoint):
+    """A site's page server: serves federation pages to remote readers.
+
+    One ``page`` operation on the service bus, behind no middleware: the
+    paper-era AMS is unauthenticated.  Every reply is a full page."""
 
     SERVICE = "ams"
 
@@ -47,30 +51,16 @@ class AmsPageServer:
         host: Host,
         federation: Federation,
     ):
-        self.sim = sim
-        self.msgnet = msgnet
-        self.host = host
+        super().__init__(
+            sim, msgnet, host, self.SERVICE, message_size=PAGE_SIZE
+        )
         self.federation = federation
-        self.stats = {"pages_served": 0}
-        self._mailbox = msgnet.register(host, self.SERVICE)
-        sim.spawn(self._serve(), name=f"ams@{host.name}")
+        self.stats["pages_served"] = 0
+        self.register("page", self._op_page)
 
-    def _serve(self):
-        while True:
-            envelope = yield self._mailbox.get()
-            self.sim.spawn(self._handle(envelope), name="ams-page-request")
-
-    def _handle(self, envelope):
-        request = envelope.payload
+    def _op_page(self, request: ServiceRequest):
         yield self.sim.timeout(PAGE_SERVICE_TIME)
         self.stats["pages_served"] += 1
-        self.msgnet.send(
-            self.host,
-            envelope.src,
-            request["reply_service"],
-            payload={"request_id": request["request_id"], "ok": True},
-            size=PAGE_SIZE,  # a full page comes back
-        )
 
 
 class RemoteObjectReader:
@@ -90,35 +80,19 @@ class RemoteObjectReader:
         server: AmsPageServer,
     ):
         self.sim = sim
-        self.msgnet = msgnet
-        self.local_host = local_host
         self.server = server
         self.stats = {"page_fetches": 0, "bytes_fetched": 0, "objects_read": 0}
         self._cached_pages: set[tuple[int, int, int]] = set()
         self._local_layout = ObjectReader(server.federation)
-        self.reply_service = f"ams-client-{sim.next_serial('ams-client')}"
-        self._mailbox = msgnet.register(local_host, self.reply_service)
-        self._request_counter = 0
+        self.bus = ServiceClient(
+            sim, msgnet, local_host, AmsPageServer.SERVICE
+        )
 
     # -- page fetch ----------------------------------------------------------
     def _fetch_page(self, page: tuple[int, int, int]):
-        self._request_counter += 1
-        request_id = self._request_counter
-        self.msgnet.send(
-            self.local_host,
-            self.server.host,
-            AmsPageServer.SERVICE,
-            payload={
-                "page": page,
-                "request_id": request_id,
-                "reply_service": self.reply_service,
-            },
-            size=PAGE_REQUEST_SIZE,
+        yield from self.bus.invoke(
+            self.server.host.name, "page", page, size=PAGE_REQUEST_SIZE
         )
-        while True:
-            envelope = yield self._mailbox.get()
-            if envelope.payload["request_id"] == request_id:
-                break
         self._cached_pages.add(page)
         self.stats["page_fetches"] += 1
         self.stats["bytes_fetched"] += PAGE_SIZE
@@ -129,10 +103,7 @@ class RemoteObjectReader:
 
         def run():
             obj = self.server.federation.resolve(oid)
-            page0 = self._local_layout._start_page(oid)
-            spanned = max(1, -(-int(obj.size) // PAGE_SIZE))
-            for extra in range(spanned):
-                page = (oid.database, oid.container, page0 + extra)
+            for page in self._local_layout.pages_of(obj):
                 if page not in self._cached_pages:
                     yield from self._fetch_page(page)
             self.stats["objects_read"] += 1

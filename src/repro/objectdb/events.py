@@ -72,10 +72,6 @@ class EventCatalog:
     def event_numbers(self) -> list[int]:
         return list(self._events)
 
-    @property
-    def type_names(self) -> set[str]:
-        return set(self._types)
-
     def oid_for(self, event_number: int, type_name: str) -> OID:
         """OID of one event's object of the given type."""
         try:

@@ -15,25 +15,9 @@ from repro.objectdb.federation import Federation
 from repro.objectdb.objects import PersistentObject
 from repro.objectdb.oid import OID
 
-__all__ = ["PAGE_SIZE", "ObjectReader", "page_of"]
+__all__ = ["PAGE_SIZE", "ObjectReader"]
 
 PAGE_SIZE = 8 * 1024
-
-
-def page_of(federation: Federation, oid: OID) -> tuple[int, int, int]:
-    """The (database, container, page index) an object's bytes start in.
-
-    Pages pack objects in slot order within each container; an object's
-    page index is determined by the cumulative size of the objects before
-    it.  Large objects span several pages; reads charge every spanned page.
-    """
-    container = federation.database_by_id(oid.database).container(oid.container)
-    offset = 0.0
-    for slot in sorted(container.objects):
-        if slot == oid.slot:
-            return (oid.database, oid.container, int(offset // PAGE_SIZE))
-        offset += container.objects[slot].size
-    raise KeyError(f"no object at {oid}")
 
 
 class ObjectReader:
@@ -46,6 +30,19 @@ class ObjectReader:
         # per-container slot -> starting page index, built on first touch
         # (containers are write-once in analysis workloads)
         self._layouts: dict[tuple[int, int], dict[int, int]] = {}
+
+    def pages_of(self, obj: PersistentObject) -> list[tuple[int, int, int]]:
+        """The (database, container, page index) pages an object's bytes
+        occupy.  Pages pack objects in slot order within each container,
+        so the first page follows from the cumulative size of the objects
+        before it; a large object spans several pages."""
+        oid = obj.oid
+        page0 = self._start_page(oid)
+        spanned = max(1, -(-int(obj.size) // PAGE_SIZE))  # ceil
+        return [
+            (oid.database, oid.container, page0 + extra)
+            for extra in range(spanned)
+        ]
 
     def _start_page(self, oid: OID) -> int:
         key = (oid.database, oid.container)
@@ -90,10 +87,7 @@ class ObjectReader:
     def _charge(self, obj: PersistentObject) -> None:
         self.stats["objects_read"] += 1
         self.stats["bytes_read"] += obj.size
-        page0 = self._start_page(obj.oid)
-        spanned = max(1, -(-int(obj.size) // PAGE_SIZE))  # ceil
-        for extra in range(spanned):
-            page = (obj.oid.database, obj.oid.container, page0 + extra)
+        for page in self.pages_of(obj):
             if page not in self._cached_pages:
                 self._cached_pages.add(page)
                 self.stats["page_reads"] += 1

@@ -24,13 +24,7 @@ from .scenarios import (
     diurnal_scenario,
     flash_crowd_scenario,
 )
-from .service import (
-    WEATHER_OP_PREFIX,
-    WeatherRuntime,
-    WeatherService,
-    WeatherSubscriber,
-    forecast_wire_size,
-)
+from .service import WeatherRuntime, WeatherSubscriber, forecast_wire_size
 from .station import SiteWeather, WeatherConfig, WeatherStation
 
 __all__ = [
@@ -43,8 +37,6 @@ __all__ = [
     "WeatherConfig",
     "WeatherStation",
     "SiteWeather",
-    "WEATHER_OP_PREFIX",
-    "WeatherService",
     "WeatherSubscriber",
     "WeatherRuntime",
     "forecast_wire_size",

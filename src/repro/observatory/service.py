@@ -1,26 +1,22 @@
-"""The grid weather service on the bus, and its forecast push plane.
+"""The grid weather plane on the bus: forecasts are pushed, never pulled.
 
-:class:`WeatherService` hosts the :class:`~repro.observatory.station.
-WeatherStation` behind ``weather.*`` operations on the weather host's
-existing GDMP request server (the endpoint pattern every other control
-plane here uses):
+The :class:`~repro.observatory.station.WeatherStation` lives in memory on
+the weather host; what crosses the bus is one operation,
+``weather.push_digest``, registered on every *subscriber* site's existing
+GDMP request server (the endpoint pattern every other control plane here
+uses).  The station's pushers deliver each site's inbound forecast digest
+there, and replica selection reads the pushed site cache synchronously —
+nothing asks the station a question over the wire.
 
-* ``weather.report`` — pull one site's current inbound forecast digest
-  (experiments and tools use this to probe availability; selection
-  never does — it reads the pushed site cache synchronously).
-* ``weather.push_digest`` — registered on every *subscriber* site's
-  server; the station's pushers deliver forecast digests here.
-* ``weather.stats`` — observation counters for telemetry scrapes.
-
-Because all ``weather.*`` operations share the GDMP service endpoint,
-fault campaigns can black-hole the whole weather plane with the prefix
+Because ``weather.push_digest`` shares the GDMP service endpoint, fault
+campaigns can black-hole the whole weather plane with the prefix
 ``weather.`` (the ``weather_blackhole`` fault kind) without touching
 co-hosted ``catalog.*``/``task.*``/``rli.*`` traffic — pushes are then
 lost, site caches age past the staleness horizon, and replica selection
 silently degrades to the probe ladder until the restore reconverges it.
 
 :class:`WeatherRuntime` is the plane a grid builds from a
-:class:`~repro.observatory.station.WeatherConfig`: station, service, one
+:class:`~repro.observatory.station.WeatherConfig`: station, one
 subscriber + forecast cache per site, and one
 :class:`~repro.services.softstate.SoftStatePusher` per subscriber.  Each
 forecast digest is a full snapshot, so a lost push needs no replaying —
@@ -31,20 +27,16 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..gdmp.request_manager import AuthenticatedRequest, RequestServer
+from ..gdmp.request_manager import RequestServer
+from ..services.bus import ServiceRequest
 from ..services.softstate import PushNames, PushPlane, SoftStatePusher
 from .station import SiteWeather, WeatherConfig, WeatherStation
 
 __all__ = [
-    "WEATHER_OP_PREFIX",
-    "WeatherService",
     "WeatherSubscriber",
     "WeatherRuntime",
     "forecast_wire_size",
 ]
-
-#: operation prefix covering the whole weather plane (blackhole target)
-WEATHER_OP_PREFIX = "weather."
 
 #: modelled wire cost of one per-source forecast entry (bins + scalars)
 _ENTRY_WIRE_BYTES = 96
@@ -64,37 +56,6 @@ def forecast_wire_size(payload: dict) -> int:
     return _DIGEST_HEADER_BYTES + _ENTRY_WIRE_BYTES * len(payload["sources"])
 
 
-class WeatherService:
-    """Hosts the weather station behind ``weather.*`` operations."""
-
-    def __init__(
-        self,
-        server: RequestServer,
-        station: WeatherStation,
-        metrics=None,
-    ) -> None:
-        self.server = server
-        self.sim = server.sim
-        self.station = station
-        self.metrics = metrics
-        for op in ("report", "stats"):
-            server.register(f"weather.{op}", getattr(self, f"_op_{op}"))
-
-    # Handlers are plain functions: the station is in-memory and immediate.
-
-    def _op_report(self, request: AuthenticatedRequest):
-        site = request.payload["site"]
-        if self.metrics is not None:
-            self.metrics.counter("weather.reports", site=site).inc()
-        return self.station.digest_for(site, self.sim.now)
-
-    def _op_stats(self, request: AuthenticatedRequest):
-        return {
-            "pairs": len(self.station.pairs),
-            **self.station.stats,
-        }
-
-
 class WeatherSubscriber:
     """One site's ``weather.push_digest`` receiver feeding its cache."""
 
@@ -109,7 +70,7 @@ class WeatherSubscriber:
         self.metrics = metrics
         server.register("weather.push_digest", self._op_push_digest)
 
-    def _op_push_digest(self, request: AuthenticatedRequest):
+    def _op_push_digest(self, request: ServiceRequest):
         applied = self.site_weather.apply_digest(request.payload)
         if self.metrics is not None:
             self.metrics.counter(
@@ -137,9 +98,6 @@ class WeatherRuntime(PushPlane):
             )
         host_site = grid.sites[self.weather_host]
         self.station = WeatherStation(config, grid.sim, topology=grid.topology)
-        self.service = WeatherService(
-            host_site.request_server, self.station, metrics=grid.metrics
-        )
         # the observation feed: every retired transfer (drained or
         # aborted) becomes one history sample at the station
         grid.engine.transfer_observers.append(self.station.on_transfer)

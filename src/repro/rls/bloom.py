@@ -123,10 +123,6 @@ class BloomFilter:
         set_bits = sum(bin(b).count("1") for b in self._bits)
         return set_bits / self.n_bits
 
-    def expected_fpp(self) -> float:
-        """Theoretical false-positive probability at the current load."""
-        return self.fill_ratio() ** self.n_hashes
-
     def fingerprint(self) -> str:
         """Stable hex digest of shape + bit contents (determinism gate)."""
         h = hashlib.blake2b(digest_size=16)

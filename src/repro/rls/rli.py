@@ -10,7 +10,6 @@ use):
 * ``rli.lookup`` / ``rli.lookup_bulk`` — "which sites *might* hold LFN
   X?".  Answers may be stale or contain bloom false positives; callers
   must verify at the candidate LRCs (the router does).
-* ``rli.stats`` — digest/lookup counters for telemetry scrapes.
 
 Because every ``rli.*`` operation shares the GDMP service endpoint,
 fault campaigns can black-hole the whole index (prefix ``rli.``) or
@@ -23,15 +22,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..gdmp.request_manager import AuthenticatedRequest, RequestServer
+from ..gdmp.request_manager import RequestServer
+from ..services.bus import ServiceRequest
 from .digest import ReplicaLocationIndex
 
-__all__ = ["RliService", "RLI_OP_PREFIX", "RLI_PUSH_PREFIX"]
-
-#: operation prefix covering the whole index (blackhole target)
-RLI_OP_PREFIX = "rli."
-#: operation prefix covering only the digest feed (digest-loss target)
-RLI_PUSH_PREFIX = "rli.push_digest"
+__all__ = ["RliService"]
 
 
 class RliService:
@@ -47,12 +42,12 @@ class RliService:
         self.sim = server.sim
         self.index = index if index is not None else ReplicaLocationIndex()
         self.metrics = metrics
-        for op in ("push_digest", "lookup", "lookup_bulk", "stats"):
+        for op in ("push_digest", "lookup", "lookup_bulk"):
             server.register(f"rli.{op}", getattr(self, f"_op_{op}"))
 
     # Handlers are plain functions: the index is in-memory and immediate.
 
-    def _op_push_digest(self, request: AuthenticatedRequest):
+    def _op_push_digest(self, request: ServiceRequest):
         payload = request.payload
         applied = self.index.apply(payload, self.sim.now)
         if self.metrics is not None:
@@ -65,29 +60,10 @@ class RliService:
             "generation": self.index.states[payload["site"]].generation,
         }
 
-    def _op_lookup(self, request: AuthenticatedRequest):
+    def _op_lookup(self, request: ServiceRequest):
         lfn = request.payload["lfn"]
         return self.index.candidate_sites(lfn)
 
-    def _op_lookup_bulk(self, request: AuthenticatedRequest):
+    def _op_lookup_bulk(self, request: ServiceRequest):
         lfns = request.payload["lfns"]
         return {lfn: self.index.candidate_sites(lfn) for lfn in lfns}
-
-    def _op_stats(self, request: AuthenticatedRequest):
-        return {
-            "stats": dict(self.index.stats),
-            "sites": {
-                site: {
-                    "generation": state.generation,
-                    "entry_count": state.entry_count,
-                    "updated_at": state.updated_at,
-                    "overlay_added": len(state.added),
-                    "overlay_removed": len(state.removed),
-                    "bloom_bytes": (
-                        state.bloom.size_bytes if state.bloom is not None else 0
-                    ),
-                }
-                for site, state in self.index.states.items()
-            },
-            "staleness": self.index.staleness(self.sim.now),
-        }

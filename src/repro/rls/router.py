@@ -39,7 +39,8 @@ from typing import Dict, List, Optional
 
 from ..catalog.gdmp_catalog import LogicalFileInfo
 from ..gdmp.replica_service import CatalogProxy, _NegativeEntry
-from ..gdmp.request_manager import RemoteError, RequestClient
+from ..gdmp.request_manager import RequestClient
+from ..services.bus import RemoteCallError
 
 __all__ = ["RlsCatalogProxy"]
 
@@ -144,8 +145,10 @@ class RlsCatalogProxy(CatalogProxy):
                 "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
             ).observe(hops)
 
-    def _not_found(self, operation: str, lfn: str) -> RemoteError:
-        return RemoteError(operation, "rls", f"unknown logical file {lfn!r}")
+    def _not_found(self, operation: str, lfn: str) -> RemoteCallError:
+        return RemoteCallError(
+            operation, "rls", f"unknown logical file {lfn!r}"
+        )
 
     def _resolve(self, lfn: str, record_negative: bool = True):
         """Generator: two-tier resolve of one LFN into a merged
@@ -177,7 +180,7 @@ class RlsCatalogProxy(CatalogProxy):
                     "catalog.info", dict.fromkeys(sites, {"lfn": lfn})
                 )
             ):
-                if isinstance(info, RemoteError):
+                if isinstance(info, RemoteCallError):
                     # verified miss: bloom false positive or stale entry
                     self.stats["verify_misses"] += 1
                 elif isinstance(info, Exception):
@@ -427,7 +430,7 @@ class RlsCatalogProxy(CatalogProxy):
             taken = yield from self._resolve_bulk(lfns, "uniqueness_probes")
             for lfn in lfns:
                 if lfn in taken:
-                    raise RemoteError(
+                    raise RemoteCallError(
                         operation,
                         "rls",
                         f"logical file name {lfn!r} already in use",

@@ -176,9 +176,6 @@ class RlsRuntime(PushPlane):
             names.update(backend.list_lfns())
         return sorted(names)
 
-    def total_entries(self) -> int:
-        return sum(len(b.list_lfns()) for b in self.backends.values())
-
     def fingerprint(self) -> str:
         """Deterministic digest of index state + push accounting."""
         return self.index.fingerprint() + "##" + self.push_fingerprint()

@@ -7,9 +7,13 @@ resources."
 
 This package reproduces GSI *semantics* — certificate chains rooted in
 trusted CAs, short-lived proxy credentials created from a user credential
-(single sign-on), proxy-to-proxy delegation, mutual authentication, and
+(single sign-on), proxy-to-proxy delegation, chain verification, and
 gridmap-file authorization — over a simulated public-key scheme (see
-:mod:`repro.security.keys`; no real cryptography, by design).
+:mod:`repro.security.keys`; no real cryptography, by design).  The
+package holds the credentials and the checks; who authenticates whom is
+the bus's business: :class:`repro.services.middleware.GsiAuthenticator`
+verifies the caller's chain and maps it through the gridmap, per request
+on the Request Manager and in ``ADAT`` on the GridFTP control channel.
 """
 
 from repro.security.ca import Certificate, CertificateAuthority, CertificateError
@@ -20,15 +24,9 @@ from repro.security.credentials import (
     new_user_credential,
 )
 from repro.security.gridmap import AuthorizationError, GridMap
-from repro.security.gsi import (
-    AuthenticationError,
-    SecurityContext,
-    mutual_authenticate,
-)
 from repro.security.keys import KeyPair, sign, verify
 
 __all__ = [
-    "AuthenticationError",
     "AuthorizationError",
     "Certificate",
     "CertificateAuthority",
@@ -38,8 +36,6 @@ __all__ = [
     "GridMap",
     "KeyPair",
     "ProxyCredential",
-    "SecurityContext",
-    "mutual_authenticate",
     "new_user_credential",
     "sign",
     "verify",

@@ -117,26 +117,6 @@ class CertificateAuthority:
             is_proxy=False,
         )
 
-    def issue_proxy_cert(
-        self,
-        parent_cert: Certificate,
-        parent_keys: KeyPair,
-        proxy_public: str,
-        valid_from: float,
-        lifetime: float,
-    ) -> Certificate:
-        """Sign a proxy certificate with the *parent's* key (not the CA's) —
-        this is what makes GSI proxies single-sign-on: no CA involvement."""
-        return _make_cert(
-            subject=parent_cert.subject + "/CN=proxy",
-            public_key=proxy_public,
-            issuer_dn=parent_cert.subject,
-            issuer_keys=parent_keys,
-            valid_from=valid_from,
-            valid_until=valid_from + lifetime,
-            is_proxy=True,
-        )
-
 
 def verify_chain(
     chain: list[Certificate],

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.security.ca import (
-    Certificate,
-    CertificateAuthority,
-    CertificateError,
-    _make_cert,
-    verify_chain,
-)
+from repro.security.ca import Certificate, CertificateAuthority, _make_cert
 from repro.security.keys import KeyPair
 
 __all__ = ["Credential", "ProxyCredential", "CredentialError", "new_user_credential"]
@@ -104,15 +98,3 @@ def new_user_credential(
     keys = KeyPair.generate()
     cert = ca.issue(subject, keys.public, valid_from=now, lifetime=lifetime)
     return Credential(chain=[cert], keys=keys)
-
-
-def authenticate_chain(
-    credential_chain: list[Certificate],
-    trusted_cas: list[CertificateAuthority],
-    now: float,
-) -> str:
-    """Verify a presented chain; returns the authenticated identity DN."""
-    try:
-        return verify_chain(credential_chain, trusted_cas, now)
-    except CertificateError:
-        raise

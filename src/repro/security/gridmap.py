@@ -45,10 +45,6 @@ class GridMap:
         """Whether the identity has a mapping."""
         return identity_dn in self._entries
 
-    @property
-    def subjects(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
     @classmethod
     def parse(cls, text: str) -> "GridMap":
         """Parse classic gridmap syntax: ``"/DN" account`` per line."""

@@ -81,7 +81,8 @@ class ServiceFault(Exception):
 
 
 class RemoteCallError(ServiceError):
-    """Default client-side mapping of a fault reply."""
+    """A fault reply, re-raised at the caller: the remote handler failed
+    the operation (an application error — retrying cannot help)."""
 
     def __init__(self, operation: str, server: str, message: str):
         super().__init__(f"{operation}@{server}: {message}")
@@ -91,7 +92,7 @@ class RemoteCallError(ServiceError):
 
 
 class CallTimeout(ServiceError):
-    """Default client-side mapping of a missing reply."""
+    """No reply within the deadline (crashed server, dropped message)."""
 
     retryable = True
 
@@ -246,7 +247,6 @@ class ServiceEndpoint:
         tracelog: Optional[TraceLog] = None,
         message_size: int = DEFAULT_MESSAGE_SIZE,
         unknown_operation: Optional[Callable[["ServiceRequest"], Exception]] = None,
-        process_name: Optional[str] = None,
     ):
         self.sim = sim
         self.msgnet = msgnet
@@ -265,10 +265,7 @@ class ServiceEndpoint:
         self._handlers: dict[str, Handler] = {}
         self._chain = self._build_chain(tuple(middlewares))
         self._mailbox = msgnet.register(host, service)
-        sim.spawn(
-            self._serve(),
-            name=process_name or f"{service}@{host.name}",
-        )
+        sim.spawn(self._serve(), name=f"{service}@{host.name}")
 
     # -- registration ----------------------------------------------------
     def register(self, operation: str, handler: Handler) -> None:
@@ -387,12 +384,9 @@ class ServiceClient:
         host: Host,
         service: str,
         *,
-        reply_service: Optional[str] = None,
         tracelog: Optional[TraceLog] = None,
         message_size: int = DEFAULT_MESSAGE_SIZE,
         default_timeout: Optional[float] = None,
-        remote_error: Callable[[str, str, str], Exception] = RemoteCallError,
-        timeout_error: Callable[[str, str, float], Exception] = CallTimeout,
         middlewares: tuple = (),
     ):
         self.sim = sim
@@ -410,21 +404,17 @@ class ServiceClient:
         }
         self.message_size = message_size
         self.default_timeout = default_timeout
-        self.remote_error = remote_error
-        self.timeout_error = timeout_error
         #: refuse calls to hosts the msgnet knows are down instead of
         #: waiting out a timeout.  Off by default: a plain client should
         #: observe a crash exactly as a real one would — silence.
         self.fail_fast_when_down = False
         self._client_chain = self._build_client_chain(tuple(middlewares))
-        if reply_service is None:
-            # Per-simulator serial, not a module global: back-to-back
-            # simulations in one process name their endpoints identically.
-            reply_service = (
-                f"{service}-reply-{sim.next_serial(f'bus-client:{service}')}"
-            )
-        self.reply_service = reply_service
-        self._mailbox = msgnet.register(host, reply_service)
+        # Per-simulator serial, not a module global: back-to-back
+        # simulations in one process name their endpoints identically.
+        self.reply_service = (
+            f"{service}-reply-{sim.next_serial(f'bus-client:{service}')}"
+        )
+        self._mailbox = msgnet.register(host, self.reply_service)
         self._request_ids = itertools.count(1)
         self._pending: dict[int, Store] = {}
         self._pending_hosts: dict[int, str] = {}
@@ -435,7 +425,8 @@ class ServiceClient:
         self._txn_serials = itertools.count(1)
         self._open_txns: dict[int, None] = {}
         sim.spawn(
-            self._dispatch(), name=f"{reply_service}-dispatch@{host.name}"
+            self._dispatch(),
+            name=f"{self.reply_service}-dispatch@{host.name}",
         )
 
     # -- client middleware ------------------------------------------------
@@ -518,7 +509,7 @@ class ServiceClient:
         Must be driven from a simulation process (``yield from``); use
         :meth:`call` for a spawned-process wrapper.  Returns a
         :class:`CallOutcome`; with ``raise_on_fault`` a fault reply whose
-        payload is a string raises ``remote_error`` instead.
+        payload is a string raises :class:`RemoteCallError` instead.
 
         ``timeout`` bounds the whole call; ``idle_timeout`` bounds the gap
         between replies, so a long transfer streaming periodic preliminary
@@ -624,7 +615,7 @@ class ServiceClient:
                 self.stats["call_timeouts"] += 1
                 if span is not None:
                     self.tracelog.finish(span, "timeout")
-                exc = self.timeout_error(
+                exc = CallTimeout(
                     operation, server_host,
                     timeout if timeout is not None else idle,
                 )
@@ -663,7 +654,7 @@ class ServiceClient:
             if span is not None:
                 self.tracelog.finish(span, "error", detail=str(outcome.payload))
             if call.raise_on_fault and isinstance(outcome.payload, str):
-                raise self.remote_error(operation, server_host, outcome.payload)
+                raise RemoteCallError(operation, server_host, outcome.payload)
             return outcome
         if span is not None:
             self.tracelog.finish(span, "ok")

@@ -37,11 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.gdmp.request_manager import (
-    AuthenticatedRequest,
-    RequestProxy,
-    RequestServer,
-)
+from repro.gdmp.request_manager import RequestProxy, RequestServer
+from repro.services.bus import ServiceRequest
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Process, Simulator
 
@@ -382,7 +379,7 @@ class TaskQueueService:
         )
 
     # -- handlers ---------------------------------------------------------
-    def _op_submit(self, request: AuthenticatedRequest):
+    def _op_submit(self, request: ServiceRequest):
         p = request.payload
         task_id = self.queue.submit(
             p["type"], p["site"], p.get("payload") or {}, key=p.get("key")
@@ -390,7 +387,7 @@ class TaskQueueService:
         self._count("submitted", p["type"])
         return task_id
 
-    def _op_submit_bulk(self, request: AuthenticatedRequest):
+    def _op_submit_bulk(self, request: ServiceRequest):
         p = request.payload
         ids = []
         for item in p["tasks"]:
@@ -401,7 +398,7 @@ class TaskQueueService:
             self._count("submitted", item["type"])
         return ids
 
-    def _op_claim(self, request: AuthenticatedRequest):
+    def _op_claim(self, request: ServiceRequest):
         p = request.payload
         now = self.server.sim.now
         tasks = self.queue.claim(
@@ -416,7 +413,7 @@ class TaskQueueService:
                 )
         return [task.public() for task in tasks]
 
-    def _op_renew(self, request: AuthenticatedRequest):
+    def _op_renew(self, request: ServiceRequest):
         p = request.payload
         return self.queue.renew(
             p["task_id"], p["claim_token"], lease=p.get("lease")
@@ -435,11 +432,11 @@ class TaskQueueService:
             self._count("stale", task.type)
         return ok
 
-    def _op_complete(self, request: AuthenticatedRequest):
+    def _op_complete(self, request: ServiceRequest):
         p = request.payload
         return self._complete(p["task_id"], p["claim_token"], p.get("result"))
 
-    def _op_complete_bulk(self, request: AuthenticatedRequest):
+    def _op_complete_bulk(self, request: ServiceRequest):
         """Settle a batch in one envelope: a verdict per item, in order,
         so a stale token fails its own item and nothing else."""
         return [
@@ -447,7 +444,7 @@ class TaskQueueService:
             for task_id, claim_token, result in request.payload["items"]
         ]
 
-    def _op_fail(self, request: AuthenticatedRequest):
+    def _op_fail(self, request: ServiceRequest):
         p = request.payload
         task = self.queue.tasks.get(p["task_id"])
         state = self.queue.fail(
@@ -464,7 +461,7 @@ class TaskQueueService:
                     self._count("dead", task.type)
         return state
 
-    def _op_counts(self, request: AuthenticatedRequest):
+    def _op_counts(self, request: ServiceRequest):
         return self.queue.counts()
 
 

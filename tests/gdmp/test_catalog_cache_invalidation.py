@@ -4,8 +4,8 @@ cached answer could outlive a divergence the caller never observed."""
 
 import pytest
 
-from repro.gdmp.request_manager import RequestTimeout
 from repro.netsim.units import MB
+from repro.services import CallTimeout
 
 
 def _prime(grid):
@@ -23,7 +23,7 @@ def test_cache_cleared_when_catalog_rpc_times_out(grid):
     # uncached read is dropped on the wire and times out
     grid.msgnet.set_service_down("cern", "gdmp", prefix="catalog.")
     anl.request_client.default_timeout = 5.0
-    with pytest.raises(RequestTimeout):
+    with pytest.raises(CallTimeout):
         grid.run(until=proxy.locations("f.db"))
     assert not proxy._cache
     assert proxy.stats["failure_invalidations"] == 1
@@ -40,7 +40,7 @@ def test_cache_rewarms_after_recovery(grid):
     anl, proxy = _prime(grid)
     grid.msgnet.set_service_down("cern", "gdmp", prefix="catalog.")
     anl.request_client.default_timeout = 5.0
-    with pytest.raises(RequestTimeout):
+    with pytest.raises(CallTimeout):
         grid.run(until=proxy.locations("f.db"))
     assert not proxy._cache
     grid.msgnet.set_service_down("cern", "gdmp", down=False,

@@ -12,8 +12,8 @@ cached answer.
 
 import pytest
 
-from repro.gdmp.request_manager import RequestTimeout
 from repro.netsim.units import MB
+from repro.services import CallTimeout
 
 
 def _publish(grid, lfns):
@@ -43,7 +43,7 @@ def test_repeated_failure_cycles_count_every_invalidation(grid):
         assert info.lfn == "s.db"
         assert proxy._cache
         _blackhole(grid)
-        with pytest.raises(RequestTimeout):
+        with pytest.raises(CallTimeout):
             grid.run(until=proxy.locations("s.db"))
         assert not proxy._cache, f"cycle {cycle}: cache survived a failure"
         assert proxy.stats["failure_invalidations"] == cycle
@@ -88,7 +88,7 @@ def test_disabled_cache_still_invalidates_on_failure(grid):
     proxy.cache_enabled = False
     anl.request_client.default_timeout = 5.0
     _blackhole(grid)
-    with pytest.raises(RequestTimeout):
+    with pytest.raises(CallTimeout):
         grid.run(until=proxy.info("u.db"))
     assert not proxy._cache
     assert proxy.stats["failure_invalidations"] == 1
@@ -103,7 +103,7 @@ def test_bulk_partial_cache_failure_clears_warmed_entries(grid):
     grid.run(until=proxy.info("a.db"))          # warm one of three
     anl.request_client.default_timeout = 5.0
     _blackhole(grid)
-    with pytest.raises(RequestTimeout):
+    with pytest.raises(CallTimeout):
         grid.run(until=proxy.info_bulk(["a.db", "b.db", "c.db"]))
     assert not proxy._cache                     # a.db gone too
     _blackhole(grid, down=False)
@@ -152,7 +152,7 @@ def test_reclaimed_worker_reads_post_failure_truth(grid):
 
     # catalog partitions; A's next read fails (lease will expire)
     _blackhole(grid)
-    with pytest.raises(RequestTimeout):
+    with pytest.raises(CallTimeout):
         grid.run(until=proxy.info("r.db"))
     _blackhole(grid, down=False)
 

@@ -2,17 +2,19 @@
 
 import pytest
 
-from repro.gdmp.request_manager import RequestTimeout
 from repro.netsim.units import MB
+from repro.services import CallTimeout
 
 
 def test_call_to_down_host_times_out(grid):
     anl = grid.site("anl")
     grid.msgnet.set_host_down("cern")
-    with pytest.raises(RequestTimeout, match="no reply within"):
+    with pytest.raises(CallTimeout, match="no reply within") as raised:
         grid.run(
             until=anl.request_client.call("cern", "get_catalog", {}, timeout=5.0)
         )
+    assert str(raised.value) == "get_catalog@cern: no reply within 5.0s"
+    assert raised.value.retryable is True
     assert grid.sim.now >= 5.0
     assert grid.msgnet.dropped_messages >= 1
     assert anl.request_client.stats["call_timeouts"] == 1
@@ -21,7 +23,7 @@ def test_call_to_down_host_times_out(grid):
 def test_recovered_host_answers_again(grid):
     anl = grid.site("anl")
     grid.msgnet.set_host_down("cern")
-    with pytest.raises(RequestTimeout):
+    with pytest.raises(CallTimeout):
         grid.run(
             until=anl.request_client.call("cern", "get_catalog", {}, timeout=2.0)
         )
@@ -56,7 +58,7 @@ def test_late_reply_after_timeout_is_dropped(grid):
     call's reply stream."""
     anl = grid.site("anl")
     # timeout shorter than the WAN round trip: the reply WILL arrive late
-    with pytest.raises(RequestTimeout):
+    with pytest.raises(CallTimeout):
         grid.run(
             until=anl.request_client.call(
                 "cern", "get_catalog", {}, timeout=0.050

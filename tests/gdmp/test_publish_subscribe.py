@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.gdmp import RemoteError
 from repro.netsim.units import MB
+from repro.services import RemoteCallError
 
 
 def test_subscribe_registers_consumer(grid):
@@ -46,7 +46,7 @@ def test_duplicate_lfn_rejected_globally(grid):
     cern, anl = grid.site("cern"), grid.site("anl")
     grid.run(until=cern.client.produce_and_publish("same.db", 1 * MB))
     anl.fs.create("/storage/same.db", 1 * MB)
-    with pytest.raises(RemoteError, match="already in use"):
+    with pytest.raises(RemoteCallError, match="already in use"):
         grid.run(until=anl.client.publish("same.db", "/storage/same.db"))
     # the refused publish closed its root span on the way out
     assert grid.tracelog.open_spans() == []
@@ -105,7 +105,7 @@ def test_filtered_subscription_with_wildcards(grid):
 
 def test_bad_subscription_filter_rejected(grid):
     anl = grid.site("anl")
-    with pytest.raises(RemoteError, match="bad subscription filter"):
+    with pytest.raises(RemoteCallError, match="bad subscription filter"):
         grid.run(until=anl.client.subscribe_to("cern", filter_text="(((broken"))
 
 
@@ -130,7 +130,7 @@ def test_concurrent_publish_same_lfn_exactly_one_wins(grid):
         try:
             yield site.client.publish("race.db", "/storage/race.db")
             outcomes.append((site.name, "won"))
-        except RemoteError:
+        except RemoteCallError:
             outcomes.append((site.name, "lost"))
 
     grid.sim.spawn(racer(grid.sim, cern))

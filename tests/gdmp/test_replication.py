@@ -3,10 +3,11 @@
 
 import pytest
 
-from repro.gdmp import DataMoverError, RemoteError
+from repro.gdmp import DataMoverError
 from repro.gdmp.request_manager import GdmpError
 from repro.netsim.units import KiB, MB
 from repro.objectdb import DatabaseFile
+from repro.services import RemoteCallError
 
 
 def publish(grid, site, lfn, size=10 * MB, **attrs):
@@ -33,7 +34,7 @@ def test_replicate_end_to_end(grid):
 
 
 def test_replicate_unknown_lfn_fails(grid):
-    with pytest.raises(RemoteError):
+    with pytest.raises(RemoteCallError):
         grid.run(until=grid.site("anl").client.replicate("ghost.db"))
 
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.experiments.scaffold import counter_total
-from repro.gdmp import RemoteError
+from repro.gdmp.failover import failover_walk
 from repro.gdmp.request_manager import GdmpError
 from repro.security import new_user_credential
+from repro.services import CallTimeout, RemoteCallError, ServiceRequest
 
 
 def test_call_round_trip_pays_wan_latency(grid):
@@ -18,17 +19,34 @@ def test_call_round_trip_pays_wan_latency(grid):
 
 def test_unknown_operation_raises_remote_error(grid):
     anl = grid.site("anl")
-    with pytest.raises(RemoteError, match="unknown operation"):
+    with pytest.raises(RemoteCallError, match="unknown operation"):
         grid.run(until=anl.request_client.call("cern", "no_such_op", {}))
 
 
 def test_unauthorized_caller_rejected(grid):
-    anl = grid.site("anl")
+    cern, anl = grid.site("cern"), grid.site("anl")
+    handled = []
+    cern.request_server.register("probe", handled.append)
     # swap in a credential absent from the gridmap
     anl.request_client.credential = new_user_credential(grid.ca, "/O=Grid/CN=Intruder")
-    with pytest.raises(RemoteError, match="security"):
-        grid.run(until=anl.request_client.call("cern", "get_catalog", {}))
-    assert grid.site("cern").request_server.stats["auth_failures"] == 1
+    with pytest.raises(RemoteCallError, match="security"):
+        grid.run(until=anl.request_client.call("cern", "probe", {}))
+    # refused before dispatch: the handler never ran
+    assert not handled
+    assert cern.request_server.stats["auth_failures"] == 1
+
+
+def test_handler_takes_the_bus_request_after_the_security_stage(grid):
+    cern, anl = grid.site("cern"), grid.site("anl")
+    seen = []
+    cern.request_server.register("whoami", seen.append)
+    grid.run(until=anl.request_client.call("cern", "whoami", {"k": 1}))
+    (request,) = seen
+    assert isinstance(request, ServiceRequest)
+    assert (request.operation, request.payload) == ("whoami", {"k": 1})
+    assert request.caller_host == "anl"
+    assert request.state["auth"].account == "gdmp-anl"
+    assert request.state["auth"].identity == anl.credential.subject
 
 
 def test_untrusted_ca_rejected(grid):
@@ -37,7 +55,7 @@ def test_untrusted_ca_rejected(grid):
     rogue = CertificateAuthority("/O=Rogue/CN=CA")
     anl = grid.site("anl")
     anl.request_client.credential = new_user_credential(rogue, "/O=Rogue/CN=Eve")
-    with pytest.raises(RemoteError, match="security"):
+    with pytest.raises(RemoteCallError, match="security"):
         grid.run(until=anl.request_client.call("cern", "get_catalog", {}))
 
 
@@ -50,8 +68,35 @@ def test_handler_gdmp_error_propagates_message(grid):
 
     cern.request_server.register("explode", failing_handler)
     anl = grid.site("anl")
-    with pytest.raises(RemoteError, match="deliberate failure"):
+    with pytest.raises(RemoteCallError, match="deliberate failure") as raised:
         grid.run(until=anl.request_client.call("cern", "explode", {}))
+    fault = raised.value
+    assert (fault.operation, fault.server) == ("explode", "cern")
+    assert fault.remote_message == "deliberate failure"
+    assert str(fault) == "explode@cern: deliberate failure"
+    assert fault.retryable is False
+
+
+def test_failover_walk_moves_on_from_a_timeout_and_a_remote_fault(grid3):
+    def refuse(request):
+        raise GdmpError("not here")
+
+    grid3.site("anl").request_server.register("fetch", refuse)
+    grid3.site("caltech").request_server.register("fetch", lambda r: "bytes")
+    grid3.msgnet.set_service_down("cern", "gdmp")
+    client = grid3.site("anl").request_client
+    skipped = []
+
+    def walk():
+        return (yield from failover_walk(
+            ["cern", "anl", "caltech"],
+            lambda source: client.call(source, "fetch", {}, timeout=2.0),
+            on_failover=lambda source, exc: skipped.append(type(exc)),
+        ))
+
+    result, source, failed = grid3.run(until=grid3.sim.spawn(walk()))
+    assert (result, source, failed) == ("bytes", "caltech", ("cern", "anl"))
+    assert skipped == [CallTimeout, RemoteCallError]
 
 
 def test_duplicate_handler_registration_rejected(grid):

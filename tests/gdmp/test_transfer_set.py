@@ -8,8 +8,9 @@ import pytest
 
 from repro.faults import FaultCampaign, FaultEvent, FaultInjector
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.gdmp.request_manager import GdmpError, RequestTimeout
+from repro.gdmp.request_manager import GdmpError
 from repro.netsim.units import GB, KiB, MB
+from repro.services import CallTimeout
 from repro.services.resilience import ResilienceConfig
 from repro.simulation.kernel import Interrupt
 
@@ -519,7 +520,7 @@ def test_wave_whose_reply_is_lost_still_hands_its_pins_back():
         def lost(sim):
             # the source pins, its every answer is lost on the way back
             yield stage(source, operation, lfns, ahead)
-            raise RequestTimeout(f"{operation}@{source}: no reply")
+            raise CallTimeout(operation, source, 5.0)
 
         return grid.sim.spawn(lost(grid.sim))
 

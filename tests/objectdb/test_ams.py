@@ -9,6 +9,7 @@ from repro.netsim.units import mbps
 from repro.objectdb import Federation
 from repro.objectdb.ams import AmsPageServer, RemoteObjectReader
 from repro.objectdb.persistency import PAGE_SIZE
+from repro.services import TraceLog
 from repro.simulation import Simulator
 
 
@@ -86,3 +87,28 @@ def test_remote_navigation(remote_setup):
     objects[0].associate("next", objects[10].oid)
     targets = sim.run(until=reader.navigate(objects[0], "next"))
     assert targets[0].logical_key == "10/aod"
+
+
+def test_concurrent_reads_of_different_pages_both_complete(remote_setup):
+    sim, server, reader, objects = remote_setup
+    # objects 0 and 10 sit on different pages; both fetches are in flight
+    # at once, and each reply must find its own caller
+    first, second = reader.read(objects[0].oid), reader.read(objects[10].oid)
+    sim.run(until=sim.all_of([first, second]))
+    assert first.value.logical_key == "0/aod"
+    assert second.value.logical_key == "10/aod"
+    assert server.stats["pages_served"] == 2
+    assert reader.page_fetches == 2
+
+
+def test_page_fetch_is_a_traced_bus_call(remote_setup):
+    sim, server, reader, objects = remote_setup
+    log = server.tracelog = reader.bus.tracelog = TraceLog(sim)
+    sim.run(until=reader.read(objects[0].oid))
+    client, served = log.spans()
+    assert (client.name, client.kind, client.host) == (
+        "ams:page", "client", "client")
+    assert (served.name, served.kind, served.host) == (
+        "ams:page", "server", "store")
+    assert served.parent_id == client.span_id
+    assert client.status == served.status == "ok"

@@ -4,9 +4,9 @@ import pytest
 
 from repro.catalog.gdmp_catalog import LogicalFileInfo
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.gdmp.request_manager import RemoteError
 from repro.rls import RlsConfig
 from repro.rls.digest import DigestConfig, DigestSource
+from repro.services import RemoteCallError
 
 from .conftest import FAST_DIGESTS, converge, publish
 
@@ -56,7 +56,7 @@ def test_false_positive_candidate_is_verified_not_trusted(rls_grid):
     assert "anl" in grid.rls.index.candidate_sites(ghost)
 
     reader = proxy_of(grid, "cern")
-    with pytest.raises(RemoteError):
+    with pytest.raises(RemoteCallError):
         grid.run(until=reader.info(ghost))
     assert reader.stats["verify_misses"] >= 1
     assert grid.run(until=reader.lfn_exists(ghost)) is False
@@ -76,7 +76,7 @@ def test_stale_index_racing_concurrent_delete(rls_grid):
 
     reader = proxy_of(grid, "cern")
     misses_before = reader.stats["verify_misses"]
-    with pytest.raises(RemoteError):
+    with pytest.raises(RemoteCallError):
         grid.run(until=reader.info("doomed.dat"))
     assert reader.stats["verify_misses"] > misses_before
     # the removal digest eventually retires the stale entry
@@ -89,9 +89,9 @@ def test_negative_cache_and_invalidation_on_publish(rls_grid):
     LFN later invalidates it so the new file is immediately visible."""
     grid = rls_grid
     reader = proxy_of(grid, "cern")
-    with pytest.raises(RemoteError):
+    with pytest.raises(RemoteCallError):
         grid.run(until=reader.info("later.dat"))
-    with pytest.raises(RemoteError):
+    with pytest.raises(RemoteCallError):
         grid.run(until=reader.info("later.dat"))
     assert grid.run(until=reader.lfn_exists("later.dat")) is False
     assert reader.stats["negative_hits"] >= 2
@@ -118,7 +118,7 @@ def test_dead_lrc_degrades_to_remaining_sites(rls_grid):
 
     # a file only the dead site holds is (correctly) unanswerable
     failures_before = reader.stats["lrc_failures"]
-    with pytest.raises(RemoteError):
+    with pytest.raises(RemoteCallError):
         grid.run(until=reader.info("survivor-2.dat"))
     assert reader.stats["lrc_failures"] > failures_before
 
@@ -132,7 +132,7 @@ def test_explicit_publish_rejects_grid_wide_duplicate(rls_grid):
     grid = rls_grid
     publish(grid, "anl", "unique.dat")
     converge(grid)
-    with pytest.raises(RemoteError):
+    with pytest.raises(RemoteCallError):
         publish(grid, "cern", "unique.dat")
 
 
@@ -319,7 +319,7 @@ def test_duplicate_inside_the_digest_period_is_refused(bulk):
     assert grid.rls.index.candidate_sites("taken.dat") == []
     writer = proxy_of(grid, "anl")
     files = explicit_files("free.dat", "taken.dat")
-    with pytest.raises(RemoteError, match="'taken.dat' already in use"):
+    with pytest.raises(RemoteCallError, match="'taken.dat' already in use"):
         if bulk:
             grid.run(until=writer.publish_bulk("anl", files))
         else:
@@ -335,7 +335,7 @@ def test_name_probed_free_is_found_once_published_elsewhere():
     grid = sharded_grid(WAVE_SITES)
     publish(grid, "fnal", "taken.dat")
     prober = proxy_of(grid, "anl")
-    with pytest.raises(RemoteError):  # later.dat is probed and found free
+    with pytest.raises(RemoteCallError):  # later.dat is probed and found free
         grid.run(until=prober.publish_bulk(
             "anl", explicit_files("later.dat", "taken.dat")
         ))

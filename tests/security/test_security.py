@@ -1,15 +1,13 @@
-"""Tests for the GSI security substrate: keys, CA, proxies, handshake, gridmap."""
+"""Tests for the GSI security substrate: keys, CA, proxies, gridmap."""
 
 import pytest
 
 from repro.security import (
-    AuthenticationError,
     AuthorizationError,
     CertificateAuthority,
     CertificateError,
     GridMap,
     KeyPair,
-    mutual_authenticate,
     new_user_credential,
     verify,
 )
@@ -129,35 +127,6 @@ def test_forged_chain_rejected(ca, alice, server):
     forged = [proxy.chain[0], server.chain[0]]
     with pytest.raises(CertificateError, match="broken chain"):
         verify_chain(forged, [ca], now=1.0)
-
-
-# ------------------------------------------------------------- handshake --
-def test_mutual_authentication_success(ca, alice, server):
-    proxy = alice.create_proxy(now=0.0)
-    client_ctx, server_ctx = mutual_authenticate(proxy, server, [ca], now=1.0)
-    assert server_ctx.peer_identity == alice.subject
-    assert client_ctx.peer_identity == server.subject
-    assert client_ctx.peer_subject == server.subject
-
-
-def test_mutual_authentication_rejects_expired_proxy(ca, alice, server):
-    proxy = alice.create_proxy(now=0.0, lifetime=10.0)
-    with pytest.raises(AuthenticationError):
-        mutual_authenticate(proxy, server, [ca], now=100.0)
-
-
-def test_mutual_authentication_rejects_untrusted_peer(ca, alice):
-    rogue_ca = CertificateAuthority("/O=Rogue/CN=CA")
-    rogue = new_user_credential(rogue_ca, "/O=Rogue/CN=srv")
-    with pytest.raises(AuthenticationError):
-        mutual_authenticate(alice, rogue, [ca], now=0.0)
-
-
-def test_context_sign_requires_own_credential(ca, alice, server):
-    ctx, _ = mutual_authenticate(alice, server, [ca], now=0.0)
-    with pytest.raises(AuthenticationError):
-        ctx.sign(server, "message")
-    assert ctx.sign(alice, "message")
 
 
 # ------------------------------------------------------------- gridmap ----

@@ -12,11 +12,11 @@ import tests.tools.conftest  # noqa: F401  (puts tools/ on the path)
 from determinism_check import run_scenario
 from repro.faults import FaultCampaign, FaultEvent, FaultInjector
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.gdmp.request_manager import GdmpError, RemoteError, RequestTimeout
+from repro.gdmp.request_manager import GdmpError
 from repro.gridftp import TransferError
 from repro.netsim.units import GB, MB
 from repro.security import new_user_credential
-from repro.services import ServiceError
+from repro.services import CallTimeout, RemoteCallError, ServiceError
 
 #: every family of the determinism-check scenario (subscribe, a 3-file
 #: production run, one ``replicate``, one index snapshot), as exported
@@ -97,7 +97,7 @@ def lost_reply():
         return "late"
 
     cern.request_server.register("slow", slow)
-    with pytest.raises(RequestTimeout):
+    with pytest.raises(CallTimeout):
         grid.run(until=anl.request_client.call("cern", "slow", {}, timeout=1.0))
     grid.run(until=grid.sim.timeout(30.0))  # the reply arrives, unwanted
     client = anl.request_client.stats
@@ -109,7 +109,7 @@ def handler_bug():
     grid = _grid()
     cern, anl = grid.site("cern"), grid.site("anl")
     cern.request_server.register("buggy", lambda request: 1 / 0)
-    with pytest.raises(RemoteError, match="ZeroDivisionError"):
+    with pytest.raises(RemoteCallError, match="ZeroDivisionError"):
         grid.run(until=anl.request_client.call("cern", "buggy", {}))
     return [(cern.request_server.stats, "handler_errors", 1),
             (anl.request_client.stats, "call_failures", 1)]
@@ -120,7 +120,7 @@ def bad_chain():
     cern, anl = grid.site("cern"), grid.site("anl")
     stranger = new_user_credential(grid.ca, "/O=Grid/CN=Stranger")
     anl.request_client.credential = stranger
-    with pytest.raises(RemoteError, match="security"):
+    with pytest.raises(RemoteCallError, match="security"):
         grid.run(until=anl.request_client.call("cern", "get_catalog", {}))
     anl.gridftp_client.credential = stranger
     with pytest.raises(TransferError, match="authentication failed"):

@@ -58,7 +58,7 @@ def run_scenario() -> dict:
         "reply_services": {
             name: [
                 site.request_client.reply_service,
-                site.gridftp_client.service,
+                site.gridftp_client.bus.reply_service,
             ]
             for name, site in sorted(grid.sites.items())
         },
