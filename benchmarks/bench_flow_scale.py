@@ -117,7 +117,6 @@ def run_flow_scale(
     """The monolithic scenario: one engine, every island, wall-clocked."""
     specs = island_specs(n_islands, flows_per_island, base_size_mb)
     sim, engine, pools = build_scenario(specs, seed=seed, kernel=kernel)
-    n_islands_seen = len(engine.islands())
     start = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - start
@@ -127,7 +126,7 @@ def run_flow_scale(
     return {
         "scenario": "flow_scale",
         "kernel": engine.kernel,
-        "n_islands": n_islands_seen,
+        "n_islands": len(specs),
         "n_flows": n_islands * flows_per_island,
         "n_links": 2 * n_islands,
         "sim_s": sim.now,

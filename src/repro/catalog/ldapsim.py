@@ -493,15 +493,6 @@ class LdapDirectory:
         if not entry.attributes[attr]:
             del entry.attributes[attr]
 
-    def modify_replace(self, dn: str, attr: str, values: Iterable[str]) -> None:
-        """Replace all values of an attribute."""
-        entry = self.get(dn)
-        for old in entry.attributes.get(attr, []):
-            self._unpost(entry.dn, attr, old)
-        entry.attributes[attr] = list(values)
-        for value in entry.attributes[attr]:
-            self._post(entry.dn, attr, value)
-
     def children(self, dn: str) -> list[Entry]:
         """Direct children of a DN, sorted by DN."""
         self.operations += 1

@@ -86,23 +86,6 @@ class ReplicaCatalog:
         except LdapError as exc:
             raise CatalogError(str(exc)) from exc
 
-    def delete_collection(self, collection: str) -> None:
-        """Delete a collection and all its locations and logical file entries."""
-        dn = self.collection_dn(collection)
-        try:
-            for child in self.directory.children(dn):
-                self.directory.delete(child.dn)
-            self.directory.delete(dn)
-        except LdapError as exc:
-            raise CatalogError(str(exc)) from exc
-
-    def list_collections(self) -> list[str]:
-        """Names of all collections in this catalog."""
-        return [
-            entry.dn.split(",", 1)[0].split("=", 1)[1]
-            for entry in self.directory.children(self.root_dn)
-        ]
-
     def collection_exists(self, collection: str) -> bool:
         """Whether the collection exists."""
         return self.directory.exists(self.collection_dn(collection))
@@ -167,23 +150,6 @@ class ReplicaCatalog:
     def location_exists(self, collection: str, location: str) -> bool:
         """Whether the location exists in the collection."""
         return self.directory.exists(self.location_dn(collection, location))
-
-    def list_locations(self, collection: str) -> list[str]:
-        """Names of all locations registered in the collection.
-
-        Served by the ``objectClass`` equality index, so the cost scales
-        with the number of locations — not with the (possibly millions of)
-        logical file entries sharing the collection node.
-        """
-        self._require_collection(collection)
-        return [
-            entry.dn.split(",", 1)[0].split("=", 1)[1]
-            for entry in self.directory.search(
-                self.collection_dn(collection),
-                "(objectClass=GlobusReplicaLocation)",
-                scope="one",
-            )
-        ]
 
     def add_filename_to_location(
         self, collection: str, location: str, lfn: str

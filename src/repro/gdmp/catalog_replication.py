@@ -29,7 +29,7 @@ from repro.gdmp.replica_service import CatalogProxy, ReplicaCatalogService
 from repro.gdmp.request_manager import GdmpError
 from repro.services.bus import ServiceRequest
 
-__all__ = ["CatalogReplica", "ReplicatedCatalogProxy", "enable_catalog_replication"]
+__all__ = ["CatalogReplica", "enable_catalog_replication"]
 
 
 class CatalogReplica:
@@ -70,28 +70,16 @@ class CatalogReplica:
             listener(lfns)
 
 
-class ReplicatedCatalogProxy(CatalogProxy):
-    """Writes to the primary, reads from the nearest replica.
-
-    All routing lives in :class:`CatalogProxy` (every read goes through
-    ``read_host``); this subclass only points ``read_host`` at the replica,
-    so the location cache behaves identically in both deployments.
-    """
-
-    def __init__(self, client, primary_host: str, read_host: str):
-        super().__init__(client, primary_host)
-        self.read_host = read_host
-
-
 def enable_catalog_replication(grid, replica_sites: list[str]) -> dict:
     """Upgrade ``grid``'s central catalog to primary + replicas.
 
     Replica copies are seeded from the primary's current contents, then
-    kept up to date by write propagation.  Every site's client is switched
-    to a :class:`ReplicatedCatalogProxy` reading from its nearest replica
-    (its own site when it hosts one, the primary otherwise).  When a
-    replica applies a propagated write, the co-located proxy's cache is
-    invalidated for the affected LFNs.
+    kept up to date by write propagation.  Every site's client gets a
+    fresh :class:`CatalogProxy` whose ``read_host`` is its nearest replica
+    (its own site when it hosts one, the primary otherwise) — all routing
+    lives in the proxy, so the location cache behaves identically in both
+    deployments.  When a replica applies a propagated write, the
+    co-located proxy's cache is invalidated for the affected LFNs.
 
     Returns ``{site: CatalogReplica}``.
     """
@@ -124,12 +112,11 @@ def enable_catalog_replication(grid, replica_sites: list[str]) -> dict:
     service.write_listeners.append(propagate)
 
     for site in grid.sites.values():
-        read_host = site.name if site.name in replicas else primary_host
-        proxy = ReplicatedCatalogProxy(
-            site.request_client, primary_host, read_host
-        )
+        proxy = CatalogProxy(site.request_client, primary_host)
         site.client.catalog = proxy
         if site.name in replicas:
+            proxy.read_host = site.name
+
             def invalidate(lfns, proxy=proxy):
                 for lfn in lfns:
                     proxy.invalidate(lfn)

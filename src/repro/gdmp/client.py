@@ -423,10 +423,7 @@ class GdmpClient:
             try:
                 # pre-processing (file-type specific)
                 plugin = self.plugins.for_info(info)
-                yield self.sim.spawn(
-                    plugin.pre_process(self.site_runtime, info),
-                    name="gdmp-pre-process",
-                )
+                yield from plugin.pre_process(self.site_runtime, info)
                 # allocate local space, then move the bytes (§4.4: the
                 # transfer starts only if the space can be allocated)
                 reservation = self.storage.prepare_incoming(local_path, info.size)
@@ -447,10 +444,7 @@ class GdmpClient:
                 if transfer_set is not None and report.channels == "warm":
                     transfer_set.warm += 1
                 # post-processing (e.g. attach to the local federation)
-                yield self.sim.spawn(
-                    plugin.post_process(self.site_runtime, report.stored),
-                    name="gdmp-post-process",
-                )
+                yield from plugin.post_process(self.site_runtime, report.stored)
             except BaseException:
                 if reservation is not None:
                     reservation.release()

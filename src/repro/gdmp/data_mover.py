@@ -261,7 +261,3 @@ class DataMover:
             self.metrics.counter(
                 f"gdmp.mover.{event}", site=self.site
             ).inc(amount)
-
-    def verify_local(self, path: str, expected_crc: int) -> bool:
-        """Check a file already on disk against a catalog CRC."""
-        return self.fs.stat(path).crc == expected_crc

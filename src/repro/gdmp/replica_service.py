@@ -42,7 +42,7 @@ from repro.gdmp.request_manager import (
 )
 from repro.services.bus import RemoteCallError, ServiceRequest
 from repro.services.replay import ReplayWindow
-from repro.simulation.kernel import Process
+from repro.simulation.kernel import Event, Process
 
 __all__ = [
     "ReplicaCatalogService",
@@ -119,9 +119,10 @@ class _NegativeEntry:
 
 
 class CatalogProxy(RequestProxy):
-    """Site-side view of the central catalog.  Every method returns a
-    :class:`Process` (a network round trip to the catalog host — or an
-    immediate local completion on a location-cache hit).
+    """Site-side view of the central catalog.  Every method returns an
+    event to ``yield`` or ``run(until=...)``: a :class:`Process` (a
+    network round trip to the catalog host) — or, on a location-cache
+    hit, a plain :class:`Event` already triggered with the answer.
 
     Negative lookups are cached too: an ``info`` miss (unknown LFN) and a
     ``lfn_exists`` answer are remembered until a write to that LFN
@@ -148,55 +149,44 @@ class CatalogProxy(RequestProxy):
 
     # -- plumbing -------------------------------------------------------------
     def _guarded(self, host: str, op: str, payload: dict,
-                 idempotent: bool = False) -> Process:
-        """One ``catalog.<op>`` call, its envelope sized by the batch the
-        operation table says it carries, under a guard process that counts
-        the envelope and drops the whole cache when the catalog host looks
-        unwell."""
+                 idempotent: bool = False):
+        """Generator: one ``catalog.<op>`` call, its envelope sized by the
+        batch the operation table says it carries; counts the envelope and
+        drops the whole cache when the catalog host looks unwell."""
         self.stats["envelopes"] += 1
-        operation = f"catalog.{op}"
-        n_items = OPERATIONS[op].n_items(payload)
+        try:
+            return (yield self._rpc(
+                host, f"catalog.{op}", payload,
+                OPERATIONS[op].n_items(payload), idempotent=idempotent,
+            ))
+        except RemoteCallError:
+            # The server processed the request and answered with an
+            # application fault: the host is healthy and cached
+            # entries are still trustworthy.
+            raise
+        except Exception:
+            # A failed catalog RPC means the catalog host (or the path
+            # to it) is suspect: a cached answer must not outlive the
+            # divergence window of a crashed or partitioned replica.
+            if self._cache:
+                self._cache.clear()
+                self.stats["failure_invalidations"] += 1
+            raise
 
-        def guarded():
-            # The RPC process is created *inside* the guard, so the guard
-            # is already waiting on it when it starts: a call that fails
-            # synchronously (open circuit breaker, fail-fast to a known-
-            # down host) is observed here instead of crashing the sim as
-            # an unwaited process.
-            try:
-                result = yield self._rpc(
-                    host, operation, payload, n_items, idempotent=idempotent
-                )
-            except RemoteCallError:
-                # The server processed the request and answered with an
-                # application fault: the host is healthy and cached
-                # entries are still trustworthy.
-                raise
-            except Exception:
-                # A failed catalog RPC means the catalog host (or the path
-                # to it) is suspect: a cached answer must not outlive the
-                # divergence window of a crashed or partitioned replica.
-                if self._cache:
-                    self._cache.clear()
-                    self.stats["failure_invalidations"] += 1
-                raise
-            return result
-
-        return self.client.sim.spawn(
-            guarded(), name=f"catalog-guard {operation}"
-        )
-
-    def _read(self, op: str, payload: dict) -> Process:
+    def _read(self, op: str, payload: dict):
         return self._guarded(self.read_host, op, payload)
 
-    def _write(self, op: str, payload: dict) -> Process:
+    def _write(self, op: str, payload: dict):
         return self._guarded(self.server_host, op, payload, idempotent=True)
+
+    def _spawn_read(self, name: str, op: str, **payload) -> Process:
+        return self.client.sim.spawn(self._read(op, payload), name=name)
 
     def _apply_write(self, op: str, payload: dict):
         """Generator: one write, then this site's cached answers dropped
         for every LFN the operation table says it touched (names the
         catalog generated come back in the answer)."""
-        answer = yield self._write(op, payload)
+        answer = yield from self._write(op, payload)
         for lfn in OPERATIONS[op].lfns(payload, answer):
             self.invalidate(lfn)
         return answer
@@ -204,23 +194,13 @@ class CatalogProxy(RequestProxy):
     def _spawn_write(self, name: str, op: str, **payload) -> Process:
         return self.client.sim.spawn(self._apply_write(op, payload), name=name)
 
-    def _immediate(self, value) -> Process:
-        """A completed-at-now process carrying a cached value."""
+    def _immediate(self, value) -> Event:
+        """A cached value, as an event already triggered with it."""
+        return self.client.sim.event().succeed(value)
 
-        def hit():
-            return value
-            yield  # pragma: no cover - generator marker
-
-        return self.client.sim.spawn(hit(), name="catalog-cache-hit")
-
-    def _immediate_error(self, error: Exception) -> Process:
-        """A completed-at-now process re-raising a cached negative answer."""
-
-        def hit():
-            raise error
-            yield  # pragma: no cover - generator marker
-
-        return self.client.sim.spawn(hit(), name="catalog-negative-hit")
+    def _immediate_error(self, error: Exception) -> Event:
+        """A cached negative answer, as an event already failed with it."""
+        return self.client.sim.event().fail(error)
 
     def _cache_get(self, key: tuple[str, str]):
         if not self.cache_enabled:
@@ -240,11 +220,12 @@ class CatalogProxy(RequestProxy):
         # snapshot copies: callers may mutate the dicts they receive
         self._cache_put(("locations", lfn), tuple(dict(loc) for loc in locations))
 
-    def _cached_read(self, kind: str, lfn: str, name: str, miss) -> Process:
-        """One per-name read: the cached ``kind`` answer as a completed
-        process (an absence re-raised or answered False, and counted) —
-        or, when the question has to travel, ``miss()``: a generator
-        that fetches the answer, caches it and returns it."""
+    def _cached_read(self, kind: str, lfn: str, name: str, miss) -> Event:
+        """One per-name read: the cached ``kind`` answer as a triggered
+        event (an absence re-raised or answered False, and counted) —
+        or, when the question has to travel, a process running
+        ``miss()``: a generator that fetches the answer, caches it and
+        returns it."""
         cached = self._cache_get((kind, lfn))
         if cached is None:
             return self.client.sim.spawn(miss(), name=f"{name} {lfn}")
@@ -322,22 +303,22 @@ class CatalogProxy(RequestProxy):
         )
 
     # -- reads (served by read_host; info/locations cached) -----------------------
-    def locations(self, lfn: str) -> Process:
+    def locations(self, lfn: str) -> Event:
         """All physical locations of a logical file."""
 
         def miss():
-            result = yield self._read("locations", {"lfn": lfn})
+            result = yield from self._read("locations", {"lfn": lfn})
             self._cache_locations(lfn, result)
             return result
 
         return self._cached_read("locations", lfn, "catalog-locations", miss)
 
-    def info(self, lfn: str) -> Process:
+    def info(self, lfn: str) -> Event:
         """Metadata and locations of a logical file."""
 
         def miss():
             try:
-                result = yield self._read("info", {"lfn": lfn})
+                result = yield from self._read("info", {"lfn": lfn})
             except RemoteCallError as exc:
                 # An application-level "unknown logical file" is a stable
                 # answer until someone publishes it: cache the absence.
@@ -352,7 +333,7 @@ class CatalogProxy(RequestProxy):
     def _fetch_infos(self, lfns: list[str]):
         """Generator: ``{lfn: info}`` for names the cache could not
         answer, in one envelope; an unknown name raises."""
-        fetched = yield self._read("info_bulk", {"lfns": lfns})
+        fetched = yield from self._read("info_bulk", {"lfns": lfns})
         for info in fetched:
             self._cache_put(("info", info.lfn), info)
         return {info.lfn: info for info in fetched}
@@ -385,7 +366,7 @@ class CatalogProxy(RequestProxy):
         lfns = list(lfns)
 
         def run():
-            result = yield self._read("locations_bulk", {"lfns": lfns})
+            result = yield from self._read("locations_bulk", {"lfns": lfns})
             for lfn, locs in result.items():
                 self._cache_locations(lfn, locs)
             return result
@@ -396,17 +377,19 @@ class CatalogProxy(RequestProxy):
 
     def search(self, filter_text: str) -> Process:
         """Logical files matching an LDAP filter over their metadata."""
-        return self._read("search", {"filter": filter_text})
+        return self._spawn_read("catalog-search", "search", filter=filter_text)
 
     def site_files(self, site: str) -> Process:
         """All LFNs a site holds (failure-recovery catalog diff)."""
-        return self._read("site_files", {"site": site})
+        return self._spawn_read(
+            f"catalog-site-files {site}", "site_files", site=site
+        )
 
-    def lfn_exists(self, lfn: str) -> Process:
+    def lfn_exists(self, lfn: str) -> Event:
         """Whether the logical file name is taken (both answers cached)."""
 
         def miss():
-            result = yield self._read("lfn_exists", {"lfn": lfn})
+            result = yield from self._read("lfn_exists", {"lfn": lfn})
             self._cache_put(("exists", lfn), bool(result))
             return result
 
@@ -414,4 +397,4 @@ class CatalogProxy(RequestProxy):
 
     def list_lfns(self) -> Process:
         """Every logical file name in the catalog."""
-        return self._read("list_lfns", {})
+        return self._spawn_read("catalog-list-lfns", "list_lfns")

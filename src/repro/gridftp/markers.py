@@ -118,10 +118,3 @@ class PerfMarker:
     bytes_transferred: float
     stripe_index: int = 0
     total_stripes: int = 1
-
-    def throughput_since(self, previous: "PerfMarker") -> float:
-        """Average bytes/s between two markers."""
-        dt = self.timestamp - previous.timestamp
-        if dt <= 0:
-            return 0.0
-        return (self.bytes_transferred - previous.bytes_transferred) / dt

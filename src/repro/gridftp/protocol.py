@@ -88,20 +88,8 @@ class Reply:
     payload: Any = None
 
     @property
-    def is_preliminary(self) -> bool:
-        return 100 <= self.code < 200
-
-    @property
     def is_success(self) -> bool:
         return 200 <= self.code < 300
-
-    @property
-    def is_intermediate(self) -> bool:
-        return 300 <= self.code < 400
-
-    @property
-    def is_transient_error(self) -> bool:
-        return 400 <= self.code < 500
 
     @property
     def is_error(self) -> bool:
@@ -112,11 +100,6 @@ class Reply:
 
 
 # Common replies, named for readability at call sites.
-def ready() -> Reply:
-    """220: service ready banner."""
-    return Reply(220, "GridFTP server ready (GSI)")
-
-
 def opening(text: str = "Opening data connection") -> Reply:
     """150: preliminary reply, data connection opening."""
     return Reply(150, text)

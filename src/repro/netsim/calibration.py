@@ -58,10 +58,6 @@ class TestbedParams:
     seed: int = 2001
     extra_sites: tuple[str, ...] = field(default=())
 
-    @property
-    def available_mbps(self) -> float:
-        return self.capacity_mbps - self.cross_traffic_mbps
-
 
 def cern_anl_testbed(
     params: TestbedParams | None = None,

@@ -162,10 +162,12 @@ class MessageNetwork:
     @staticmethod
     def _operation_matches(payload: Any, prefix: Optional[str]) -> bool:
         """True when a message is a request whose operation matches
-        ``prefix`` (replies — no "operation" key — never match)."""
-        if not isinstance(payload, dict) or "operation" not in payload:
+        ``prefix``.  What the bus carries says so itself: a request has an
+        ``operation`` attribute, a reply has none and never matches."""
+        operation = getattr(payload, "operation", None)
+        if operation is None:
             return False
-        return prefix is None or str(payload["operation"]).startswith(prefix)
+        return prefix is None or operation.startswith(prefix)
 
     def register(self, host: Host | str, service: str) -> Mailbox:
         """Create the mailbox for a (host, service) endpoint."""
@@ -224,8 +226,7 @@ class MessageNetwork:
             context = self.sim.current_context
         delivered = self.sim.event()
 
-        def deliver(sim=self.sim):
-            yield sim.timeout(delay)
+        def deliver(_timer: Event) -> None:
             if dst_name in self._down_hosts or src_name in self._down_hosts:
                 self.dropped_messages += 1
                 return  # lost: the sender's `delivered` event never fires
@@ -251,11 +252,13 @@ class MessageNetwork:
                 payload=payload,
                 size=size,
                 sent_at=sent_at,
-                delivered_at=sim.now,
+                delivered_at=self.sim.now,
                 context=context,
             )
             mailbox._deliver(envelope)
             delivered.succeed(envelope)
 
-        self.sim.spawn(deliver(), name=f"msg {src_name}->{dst_name}/{service}")
+        # One timer per message, not a process: timers of equal delay fire
+        # in the order they were set, which is the per-pair FIFO.
+        self.sim.timeout(delay).callbacks.append(deliver)
         return delivered

@@ -30,7 +30,7 @@ the same table:
   capacity sharing, batched loss draws, pool settlement — as whole-array
   operations;
 * the **scalar** kernel runs the same passes as tight list-indexed loops
-  (the numpy-free fallback, and the reference in differential tests).
+  (the reference in differential tests).
 
 The default is **auto**: each table picks vector at
 :data:`~repro.netsim.flowtable.VECTOR_MIN_FLOWS` flows and above, scalar
@@ -55,7 +55,7 @@ loss marks pending — the engine enters *stretched ticking*: it precomputes
 the next ``m`` tick boundaries, sleeps once across all of them, and settles
 deliveries and RTT-boundary window updates lazily (on wake, or on demand
 when a pool is observed or the flow set changes mid-stretch).  See
-DESIGN.md ("Adaptive tick stretching" and "Flow tables and link islands").
+DESIGN.md ("Adaptive tick stretching" and "Flow tables").
 
 Instrumentation is kept out of the hot loop: counts are taken when a flow
 opens or retires, a pool drains or is cancelled, or a queue overflows —
@@ -66,20 +66,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.netsim.flowtable import FlowTable, LinkIsland, resolve_kernel
+import numpy as np
+
+from repro.netsim.flowtable import FlowTable, resolve_kernel
 from repro.netsim.link import Link
 from repro.netsim.tcp import CongestionState, TcpParams, TcpState
 from repro.netsim.topology import Host, Topology
 from repro.simulation.kernel import Event, Interrupt, Simulator
 from repro.simulation.randomness import RandomStreams
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - scalar kernel only
-    np = None
-
-__all__ = ["SharedBytePool", "Flow", "NetworkEngine", "TransferAborted",
-           "LinkIsland"]
+__all__ = ["SharedBytePool", "Flow", "NetworkEngine", "TransferAborted"]
 
 #: Histogram bounds for transfer goodput in bytes/s: decades (with a 3x
 #: midpoint) from 100 KB/s to 10 GB/s, the plausible range for grid links.
@@ -375,7 +371,7 @@ class NetworkEngine:
         self.adaptive_ticks = adaptive_ticks
         #: tick kernel: "vector" (numpy arrays), "scalar" (python lists),
         #: or "auto" (per-table size cutover at VECTOR_MIN_FLOWS);
-        #: ``None`` feature-detects, ``REPRO_NETSIM_KERNEL`` overrides.
+        #: ``None`` takes ``REPRO_NETSIM_KERNEL``, else "auto".
         self.kernel = resolve_kernel(kernel)
         #: optional :class:`~repro.telemetry.metrics.MetricsRegistry`.
         #: Instrumentation is event-driven (flow open/retire, drops) —
@@ -517,16 +513,6 @@ class NetworkEngine:
     @property
     def active_flows(self) -> tuple[Flow, ...]:
         return tuple(self._flows)
-
-    def islands(self) -> tuple[LinkIsland, ...]:
-        """Independent link islands of the current flow set.
-
-        Connected components of the flow/link/NIC/pool incidence graph:
-        flows in different islands share no coupling, so their dynamics
-        are fully independent."""
-        if self._cache_dirty or self._table is None:
-            self._rebuild_cache()
-        return self._table.islands()
 
     def pools_on_link(self, link_name: str) -> list[SharedBytePool]:
         """Distinct pools with an active flow routed across the named link
@@ -761,7 +747,7 @@ class NetworkEngine:
 
     # -- scalar tick kernel ------------------------------------------------
     def _tick_scalar(self, t: FlowTable) -> float:
-        """One fluid tick over python-list columns (the numpy-free path).
+        """One fluid tick over python-list columns.
 
         A faithful port of the per-object tick: same passes, same float
         operation order, with attribute lookups hoisted into locals.

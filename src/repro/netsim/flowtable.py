@@ -8,23 +8,16 @@ per-flow / per-link / per-pool columns — so the vectorized kernel can run
 whole-array passes and the retained scalar kernel can run tight
 list-indexed loops, both over the same storage.
 
-Backend selection is feature-detected: when numpy is importable the
-engine defaults to ``auto`` — each table picks the batched vector kernel
-(``float64`` ndarray columns) at :data:`VECTOR_MIN_FLOWS` flows and
-above, and the scalar kernel (plain-list columns, no per-tick ufunc
-dispatch overhead) below it.  Without numpy, or with
-``REPRO_NETSIM_KERNEL=scalar``, the scalar kernel always runs; forcing
-``vector`` vectorizes every table regardless of size.  Both kernels
-are required to produce **bit-identical** simulations — the accumulation
-orders baked into this layout (flow-major path pairs, link-major overflow
-pairs, pool rows in first-flow order) exist precisely to reproduce the
-scalar loops' float rounding and RNG draw order.  See DESIGN.md ("Flow
-tables and link islands").
-
-A table also partitions its flows into **link islands** — connected
-components of the flow/link/NIC/pool incidence graph.  Flows in different
-islands share no link, no endpoint NIC, and no byte pool, so their
-dynamics are fully independent.
+The engine defaults to ``auto`` — each table picks the batched vector
+kernel (``float64`` ndarray columns) at :data:`VECTOR_MIN_FLOWS` flows
+and above, and the scalar kernel (plain-list columns, no per-tick ufunc
+dispatch overhead) below it.  With ``REPRO_NETSIM_KERNEL=scalar`` the
+scalar kernel always runs; forcing ``vector`` vectorizes every table
+regardless of size.  Both kernels are required to produce
+**bit-identical** simulations — the accumulation orders baked into this
+layout (flow-major path pairs, link-major overflow pairs, pool rows in
+first-flow order) exist precisely to reproduce the scalar loops' float
+rounding and RNG draw order.  See DESIGN.md ("Flow tables").
 """
 
 from __future__ import annotations
@@ -32,20 +25,13 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Optional
 
+import numpy as _np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.engine import Flow, SharedBytePool
     from repro.netsim.link import Link
 
-try:
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-    HAVE_NUMPY = False
-
-__all__ = ["HAVE_NUMPY", "VECTOR_MIN_FLOWS", "FlowTable", "LinkIsland",
-           "default_kernel", "resolve_kernel"]
+__all__ = ["VECTOR_MIN_FLOWS", "FlowTable", "default_kernel", "resolve_kernel"]
 
 #: Environment override for the tick kernel: ``auto``, ``vector``, or
 #: ``scalar``.
@@ -67,23 +53,14 @@ def default_kernel() -> str:
     """The kernel the engine uses when none is requested explicitly.
 
     ``REPRO_NETSIM_KERNEL`` wins if set to a valid value; otherwise
-    ``auto`` (per-table size cutover) when numpy is importable, else the
-    scalar fallback.
+    ``auto`` (per-table size cutover).
     """
     env = os.environ.get(KERNEL_ENV, "").strip().lower()
-    if env in _VALID_KERNELS:
-        if env == "vector" and not HAVE_NUMPY:
-            raise RuntimeError(
-                f"{KERNEL_ENV}=vector requested but numpy is not available"
-            )
-        if env == "auto":
-            return "auto" if HAVE_NUMPY else "scalar"
-        return env
-    return "auto" if HAVE_NUMPY else "scalar"
+    return env if env in _VALID_KERNELS else "auto"
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
-    """Validate an explicit kernel request (``None`` -> detected default)."""
+    """Validate an explicit kernel request (``None`` -> the default)."""
     if kernel is None:
         return default_kernel()
     if kernel not in _VALID_KERNELS:
@@ -91,37 +68,7 @@ def resolve_kernel(kernel: Optional[str]) -> str:
             f"unknown netsim kernel {kernel!r}; expected one of "
             f"{_VALID_KERNELS}"
         )
-    if kernel == "vector" and not HAVE_NUMPY:
-        raise RuntimeError("vector kernel requested but numpy is not available")
-    if kernel == "auto" and not HAVE_NUMPY:
-        return "scalar"
     return kernel
-
-
-class LinkIsland:
-    """One connected component of the link-incidence graph.
-
-    Flows in an island are mutually coupled (shared links, NICs, or byte
-    pools); flows in different islands evolve independently.
-    """
-
-    __slots__ = ("flows", "links", "pools")
-
-    def __init__(self, flows: tuple, links: tuple, pools: tuple):
-        self.flows = flows
-        self.links = links
-        self.pools = pools
-
-    @property
-    def weight(self) -> int:
-        """Scheduling weight: the per-tick work is O(flows)."""
-        return len(self.flows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"LinkIsland(flows={len(self.flows)}, links={len(self.links)}, "
-            f"pools={len(self.pools)})"
-        )
 
 
 class FlowTable:
@@ -375,8 +322,6 @@ class FlowTable:
             self.pool_delivered = pool_delivered
             self.pool_rows_of = pool_flow_rows
 
-        self._islands: Optional[tuple[LinkIsland, ...]] = None
-
         # attach the views last, once every column is consistent
         for i, f in enumerate(flows):
             f._table = self
@@ -420,74 +365,3 @@ class FlowTable:
         for p in self.pools:
             if p._table is self:
                 self.flush_pool(p)
-
-    # -- island partition --------------------------------------------------
-    def islands(self) -> tuple[LinkIsland, ...]:
-        """Connected components of the link-incidence graph (cached).
-
-        Two flows land in the same island when they share a link, a
-        source-NIC slot, a destination-NIC slot, or a byte pool — every
-        coupling the tick kernels express.  Islands are returned in
-        first-flow order; flows/links/pools within an island keep their
-        table order.
-        """
-        if self._islands is not None:
-            return self._islands
-        n = self.n_flows
-        # union-find nodes: flows, then links / src slots / dst slots / pools
-        l0 = n
-        s0 = l0 + self.n_links
-        d0 = s0 + self.n_src_slots
-        p0 = d0 + self.n_dst_slots
-        parent = list(range(p0 + self.n_pools))
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        for i in range(n):
-            for slot in self.path_slots[i]:
-                union(i, l0 + slot)
-            union(i, s0 + int(self.src_slot[i]))
-            union(i, d0 + int(self.dst_slot[i]))
-            union(i, p0 + int(self.pool_row[i]))
-
-        groups: dict[int, list[int]] = {}
-        order: list[int] = []
-        for i in range(n):
-            root = find(i)
-            rows = groups.get(root)
-            if rows is None:
-                groups[root] = rows = []
-                order.append(root)
-            rows.append(i)
-
-        islands = []
-        for root in order:
-            rows = groups[root]
-            flows = tuple(self.flows[i] for i in rows)
-            link_seen: set[int] = set()
-            links = []
-            pool_seen: set[int] = set()
-            pools = []
-            for i in rows:
-                for slot in self.path_slots[i]:
-                    if slot not in link_seen:
-                        link_seen.add(slot)
-                        links.append(self.links[slot])
-                prow = int(self.pool_row[i])
-                if prow not in pool_seen:
-                    pool_seen.add(prow)
-                    pools.append(self.pools[prow])
-            islands.append(LinkIsland(flows, tuple(links), tuple(pools)))
-        self._islands = tuple(islands)
-        return self._islands

@@ -101,10 +101,6 @@ class TcpState:
         return cwnd if cwnd < buffer else buffer
 
     @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
-
-    @property
     def congestion(self) -> CongestionState:
         """The window state a later stream can ``resume`` from."""
         return CongestionState(self.cwnd, self.ssthresh)
@@ -140,12 +136,3 @@ class TcpState:
         # can use: growing it further would only inflate the next halving.
         buffer2 = self._buffer2
         self.cwnd = cwnd if cwnd < buffer2 else buffer2
-
-    def expected_slow_start_rounds(self) -> int:
-        """Rounds needed to reach the buffer clamp with no loss (diagnostic)."""
-        import math
-
-        initial = self.params.initial_cwnd_segments * self.params.mss
-        if initial >= self.params.buffer:
-            return 0
-        return math.ceil(math.log2(self.params.buffer / initial))

@@ -55,12 +55,6 @@ class Federation:
     def schema(self) -> frozenset[str]:
         return frozenset(self._schema)
 
-    def import_schema(self, other: "Federation") -> None:
-        """GDMP pre-processing: "introducing new schema in a database
-        management system so that the files that are to be replicated can
-        be integrated easily" (§4.1)."""
-        self._schema |= other._schema
-
     # -- database lifecycle -------------------------------------------------------
     def create_database(self, name: str) -> DatabaseFile:
         """Create a new, locally-owned database file."""

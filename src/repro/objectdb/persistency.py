@@ -9,7 +9,7 @@ the objects in a file still touches most of its pages.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.objectdb.federation import Federation
 from repro.objectdb.objects import PersistentObject
@@ -69,12 +69,6 @@ class ObjectReader:
     def read_many(self, oids: Iterable[OID]) -> list[PersistentObject]:
         """Read a sequence of objects in order."""
         return [self.read(oid) for oid in oids]
-
-    def scan_database(self, name: str) -> Iterator[PersistentObject]:
-        """Sequential scan: every page of the file is read exactly once."""
-        for obj in self.federation.database(name).iter_objects():
-            self._charge(obj)
-            yield obj
 
     def navigate(self, obj: PersistentObject, role: str) -> list[PersistentObject]:
         """Follow an association, charging I/O for the targets."""

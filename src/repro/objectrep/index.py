@@ -55,19 +55,6 @@ class GlobalObjectIndex:
         for obj in objects:
             self.record(obj.logical_key, site, file_lfn, obj.oid)
 
-    def drop_file(self, site: str, file_lfn: str) -> None:
-        """Remove all entries for a deleted file replica."""
-        for key in list(self._entries):
-            remaining = [
-                e
-                for e in self._entries[key]
-                if not (e.site == site and e.file_lfn == file_lfn)
-            ]
-            if remaining:
-                self._entries[key] = remaining
-            else:
-                del self._entries[key]
-
     # -- collective lookup ------------------------------------------------------
     def locate(self, logical_key: str) -> list[IndexEntry]:
         """All known copies of one logical object."""
@@ -88,10 +75,6 @@ class GlobalObjectIndex:
             for key, copies in located.items()
             if not any(e.site == site for e in copies)
         ]
-
-    def sites_holding(self, key: str) -> set[str]:
-        """Sites with at least one copy of the object."""
-        return {e.site for e in self._entries.get(key, [])}
 
     # -- index-file (de)serialization ----------------------------------------------
     def to_index_payload(self) -> list[tuple[str, str, str, str]]:

@@ -22,7 +22,6 @@ from .scenarios import (
     ScenarioScript,
     TrafficEvent,
     diurnal_scenario,
-    flash_crowd_scenario,
 )
 from .service import WeatherRuntime, WeatherSubscriber, forecast_wire_size
 from .station import SiteWeather, WeatherConfig, WeatherStation
@@ -43,6 +42,5 @@ __all__ = [
     "TrafficEvent",
     "ScenarioScript",
     "diurnal_scenario",
-    "flash_crowd_scenario",
     "ScenarioDriver",
 ]

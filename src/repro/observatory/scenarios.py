@@ -1,10 +1,9 @@
-"""Background-traffic scenarios: diurnal load and flash crowds.
+"""Background-traffic scenarios: diurnal load.
 
 The Legrand et al. T0/T1 simulation study stresses replica selection
 with *time-varying* background load: production transfers follow the
-sun (diurnal congestion waves), and a hot dataset announcement turns
-one source site into a flash crowd.  This module generates those as
-pre-computed scripts of real competing transfers:
+sun (diurnal congestion waves).  This module generates that as a
+pre-computed script of real competing transfers:
 
 * build time — all randomness is drawn from named
   :class:`~repro.simulation.randomness.RandomStreams` streams into an
@@ -33,7 +32,6 @@ __all__ = [
     "TrafficEvent",
     "ScenarioScript",
     "diurnal_scenario",
-    "flash_crowd_scenario",
     "ScenarioDriver",
 ]
 
@@ -47,7 +45,7 @@ class TrafficEvent:
     dst: str         # destination site/host
     size: float      # bytes
     streams: int     # parallel TCP streams
-    kind: str        # "diurnal" | "crowd" | ... (metrics label)
+    kind: str        # the scenario's name (metrics label)
 
 
 @dataclass(frozen=True)
@@ -139,61 +137,6 @@ def diurnal_scenario(
                 kind=name,
             ))
         t += width
-    events.sort(key=lambda e: (e.time, e.src, e.dst, e.size))
-    return ScenarioScript(name=name, horizon=horizon, events=tuple(events))
-
-
-def flash_crowd_scenario(
-    streams,
-    sites: Sequence[str],
-    *,
-    hot_site: Optional[str] = None,
-    horizon: float = 600.0,
-    crowd_start: float = 180.0,
-    crowd_duration: float = 120.0,
-    crowd_arrivals: int = 30,
-    base_rate: float = 0.02,
-    mean_size: float = 200e6,
-    sigma: float = 0.6,
-    streams_per_transfer: int = 2,
-    name: str = "flash_crowd",
-) -> ScenarioScript:
-    """A hot-dataset announcement: every site starts pulling from one
-    source inside ``[crowd_start, crowd_start + crowd_duration)``, on
-    top of a steady background trickle.  The crowd drains ``hot_site``'s
-    uplinks, so history-based selection learns to route around it while
-    probes keep reporting an idle pipe.
-    """
-    if len(sites) < 2:
-        raise ValueError("a traffic scenario needs at least two sites")
-    rng = streams[f"scenario.{name}"]
-    hot = hot_site if hot_site is not None else sites[0]
-    if hot not in sites:
-        raise ValueError(f"hot site {hot!r} is not in the site list")
-    events = []
-    # steady trickle over the whole horizon
-    for _ in range(int(rng.poisson(base_rate * horizon))):
-        src, dst = _draw_pair(rng, sites)
-        events.append(TrafficEvent(
-            time=float(rng.random()) * horizon,
-            src=src,
-            dst=dst,
-            size=_draw_size(rng, mean_size, sigma),
-            streams=streams_per_transfer,
-            kind=name,
-        ))
-    # the crowd: everyone pulls from the hot source
-    others = [s for s in sites if s != hot]
-    for _ in range(crowd_arrivals):
-        dst = others[int(rng.integers(len(others)))]
-        events.append(TrafficEvent(
-            time=crowd_start + float(rng.random()) * crowd_duration,
-            src=hot,
-            dst=dst,
-            size=_draw_size(rng, mean_size, sigma),
-            streams=streams_per_transfer,
-            kind=f"{name}.crowd",
-        ))
     events.sort(key=lambda e: (e.time, e.src, e.dst, e.size))
     return ScenarioScript(name=name, horizon=horizon, events=tuple(events))
 

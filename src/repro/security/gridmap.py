@@ -41,10 +41,6 @@ class GridMap:
                 f"identity {identity_dn!r} not present in gridmap"
             ) from None
 
-    def is_authorized(self, identity_dn: str) -> bool:
-        """Whether the identity has a mapping."""
-        return identity_dn in self._entries
-
     @classmethod
     def parse(cls, text: str) -> "GridMap":
         """Parse classic gridmap syntax: ``"/DN" account`` per line."""

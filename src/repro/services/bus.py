@@ -15,10 +15,12 @@ share:
   fails a request: a clean message fault, or a protocol-specific payload
   (e.g. a GridFTP ``Reply`` with an FTP error code).
 
-Every request and reply carries a :class:`RequestContext`; endpoints open
-server spans as children of the caller's span and install the context as
-the handler process's ambient context, so nested calls and spawned network
-flows join the same trace automatically.
+A request on the wire is the :class:`ServiceRequest` its handler receives
+and a reply is a :class:`ServiceReply`; this module is the only one that
+knows either.  Each travels with a :class:`RequestContext` on its
+envelope; endpoints open server spans as children of the caller's span and
+install the context as the handler process's ambient context, so nested
+calls and spawned network flows join the same trace automatically.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "ConnectionReset",
     "CallOutcome",
     "ServiceRequest",
+    "ServiceReply",
     "ServiceEndpoint",
     "ServiceClient",
     "ClientCall",
@@ -193,27 +196,33 @@ ClientMiddleware = Callable[[ClientCall, Callable], Generator]
 
 
 class ServiceRequest:
-    """One in-flight request as seen by middleware and handlers."""
+    """One request, from the client that builds it to the handler that
+    answers it: :meth:`ServiceClient._invoke_once` puts this object on the
+    wire and the endpoint hands the same object to its middleware chain,
+    stamping ``endpoint``, ``envelope`` and ``context`` (which travels on
+    the envelope, not in here) on arrival."""
+
+    __slots__ = (
+        "request_id operation payload meta reply_service "
+        "endpoint envelope context state"
+    ).split()
 
     def __init__(
         self,
-        endpoint: "ServiceEndpoint",
-        envelope: Envelope,
         request_id: int,
         operation: str,
         payload: Any,
         meta: dict,
         reply_service: str,
-        context: Optional[RequestContext],
     ):
-        self.endpoint = endpoint
-        self.envelope = envelope
         self.request_id = request_id
         self.operation = operation
         self.payload = payload
         self.meta = meta
         self.reply_service = reply_service
-        self.context = context
+        self.endpoint: Optional["ServiceEndpoint"] = None
+        self.envelope: Optional[Envelope] = None
+        self.context: Optional[RequestContext] = None
         #: middleware scratch space (auth result, session, ...)
         self.state: dict[str, Any] = {}
 
@@ -231,6 +240,20 @@ class ServiceRequest:
         control channel or ignore it to fire-and-forget."""
         return self.endpoint._respond(self, ok=True, payload=payload,
                                       final=False)
+
+
+class ServiceReply:
+    """One reply on the wire: final, or a preliminary marker ahead of it.
+    It has no ``operation``, which is how the network tells it from a
+    request."""
+
+    __slots__ = ("request_id", "ok", "final", "payload")
+
+    def __init__(self, request_id: int, ok: bool, final: bool, payload: Any):
+        self.request_id = request_id
+        self.ok = ok
+        self.final = final
+        self.payload = payload
 
 
 class ServiceEndpoint:
@@ -308,28 +331,16 @@ class ServiceEndpoint:
             self.host,
             request.caller_host,
             request.reply_service,
-            payload={
-                "request_id": request.request_id,
-                "ok": ok,
-                "final": final,
-                "payload": payload,
-            },
+            payload=ServiceReply(request.request_id, ok, final, payload),
             size=self.message_size,
             context=request.context,
         )
 
     def _handle(self, envelope: Envelope):
-        body = envelope.payload
-        request = ServiceRequest(
-            endpoint=self,
-            envelope=envelope,
-            request_id=body["request_id"],
-            operation=body["operation"],
-            payload=body["payload"],
-            meta=body.get("meta") or {},
-            reply_service=body["reply_service"],
-            context=RequestContext.from_wire(body.get("context")),
-        )
+        request: ServiceRequest = envelope.payload
+        request.endpoint = self
+        request.envelope = envelope
+        request.context = envelope.context
         span: Optional[Span] = None
         if self.tracelog is not None:
             span = self.tracelog.begin(
@@ -461,12 +472,9 @@ class ServiceClient:
             store = self._pending.get(request_id)
             if store is None:
                 continue
-            store.put({
-                "request_id": request_id,
-                "ok": False,
-                "final": True,
-                "payload": _ResetBody(message),
-            })
+            store.put(
+                ServiceReply(request_id, False, True, _ResetBody(message))
+            )
             failed += 1
         if failed:
             self.stats["connection_resets"] += failed
@@ -480,15 +488,14 @@ class ServiceClient:
         real client drops data for a closed control channel."""
         while True:
             envelope = yield self._mailbox.get()
-            body = envelope.payload
-            request_id = body["request_id"]
-            store = self._pending.get(request_id)
+            reply: ServiceReply = envelope.payload
+            store = self._pending.get(reply.request_id)
             if store is not None:
-                store.put(body)
-            elif request_id in self._abandoned:
+                store.put(reply)
+            elif reply.request_id in self._abandoned:
                 self.stats["late_replies_discarded"] += 1
-                if body.get("final", True):
-                    self._abandoned.discard(request_id)
+                if reply.final:
+                    self._abandoned.discard(reply.request_id)
 
     # -- calling ---------------------------------------------------------
     def invoke(
@@ -578,14 +585,10 @@ class ServiceClient:
             self.host,
             server_host,
             self.service,
-            payload={
-                "request_id": request_id,
-                "operation": operation,
-                "payload": call.payload,
-                "reply_service": self.reply_service,
-                "context": None if ctx is None else ctx.to_wire(),
-                "meta": call.meta or {},
-            },
+            payload=ServiceRequest(
+                request_id, operation, call.payload, call.meta or {},
+                self.reply_service,
+            ),
             size=self.message_size if call.size is None else call.size,
             context=ctx,
         )
@@ -603,14 +606,14 @@ class ServiceClient:
         preliminaries: list = []
         while True:
             if deadline_at is None:
-                body = yield store.get()
+                reply = yield store.get()
             else:
                 remaining = max(deadline_at - self.sim.now, 0.0)
-                body = yield self.sim.any_of(
+                reply = yield self.sim.any_of(
                     [store.get(),
                      self.sim.timeout(remaining, value=_TIMED_OUT)]
                 )
-            if body is _TIMED_OUT:
+            if reply is _TIMED_OUT:
                 self._discard(request_id)
                 self.stats["call_timeouts"] += 1
                 if span is not None:
@@ -621,31 +624,27 @@ class ServiceClient:
                 )
                 exc.preliminaries = preliminaries
                 raise exc
-            if not body.get("final", True):
-                preliminaries.append(body["payload"])
+            if not reply.final:
+                preliminaries.append(reply.payload)
                 # an idle deadline is rolling: every reply renews it
                 deadline_at = next_deadline()
                 continue
             break
         self._pending.pop(request_id, None)
         self._pending_hosts.pop(request_id, None)
-        if isinstance(body["payload"], _ResetBody):
+        if isinstance(reply.payload, _ResetBody):
             # synthetic reply from fail_pending: the server crashed with
             # this call in flight.  Remember the id so a late real reply
             # (e.g. raced in just before the crash) is discarded.
             self._abandoned.add(request_id)
             if span is not None:
-                self.tracelog.finish(
-                    span, "error", detail=body["payload"].message
-                )
-            exc = ConnectionReset(
-                operation, server_host, body["payload"].message
-            )
+                self.tracelog.finish(span, "error", detail=reply.payload.message)
+            exc = ConnectionReset(operation, server_host, reply.payload.message)
             exc.preliminaries = preliminaries
             raise exc
         outcome = CallOutcome(
-            ok=body["ok"],
-            payload=body["payload"],
+            ok=reply.ok,
+            payload=reply.payload,
             preliminaries=preliminaries,
             context=ctx,
         )

@@ -54,25 +54,3 @@ class RequestContext:
             parent_id=self.parent_id,
             deadline=deadline,
         )
-
-    # -- wire form -------------------------------------------------------
-    def to_wire(self) -> dict:
-        """The dict shipped inside request/reply bodies."""
-        wire = {"trace_id": self.trace_id, "span_id": self.span_id}
-        if self.parent_id is not None:
-            wire["parent_id"] = self.parent_id
-        if self.deadline is not None:
-            wire["deadline"] = self.deadline
-        return wire
-
-    @staticmethod
-    def from_wire(wire: Optional[dict]) -> Optional["RequestContext"]:
-        """Rebuild a context from its wire form (None passes through)."""
-        if wire is None:
-            return None
-        return RequestContext(
-            trace_id=wire["trace_id"],
-            span_id=wire["span_id"],
-            parent_id=wire.get("parent_id"),
-            deadline=wire.get("deadline"),
-        )

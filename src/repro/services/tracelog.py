@@ -167,13 +167,6 @@ class TraceLog:
         """Every span of one trace, in start order."""
         return self.spans(trace_id=trace_id)
 
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids in first-seen order."""
-        seen: dict[str, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     def children(self, span: Span) -> list[Span]:
         """Direct children of a span."""
         return [s for s in self._spans if s.parent_id == span.span_id]

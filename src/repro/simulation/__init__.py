@@ -35,12 +35,11 @@ from repro.simulation.kernel import (
     Timeout,
 )
 from repro.simulation.randomness import RandomStreams
-from repro.simulation.resources import Container, Resource, Store
+from repro.simulation.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Event",
     "Interrupt",
     "Process",

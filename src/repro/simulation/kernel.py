@@ -360,10 +360,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def step(self) -> None:
         """Process exactly one event."""
         time, _prio, _seq, event = heapq.heappop(self._queue)

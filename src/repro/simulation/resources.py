@@ -1,14 +1,12 @@
 """Shared-resource primitives for simulation processes.
 
-Three classic primitives, modeled after queueing-theory usage:
+Two classic primitives, modeled after queueing-theory usage:
 
 * :class:`Resource` — ``capacity`` identical slots (a CPU, a tape drive);
   processes ``request()`` a slot, yield the returned event, and must
   ``release()`` it when done.
 * :class:`Store` — an unbounded-or-bounded FIFO of Python objects
   (a message queue); ``put``/``get`` return events.
-* :class:`Container` — a continuous level (disk bytes free); ``put``/``get``
-  amounts block until satisfiable.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Any
 
 from repro.simulation.kernel import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "Container", "Request"]
+__all__ = ["Resource", "Store", "Request"]
 
 
 class Request(Event):
@@ -59,10 +57,6 @@ class Resource:
     def count(self) -> int:
         """Number of slots currently held."""
         return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
 
     def request(self) -> Request:
         """Request a slot; the returned event triggers on acquisition."""
@@ -130,64 +124,3 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-
-class Container:
-    """A continuous quantity between 0 and ``capacity`` (e.g. free bytes)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        initial: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= initial <= capacity:
-            raise ValueError("initial level outside [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = float(initial)
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add an amount; blocks while it would overflow the capacity."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim)
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Take an amount; blocks until the level covers it."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim)
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity + 1e-12:
-                    self._putters.popleft()
-                    self._level = min(self.capacity, self._level + amount)
-                    event.succeed(None)
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if amount <= self._level + 1e-12:
-                    self._getters.popleft()
-                    self._level = max(0.0, self._level - amount)
-                    event.succeed(None)
-                    progressed = True

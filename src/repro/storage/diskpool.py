@@ -139,30 +139,3 @@ class DiskPool:
         self.ensure_space(nbytes)
         self._reserved += nbytes
         return Reservation(self, nbytes)
-
-    def admit(
-        self,
-        path: str,
-        size: float,
-        now: float,
-        content_id: str | None = None,
-        payload=None,
-        pin: bool = True,
-    ) -> StoredFile:
-        """Make room and create ``path`` in the pool (pinned by default,
-        since admission is always on behalf of an in-flight operation)."""
-        self.ensure_space(size)
-        stored = self.fs.create(path, size, content_id=content_id, now=now,
-                                payload=payload)
-        if pin:
-            self.pin(path)
-        return stored
-
-    def admit_clone(self, source: StoredFile, path: str, now: float,
-                    pin: bool = True) -> StoredFile:
-        """Admit a faithful copy of ``source`` under ``path``."""
-        self.ensure_space(source.size)
-        stored = self.fs.store(source.clone(path, now))
-        if pin:
-            self.pin(path)
-        return stored

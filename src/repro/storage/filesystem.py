@@ -155,12 +155,3 @@ class FileSystem:
         CRC no longer matches the original."""
         stored = self.stat(path)
         stored.content_id = corrupt_content_id(stored.content_id)
-
-    # -- I/O timing ---------------------------------------------------------
-    def read_time(self, nbytes: float) -> float:
-        """Seconds to read ``nbytes`` at this disk's read rate."""
-        return nbytes / self.read_rate if self.read_rate != float("inf") else 0.0
-
-    def write_time(self, nbytes: float) -> float:
-        """Seconds to write ``nbytes`` at this disk's write rate."""
-        return nbytes / self.write_rate if self.write_rate != float("inf") else 0.0

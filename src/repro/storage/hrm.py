@@ -119,7 +119,3 @@ class HierarchicalResourceManager:
             failed.fail(StorageError(f"{self.pool.fs.site}: no MSS attached"))
             return failed
         return self.mss.migrate(self.pool, path)
-
-    def release_file(self, path: str) -> None:
-        """Drop one pin; the pool may evict the file afterwards."""
-        self.pool.unpin(path)

@@ -109,7 +109,9 @@ def test_differential_survives_mutation(seed):
         if action == "add_value":
             directory.modify_add(dn, attr, rng.choice(VALUES[attr]))
         elif action == "replace":
-            directory.modify_replace(dn, attr, [rng.choice(VALUES[attr])])
+            if attr in directory.get(dn).attributes:
+                directory.modify_delete(dn, attr)
+            directory.modify_add(dn, attr, rng.choice(VALUES[attr]))
         else:
             entry = directory.get(dn)
             values = entry.attributes.get(attr)

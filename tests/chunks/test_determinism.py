@@ -5,11 +5,9 @@ scenario produces a byte-identical directory fingerprint; this is the
 gate that keeps the chunk stack inside the repo's determinism contract.
 """
 
-import pytest
-
 from repro.chunks import ChunkConfig, ChunkRuntime
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.netsim.flowtable import HAVE_NUMPY, KERNEL_ENV
+from repro.netsim.flowtable import KERNEL_ENV
 
 SITES = ["hub", "s1", "s2", "s3"]
 SIZE = 4_000_000.0
@@ -51,7 +49,6 @@ def test_different_seed_moves_the_placement():
     assert _scenario(2001) != _scenario(2002)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs both kernels available")
 def test_scalar_and_vector_kernels_agree(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, "scalar")
     scalar = _scenario()

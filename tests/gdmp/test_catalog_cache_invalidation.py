@@ -4,8 +4,10 @@ cached answer could outlive a divergence the caller never observed."""
 
 import pytest
 
+from repro.experiments.scaffold import counter_total
 from repro.netsim.units import MB
-from repro.services import CallTimeout
+from repro.services import CallTimeout, RemoteCallError
+from repro.simulation import Process
 
 
 def _prime(grid):
@@ -48,3 +50,32 @@ def test_cache_rewarms_after_recovery(grid):
     info = grid.run(until=proxy.info("f.db"))
     assert info.lfn == "f.db"
     assert proxy._cache  # re-warmed from the recovered catalog
+
+
+def test_a_cached_answer_is_an_event_not_a_process(grid):
+    """A hit costs no request, no process and no simulated time — and an
+    absence is a cached answer too: the stored fault, raised again."""
+    anl, proxy = _prime(grid)
+    grid.run(until=proxy.locations("f.db"))
+    grid.run(until=proxy.lfn_exists("f.db"))
+    with pytest.raises(RemoteCallError) as missed:
+        grid.run(until=proxy.info("nope.db"))
+    requests = counter_total(grid, "rpc.requests")
+    hits = proxy.stats["cache_hits"]
+    now = grid.sim.now
+
+    for read in (proxy.info, proxy.locations, proxy.lfn_exists):
+        queued = len(grid.sim._queue)
+        answer = read("f.db")
+        assert not isinstance(answer, Process) and answer.triggered
+        # one event scheduled, the answer itself: no `_Initialize`
+        assert len(grid.sim._queue) == queued + 1
+        assert grid.run(until=answer) == grid.run(until=read("f.db"))
+    with pytest.raises(RemoteCallError) as again:
+        grid.run(until=proxy.info("nope.db"))
+    assert again.value is missed.value
+
+    assert grid.sim.now == now
+    assert counter_total(grid, "rpc.requests") == requests
+    assert proxy.stats["cache_hits"] == hits + 7
+    assert proxy.stats["negative_hits"] == 1

@@ -70,16 +70,6 @@ def test_crc_retry_budget_exhausted(mover_setup):
     assert not testbed.client_fs.exists("/recv/f")
 
 
-def test_verify_local(mover_setup):
-    testbed, mover = mover_setup
-    expected = testbed.server_fs.stat("/store/f").crc
-    testbed.sim.run(
-        until=mover.fetch("cern", "/store/f", "/recv/f", expected_crc=expected)
-    )
-    assert mover.verify_local("/recv/f", expected)
-    assert not mover.verify_local("/recv/f", expected ^ 1)
-
-
 def test_missing_remote_file_raises(mover_setup):
     testbed, mover = mover_setup
     with pytest.raises(DataMoverError):

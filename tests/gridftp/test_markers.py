@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gridftp import PerfMarker, RangeSet, RestartMarker
+from repro.gridftp import RangeSet, RestartMarker
 
 
 def test_add_and_total():
@@ -104,13 +104,6 @@ def test_rest_argument_malformed():
 def test_restart_marker_bytes():
     marker = RestartMarker(RangeSet([(0, 4096)]))
     assert marker.bytes_on_disk == 4096
-
-
-def test_perf_marker_throughput():
-    a = PerfMarker(timestamp=10.0, bytes_transferred=1000)
-    b = PerfMarker(timestamp=20.0, bytes_transferred=6000)
-    assert b.throughput_since(a) == pytest.approx(500.0)
-    assert a.throughput_since(a) == 0.0
 
 
 ranges_strategy = st.lists(

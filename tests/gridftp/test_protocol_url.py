@@ -15,11 +15,9 @@ def test_command_str():
 
 
 def test_reply_classification():
-    assert Reply(150, "").is_preliminary
-    assert Reply(226, "").is_success
-    assert Reply(350, "").is_intermediate
-    assert Reply(426, "").is_transient_error and Reply(426, "").is_error
-    assert Reply(550, "").is_error and not Reply(550, "").is_transient_error
+    assert Reply(226, "").is_success and not Reply(226, "").is_error
+    assert Reply(426, "").is_error and not Reply(426, "").is_success
+    assert Reply(550, "").is_error
     assert str(Reply(230, "ok")) == "230 ok"
 
 

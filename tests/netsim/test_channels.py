@@ -1,5 +1,7 @@
 """Tests for the message-level control-traffic network."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.netsim import cern_anl_testbed
@@ -87,3 +89,60 @@ def test_larger_messages_take_longer(net):
     small = msgnet.latency("cern", "anl", 100)
     big = msgnet.latency("cern", "anl", 10_000_000)
     assert big > small
+
+
+def request(operation):
+    """What the bus puts on the wire for a request: it has an operation."""
+    return SimpleNamespace(operation=operation)
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(lambda m: m.set_host_down("anl"), id="receiver-down"),
+    pytest.param(lambda m: m.set_host_down("cern"), id="sender-down"),
+    pytest.param(lambda m: m.set_link_down("wan-cern-anl"), id="link-down"),
+    pytest.param(lambda m: m.set_service_down("anl", "gdmp"),
+                 id="service-down"),
+    pytest.param(lambda m: m.set_service_down("anl", "gdmp", prefix="catalog."),
+                 id="prefix-down"),
+])
+def test_a_message_in_flight_when_the_fault_starts_is_lost_at_delivery(
+        net, fault):
+    sim, msgnet = net
+    mailbox = msgnet.register("anl", "gdmp")
+    delivered = msgnet.send("cern", "anl", "gdmp", request("catalog.info"))
+    sim.run(until=0.03)  # half way across the 62.5 ms link
+    fault(msgnet)
+    sim.run()
+    assert msgnet.dropped_messages == 1
+    assert len(mailbox) == 0
+    assert not delivered.triggered  # the sender hears nothing, ever
+
+
+def test_a_prefix_black_hole_drops_only_matching_requests_never_replies(net):
+    sim, msgnet = net
+    mailbox = msgnet.register("anl", "gdmp")
+    msgnet.set_service_down("anl", "gdmp", prefix="catalog.")
+    reply = SimpleNamespace(request_id=7, payload="catalog.info")
+    for payload in (request("catalog.info"), request("rli.lookup"), reply):
+        msgnet.send("cern", "anl", "gdmp", payload)
+    sim.run()
+    assert msgnet.dropped_messages == 1
+    assert len(mailbox) == 2
+    # a whole-service black-hole is still about requests only
+    msgnet.set_service_down("anl", "gdmp")
+    assert msgnet.send("cern", "anl", "gdmp", reply) is not None
+    sim.run()
+    assert msgnet.dropped_messages == 1
+    assert len(mailbox) == 3
+
+
+def test_a_service_delay_slows_matching_requests_at_send_time(net):
+    sim, msgnet = net
+    msgnet.register("anl", "gdmp")
+    msgnet.set_service_delay("anl", "gdmp", extra=1.0, prefix="catalog.")
+    slow = msgnet.send("cern", "anl", "gdmp", request("catalog.info"))
+    fast = msgnet.send("cern", "anl", "gdmp", request("rli.lookup"))
+    msgnet.set_service_delay("anl", "gdmp")  # cleared: `slow` already left
+    sim.run()
+    assert slow.value.delivered_at == pytest.approx(
+        fast.value.delivered_at + 1.0)

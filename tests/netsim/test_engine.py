@@ -75,7 +75,7 @@ def test_small_file_pays_slow_start():
 def test_more_streams_cannot_exceed_available_bandwidth():
     params = TestbedParams()
     rate = transfer_mbps(100 * MB, 10, 1024 * KiB, params)
-    assert rate <= params.available_mbps + 1.0
+    assert rate <= params.capacity_mbps - params.cross_traffic_mbps + 1.0
 
 
 def test_deterministic_given_seed():

@@ -1,11 +1,10 @@
-"""Flow-table unit tests: kernel selection, view flushing, link islands."""
+"""Flow-table unit tests: kernel selection, view flushing."""
 
 import pytest
 
 from repro.netsim import TcpParams
 from repro.netsim.engine import NetworkEngine
 from repro.netsim.flowtable import (
-    HAVE_NUMPY,
     KERNEL_ENV,
     VECTOR_MIN_FLOWS,
     default_kernel,
@@ -31,17 +30,15 @@ def test_env_override_selects_scalar(monkeypatch):
 
 def test_env_garbage_falls_back_to_detection(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, "warp-drive")
-    assert default_kernel() == ("auto" if HAVE_NUMPY else "scalar")
+    assert default_kernel() == "auto"
 
 
 def test_explicit_kernel_wins_over_env(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, "scalar")
     assert resolve_kernel("scalar") == "scalar"
-    if HAVE_NUMPY:
-        assert resolve_kernel("vector") == "vector"
+    assert resolve_kernel("vector") == "vector"
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="auto cutover needs numpy")
 def test_auto_table_picks_kernel_by_flow_count():
     sim = Simulator()
     topo = Topology()
@@ -53,89 +50,32 @@ def test_auto_table_picks_kernel_by_flow_count():
     pool = engine.new_pool(VECTOR_MIN_FLOWS * MB)
     for _ in range(VECTOR_MIN_FLOWS - 1):
         engine.open_flow("s", "d", pool=pool)
-    assert engine.islands() is not None
+    engine._rebuild_cache()
     assert engine._table.kernel == "scalar"
     engine.open_flow("s", "d", pool=pool)
-    engine.islands()
+    engine._rebuild_cache()
     assert engine._table.kernel == "vector"
-
-
-# -- islands --------------------------------------------------------------
-
-def _grid(n_islands=3):
-    sim = Simulator()
-    topo = Topology()
-    for i in range(n_islands):
-        topo.add_host(Host(f"s{i}"))
-        topo.add_host(Host(f"d{i}"))
-        topo.connect(f"s{i}", f"d{i}",
-                     Link(f"l{i}", capacity=mbps(100), delay=0.01))
-    engine = NetworkEngine(sim, topo, seed=1)
-    # sizes staggered so pool 0 retires first despite having fewest streams
-    pools = [
-        engine.open_transfer(f"s{i}", f"d{i}", nbytes=(1 + 2 * i) * MB,
-                             streams=2 + i, tcp=TcpParams(buffer=64 * KiB))
-        for i in range(n_islands)
-    ]
-    return sim, engine, pools
-
-
-def test_disjoint_transfers_form_one_island_each():
-    _sim, engine, pools = _grid(3)
-    islands = engine.islands()
-    assert len(islands) == 3
-    assert [island.weight for island in islands] == [2, 3, 4]
-    for island, pool in zip(islands, pools):
-        assert island.pools == (pool,)
-        assert len(island.links) == 1
-        assert all(f.pool is pool for f in island.flows)
-
-
-def test_shared_link_merges_islands():
-    sim = Simulator()
-    topo = Topology()
-    for name in ("a", "b", "c"):
-        topo.add_host(Host(name))
-    topo.connect("a", "b", Link("ab", capacity=mbps(100), delay=0.01))
-    topo.connect("b", "c", Link("bc", capacity=mbps(100), delay=0.01))
-    engine = NetworkEngine(sim, topo, seed=1)
-    engine.open_transfer("a", "b", nbytes=1 * MB, streams=2)
-    engine.open_transfer("a", "c", nbytes=1 * MB, streams=2)  # crosses ab
-    islands = engine.islands()
-    assert len(islands) == 1
-    assert islands[0].weight == 4
-    assert len(islands[0].links) == 2
-
-
-def test_shared_endpoint_host_merges_islands():
-    sim = Simulator()
-    topo = Topology()
-    for name in ("hub", "x", "y"):
-        topo.add_host(Host(name))
-    topo.connect("hub", "x", Link("hx", capacity=mbps(100), delay=0.01))
-    topo.connect("hub", "y", Link("hy", capacity=mbps(100), delay=0.01))
-    engine = NetworkEngine(sim, topo, seed=1)
-    engine.open_transfer("hub", "x", nbytes=1 * MB, streams=1)
-    engine.open_transfer("hub", "y", nbytes=1 * MB, streams=1)
-    # distinct links, but both flows share hub's NIC slot -> one island
-    assert len(engine.islands()) == 1
-
-
-def test_islands_recomputed_after_retirement():
-    sim, engine, pools = _grid(3)
-    assert len(engine.islands()) == 3
-    sim.run(until=pools[0].done)
-    remaining = engine.islands()
-    assert len(remaining) == 2
-    assert pools[0] not in [p for isl in remaining for p in isl.pools]
 
 
 # -- view flushing --------------------------------------------------------
 
+def _grid():
+    """One 1 MB transfer over two streams on a single link."""
+    sim = Simulator()
+    topo = Topology()
+    topo.add_host(Host("s0"))
+    topo.add_host(Host("d0"))
+    topo.connect("s0", "d0", Link("l0", capacity=mbps(100), delay=0.01))
+    engine = NetworkEngine(sim, topo, seed=1)
+    pool = engine.open_transfer("s0", "d0", nbytes=1 * MB, streams=2,
+                                tcp=TcpParams(buffer=64 * KiB))
+    return sim, engine, [pool]
+
+
 def test_views_survive_retirement_with_final_state():
-    sim, engine, pools = _grid(1)
+    sim, engine, pools = _grid()
     flows = list(engine.active_flows)
-    engine.islands()  # forces the lazy table build and attaches views
+    engine._rebuild_cache()  # the lazy table build: attaches the views
     assert all(f._table is not None for f in flows)
     sim.run(until=pools[0].done)
     # rows flushed back: views detached, objects hold the final state
@@ -147,7 +87,7 @@ def test_views_survive_retirement_with_final_state():
 
 
 def test_midflight_reads_see_table_state():
-    sim, engine, pools = _grid(1)
+    sim, engine, pools = _grid()
     flows = list(engine.active_flows)
     sim.run(until=0.1)  # a few RTTs in: bytes moved, transfer still open
     assert not pools[0].done.triggered

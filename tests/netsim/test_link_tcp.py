@@ -77,7 +77,7 @@ def test_slow_start_doubles():
     w0 = state.cwnd
     state.on_round(loss=False)
     assert state.cwnd == pytest.approx(2 * w0)
-    assert state.in_slow_start
+    assert state.cwnd < state.ssthresh  # still in slow start
 
 
 def test_loss_halves_window_and_enters_congestion_avoidance():
@@ -88,7 +88,7 @@ def test_loss_halves_window_and_enters_congestion_avoidance():
     w = state.window
     state.on_round(loss=True)
     assert state.window == pytest.approx(w / 2)
-    assert not state.in_slow_start
+    assert state.cwnd >= state.ssthresh  # congestion avoidance
     # linear growth afterwards: +MSS per round
     w_after = state.cwnd
     state.on_round(loss=False)
@@ -102,7 +102,7 @@ def test_timeout_collapses_to_initial_window():
         state.on_round(loss=False)
     state.on_round(loss=True, timeout=True)
     assert state.cwnd == params.initial_cwnd_segments * params.mss
-    assert state.in_slow_start
+    assert state.cwnd < state.ssthresh  # still in slow start
     assert state.timeouts == 1
 
 
@@ -120,9 +120,3 @@ def test_cwnd_bounded_by_twice_buffer():
     for _ in range(100):
         state.on_round(loss=False)
     assert state.cwnd <= 2 * params.buffer
-
-
-def test_expected_slow_start_rounds():
-    # 2*1460 doubling to 64KiB: 2920 * 2^k >= 65536 -> k = ceil(log2(22.4)) = 5
-    state = TcpState(TcpParams(buffer=64 * KiB))
-    assert state.expected_slow_start_rounds() == 5

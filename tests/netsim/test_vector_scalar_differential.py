@@ -13,24 +13,19 @@ import pytest
 
 from repro.netsim import TcpParams
 from repro.netsim.engine import NetworkEngine
-from repro.netsim.flowtable import HAVE_NUMPY
 from repro.netsim.link import Link
 from repro.netsim.topology import Host, Topology
 from repro.netsim.units import KiB, MB, mbps
 from repro.simulation import Simulator
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="differential needs both kernels available"
-)
-
-#: (islands, streams per island) -> 200 mixed lossy/clean flows
+#: (disjoint chains, streams per chain) -> 200 mixed lossy/clean flows
 N_ISLANDS = 20
 STREAMS = 10
 
 
 def _build(kernel):
-    """20 islands x 10 streams: lossy, congested, NIC-capped and clean
-    islands all advanced by one engine."""
+    """20 chains x 10 streams: lossy, congested, NIC-capped and clean
+    chains all advanced by one engine."""
     sim = Simulator()
     topo = Topology()
     pools = []
@@ -48,7 +43,7 @@ def _build(kernel):
                                     delay=0.004))
         topo.connect(mid, dst, Link(
             f"l{i}b",
-            # half the islands oversubscribed, half clean (stretchable)
+            # half the chains oversubscribed, half clean (stretchable)
             capacity=mbps(250) if i % 2 else mbps(1000),
             delay=0.004,
             loss_rate=1e-4 if lossy else 0.0,

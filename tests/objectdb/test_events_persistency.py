@@ -127,11 +127,3 @@ def test_sparse_read_touches_most_pages(store):
     # the sparse read of 50% of objects touches > 70% of the pages the
     # dense read touches
     assert sparse_reader.page_reads > 0.7 * dense_reader.page_reads
-
-
-def test_scan_database(store):
-    fed, catalog = store
-    reader = ObjectReader(fed)
-    objects = list(reader.scan_database(fed.database_names[0]))
-    assert len(objects) == 50
-    assert reader.stats["objects_read"] == 50

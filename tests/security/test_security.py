@@ -134,7 +134,6 @@ def test_gridmap_authorize(ca, alice):
     gm = GridMap()
     gm.add(alice.subject, "hepuser")
     assert gm.authorize(alice.subject) == "hepuser"
-    assert gm.is_authorized(alice.subject)
 
 
 def test_gridmap_rejects_unknown_dn():
@@ -146,7 +145,8 @@ def test_gridmap_rejects_unknown_dn():
 def test_gridmap_remove():
     gm = GridMap({"/O=G/CN=A": "a"})
     gm.remove("/O=G/CN=A")
-    assert not gm.is_authorized("/O=G/CN=A")
+    with pytest.raises(AuthorizationError):
+        gm.authorize("/O=G/CN=A")
 
 
 def test_gridmap_parse_classic_format():

@@ -8,6 +8,7 @@ from repro.services import (
     CallTimeout,
     DeadlineMiddleware,
     RemoteCallError,
+    RequestContext,
     ServiceClient,
     ServiceEndpoint,
     ServiceError,
@@ -203,6 +204,44 @@ def test_deadline_middleware_sheds_expired_requests(net):
     ) == 1
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_the_handler_gets_the_request_the_client_built(net, traced):
+    """One object from `_invoke_once` to the handler; the endpoint only
+    stamps what it alone knows, and the context rides the envelope."""
+    sim, msgnet = net
+    tracelog = TraceLog(sim) if traced else None
+    endpoint, client = make_pair(sim, msgnet, tracelog=tracelog)
+    sent, handled = [], []
+    send = msgnet.send
+    msgnet.send = lambda *args, **kwargs: (
+        sent.append(kwargs["payload"]) or send(*args, **kwargs)
+    )
+    endpoint.register("write", handled.append)
+    caller = RequestContext("t9", "s9", deadline=60.0)
+    sim.run(until=client.call(
+        "cern", "write", {"n": 1}, idempotent=True, timeout=5.0,
+        context=caller,
+    ))
+    (request,) = handled
+    assert request is sent[0]
+    assert (request.operation, request.payload) == ("write", {"n": 1})
+    assert request.reply_service == client.reply_service
+    assert request.meta["txn"] == ("anl/svc-reply-1", 1, 1)
+    assert request.endpoint is endpoint and request.caller_host == "anl"
+    on_the_wire = request.envelope.context
+    # the call's own 5 s tightened the caller's 60 s; nothing loosens it
+    assert (on_the_wire.trace_id, on_the_wire.deadline) == ("t9", 5.0)
+    if traced:
+        client_span = tracelog.find("svc:write", kind="client")
+        server_span = tracelog.find("svc:write", kind="server")
+        assert on_the_wire.span_id == client_span.span_id
+        assert request.context == server_span.context.with_deadline(5.0)
+        assert request.context.parent_id == client_span.span_id
+    else:
+        assert request.context is on_the_wire
+        assert on_the_wire.span_id == "s9"
+
+
 def test_reply_service_names_are_per_simulator(net):
     """Back-to-back simulations must hand out identical endpoint names."""
 
@@ -251,8 +290,7 @@ def test_nested_calls_share_one_trace(net):
 
     endpoint.register("outer", outer)
     assert sim.run(until=client.call("cern", "outer")) == "leaf-done"
-    assert len(tracelog.trace_ids()) == 1
-    (trace_id,) = tracelog.trace_ids()
+    (trace_id,) = {span.trace_id for span in tracelog.spans()}
     names = [s.name for s in tracelog.trace(trace_id)]
     assert names == ["svc:outer", "svc:outer", "inner:leaf", "inner:leaf"]
     leaf_server = tracelog.find("inner:leaf", kind="server")

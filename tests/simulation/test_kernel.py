@@ -283,13 +283,6 @@ def test_event_value_before_trigger_raises():
         _ = event.value
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(9)
-    assert sim.peek() == 9
-
-
 def test_run_until_event_never_firing_raises():
     sim = Simulator()
     never = sim.event()

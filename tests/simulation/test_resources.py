@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / Container primitives."""
+"""Unit tests for Resource / Store primitives."""
 
 import pytest
 
-from repro.simulation import Container, Resource, Simulator, Store
+from repro.simulation import Resource, Simulator, Store
 
 
 def test_resource_serializes_access():
@@ -76,11 +76,10 @@ def test_resource_release_unheld_rejected():
 def test_resource_queue_length():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    res.request()
-    res.request()
-    res.request()
+    holder, *queued = [res.request() for _ in range(3)]
     assert res.count == 1
-    assert res.queue_length == 2
+    assert holder.triggered
+    assert [req.triggered for req in queued] == [False, False]
 
 
 def test_resource_invalid_capacity():
@@ -146,70 +145,3 @@ def test_store_bounded_put_blocks():
     sim.spawn(consumer(sim))
     sim.run()
     assert times == [("put1", 0), ("put2", 3)]
-
-
-def test_container_levels():
-    sim = Simulator()
-    tank = Container(sim, capacity=100, initial=50)
-    assert tank.level == 50
-
-    def proc(sim):
-        yield tank.get(30)
-        assert tank.level == 20
-        yield tank.put(80)
-        assert tank.level == 100
-
-    sim.spawn(proc(sim))
-    sim.run()
-
-
-def test_container_get_blocks_until_refill():
-    sim = Simulator()
-    tank = Container(sim, capacity=100, initial=0)
-    times = []
-
-    def consumer(sim):
-        yield tank.get(10)
-        times.append(sim.now)
-
-    def producer(sim):
-        yield sim.timeout(4)
-        yield tank.put(10)
-
-    sim.spawn(consumer(sim))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert times == [4]
-
-
-def test_container_put_blocks_when_full():
-    sim = Simulator()
-    tank = Container(sim, capacity=10, initial=10)
-    times = []
-
-    def producer(sim):
-        yield tank.put(5)
-        times.append(sim.now)
-
-    def consumer(sim):
-        yield sim.timeout(2)
-        yield tank.get(5)
-
-    sim.spawn(producer(sim))
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert times == [2]
-    assert tank.level == 10
-
-
-def test_container_invalid_args():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=10, initial=20)
-    tank = Container(sim, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-    with pytest.raises(ValueError):
-        tank.get(-1)

@@ -80,17 +80,3 @@ def test_pin_missing_file_rejected(pool):
         pool.pin("/nope")
 
 
-def test_admit_pins_and_makes_room(pool):
-    fill(pool, 10)
-    stored = pool.admit("/pool/incoming", 30 * MB, now=100.0)
-    assert stored.size == 30 * MB
-    assert pool.pin_count("/pool/incoming") == 1
-    assert pool.evictions == 3
-
-
-def test_admit_clone_preserves_crc(pool):
-    src_fs = FileSystem("anl")
-    original = src_fs.create("/f", 5 * MB)
-    stored = pool.admit_clone(original, "/pool/f", now=1.0)
-    assert stored.crc == original.crc
-    assert pool.pin_count("/pool/f") == 1

@@ -77,14 +77,6 @@ def test_store_clone_between_filesystems(fs):
     assert remote.stat("/f").crc == original.crc
 
 
-def test_io_times():
-    fs = FileSystem("site", read_rate=100.0, write_rate=50.0)
-    assert fs.read_time(200) == pytest.approx(2.0)
-    assert fs.write_time(200) == pytest.approx(4.0)
-    infinite = FileSystem("fast")
-    assert infinite.read_time(1e12) == 0.0
-
-
 def test_payload_travels_with_clone(fs):
     stored = fs.create("/db", 1 * MB, payload={"objects": [1, 2, 3]})
     copy = stored.clone("/db2", now=0.0)

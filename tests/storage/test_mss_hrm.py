@@ -135,11 +135,3 @@ def test_staging_evicts_cold_files_for_space(site):
     stored = sim.run(until=hrm.stage_file("/hot"))
     assert stored.size == 30 * MB
     assert pool.evictions == 3
-
-
-def test_release_file_unpins(site):
-    _sim, pool, _mss, hrm = site
-    pool.fs.create("/d", 1 * MB)
-    pool.pin("/d")
-    hrm.release_file("/d")
-    assert pool.pin_count("/d") == 0

@@ -9,7 +9,6 @@ to move when its event happens.
 import pytest
 
 import tests.tools.conftest  # noqa: F401  (puts tools/ on the path)
-from determinism_check import run_scenario
 from repro.faults import FaultCampaign, FaultEvent, FaultInjector
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.gdmp.request_manager import GdmpError
@@ -17,8 +16,9 @@ from repro.gridftp import TransferError
 from repro.netsim.units import GB, MB
 from repro.security import new_user_credential
 from repro.services import CallTimeout, RemoteCallError, ServiceError
+from smoke import back_to_back_scenario
 
-#: every family of the determinism-check scenario (subscribe, a 3-file
+#: every family of the smoke gate's back-to-back scenario (subscribe, a 3-file
 #: production run, one ``replicate``, one index snapshot), as exported
 FAMILIES = [
     "catalog_ldap_filter_cache_hits",
@@ -67,7 +67,7 @@ FAMILIES = [
 def test_exported_families_are_pinned_by_name():
     exported = sorted(
         line.split()[2]
-        for line in run_scenario()["prometheus"].splitlines()
+        for line in back_to_back_scenario()["prometheus"].splitlines()
         if line.startswith("# TYPE")
     )
     assert exported == FAMILIES

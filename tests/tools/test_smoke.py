@@ -2,6 +2,7 @@
 is reported and turns the exit code to 1."""
 
 import itertools
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -93,6 +94,64 @@ def test_named_checks_run_beside_suites_and_can_fail(capsys):
     assert "  - budget: 9 requests (budget 3)" in capsys.readouterr().out
     assert gate(scripted(), names=("fake", "budget"),
                 checks={"budget": lambda: []}) == 0
+
+
+def test_run_twice_names_the_part_that_differs_and_asks_the_shape_checks(
+        capsys):
+    leaked = itertools.count()  # outlives a run, as a module global does
+
+    def leaky():
+        return {"ids": [f"req-{next(leaked)}"], "text": "a\nb\n"}
+
+    assert smoke.run_twice("fake", leaky, lambda parts: ["bad shape"]) == [
+        "fake: ids differs between back-to-back runs: @@ -2 +2 @@ "
+        '-  "req-0" +  "req-1"',
+        "fake: bad shape",
+    ]
+    assert smoke.run_twice("fake", lambda: {"text": "a\nb\n"}) == []
+    assert "fake: two runs in one process byte-identical in text" in \
+        capsys.readouterr().out
+
+
+def test_exporter_shape_checks_report_what_is_malformed():
+    events = [
+        {"ph": "X", "pid": 1, "name": "gdmp:call", "ts": 0},
+        {"ph": "s", "pid": 1, "name": "flow", "id": "7"},
+        {"ph": "M", "pid": 1},
+    ]
+    assert smoke.chrome_shape_problems(
+        {"chrome_trace": json.dumps({"traceEvents": events})}
+    ) == [
+        "X event 0 lacks ts/dur",
+        "event 2 lacks 'name'",
+        "flow arrows do not pair up (s ids != f ids)",
+        "no process_name metadata events",
+        "no span names containing 'gridftp:'",
+        "no span names containing 'catalog.'",
+    ]
+    assert smoke.chrome_shape_problems({"chrome_trace": "{}"}) == [
+        "traceEvents missing or empty"]
+    assert smoke.snapshot_problems({"snapshot": {
+        "b": {"children": [{"labels": {"site": "z"}},
+                           {"labels": {"site": "a"}}]},
+        "a": {"children": []},
+    }}) == [
+        "metric family names are not sorted",
+        "children of 'b' are not label-sorted",
+        "family 'a' has no children",
+    ]
+    assert smoke.snapshot_problems({"snapshot": {}}) == [
+        "metrics snapshot is empty"]
+
+
+def test_the_event_budget_is_the_measured_count_plus_a_tenth(capsys):
+    assert smoke.check_event_budget() == []
+    out = capsys.readouterr().out
+    events, requests = (
+        int(word) for word in out.split() if word.isdigit()
+    )
+    assert events / requests <= smoke.EVENTS_PER_REQUEST \
+        <= 1.1 * events / requests + 0.05
 
 
 def test_unknown_name_is_rejected_with_the_known_ones(capsys):

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 tests (which include the recorded-figure determinism
 # record and the netsim/catalog differential suites), the e2e benchmark
-# harness smoke tests, the two in-process determinism gates, the smoke
-# gate (every campaign experiment twice per leg, the path budgets, the
-# recorded experiment output), every performance record at smoke size
-# against its floors, the paper-shape benches, and (when available) ruff.
+# harness smoke tests, the smoke gate (every campaign experiment twice
+# per leg, the path and event budgets, two scenarios run back to back in
+# one process, the recorded experiment output), every performance record
+# at smoke size against its floors, the paper-shape benches, and (when
+# available) ruff.
 #
 #   tools/ci_check.sh
 #
@@ -20,13 +21,7 @@ python -m pytest -x -q
 echo "== e2e benchmark harness: five workloads at smoke size =="
 python -m pytest -q benchmarks/e2e
 
-echo "== determinism: back-to-back simulations in one process =="
-python tools/determinism_check.py
-
-echo "== telemetry: exporter shape + determinism =="
-python tools/telemetry_smoke.py
-
-echo "== smoke gate: convergence + determinism per leg, path budgets, recorded output =="
+echo "== smoke gate: convergence + determinism per leg, budgets, back-to-back runs, recorded output =="
 python tools/smoke.py
 
 echo "== performance records (smoke) + regression gates =="

@@ -428,7 +428,7 @@ SUITES = {
         output="BENCH_netsim.json",
         section="flow_scale",
         protocol={
-            "scenario": "disjoint two-hop islands, oversubscribed "
+            "scenario": "disjoint two-hop chains, oversubscribed "
                         "bottlenecks, 20% lossy; one engine advances all "
                         "flows (bench_flow_scale.run_bench)",
             "metric": "flow-tick work units per wall second "

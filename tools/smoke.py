@@ -13,11 +13,14 @@ checks, per leg:
   experiment extras + full Prometheus export) are byte-identical;
 * the suite's own assertions, declared beside its params below.
 
-Then the named checks in ``CHECKS``: three path budgets that fail here in
+Then the named checks in ``CHECKS``: four budgets that fail here in
 seconds instead of in a benchmark in minutes (``publish_path``,
-``transfer_set_path``, ``warm_channels``) and ``recorded``, which diffs
-``python -m repro.experiments all`` against the committed
-``results/experiments_output.txt``.
+``transfer_set_path``, ``warm_channels``, ``event_budget``); two
+scenarios run twice in this process and diffed part by part
+(``back_to_back``: ids, names and counts must restart with the
+simulator; ``exporters``: shape and determinism of the trace and metrics
+exports); and ``recorded``, which diffs ``python -m repro.experiments
+all`` against the committed ``results/experiments_output.txt``.
 
 Usage:  PYTHONPATH=src python tools/smoke.py [name ...]
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import difflib
 import io
+import json
 import re
 import sys
 from dataclasses import dataclass
@@ -41,7 +45,10 @@ from repro.experiments.__main__ import main as experiments_cli
 from repro.experiments.scaffold import counter_total, legs
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import MB
+from repro.objectrep.index_service import IndexService
 from repro.rls import DigestConfig, RlsConfig
+from repro.telemetry import to_chrome_trace_json, to_prometheus_text
+from repro.workload.production import ProductionRun
 
 SEED = 2001
 RECORDED = (
@@ -354,6 +361,176 @@ def check_warm_channels() -> list[str]:
     return problems
 
 
+#: kernel events scheduled per bus request on the transfer-set scenario,
+#: plus 10 %: 1 187 / 42 = 28.3 since ISSUE 21 took the per-message and
+#: guard processes out (1 475 / 42 = 35.1 before).  ROADMAP 5(a)'s
+#: standing budget: lower it when a PR lowers the count
+EVENTS_PER_REQUEST = 31.1
+
+
+def check_event_budget() -> list[str]:
+    """What a bus request costs the event loop, data plane included: the
+    scenario of ``transfer_set_path``, counted in events scheduled."""
+    grid, lfns = _set_grid()
+    for puller in PULLERS:
+        grid.run(until=grid.site(puller).client.replicate_set(lfns))
+    requests = counter_total(grid, "rpc.requests")
+    per_request = grid.sim._seq / requests
+    report = (
+        f"event budget: {grid.sim._seq} kernel events for {requests:.0f} "
+        f"bus requests, {per_request:.1f} each (budget {EVENTS_PER_REQUEST})"
+    )
+    if per_request > EVENTS_PER_REQUEST:
+        return [report]
+    print(f"  {report}")
+    return []
+
+
+def run_twice(label: str, scenario: Callable[[], dict], *shape_checks) -> list[str]:
+    """Run ``scenario`` twice in this process and diff the runs part by
+    part (a problem quotes the first differing lines), then ask each of
+    ``shape_checks`` what is wrong with the first run's parts.  A
+    module-level counter — an id sequence, an endpoint serial — advances
+    across runs and shows up here although each run alone is
+    deterministic: every sequence must be scoped to its ``Simulator``."""
+
+    def lines(part) -> list[str]:
+        if not isinstance(part, str):
+            part = json.dumps(part, indent=2, sort_keys=True)
+        return part.splitlines()
+
+    first, second = scenario(), scenario()
+    problems = []
+    for name in first:
+        delta = list(difflib.unified_diff(
+            lines(first[name]), lines(second[name]), lineterm="", n=0
+        ))[2:]
+        if delta:
+            problems.append(
+                f"{label}: {name} differs between back-to-back runs: "
+                + " ".join(delta[:6])
+            )
+    problems += [
+        f"{label}: {problem}" for check in shape_checks
+        for problem in check(first)
+    ]
+    if not problems:
+        print(f"  {label}: two runs in one process byte-identical in "
+              f"{', '.join(first)}")
+    return problems
+
+
+def back_to_back_scenario() -> dict:
+    """One small grid workload touching every id-allocating subsystem:
+    a production run (db ids), publish/subscribe + replicate (request ids,
+    reply-service names, trace ids), and an index snapshot (snapshot
+    serials)."""
+    grid = DataGrid([GdmpConfig("cern"), GdmpConfig("anl")])
+    cern, anl = grid.site("cern"), grid.site("anl")
+    grid.run(until=anl.client.subscribe_to("cern"))
+    production = ProductionRun(
+        cern, n_files=3, mean_file_size=2 * MB, interval=1.0, seed=7
+    )
+    grid.run(until=production.start())
+    report = grid.run(until=anl.client.replicate(sorted(cern.server.held)[0]))
+    grid.run(until=IndexService(cern).publish_snapshot())
+    return {
+        "sim_now": grid.sim.now,
+        "trace_spans": grid.tracelog.to_records(),
+        "catalog_lfns": sorted(grid.catalog_backend.list_lfns()),
+        "replicated": [report.lfn, report.source, report.total_duration],
+        "reply_services": {
+            name: [
+                site.request_client.reply_service,
+                site.gridftp_client.bus.reply_service,
+            ]
+            for name, site in sorted(grid.sites.items())
+        },
+        # the mover has no ``stats``: all it counts is in the registry
+        "stats": {
+            name: {
+                "request_server": site.request_server.stats,
+                "request_client": site.request_client.stats,
+                "gridftp_server": site.gridftp_server.stats,
+                "gridftp_client": site.gridftp_client.bus.stats,
+                "gdmp_server": site.server.stats,
+                "gdmp_client": site.client.stats,
+            }
+            for name, site in sorted(grid.sites.items())
+        },
+        "metrics": grid.metrics.snapshot(),
+        "prometheus": to_prometheus_text(grid.metrics),
+    }
+
+
+def exporters_scenario() -> dict:
+    """One small replication, as the exporters render it."""
+    grid = DataGrid([GdmpConfig("cern", parallel_streams=2), GdmpConfig("anl")])
+    grid.run(until=grid.site("cern").client.produce_and_publish("smoke.db", 2 * MB))
+    grid.run(until=grid.site("anl").client.replicate("smoke.db"))
+    return {
+        "prometheus": to_prometheus_text(grid.metrics),
+        "chrome_trace": to_chrome_trace_json(grid.tracelog),
+        "snapshot": grid.metrics.snapshot(),
+    }
+
+
+def chrome_shape_problems(parts: dict) -> list[str]:
+    """Structural problems in a Chrome trace-event document; the last
+    is a request path (RPC, GridFTP control, catalog update) not all
+    visible in the complete ("X") events."""
+    events = json.loads(parts["chrome_trace"]).get("traceEvents")
+    if not isinstance(events, list) or not events:
+        return ["traceEvents missing or empty"]
+    problems: list[str] = []
+    flow_ids: dict[str, list[str]] = {"s": [], "f": []}
+    names = set()
+    for i, event in enumerate(events):
+        problems.extend(
+            f"event {i} lacks {key!r}"
+            for key in ("ph", "pid", "name") if key not in event
+        )
+        ph = event.get("ph")
+        if ph == "X":
+            if "ts" not in event or "dur" not in event:
+                problems.append(f"X event {i} lacks ts/dur")
+            names.add(event.get("name"))
+        elif ph in flow_ids:
+            flow_ids[ph].append(event.get("id"))
+    if sorted(flow_ids["s"]) != sorted(flow_ids["f"]):
+        problems.append("flow arrows do not pair up (s ids != f ids)")
+    if not any(
+        e.get("ph") == "M" and e.get("name") == "process_name" for e in events
+    ):
+        problems.append("no process_name metadata events")
+    problems.extend(
+        f"no span names containing {needle!r}"
+        for needle in ("gdmp:", "gridftp:", "catalog.")
+        if not any(isinstance(n, str) and needle in n for n in names)
+    )
+    return problems
+
+
+def snapshot_problems(parts: dict) -> list[str]:
+    """Emptiness/ordering problems in a metrics snapshot."""
+    snapshot = parts["snapshot"]
+    if not snapshot:
+        return ["metrics snapshot is empty"]
+    problems: list[str] = []
+    if list(snapshot) != sorted(snapshot):
+        problems.append("metric family names are not sorted")
+    for name, family in snapshot.items():
+        labels = [
+            tuple(sorted(child["labels"].items()))
+            for child in family.get("children", [])
+        ]
+        if not labels:
+            problems.append(f"family {name!r} has no children")
+        elif labels != sorted(labels):
+            problems.append(f"children of {name!r} are not label-sorted")
+    return problems
+
+
 #: the recorded output's lines that derive from the host's clock: the two
 #: catalog-scale rows (a population, then five rates/latencies), the
 #: workload's requests/s, and the three ``wall time (s)`` rows
@@ -393,6 +570,14 @@ CHECKS = {
     "publish_path": check_publish_path,
     "transfer_set_path": check_transfer_set_path,
     "warm_channels": check_warm_channels,
+    "event_budget": check_event_budget,
+    # global-state leaks: everything a run names or counts
+    "back_to_back": lambda: run_twice("back to back", back_to_back_scenario),
+    # the trace and metrics exports: deterministic and well formed
+    "exporters": lambda: run_twice(
+        "exporters", exporters_scenario,
+        chrome_shape_problems, snapshot_problems,
+    ),
     "recorded": check_recorded,
 }
 
