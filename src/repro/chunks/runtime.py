@@ -60,6 +60,8 @@ class ChunkConfig:
     directory_host: Optional[str] = None
     #: placement salt (defaults to the grid's engine seed)
     salt: Optional[int] = None
+    #: a scrub worker's back-off after its queue could not be reached
+    #: (an idle one waits at the queue, it does not poll)
     poll: float = 5.0
     lease: float = 120.0
     max_attempts: int = 6

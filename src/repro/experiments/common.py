@@ -64,10 +64,14 @@ def export_telemetry(
     ``--report`` flags: dumps the registry snapshot as sorted JSON, the
     trace log as Chrome trace-event JSON (Perfetto-loadable), and/or
     prints the grid health report.  Spans still in progress at simulation
-    end are warned about up front (the report lists them individually).
+    end are warned about up front (the report lists them individually);
+    idle workers parked at their queue are not abandoned work and only
+    the report counts them.
     """
     if tracelog is not None:
-        open_spans = tracelog.open_spans()
+        from repro.telemetry.report import open_work
+
+        _parked, open_spans = open_work(tracelog)
         if open_spans:
             print(
                 f"warning: {len(open_spans)} trace spans still in progress "

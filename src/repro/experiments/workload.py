@@ -50,7 +50,7 @@ from repro.services.resilience import ResilienceConfig
 from repro.simulation.randomness import RandomStreams
 from repro.workload import ArrivalProfile, WorkloadEngine
 
-__all__ = ["CAMPAIGNS", "WorkloadResult", "run", "report"]
+__all__ = ["CAMPAIGNS", "WorkloadResult", "build", "run", "report"]
 
 @dataclass(frozen=True)
 class WorkloadResult(Verdict):
@@ -132,21 +132,17 @@ def _audit(grid: DataGrid, engine: WorkloadEngine, errors: list[str]):
     return obligations, audit, verified
 
 
-def run(
-    requests: int = 100_000,
-    seed: int = 2001,
-    campaign: str = "",
+def build(
+    requests: int,
+    seed: int,
     files: int = 48,
     size_mb: int = 2,
     rate: float = 2000.0,
     tick: float = 30.0,
     diurnal_amplitude: float = 0.3,
-    metrics_json: str | None = None,
-    trace_chrome: str | None = None,
-    show_report: bool = False,
-) -> WorkloadResult:
-    """Run the standing pipeline over a 3-site grid until convergence."""
-    wall_started = time.perf_counter()
+) -> tuple[DataGrid, WorkloadEngine]:
+    """The experiment's 3-site grid with its files published at cern and
+    the engine over it, nothing started yet."""
     grid = DataGrid(
         [GdmpConfig("cern"), GdmpConfig("anl"), GdmpConfig("caltech")],
         catalog_host="cern",
@@ -173,6 +169,27 @@ def run(
     engine = WorkloadEngine(
         grid, profile, lfns=lfns, total=requests,
         rng=RandomStreams(seed)["workload.arrivals"],
+    )
+    return grid, engine
+
+
+def run(
+    requests: int = 100_000,
+    seed: int = 2001,
+    campaign: str = "",
+    files: int = 48,
+    size_mb: int = 2,
+    rate: float = 2000.0,
+    tick: float = 30.0,
+    diurnal_amplitude: float = 0.3,
+    metrics_json: str | None = None,
+    trace_chrome: str | None = None,
+    show_report: bool = False,
+) -> WorkloadResult:
+    """Run the standing pipeline over a 3-site grid until convergence."""
+    wall_started = time.perf_counter()
+    grid, engine = build(
+        requests, seed, files, size_mb, rate, tick, diurnal_amplitude
     )
 
     started = grid.sim.now

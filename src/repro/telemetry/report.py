@@ -19,19 +19,22 @@ that monitoring.  Given a grid's :class:`MetricsRegistry` and
   much of it failed);
 * the top-N slowest finished spans — where the simulated time went;
 * every span still ``in_progress`` — work the simulation ended inside,
-  which would otherwise silently export ``end: null``.
+  which would otherwise silently export ``end: null`` — with the idle
+  workers parked at their queue (open by design) counted on a line of
+  their own, not warned about.
 
 Everything is sorted, so the report is deterministic for a given run.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
-from repro.services.tracelog import TraceLog
+from repro.services.tracelog import Span, TraceLog
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["render_health_report", "print_health_report"]
+__all__ = ["render_health_report", "print_health_report", "open_work"]
 
 
 def _table(headers: Sequence[str], rows: list[Sequence[str]]) -> list[str]:
@@ -84,6 +87,24 @@ _SCRUB_FAMILIES = frozenset({
     "chunks.repair",
     "chunks.repair_backlog",
 })
+
+
+#: the operation an idle worker parks in until its lane has work
+#: (:meth:`repro.workload.queue.TaskQueue.wait`)
+_PARKED_OPERATION = "task.wait"
+
+
+def open_work(tracelog: TraceLog) -> tuple[list[Span], list[Span]]:
+    """The spans still in progress, as ``(parked, abandoned)``: the calls
+    of idle workers waiting at their queue — open whenever a run stops
+    with its pipeline standing — and everything else, which is work the
+    run ended inside."""
+    parked: list[Span] = []
+    abandoned: list[Span] = []
+    for span in tracelog.open_spans():
+        waiting = span.name.partition(":")[2] == _PARKED_OPERATION
+        (parked if waiting else abandoned).append(span)
+    return parked, abandoned
 
 
 def _weather_rows(registry: MetricsRegistry) -> dict:
@@ -261,7 +282,19 @@ def render_health_report(
                 )
             )
 
-        open_spans = tracelog.open_spans()
+        parked, open_spans = open_work(tracelog)
+        # a parked worker is one call seen from both ends: count callers
+        workers = Counter(s.host for s in parked if s.kind == "client")
+        if workers:
+            lines.append("")
+            lines.append(
+                f"-- {sum(workers.values())} workers parked at their queue, "
+                f"waiting for work ({_PARKED_OPERATION}): "
+                + ", ".join(
+                    f"{host} x{n}" for host, n in sorted(workers.items())
+                )
+                + " --"
+            )
         if open_spans:
             lines.append("")
             lines.append(

@@ -4,7 +4,8 @@ The one-shot :meth:`GdmpClient.replicate` pipeline becomes a stage in a
 long-lived data-management service: an open-loop arrival stream is
 admitted (fair-share + token bucket) into a leased task queue on the
 service bus, and standing picker/bundler/replicator/verifier components
-claim, execute and audit the work — the operational shape described in
+claim, execute and audit the work, waiting at the queue (``task.wait``)
+whenever there is none — the operational shape described in
 "Grid Data Management in Action", at the request volumes of the T0/T1
 replication simulation studies.
 

@@ -2,7 +2,8 @@
 
 Each component is a long-lived :class:`~repro.simulation.kernel.Process`
 at one destination site, looping claim → work → complete against the
-shared :mod:`~repro.workload.queue`.  The one-shot replication path is
+shared :mod:`~repro.workload.queue`, and waiting *at the queue* whenever
+its lane is empty: nobody asks on a timer.  The one-shot replication path is
 now a *stage* of this pipeline: the replicator drives
 ``GdmpClient.replicate_set`` (ranked-replica failover, batched catalog
 traffic) exactly as an interactive caller would, but under a claim lease
@@ -62,7 +63,11 @@ def verify_key(lfn: str, site: str) -> str:
 
 
 class PipelineComponent:
-    """Base claim-loop: poll the queue for this component's task type.
+    """Base claim-loop: claim this component's task type; on an empty
+    lane, wait at the queue until it has work, then claim again.  The
+    wait runs half a lease at a time and holds nothing, so a component
+    crashed while parked costs no task a lease.  ``poll`` is only the
+    back-off after the queue could not be reached.
 
     Subclasses implement ``work(task)`` as a generator; its failure modes
     split three ways — :class:`ServiceError` fails the task retryably
@@ -123,20 +128,24 @@ class PipelineComponent:
 
     # -- the claim loop ---------------------------------------------------
     def _run(self):
+        lane = (self.TYPE, self.site.name)
         try:
             while True:
                 try:
                     tasks = yield self.proxy.claim(
-                        self.worker, self.TYPE, self.site.name,
+                        self.worker, *lane,
                         limit=self.BATCH, lease=self.lease,
                     )
+                    if not tasks:
+                        while not (
+                            yield self.proxy.wait(*lane, self.lease / 2.0)
+                        ):
+                            pass
+                        continue
                 except ServiceError:
                     # queue unreachable (fault window): back off and retry
                     self.errors += 1
                     self._count("claim_error")
-                    yield self.sim.timeout(self.poll)
-                    continue
-                if not tasks:
                     yield self.sim.timeout(self.poll)
                     continue
                 self.claimed += len(tasks)

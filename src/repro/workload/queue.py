@@ -11,7 +11,10 @@ shape).  This module provides the queue in three layers:
   A claim carries a *lease*: a deadline after which the task silently
   becomes claimable again, so a crashed worker's work is re-dispatched
   without any failure detector — lease expiry is evaluated lazily at
-  claim/inspection time, purely from the sim clock.
+  claim/inspection time, purely from the sim clock.  A worker that finds
+  its lane empty parks in :meth:`TaskQueue.wait` until the lane has
+  work; a wait is a read that holds nothing, so only a ``claim`` ever
+  starts a lease.
 * :class:`TaskQueueService` — the bus half: ``task.*`` operations
   registered on a :class:`~repro.gdmp.request_manager.RequestServer`
   (next to the ``catalog.*`` operations), every write exactly-once under
@@ -34,13 +37,14 @@ catalog registration, keyed task submission).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.gdmp.request_manager import RequestProxy, RequestServer
 from repro.services.bus import ServiceRequest
 from repro.services.replay import ReplayWindow
-from repro.simulation.kernel import Process, Simulator
+from repro.simulation.kernel import Event, Process, Simulator
 
 __all__ = ["Task", "TaskQueue", "TaskQueueService", "TaskQueueProxy"]
 
@@ -109,9 +113,13 @@ class _QueueStats:
 class TaskQueue:
     """The deterministic in-memory queue state machine.
 
-    Claim order is strict FIFO by task id within a ``(type, site)``
-    lane, which makes the drain order a pure function of the submission
-    order — the workload fingerprint depends on it.
+    A ``(type, site)`` lane is claimed in the order tasks *became
+    pending* in it: submission order for new tasks, and a task whose
+    lease ran out or whose attempt failed retryably re-joins at the
+    back, behind everything already pending — a poison task cannot
+    head-of-line-block its lane.  The drain order is a pure function of
+    the order of operations on the sim clock — the workload fingerprint
+    depends on it.
     """
 
     def __init__(self, sim: Simulator, *,
@@ -122,7 +130,10 @@ class TaskQueue:
         self.max_attempts = max_attempts
         self.tasks: dict[int, Task] = {}
         #: (type, site) -> FIFO of pending task ids
-        self._pending: dict[tuple[str, str], list[int]] = {}
+        self._pending: dict[tuple[str, str], deque[int]] = {}
+        #: (type, site) -> the workers parked in :meth:`wait`, in arrival
+        #: order; a lane has an entry only while somebody is parked at it
+        self._waiters: dict[tuple[str, str], list[Event]] = {}
         #: claimed task ids, checked for lease expiry lazily
         self._claimed: set[int] = set()
         #: dedup key -> task id (live tasks only; done/dead keys stay
@@ -147,11 +158,19 @@ class TaskQueue:
             key=key, submitted_at=self.sim.now,
         )
         self.tasks[task_id] = task
-        self._pending.setdefault((type, site), []).append(task_id)
+        self._enqueue(task)
         if key is not None:
             self._by_key[key] = task_id
         self.stats.submitted += 1
         return task_id
+
+    def _enqueue(self, task: Task) -> None:
+        """Put ``task`` at the back of its lane and wake whoever is
+        parked there, in arrival order."""
+        lane = (task.type, task.site)
+        self._pending.setdefault(lane, deque()).append(task.task_id)
+        for parked in self._waiters.pop(lane, ()):
+            parked.succeed()
 
     # -- lease bookkeeping ------------------------------------------------
     def _expire_leases(self) -> int:
@@ -167,7 +186,7 @@ class TaskQueue:
             task.state = "pending"
             task.claimant = ""
             task.claim_token = 0
-            self._pending.setdefault((task.type, task.site), []).append(tid)
+            self._enqueue(task)
             self.stats.expired_leases += 1
         return len(expired)
 
@@ -180,7 +199,7 @@ class TaskQueue:
         claimed: list[Task] = []
         lease = lease if lease is not None else self.default_lease
         while lane and len(claimed) < limit:
-            tid = lane.pop(0)
+            tid = lane.popleft()
             task = self.tasks[tid]
             task.state = "claimed"
             task.attempts += 1
@@ -195,6 +214,35 @@ class TaskQueue:
         if claimed:
             self.stats.claims += 1
         return claimed
+
+    # -- waiting for work -------------------------------------------------
+    def wait(self, type: str, site: str, wait: float):
+        """Generator: park until one lane has a claimable task (True),
+        giving up after ``wait`` seconds (False).  It claims nothing and
+        holds nothing: whoever is woken still has to :meth:`claim`, and
+        may find that another worker got there first."""
+        lane = (type, site)
+        give_up = self.sim.now + wait
+        while not self.depth(type, site):
+            now = self.sim.now
+            if now >= give_up:
+                return False
+            # expiry is lazy and everybody may be parked: sleep no longer
+            # than the lane's next lease deadline, then look again
+            claimed = (self.tasks[tid] for tid in self._claimed)
+            until = min([give_up, *(
+                task.lease_deadline for task in claimed
+                if (task.type, task.site) == lane
+            )])
+            parked = self.sim.event()
+            self._waiters.setdefault(lane, []).append(parked)
+            yield self.sim.any_of([parked, self.sim.timeout(until - now)])
+            if not parked.triggered:
+                waiters = self._waiters[lane]
+                waiters.remove(parked)
+                if not waiters:
+                    del self._waiters[lane]
+        return True
 
     def _owned(self, task_id: int, token: int) -> Optional[Task]:
         """The task if ``token`` still owns it, else None (stale)."""
@@ -250,7 +298,7 @@ class TaskQueue:
         self.stats.failed += 1
         if retryable and task.attempts < self.max_attempts:
             task.state = "pending"
-            self._pending.setdefault((task.type, task.site), []).append(task_id)
+            self._enqueue(task)
         else:
             task.state = "dead"
             task.finished_at = self.sim.now
@@ -270,6 +318,14 @@ class TaskQueue:
                 yield task, "pending"
             else:
                 yield task, task.state
+
+    def parked(self) -> dict[str, int]:
+        """Read-only view for telemetry: workers parked in :meth:`wait`
+        right now, per task type."""
+        parked: dict[str, int] = {}
+        for (type, _site), waiters in self._waiters.items():
+            parked[type] = parked.get(type, 0) + len(waiters)
+        return parked
 
     def counts(self) -> dict[str, int]:
         """Per-state task counts (lease expiry applied first)."""
@@ -344,6 +400,7 @@ class TaskQueueService:
             server.register(
                 f"task.{op}", getattr(self, f"_op_{op}"), replay=self.replay
             )
+        server.register("task.wait", self._op_wait)
         server.register("task.counts", self._op_counts)
         if metrics is not None:
             metrics.add_collector(self._collect)
@@ -377,6 +434,11 @@ class TaskQueueService:
         registry.gauge("workload.queue.stale_ops").set(
             self.queue.stats.stale_ops
         )
+        # a type nobody is parked at any more reads 0, not its last value
+        for child in registry.children("workload.queue.parked"):
+            child.set(0)
+        for type, workers in sorted(self.queue.parked().items()):
+            registry.gauge("workload.queue.parked", type=type).set(workers)
 
     # -- handlers ---------------------------------------------------------
     def _op_submit(self, request: ServiceRequest):
@@ -412,6 +474,12 @@ class TaskQueueService:
                     "claim_age", task.type, now - task.submitted_at
                 )
         return [task.public() for task in tasks]
+
+    def _op_wait(self, request: ServiceRequest):
+        """A read, outside the replay window: it carries no ``txn`` and
+        a re-issued wait is just a second look."""
+        p = request.payload
+        return self.queue.wait(p["type"], p["site"], p["wait"])
 
     def _op_renew(self, request: ServiceRequest):
         p = request.payload
@@ -492,6 +560,19 @@ class TaskQueueProxy(RequestProxy):
                 "limit": limit, "lease": lease,
             },
             n_items=limit,
+        )
+
+    def wait(self, type: str, site: str, wait: float) -> Process:
+        """Park at the queue until the lane has work (True) or ``wait``
+        seconds have passed (False).  The client's default timeout
+        budgets a round trip; the park comes on top of it, so a wait
+        that runs its full length is answered before its caller gives
+        up on it."""
+        default = self.client.default_timeout
+        return self._rpc(
+            self.server_host, "task.wait",
+            {"type": type, "site": site, "wait": wait},
+            timeout=None if default is None else default + wait,
         )
 
     def renew(self, task_id: int, claim_token: int,

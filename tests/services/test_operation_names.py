@@ -32,6 +32,7 @@ PLAIN_SITE = {
 TASK_QUEUE = {
     "task.submit", "task.submit_bulk", "task.claim", "task.renew",
     "task.complete", "task.complete_bulk", "task.fail", "task.counts",
+    "task.wait",
 }
 #: the catalog host also carries the index and the pipeline's queue
 INDEX_HOST = PLAIN_SITE | TASK_QUEUE | {

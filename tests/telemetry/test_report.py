@@ -56,6 +56,32 @@ def test_open_spans_warned():
     assert "hung" in text
 
 
+def test_parked_workers_are_counted_not_warned_about(capsys):
+    from repro.experiments.common import export_telemetry
+
+    sim = Simulator()
+    log = TraceLog(sim)
+    # one parked worker is one open call, seen from both ends
+    for host in ("anl", "anl", "caltech"):
+        log.begin("gdmp:task.wait", kind="client", host=host, service="gdmp")
+        log.begin("gdmp:task.wait", kind="server", host="cern", service="gdmp")
+    text = render_health_report(None, log)
+    assert ("3 workers parked at their queue, waiting for work "
+            "(task.wait): anl x2, caltech x1") in text
+    assert "WARNING" not in text
+    export_telemetry(None, log)
+    assert capsys.readouterr().out == ""
+    # abandoned work is still warned about, and only it is listed
+    log.begin("gdmp:task.claim", kind="client", host="anl", service="gdmp")
+    text = render_health_report(None, log)
+    assert "3 workers parked" in text
+    assert "WARNING: 1 spans still in progress" in text
+    assert "task.wait" not in text.split("WARNING")[1]
+    export_telemetry(None, log)
+    assert "warning: 1 trace spans still in progress" \
+        in capsys.readouterr().out
+
+
 def test_report_is_deterministic():
     def build():
         registry = MetricsRegistry()

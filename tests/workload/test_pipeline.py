@@ -3,11 +3,15 @@
 import pytest
 
 from repro.experiments import workload as wl
+from repro.experiments.scaffold import counter_total
+from repro.faults import FaultInjector
+from repro.faults.campaign import FaultCampaign, FaultEvent
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import MB
 from repro.services.resilience import ResilienceConfig
 from repro.simulation.randomness import RandomStreams
 from repro.workload import ArrivalProfile, WorkloadEngine
+from repro.workload.components import PipelineComponent
 
 
 def _small_engine(seed=11, total=4000, files=10, **profile_kw):
@@ -108,9 +112,6 @@ def test_backlog_cap_sheds_under_overload():
 
 
 def test_fault_kinds_require_an_attached_engine():
-    from repro.faults import FaultInjector
-    from repro.faults.campaign import FaultCampaign, FaultEvent
-
     grid = DataGrid([GdmpConfig("cern"), GdmpConfig("anl")])
     campaign = FaultCampaign(
         "orphan", (FaultEvent(1.0, "component_crash", "picker@anl"),)
@@ -119,6 +120,131 @@ def test_fault_kinds_require_an_attached_engine():
     proc = injector.start()
     with pytest.raises(Exception, match="no workload engine"):
         grid.run(until=proc)
+
+
+# -- idle workers wait at the queue; nobody asks on a timer -------------------
+
+def _requests(grid, operation):
+    return counter_total(grid, "rpc.requests", operation=operation)
+
+
+class _Stamp(PipelineComponent):
+    """A one-second stage on a lane of its own."""
+
+    NAME = TYPE = "stamp"
+
+    def work(self, task):
+        yield self.sim.timeout(1.0)
+        return task["payload"]
+
+
+def test_two_workers_on_one_lane_both_wake_and_the_loser_waits_again():
+    grid, engine = _small_engine()
+    first, second = (
+        _Stamp(grid.sim, engine.proxies["anl"], grid.site("anl"))
+        for _ in range(2)
+    )
+    second.worker = "stamp-2@anl"
+    first.start()
+    second.start()
+    started = grid.sim.now
+    grid.run(until=started + 5.0)
+    assert engine.queue.parked() == {"stamp": 2}
+    engine.queue.submit("stamp", "anl", {"n": 1})
+    grid.run(until=started + 15.0)
+    # woken in arrival order: the first to park wins, the other's claim
+    # comes back empty and it parks again — ahead of the winner now
+    assert (first.claimed, second.claimed) == (1, 0)
+    assert engine.queue.parked() == {"stamp": 2}
+    engine.queue.submit("stamp", "anl", {"n": 2})
+    grid.run(until=started + 25.0)
+    assert (first.completed, second.completed) == (1, 1)
+    assert engine.queue.parked() == {"stamp": 2}
+    # no lost wake-up and no spin: two asks to start with, then per task
+    # a claim each, the winner's next (empty) claim, and a wait each
+    # (the two waits they are parked in now are not answered yet)
+    assert _requests(grid, "task.claim") == 2 + 2 * 3
+    assert _requests(grid, "task.wait") == 2 * 2
+    assert first.errors == second.errors == 0
+
+
+def test_a_fault_free_idle_minute_times_nothing_out():
+    # rpc_timeout 30 s, lease 60 s: every wait runs its full 30 s
+    grid, engine = _small_engine()
+    for name in sorted(engine.components):
+        engine.components[name].start()
+    grid.run(until=grid.sim.now + 100.0)
+    workers = len(engine.components)
+    assert _requests(grid, "task.claim") == workers     # asked once each
+    assert 3 * workers <= _requests(grid, "task.wait") <= 4 * workers
+    for operation in ("task.claim", "task.wait"):
+        assert counter_total(grid, "rpc.retries", operation=operation) == 0
+        assert counter_total(
+            grid, "rpc.deadline_sheds", operation=operation
+        ) == 0
+    for site in grid.sites.values():
+        assert site.request_client.stats["call_timeouts"] == 0
+        assert site.request_client.stats["call_failures"] == 0
+    assert all(c.errors == 0 for c in engine.components.values())
+
+
+def test_a_worker_crashed_while_parked_burns_no_lease():
+    grid, engine = _small_engine(files=1)
+    [lfn] = engine.arrivals.lfns
+    grid.run(until=grid.site("anl").client.replicate_set([lfn]))
+    verifier = engine.components["verifier@anl"]
+    verifier.start()
+    grid.run(until=grid.sim.now + 2.0)
+    assert verifier.running() and engine.queue.parked() == {"verify": 1}
+    assert verifier.crash()
+    grid.run(until=grid.sim.now + 1.0)
+    tid = engine.queue.submit("verify", "anl", {"lfn": lfn})
+    task = engine.queue.tasks[tid]
+    grid.run(until=grid.sim.now + 20.0)        # the down window
+    # the dead worker's wait was answered, to nobody: it handed out nothing
+    assert engine.queue.parked() == {}
+    assert (task.state, task.attempts) == ("pending", 0)
+    restarted = grid.sim.now
+    verifier.start()
+    grid.run(until=restarted + 2.0)
+    assert (task.state, task.attempts) == ("done", 1)
+    assert task.first_claimed_at > restarted
+    assert engine.queue.stats.expired_leases == 0
+
+
+def test_workers_parked_across_a_queue_host_crash_claim_again_after_it():
+    """The parked waits are reset with the host, retried out, and each
+    worker backs off ``poll`` and claims again.  One worker per site, so
+    that the site's circuit breaker (five failures) stays out of it."""
+    grid, engine = _small_engine()
+    pickers = [
+        engine.components[f"picker@{name}"] for name in ("anl", "caltech")
+    ]
+    for picker in pickers:
+        picker.start()
+    injector = FaultInjector(grid, FaultCampaign("queue-host", (
+        FaultEvent(5.0, "host_crash", "cern"),
+        FaultEvent(11.0, "host_restart", "cern"),
+    )))
+    grid.run(until=injector.start())
+    restarted = grid.sim.now
+    assert [picker.errors for picker in pickers] == [1, 1]
+    grid.run(until=restarted + pickers[0].poll + 0.5)
+    for picker in pickers:
+        [claim] = [
+            span for span in grid.tracelog.spans(
+                name="gdmp:task.claim", kind="client"
+            )
+            if span.host == picker.site.name and span.start > restarted
+        ]
+        assert claim.status == "ok"
+    # ... and parked again: work for them now is done a round trip later
+    for picker in pickers:
+        engine.queue.submit("pick", picker.site.name, {"demand": {}})
+    grid.run(until=grid.sim.now + 1.0)
+    assert engine.queue.counts()["done"] == 2
+    assert engine.queue.leaked_claims() == []
+    assert [picker.errors for picker in pickers] == [1, 1]
 
 
 # -- the verifier audits its batch in two envelopes ---------------------------

@@ -13,9 +13,10 @@ checks, per leg:
   experiment extras + full Prometheus export) are byte-identical;
 * the suite's own assertions, declared beside its params below.
 
-Then the named checks in ``CHECKS``: four budgets that fail here in
+Then the named checks in ``CHECKS``: five budgets that fail here in
 seconds instead of in a benchmark in minutes (``publish_path``,
-``transfer_set_path``, ``warm_channels``, ``event_budget``); two
+``transfer_set_path``, ``warm_channels``, ``event_budget``,
+``claim_budget``); two
 scenarios run twice in this process and diffed part by part
 (``back_to_back``: ids, names and counts must restart with the
 simulator; ``exporters``: shape and determinism of the trace and metrics
@@ -386,6 +387,47 @@ def check_event_budget() -> list[str]:
     return []
 
 
+#: ``task.claim`` + ``task.wait`` requests per queue task on the
+#: fault-free workload scenario, plus 10 %: (62 + 24) / 206 = 0.42 since
+#: ISSUE 22 made idle workers wait at the queue (140 / 206 = 0.68 when
+#: they polled it every 5 s).  Lower it when a PR lowers the count
+ASKS_PER_TASK = 0.46
+
+
+def check_claim_budget() -> list[str]:
+    """What finding work costs the bus: the fault-free leg of the
+    ``workload`` suite, counted in requests that ask the queue for work
+    (claims, and the waits idle workers park in) per task it held, with
+    at least half the claims handing out work and not one of either
+    timed out, retried or shed."""
+    grid, engine = workload.build(seed=SEED, **SUITES["workload"].params)
+    engine.start()
+    grid.run(until=engine.done)
+    asking = ("task.claim", "task.wait")
+    claims, waits = (
+        counter_total(grid, "rpc.requests", operation=op) for op in asking
+    )
+    per_task = (claims + waits) / len(engine.queue.tasks)
+    useful = engine.queue.stats.claims / claims
+    lost = sum(
+        counter_total(grid, name, operation=op)
+        for name in ("rpc.retries", "rpc.deadline_sheds") for op in asking
+    ) + sum(
+        site.request_client.stats["call_timeouts"]
+        for site in grid.sites.values()
+    )
+    report = (
+        f"claim budget: {claims:.0f} claims + {waits:.0f} waits for "
+        f"{len(engine.queue.tasks)} queue tasks, {per_task:.2f} each "
+        f"(budget {ASKS_PER_TASK}), {useful:.2f} of the claims useful "
+        f"(floor 0.5), {lost:.0f} timed out, retried or shed"
+    )
+    if per_task > ASKS_PER_TASK or useful < 0.5 or lost:
+        return [report]
+    print(f"  {report}")
+    return []
+
+
 def run_twice(label: str, scenario: Callable[[], dict], *shape_checks) -> list[str]:
     """Run ``scenario`` twice in this process and diff the runs part by
     part (a problem quotes the first differing lines), then ask each of
@@ -571,6 +613,7 @@ CHECKS = {
     "transfer_set_path": check_transfer_set_path,
     "warm_channels": check_warm_channels,
     "event_budget": check_event_budget,
+    "claim_budget": check_claim_budget,
     # global-state leaks: everything a run names or counts
     "back_to_back": lambda: run_twice("back to back", back_to_back_scenario),
     # the trace and metrics exports: deterministic and well formed
