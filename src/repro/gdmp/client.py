@@ -594,10 +594,13 @@ class GdmpClient:
         the end.  A file at its turn is one ``RETR``.
 
         Files still move one at a time, in input order (a set does not
-        share its tail link with itself); if one fails, the replicas
-        fetched so far are still registered before the error propagates
-        (no replica is left invisible to the grid).  Returns the list of
-        :class:`ReplicationReport` in input order.
+        share its tail link with itself).  Sets no longer do: a site's
+        :class:`~repro.workload.components.Replicator` runs several at
+        once, as many as fill its inbound pipe, and each is this call,
+        unchanged, with its own sessions and pins.  If a file fails,
+        the replicas fetched so far are still registered before the error
+        propagates (no replica is left invisible to the grid).  Returns
+        the list of :class:`ReplicationReport` in input order.
 
         ``skip_held`` makes the call re-entrant after an interruption:
         files already held locally are not transferred again, but still

@@ -25,14 +25,15 @@ never opt in rank bit-identically to the pre-observatory selector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.netsim.tools import ping, pipechar
 from repro.netsim.topology import RouteError, Topology
 
-__all__ = ["ReplicaScore", "choose_replica", "estimate_transfer_time",
-           "rank_replicas"]
+__all__ = ["PipeWidth", "ReplicaScore", "choose_replica",
+           "estimate_transfer_time", "pipe_width", "rank_replicas"]
 
 #: Control-channel overhead charged per transfer (connect + auth + commands).
 SETUP_ROUND_TRIPS = 5
@@ -109,6 +110,57 @@ def estimate_transfer_time(
         basis="history",
         confidence=confidence,
         predicted_throughput=forecast.throughput,
+    )
+
+
+@dataclass(frozen=True)
+class PipeWidth:
+    """How many of a site's transfers fill its inbound pipe, and why."""
+
+    width: int = 1
+    #: where the best-paced file came from ("" before the first report)
+    source: str = ""
+    #: bytes/s: the best whole-file pace one of the site's own transfers
+    #: achieved, control round trips included
+    pace: float = 0.0
+    #: bytes/s: ``pipechar(source -> here)`` when the width was derived
+    bandwidth: float = 0.0
+
+
+def pipe_width(
+    topology: Topology,
+    dst: str,
+    reports: Iterable,
+    previous: PipeWidth = PipeWidth(),
+) -> PipeWidth:
+    """How many transfers at the best pace seen so far it takes to fill
+    the pipe they come in over: ``ceil(probed bandwidth / pace)``, never
+    below 1.
+
+    ``reports`` are the :class:`~repro.gdmp.client.ReplicationReport` list
+    of one completed transfer set at ``dst``; a file's pace is its
+    ``throughput`` (size over *total* duration, so the control gaps a
+    second transfer would fill count against it).  The *best* file is
+    the one that met no fault and shared the pipe least — a set's mean
+    reads a link flap as a wide pipe — and the bandwidth is the
+    selector's own probe of the path, not our share of it.  With no
+    report yet, or a best source that cannot be routed, ``previous``
+    stands: a site starts at one solo set, whose reports are by
+    construction the uncontended sample.
+    """
+    source, pace = previous.source, previous.pace
+    for report in reports:
+        if report.throughput > pace:
+            source, pace = report.source, report.throughput
+    if not source:
+        return previous
+    try:
+        bandwidth = pipechar(topology, source, dst).available_bandwidth
+    except RouteError:
+        return previous
+    return PipeWidth(
+        width=max(1, math.ceil(bandwidth / pace)),
+        source=source, pace=pace, bandwidth=bandwidth,
     )
 
 

@@ -15,6 +15,10 @@ that monitoring.  Given a grid's :class:`MetricsRegistry` and
   gauges — predicted throughput, samples, failures, staleness,
   confidence, congestion — plus the top-N most-congested pairs (the
   paths an operator should reroute around);
+* a "sets in flight" line per Replicator when a workload engine is
+  attached: the width of the site's pipe as the ratio it was derived
+  from — probed bandwidth over the best pace one of its own files
+  achieved — with the most sets it ever ran at once;
 * a per-host span summary (how much traced work each host did, and how
   much of it failed);
 * the top-N slowest finished spans — where the simulated time went;
@@ -87,6 +91,12 @@ _SCRUB_FAMILIES = frozenset({
     "chunks.repair",
     "chunks.repair_backlog",
 })
+
+
+#: the per-site gauges of each Replicator's width decision
+#: (:func:`repro.gdmp.replica_selection.pipe_width`), joined into one
+#: line per site in the sets-in-flight section
+_REPLICATOR_PREFIX = "workload.replicator."
 
 
 #: the operation an idle worker parks in until its lane has work
@@ -197,6 +207,42 @@ def _chunks_section(registry: MetricsRegistry) -> list[str]:
     return lines
 
 
+def _replicator_section(registry: MetricsRegistry) -> list[str]:
+    """Why each site runs as many transfer sets at once as it does: the
+    width, the probed bandwidth and best pace it is the ratio of, and the
+    most sets the site ever had in flight."""
+
+    def value(name: str, **labels) -> float:
+        return registry.value(_REPLICATOR_PREFIX + name, **labels)
+
+    # site -> the source its best pace came from (a source it moved away
+    # from reads 0)
+    paced = {
+        dict(child.labels)["site"]: dict(child.labels)["source"]
+        for child in registry.children(_REPLICATOR_PREFIX + "pace")
+        if child.value
+    }
+    lines = []
+    for child in registry.children(_REPLICATOR_PREFIX + "width"):
+        site = dict(child.labels)["site"]
+        why = " (no set has reported yet)"
+        if site in paced:
+            via = dict(site=site, source=paced[site])
+            why = (
+                f" = ceil({value('bandwidth', **via) / 1e6:.2f} MB/s from "
+                f"{paced[site]} / {value('pace', **via) / 1e6:.2f} MB/s "
+                "best pace)"
+            )
+        lines.append(
+            f"{site}: width {_fmt(child.value)}{why}, "
+            f"peak {_fmt(value('peak_sets', site=site))} sets "
+            f"({_fmt(value('sets_in_flight', site=site))} in flight)"
+        )
+    if lines:
+        lines[:0] = ["", "-- sets in flight: the width of each site's pipe --"]
+    return lines
+
+
 def render_health_report(
     registry: Optional[MetricsRegistry],
     tracelog: Optional[TraceLog] = None,
@@ -222,6 +268,8 @@ def render_health_report(
                 continue  # joined into the grid-weather table below
             if name in _SCRUB_FAMILIES:
                 continue  # rendered in the scrub/repair section below
+            if name.startswith(_REPLICATOR_PREFIX):
+                continue  # joined into the sets-in-flight lines below
             kind = registry.kind(name)
             subsystem = name.split(".", 1)[0]
             for child in registry.children(name):
@@ -240,6 +288,7 @@ def render_health_report(
             )
         lines.extend(_weather_section(registry, top_n))
         lines.extend(_chunks_section(registry))
+        lines.extend(_replicator_section(registry))
 
     if tracelog is not None and len(tracelog):
         finished = [s for s in tracelog.spans() if s.end is not None]

@@ -7,7 +7,11 @@ its lane is empty: nobody asks on a timer.  The one-shot replication path is
 now a *stage* of this pipeline: the replicator drives
 ``GdmpClient.replicate_set`` (ranked-replica failover, batched catalog
 traffic) exactly as an interactive caller would, but under a claim lease
-with heartbeat renewal.
+with heartbeat renewal — and not one set at a time: a site's one
+replicator keeps as many bundles in flight, each a process with a lease
+and a heartbeat of its own, as it takes to fill the site's inbound pipe
+(§6's parallel streams, one level up; the width is derived, see
+:class:`Replicator`).
 
 Task flow (all tasks carry the destination site):
 
@@ -19,7 +23,8 @@ Task flow (all tasks carry the destination site):
 ``xfer``    one file owed at one site.  The bundler claims several and
             packs them into a campaign.
 ``bundle``  a transfer campaign (list of lfns).  The replicator runs it
-            through ``replicate_set(skip_held=True)`` and submits keyed
+            through ``replicate_set(skip_held=True)``, beside as many
+            others as its pipe has room for, and submits keyed
             ``verify`` tasks for the outcome.
 ``verify``  one replica to audit: bytes on disk, CRC and size against
             the catalog, location registered.  Keyed per (lfn, site), so
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.gdmp.replica_selection import PipeWidth, pipe_width
 from repro.gdmp.request_manager import GdmpError
 from repro.services.bus import ServiceError
 from repro.simulation.kernel import Interrupt, Process
@@ -118,6 +124,14 @@ class PipelineComponent:
         self.process.interrupt("component-crash")
         self.crashes += 1
         return True
+
+    def fingerprint(self) -> str:
+        """This component's line of the engine's determinism fingerprint."""
+        return (
+            f"component {self.name} claimed={self.claimed} "
+            f"completed={self.completed} failed={self.failed_tasks} "
+            f"errors={self.errors} crashes={self.crashes}"
+        )
 
     def _count(self, event: str) -> None:
         if self.metrics is not None:
@@ -273,11 +287,108 @@ class Replicator(PipelineComponent):
     Runs ``replicate_set(skip_held=True)`` under a heartbeat that renews
     the claim lease at half-life while transfers are in flight, then
     submits one keyed ``verify`` task per file.
+
+    A claimed bundle runs as a process of its own, and the loop claims
+    again while fewer than ``pipe.width`` of them are alive: §6's
+    parallel streams, one level up — as many sets in flight as fill the
+    inbound pipe.  The width is worked out, not set
+    (:func:`~repro.gdmp.replica_selection.pipe_width`): the first set
+    runs alone, and its reports say how much of the pipe one transfer
+    leaves empty.
     """
 
     NAME = "replicator"
     TYPE = "bundle"
     BATCH = 1
+
+    def __init__(self, sim, proxy, site, **kwargs):
+        super().__init__(sim, proxy, site, **kwargs)
+        self.pipe = PipeWidth()
+        self.peak_width = 1
+        self.peak_sets = 0
+        #: the sets in flight, oldest first, each with the files it moves
+        self._sets: dict[Process, frozenset] = {}
+        if self.metrics is not None:
+            self.metrics.add_collector(self._collect)
+
+    def start(self) -> Process:
+        """A restarted replicator remembers nothing: one solo set first."""
+        self.pipe = PipeWidth()
+        self._sets = {}
+        return super().start()
+
+    def crash(self) -> bool:
+        """The sets in flight die with the loop; each one's
+        ``replicate_set`` runs on, orphaned, beside the re-run its
+        expired lease brings."""
+        if not super().crash():
+            return False
+        for running in self._sets:
+            if running.is_alive:
+                running.interrupt("component-crash")
+        return True
+
+    def sets_in_flight(self) -> int:
+        """Transfer sets this replicator is running right now."""
+        return sum(running.is_alive for running in self._sets)
+
+    def fingerprint(self) -> str:
+        return (
+            f"{super().fingerprint()} width={self.pipe.width} "
+            f"peak_sets={self.peak_sets}"
+        )
+
+    def _collect(self, registry) -> None:
+        """Scrape the governor into gauges at export time: what it
+        decided, and from which two numbers."""
+        site, pipe = self.site.name, self.pipe
+        for name, value in (
+            ("width", pipe.width),
+            ("sets_in_flight", self.sets_in_flight()),
+            ("peak_sets", self.peak_sets),
+        ):
+            registry.gauge(f"workload.replicator.{name}", site=site).set(value)
+        for name in ("pace", "bandwidth"):
+            family = f"workload.replicator.{name}"
+            # the best pace may have moved to a file from another source:
+            # the one it left reads 0, not its last value
+            for child in registry.children(family):
+                if ("site", site) in child.labels:
+                    child.set(0)
+            if pipe.source:
+                registry.gauge(family, site=site, source=pipe.source).set(
+                    getattr(pipe, name)
+                )
+
+    def _price(self, reports=()) -> None:
+        """Work the width out again: from a finished set's reports, and
+        from a fresh probe each time the loop decides whether to claim."""
+        self.pipe = pipe_width(
+            self.site.client.topology, self.site.name, reports, self.pipe
+        )
+        self.peak_width = max(self.peak_width, self.pipe.width)
+
+    def _handle(self, tasks: list[dict]):
+        for task in tasks:
+            running = self.sim.spawn(
+                self._run_set(task), name=f"workload-{self.name}-set"
+            )
+            self._sets[running] = frozenset(task["payload"]["lfns"])
+        self.peak_sets = max(self.peak_sets, self.sets_in_flight())
+        while True:
+            for ended in [s for s in self._sets if not s.is_alive]:
+                del self._sets[ended]
+                ended.value         # a bug in a set is the loop's bug
+            self._price()
+            if len(self._sets) < self.pipe.width:
+                return
+            yield self.sim.any_of(list(self._sets))
+
+    def _run_set(self, task: dict):
+        try:
+            yield from super()._handle([task])
+        except Interrupt:
+            return  # crashed with the loop: the lease runs out
 
     def work(self, task: dict):
         lfns = task["payload"]["lfns"]
@@ -285,12 +396,23 @@ class Replicator(PipelineComponent):
             self._heartbeat(task), name=f"workload-{self.name}-heartbeat"
         )
         try:
+            # a bundle made twice (its Bundler crashed between ``submit``
+            # and ``complete_bulk``) can be claimed beside its twin, and a
+            # file moves once at a time per site: failing on that until
+            # the twin is done burns every attempt in seconds.  Let the
+            # earlier set finish, then find its files held
+            for earlier, files in list(self._sets.items()):
+                if earlier is self.sim.active_process:
+                    break
+                if earlier.is_alive and not files.isdisjoint(lfns):
+                    yield earlier
             reports = yield self.site.client.replicate_set(
                 lfns, skip_held=True
             )
         finally:
             if heartbeat.is_alive:
                 heartbeat.interrupt("work-finished")
+        self._price(reports)
         yield self.proxy.submit_bulk([
             {
                 "type": "verify",
@@ -307,12 +429,18 @@ class Replicator(PipelineComponent):
             while True:
                 yield self.sim.timeout(self.lease / 2.0)
                 try:
-                    yield self.proxy.renew(
+                    deadline = yield self.proxy.renew(
                         task["task_id"], task["claim_token"],
                         lease=self.lease,
                     )
                 except ServiceError:
                     self.errors += 1
+                    continue
+                if deadline is None:
+                    # the lease ran out, and may be somebody else's by
+                    # now: there is nothing left to renew
+                    self._count("lease_lost")
+                    return
         except Interrupt:
             return
 

@@ -11,7 +11,9 @@ existing :class:`~repro.gdmp.grid.DataGrid`:
 * every destination site runs one picker, bundler, replicator and
   verifier, each claiming over that site's request client — so claim
   traffic, lease renewals and completions ride the same WAN links,
-  retry middleware and circuit breakers as the catalog traffic;
+  retry middleware and circuit breakers as the catalog traffic (one
+  replicator is not one transfer set at a time: it overlaps as many
+  as fill the site's inbound pipe);
 * one :class:`~repro.workload.arrivals.ArrivalGenerator` feeds the
   queue through fair-share admission and the token bucket.
 
@@ -151,13 +153,10 @@ class WorkloadEngine:
         lines.append(
             f"bucket granted={bucket.granted} refused={bucket.refused}"
         )
-        for name in sorted(self.components):
-            c = self.components[name]
-            lines.append(
-                f"component {name} claimed={c.claimed} "
-                f"completed={c.completed} failed={c.failed_tasks} "
-                f"errors={c.errors} crashes={c.crashes}"
-            )
+        lines.extend(
+            self.components[name].fingerprint()
+            for name in sorted(self.components)
+        )
         return "\n".join(lines)
 
     def summary(self) -> dict:

@@ -1,10 +1,14 @@
 """Tests for cost-function replica selection ([VTF01] future work)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.gdmp import DataGrid, GdmpConfig, choose_replica
 from repro.gdmp.replica_selection import (
+    PipeWidth,
     estimate_transfer_time,
+    pipe_width,
     rank_replicas,
 )
 from repro.netsim.link import Link
@@ -181,3 +185,69 @@ def test_replication_uses_nearest_source_in_grid():
     grid.run(until=cern.client.produce_and_publish("sel.db", 2 * MB))
     report = grid.run(until=grid.site("caltech").client.replicate("sel.db"))
     assert report.source == "cern"
+
+
+# -- the width of a site's pipe -----------------------------------------------
+
+def _paced(source, pace):
+    """All of a ReplicationReport that the width reads."""
+    return SimpleNamespace(source=source, throughput=pace)
+
+
+def test_no_report_means_one_solo_set(uneven_topology):
+    assert pipe_width(uneven_topology, "dst", []) == PipeWidth()
+    assert PipeWidth().width == 1
+    # a set that skipped every file (all held) reports nothing either
+    known = PipeWidth(width=3, source="far", pace=1.2 * MB, bandwidth=mbps(25))
+    assert pipe_width(uneven_topology, "dst", [], known) == known
+
+
+def test_width_is_the_ceiling_of_probed_bandwidth_over_best_pace(
+    uneven_topology,
+):
+    # far -> dst: 45 - 20 Mbit/s of cross-traffic = 3.125 MB/s to fill
+    pipe = pipe_width(uneven_topology, "dst", [
+        _paced("far", 0.7 * MB), _paced("far", 1.0 * MB), _paced("far", 0.2 * MB),
+    ])
+    assert pipe == PipeWidth(
+        width=4, source="far", pace=1.0 * MB, bandwidth=mbps(25)
+    )
+    # an exact multiple is not rounded up past itself
+    assert pipe_width(
+        uneven_topology, "dst", [_paced("far", mbps(25) / 2)]
+    ).width == 2
+    # the pipe priced is the one the best file came in over
+    assert pipe_width(
+        uneven_topology, "dst", [_paced("far", 1.0 * MB), _paced("near", 5.0 * MB)]
+    ) == PipeWidth(width=3, source="near", pace=5.0 * MB, bandwidth=mbps(100))
+
+
+def test_width_never_reads_below_one(uneven_topology):
+    # one stream already outruns the probe (a quiet moment of cross-traffic)
+    assert pipe_width(
+        uneven_topology, "dst", [_paced("far", 10.0 * MB)]
+    ).width == 1
+
+
+def test_the_best_pace_is_kept_across_sets(uneven_topology):
+    first = pipe_width(uneven_topology, "dst", [_paced("far", 2.0 * MB)])
+    assert first.width == 2
+    # later sets share the pipe with each other: slower files change nothing
+    assert pipe_width(
+        uneven_topology, "dst", [_paced("far", 1.1 * MB)], first
+    ) == first
+    # a better one narrows it
+    assert pipe_width(
+        uneven_topology, "dst", [_paced("far", 3.2 * MB)], first
+    ).width == 1
+
+
+def test_unroutable_best_source_leaves_the_previous_width(uneven_topology):
+    uneven_topology.add_host(Host("island"))
+    first = pipe_width(uneven_topology, "dst", [_paced("far", 1.0 * MB)])
+    assert pipe_width(
+        uneven_topology, "dst", [_paced("island", 9.0 * MB)], first
+    ) == first
+    assert pipe_width(
+        uneven_topology, "dst", [_paced("island", 9.0 * MB)]
+    ) == PipeWidth()

@@ -82,6 +82,34 @@ def test_parked_workers_are_counted_not_warned_about(capsys):
         in capsys.readouterr().out
 
 
+def test_each_replicators_width_reads_as_the_ratio_it_came_from():
+    registry = MetricsRegistry()
+
+    def gauge(name, value, **labels):
+        registry.gauge(f"workload.replicator.{name}", **labels).set(value)
+
+    for name, value in (("width", 2), ("peak_sets", 2), ("sets_in_flight", 1)):
+        gauge(name, value, site="t2-1a")
+    gauge("bandwidth", 5.0e6, site="t2-1a", source="t0-cern")
+    gauge("pace", 3.57e6, site="t2-1a", source="t0-cern")
+    # the source its best pace moved away from reads 0
+    gauge("bandwidth", 0, site="t2-1a", source="t1-1")
+    gauge("pace", 0, site="t2-1a", source="t1-1")
+    for name, value in (("width", 1), ("peak_sets", 0), ("sets_in_flight", 0)):
+        gauge(name, value, site="t1-0")
+    text = render_health_report(registry)
+    assert (
+        "t2-1a: width 2 = ceil(5.00 MB/s from t0-cern / 3.57 MB/s best "
+        "pace), peak 2 sets (1 in flight)"
+    ) in text
+    assert (
+        "t1-0: width 1 (no set has reported yet), peak 0 sets (0 in flight)"
+    ) in text
+    # joined into those lines, not tabulated a gauge a row
+    assert "workload.replicator" not in text
+    assert "sets in flight" not in render_health_report(MetricsRegistry())
+
+
 def test_report_is_deterministic():
     def build():
         registry = MetricsRegistry()

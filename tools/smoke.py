@@ -13,10 +13,10 @@ checks, per leg:
   experiment extras + full Prometheus export) are byte-identical;
 * the suite's own assertions, declared beside its params below.
 
-Then the named checks in ``CHECKS``: five budgets that fail here in
+Then the named checks in ``CHECKS``: six budgets that fail here in
 seconds instead of in a benchmark in minutes (``publish_path``,
 ``transfer_set_path``, ``warm_channels``, ``event_budget``,
-``claim_budget``); two
+``claim_budget``, ``pipe_fill``); two
 scenarios run twice in this process and diffed part by part
 (``back_to_back``: ids, names and counts must restart with the
 simulator; ``exporters``: shape and determinism of the trace and metrics
@@ -49,6 +49,7 @@ from repro.netsim.units import MB
 from repro.objectrep.index_service import IndexService
 from repro.rls import DigestConfig, RlsConfig
 from repro.telemetry import to_chrome_trace_json, to_prometheus_text
+from repro.workload.components import Replicator
 from repro.workload.production import ProductionRun
 
 SEED = 2001
@@ -428,6 +429,63 @@ def check_claim_budget() -> list[str]:
     return []
 
 
+#: TCP retransmits per delivered MB on the fault-free workload scenario,
+#: plus 10 %: 71 / 192 = 0.37 with two sets sharing each 25 Mbit/s pipe
+#: (5 / 192 = 0.03 when a site ran one set at a time).  Over-admission —
+#: a width past "full" — shows here first (ROADMAP 2(b))
+RETRANSMITS_PER_MB = 0.41
+#: sim-seconds for the same scenario to converge: 50.0 measured, 70.0
+#: when a site ran one set at a time
+CONVERGE_WITHIN = 55.0
+
+
+def check_pipe_fill() -> list[str]:
+    """Every site keeps its inbound pipe full and no fuller: on the
+    fault-free leg of the ``workload`` suite each Replicator had at least
+    two sets in flight at once and never more than the largest width it
+    derived, the links paid for it within the retransmit budget, and the
+    run converged in the time overlapping buys."""
+    grid, engine = workload.build(seed=SEED, **SUITES["workload"].params)
+    started = grid.sim.now
+    engine.start()
+    grid.run(until=engine.done)
+    took = grid.sim.now - started
+    replicators = [
+        component for _, component in sorted(engine.components.items())
+        if isinstance(component, Replicator)
+    ]
+    per_mb = counter_total(grid, "netsim.tcp.retransmits") / (
+        counter_total(grid, "netsim.bytes_delivered") / MB
+    )
+    problems = [
+        f"pipe fill: {r.name} had at most {r.peak_sets} set(s) in flight "
+        f"(want 2 ... {r.peak_width}, the largest width it derived)"
+        for r in replicators if not 2 <= r.peak_sets <= r.peak_width
+    ]
+    if per_mb > RETRANSMITS_PER_MB:
+        problems.append(
+            f"pipe fill: {per_mb:.2f} retransmits per delivered MB "
+            f"(budget {RETRANSMITS_PER_MB}): the pipes are over-admitted"
+        )
+    if took > CONVERGE_WITHIN:
+        problems.append(
+            f"pipe fill: converged in {took:.1f} sim-s "
+            f"(budget {CONVERGE_WITHIN})"
+        )
+    if not problems:
+        print(
+            "  pipe fill: "
+            + ", ".join(
+                f"{r.site.name} width {r.pipe.width} peak {r.peak_sets}"
+                for r in replicators
+            )
+            + f"; {per_mb:.2f} retransmits per MB (budget "
+            f"{RETRANSMITS_PER_MB}), converged in {took:.1f} sim-s "
+            f"(budget {CONVERGE_WITHIN})"
+        )
+    return problems
+
+
 def run_twice(label: str, scenario: Callable[[], dict], *shape_checks) -> list[str]:
     """Run ``scenario`` twice in this process and diff the runs part by
     part (a problem quotes the first differing lines), then ask each of
@@ -614,6 +672,7 @@ CHECKS = {
     "warm_channels": check_warm_channels,
     "event_budget": check_event_budget,
     "claim_budget": check_claim_budget,
+    "pipe_fill": check_pipe_fill,
     # global-state leaks: everything a run names or counts
     "back_to_back": lambda: run_twice("back to back", back_to_back_scenario),
     # the trace and metrics exports: deterministic and well formed
