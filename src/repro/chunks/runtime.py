@@ -134,7 +134,6 @@ class ChunkRuntime:
             ))
         planner_site = grid.sites[self.directory_host]
         self.planner = ScrubPlanner(
-            grid.sim,
             ChunkDirectoryProxy(
                 planner_site.request_client, self.directory_host
             ),
@@ -195,7 +194,7 @@ class ChunkRuntime:
             self.start()
 
         def run():
-            submitted = yield self.planner.run_pass()
+            submitted = yield from self.planner.run_pass()
             started = self.grid.sim.now
             while not self.queue_service.queue.terminal():
                 if self.grid.sim.now - started > timeout:

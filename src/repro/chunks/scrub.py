@@ -41,7 +41,6 @@ from repro.chunks.manifest import Manifest, chunk_path
 from repro.chunks.store import ChunkStoreClient, ChunkStoreError
 from repro.gridftp.client import TransferError
 from repro.services.bus import ServiceError
-from repro.simulation.kernel import Process
 from repro.workload.components import PipelineComponent
 
 __all__ = ["ScrubPlanner", "Scrubber", "Repairer",
@@ -92,7 +91,7 @@ class _ProbeMixin:
             try:
                 for chunk_id, crc in checks:
                     try:
-                        remote = yield site.gridftp_client.checksum(
+                        remote = yield from site.gridftp_client.checksum(
                             session, chunk_path(chunk_id)
                         )
                     except TransferError as exc:
@@ -266,11 +265,10 @@ class Repairer(_ProbeMixin, PipelineComponent):
 class ScrubPlanner:
     """Submit one keyed ``scrub`` task per committed object per pass."""
 
-    def __init__(self, sim, directory_proxy, queue_proxy,
+    def __init__(self, directory_proxy, queue_proxy,
                  scrub_sites: list[str], *, metrics=None):
         if not scrub_sites:
             raise ValueError("need at least one scrub site")
-        self.sim = sim
         self.directory_proxy = directory_proxy
         self.queue_proxy = queue_proxy
         self.scrub_sites = sorted(scrub_sites)
@@ -278,7 +276,9 @@ class ScrubPlanner:
         self.cycle = 0
         self.passes = 0
 
-    def _pass(self):
+    def run_pass(self):
+        """Generator: one audit pass, in the driving process; returns how
+        many scrub tasks it submitted."""
         self.cycle += 1
         cycle = self.cycle
         objects = yield self.directory_proxy.list_objects()
@@ -298,7 +298,3 @@ class ScrubPlanner:
         if self.metrics is not None:
             self.metrics.counter("chunks.scrub_passes").inc()
         return len(tasks)
-
-    def run_pass(self) -> Process:
-        """One driven audit pass."""
-        return self.sim.spawn(self._pass(), name="chunk-scrub-pass")

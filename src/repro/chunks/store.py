@@ -153,22 +153,22 @@ class ChunkStoreClient:
         try:
             uploaded = 0.0
             try:
-                yield ftp.put(session, stage.path, remote)
+                yield from ftp.put(session, stage.path, remote)
                 uploaded = size
             except TransferError as exc:
                 if exc.reply is None or exc.reply.code != 553:
                     raise ChunkStoreError(
                         f"upload of {chunk_id} failed: {exc}"
                     ) from exc
-            remote_crc = yield ftp.checksum(session, remote)
+            remote_crc = yield from ftp.checksum(session, remote)
             if remote_crc != expected:
                 # losing half of the 553 race against a *corrupt* replica
                 # (or our own STOR raced a fault): evict and re-place
-                yield ftp.delete(session, remote)
+                yield from ftp.delete(session, remote)
                 self._count("evicted_bad_replica")
-                yield ftp.put(session, stage.path, remote)
+                yield from ftp.put(session, stage.path, remote)
                 uploaded += size
-                remote_crc = yield ftp.checksum(session, remote)
+                remote_crc = yield from ftp.checksum(session, remote)
                 if remote_crc != expected:
                     raise ChunkStoreError(
                         f"chunk {chunk_id} CRC still wrong after re-upload"
@@ -296,7 +296,7 @@ class ChunkStoreClient:
                 failovers += 1
                 continue
             try:
-                report = yield self.site.mover.fetch(
+                report = yield from self.site.mover.fetch(
                     source,
                     chunk_path(spec.chunk_id),
                     local,

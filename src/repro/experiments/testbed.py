@@ -93,12 +93,13 @@ def extended_get(
     testbed.server_fs.create(remote, size_bytes)
 
     def measure():
-        session = yield testbed.client.connect("cern")
-        yield testbed.client.set_buffer(session, buffer)
+        client = testbed.client
+        session = yield from client.connect("cern")
+        yield from client.set_buffer(session, buffer)
         if streams != 1:
-            yield testbed.client.set_parallelism(session, streams)
-        result = yield testbed.client.get(session, remote, local)
-        yield testbed.client.quit(session)
+            yield from client.set_parallelism(session, streams)
+        result = yield from client.get(session, remote, local)
+        yield from client.quit(session)
         return result
 
     result = testbed.sim.run(until=testbed.sim.spawn(measure(), name="extended_get"))

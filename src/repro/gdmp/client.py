@@ -134,7 +134,7 @@ class _TransferSet:
         taken, when no reply came: no reply is not no pins, and releasing
         a file that is not pinned changes nothing."""
         try:
-            answers = yield self.client._stage_call(
+            answers = yield from self.client._stage_call(
                 source, "request_stage", lfns, ahead
             )
         except ServiceError as exc:
@@ -326,7 +326,7 @@ class GdmpClient:
                     **{k: str(v) for k, v in attributes.items()},
                 }
                 for subscriber in self.server.subscribers_for(file_attrs):
-                    yield self.rpc.call(
+                    yield from self.rpc.invoke(
                         subscriber,
                         "notify",
                         {"producer": self.site, "lfns": [lfn],
@@ -398,7 +398,7 @@ class GdmpClient:
             """The stage answer for this file at ``source``: the wave's
             when it asked this source, else one request of its own."""
             if transfer_set is None:
-                answers = yield self._stage_call(
+                answers = yield from self._stage_call(
                     source, "request_stage", [lfn]
                 )
             else:
@@ -428,7 +428,7 @@ class GdmpClient:
                 # transfer starts only if the space can be allocated)
                 reservation = self.storage.prepare_incoming(local_path, info.size)
                 transfer_started = self.sim.now
-                report = yield self.mover.fetch(
+                report = yield from self.mover.fetch(
                     src_host=source,
                     remote_path=staged["path"],
                     local_path=local_path,
@@ -515,10 +515,7 @@ class GdmpClient:
             (report, stage_wait, transfer_duration), source, failed = (
                 yield from failover_walk(
                     [score.site for score in ranking],
-                    lambda source: self.sim.spawn(
-                        attempt_from(source, file_info, local_path),
-                        name=f"gdmp-attempt {lfn}@{source}",
-                    ),
+                    lambda source: attempt_from(source, file_info, local_path),
                     describe=repr(lfn),
                     on_failover=on_failover,
                 )
@@ -549,18 +546,19 @@ class GdmpClient:
         return self.sim.spawn(run(), name=f"gdmp-replicate {lfn}")
 
     def _stage_call(self, source: str, operation: str, lfns: list,
-                    ahead: bool = False) -> Process:
-        """``request_stage`` / ``release`` for ``lfns`` at ``source``;
-        ``ahead`` marks a set's staging wave, which the source answers
-        without waiting for tape.  Pins are counted at the source, so
-        the envelope is an exactly-once write: a transport retry must
-        not count twice."""
-        return self.rpc.call(
+                    ahead: bool = False):
+        """Generator: ``request_stage`` / ``release`` for ``lfns`` at
+        ``source``, answered per LFN; ``ahead`` marks a set's staging
+        wave, which the source answers without waiting for tape.  Pins
+        are counted at the source, so the envelope is an exactly-once
+        write: a transport retry must not count twice."""
+        outcome = yield from self.rpc.invoke(
             source, operation,
             {"lfns": lfns, "ahead": True} if ahead else {"lfns": lfns},
             size=REQUEST_MESSAGE_SIZE + BULK_ITEM_SIZE * (len(lfns) - 1),
             idempotent=True,
         )
+        return outcome.payload
 
     def _release(self, source: str, lfns: list):
         """Generator: hand the transfer pins on ``lfns`` back to
@@ -568,7 +566,7 @@ class GdmpClient:
         cannot answer, and the goodbye must neither mask the failure
         being propagated nor crash a caller that is not waiting yet."""
         try:
-            yield self._stage_call(source, "release", lfns)
+            yield from self._stage_call(source, "release", lfns)
         except ServiceError:
             self.stats["release_failures"] += 1
 
@@ -700,7 +698,7 @@ class GdmpClient:
                     # one notification per subscriber for the whole set
                     for subscriber in sorted(per_subscriber):
                         matched = per_subscriber[subscriber]
-                        yield self.rpc.call(
+                        yield from self.rpc.invoke(
                             subscriber,
                             "notify",
                             {

@@ -29,7 +29,6 @@ class GdmpConfig:
     # transfer defaults (the GridFTP negotiation GDMP performs)
     tcp_buffer: int = 64 * KiB
     parallel_streams: int = 4
-    max_transfer_retries: int = 3
     # mass storage
     has_mss: bool = False
     tape_rate: float = 15e6

@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.gridftp.client import ClientSession, GridFTPClient, TransferError
 from repro.gridftp.markers import RangeSet
-from repro.simulation.kernel import Process, Simulator
+from repro.simulation.kernel import Simulator
 from repro.storage.filesystem import FileSystem, StoredFile
 from repro.storage.integrity import mixed_content_id
 
@@ -98,9 +98,10 @@ class DataMover:
         streams: int = 1,
         tcp_buffer: Optional[int] = None,
         sessions: Optional[dict[str, ClientSession]] = None,
-    ) -> Process:
-        """Fetch ``remote_path`` from ``src_host`` into ``local_path`` with
-        restart recovery and end-to-end CRC verification.  Returns a
+    ):
+        """Generator: fetch ``remote_path`` from ``src_host`` into
+        ``local_path`` with restart recovery and end-to-end CRC
+        verification, inside the caller's process.  Returns a
         :class:`MoveReport`.
 
         Without ``sessions`` the fetch is one whole conversation: dial,
@@ -112,26 +113,6 @@ class DataMover:
         table's owner says the goodbyes.  A table's session is dialled
         to keep its data channels open between files; whether a file
         then finds them warm is the server's business alone."""
-
-        def run():
-            started = self.sim.now
-            try:
-                if sessions is None:
-                    return (yield from self.ftp.session(
-                        src_host,
-                        lambda session: transfer(session, started),
-                        tcp_buffer, streams,
-                    ))
-                if src_host in sessions:
-                    self._count("sessions_reused")
-                else:
-                    sessions[src_host] = yield from dial()
-                return (yield from transfer(sessions[src_host], started))
-            except TransferError as exc:
-                # transfer() raises DataMoverError only: this is a dial's
-                raise DataMoverError(
-                    f"session with {src_host!r} failed: {exc}"
-                ) from exc
 
         def dial():
             return self.ftp.open_session(
@@ -145,7 +126,7 @@ class DataMover:
             if expected_crc is None:
                 # no catalog CRC available: ask the source (CKSM)
                 try:
-                    crc = yield self.ftp.checksum(session, remote_path)
+                    crc = yield from self.ftp.checksum(session, remote_path)
                 except TransferError as exc:
                     raise DataMoverError(str(exc)) from exc
             else:
@@ -164,7 +145,7 @@ class DataMover:
                 while True:
                     attempts += 1
                     try:
-                        result = yield self.ftp.get(
+                        result = yield from self.ftp.get(
                             session, remote_path, local_path, restart=restart
                         )
                         break
@@ -254,7 +235,24 @@ class DataMover:
                         f"after {crc_retries} re-transfers"
                     )
 
-        return self.sim.spawn(run(), name=f"data-mover {remote_path}")
+        started = self.sim.now
+        try:
+            if sessions is None:
+                return (yield from self.ftp.session(
+                    src_host,
+                    lambda session: transfer(session, started),
+                    tcp_buffer, streams,
+                ))
+            if src_host in sessions:
+                self._count("sessions_reused")
+            else:
+                sessions[src_host] = yield from dial()
+            return (yield from transfer(sessions[src_host], started))
+        except TransferError as exc:
+            # transfer() raises DataMoverError only: this is a dial's
+            raise DataMoverError(
+                f"session with {src_host!r} failed: {exc}"
+            ) from exc
 
     def _count(self, event: str, amount: float = 1.0) -> None:
         if self.metrics is not None:

@@ -15,8 +15,9 @@ module is the single shared implementation.
   the next replica" rather than "give up": transfer-layer errors,
   remote faults, timeouts, connection resets, and locally-open circuit
   breakers;
-* :func:`failover_walk` — drive one attempt per candidate until one
-  succeeds, collecting the failed sources for the report.
+* :func:`failover_walk` — drive one attempt per candidate, in the
+  caller's own process, until one succeeds, collecting the failed
+  sources for the report.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def failover_walk(
 ):
     """Generator: try ``attempt(source)`` over ``sources`` until one works.
 
-    ``attempt`` returns an event (typically a spawned process) that is
-    yielded; a failure in :data:`FAILOVER_ERRORS` records the source and
+    ``attempt(source)`` returns a generator, driven here with ``yield
+    from`` — the attempts run one at a time, so none is a process of its
+    own; a failure in :data:`FAILOVER_ERRORS` records the source and
     moves on, anything else propagates.  ``on_failover`` is called with
     ``(source, error)`` per skipped source (the metrics hook).
     Returns ``(result, source, failed_sources)``; raises
@@ -94,7 +96,7 @@ def failover_walk(
     last_error: Optional[Exception] = None
     for source in sources:
         try:
-            result = yield attempt(source)
+            result = yield from attempt(source)
             return result, source, tuple(failed)
         except FAILOVER_ERRORS as exc:
             failed.append(source)

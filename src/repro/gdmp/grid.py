@@ -234,7 +234,6 @@ class DataGrid:
             self.sim,
             gridftp_client,
             fs,
-            max_restart_attempts=config.max_transfer_retries,
             metrics=self.metrics,
             site=name,
         )

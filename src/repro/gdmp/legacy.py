@@ -80,7 +80,7 @@ class LegacyGdmp:
                 while True:
                     attempts += 1
                     try:
-                        result = yield dst.gridftp_client.get(
+                        result = yield from dst.gridftp_client.get(
                             session, stored_src.path, local_path
                         )
                         wire_bytes += result.size

@@ -155,7 +155,7 @@ class CatalogProxy(RequestProxy):
         drops the whole cache when the catalog host looks unwell."""
         self.stats["envelopes"] += 1
         try:
-            return (yield self._rpc(
+            return (yield from self._invoke(
                 host, f"catalog.{op}", payload,
                 OPERATIONS[op].n_items(payload), idempotent=idempotent,
             ))

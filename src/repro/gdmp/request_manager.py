@@ -136,32 +136,21 @@ class RequestClient(ServiceClient):
         )
         self.credential = credential
 
-    def call(
-        self,
-        server_host: str,
-        operation: str,
-        payload: Any = None,
-        size: int = REQUEST_MESSAGE_SIZE,
-        timeout: Optional[float] = None,
-        idempotent: bool = False,
-    ) -> Process:
-        """Invoke ``operation`` on the GDMP server at ``server_host``.
+    def invoke(self, server_host: str, operation: str, payload: Any = None,
+               **options: Any):
+        """Generator: :meth:`ServiceClient.invoke` of ``operation`` on the
+        GDMP server at ``server_host``, this site's proxy chain riding in
+        ``meta`` — every request is authenticated.
 
         With ``timeout`` set, a missing reply (crashed server, dropped
         message) raises :class:`~repro.services.bus.CallTimeout` after that
         many seconds; without it the call waits indefinitely (in-order FIFO
-        delivery means no reply can be merely late).  The late reply of a timed-out
-        call is discarded on arrival, never misdelivered to a later call.
-        ``idempotent`` makes the call an exactly-once write (see
-        :meth:`ServiceClient.call`)."""
-        return super().call(
-            server_host,
-            operation,
-            payload,
-            size=size,
-            timeout=timeout,
-            idempotent=idempotent,
-            meta={"chain": self.credential.chain},
+        delivery means no reply can be merely late).  The late reply of a
+        timed-out call is discarded on arrival, never misdelivered to a
+        later call."""
+        return super().invoke(
+            server_host, operation, payload,
+            meta={"chain": self.credential.chain}, **options,
         )
 
 
@@ -171,7 +160,7 @@ class RequestProxy:
     Owns the two decisions every stub shares — the envelope is sized as
     one request header plus ``ITEM_SIZE`` per batched item, and a
     ``_write`` is an exactly-once call while a ``_read`` is a plain one.
-    Both return the call's :class:`Process`.
+    Both return the call's :class:`Process`: a stub method is a command.
     """
 
     #: wire-size increment per item carried in one envelope
@@ -181,16 +170,22 @@ class RequestProxy:
         self.client = client
         self.server_host = server_host
 
+    def _invoke(self, host: str, operation: str, payload: Any,
+                n_items: int = 0, **options: Any):
+        """Generator: one call inside the caller's own process; returns
+        the reply payload.  ``options`` are :meth:`ServiceClient.invoke`'s
+        (``idempotent``, ``timeout``)."""
+        outcome = yield from self.client.invoke(
+            host, operation, payload,
+            size=REQUEST_MESSAGE_SIZE + self.ITEM_SIZE * n_items, **options,
+        )
+        return outcome.payload
+
     def _rpc(self, host: str, operation: str, payload: Any,
-             n_items: int = 0, *, idempotent: bool = False,
-             timeout: Optional[float] = None) -> Process:
+             n_items: int = 0, **options: Any) -> Process:
         return self.client.call(
-            host,
-            operation,
-            payload,
-            size=REQUEST_MESSAGE_SIZE + self.ITEM_SIZE * n_items,
-            timeout=timeout,
-            idempotent=idempotent,
+            host, operation, payload,
+            size=REQUEST_MESSAGE_SIZE + self.ITEM_SIZE * n_items, **options,
         )
 
     def _read(self, operation: str, payload: Any, n_items: int = 0) -> Process:

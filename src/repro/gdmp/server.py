@@ -179,7 +179,7 @@ class GdmpServer:
         failure nobody is waiting on would crash the simulation."""
         try:
             path = self.path_of(lfn)
-            stored = yield self.storage.ensure_on_disk(path, pin=pin)
+            stored = yield from self.storage.ensure_on_disk(path, pin=pin)
         except Exception as exc:
             return {"error": str(exc)}
         if pin:

@@ -42,22 +42,18 @@ class StorageManager:
         """Stage status of a path (disk / tape / staging / unknown)."""
         return self.hrm.status(path)
 
-    def ensure_on_disk(self, path: str, pin: bool = True) -> Process:
-        """Stage ``path`` to disk if needed and pin it; returns the
-        :class:`StoredFile`."""
-
-        def run():
-            if self.hrm.status(path) is StageStatus.ON_TAPE:
-                self.stats["stage_requests"] += 1
-            try:
-                stored = yield self.hrm.stage_file(path)
-            except StorageError as exc:
-                raise GdmpError(f"staging {path!r} failed: {exc}") from exc
-            if pin:
-                self.pool.pin(path)
-            return stored
-
-        return self.sim.spawn(run(), name=f"ensure-on-disk {path}")
+    def ensure_on_disk(self, path: str, pin: bool = True):
+        """Generator: stage ``path`` to disk if needed and pin it, inside
+        the caller's process; returns the :class:`StoredFile`."""
+        if self.hrm.status(path) is StageStatus.ON_TAPE:
+            self.stats["stage_requests"] += 1
+        try:
+            stored = yield self.hrm.stage_file(path)
+        except StorageError as exc:
+            raise GdmpError(f"staging {path!r} failed: {exc}") from exc
+        if pin:
+            self.pool.pin(path)
+        return stored
 
     def release(self, path: str) -> None:
         """Drop the transfer pin on a served file."""

@@ -1,11 +1,11 @@
 """The GridFTP client library (``globus_ftp_client`` equivalent).
 
-All operations are simulation coroutines: each public method returns a
-:class:`~repro.simulation.kernel.Process`, so calling code (itself a
-process) writes::
+A library, not a daemon: every public method is a generator that the
+calling process drives with ``yield from``, so a command costs its
+round trips and nothing else::
 
-    session = yield client.connect("cern")
-    result = yield client.get(session, "/store/f1", "/pool/f1")
+    session = yield from client.connect("cern")
+    result = yield from client.get(session, "/store/f1", "/pool/f1")
 
 The control-channel conversation — AUTH/ADAT handshake, SBUF/OPTS
 negotiation, RETR with streamed 111/112 markers — rides the shared service
@@ -34,7 +34,7 @@ from repro.services.bus import (
     ServiceError,
 )
 from repro.services.tracelog import TraceLog
-from repro.simulation.kernel import Process, Simulator
+from repro.simulation.kernel import Simulator
 from repro.storage.filesystem import FileSystem, StoredFile
 
 __all__ = ["TransferError", "TransferResult", "ClientSession", "GridFTPClient"]
@@ -147,8 +147,6 @@ class GridFTPClient:
              idle_timeout: Optional[float] = None,
              synthesize_marker: bool = False):
         """One command round-trip; returns (final reply, preliminary replies).
-        Driven with ``yield from`` so each public operation stays a single
-        simulation process.
 
         When the control channel dies mid-command (idle timeout, host
         crash) and ``synthesize_marker`` is set, the loss is surfaced as a
@@ -192,56 +190,45 @@ class GridFTPClient:
             session=session.session_id,
             extras=extras,
         )
-        final, markers = yield from self._rpc(
+        return (yield from self._rpc(
             session.server_host, command,
             idle_timeout=idle_timeout, synthesize_marker=synthesize_marker,
-        )
-        return final, markers
+        ))
 
     # -- session management -------------------------------------------------------
-    def connect(self, server_host: str) -> Process:
+    def connect(self, server_host: str):
         """AUTH/ADAT handshake; returns a :class:`ClientSession`."""
+        yield from self._hang_up_unclosed(server_host)
+        reply, _ = yield from self._rpc(server_host, Command("AUTH", "GSSAPI"))
+        if reply.code != 334:
+            raise TransferError(f"AUTH rejected: {reply}", reply)
+        session_id = reply.payload
+        adat = Command(
+            "ADAT",
+            session=session_id,
+            extras={"chain": self.credential.chain},
+        )
+        try:
+            reply, _ = yield from self._rpc(server_host, adat)
+        except (TransferError, ServiceError):
+            # no answer is not no login
+            self._unclosed.setdefault(server_host, []).append(session_id)
+            raise
+        if reply.code != 235:
+            raise TransferError(f"authentication failed: {reply}", reply)
+        return ClientSession(
+            server_host=server_host,
+            session_id=reply.payload["session"],
+            account=reply.payload["account"],
+            server_subject=reply.payload["server_subject"],
+        )
 
-        def run():
-            yield from self._hang_up_unclosed(server_host)
-            auth = Command("AUTH", "GSSAPI")
-            reply, _ = yield from self._rpc(server_host, auth)
-            if reply.code != 334:
-                raise TransferError(f"AUTH rejected: {reply}", reply)
-            session_id = reply.payload
-            adat = Command(
-                "ADAT",
-                session=session_id,
-                extras={"chain": self.credential.chain},
-            )
-            try:
-                reply, _ = yield from self._rpc(server_host, adat)
-            except (TransferError, ServiceError):
-                # no answer is not no login
-                self._unclosed.setdefault(server_host, []).append(session_id)
-                raise
-            if reply.code != 235:
-                raise TransferError(f"authentication failed: {reply}", reply)
-            return ClientSession(
-                server_host=server_host,
-                session_id=reply.payload["session"],
-                account=reply.payload["account"],
-                server_subject=reply.payload["server_subject"],
-            )
-
-        return self.sim.spawn(run(), name=f"gridftp-connect->{server_host}")
-
-    def quit(self, session: ClientSession) -> Process:
+    def quit(self, session: ClientSession):
         """Close a session (QUIT)."""
-        def run():
-            yield from self._command(session, "QUIT")
-            session.closed = True
-
-        return self.sim.spawn(run(), name="gridftp-quit")
+        yield from self._command(session, "QUIT")
+        session.closed = True
 
     # -- session lifetime ----------------------------------------------------------
-    # Generators, driven with ``yield from`` inside the caller's own
-    # process: a session costs its commands and nothing else.
     def open_session(self, server_host: str,
                      tcp_buffer: Optional[int] = None, streams: int = 1,
                      cache_channels: bool = False):
@@ -253,12 +240,12 @@ class GridFTPClient:
         :class:`ClientSession`, which holds for every transfer until
         :meth:`close_session`; a failed negotiation hangs up before
         raising."""
-        session = yield self.connect(server_host)
+        session = yield from self.connect(server_host)
         try:
             if tcp_buffer is not None:
-                yield self.set_buffer(session, tcp_buffer)
+                yield from self.set_buffer(session, tcp_buffer)
             if streams != 1 or cache_channels:
-                yield self.set_parallelism(session, streams, cache_channels)
+                yield from self.set_parallelism(session, streams, cache_channels)
         except BaseException:
             yield from self.close_session(session)
             raise
@@ -270,7 +257,7 @@ class GridFTPClient:
         caller that does not wait for it) — the error is returned
         instead, ``None`` for a clean goodbye."""
         try:
-            yield self.quit(session)
+            yield from self.quit(session)
         except (TransferError, ServiceError) as exc:
             self._unclosed.setdefault(session.server_host, []).append(
                 session.session_id
@@ -307,75 +294,58 @@ class GridFTPClient:
             yield from self.close_session(session)
 
     # -- negotiation ---------------------------------------------------------------
-    def set_buffer(self, session: ClientSession, size: int) -> Process:
+    def set_buffer(self, session: ClientSession, size: int):
         """SBUF: the TCP buffer tuning knob of Figures 5 vs 6."""
-
-        def run():
-            reply, _ = yield from self._command(session, "SBUF", str(int(size)))
-            if not reply.is_success:
-                raise TransferError(f"SBUF failed: {reply}", reply)
-            session.buffer = int(size)
-
-        return self.sim.spawn(run(), name="gridftp-sbuf")
+        reply, _ = yield from self._command(session, "SBUF", str(int(size)))
+        if not reply.is_success:
+            raise TransferError(f"SBUF failed: {reply}", reply)
+        session.buffer = int(size)
 
     def set_parallelism(self, session: ClientSession, streams: int,
-                        cache_channels: bool = False) -> Process:
+                        cache_channels: bool = False):
         """OPTS RETR Parallelism=n: number of parallel data streams, and
         (``Cache=on``) whether the server keeps them open, windows and
         all, for the session's next transfer."""
-        def run():
-            reply, _ = yield from self._command(
-                session, "OPTS",
-                f"RETR Parallelism={streams};"
-                + ("Cache=on;" if cache_channels else ""),
-            )
-            if not reply.is_success:
-                raise TransferError(f"OPTS failed: {reply}", reply)
-            session.parallelism = streams
+        reply, _ = yield from self._command(
+            session, "OPTS",
+            f"RETR Parallelism={streams};"
+            + ("Cache=on;" if cache_channels else ""),
+        )
+        if not reply.is_success:
+            raise TransferError(f"OPTS failed: {reply}", reply)
+        session.parallelism = streams
 
-        return self.sim.spawn(run(), name="gridftp-opts")
-
-    def features(self, session: ClientSession) -> Process:
+    def features(self, session: ClientSession):
         """FEAT: the server's extension list."""
-        def run():
-            reply, _ = yield from self._command(session, "FEAT")
-            return reply.payload
-
-        return self.sim.spawn(run(), name="gridftp-feat")
+        reply, _ = yield from self._command(session, "FEAT")
+        return reply.payload
 
     # -- metadata -------------------------------------------------------------------
-    def size(self, session: ClientSession, path: str) -> Process:
+    def size(self, session: ClientSession, path: str):
         """SIZE: remote file size in bytes."""
-        return self._simple_query(session, "SIZE", path)
+        return (yield from self._checked(session, "SIZE", path))
 
-    def modification_time(self, session: ClientSession, path: str) -> Process:
+    def modification_time(self, session: ClientSession, path: str):
         """MDTM: remote file modification time."""
-        return self._simple_query(session, "MDTM", path)
+        return (yield from self._checked(session, "MDTM", path))
 
-    def checksum(self, session: ClientSession, path: str) -> Process:
+    def checksum(self, session: ClientSession, path: str):
         """CKSM: remote CRC32 (GDMP's end-to-end corruption check; the
         value is :func:`repro.storage.integrity.file_crc` of the remote
         file's content identity)."""
-        return self._simple_query(session, "CKSM", path)
+        return (yield from self._checked(session, "CKSM", path))
 
-    def delete(self, session: ClientSession, path: str) -> Process:
+    def delete(self, session: ClientSession, path: str):
         """DELE: remove a remote file (repair-path eviction)."""
-        def run():
-            reply, _ = yield from self._command(session, "DELE", path)
-            if not reply.is_success:
-                raise TransferError(f"DELE {path} failed: {reply}", reply)
-            return True
+        yield from self._checked(session, "DELE", path)
+        return True
 
-        return self.sim.spawn(run(), name="gridftp-dele")
-
-    def _simple_query(self, session: ClientSession, verb: str, path: str) -> Process:
-        def run():
-            reply, _ = yield from self._command(session, verb, path)
-            if not reply.is_success:
-                raise TransferError(f"{verb} {path} failed: {reply}", reply)
-            return reply.payload
-
-        return self.sim.spawn(run(), name=f"gridftp-{verb.lower()}")
+    def _checked(self, session: ClientSession, verb: str, argument: str):
+        """One command whose failure reply raises; returns the payload."""
+        reply, _ = yield from self._command(session, verb, argument)
+        if not reply.is_success:
+            raise TransferError(f"{verb} {argument} failed: {reply}", reply)
+        return reply.payload
 
     # -- transfers ---------------------------------------------------------------------
     def get(
@@ -386,7 +356,7 @@ class GridFTPClient:
         restart: Optional[RangeSet] = None,
         offset: float = 0.0,
         length: Optional[float] = None,
-    ) -> Process:
+    ):
         """RETR/ERET a file into the local filesystem.
 
         ``restart`` resumes an interrupted transfer (ranges already on
@@ -394,99 +364,82 @@ class GridFTPClient:
         """
         if self.fs is None:
             raise TransferError("client has no local filesystem to write into")
-
-        def run():
-            started = self.sim.now
-            if restart is not None and len(restart):
-                # REST is loss-tolerant like the RETR it precedes: it is
-                # only ever issued while *recovering* a broken transfer, so
-                # the link may well still be down.  A lost REST surfaces as
-                # a synthesized 426 whose (empty) marker sends the mover
-                # through its stalled-restart backoff instead of aborting.
-                reply, _ = yield from self._command(
-                    session, "REST", restart.to_rest_argument(),
-                    idle_timeout=self.idle_timeout, synthesize_marker=True,
-                )
-                if reply.code != 350:
-                    raise TransferError(f"REST failed: {reply}", reply)
-            verb, extras = "RETR", {"write_rate": self.fs.write_rate}
-            if offset or length is not None:
-                verb = "ERET"
-                extras.update({"offset": offset, "length": length})
-            reply, markers = yield from self._command(
-                session, verb, remote_path,
+        started = self.sim.now
+        if restart is not None and len(restart):
+            # REST is loss-tolerant like the RETR it precedes: it is
+            # only ever issued while *recovering* a broken transfer, so
+            # the link may well still be down.  A lost REST surfaces as
+            # a synthesized 426 whose (empty) marker sends the mover
+            # through its stalled-restart backoff instead of aborting.
+            reply, _ = yield from self._command(
+                session, "REST", restart.to_rest_argument(),
                 idle_timeout=self.idle_timeout, synthesize_marker=True,
-                **extras,
             )
-            if reply.is_error:
-                raise TransferError(f"{verb} {remote_path} failed: {reply}", reply)
-            info = reply.payload
-            descriptor: TransferDescriptor = info["descriptor"]
-            stored = self.fs.create(
-                local_path,
-                descriptor.size,
-                content_id=descriptor.content_id,
-                now=self.sim.now,
-                payload=descriptor.payload,
-                **descriptor.attrs,
-            )
-            return TransferResult(
-                path=local_path,
-                size=descriptor.size,
-                duration=self.sim.now - started,
-                streams=session.parallelism,
-                buffer=session.buffer,
-                stored=stored,
-                perf_markers=tuple(
-                    r.payload for r in markers if r.code == 112
-                ),
-                restart_markers=tuple(
-                    r.payload for r in markers if r.code == 111
-                ),
-                channels=info.get("channels", "cold"),
-            )
+            if reply.code != 350:
+                raise TransferError(f"REST failed: {reply}", reply)
+        verb, extras = "RETR", {"write_rate": self.fs.write_rate}
+        if offset or length is not None:
+            verb = "ERET"
+            extras.update({"offset": offset, "length": length})
+        reply, markers = yield from self._command(
+            session, verb, remote_path,
+            idle_timeout=self.idle_timeout, synthesize_marker=True,
+            **extras,
+        )
+        if reply.is_error:
+            raise TransferError(f"{verb} {remote_path} failed: {reply}", reply)
+        info = reply.payload
+        descriptor: TransferDescriptor = info["descriptor"]
+        stored = self.fs.create(
+            local_path,
+            descriptor.size,
+            content_id=descriptor.content_id,
+            now=self.sim.now,
+            payload=descriptor.payload,
+            **descriptor.attrs,
+        )
+        return TransferResult(
+            path=local_path,
+            size=descriptor.size,
+            duration=self.sim.now - started,
+            streams=session.parallelism,
+            buffer=session.buffer,
+            stored=stored,
+            perf_markers=tuple(r.payload for r in markers if r.code == 112),
+            restart_markers=tuple(r.payload for r in markers if r.code == 111),
+            channels=info.get("channels", "cold"),
+        )
 
-        return self.sim.spawn(run(), name=f"gridftp-get {remote_path}")
-
-    def put(
-        self,
-        session: ClientSession,
-        local_path: str,
-        remote_path: str,
-    ) -> Process:
+    def put(self, session: ClientSession, local_path: str, remote_path: str):
         """STOR a local file to the server."""
         if self.fs is None:
             raise TransferError("client has no local filesystem to read from")
-
-        def run():
-            started = self.sim.now
-            stored = self.fs.stat(local_path)
-            descriptor = TransferDescriptor(
-                path=local_path,
-                size=stored.size,
-                content_id=stored.content_id,
-                crc=stored.crc,
-                payload=stored.payload,
-                attrs=dict(stored.attrs),
-            )
-            reply, _ = yield from self._command(
-                session,
-                "STOR",
-                remote_path,
-                descriptor=descriptor,
-                read_rate=self.fs.read_rate,
-            )
-            if reply.is_error:
-                raise TransferError(f"STOR {remote_path} failed: {reply}", reply)
-            return TransferResult(
-                path=remote_path,
-                size=stored.size,
-                duration=self.sim.now - started,
-                streams=session.parallelism,
-                buffer=session.buffer,
-            )
-
-        return self.sim.spawn(run(), name=f"gridftp-put {local_path}")
+        started = self.sim.now
+        stored = self.fs.stat(local_path)
+        descriptor = TransferDescriptor(
+            path=local_path,
+            size=stored.size,
+            content_id=stored.content_id,
+            crc=stored.crc,
+            payload=stored.payload,
+            attrs=dict(stored.attrs),
+        )
+        reply, _ = yield from self._command(
+            session,
+            "STOR",
+            remote_path,
+            descriptor=descriptor,
+            read_rate=self.fs.read_rate,
+        )
+        if reply.is_error:
+            raise TransferError(f"STOR {remote_path} failed: {reply}", reply)
+        return TransferResult(
+            path=remote_path,
+            size=stored.size,
+            duration=self.sim.now - started,
+            streams=session.parallelism,
+            buffer=session.buffer,
+        )
 
     def third_party_transfer(
         self,
@@ -494,32 +447,28 @@ class GridFTPClient:
         dst_session: ClientSession,
         src_path: str,
         dst_path: str,
-    ) -> Process:
+    ):
         """Third-party control: data flows source server -> destination
         server while this client only drives the two control channels."""
-
-        def run():
-            started = self.sim.now
-            reply, _ = yield from self._command(
-                src_session,
-                "RETR",
-                src_path,
-                dest_host=dst_session.server_host,
-            )
-            if reply.is_error:
-                raise TransferError(f"third-party RETR failed: {reply}", reply)
-            descriptor: TransferDescriptor = reply.payload["descriptor"]
-            deposit, _ = yield from self._command(
-                dst_session, "ESTO", dst_path, descriptor=descriptor
-            )
-            if deposit.is_error:
-                raise TransferError(f"third-party ESTO failed: {deposit}", deposit)
-            return TransferResult(
-                path=dst_path,
-                size=descriptor.size,
-                duration=self.sim.now - started,
-                streams=src_session.parallelism,
-                buffer=src_session.buffer,
-            )
-
-        return self.sim.spawn(run(), name="gridftp-3rd-party")
+        started = self.sim.now
+        reply, _ = yield from self._command(
+            src_session,
+            "RETR",
+            src_path,
+            dest_host=dst_session.server_host,
+        )
+        if reply.is_error:
+            raise TransferError(f"third-party RETR failed: {reply}", reply)
+        descriptor: TransferDescriptor = reply.payload["descriptor"]
+        deposit, _ = yield from self._command(
+            dst_session, "ESTO", dst_path, descriptor=descriptor
+        )
+        if deposit.is_error:
+            raise TransferError(f"third-party ESTO failed: {deposit}", deposit)
+        return TransferResult(
+            path=dst_path,
+            size=descriptor.size,
+            duration=self.sim.now - started,
+            streams=src_session.parallelism,
+            buffer=src_session.buffer,
+        )

@@ -83,18 +83,18 @@ def globus_url_copy(
     sim = client.sim
 
     def get(session):
-        return (yield client.get(session, src.path, dst.path))
+        return client.get(session, src.path, dst.path)
 
     def put(session):
-        return (yield client.put(session, src.path, dst.path))
+        return client.put(session, src.path, dst.path)
 
     def third_party(src_session):
-        def relay(dst_session):
-            return (yield client.third_party_transfer(
+        return client.session(
+            dst.host,
+            lambda dst_session: client.third_party_transfer(
                 src_session, dst_session, src.path, dst.path
-            ))
-
-        return (yield from client.session(dst.host, relay))
+            ),
+        )
 
     def run():
         # buffers and streams are negotiated with the sending or

@@ -98,40 +98,35 @@ class RemoteObjectReader:
         self.stats["bytes_fetched"] += PAGE_SIZE
 
     # -- reading -----------------------------------------------------------------
+    def _read(self, oid: OID):
+        """Generator: the pages of one object, fetched as needed, in the
+        reading process; returns the object."""
+        obj = self.server.federation.resolve(oid)
+        for page in self._local_layout.pages_of(obj):
+            if page not in self._cached_pages:
+                yield from self._fetch_page(page)
+        self.stats["objects_read"] += 1
+        return obj
+
+    def _read_all(self, oids):
+        objects = []
+        for oid in oids:
+            objects.append((yield from self._read(oid)))
+        return objects
+
     def read(self, oid: OID) -> Process:
         """Fetch (the pages of) one object; returns the object."""
-
-        def run():
-            obj = self.server.federation.resolve(oid)
-            for page in self._local_layout.pages_of(obj):
-                if page not in self._cached_pages:
-                    yield from self._fetch_page(page)
-            self.stats["objects_read"] += 1
-            return obj
-
-        return self.sim.spawn(run(), name=f"ams-read {oid}")
+        return self.sim.spawn(self._read(oid), name=f"ams-read {oid}")
 
     def read_many(self, oids) -> Process:
         """Fetch a sequence of objects (pages fetched as needed)."""
-        def run():
-            objects = []
-            for oid in oids:
-                obj = yield self.read(oid)
-                objects.append(obj)
-            return objects
-
-        return self.sim.spawn(run(), name="ams-read-many")
+        return self.sim.spawn(self._read_all(oids), name="ams-read-many")
 
     def navigate(self, obj: PersistentObject, role: str) -> Process:
         """Follow an association, fetching target pages remotely."""
-        def run():
-            targets = []
-            for target_oid in obj.targets(role):
-                target = yield self.read(target_oid)
-                targets.append(target)
-            return targets
-
-        return self.sim.spawn(run(), name="ams-navigate")
+        return self.sim.spawn(
+            self._read_all(obj.targets(role)), name="ams-navigate"
+        )
 
     @property
     def page_fetches(self) -> int:

@@ -17,7 +17,7 @@ from repro.objectdb.database import DatabaseFile
 from repro.objectdb.federation import Federation
 from repro.objectdb.objects import PersistentObject
 from repro.objectdb.oid import OID
-from repro.simulation.kernel import Process, Simulator
+from repro.simulation.kernel import Simulator
 
 __all__ = ["CopyCostModel", "CopyResult", "ObjectCopier"]
 
@@ -129,17 +129,12 @@ class ObjectCopier:
         oids: Iterable[OID],
         file_name: str,
         include_closure: bool = False,
-    ) -> Process:
-        """Timed variant: charges the §5.3 CPU/disk cost before returning
-        the :class:`CopyResult`."""
-
+    ):
+        """Generator, timed variant: charges the §5.3 CPU/disk cost in the
+        caller's process before returning the :class:`CopyResult`."""
         db_id = sim.next_serial("copied-db-id", 100_000)
-
-        def run():
-            result = self.copy(oids, file_name, include_closure, db_id=db_id)
-            yield sim.timeout(
-                self.cost.copy_time(result.bytes_copied, result.objects_copied)
-            )
-            return result
-
-        return sim.spawn(run(), name=f"object-copier {file_name}")
+        result = self.copy(oids, file_name, include_closure, db_id=db_id)
+        yield sim.timeout(
+            self.cost.copy_time(result.bytes_copied, result.objects_copied)
+        )
+        return result

@@ -113,7 +113,7 @@ class ObjectReplicator:
                     # step 3a: the object copier writes a fresh file (the
                     # single copier at a source is sequential; §5.3)
                     copy_started = sim.now
-                    result = yield copier.copy_timed(
+                    result = yield from copier.copy_timed(
                         sim, [e.oid for e in chunk],
                         f"objcopy.{sim.next_serial('objcopy-file'):06d}.db",
                     )
@@ -122,15 +122,16 @@ class ObjectReplicator:
                     wire_bytes += result.database.size
                     objects_moved += result.objects_copied
                     files_created += 1
-                    transfer = sim.spawn(
-                        self._ship_and_attach(src, result, streams, tcp_buffer),
-                        name=f"object-ship {result.database.name}",
+                    ship = self._ship_and_attach(
+                        src, result, streams, tcp_buffer
                     )
                     # step 3b: pipelining — next copy overlaps this transfer
                     if pipelined:
-                        in_flight.append(transfer)
+                        in_flight.append(sim.spawn(
+                            ship, name=f"object-ship {result.database.name}"
+                        ))
                     else:
-                        yield transfer
+                        yield from ship
             if in_flight:
                 yield sim.all_of(in_flight)
             self.stats["cycles"] += 1
@@ -169,7 +170,7 @@ class ObjectReplicator:
         reservation = None
         try:
             reservation = dst.storage.prepare_incoming(local_path, stored.size)
-            report = yield dst.mover.fetch(
+            report = yield from dst.mover.fetch(
                 src_host=src.name,
                 remote_path=temp_path,
                 local_path=local_path,

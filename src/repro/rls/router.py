@@ -86,31 +86,26 @@ class RlsCatalogProxy(CatalogProxy):
     # -- plumbing -------------------------------------------------------------
 
     def _routed_call(self, host: str, operation: str, payload: dict):
-        """One leg: an RPC to the RLI or to an LRC, as a process that
-        *returns* its outcome — the reply, or the exception instance.
+        """Generator: one RPC to the RLI or to an LRC, inside the caller's
+        process, that *returns* its outcome — the reply, or the exception
+        instance.
 
-        A leg never raises: the gatherer of a wave is parked on one leg
-        at a time, and the kernel treats a process that fails with nobody
-        waiting on it as a crashed simulation.  Unlike the base
-        `_guarded`, a transport failure here does NOT clear the whole
-        client cache — one dead shard or index host says nothing about
-        answers already verified at other sites — and every call carries
-        a deadline so a black-holed endpoint costs a timeout, not a hang.
-        A bulk envelope is sized by the name list it carries."""
+        It never raises, so a wave can run it as a leg: the gatherer is
+        parked on one leg at a time, and the kernel treats a process that
+        fails with nobody waiting on it as a crashed simulation.  Unlike
+        the base `_guarded`, a transport failure here does NOT clear the
+        whole client cache — one dead shard or index host says nothing
+        about answers already verified at other sites — and every call
+        carries a deadline so a black-holed endpoint costs a timeout, not
+        a hang.  A bulk envelope is sized by the name list it carries."""
         self.stats["envelopes"] += 1
-
-        def leg():
-            try:
-                return (
-                    yield self._rpc(
-                        host, operation, payload, len(payload.get("lfns", ())),
-                        timeout=self.lookup_timeout,
-                    )
-                )
-            except Exception as exc:
-                return exc
-
-        return self.client.sim.spawn(leg(), name=f"rls-{operation}@{host}")
+        try:
+            return (yield from self._invoke(
+                host, operation, payload, len(payload.get("lfns", ())),
+                timeout=self.lookup_timeout,
+            ))
+        except Exception as exc:
+            return exc
 
     def _wave(self, operation: str, payloads: Dict[str, dict]):
         """Generator: scatter ``operation`` to the LRC of every site in
@@ -119,10 +114,13 @@ class RlsCatalogProxy(CatalogProxy):
         whatever order the replies arrive in, so a merged answer does
         not depend on the network.  The wave costs its slowest leg: dead
         shards share one ``lookup_timeout``."""
-        legs = [
-            self._routed_call(self.lrc_hosts[site], operation, payload)
-            for site, payload in payloads.items()
-        ]
+        legs = []
+        for site, payload in payloads.items():
+            host = self.lrc_hosts[site]
+            legs.append(self.client.sim.spawn(
+                self._routed_call(host, operation, payload),
+                name=f"rls-{operation}@{host}",
+            ))
         outcomes = []
         for leg in legs:
             # a leg that finished behind an earlier one is read in place
@@ -132,7 +130,7 @@ class RlsCatalogProxy(CatalogProxy):
     def _ask_index(self, operation: str, payload: dict):
         """Generator: ``(answer, used_index)`` from the RLI; an
         unreachable index answers ``(None, False)``."""
-        answer = yield self._routed_call(self.rli_host, operation, payload)
+        answer = yield from self._routed_call(self.rli_host, operation, payload)
         if isinstance(answer, Exception):
             self.stats["rli_unavailable"] += 1
             return None, False
@@ -384,7 +382,7 @@ class RlsCatalogProxy(CatalogProxy):
             return self._immediate([])
 
         def run():
-            found = yield self._routed_call(
+            found = yield from self._routed_call(
                 host, "catalog.site_files", {"site": site}
             )
             if isinstance(found, Exception):

@@ -34,7 +34,7 @@ from repro.netsim.channels import Envelope, MessageNetwork
 from repro.netsim.topology import Host
 from repro.services.context import RequestContext
 from repro.services.tracelog import Span, TraceLog
-from repro.simulation.kernel import Event, Process, Simulator
+from repro.simulation.kernel import Event, Interrupt, Process, Simulator
 from repro.simulation.resources import Store
 
 __all__ = [
@@ -510,18 +510,31 @@ class ServiceClient:
         context: Optional[RequestContext] = None,
         meta: Optional[dict] = None,
         raise_on_fault: bool = True,
+        idempotent: bool = False,
     ):
-        """Generator: issue one call and wait for its final reply.
-
-        Must be driven from a simulation process (``yield from``); use
-        :meth:`call` for a spawned-process wrapper.  Returns a
+        """Generator: issue one call and wait for its final reply, inside
+        the caller's own process (``yield from``).  Returns a
         :class:`CallOutcome`; with ``raise_on_fault`` a fault reply whose
         payload is a string raises :class:`RemoteCallError` instead.
 
         ``timeout`` bounds the whole call; ``idle_timeout`` bounds the gap
         between replies, so a long transfer streaming periodic preliminary
         markers stays alive while a stalled one is detected quickly.
-        """
+
+        ``idempotent`` marks a write the server must apply exactly once
+        however often the transport re-issues it: the call carries one
+        ``txn`` in its ``meta`` across every retry, answered from the
+        service's :class:`~repro.services.replay.ReplayWindow` when
+        repeated.  The write stays *open* until this returns or raises —
+        after that no retry of it can ever be sent."""
+        if idempotent:
+            serial = next(self._txn_serials)
+            self._open_txns[serial] = None
+            meta = {**(meta or {}), "txn": (
+                f"{self.host.name}/{self.reply_service}",
+                serial,
+                next(iter(self._open_txns)),
+            )}
         call = ClientCall(
             client=self,
             server_host=server_host,
@@ -534,8 +547,11 @@ class ServiceClient:
             meta=meta,
             raise_on_fault=raise_on_fault,
         )
-        outcome = yield from self._client_chain(call)
-        return outcome
+        try:
+            return (yield from self._client_chain(call))
+        finally:
+            if idempotent:
+                del self._open_txns[serial]
 
     def _invoke_once(self, call: ClientCall):
         """One wire-level request/reply exchange (the terminal stage of
@@ -605,14 +621,22 @@ class ServiceClient:
         deadline_at = next_deadline()
         preliminaries: list = []
         while True:
-            if deadline_at is None:
-                reply = yield store.get()
-            else:
-                remaining = max(deadline_at - self.sim.now, 0.0)
-                reply = yield self.sim.any_of(
-                    [store.get(),
-                     self.sim.timeout(remaining, value=_TIMED_OUT)]
-                )
+            try:
+                if deadline_at is None:
+                    reply = yield store.get()
+                else:
+                    remaining = max(deadline_at - self.sim.now, 0.0)
+                    reply = yield self.sim.any_of(
+                        [store.get(),
+                         self.sim.timeout(remaining, value=_TIMED_OUT)]
+                    )
+            except Interrupt:
+                # the calling process was stopped mid-wait: nobody will
+                # read the reply, so it is dropped on arrival
+                self._discard(request_id)
+                if span is not None:
+                    self.tracelog.finish(span, "error", detail="interrupted")
+                raise
             if reply is _TIMED_OUT:
                 self._discard(request_id)
                 self.stats["call_timeouts"] += 1
@@ -659,43 +683,15 @@ class ServiceClient:
             self.tracelog.finish(span, "ok")
         return outcome
 
-    def call(
-        self,
-        server_host: str,
-        operation: str,
-        payload: Any = None,
-        *,
-        idempotent: bool = False,
-        meta: Optional[dict] = None,
-        **kwargs: Any,
-    ) -> Process:
-        """Spawned-process convenience over :meth:`invoke`: the process's
-        value is the final reply payload.
-
-        ``idempotent`` marks a write the server must apply exactly once
-        however often the transport re-issues it: the call carries one
-        ``txn`` in its ``meta`` across every retry, answered from the
-        service's :class:`~repro.services.replay.ReplayWindow` when
-        repeated.  The write stays *open* until ``invoke`` returns or
-        raises — after that no retry of it can ever be sent."""
+    def call(self, server_host: str, operation: str, payload: Any = None,
+             **kwargs: Any) -> Process:
+        """:meth:`invoke` as a process of its own — a call its caller
+        holds as a command — whose value is the final reply payload."""
 
         def run():
-            call_meta = meta
-            if idempotent:
-                serial = next(self._txn_serials)
-                self._open_txns[serial] = None
-                call_meta = {**(meta or {}), "txn": (
-                    f"{self.host.name}/{self.reply_service}",
-                    serial,
-                    next(iter(self._open_txns)),
-                )}
-            try:
-                outcome = yield from self.invoke(
-                    server_host, operation, payload, meta=call_meta, **kwargs
-                )
-            finally:
-                if idempotent:
-                    del self._open_txns[serial]
+            outcome = yield from self.invoke(
+                server_host, operation, payload, **kwargs
+            )
             return outcome.payload
 
         return self.sim.spawn(

@@ -255,8 +255,6 @@ class CircuitBreakerMiddleware:
         try:
             outcome = yield from call_next(call)
         except ServiceError as exc:
-            if probing:
-                st.probing = False
             if getattr(exc, "retryable", False):
                 st.failures += 1
                 if (
@@ -265,8 +263,11 @@ class CircuitBreakerMiddleware:
                 ):
                     self._transition(st, server, endpoint, "open", sim.now)
             raise
-        if probing:
-            st.probing = False
+        finally:
+            # however the probe ended — an interrupted caller included —
+            # the next call may probe again
+            if probing:
+                st.probing = False
         st.failures = 0
         if st.state != "closed":
             self._transition(st, server, endpoint, "closed", sim.now)

@@ -109,7 +109,7 @@ class SoftStatePusher:
         payload = self.build()
         size = self.wire_size(payload)
         try:
-            yield self.client.call(
+            yield from self.client.invoke(
                 self.target_host,
                 self.operation,
                 payload,

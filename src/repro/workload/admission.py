@@ -37,13 +37,12 @@ class TokenBucket:
     never schedules anything.
     """
 
-    def __init__(self, rate: float, capacity: float, *,
-                 initial: Optional[float] = None):
+    def __init__(self, rate: float, capacity: float):
         if rate <= 0 or capacity <= 0:
             raise ValueError("token bucket rate and capacity must be > 0")
         self.rate = rate
         self.capacity = capacity
-        self.tokens = capacity if initial is None else min(initial, capacity)
+        self.tokens = capacity
         self._last = 0.0
         self.granted = 0
         self.refused = 0

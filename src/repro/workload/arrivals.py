@@ -32,6 +32,8 @@ __all__ = ["ArrivalProfile", "ArrivalGenerator"]
 DIURNAL_PERIOD = 3600.0
 #: Zipf exponent of file popularity over the supplied file list.
 POPULARITY_ALPHA = 1.1
+#: Virtual organisations and their relative request weights.
+VO_MIX = (("atlas", 3.0), ("cms", 2.0), ("alice", 1.0))
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class ArrivalProfile:
     """Shape of the request stream."""
 
     rate: float = 400.0                  # aggregate requests / sim-second
-    mix: tuple = (("atlas", 3.0), ("cms", 2.0), ("alice", 1.0))
     tick: float = 30.0                   # admission tick, sim-seconds
     diurnal_amplitude: float = 0.0       # 0..1; 0 = flat rate
     admit_rate: float = 600.0            # token-bucket refill, requests/s
@@ -48,8 +49,8 @@ class ArrivalProfile:
 
     def shares(self) -> dict[str, float]:
         """Normalised VO shares, sorted by name."""
-        total = sum(w for _, w in self.mix)
-        return {vo: w / total for vo, w in sorted(self.mix)}
+        total = sum(w for _, w in VO_MIX)
+        return {vo: w / total for vo, w in sorted(VO_MIX)}
 
     def diurnal(self, now: float) -> float:
         """Rate multiplier at sim time ``now``."""
@@ -86,7 +87,7 @@ class ArrivalGenerator:
 
         self.bucket = TokenBucket(profile.admit_rate, profile.admit_burst)
         self.fairshare = FairShareAdmission(
-            {vo: w for vo, w in profile.mix},
+            dict(VO_MIX),
             max_backlog=profile.max_backlog,
         )
         # fixed (dest, lfn) category grid: destinations uniform, files

@@ -26,8 +26,6 @@ live claim) — the convergence point the experiments run to.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.workload.arrivals import ArrivalGenerator, ArrivalProfile
 from repro.workload.components import (
     Bundler,
@@ -41,6 +39,8 @@ from repro.workload.queue import TaskQueue, TaskQueueProxy, TaskQueueService
 __all__ = ["WorkloadEngine"]
 
 COMPONENT_KINDS = (Picker, Bundler, Replicator, Verifier)
+#: sim-seconds between the supervisor's looks at a drained stream's queue
+SUPERVISE_INTERVAL = 10.0
 
 
 class WorkloadEngine:
@@ -48,23 +48,20 @@ class WorkloadEngine:
 
     def __init__(self, grid, profile: ArrivalProfile, *,
                  lfns: list[str], total: int, rng,
-                 dest_sites: Optional[list[str]] = None,
-                 origin: Optional[str] = None,
                  lease: float = 60.0, poll: float = 5.0,
-                 max_attempts: int = 6,
-                 supervise_interval: float = 10.0):
+                 max_attempts: int = 6):
         self.grid = grid
         self.sim = grid.sim
         self.profile = profile
-        self.origin = origin or grid.catalog_host
+        #: requests arrive at the catalog host; every other site is a
+        #: destination
+        self.origin = grid.catalog_host
         self.dest_sites = sorted(
-            dest_sites
-            if dest_sites is not None
-            else [name for name in grid.sites if name != self.origin]
+            name for name in grid.sites if name != self.origin
         )
         if not self.dest_sites:
             raise ValueError("workload engine needs at least one destination")
-        self.supervise_interval = supervise_interval
+        self.supervise_interval = SUPERVISE_INTERVAL
 
         # the queue service, co-hosted with the catalog
         self.service = TaskQueueService(

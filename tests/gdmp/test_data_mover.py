@@ -22,13 +22,18 @@ def mover_setup():
     return testbed, mover
 
 
+def fetch(testbed, mover, *args, **kwargs):
+    """Run one ``DataMover.fetch`` (a generator) in a process of its own."""
+    return testbed.sim.run(
+        until=testbed.sim.spawn(mover.fetch(*args, **kwargs))
+    )
+
+
 def test_fetch_with_expected_crc(mover_setup):
     testbed, mover = mover_setup
     expected = testbed.server_fs.stat("/store/f").crc
-    report = testbed.sim.run(
-        until=mover.fetch("cern", "/store/f", "/recv/f", expected_crc=expected,
-                          streams=2, tcp_buffer=256 * KiB)
-    )
+    report = fetch(testbed, mover, "cern", "/store/f", "/recv/f",
+                   expected_crc=expected, streams=2, tcp_buffer=256 * KiB)
     assert report.attempts == 1
     assert report.crc_retries == 0
     assert report.buffer == 256 * KiB
@@ -40,7 +45,7 @@ def test_fetch_without_crc_asks_source_cksm(mover_setup):
     """§4.3's end-to-end check still happens when the catalog has no CRC:
     the mover queries the source's CKSM first."""
     testbed, mover = mover_setup
-    report = testbed.sim.run(until=mover.fetch("cern", "/store/f", "/recv/f"))
+    report = fetch(testbed, mover, "cern", "/store/f", "/recv/f")
     assert report.stored.crc == testbed.server_fs.stat("/store/f").crc
     assert mover.metrics.value(
         "rpc.requests", service="gridftp", operation="CKSM", outcome="ok"
@@ -50,7 +55,7 @@ def test_fetch_without_crc_asks_source_cksm(mover_setup):
 def test_fetch_detects_corruption_even_without_catalog_crc(mover_setup):
     testbed, mover = mover_setup
     testbed.server.failures.corrupt_next("/store/f")
-    report = testbed.sim.run(until=mover.fetch("cern", "/store/f", "/recv/f"))
+    report = fetch(testbed, mover, "cern", "/store/f", "/recv/f")
     assert report.crc_retries == 1
     assert report.stored.crc == testbed.server_fs.stat("/store/f").crc
 
@@ -65,7 +70,7 @@ def test_crc_retry_budget_exhausted(mover_setup):
 
     testbed.sim.spawn(keep_corrupting(testbed.sim))
     with pytest.raises(DataMoverError, match="CRC mismatch persists"):
-        testbed.sim.run(until=mover.fetch("cern", "/store/f", "/recv/f"))
+        fetch(testbed, mover, "cern", "/store/f", "/recv/f")
     # the bad copy was purged, not left behind
     assert not testbed.client_fs.exists("/recv/f")
 
@@ -73,4 +78,4 @@ def test_crc_retry_budget_exhausted(mover_setup):
 def test_missing_remote_file_raises(mover_setup):
     testbed, mover = mover_setup
     with pytest.raises(DataMoverError):
-        testbed.sim.run(until=mover.fetch("cern", "/store/ghost", "/recv/g"))
+        fetch(testbed, mover, "cern", "/store/ghost", "/recv/g")

@@ -69,7 +69,7 @@ def test_no_marker_progress_does_not_count_as_restart(rgrid):
 
     def fetch():
         with pytest.raises(TransferAbandoned) as exc_info:
-            yield anl.mover.fetch(
+            yield from anl.mover.fetch(
                 src_host="cern",
                 remote_path=path,
                 local_path="/incoming/doomed.db",

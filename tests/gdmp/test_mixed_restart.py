@@ -32,12 +32,12 @@ def grid():
 
 
 def _fetch(grid):
-    return grid.run(until=grid.site("anl").mover.fetch(
+    return grid.run(until=grid.sim.spawn(grid.site("anl").mover.fetch(
         src_host="cern",
         remote_path=PATH,
         local_path="incoming/mixed.db",
         expected_crc=file_crc(CONTENT),
-    ))
+    )))
 
 
 def test_mixed_assembly_is_restamped_and_retransferred(grid):

@@ -87,10 +87,14 @@ def test_failover_walk_moves_on_from_a_timeout_and_a_remote_fault(grid3):
     client = grid3.site("anl").request_client
     skipped = []
 
+    def fetch(source):
+        outcome = yield from client.invoke(source, "fetch", {}, timeout=2.0)
+        return outcome.payload
+
     def walk():
         return (yield from failover_walk(
             ["cern", "anl", "caltech"],
-            lambda source: client.call(source, "fetch", {}, timeout=2.0),
+            fetch,
             on_failover=lambda source, exc: skipped.append(type(exc)),
         ))
 

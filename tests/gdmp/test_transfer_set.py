@@ -399,13 +399,13 @@ def test_release_of_an_unpinned_file_changes_nothing():
     anl, cern = grid.site("anl"), grid.site("cern")
     path = cern.server.held["f.db"]
     cern.pool.pin(path)  # somebody else's transfer
-    staged = grid.run(until=anl.client._stage_call(
+    staged = grid.run(until=grid.sim.spawn(anl.client._stage_call(
         "cern", "request_stage", ["f.db", "ghost.db"]
-    ))
+    )))
     assert staged["f.db"]["path"] == path and "error" in staged["ghost.db"]
     assert cern.pool.pin_count(path) == 2
-    release = lambda: grid.run(until=anl.client._stage_call(  # noqa: E731
-        "cern", "release", ["f.db", "ghost.db"]
+    release = lambda: grid.run(until=grid.sim.spawn(  # noqa: E731
+        anl.client._stage_call("cern", "release", ["f.db", "ghost.db"])
     ))
     assert release() == {"f.db": True, "ghost.db": False}
     cern.pool.unpin(path)
@@ -421,20 +421,18 @@ def test_any_failure_of_one_stage_leg_is_that_files_answer():
 
     def ensure_or_break(path, pin=True):
         if "bad" not in path:
-            return ensure(path, pin=pin)
-
-        def broken(sim):
-            yield sim.timeout(0.01)  # while the handler waits on good.db
-            raise KeyError(path)
-
-        return grid.sim.spawn(broken(grid.sim))
+            return (yield from ensure(path, pin=pin))
+        yield grid.sim.timeout(0.01)  # while the handler waits on good.db
+        raise KeyError(path)
 
     cern.storage.ensure_on_disk = ensure_or_break
-    staged = grid.run(until=anl.client._stage_call(
+    staged = grid.run(until=grid.sim.spawn(anl.client._stage_call(
         "cern", "request_stage", ["good.db", "bad.db"]
-    ))
+    )))
     assert "path" in staged["good.db"] and "error" in staged["bad.db"]
-    grid.run(until=anl.client._stage_call("cern", "release", ["good.db"]))
+    grid.run(until=grid.sim.spawn(
+        anl.client._stage_call("cern", "release", ["good.db"])
+    ))
     assert_no_pins(grid)
 
 
@@ -514,15 +512,11 @@ def test_wave_whose_reply_is_lost_still_hands_its_pins_back():
     stage = anl.client._stage_call
 
     def stage_with_lost_wave_reply(source, operation, lfns, ahead=False):
-        if not ahead:
-            return stage(source, operation, lfns)
-
-        def lost(sim):
+        answers = yield from stage(source, operation, lfns, ahead)
+        if ahead:
             # the source pins, its every answer is lost on the way back
-            yield stage(source, operation, lfns, ahead)
             raise CallTimeout(operation, source, 5.0)
-
-        return grid.sim.spawn(lost(grid.sim))
+        return answers
 
     anl.client._stage_call = stage_with_lost_wave_reply
     reports = grid.run(until=anl.client.replicate_set(names))

@@ -13,12 +13,13 @@ from repro.netsim.units import KiB, MB, to_mbps
 from repro.security import new_user_credential
 
 
-def run_process(grid, process):
-    return grid.sim.run(until=process)
+def drive(grid, call):
+    """Run one client call — a generator — in a process of its own."""
+    return grid.sim.run(until=grid.sim.spawn(call))
 
 
 def connect(grid, server="cern"):
-    return run_process(grid, grid.client.connect(server))
+    return drive(grid, grid.client.connect(server))
 
 
 # ------------------------------------------------------------ session -----
@@ -39,39 +40,39 @@ def test_connect_rejects_unmapped_user(grid):
 
 def test_feat_lists_extensions(grid):
     session = connect(grid)
-    features = run_process(grid, grid.client.features(session))
+    features = drive(grid, grid.client.features(session))
     assert "SBUF" in features and "PARALLEL" in features
 
 
 def test_size_mdtm_cksm(grid):
     session = connect(grid)
-    assert run_process(grid, grid.client.size(session, "/store/data.db")) == 10 * MB
-    mtime = run_process(
+    assert drive(grid, grid.client.size(session, "/store/data.db")) == 10 * MB
+    mtime = drive(
         grid, grid.client.modification_time(session, "/store/data.db")
     )
     assert mtime == 0.0
-    crc = run_process(grid, grid.client.checksum(session, "/store/data.db"))
+    crc = drive(grid, grid.client.checksum(session, "/store/data.db"))
     assert crc == grid.fs["cern"].stat("/store/data.db").crc
 
 
 def test_size_of_missing_file_fails(grid):
     session = connect(grid)
     with pytest.raises(TransferError, match="SIZE"):
-        run_process(grid, grid.client.size(session, "/store/ghost"))
+        drive(grid, grid.client.size(session, "/store/ghost"))
 
 
 def test_negotiation_validation(grid):
     session = connect(grid)
     with pytest.raises(TransferError):
-        run_process(grid, grid.client.set_buffer(session, 100))
+        drive(grid, grid.client.set_buffer(session, 100))
     with pytest.raises(TransferError):
-        run_process(grid, grid.client.set_parallelism(session, 0))
+        drive(grid, grid.client.set_parallelism(session, 0))
 
 
 # ------------------------------------------------------------ transfers ---
 def test_get_delivers_file_with_matching_crc(grid):
     session = connect(grid)
-    result = run_process(
+    result = drive(
         grid, grid.client.get(session, "/store/data.db", "/pool/data.db")
     )
     assert result.size == 10 * MB
@@ -84,18 +85,18 @@ def test_get_delivers_file_with_matching_crc(grid):
 def test_get_missing_file_raises(grid):
     session = connect(grid)
     with pytest.raises(TransferError, match="failed"):
-        run_process(grid, grid.client.get(session, "/store/ghost", "/pool/x"))
+        drive(grid, grid.client.get(session, "/store/ghost", "/pool/x"))
 
 
 def test_parallel_tuned_get_is_faster(grid):
     grid.fs["cern"].create("/store/big.db", 50 * MB)
     session = connect(grid)
-    slow = run_process(
+    slow = drive(
         grid, grid.client.get(session, "/store/big.db", "/pool/slow.db")
     )
-    yield_buffer = run_process(grid, grid.client.set_buffer(session, 1024 * KiB))
-    run_process(grid, grid.client.set_parallelism(session, 3))
-    fast = run_process(
+    yield_buffer = drive(grid, grid.client.set_buffer(session, 1024 * KiB))
+    drive(grid, grid.client.set_parallelism(session, 3))
+    fast = drive(
         grid, grid.client.get(session, "/store/big.db", "/pool/fast.db")
     )
     assert fast.duration < slow.duration / 3
@@ -105,7 +106,7 @@ def test_parallel_tuned_get_is_faster(grid):
 def test_get_emits_perf_and_restart_markers(grid):
     grid.fs["cern"].create("/store/big.db", 40 * MB)
     session = connect(grid)
-    result = run_process(
+    result = drive(
         grid, grid.client.get(session, "/store/big.db", "/pool/big.db")
     )
     # 40MB at ~4 Mbps untuned takes ~80s -> several 5s marker intervals
@@ -120,7 +121,7 @@ def test_get_emits_perf_and_restart_markers(grid):
 
 def test_partial_get(grid):
     session = connect(grid)
-    result = run_process(
+    result = drive(
         grid,
         grid.client.get(
             session, "/store/data.db", "/pool/part.db", offset=1 * MB,
@@ -137,7 +138,7 @@ def test_injected_abort_reports_restart_marker(grid):
     grid.servers["cern"].failures.abort_after_bytes("/store/flaky.db", 5 * MB)
     session = connect(grid)
     with pytest.raises(TransferError) as exc_info:
-        run_process(
+        drive(
             grid, grid.client.get(session, "/store/flaky.db", "/pool/flaky.db")
         )
     marker = exc_info.value.restart_marker
@@ -151,11 +152,11 @@ def test_restarted_get_moves_only_remaining_bytes(grid):
     grid.servers["cern"].failures.abort_after_bytes("/store/flaky.db", 8 * MB)
     session = connect(grid)
     with pytest.raises(TransferError) as exc_info:
-        run_process(
+        drive(
             grid, grid.client.get(session, "/store/flaky.db", "/pool/flaky.db")
         )
     marker = exc_info.value.restart_marker
-    result = run_process(
+    result = drive(
         grid,
         grid.client.get(
             session, "/store/flaky.db", "/pool/flaky.db", restart=marker.ranges
@@ -173,11 +174,11 @@ def test_restarted_get_moves_only_remaining_bytes(grid):
 def test_corruption_injection_changes_crc(grid):
     grid.servers["cern"].failures.corrupt_next("/store/data.db")
     session = connect(grid)
-    run_process(grid, grid.client.get(session, "/store/data.db", "/pool/bad.db"))
+    drive(grid, grid.client.get(session, "/store/data.db", "/pool/bad.db"))
     received = grid.fs["anl"].stat("/pool/bad.db")
     assert received.crc != grid.fs["cern"].stat("/store/data.db").crc
     # next transfer is clean again (one-shot injection)
-    run_process(grid, grid.client.get(session, "/store/data.db", "/pool/good.db"))
+    drive(grid, grid.client.get(session, "/store/data.db", "/pool/good.db"))
     assert (
         grid.fs["anl"].stat("/pool/good.db").crc
         == grid.fs["cern"].stat("/store/data.db").crc
@@ -187,7 +188,7 @@ def test_corruption_injection_changes_crc(grid):
 def test_put_uploads_file(grid):
     grid.fs["anl"].create("/local/results.db", 3 * MB)
     session = connect(grid)
-    result = run_process(
+    result = drive(
         grid, grid.client.put(session, "/local/results.db", "/store/results.db")
     )
     assert result.size == 3 * MB
@@ -201,13 +202,13 @@ def test_put_existing_path_rejected(grid):
     grid.fs["anl"].create("/local/x", 1 * MB)
     session = connect(grid)
     with pytest.raises(TransferError, match="STOR"):
-        run_process(grid, grid.client.put(session, "/local/x", "/store/data.db"))
+        drive(grid, grid.client.put(session, "/local/x", "/store/data.db"))
 
 
 def test_third_party_transfer(grid):
     src = connect(grid, "cern")
     dst = connect(grid, "anl")
-    result = run_process(
+    result = drive(
         grid,
         grid.client.third_party_transfer(
             src, dst, "/store/data.db", "/mirror/data.db"
@@ -221,9 +222,8 @@ def test_third_party_transfer(grid):
 
 
 def test_globus_url_copy_get(grid):
-    result = run_process(
-        grid,
-        globus_url_copy(
+    result = grid.sim.run(
+        until=globus_url_copy(
             grid.client,
             "gsiftp://cern/store/data.db",
             "file:///pool/copied.db",
@@ -236,9 +236,8 @@ def test_globus_url_copy_get(grid):
 
 
 def test_globus_url_copy_third_party(grid):
-    result = run_process(
-        grid,
-        globus_url_copy(
+    result = grid.sim.run(
+        until=globus_url_copy(
             grid.client,
             "gsiftp://cern/store/data.db",
             "gsiftp://anl/mirror/tp.db",
@@ -254,7 +253,7 @@ def test_unauthenticated_command_rejected(grid):
         server_host="cern", session_id="bogus", account="", server_subject=""
     )
     with pytest.raises(TransferError):
-        run_process(grid, grid.client.size(fake, "/store/data.db"))
+        drive(grid, grid.client.size(fake, "/store/data.db"))
 
 
 # ------------------------------------------------------------ striping ----
@@ -269,7 +268,7 @@ def test_striped_transfer_completes(grid):
 def test_eret_bad_offset_rejected(grid):
     session = connect(grid)
     with pytest.raises(TransferError):
-        run_process(
+        drive(
             grid,
             grid.client.get(session, "/store/data.db", "/pool/x",
                             offset=100 * MB),
@@ -278,7 +277,7 @@ def test_eret_bad_offset_rejected(grid):
 
 def test_eret_length_clamped_to_file(grid):
     session = connect(grid)
-    result = run_process(
+    result = drive(
         grid,
         grid.client.get(session, "/store/data.db", "/pool/clamped",
                         offset=9 * MB, length=5 * MB),
@@ -292,14 +291,14 @@ def test_rest_applies_to_one_transfer_only(grid):
 
     grid.fs["cern"].create("/store/two.db", 4 * MB)
     session = connect(grid)
-    run_process(
+    drive(
         grid,
         grid.client.get(session, "/store/two.db", "/pool/two-a",
                         restart=RangeSet([(0, 2 * MB)])),
     )
     sent_first = grid.metrics.value("gridftp.bytes_sent", host="cern")
     assert sent_first == pytest.approx(2 * MB)
-    run_process(grid, grid.client.get(session, "/store/two.db", "/pool/two-b"))
+    drive(grid, grid.client.get(session, "/store/two.db", "/pool/two-b"))
     sent_total = grid.metrics.value("gridftp.bytes_sent", host="cern")
     assert sent_total == pytest.approx(2 * MB + 4 * MB)
 
@@ -313,15 +312,15 @@ def test_stor_without_space_rejected(grid):
     grid.fs["cern"].create("/filler", free - 1 * MB)
     session = connect(grid)
     with pytest.raises(TransferError, match="STOR"):
-        run_process(grid, grid.client.put(session, "/local/huge", "/store/huge"))
+        drive(grid, grid.client.put(session, "/local/huge", "/store/huge"))
 
 
 def test_quit_invalidates_session(grid):
     session = connect(grid)
-    run_process(grid, grid.client.quit(session))
+    drive(grid, grid.client.quit(session))
     assert session.closed
     with pytest.raises(TransferError):
-        run_process(grid, grid.client.size(session, "/store/data.db"))
+        drive(grid, grid.client.size(session, "/store/data.db"))
 
 
 def test_put_and_get_throughput_are_similar(grid):
@@ -330,12 +329,12 @@ def test_put_and_get_throughput_are_similar(grid):
     grid.fs["cern"].create("/store/sym.db", 25 * MB)
     grid.fs["anl"].create("/local/sym.db", 25 * MB)
     session = connect(grid)
-    run_process(grid, grid.client.set_buffer(session, 1024 * KiB))
-    run_process(grid, grid.client.set_parallelism(session, 3))
-    got = run_process(
+    drive(grid, grid.client.set_buffer(session, 1024 * KiB))
+    drive(grid, grid.client.set_parallelism(session, 3))
+    got = drive(
         grid, grid.client.get(session, "/store/sym.db", "/pool/sym.db")
     )
-    put = run_process(
+    put = drive(
         grid, grid.client.put(session, "/local/sym.db", "/store/sym-up.db")
     )
     assert got.throughput == pytest.approx(put.throughput, rel=0.25)
@@ -367,14 +366,14 @@ def channels(grid, event):
 
 
 def open_session(grid, cache_channels, server="cern"):
-    return run_process(grid, grid.sim.spawn(grid.client.open_session(
+    return drive(grid, grid.client.open_session(
         server, 64 * KiB, STREAMS, cache_channels=cache_channels
-    )))
+    ))
 
 
 def get(grid, session, name, **kwargs):
     grid.gets = getattr(grid, "gets", 0) + 1
-    return run_process(grid, grid.client.get(
+    return drive(grid, grid.client.get(
         session, f"/store/{name}", f"/pool/{name}-{grid.gets}", **kwargs
     ))
 
@@ -389,7 +388,7 @@ def test_second_retr_is_warm_on_a_caching_session(quiet_grid):
     server = grid.servers["cern"]
     assert channels(grid, "reused") == STREAMS
     # a goodbye leaves nothing behind
-    run_process(grid, grid.client.quit(session))
+    drive(grid, grid.client.quit(session))
     assert server.open_sessions == 0
     assert channels(grid, "dropped") == STREAMS
 
@@ -410,8 +409,8 @@ def test_same_sbuf_and_opts_keep_the_channels(quiet_grid):
     grid = quiet_grid
     session = open_session(grid, cache_channels=True)
     get(grid, session, "a")
-    run_process(grid, grid.client.set_buffer(session, 64 * KiB))
-    run_process(grid, grid.client.set_parallelism(session, STREAMS, True))
+    drive(grid, grid.client.set_buffer(session, 64 * KiB))
+    drive(grid, grid.client.set_parallelism(session, STREAMS, True))
     assert get(grid, session, "b").channels == "warm"
 
 
@@ -421,11 +420,11 @@ def test_renegotiation_makes_the_next_retr_cold(quiet_grid, change):
     session = open_session(grid, cache_channels=True)
     get(grid, session, "a")
     if change == "sbuf":
-        run_process(grid, grid.client.set_buffer(session, 128 * KiB))
+        drive(grid, grid.client.set_buffer(session, 128 * KiB))
     elif change == "opts":
-        run_process(grid, grid.client.set_parallelism(session, 2, True))
+        drive(grid, grid.client.set_parallelism(session, 2, True))
     else:
-        run_process(grid, grid.client.set_parallelism(session, STREAMS))
+        drive(grid, grid.client.set_parallelism(session, STREAMS))
     assert get(grid, session, "b").channels == "cold"
     server = grid.servers["cern"]
     assert channels(grid, "dropped") == STREAMS
@@ -491,14 +490,12 @@ def test_channels_belong_to_one_peer(quiet_grid):
         return reply.payload["channels"]
 
     parked = server._sessions[session.session_id].parked
-    assert run_process(
-        grid, grid.sim.spawn(third_party("RETR"))
-    ) == "cold"
+    assert drive(grid, third_party("RETR")) == "cold"
     assert channels(grid, "reused") == 0
     assert {key[:2] for key in parked} == {("cern", "anl"), ("cern", "fnal")}
     # a partial transfer to the same peer rides that peer's channels ...
-    assert run_process(
-        grid, grid.sim.spawn(third_party("ERET", offset=0.0, length=1.0 * MB))
+    assert drive(
+        grid, third_party("ERET", offset=0.0, length=1.0 * MB)
     ) == "warm"
     assert channels(grid, "reused") == STREAMS
     # ... and one to the first peer that one's, never the other's
@@ -514,7 +511,7 @@ def test_stor_opens_cold_and_conserves_bytes(quiet_grid):
     grid = quiet_grid
     grid.fs["anl"].create("/local/up", 3 * MB)
     session = open_session(grid, cache_channels=False)
-    run_process(grid, grid.client.put(session, "/local/up", "/store/up"))
+    drive(grid, grid.client.put(session, "/local/up", "/store/up"))
     assert grid.fs["cern"].stat("/store/up").size == 3 * MB
     assert grid.metrics.value("gridftp.bytes_received", host="cern") == 3 * MB
 
@@ -534,5 +531,5 @@ def test_quit_hangs_up_a_session_that_never_logged_in(grid):
         )
         return denied.code, goodbye.code
 
-    assert run_process(grid, grid.sim.spawn(half_open())) == (530, 221)
+    assert drive(grid, half_open()) == (530, 221)
     assert grid.servers["cern"].open_sessions == 0

@@ -29,15 +29,15 @@ def test_restart_resume_equivalent_to_clean_transfer(size_mb, abort_fraction):
     )
 
     def scenario(sim=grid.sim, client=grid.client):
-        session = yield client.connect("cern")
+        session = yield from client.connect("cern")
         try:
-            yield client.get(session, "/store/f", "/recv/f")
+            yield from client.get(session, "/store/f", "/recv/f")
         except TransferError as exc:
             marker = exc.restart_marker
             assert marker is not None
-            yield client.get(session, "/store/f", "/recv/f",
-                             restart=marker.ranges)
-        yield client.quit(session)
+            yield from client.get(session, "/store/f", "/recv/f",
+                                  restart=marker.ranges)
+        yield from client.quit(session)
 
     grid.sim.run(until=grid.sim.spawn(scenario()))
     received = grid.fs["anl"].stat("/recv/f")

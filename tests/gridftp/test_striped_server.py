@@ -48,10 +48,10 @@ def build_striped_testbed(data_nodes=("cern-dn1",)):
 
 def run_get(sim, client, size):
     def go():
-        session = yield client.connect("cern")
-        yield client.set_buffer(session, 256 * KiB)
-        result = yield client.get(session, "/store/f", "/recv/f")
-        yield client.quit(session)
+        session = yield from client.connect("cern")
+        yield from client.set_buffer(session, 256 * KiB)
+        result = yield from client.get(session, "/store/f", "/recv/f")
+        yield from client.quit(session)
         return result
 
     return sim.run(until=sim.spawn(go()))
@@ -84,10 +84,10 @@ def test_striping_composes_with_parallel_streams():
     server_fs.create("/store/f", 20 * MB)
 
     def go():
-        session = yield client.connect("cern")
-        yield client.set_parallelism(session, 4)
-        result = yield client.get(session, "/store/f", "/recv/f")
-        yield client.quit(session)
+        session = yield from client.connect("cern")
+        yield from client.set_parallelism(session, 4)
+        result = yield from client.get(session, "/store/f", "/recv/f")
+        yield from client.quit(session)
         return result
 
     result = sim.run(until=sim.spawn(go()))
@@ -108,14 +108,14 @@ def test_expired_proxy_rejected_after_time_passes():
     client.credential = user.create_proxy(now=0.0, lifetime=30.0)
 
     def first(sim=sim):
-        session = yield client.connect("cern")
-        yield client.quit(session)
+        session = yield from client.connect("cern")
+        yield from client.quit(session)
 
     sim.run(until=sim.spawn(first()))  # works while the proxy is fresh
     sim.run(until=sim.now + 60.0)      # let the proxy expire
 
     def second(sim=sim):
-        yield client.connect("cern")
+        yield from client.connect("cern")
 
     with pytest.raises(TransferError, match="authentication failed"):
         sim.run(until=sim.spawn(second()))

@@ -95,7 +95,9 @@ def test_copy_timed_charges_cost_model(fed):
     cost = CopyCostModel(disk_read_rate=1e6, disk_write_rate=1e6,
                          cpu_rate=1e6, per_object_overhead=0.01)
     copier = ObjectCopier(federation, cost)
-    result = sim.run(until=copier.copy_timed(sim, [a.oid for a in aods], "t.db"))
+    result = sim.run(until=sim.spawn(
+        copier.copy_timed(sim, [a.oid for a in aods], "t.db")
+    ))
     nbytes = 10 * 10_000
     expected = 3 * nbytes / 1e6 + 10 * 0.01
     assert sim.now == pytest.approx(expected)

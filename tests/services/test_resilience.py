@@ -212,6 +212,31 @@ def test_breaker_failed_probe_reopens():
     assert breaker.state_of("srv") == "open"
 
 
+def test_interrupted_probe_lets_the_next_call_probe():
+    """A probe whose caller is interrupted mid-wait (a stopped pusher
+    drives its call in its own process) settles nothing, but must not
+    leave the circuit refusing every later call as "probe in flight"."""
+    sim = Simulator()
+    breaker = CircuitBreakerMiddleware(failure_threshold=2, cooldown=10.0)
+    call = _call(sim)
+    _tripping_breaker(sim, breaker, call, 2)
+    sim.run(until=11.0)
+
+    def hanging(call):
+        yield sim.event()           # the reply that never comes
+
+    def healthy(call):
+        return "pong"
+        yield  # pragma: no cover - generator marker
+
+    probe = sim.spawn(breaker(call, hanging), name="probe")
+    sim.run(until=12.0)
+    probe.interrupt("stopped")
+    sim.run(until=13.0)
+    assert _drive(sim, breaker(call, healthy)) == "pong"
+    assert breaker.state_of("srv") == "closed"
+
+
 def test_breaker_is_per_server():
     sim = Simulator()
     breaker = CircuitBreakerMiddleware(failure_threshold=2, cooldown=30.0)

@@ -188,3 +188,36 @@ def test_stop_mid_call_ends_the_loop_without_counting_a_loss(feed_type):
     assert pusher.stats["pushes"] == before["pushes"] + 1
     assert feed.unacknowledged() == 0
     assert feed.target_saw_latest()
+
+
+@pytest.mark.parametrize("feed_type", FEEDS)
+def test_stop_mid_call_to_a_black_hole_leaves_nothing_behind(feed_type):
+    """The push the stop interrupts is waiting inside its pusher's own
+    process on a target that will never answer: the interrupt drops the
+    request there, so its timeout finds nobody to fail."""
+    grid = _grid()
+    feed = feed_type(grid)
+    feed.plane.start()
+    grid.run(until=2 * PERIOD)
+    before = dict(feed.pusher.stats)
+    feed.change_state()
+    pusher, sent = feed.pusher, []
+    build = pusher.build
+    pusher.build = lambda: (sent.append(grid.sim.now), build())[1]
+    _blackhole(feed, True)
+    while not sent:
+        grid.run(until=grid.sim.now + 0.25)
+    assert pusher.running()
+    feed.plane.stop()
+    grid.run(until=grid.sim.now + 3 * PERIOD)   # past the push's timeout
+    assert not pusher.running()
+    assert pusher.stats == before               # neither a push nor a loss
+    assert not pusher.client._pending and not pusher.client._pending_hosts
+    assert not grid.tracelog.open_spans()
+
+    _blackhole(feed, False)
+    feed.plane.start()                          # a restart delivers it
+    grid.run(until=grid.sim.now + PERIOD)
+    assert pusher.stats["pushes"] == before["pushes"] + 1
+    assert feed.unacknowledged() == 0
+    assert feed.target_saw_latest()

@@ -124,7 +124,7 @@ def bad_chain():
         grid.run(until=anl.request_client.call("cern", "get_catalog", {}))
     anl.gridftp_client.credential = stranger
     with pytest.raises(TransferError, match="authentication failed"):
-        grid.run(until=anl.gridftp_client.connect("cern"))
+        grid.run(until=grid.sim.spawn(anl.gridftp_client.connect("cern")))
     return [(cern.request_server.stats, "auth_failures", 1),
             (cern.gridftp_server.stats, "auth_failures", 1)]
 
@@ -187,9 +187,13 @@ def tape_trouble():
     cern.fs.delete(path)
     cern.mss.inject_errors(1)
     with pytest.raises(GdmpError, match="injected drive error"):
-        grid.run(until=cern.storage.ensure_on_disk(path, pin=False))
+        grid.run(until=grid.sim.spawn(
+            cern.storage.ensure_on_disk(path, pin=False)
+        ))
     cern.mss.inject_stall(grid.sim.now + 30.0)
-    grid.run(until=cern.storage.ensure_on_disk(path, pin=False))
+    grid.run(until=grid.sim.spawn(
+        cern.storage.ensure_on_disk(path, pin=False)
+    ))
     return [(cern.mss.stats, "stage_faults", 1),
             (cern.mss.stats, "stage_stalls", 1)]
 

@@ -146,12 +146,14 @@ def test_exporter_shape_checks_report_what_is_malformed():
 
 def test_the_event_budget_is_the_measured_count_plus_a_tenth(capsys):
     assert smoke.check_event_budget() == []
-    out = capsys.readouterr().out
-    events, requests = (
-        int(word) for word in out.split() if word.isdigit()
-    )
-    assert events / requests <= smoke.EVENTS_PER_REQUEST \
-        <= 1.1 * events / requests + 0.05
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(smoke.EVENTS_PER_REQUEST)
+    for line, (name, budget) in zip(lines, smoke.EVENTS_PER_REQUEST.items()):
+        assert f"event budget: {name}: " in line
+        events, requests = (
+            int(word) for word in line.split() if word.isdigit()
+        )
+        assert events / requests <= budget <= 1.1 * events / requests + 0.05
 
 
 def test_unknown_name_is_rejected_with_the_known_ones(capsys):
