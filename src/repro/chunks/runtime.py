@@ -58,13 +58,10 @@ class ChunkConfig:
     scrub_sites: Optional[list[str]] = None
     #: where the directory + scrub queue live (default: catalog host)
     directory_host: Optional[str] = None
-    #: placement salt (defaults to the grid's engine seed)
-    salt: Optional[int] = None
     #: a scrub worker's back-off after its queue could not be reached
     #: (an idle one waits at the queue, it does not poll)
     poll: float = 5.0
     lease: float = 120.0
-    max_attempts: int = 6
 
 
 class ChunkRuntime:
@@ -83,12 +80,11 @@ class ChunkRuntime:
         for name in placement:
             if name not in grid.sites:
                 raise ValueError(f"placement site {name!r} is not a site")
-        salt = config.salt if config.salt is not None else grid.engine_seed
         register = None
         if grid.catalog_backend is not None:
             register = self._register_manifest
         self.directory = ChunkDirectory(
-            placement, salt=salt, register=register
+            placement, salt=grid.engine_seed, register=register
         )
         host_site = grid.sites[self.directory_host]
         self.service = ChunkDirectoryService(
@@ -99,7 +95,6 @@ class ChunkRuntime:
             host_site.request_server,
             metrics=None,  # workload gauges belong to the pipeline queue
             default_lease=config.lease,
-            max_attempts=config.max_attempts,
         )
         self.stores: dict[str, ChunkStoreClient] = {}
         for name in sorted(grid.sites):

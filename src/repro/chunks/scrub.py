@@ -82,13 +82,8 @@ class _ProbeMixin:
                     else:
                         outcomes[(chunk_id, holder)] = "ok"
                 continue
-            try:
-                session = yield from site.gridftp_client.open_session(holder)
-            except (TransferError, ServiceError):
-                for chunk_id, _ in checks:
-                    outcomes[(chunk_id, holder)] = "unreachable"
-                continue
-            try:
+
+            def check(session, holder=holder, checks=checks):
                 for chunk_id, crc in checks:
                     try:
                         remote = yield from site.gridftp_client.checksum(
@@ -103,8 +98,13 @@ class _ProbeMixin:
                     outcomes[(chunk_id, holder)] = (
                         "ok" if remote == crc else "corrupt"
                     )
-            finally:
-                yield from site.gridftp_client.close_session(session)
+
+            try:
+                yield from site.gridftp_client.session(holder, check)
+            except (TransferError, ServiceError):
+                # the dial failed (``check`` answers each CKSM failure)
+                for chunk_id, _ in checks:
+                    outcomes[(chunk_id, holder)] = "unreachable"
         return outcomes
 
     def _scrub_count(self, outcome: str, amount: int = 1) -> None:

@@ -192,20 +192,25 @@ class ChunkStoreClient:
         bytes_uploaded = 0.0
         ftp = self.site.gridftp_client
         for target in order:
-            try:
-                session = yield from ftp.open_session(target)
-            except TransferError as exc:
-                raise ChunkStoreError(
-                    f"connect to {target!r} failed: {exc}"
-                ) from exc
-            try:
+            dialled = False
+
+            def upload(session, target=target):
+                nonlocal bytes_uploaded, dialled
+                dialled = True
                 for chunk_id, witness in per_site[target]:
                     bytes_uploaded += yield from self._upload_chunk(
                         session, chunk_id, witness, size
                     )
                     placements.append((chunk_id, target))
-            finally:
-                yield from ftp.close_session(session)
+
+            try:
+                yield from ftp.session(target, upload)
+            except TransferError as exc:
+                if dialled:  # an upload's own failure stays its own
+                    raise
+                raise ChunkStoreError(
+                    f"connect to {target!r} failed: {exc}"
+                ) from exc
         return placements, bytes_uploaded
 
     # -- write path ---------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netsim.units import GB, KiB, mbps
+from repro.netsim.units import GB, KiB
 
 __all__ = ["GdmpConfig"]
 
@@ -24,14 +24,11 @@ class GdmpConfig:
 
     site: str
     disk_capacity: float = 500 * GB
-    disk_read_rate: float = mbps(400)
-    disk_write_rate: float = mbps(400)
     # transfer defaults (the GridFTP negotiation GDMP performs)
     tcp_buffer: int = 64 * KiB
     parallel_streams: int = 4
-    # mass storage
+    # mass storage (tapes at the system's default rate)
     has_mss: bool = False
-    tape_rate: float = 15e6
     # behaviour
     auto_replicate: bool = False  # fetch files as soon as a notify arrives
     attrs: dict = field(default_factory=dict)

@@ -24,6 +24,19 @@ from repro.storage.integrity import mixed_content_id
 
 __all__ = ["DataMover", "DataMoverError", "TransferAbandoned", "MoveReport"]
 
+#: restarts that gained bytes before a transfer is abandoned
+MAX_RESTART_ATTEMPTS = 3
+#: full re-transfers after a CRC mismatch before a fetch fails
+MAX_CRC_RETRIES = 2
+#: budget for restarts that bring *no new bytes* (e.g. a link cut right
+#: at connection setup) — bounded separately so a flapping link cannot
+#: burn the real restart budget without progress, while a black hole
+#: still terminates
+MAX_STALLED_ATTEMPTS = 8
+#: pause before re-dialling after a zero-progress restart; never taken
+#: on a healthy transfer
+STALL_BACKOFF = 0.25
+
 
 class DataMoverError(Exception):
     """Transfer could not be completed within the retry budget."""
@@ -65,26 +78,12 @@ class DataMover:
         sim: Simulator,
         ftp_client: GridFTPClient,
         filesystem: FileSystem,
-        max_restart_attempts: int = 3,
-        max_crc_retries: int = 2,
-        max_stalled_attempts: int = 8,
-        stall_backoff: float = 0.25,
         metrics=None,
         site: str = "",
     ):
         self.sim = sim
         self.ftp = ftp_client
         self.fs = filesystem
-        self.max_restart_attempts = max_restart_attempts
-        self.max_crc_retries = max_crc_retries
-        #: budget for restarts that bring *no new bytes* (e.g. a link cut
-        #: right at connection setup) — bounded separately so a flapping
-        #: link cannot burn the real restart budget without progress,
-        #: while a black hole still terminates.
-        self.max_stalled_attempts = max_stalled_attempts
-        #: pause before re-dialling after a zero-progress restart; never
-        #: taken on a healthy transfer.
-        self.stall_backoff = stall_backoff
         #: optional MetricsRegistry + site label for recovery counters
         self.metrics = metrics
         self.site = site
@@ -179,7 +178,7 @@ class DataMover:
                             if descriptor is not None:
                                 contributed.append(descriptor.content_id)
                             self._count("restarts")
-                            if consumed > self.max_restart_attempts:
+                            if consumed > MAX_RESTART_ATTEMPTS:
                                 self._count("abandoned")
                                 raise TransferAbandoned(
                                     f"gave up on {remote_path!r} after "
@@ -190,15 +189,14 @@ class DataMover:
                         else:
                             stalled += 1
                             self._count("stalls")
-                            if stalled > self.max_stalled_attempts:
+                            if stalled > MAX_STALLED_ATTEMPTS:
                                 self._count("abandoned")
                                 raise TransferAbandoned(
                                     f"no progress on {remote_path!r} "
                                     f"after {stalled} stalled attempts",
                                     partial=progress,
                                 ) from exc
-                            if self.stall_backoff > 0:
-                                yield self.sim.timeout(self.stall_backoff)
+                            yield self.sim.timeout(STALL_BACKOFF)
                         restart = progress if len(progress) else None
                 stored = self.fs.stat(local_path)
                 if any(c != stored.content_id for c in contributed):
@@ -229,7 +227,7 @@ class DataMover:
                 self._count("crc_failures")
                 crc_retries += 1
                 self.fs.delete(local_path)
-                if crc_retries > self.max_crc_retries:
+                if crc_retries > MAX_CRC_RETRIES:
                     raise DataMoverError(
                         f"CRC mismatch persists for {remote_path!r} "
                         f"after {crc_retries} re-transfers"

@@ -52,6 +52,9 @@ from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["GdmpSite", "DataGrid"]
 
+#: every site's disk bandwidth, each way
+DISK_RATE = mbps(400)
+
 
 @dataclass
 class GdmpSite:
@@ -192,18 +195,13 @@ class DataGrid:
         fs = FileSystem(
             name,
             capacity=config.disk_capacity,
-            read_rate=config.disk_read_rate,
-            write_rate=config.disk_write_rate,
+            read_rate=DISK_RATE,
+            write_rate=DISK_RATE,
         )
         pool = DiskPool(fs)
         mss = None
         if config.has_mss:
-            mss = MassStorageSystem(
-                self.sim,
-                name,
-                tape_rate=config.tape_rate,
-                metrics=self.metrics,
-            )
+            mss = MassStorageSystem(self.sim, name, metrics=self.metrics)
         hrm = HierarchicalResourceManager(self.sim, pool, mss)
         federation = Federation(f"fed-{name}", site=name)
         gridftp_server = GridFTPServer(
@@ -307,15 +305,11 @@ class DataGrid:
             rpc.fail_fast_when_down = True
             rpc.use_middlewares((
                 RetryMiddleware(
-                    config.retry,
                     rng=streams[f"resilience.retry.{name}"],
                     metrics=self.metrics,
                 ),
                 CircuitBreakerMiddleware(
-                    failure_threshold=config.failure_threshold,
-                    cooldown=config.cooldown,
-                    metrics=self.metrics,
-                    service=rpc.service,
+                    metrics=self.metrics, service=rpc.service,
                 ),
             ))
             ftp_bus = site.gridftp_client.bus

@@ -11,13 +11,12 @@ without entering the fluid congestion engine.  Bulk data must use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.netsim.topology import Host, Topology
 from repro.simulation.kernel import Event, Simulator
-from repro.simulation.resources import Store
 
-__all__ = ["Envelope", "Mailbox", "MessageNetwork"]
+__all__ = ["Envelope", "MessageNetwork"]
 
 #: Host-side cost of handling one message (seconds), paid even on loopback.
 PER_MESSAGE_OVERHEAD = 0.001
@@ -42,31 +41,18 @@ class Envelope:
     context: Any = None
 
 
-class Mailbox:
-    """FIFO of delivered envelopes for one (host, service) endpoint."""
-
-    def __init__(self, sim: Simulator, address: tuple[str, str]):
-        self.address = address
-        self._store = Store(sim)
-
-    def get(self) -> Event:
-        """Event yielding the next :class:`Envelope` (blocks until one arrives)."""
-        return self._store.get()
-
-    def _deliver(self, envelope: Envelope) -> None:
-        self._store.put(envelope)
-
-    def __len__(self) -> int:
-        return len(self._store)
+#: What an endpoint registers: called with each envelope as it arrives.
+Deliver = Callable[[Envelope], None]
 
 
 class MessageNetwork:
-    """Registry of service mailboxes plus the latency model between them."""
+    """Registry of endpoint delivery functions plus the latency model
+    between them."""
 
     def __init__(self, sim: Simulator, topology: Topology):
         self.sim = sim
         self.topology = topology
-        self._mailboxes: dict[tuple[str, str], Mailbox] = {}
+        self._endpoints: dict[tuple[str, str], Deliver] = {}
         self._down_hosts: set[str] = set()
         self._down_links: set[str] = set()
         #: (host, service) -> set of black-holed operation prefixes; the
@@ -169,22 +155,22 @@ class MessageNetwork:
             return False
         return prefix is None or operation.startswith(prefix)
 
-    def register(self, host: Host | str, service: str) -> Mailbox:
-        """Create the mailbox for a (host, service) endpoint."""
+    def register(self, host: Host | str, service: str, deliver: Deliver) -> None:
+        """Bind a (host, service) endpoint to ``deliver``, which the
+        network calls with each :class:`Envelope` at its delivery instant
+        — the code that answers a message is the code that receives it."""
         name = host.name if isinstance(host, Host) else host
         self.topology.host(name)  # validate
         address = (name, service)
-        if address in self._mailboxes:
+        if address in self._endpoints:
             raise ValueError(f"service {service!r} already registered on {name!r}")
-        mailbox = Mailbox(self.sim, address)
-        self._mailboxes[address] = mailbox
-        return mailbox
+        self._endpoints[address] = deliver
 
-    def lookup(self, host: Host | str, service: str) -> Mailbox:
-        """The mailbox of a registered (host, service) endpoint."""
+    def lookup(self, host: Host | str, service: str) -> Deliver:
+        """The delivery function of a registered (host, service) endpoint."""
         name = host.name if isinstance(host, Host) else host
         try:
-            return self._mailboxes[(name, service)]
+            return self._endpoints[(name, service)]
         except KeyError:
             raise KeyError(f"no service {service!r} on host {name!r}") from None
 
@@ -210,12 +196,12 @@ class MessageNetwork:
         context: Any = None,
     ) -> Event:
         """Send ``payload`` to ``(dst, service)``.  The returned event fires
-        when the message has been *delivered* (placed in the mailbox).
+        when the message has been *delivered* (handed to the endpoint).
         ``context`` (defaulting to the sending process's ambient context)
         is stamped onto the delivered envelope."""
         src_name = src.name if isinstance(src, Host) else src
         dst_name = dst.name if isinstance(dst, Host) else dst
-        mailbox = self.lookup(dst_name, service)
+        deliver_to = self.lookup(dst_name, service)
         delay = self.latency(src_name, dst_name, size)
         if self._service_delays:
             fault = self._service_delays.get((dst_name, service))
@@ -255,7 +241,7 @@ class MessageNetwork:
                 delivered_at=self.sim.now,
                 context=context,
             )
-            mailbox._deliver(envelope)
+            deliver_to(envelope)
             delivered.succeed(envelope)
 
         # One timer per message, not a process: timers of equal delay fire

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.netsim.tools import ping
 from repro.netsim.topology import RouteError
@@ -37,16 +37,15 @@ __all__ = ["WeatherConfig", "WeatherStation", "SiteWeather"]
 class WeatherConfig:
     """Opt-in configuration for the grid weather service."""
 
-    #: per-pair ring-buffer depth (oldest samples fall off)
-    ring_size: int = 64
     #: EWMA smoothing constant for throughput and RTT
     ewma_alpha: float = 0.3
     #: half-life (sim seconds) of the decayed estimators — idle pairs
     #: lose evidence and confidence at this rate
     half_life: float = 120.0
     #: log2 size bins of the throughput regressor, from ``base_size``
-    bins: int = 8
-    base_size: float = 1e6
+    #: (a fixed shape: every digest reader bins sizes the same way)
+    bins: ClassVar[int] = 8
+    base_size: ClassVar[float] = 1e6
     #: a site-cached forecast older than this is not consulted at all:
     #: selection falls through to the probe ladder
     staleness_horizon: float = 90.0
@@ -89,7 +88,7 @@ class WeatherStation:
         if history is None:
             c = self.config
             history = PairHistory(
-                ring_size=c.ring_size, ewma_alpha=c.ewma_alpha,
+                ewma_alpha=c.ewma_alpha,
                 half_life=c.half_life, bins=c.bins, base_size=c.base_size,
             )
             self.pairs[(src, dst)] = history

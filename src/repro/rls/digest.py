@@ -41,6 +41,11 @@ DIGEST_HEADER_SIZE = 64
 DELTA_ITEM_SIZE = 48
 #: bloom capacity floor, so small sites get stable filter shapes
 MIN_BLOOM_CAPACITY = 1024
+#: bloom false-positive target at its capacity
+BLOOM_FPP = 0.01
+#: a delta larger than this fraction of the full set is promoted to a
+#: full refresh (the bloom is cheaper than the explicit list)
+DELTA_PROMOTE_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,6 @@ class DigestConfig:
     period: float = 30.0
     #: every Nth push is a full bloom refresh (1 = always full)
     full_every: int = 10
-    #: bloom false-positive target at ``capacity`` entries
-    fpp: float = 0.01
-    #: a delta larger than this fraction of the full set is promoted to
-    #: a full refresh (the bloom is cheaper than the explicit list)
-    delta_promote_ratio: float = 0.25
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -127,7 +127,7 @@ class DigestSource:
     def build_bloom(self, lfns: Iterable[str]) -> BloomFilter:
         lfns = list(lfns)
         bloom = BloomFilter.for_capacity(
-            max(len(lfns), MIN_BLOOM_CAPACITY), fpp=self.config.fpp
+            max(len(lfns), MIN_BLOOM_CAPACITY), fpp=BLOOM_FPP
         )
         bloom.update(lfns)
         return bloom
@@ -141,7 +141,7 @@ class DigestSource:
             self.needs_full
             or self.pushes_since_full + 1 >= cfg.full_every
             or self.pending_changes
-            > max(1, int(len(current) * cfg.delta_promote_ratio))
+            > max(1, int(len(current) * DELTA_PROMOTE_RATIO))
         )
         generation = self.generation + 1
         if full_due:

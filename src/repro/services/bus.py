@@ -6,7 +6,7 @@ catalog service are all request/reply conversations over the simulated
 message network.  This module provides the single implementation they
 share:
 
-* :class:`ServiceEndpoint` — a (host, service) mailbox with an operation
+* :class:`ServiceEndpoint` — a (host, service) address with an operation
   dispatch table behind a composable middleware chain (see
   :mod:`repro.services.middleware`);
 * :class:`ServiceClient` — correlated request/reply with per-call
@@ -26,6 +26,7 @@ calls and spawned network flows join the same trace automatically.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
@@ -35,7 +36,6 @@ from repro.netsim.topology import Host
 from repro.services.context import RequestContext
 from repro.services.tracelog import Span, TraceLog
 from repro.simulation.kernel import Event, Interrupt, Process, Simulator
-from repro.simulation.resources import Store
 
 __all__ = [
     "DEFAULT_MESSAGE_SIZE",
@@ -256,6 +256,38 @@ class ServiceReply:
         self.payload = payload
 
 
+class _Replies:
+    """The replies of one call in flight, in arrival order.  A reply that
+    arrives while its caller is parked wakes it; one that arrives while
+    the caller runs waits in ``items`` and is taken without an event."""
+
+    __slots__ = ("sim", "items", "waiter")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.items: deque[ServiceReply] = deque()
+        self.waiter: Optional[Event] = None
+
+    def put(self, reply: ServiceReply) -> None:
+        waiter = self.waiter
+        if waiter is None:
+            self.items.append(reply)
+        else:
+            self.waiter = None
+            waiter.succeed(reply)
+
+    def wait(self, deadline_at: Optional[float]) -> Event:
+        """Park the caller: an event yielding the next reply, or
+        ``_TIMED_OUT`` at ``deadline_at``."""
+        self.waiter = Event(self.sim)
+        if deadline_at is None:
+            return self.waiter
+        remaining = max(deadline_at - self.sim.now, 0.0)
+        return self.sim.any_of(
+            [self.waiter, self.sim.timeout(remaining, value=_TIMED_OUT)]
+        )
+
+
 class ServiceEndpoint:
     """Server half of the bus: a dispatch table behind middleware."""
 
@@ -287,8 +319,7 @@ class ServiceEndpoint:
         )
         self._handlers: dict[str, Handler] = {}
         self._chain = self._build_chain(tuple(middlewares))
-        self._mailbox = msgnet.register(host, service)
-        sim.spawn(self._serve(), name=f"{service}@{host.name}")
+        msgnet.register(host, service, self._receive)
 
     # -- registration ----------------------------------------------------
     def register(self, operation: str, handler: Handler) -> None:
@@ -312,13 +343,13 @@ class ServiceEndpoint:
         return chain
 
     # -- serving ---------------------------------------------------------
-    def _serve(self):
-        while True:
-            envelope = yield self._mailbox.get()
-            self.sim.spawn(
-                self._handle(envelope),
-                name=f"{self.service}-req@{self.host.name}",
-            )
+    def _receive(self, envelope: Envelope) -> None:
+        """Each request is answered by a process of its own, spawned at
+        its delivery instant: requests to one endpoint run concurrently."""
+        self.sim.spawn(
+            self._handle(envelope),
+            name=f"{self.service}-req@{self.host.name}",
+        )
 
     def _respond(
         self,
@@ -363,12 +394,12 @@ class ServiceEndpoint:
         except ServiceFault as fault:
             if span is not None:
                 self.tracelog.finish(span, "error", detail=str(fault))
-            yield self._respond(request, ok=False, payload=fault.payload)
+            self._respond(request, ok=False, payload=fault.payload)
             return
         except ServiceError as exc:
             if span is not None:
                 self.tracelog.finish(span, "error", detail=str(exc))
-            yield self._respond(request, ok=False, payload=str(exc))
+            self._respond(request, ok=False, payload=str(exc))
             return
         except Exception as exc:  # handler bug or substrate error: surface it
             self.stats["handler_errors"] += 1
@@ -376,13 +407,15 @@ class ServiceEndpoint:
                 self.tracelog.finish(
                     span, "error", detail=f"{type(exc).__name__}: {exc}"
                 )
-            yield self._respond(
+            self._respond(
                 request, ok=False, payload=f"{type(exc).__name__}: {exc}"
             )
             return
         if span is not None:
             self.tracelog.finish(span, "ok")
-        yield self._respond(request, ok=True, payload=result)
+        # sent, not awaited: an answer lost to a crash must not leave its
+        # handler parked on a delivery that never comes
+        self._respond(request, ok=True, payload=result)
 
 
 class ServiceClient:
@@ -425,9 +458,9 @@ class ServiceClient:
         self.reply_service = (
             f"{service}-reply-{sim.next_serial(f'bus-client:{service}')}"
         )
-        self._mailbox = msgnet.register(host, self.reply_service)
+        msgnet.register(host, self.reply_service, self._receive)
         self._request_ids = itertools.count(1)
-        self._pending: dict[int, Store] = {}
+        self._pending: dict[int, _Replies] = {}
         self._pending_hosts: dict[int, str] = {}
         self._abandoned: set[int] = set()
         #: idempotent-write serials (see :mod:`repro.services.replay`);
@@ -435,10 +468,6 @@ class ServiceClient:
         #: lowest serial still in flight
         self._txn_serials = itertools.count(1)
         self._open_txns: dict[int, None] = {}
-        sim.spawn(
-            self._dispatch(),
-            name=f"{self.reply_service}-dispatch@{host.name}",
-        )
 
     # -- client middleware ------------------------------------------------
     def use_middlewares(self, middlewares: tuple) -> None:
@@ -469,10 +498,10 @@ class ServiceClient:
         for request_id, host in list(self._pending_hosts.items()):
             if host != server_host:
                 continue
-            store = self._pending.get(request_id)
-            if store is None:
+            replies = self._pending.get(request_id)
+            if replies is None:
                 continue
-            store.put(
+            replies.put(
                 ServiceReply(request_id, False, True, _ResetBody(message))
             )
             failed += 1
@@ -481,21 +510,19 @@ class ServiceClient:
         return failed
 
     # -- reply routing ---------------------------------------------------
-    def _dispatch(self):
-        """Route replies to the store of the call they answer.  Replies to
+    def _receive(self, envelope: Envelope) -> None:
+        """Put a reply into the queue of the call it answers.  Replies to
         timed-out calls are discarded (and counted); replies to requests
         nobody ever waited on (markers after a final) are dropped, as a
         real client drops data for a closed control channel."""
-        while True:
-            envelope = yield self._mailbox.get()
-            reply: ServiceReply = envelope.payload
-            store = self._pending.get(reply.request_id)
-            if store is not None:
-                store.put(reply)
-            elif reply.request_id in self._abandoned:
-                self.stats["late_replies_discarded"] += 1
-                if reply.final:
-                    self._abandoned.discard(reply.request_id)
+        reply: ServiceReply = envelope.payload
+        replies = self._pending.get(reply.request_id)
+        if replies is not None:
+            replies.put(reply)
+        elif reply.request_id in self._abandoned:
+            self.stats["late_replies_discarded"] += 1
+            if reply.final:
+                self._abandoned.discard(reply.request_id)
 
     # -- calling ---------------------------------------------------------
     def invoke(
@@ -593,8 +620,7 @@ class ServiceClient:
                 timeout = max(ctx.deadline - self.sim.now, 0.0)
 
         request_id = next(self._request_ids)
-        store = Store(self.sim)
-        self._pending[request_id] = store
+        replies = self._pending[request_id] = _Replies(self.sim)
         self._pending_hosts[request_id] = server_host
         self.stats["calls"] += 1
         self.msgnet.send(
@@ -621,22 +647,19 @@ class ServiceClient:
         deadline_at = next_deadline()
         preliminaries: list = []
         while True:
-            try:
-                if deadline_at is None:
-                    reply = yield store.get()
-                else:
-                    remaining = max(deadline_at - self.sim.now, 0.0)
-                    reply = yield self.sim.any_of(
-                        [store.get(),
-                         self.sim.timeout(remaining, value=_TIMED_OUT)]
-                    )
-            except Interrupt:
-                # the calling process was stopped mid-wait: nobody will
-                # read the reply, so it is dropped on arrival
-                self._discard(request_id)
-                if span is not None:
-                    self.tracelog.finish(span, "error", detail="interrupted")
-                raise
+            if replies.items:
+                reply = replies.items.popleft()
+            else:
+                try:
+                    reply = yield replies.wait(deadline_at)
+                except Interrupt:
+                    # the calling process was stopped mid-wait: nobody
+                    # will read the reply, so it is dropped on arrival
+                    self._discard(request_id)
+                    if span is not None:
+                        self.tracelog.finish(
+                            span, "error", detail="interrupted")
+                    raise
             if reply is _TIMED_OUT:
                 self._discard(request_id)
                 self.stats["call_timeouts"] += 1
@@ -701,11 +724,9 @@ class ServiceClient:
     def _discard(self, request_id: int) -> None:
         """Timeout cleanup: drop the pending entry and remember the id so
         the eventual late reply is discarded, never misdelivered."""
-        store = self._pending.pop(request_id, None)
+        replies = self._pending.pop(request_id, None)
         self._pending_hosts.pop(request_id, None)
-        if store is not None:
-            # a reply may have raced in at this very instant: drain it
-            while len(store):
-                store.get()
-                self.stats["late_replies_discarded"] += 1
+        if replies is not None:
+            # a reply may have raced in at this very instant: count it
+            self.stats["late_replies_discarded"] += len(replies.items)
         self._abandoned.add(request_id)

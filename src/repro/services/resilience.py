@@ -276,11 +276,10 @@ class CircuitBreakerMiddleware:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs for :meth:`repro.gdmp.grid.DataGrid.enable_resilience`."""
+    """Knobs for :meth:`repro.gdmp.grid.DataGrid.enable_resilience`
+    (retries follow the default :class:`RetryPolicy`, breakers their
+    default threshold and cooldown)."""
 
-    retry: RetryPolicy = RetryPolicy()
-    failure_threshold: int = 5
-    cooldown: float = 30.0
     #: whole-call timeout applied to request-manager/catalog RPCs that do
     #: not carry their own.  Generous enough for a healthy MSS staging
     #: (tape mount + seek is ~45 s) to finish inside one attempt.

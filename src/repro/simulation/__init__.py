@@ -35,7 +35,7 @@ from repro.simulation.kernel import (
     Timeout,
 )
 from repro.simulation.randomness import RandomStreams
-from repro.simulation.resources import Resource, Store
+from repro.simulation.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -47,6 +47,5 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
 ]

@@ -1,12 +1,8 @@
-"""Shared-resource primitives for simulation processes.
+"""Shared-resource primitive for simulation processes.
 
-Two classic primitives, modeled after queueing-theory usage:
-
-* :class:`Resource` — ``capacity`` identical slots (a CPU, a tape drive);
-  processes ``request()`` a slot, yield the returned event, and must
-  ``release()`` it when done.
-* :class:`Store` — an unbounded-or-bounded FIFO of Python objects
-  (a message queue); ``put``/``get`` return events.
+:class:`Resource` — ``capacity`` identical slots (a CPU, a tape drive);
+processes ``request()`` a slot, yield the returned event, and must
+``release()`` it when done.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ from typing import Any
 
 from repro.simulation.kernel import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "Request"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -77,50 +73,3 @@ class Resource:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
             nxt.succeed(nxt)
-
-
-class Store:
-    """FIFO buffer of arbitrary items with optional capacity bound."""
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Insert an item; blocks (as an event) while the store is full."""
-        event = Event(self.sim)
-        if self._getters:
-            # Hand the item straight to the longest-waiting getter.
-            self._getters.popleft().succeed(item)
-            event.succeed(None)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed(None)
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        """Remove the oldest item; blocks (as an event) while empty."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-            if self._putters:
-                put_event, item = self._putters.popleft()
-                self._items.append(item)
-                put_event.succeed(None)
-        else:
-            self._getters.append(event)
-        return event

@@ -15,7 +15,6 @@ def mover_setup():
     testbed = gridftp_testbed(metrics=registry)
     mover = DataMover(
         testbed.sim, testbed.client, testbed.client_fs,
-        max_restart_attempts=3, max_crc_retries=1,
         metrics=registry, site="anl",
     )
     testbed.server_fs.create("/store/f", 10 * MB)

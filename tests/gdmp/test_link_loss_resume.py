@@ -7,6 +7,7 @@ import pytest
 
 from repro.faults import FaultCampaign, FaultEvent, FaultInjector
 from repro.gdmp import DataGrid, GdmpConfig
+from repro.gdmp import data_mover
 from repro.gdmp.data_mover import TransferAbandoned
 from repro.gridftp.markers import RangeSet
 from repro.netsim.units import MB
@@ -51,7 +52,7 @@ def test_transfer_resumes_from_marker_after_link_loss(rgrid):
     assert not injector.active_faults()
 
 
-def test_no_marker_progress_does_not_count_as_restart(rgrid):
+def test_no_marker_progress_does_not_count_as_restart(rgrid, monkeypatch):
     """While the link stays down every reissue synthesizes an empty (or
     stale) marker: those count as stalled probes, never as restarts, and
     the mover eventually abandons with the partial ranges."""
@@ -60,8 +61,8 @@ def test_no_marker_progress_does_not_count_as_restart(rgrid):
     # just past the 5 s marker cadence: fast probes without declaring a
     # healthy transfer dead between two markers
     anl.gridftp_client.idle_timeout = 6.0
-    anl.mover.max_stalled_attempts = 2
-    anl.mover.stall_backoff = 0.1
+    monkeypatch.setattr(data_mover, "MAX_STALLED_ATTEMPTS", 2)
+    monkeypatch.setattr(data_mover, "STALL_BACKOFF", 0.1)
     injector = FaultInjector(rgrid, FaultCampaign("perma-cut", (
         FaultEvent(8.0, "link_down", "wan-cern-anl"),
     )))
@@ -90,7 +91,7 @@ def test_no_marker_progress_does_not_count_as_restart(rgrid):
     assert not anl.fs.exists("/incoming/doomed.db")
 
 
-def test_abandoned_transfer_fails_replication_cleanly(rgrid):
+def test_abandoned_transfer_fails_replication_cleanly(rgrid, monkeypatch):
     """Through the full pipeline an abandoned transfer surfaces as a
     replication failure with no dangling local state, and a later
     attempt (link restored) succeeds."""
@@ -99,8 +100,8 @@ def test_abandoned_transfer_fails_replication_cleanly(rgrid):
     _publish(rgrid, "retry.db")
     anl = rgrid.site("anl")
     anl.gridftp_client.idle_timeout = 6.0
-    anl.mover.max_stalled_attempts = 1
-    anl.mover.stall_backoff = 0.1
+    monkeypatch.setattr(data_mover, "MAX_STALLED_ATTEMPTS", 1)
+    monkeypatch.setattr(data_mover, "STALL_BACKOFF", 0.1)
     injector = FaultInjector(rgrid, FaultCampaign("long-cut", (
         FaultEvent(5.0, "link_down", "wan-cern-anl"),
         FaultEvent(120.0, "link_up", "wan-cern-anl"),

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.experiments.scaffold import counter_total
+from repro.gdmp import DataGrid, GdmpConfig
 from repro.gdmp.failover import failover_walk
 from repro.gdmp.request_manager import GdmpError
 from repro.security import new_user_credential
 from repro.services import CallTimeout, RemoteCallError, ServiceRequest
+from repro.simulation import kernel
 
 
 def test_call_round_trip_pays_wan_latency(grid):
@@ -125,6 +127,45 @@ def test_concurrent_calls_resolve_to_correct_callers(grid):
     result_a, result_b = caltech_missing[0]
     assert result_a == {}
     assert result_b == ["anl"]
+
+
+def spawned_processes(monkeypatch):
+    """Every process constructed from here on, in order."""
+    born = []
+    init = kernel.Process.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        born.append(self)
+
+    monkeypatch.setattr(kernel.Process, "__init__", tracked)
+    return born
+
+
+def test_building_a_grid_spawns_no_process(monkeypatch):
+    born = spawned_processes(monkeypatch)
+    DataGrid([GdmpConfig("cern"), GdmpConfig("anl")])
+    assert [process.name for process in born] == []
+
+
+def test_a_handler_whose_answer_is_lost_to_a_crash_ends(grid, monkeypatch):
+    born = spawned_processes(monkeypatch)
+    anl = grid.site("anl")
+
+    def caller():
+        with pytest.raises(CallTimeout):
+            yield from anl.request_client.invoke(
+                "cern", "catalog.list_lfns", timeout=5.0)
+
+    grid.sim.spawn(caller())
+    while not any(process.name == "gdmp-req@cern" for process in born):
+        grid.sim.step()
+    # the request is delivered; the caller's host goes down before the
+    # answer lands
+    grid.msgnet.set_host_down("anl")
+    grid.run(until=grid.sim.now + 100.0)
+    assert grid.msgnet.dropped_messages >= 1
+    assert [process.name for process in born if process.is_alive] == []
 
 
 def test_operation_counter(grid):

@@ -14,17 +14,25 @@ def net():
     return sim, MessageNetwork(sim, topo)
 
 
+def endpoint(msgnet, host="anl", service="gdmp"):
+    """Register a (host, service) endpoint whose delivery function keeps
+    every envelope it is handed, in order; return that list."""
+    delivered = []
+    msgnet.register(host, service, delivered.append)
+    return delivered
+
+
 def test_register_and_lookup(net):
     sim, msgnet = net
-    mailbox = msgnet.register("anl", "gdmp")
-    assert msgnet.lookup("anl", "gdmp") is mailbox
+    delivered = endpoint(msgnet)
+    assert msgnet.lookup("anl", "gdmp") == delivered.append
 
 
 def test_duplicate_registration_rejected(net):
     _sim, msgnet = net
-    msgnet.register("anl", "gdmp")
+    endpoint(msgnet)
     with pytest.raises(ValueError):
-        msgnet.register("anl", "gdmp")
+        endpoint(msgnet)
 
 
 def test_lookup_missing_service(net):
@@ -35,14 +43,10 @@ def test_lookup_missing_service(net):
 
 def test_message_delivered_after_wan_latency(net):
     sim, msgnet = net
-    mailbox = msgnet.register("anl", "gdmp")
     received = []
-
-    def server(sim):
-        envelope = yield mailbox.get()
-        received.append((envelope.payload, sim.now))
-
-    sim.spawn(server(sim))
+    msgnet.register("anl", "gdmp",
+                    lambda envelope: received.append((envelope.payload,
+                                                      sim.now)))
     msgnet.send("cern", "anl", "gdmp", payload={"op": "publish"}, size=512)
     sim.run()
     payload, t = received[0]
@@ -58,7 +62,7 @@ def test_local_message_is_fast(net):
 
 def test_send_event_reports_delivery(net):
     sim, msgnet = net
-    msgnet.register("anl", "gdmp")
+    endpoint(msgnet)
     event = msgnet.send("cern", "anl", "gdmp", payload="x", size=100)
     sim.run()
     envelope = event.value
@@ -69,19 +73,11 @@ def test_send_event_reports_delivery(net):
 
 def test_fifo_per_mailbox(net):
     sim, msgnet = net
-    mailbox = msgnet.register("anl", "gdmp")
-    order = []
-
-    def server(sim):
-        for _ in range(3):
-            envelope = yield mailbox.get()
-            order.append(envelope.payload)
-
-    sim.spawn(server(sim))
+    delivered = endpoint(msgnet)
     for i in range(3):
         msgnet.send("cern", "anl", "gdmp", payload=i, size=100)
     sim.run()
-    assert order == [0, 1, 2]
+    assert [envelope.payload for envelope in delivered] == [0, 1, 2]
 
 
 def test_larger_messages_take_longer(net):
@@ -108,37 +104,37 @@ def request(operation):
 def test_a_message_in_flight_when_the_fault_starts_is_lost_at_delivery(
         net, fault):
     sim, msgnet = net
-    mailbox = msgnet.register("anl", "gdmp")
+    received = endpoint(msgnet)
     delivered = msgnet.send("cern", "anl", "gdmp", request("catalog.info"))
     sim.run(until=0.03)  # half way across the 62.5 ms link
     fault(msgnet)
     sim.run()
     assert msgnet.dropped_messages == 1
-    assert len(mailbox) == 0
+    assert len(received) == 0
     assert not delivered.triggered  # the sender hears nothing, ever
 
 
 def test_a_prefix_black_hole_drops_only_matching_requests_never_replies(net):
     sim, msgnet = net
-    mailbox = msgnet.register("anl", "gdmp")
+    delivered = endpoint(msgnet)
     msgnet.set_service_down("anl", "gdmp", prefix="catalog.")
     reply = SimpleNamespace(request_id=7, payload="catalog.info")
     for payload in (request("catalog.info"), request("rli.lookup"), reply):
         msgnet.send("cern", "anl", "gdmp", payload)
     sim.run()
     assert msgnet.dropped_messages == 1
-    assert len(mailbox) == 2
+    assert len(delivered) == 2
     # a whole-service black-hole is still about requests only
     msgnet.set_service_down("anl", "gdmp")
     assert msgnet.send("cern", "anl", "gdmp", reply) is not None
     sim.run()
     assert msgnet.dropped_messages == 1
-    assert len(mailbox) == 3
+    assert len(delivered) == 3
 
 
 def test_a_service_delay_slows_matching_requests_at_send_time(net):
     sim, msgnet = net
-    msgnet.register("anl", "gdmp")
+    endpoint(msgnet)
     msgnet.set_service_delay("anl", "gdmp", extra=1.0, prefix="catalog.")
     slow = msgnet.send("cern", "anl", "gdmp", request("catalog.info"))
     fast = msgnet.send("cern", "anl", "gdmp", request("rli.lookup"))

@@ -15,7 +15,7 @@ from repro.rls.digest import (
 
 def make_source(holdings, **overrides):
     """A DigestSource over a mutable set standing in for an LRC."""
-    defaults = dict(period=10.0, full_every=4, delta_promote_ratio=0.25)
+    defaults = dict(period=10.0, full_every=4)
     defaults.update(overrides)
     return DigestSource(
         "cern", lambda: sorted(holdings), DigestConfig(**defaults)
@@ -116,7 +116,7 @@ def test_bulk_ops_feed_the_pending_sets():
 
 def test_large_delta_promotes_to_full():
     holdings = {f"f{i}" for i in range(10)}
-    source = make_source(holdings, full_every=100, delta_promote_ratio=0.25)
+    source = make_source(holdings, full_every=100)
     source.ack(source.next_digest())
     for i in range(10, 15):  # 5 pending > 25% of 15 current
         lfn = f"f{i}"

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store primitives."""
+"""Unit tests for the Resource primitive."""
 
 import pytest
 
-from repro.simulation import Resource, Simulator, Store
+from repro.simulation import Resource, Simulator
 
 
 def test_resource_serializes_access():
@@ -86,62 +86,3 @@ def test_resource_invalid_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer(sim):
-        for item in ["x", "y", "z"]:
-            yield store.put(item)
-            yield sim.timeout(1)
-
-    def consumer(sim):
-        for _ in range(3):
-            got.append((yield store.get()))
-
-    sim.spawn(producer(sim))
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert got == ["x", "y", "z"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim):
-        got.append(((yield store.get()), sim.now))
-
-    def producer(sim):
-        yield sim.timeout(5)
-        yield store.put("late")
-
-    sim.spawn(consumer(sim))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert got == [("late", 5)]
-
-
-def test_store_bounded_put_blocks():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    times = []
-
-    def producer(sim):
-        yield store.put(1)
-        times.append(("put1", sim.now))
-        yield store.put(2)
-        times.append(("put2", sim.now))
-
-    def consumer(sim):
-        yield sim.timeout(3)
-        yield store.get()
-
-    sim.spawn(producer(sim))
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert times == [("put1", 0), ("put2", 3)]
