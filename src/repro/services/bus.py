@@ -236,8 +236,9 @@ class ServiceRequest:
 
     def preliminary(self, payload: Any) -> Event:
         """Send a non-final reply (a GridFTP 1xx marker, a progress note).
-        Returns the delivery event; callers may yield it to pace on the
-        control channel or ignore it to fire-and-forget."""
+        Returns the message's delivery timer, which fires at the delivery
+        instant even when the reply is lost: callers may yield it to pace
+        on the control channel or ignore it to fire-and-forget."""
         return self.endpoint._respond(self, ok=True, payload=payload,
                                       final=False)
 

@@ -415,14 +415,15 @@ def _routed_reads():
 
 
 #: kernel events scheduled per bus request, plus 10 %, per scenario:
-#: the transfer set reads 741 / 42 = 17.6 since a message is delivered
-#: straight to the code that answers it (1 011 / 42 = 24.1 through the
-#: endpoint and reply relays, 1 187 / 42 = 28.3 when a call beneath a
-#: command was a process, 1 475 / 42 = 35.1 when every message was one),
-#: the routed reads 2 679 / 242 = 11.1 (3 921 / 242 = 16.2 through the
-#: relays, 4 518 / 242 = 18.7 before).  A standing budget: lower a
-#: figure when a change lowers its count
-EVENTS_PER_REQUEST = {"transfer set": 19.4, "routed reads": 12.2}
+#: the transfer set reads 641 / 42 = 15.3 since a send returns its own
+#: delivery timer (741 / 42 = 17.6 when each send also minted a
+#: "delivered" event, 1 011 / 42 = 24.1 through the endpoint and reply
+#: relays, 1 187 / 42 = 28.3 when a call beneath a command was a
+#: process, 1 475 / 42 = 35.1 when every message was one), the routed
+#: reads 2 195 / 242 = 9.1 (2 679 / 242 = 11.1 with the extra event,
+#: 3 921 / 242 = 16.2 through the relays, 4 518 / 242 = 18.7 before).
+#: A standing budget: lower a figure when a change lowers its count
+EVENTS_PER_REQUEST = {"transfer set": 16.8, "routed reads": 10.0}
 EVENT_SCENARIOS = {"transfer set": _pulled_sets, "routed reads": _routed_reads}
 
 
