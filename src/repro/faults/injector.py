@@ -5,9 +5,11 @@ campaign is fully pre-computed) and touches the grid only through the
 fault hooks the subsystems expose —
 
 * :meth:`MessageNetwork.set_link_down` / ``set_host_down`` /
-  ``set_service_down`` / ``set_service_delay`` for the control plane,
+  ``set_service_down`` / ``set_service_delay`` for the control plane
+  (a down host or link is one fact on the topology, which the flow
+  engine reads too: it refuses new flows across it),
 * :meth:`NetworkEngine.cancel_pool` (via ``pools_on_link`` /
-  ``pools_touching_host``) for data flows in flight,
+  ``pools_touching_host``) for data flows in flight when a window opens,
 * :meth:`GridFTPServer.drop_sessions` and :meth:`DiskPool.drop_pins`
   for crash-time state loss,
 * :meth:`ServiceClient.fail_pending` so peers' outstanding calls to a
@@ -16,13 +18,8 @@ fault hooks the subsystems expose —
 * :meth:`MassStorageSystem.inject_stall` / ``inject_errors`` for the
   tape system.
 
-Down windows run a coarse watchdog (every 250 ms of sim-time)
-that tears down data pools newly opened across a partitioned link or
-crashed host — the fluid flow engine itself has no notion of link
-health, so without this a transfer started inside a window would
-happily "deliver" bytes over a severed fibre.  Overlapping windows on
-one target are reference-counted; the fault clears only when the last
-window closes.
+Overlapping windows on one target are reference-counted; the fault
+clears only when the last window closes.
 
 Every applied event counts ``faults.injected{kind=...}`` in the grid's
 metrics registry and opens/closes a ``fault:<kind>`` span in the trace
@@ -39,10 +36,6 @@ from repro.gdmp.request_manager import RequestServer
 from repro.simulation.kernel import Process
 
 __all__ = ["FaultInjector"]
-
-#: how often (sim-seconds) a down window's watchdog re-checks for data
-#: pools opened across the broken element
-WATCHDOG_INTERVAL = 0.25
 
 #: operation prefix black-holed/delayed on the catalog host's gdmp service
 _CATALOG_PREFIX = "catalog."
@@ -174,14 +167,6 @@ class FaultInjector:
             return  # pool completed in the same timestep; nothing to kill
         self.stats["pools_cancelled"] += 1
 
-    def _watchdog(self, key: tuple[str, str], pools_of, reason: str):
-        """While a down window is active, tear down any data pool that
-        (re)opened across the broken element."""
-        while self._active.get(key, 0) > 0:
-            yield self.sim.timeout(WATCHDOG_INTERVAL)
-            for pool in pools_of():
-                self._cancel(pool, reason)
-
     # -- link partitions --------------------------------------------------------
     def _apply_link_down(self, event: FaultEvent) -> None:
         key = ("link", event.target)
@@ -190,17 +175,8 @@ class FaultInjector:
         grid = self.grid
         grid.msgnet.set_link_down(event.target, True)
         self._open_span(key, "fault:link_down")
-        reason = f"link {event.target} down"
         for pool in grid.engine.pools_on_link(event.target):
-            self._cancel(pool, reason)
-        self.sim.spawn(
-            self._watchdog(
-                key,
-                lambda: grid.engine.pools_on_link(event.target),
-                reason,
-            ),
-            name=f"fault-watchdog link {event.target}",
-        )
+            self._cancel(pool, f"link {event.target} down")
 
     def _apply_link_up(self, event: FaultEvent) -> None:
         key = ("link", event.target)
@@ -235,18 +211,9 @@ class FaultInjector:
         grid = self.grid
         grid.msgnet.set_host_down(event.target, True)
         self._open_span(key, "fault:host_crash")
-        reason = f"host {event.target} crashed"
         for pool in grid.engine.pools_touching_host(event.target):
-            self._cancel(pool, reason)
+            self._cancel(pool, f"host {event.target} crashed")
         self._crash_host_state(event.target)
-        self.sim.spawn(
-            self._watchdog(
-                key,
-                lambda: grid.engine.pools_touching_host(event.target),
-                reason,
-            ),
-            name=f"fault-watchdog host {event.target}",
-        )
 
     def _apply_host_restart(self, event: FaultEvent) -> None:
         key = ("host", event.target)

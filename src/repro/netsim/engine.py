@@ -441,7 +441,13 @@ class NetworkEngine:
         created) or an existing ``pool`` shared with sibling streams.
         ``congestion`` is the window state of a connection kept open from
         an earlier transfer: the stream starts from it (clamped to its own
-        buffer) instead of from the initial window."""
+        buffer) instead of from the initial window.
+
+        A stream whose source, destination or path is down
+        (:attr:`Topology.down`) is refused: its pool fails with
+        :class:`TransferAborted` at once, sibling streams included, before
+        a byte moves.  Streams opened later on a failed pool are refused
+        with it."""
         if (nbytes is None) == (pool is None):
             raise ValueError("pass exactly one of nbytes / pool")
         src_host = self.topology.host(src) if isinstance(src, str) else src
@@ -469,6 +475,8 @@ class NetworkEngine:
         # created under the initiating request) or the ambient one
         flow.context = pool.context if pool.context is not None \
             else self.sim.current_context
+        if pool.done.triggered:
+            return flow  # refused with its pool
         if pool.started_at is None:
             pool.started_at = self.sim.now
         flow.next_round_at = self.sim.now + max(flow.base_rtt, self.MIN_RTT)
@@ -479,6 +487,13 @@ class NetworkEngine:
                 "netsim.flows_opened",
                 src=src_host.name, dst=dst_host.name,
             ).inc()
+        if self.topology.down and self.topology.severed(
+            src_host.name, dst_host.name, path
+        ):
+            self.cancel_pool(
+                pool, f"{src_host.name} -> {dst_host.name} is down"
+            )
+            return flow
         if not self._running:
             self._running = True
             self._process = self.sim.spawn(self._run(), name="network-engine")

@@ -57,11 +57,6 @@ class Link:
     loss_rate: float = 0.0
 
     queue: float = field(default=0.0, init=False)
-    #: fault-injection state: a down link delivers nothing (control
-    #: messages routed across it are dropped, data flows crossing it are
-    #: cancelled by the injector).  Toggled via
-    #: :meth:`repro.netsim.channels.MessageNetwork.set_link_down`.
-    up: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:

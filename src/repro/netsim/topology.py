@@ -59,6 +59,10 @@ class Topology:
         self._hosts: dict[str, Host] = {}
         self._links: list[Link] = []
         self._route_cache: dict[tuple[str, str], list[Link]] = {}
+        #: names of the hosts and links that are down (crashed,
+        #: partitioned): the one record of it, which the message network
+        #: and the flow engine both read
+        self.down: set[str] = set()
 
     # -- construction ------------------------------------------------------
     def add_host(self, host: Host | str, **kwargs) -> Host:
@@ -142,6 +146,14 @@ class Topology:
             ]
             self._route_cache[(name_src, name_dst)] = cached
         return list(cached)
+
+    def severed(self, src: str, dst: str, path: list[Link]) -> bool:
+        """Whether traffic from ``src`` to ``dst`` along ``path`` touches a
+        host or link that is down."""
+        down = self.down
+        return src in down or dst in down or any(
+            link.name in down for link in path
+        )
 
     def base_rtt(self, src: Host | str, dst: Host | str) -> float:
         """Round-trip propagation delay (no queueing): the forward route

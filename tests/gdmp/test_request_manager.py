@@ -8,7 +8,6 @@ from repro.gdmp.failover import failover_walk
 from repro.gdmp.request_manager import GdmpError
 from repro.security import new_user_credential
 from repro.services import CallTimeout, RemoteCallError, ServiceRequest
-from repro.simulation import kernel
 
 
 def test_call_round_trip_pays_wan_latency(grid):
@@ -129,27 +128,12 @@ def test_concurrent_calls_resolve_to_correct_callers(grid):
     assert result_b == ["anl"]
 
 
-def spawned_processes(monkeypatch):
-    """Every process constructed from here on, in order."""
-    born = []
-    init = kernel.Process.__init__
-
-    def tracked(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        born.append(self)
-
-    monkeypatch.setattr(kernel.Process, "__init__", tracked)
-    return born
-
-
-def test_building_a_grid_spawns_no_process(monkeypatch):
-    born = spawned_processes(monkeypatch)
+def test_building_a_grid_spawns_no_process(born):
     DataGrid([GdmpConfig("cern"), GdmpConfig("anl")])
     assert [process.name for process in born] == []
 
 
-def test_a_handler_whose_answer_is_lost_to_a_crash_ends(grid, monkeypatch):
-    born = spawned_processes(monkeypatch)
+def test_a_handler_whose_answer_is_lost_to_a_crash_ends(grid, born):
     anl = grid.site("anl")
 
     def caller():

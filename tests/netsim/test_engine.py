@@ -13,7 +13,8 @@ from repro.netsim import (
     cern_anl_testbed,
     to_mbps,
 )
-from repro.netsim.engine import NetworkEngine
+from repro.netsim.channels import MessageNetwork
+from repro.netsim.engine import NetworkEngine, TransferAborted
 from repro.netsim.link import Link
 from repro.netsim.topology import Host, Topology
 from repro.netsim.units import KiB, MB, mbps
@@ -160,3 +161,50 @@ def test_flow_sequential_after_completion_engine_restarts():
     sim.run(until=second.done)
     assert second.exhausted
     assert second.completed_at > first.completed_at
+
+
+# ------------------------------------------------------- down elements ----
+def refused(sim, pool):
+    """Run the pool to its end; the bytes it delivered if it was
+    refused (and None if it completed)."""
+    try:
+        sim.run(until=pool.done)
+    except TransferAborted as exc:
+        return exc.delivered
+    return None
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(lambda m: m.set_link_down("wan-cern-anl"), id="link-down"),
+    pytest.param(lambda m: m.set_host_down("cern"), id="source-down"),
+    pytest.param(lambda m: m.set_host_down("anl"), id="destination-down"),
+])
+def test_a_flow_across_a_down_element_fails_its_pool_before_a_byte_moves(
+        fault):
+    sim, topo, engine = cern_anl_testbed()
+    fault(MessageNetwork(sim, topo))  # the one record both networks read
+    pool = engine.open_transfer("cern", "anl", nbytes=10 * MB, streams=4)
+    assert engine.active_flows == ()
+    assert refused(sim, pool) == 0
+    assert pool.delivered == 0 and sim.now == 0
+
+
+def test_a_refused_stripe_fails_the_streams_already_open_on_its_pool():
+    sim = Simulator()
+    topo = Topology()
+    for name in ("dn1", "dn2", "dst"):
+        topo.add_host(name)
+    topo.connect("dn1", "dst", Link("l1", capacity=mbps(100), delay=0.01))
+    topo.connect("dn2", "dst", Link("l2", capacity=mbps(100), delay=0.01))
+    engine = NetworkEngine(sim, topo)
+    topo.down.add("l2")
+    pool = engine.new_pool(10 * MB)
+    engine.open_flow("dn1", "dst", pool=pool)
+    assert len(engine.active_flows) == 1
+    engine.open_flow("dn2", "dst", pool=pool)   # refused: fails dn1's too
+    engine.open_flow("dn1", "dst", pool=pool)   # refused with its pool
+    assert engine.active_flows == ()
+    assert refused(sim, pool) == 0
+    topo.down.discard("l2")                     # back up: flows open again
+    again = engine.open_transfer("dn2", "dst", nbytes=1 * MB)
+    assert refused(sim, again) is None and again.exhausted
