@@ -26,7 +26,6 @@ from repro.gridftp.protocol import (
     Reply,
 )
 from repro.gridftp.server import FailureInjector, GridFTPServer
-from repro.gridftp.transfer import open_striped_transfer
 from repro.gridftp.url import GridFTPUrl, globus_url_copy, parse_url
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "TransferError",
     "TransferResult",
     "globus_url_copy",
-    "open_striped_transfer",
     "parse_url",
 ]

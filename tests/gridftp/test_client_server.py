@@ -3,12 +3,7 @@
 import pytest
 
 from repro.experiments.scaffold import counter_total
-from repro.gridftp import (
-    RangeSet,
-    TransferError,
-    globus_url_copy,
-    open_striped_transfer,
-)
+from repro.gridftp import RangeSet, TransferError, globus_url_copy
 from repro.netsim.units import KiB, MB, to_mbps
 from repro.security import new_user_credential
 
@@ -256,15 +251,6 @@ def test_unauthenticated_command_rejected(grid):
         drive(grid, grid.client.size(fake, "/store/data.db"))
 
 
-# ------------------------------------------------------------ striping ----
-def test_striped_transfer_completes(grid):
-    pool = open_striped_transfer(
-        grid.engine, ["cern"], ["anl"], nbytes=20 * MB, streams_per_pair=4
-    )
-    grid.sim.run(until=pool.done)
-    assert pool.exhausted
-
-
 def test_eret_bad_offset_rejected(grid):
     session = connect(grid)
     with pytest.raises(TransferError):
@@ -321,6 +307,34 @@ def test_quit_invalidates_session(grid):
     assert session.closed
     with pytest.raises(TransferError):
         drive(grid, grid.client.size(session, "/store/data.db"))
+
+
+def test_a_handler_whose_150_is_lost_to_a_crash_ends(grid, monkeypatch):
+    """The client crashes the instant the server sends its 150: the
+    handler resumes when the reply would have landed, the engine refuses
+    the data flow toward the down host, and the handler answers 426."""
+    send = grid.msgnet.send
+    handler, codes = [], []
+
+    def crash_on_150(src, dst, service, payload, **kwargs):
+        reply = getattr(payload, "payload", None)
+        if getattr(src, "name", src) == "cern" and hasattr(reply, "code"):
+            codes.append(reply.code)
+            if reply.code == 150:
+                handler.append(grid.sim.active_process)
+                grid.msgnet.set_host_down("anl")
+        return send(src, dst, service, payload, **kwargs)
+
+    session = connect(grid)
+    monkeypatch.setattr(grid.msgnet, "send", crash_on_150)
+    grid.sim.spawn(grid.client.get(session, "/store/data.db", "/pool/x"))
+    grid.sim.run(until=grid.sim.now + 200.0)
+    [process] = handler
+    assert process.name == "gridftp-req@cern" and not process.is_alive
+    assert codes == [150, 426]
+    assert grid.metrics.value("gridftp.transfers_aborted", host="cern") == 1
+    assert grid.engine.stats["bytes_delivered_aborted"] == 0
+    assert not grid.fs["anl"].exists("/pool/x")
 
 
 def test_put_and_get_throughput_are_similar(grid):
