@@ -226,7 +226,7 @@ class Repairer(_ProbeMixin, PipelineComponent):
             if spec.chunk_id in bad_ids
         )
         # the honest-traffic rule: rebuild from k *fetched* members
-        shards, fetched = yield from self.store.fetch_stripe(
+        shards, fetched, _ = yield from self.store.fetch_stripe(
             manifest, locations, skip=bad_ids
         )
         rebuilt = ReedSolomon(manifest.k, manifest.m).reconstruct(

@@ -56,6 +56,19 @@ class ChunkStoreError(GdmpError):
     """A chunk operation failed (retryable at the task layer)."""
 
 
+class StripeShortfall(ChunkStoreError):
+    """Fewer than ``k`` members of a stripe could be fetched."""
+
+    def __init__(self, manifest, reachable: int, errors: list[str]):
+        super().__init__(
+            f"stripe of {manifest.object!r} unrecoverable: only "
+            f"{reachable} of {manifest.k} members reachable"
+        )
+        self.reachable = reachable
+        #: why each chunk that could not be fetched could not
+        self.errors = errors
+
+
 @dataclass(frozen=True)
 class PutReport:
     """Accounting for one completed ``put_object``."""
@@ -339,31 +352,17 @@ class ChunkStoreClient:
                     f"chunk.manifest failed: {exc}"
                 ) from exc
             manifest = Manifest.from_wire(info["manifest"])
-            shards: dict[int, bytes] = {}
-            bytes_fetched = 0.0
-            failovers = 0
-            errors = []
-            for spec, sites in self._ranked_sources(
-                    manifest, info["locations"]):
-                if len(shards) >= manifest.k:
-                    break
-                try:
-                    witness, nbytes, hops = yield from self._fetch_chunk(
-                        spec, sites, manifest.chunk_size
-                    )
-                except ChunkStoreError as exc:
-                    errors.append(str(exc))
-                    continue
-                shards[spec.index] = witness
-                bytes_fetched += nbytes
-                failovers += hops
-            if len(shards) < manifest.k:
+            try:
+                shards, bytes_fetched, failovers = yield from self.fetch_stripe(
+                    manifest, info["locations"]
+                )
+            except StripeShortfall as short:
                 self._count("fetch_failed")
                 raise ChunkStoreError(
                     f"cannot reconstruct {object_name!r}: only "
-                    f"{len(shards)} of {manifest.k} chunks reachable "
-                    f"({'; '.join(errors)})"
-                )
+                    f"{short.reachable} of {manifest.k} chunks reachable "
+                    f"({'; '.join(short.errors)})"
+                ) from short
             decoded = sorted(shards)[: manifest.k] != list(range(manifest.k))
             coder = ReedSolomon(manifest.k, manifest.m)
             data = coder.decode(shards)
@@ -404,27 +403,29 @@ class ChunkStoreClient:
     def fetch_stripe(self, manifest: Manifest,
                      locations: dict[str, list[str]],
                      skip: Optional[set[str]] = None):
-        """Any ``k`` stripe members onto local disk (for re-encoding).
-        ``skip`` marks chunk ids known bad (don't waste fetches).
-        Generator; returns ``({index: witness}, bytes_fetched)``."""
+        """Any ``k`` stripe members onto local disk (to decode or
+        re-encode).  ``skip`` marks chunk ids known bad (don't waste
+        fetches).  Generator; returns ``({index: witness},
+        bytes_fetched, failovers)``, or raises :class:`StripeShortfall`."""
         shards: dict[int, bytes] = {}
         bytes_fetched = 0.0
+        failovers = 0
+        errors = []
         for spec, sites in self._ranked_sources(manifest, locations):
             if len(shards) >= manifest.k:
                 break
             if skip and spec.chunk_id in skip:
                 continue
             try:
-                witness, nbytes, _ = yield from self._fetch_chunk(
+                witness, nbytes, hops = yield from self._fetch_chunk(
                     spec, sites, manifest.chunk_size
                 )
-            except ChunkStoreError:
+            except ChunkStoreError as exc:
+                errors.append(str(exc))
                 continue
             shards[spec.index] = witness
             bytes_fetched += nbytes
+            failovers += hops
         if len(shards) < manifest.k:
-            raise ChunkStoreError(
-                f"stripe of {manifest.object!r} unrecoverable: only "
-                f"{len(shards)} of {manifest.k} members reachable"
-            )
-        return shards, bytes_fetched
+            raise StripeShortfall(manifest, len(shards), errors)
+        return shards, bytes_fetched, failovers

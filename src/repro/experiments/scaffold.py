@@ -165,26 +165,21 @@ class ReplicaAudit:
     def check(self, site, lfn: str, catalog) -> bool:
         """Audit one replica against ``catalog`` — the ``GdmpCatalog``
         that must know it (the central one, or ``site``'s own LRC)."""
-        path = site.server.held.get(lfn)
-        if path is None or not site.fs.exists(path):
+        info = catalog.info(lfn) if catalog.lfn_exists(lfn) else None
+        stored, intact, here = site.check_replica(lfn, info)
+        if stored is None:
             self.all_held = False
             self.errors.append(f"{lfn}: not on disk at {site.name}")
             return False
-        if not catalog.lfn_exists(lfn):
+        if info is None:
             self.catalog_exact = False
             self.errors.append(f"{lfn}: unknown to {site.name}'s catalog")
             return False
-        info = catalog.info(lfn)
-        stored = site.fs.stat(path)
-        intact = stored.crc == info.crc and stored.size == info.size
         if not intact:
             self.crc_ok = False
             self.errors.append(
                 f"{lfn}: bytes at {site.name} disagree with the catalog"
             )
-        here = sum(
-            1 for loc in info.locations if loc.get("location") == site.name
-        )
         if here != 1:
             self.catalog_exact = False
             self.errors.append(

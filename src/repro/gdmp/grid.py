@@ -10,9 +10,9 @@ characteristics) with a single central replica catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from repro.catalog.gdmp_catalog import GdmpCatalog
+from repro.catalog.gdmp_catalog import GdmpCatalog, LogicalFileInfo
 from repro.gdmp.client import GdmpClient
 from repro.gdmp.config import GdmpConfig
 from repro.gdmp.data_mover import DataMover
@@ -45,15 +45,26 @@ from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.storage.diskpool import DiskPool
-from repro.storage.filesystem import FileSystem
+from repro.storage.filesystem import FileSystem, StoredFile
 from repro.storage.hrm import HierarchicalResourceManager
 from repro.storage.mss import MassStorageSystem
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["GdmpSite", "DataGrid"]
+__all__ = ["GdmpSite", "DataGrid", "ReplicaCheck"]
 
 #: every site's disk bandwidth, each way
 DISK_RATE = mbps(400)
+
+
+class ReplicaCheck(NamedTuple):
+    """Whether a site holds a replica, against the catalog's record."""
+
+    #: the site's bytes for the name; None when it holds none
+    stored: Optional[StoredFile]
+    #: their size and CRC equal the record's
+    intact: bool
+    #: how many of the record's locations name the site
+    entries: int
 
 
 @dataclass
@@ -83,6 +94,24 @@ class GdmpSite:
     def storage_path(self, lfn: str) -> str:
         """The site-local path an LFN is stored under."""
         return self.config.storage_path(lfn)
+
+    def check_replica(
+        self, lfn: str, info: Optional[LogicalFileInfo]
+    ) -> ReplicaCheck:
+        """Whether this site holds ``lfn``: its bytes on disk, checked
+        against ``info``, the catalog's record (None when the catalog
+        does not know the name)."""
+        path = self.server.held.get(lfn)
+        if path is None or not self.fs.exists(path):
+            return ReplicaCheck(None, False, 0)
+        stored = self.fs.stat(path)
+        if info is None:
+            return ReplicaCheck(stored, False, 0)
+        return ReplicaCheck(
+            stored,
+            stored.crc == info.crc and stored.size == info.size,
+            sum(loc.get("location") == self.name for loc in info.locations),
+        )
 
 
 class DataGrid:

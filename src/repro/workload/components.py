@@ -495,18 +495,15 @@ class Verifier(PipelineComponent):
 
     def _audit(self, info) -> dict:
         """The checks on one replica against its catalog record."""
-        lfn = info.lfn
-        site = self.site
-        path = site.server.held.get(lfn)
-        if path is None or not site.fs.exists(path):
+        lfn, site = info.lfn, self.site
+        stored, intact, entries = site.check_replica(lfn, info)
+        if stored is None:
             raise GdmpError(f"{lfn!r} not held at {site.name}")
-        stored = site.fs.stat(path)
-        if stored.crc != info.crc or stored.size != info.size:
+        if not intact:
             raise GdmpError(
                 f"{lfn!r} corrupt at {site.name}: "
                 f"crc {stored.crc}!={info.crc} size {stored.size}!={info.size}"
             )
-        locations = {loc["location"] for loc in info.locations}
-        if site.name not in locations:
+        if not entries:
             raise GdmpError(f"{lfn!r} not registered for {site.name}")
         return {"crc": stored.crc, "size": stored.size}
