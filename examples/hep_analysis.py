@@ -41,7 +41,7 @@ def main() -> None:
     )
     index = GlobalObjectIndex()
     for name in cern.federation.database_names:
-        index.record_file("cern", name, cern.federation.database(name).iter_objects())
+        index.record_file("cern", cern.federation.database(name))
     print(
         f"event store at cern: {N_EVENTS} events, "
         f"{cern.federation.object_count} objects in "

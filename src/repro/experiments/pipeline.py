@@ -40,7 +40,7 @@ def _cycle(pipelined: bool, n_objects: int, chunk: int, seed: int) -> float:
     )
     index = GlobalObjectIndex()
     for name in cern.federation.database_names:
-        index.record_file("cern", name, cern.federation.database(name).iter_objects())
+        index.record_file("cern", cern.federation.database(name))
     # a copier slow enough (~1.2 MB/s) to be comparable to the WAN rate,
     # the §5.3 co-located-server regime where pipelining matters most
     slow_copier = CopyCostModel(

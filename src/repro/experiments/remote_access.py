@@ -94,7 +94,7 @@ def run(n_events: int = 2000, fraction: float = 0.05, seed: int = 17
     )
     index = GlobalObjectIndex()
     for name in cern.federation.database_names:
-        index.record_file("cern", name, cern.federation.database(name).iter_objects())
+        index.record_file("cern", cern.federation.database(name))
     start = grid.sim.now
     keys = [f"{e}/aod" for e in selected]
     grid.run(

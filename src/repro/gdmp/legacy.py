@@ -101,9 +101,8 @@ class LegacyGdmp:
             # Objectivity post-processing existed in 1.2: attach the file.
             db = dst.fs.stat(local_path).payload
             if hasattr(db, "iter_objects"):
-                for obj in db.iter_objects():
-                    if not dst.federation.knows_type(obj.type_name):
-                        dst.federation.declare_type(obj.type_name)
+                for type_name in db.type_names:
+                    dst.federation.declare_type(type_name)
                 if not dst.federation.is_attached(db.name):
                     dst.federation.attach(db)
             self.local_catalog[lfn] = local_path

@@ -4,14 +4,27 @@ A :class:`DatabaseFile` is the unit GDMP replicates: "a single file will
 generally contain many objects" (§2.1).  Objects live in containers; the
 page layout (used by the I/O cost model) packs objects into fixed-size
 pages in insertion order within each container.
+
+A container keeps its objects as columns, one row per slot, and hands
+callers :class:`~repro.objectdb.objects.PersistentObject` views built on
+demand: the columns hold only strings, numbers and exact tuples of them,
+which CPython's cyclic collector does not track, so a store of a million
+objects costs the collector a handful of lists, not a million objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from array import array
+from collections.abc import Mapping
+from typing import Any, Iterator, Optional
 
-from repro.objectdb.objects import ObjectError, PersistentObject
+from repro.objectdb.objects import (
+    Links,
+    Location,
+    ObjectError,
+    PersistentObject,
+    linked,
+)
 from repro.objectdb.oid import OID
 
 __all__ = ["Container", "DatabaseFile", "FILE_HEADER_SIZE"]
@@ -20,40 +33,115 @@ __all__ = ["Container", "DatabaseFile", "FILE_HEADER_SIZE"]
 FILE_HEADER_SIZE = 16 * 1024
 
 
-@dataclass
 class Container:
-    """An ordered collection of objects within a database file."""
+    """An ordered collection of objects within a database file.
 
-    container_id: int
-    name: str
-    objects: dict[int, PersistentObject] = field(default_factory=dict)
-    _next_slot: int = 0
+    Row ``slot`` of each column belongs to the object in that slot; slots
+    are handed out in order, so the columns are in slot order.  ``data``
+    is sparse (slot -> payload), as most objects carry none.  Indexes
+    kept as rows are stored: ``bytes``, the running total of ``sizes``
+    (added in slot order, as a sum over the objects adds them);
+    ``offsets``, each slot's byte offset within the container (the prefix
+    sums of ``sizes``, which the page layout reads); and the first slot of
+    each logical key, for :meth:`slot_of`.
+    """
 
-    def add(self, obj: PersistentObject) -> None:
-        """Place an object at its OID's slot; the slot must be free."""
-        if obj.oid.slot in self.objects:
-            raise ObjectError(f"slot {obj.oid.slot} occupied in {self.name!r}")
-        self.objects[obj.oid.slot] = obj
+    __slots__ = ("db_id", "container_id", "name", "keys", "sizes", "types",
+                 "data", "links", "offsets", "bytes", "_slot_of_key")
 
-    def next_slot(self) -> int:
-        """Allocate the next free slot number."""
-        slot = self._next_slot
-        self._next_slot += 1
+    def __init__(self, db_id: int, container_id: int, name: str):
+        self.db_id = db_id
+        self.container_id = container_id
+        self.name = name
+        self.keys: list[str] = []
+        self.sizes: list[float] = []
+        self.types: list[str] = []
+        self.data: dict[int, Any] = {}
+        self.links: list[Links] = []
+        self.offsets = array("d")
+        self.bytes: float = 0
+        self._slot_of_key: dict[str, int] = {}
+
+    def append(self, type_name: str, size: float, logical_key: str,
+               data: Any = None, links: Links = ()) -> int:
+        """Store one object in the next free slot and return the slot."""
+        if size <= 0:
+            raise ValueError("object size must be positive")
+        slot = len(self.keys)
+        self.keys.append(logical_key)
+        self.sizes.append(size)
+        self.types.append(type_name)
+        if data is not None:
+            self.data[slot] = data
+        self.links.append(links)
+        self.offsets.append(self.bytes)
+        self.bytes += size
+        self._slot_of_key.setdefault(logical_key, slot)
         return slot
 
-    def __len__(self) -> int:
-        return len(self.objects)
+    def add(self, obj: PersistentObject) -> None:
+        """Store an object built outside the container at its OID's slot,
+        which must be the next free one."""
+        if obj.oid.slot != len(self.keys):
+            raise ObjectError(
+                f"slot {obj.oid.slot} is not the next free slot of {self.name!r}"
+            )
+        self.append(obj.type_name, obj.size, obj.logical_key, obj.data, obj.links)
 
-    def __iter__(self) -> Iterator[PersistentObject]:
-        return iter(self.objects[slot] for slot in sorted(self.objects))
+    def link(self, slot: int, role: str, target: Location) -> Links:
+        """Add an association to the object in ``slot``; returns its links."""
+        links = self.links[slot] = linked(self.links[slot], role, target)
+        return links
+
+    def view(self, slot: int, oid: Optional[OID] = None) -> PersistentObject:
+        """The object in ``slot`` (``oid``, when the caller has it, names it)."""
+        if oid is None:
+            oid = OID(self.db_id, self.container_id, slot)
+        if not 0 <= slot < len(self.keys):
+            raise ObjectError(f"no object at {oid}")
+        return PersistentObject.view(
+            oid, self, self.types[slot], self.sizes[slot], self.keys[slot],
+            self.data.get(slot), self.links[slot],
+        )
+
+    def slot_of(self, logical_key: str) -> Optional[int]:
+        """The first slot holding ``logical_key``, or None."""
+        return self._slot_of_key.get(logical_key)
 
     @property
-    def bytes(self) -> float:
-        return sum(obj.size for obj in self.objects.values())
+    def objects(self) -> Mapping[int, PersistentObject]:
+        """Slot -> object, as views."""
+        return _Slots(self)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[PersistentObject]:
+        return map(self.view, range(len(self.keys)))
+
+
+class _Slots(Mapping):
+    """A container's objects by slot."""
+
+    def __init__(self, container: Container):
+        self._container = container
+
+    def __getitem__(self, slot: int) -> PersistentObject:
+        if not isinstance(slot, int) or not 0 <= slot < len(self._container):
+            raise KeyError(slot)
+        return self._container.view(slot)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._container)))
+
+    def __len__(self) -> int:
+        return len(self._container)
 
 
 class DatabaseFile:
     """One Objectivity database file: a set of containers full of objects."""
+
+    __slots__ = ("db_id", "name", "containers", "_next_container")
 
     def __init__(self, db_id: int, name: str):
         if db_id < 0:
@@ -67,7 +155,9 @@ class DatabaseFile:
         """Create a new container in this file."""
         container_id = self._next_container
         self._next_container += 1
-        container = Container(container_id, name or f"container-{container_id}")
+        container = Container(
+            self.db_id, container_id, name or f"container-{container_id}"
+        )
         self.containers[container_id] = container
         return container
 
@@ -89,40 +179,44 @@ class DatabaseFile:
         data=None,
     ) -> PersistentObject:
         """Create a persistent object in the container and assign its OID."""
-        if container.container_id not in self.containers:
+        if self.containers.get(container.container_id) is not container:
             raise ObjectError("container does not belong to this database")
-        oid = OID(self.db_id, container.container_id, container.next_slot())
-        obj = PersistentObject(
-            oid=oid,
-            type_name=type_name,
-            size=size,
-            logical_key=logical_key,
-            data=data,
+        return container.view(
+            container.append(type_name, size, logical_key, data)
         )
-        container.add(obj)
-        return obj
 
     def get(self, oid: OID) -> PersistentObject:
         """Dereference an OID belonging to this file."""
         if oid.database != self.db_id:
             raise ObjectError(f"OID {oid} does not belong to database {self.db_id}")
-        container = self.container(oid.container)
-        try:
-            return container.objects[oid.slot]
-        except KeyError:
-            raise ObjectError(f"no object at {oid}") from None
+        return self.container(oid.container).view(oid.slot, oid)
 
     def find_by_key(self, logical_key: str) -> Optional[PersistentObject]:
-        """Linear search for an object by logical key, or None."""
-        for obj in self.iter_objects():
-            if obj.logical_key == logical_key:
-                return obj
+        """The first object with this logical key in (container, slot)
+        order, or None."""
+        for container_id in sorted(self.containers):
+            container = self.containers[container_id]
+            slot = container.slot_of(logical_key)
+            if slot is not None:
+                return container.view(slot)
         return None
 
     def iter_objects(self) -> Iterator[PersistentObject]:
         """Iterate objects in (container, slot) order."""
         for container_id in sorted(self.containers):
             yield from self.containers[container_id]
+
+    def keyed_slots(self) -> Iterator[tuple[str, int, int]]:
+        """``(logical key, container id, slot)`` of every object, in
+        :meth:`iter_objects` order, without building the objects."""
+        for container_id in sorted(self.containers):
+            for slot, key in enumerate(self.containers[container_id].keys):
+                yield key, container_id, slot
+
+    @property
+    def type_names(self) -> set[str]:
+        """The object types this file holds."""
+        return set().union(*(c.types for c in self.containers.values()))
 
     @property
     def object_count(self) -> int:

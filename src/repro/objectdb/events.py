@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.objectdb.federation import Federation
+from repro.objectdb.objects import Location, location
 from repro.objectdb.oid import OID
 
 __all__ = ["ObjectTypeSpec", "STANDARD_TYPES", "EventCatalog", "EventStoreBuilder"]
@@ -45,19 +46,37 @@ STANDARD_TYPES = (
 
 
 class EventCatalog:
-    """Application metadata catalog + object-to-file catalog (Figure 1)."""
+    """Application metadata catalog + object-to-file catalog (Figure 1).
+
+    Objects are recorded by location, the ``(database, container, slot)``
+    triple an OID names; OIDs are built when asked for.  The per-type count
+    of objects in each database is kept as objects are recorded, so
+    :meth:`objects_per_file` reads it instead of scanning every object.
+    """
 
     def __init__(self) -> None:
-        self._oid_by_event_type: dict[tuple[int, str], OID] = {}
+        #: type -> event -> location
+        self._locations: dict[str, dict[int, Location]] = {}
+        #: type -> db_id -> objects recorded there, in first-record order
+        self._per_database: dict[str, dict[int, int]] = {}
         self._file_by_db_id: dict[int, str] = {}
         self._events: list[int] = []
-        self._types: set[str] = set()
 
     # -- registration (builder-side) ----------------------------------------
     def record_object(self, event_number: int, type_name: str, oid: OID) -> None:
         """Register the OID of one event's object of a type."""
-        self._oid_by_event_type[(event_number, type_name)] = oid
-        self._types.add(type_name)
+        self._record(event_number, type_name, location(oid))
+
+    def _record(self, event_number: int, type_name: str, where: Location) -> None:
+        by_event = self._locations.setdefault(type_name, {})
+        counts = self._per_database.setdefault(type_name, {})
+        replaced = by_event.get(event_number)
+        if replaced is not None:
+            counts[replaced[0]] -= 1
+            if not counts[replaced[0]]:
+                del counts[replaced[0]]
+        by_event[event_number] = where
+        counts[where[0]] = counts.get(where[0], 0) + 1
 
     def record_file(self, db_id: int, file_name: str) -> None:
         """Register which file a database id corresponds to."""
@@ -72,25 +91,39 @@ class EventCatalog:
     def event_numbers(self) -> list[int]:
         return list(self._events)
 
+    @property
+    def event_count(self) -> int:
+        return len(self._events)
+
+    def locations_for(self, event_numbers, type_name: str) -> list[Location]:
+        """Step 1+2 as recorded: each event's object of the given type as
+        the ``(database, container, slot)`` triple its OID names."""
+        locations = self._locations.get(type_name, {})
+        try:
+            return [locations[event] for event in event_numbers]
+        except KeyError as missing:
+            raise KeyError(
+                f"no {type_name!r} object for event {missing.args[0]}"
+            ) from None
+
     def oid_for(self, event_number: int, type_name: str) -> OID:
         """OID of one event's object of the given type."""
-        try:
-            return self._oid_by_event_type[(event_number, type_name)]
-        except KeyError:
-            raise KeyError(
-                f"no {type_name!r} object for event {event_number}"
-            ) from None
+        return self.oids_for((event_number,), type_name)[0]
 
     def oids_for(self, event_numbers, type_name: str) -> list[OID]:
         """Step 1+2: event numbers -> set of OIDs."""
-        return [self.oid_for(event, type_name) for event in event_numbers]
+        return [OID(*where) for where in self.locations_for(event_numbers, type_name)]
+
+    def database_file(self, db_id: int) -> str:
+        """The file name a database id corresponds to."""
+        try:
+            return self._file_by_db_id[db_id]
+        except KeyError:
+            raise KeyError(f"database {db_id} maps to no known file") from None
 
     def file_of(self, oid: OID) -> str:
         """Step 3: OID -> file name (via the object-to-file catalog)."""
-        try:
-            return self._file_by_db_id[oid.database]
-        except KeyError:
-            raise KeyError(f"OID {oid} maps to no known file") from None
+        return self.database_file(oid.database)
 
     def files_for(self, oids) -> dict[str, list[OID]]:
         """OIDs grouped by the file that holds them."""
@@ -102,10 +135,9 @@ class EventCatalog:
     def objects_per_file(self, type_name: str) -> dict[str, int]:
         """Per-file object counts for one type."""
         counts: dict[str, int] = {}
-        for (event, tname), oid in self._oid_by_event_type.items():
-            if tname == type_name:
-                file_name = self.file_of(oid)
-                counts[file_name] = counts.get(file_name, 0) + 1
+        for db_id, count in self._per_database.get(type_name, {}).items():
+            file_name = self.database_file(db_id)
+            counts[file_name] = counts.get(file_name, 0) + count
         return counts
 
 
@@ -147,11 +179,10 @@ class EventStoreBuilder:
             if placement == "sequential":
                 order = event_numbers
             else:
-                order = list(self.rng.permutation(n_events))
+                order = self.rng.permutation(n_events).tolist()
             assignments[spec.name] = order
 
         # create files and fill them type by type
-        oid_of: dict[tuple[int, str], OID] = {}
         for spec in types:
             order = assignments[spec.name]
             for file_index in range(n_files):
@@ -163,25 +194,25 @@ class EventStoreBuilder:
                     file_index * events_per_file : (file_index + 1) * events_per_file
                 ]
                 for event in chunk:
-                    obj = db.new_object(
-                        container,
-                        spec.name,
-                        spec.size,
-                        logical_key=f"{event}/{spec.name}",
+                    slot = container.append(
+                        spec.name, spec.size, f"{event}/{spec.name}"
                     )
-                    oid_of[(event, spec.name)] = obj.oid
-                    catalog.record_object(event, spec.name, obj.oid)
+                    catalog._record(
+                        event, spec.name, (db.db_id, container.container_id, slot)
+                    )
 
         # wire the reconstruction-chain associations (tag -> aod -> esd -> raw)
         for spec in types:
             if spec.upstream is None:
                 continue
+            here = catalog._locations.get(spec.name, {})
+            there = catalog._locations.get(spec.upstream, {})
             for event in event_numbers:
-                key = (event, spec.name)
-                upstream_key = (event, spec.upstream)
-                if key in oid_of and upstream_key in oid_of:
-                    obj = federation.resolve(oid_of[key])
-                    obj.associate("upstream", oid_of[upstream_key])
+                if event in here and event in there:
+                    db_id, container_id, slot = here[event]
+                    federation.database_by_id(db_id).containers[container_id].link(
+                        slot, "upstream", there[event]
+                    )
 
         for event in event_numbers:
             catalog.record_event(event)

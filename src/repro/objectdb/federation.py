@@ -14,10 +14,10 @@ post-processing step after a file transfer.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from repro.objectdb.database import DatabaseFile
-from repro.objectdb.objects import PersistentObject
+from repro.objectdb.database import Container, DatabaseFile
+from repro.objectdb.objects import Location, PersistentObject
 from repro.objectdb.oid import OID
 
 __all__ = ["FederationError", "NavigationError", "Federation"]
@@ -77,9 +77,7 @@ class Federation:
             raise FederationError(f"db_id {db.db_id} already attached")
         if db.name in self._by_name:
             raise FederationError(f"database name {db.name!r} already attached")
-        unknown = {
-            obj.type_name for obj in db.iter_objects() if obj.type_name not in self._schema
-        }
+        unknown = db.type_names - self._schema
         if unknown:
             raise FederationError(
                 f"cannot attach {db.name!r}: unknown types {sorted(unknown)} "
@@ -122,17 +120,40 @@ class Federation:
         return sorted(self._by_name)
 
     # -- navigation ------------------------------------------------------------------
+    def container_of(self, oid: OID) -> Container:
+        """The container an OID points into; raises :class:`NavigationError`
+        if the owning database file is not attached at this site."""
+        try:
+            return self._databases[oid.database].containers[oid.container]
+        except KeyError:
+            # one of the two is missing: let the lookup that names it raise
+            return self.database_by_id(oid.database).container(oid.container)
+
     def resolve(self, oid: OID) -> PersistentObject:
         """Dereference an OID; raises :class:`NavigationError` if the owning
         database file is not attached at this site."""
-        return self.database_by_id(oid.database).get(oid)
+        return self.container_of(oid).view(oid.slot, oid)
+
+    def sizes_at(self, locations: Iterable[Location]) -> list[float]:
+        """The size of the object at each ``(database, container, slot)``,
+        in order, read without building the objects."""
+        databases = self._databases
+        sizes = []
+        for database, container, slot in locations:
+            try:
+                sizes.append(databases[database].containers[container].sizes[slot])
+            except (KeyError, IndexError):
+                # raises the error that names what is missing
+                self.resolve(OID(database, container, slot))
+        return sizes
 
     def navigate(self, obj: PersistentObject, role: str) -> list[PersistentObject]:
         """Follow a navigational association."""
         return [self.resolve(target) for target in obj.targets(role)]
 
     def find_by_key(self, logical_key: str) -> Optional[PersistentObject]:
-        """Linear search for an object by logical key across attached files."""
+        """The first object with this logical key: attached files in the
+        order they were attached, then (container, slot) order; or None."""
         for db in self._databases.values():
             found = db.find_by_key(logical_key)
             if found is not None:

@@ -27,37 +27,21 @@ class ObjectReader:
         self.federation = federation
         self.stats = {"objects_read": 0, "bytes_read": 0.0, "page_reads": 0}
         self._cached_pages: set[tuple[int, int, int]] = set()
-        # per-container slot -> starting page index, built on first touch
-        # (containers are write-once in analysis workloads)
-        self._layouts: dict[tuple[int, int], dict[int, int]] = {}
 
     def pages_of(self, obj: PersistentObject) -> list[tuple[int, int, int]]:
         """The (database, container, page index) pages an object's bytes
         occupy.  Pages pack objects in slot order within each container,
         so the first page follows from the cumulative size of the objects
-        before it; a large object spans several pages."""
+        before it (the container's ``offsets``); a large object spans
+        several pages."""
         oid = obj.oid
-        page0 = self._start_page(oid)
+        offset = self.federation.container_of(oid).offsets[oid.slot]
+        page0 = int(offset // PAGE_SIZE)
         spanned = max(1, -(-int(obj.size) // PAGE_SIZE))  # ceil
         return [
             (oid.database, oid.container, page0 + extra)
             for extra in range(spanned)
         ]
-
-    def _start_page(self, oid: OID) -> int:
-        key = (oid.database, oid.container)
-        layout = self._layouts.get(key)
-        if layout is None or oid.slot not in layout:
-            container = self.federation.database_by_id(oid.database).container(
-                oid.container
-            )
-            layout = {}
-            offset = 0.0
-            for slot in sorted(container.objects):
-                layout[slot] = int(offset // PAGE_SIZE)
-                offset += container.objects[slot].size
-            self._layouts[key] = layout
-        return layout[oid.slot]
 
     # -- reading ------------------------------------------------------------
     def read(self, oid: OID) -> PersistentObject:

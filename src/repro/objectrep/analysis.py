@@ -14,6 +14,7 @@ the analytic majority-selected probability.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,6 +22,7 @@ from typing import Sequence
 from repro.objectdb.database import FILE_HEADER_SIZE
 from repro.objectdb.events import EventCatalog
 from repro.objectdb.federation import Federation
+from repro.objectdb.objects import Location, location
 from repro.objectdb.oid import OID
 
 __all__ = [
@@ -52,13 +54,25 @@ def file_replication_cost(
     selected_oids: Sequence[OID],
 ) -> StrategyCost:
     """Ship every *existing* file that holds at least one selected object."""
-    grouped = catalog.files_for(selected_oids)
+    return _file_cost(federation, catalog, [location(oid) for oid in selected_oids])
+
+
+def _file_cost(
+    federation: Federation, catalog: EventCatalog, selected: Sequence[Location]
+) -> StrategyCost:
+    by_database: dict[int, list[Location]] = {}
+    for where in selected:
+        by_database.setdefault(where[0], []).append(where)
+    # the files in the order the selection first reaches them
+    grouped: dict[str, list[Location]] = {}
+    for db_id, located in by_database.items():
+        grouped.setdefault(catalog.database_file(db_id), []).extend(located)
     total = 0.0
     useful = 0.0
-    for file_name, oids in grouped.items():
+    for file_name, located in grouped.items():
         db = federation.database(file_name)
         total += db.size
-        useful += sum(federation.resolve(oid).size for oid in oids)
+        useful += sum(federation.sizes_at(located))
     return StrategyCost(bytes_moved=total, useful_bytes=useful,
                         files_moved=len(grouped))
 
@@ -69,8 +83,16 @@ def object_replication_cost(
     objects_per_new_file: int = 1000,
 ) -> StrategyCost:
     """Ship freshly written files holding exactly the selected objects."""
-    useful = sum(federation.resolve(oid).size for oid in selected_oids)
-    n_files = max(1, math.ceil(len(selected_oids) / objects_per_new_file))
+    return _object_cost(
+        federation, [location(oid) for oid in selected_oids], objects_per_new_file
+    )
+
+
+def _object_cost(
+    federation: Federation, selected: Sequence[Location], objects_per_new_file: int
+) -> StrategyCost:
+    useful = sum(federation.sizes_at(selected))
+    n_files = max(1, math.ceil(len(selected) / objects_per_new_file))
     return StrategyCost(
         bytes_moved=useful + n_files * FILE_HEADER_SIZE,
         useful_bytes=useful,
@@ -85,15 +107,37 @@ def probability_file_majority_selected(
 ) -> float:
     """P(an existing file has more than ``threshold`` of its objects
     selected), for an unbiased random selection: the binomial survival
-    function P(X > threshold·n) with X ~ Binom(n, f)."""
+    function P(X > threshold·n) with X ~ Binom(n, f).
+
+    The terms ``C(n, k) f^k (1-f)^(n-k)`` are summed in 40-digit decimal
+    arithmetic, whose exponent range holds the 10⁻¹⁰⁰⁰-sized terms of a
+    sparse selection.  ``f`` and ``1-f`` enter as exact ratios of the
+    float ``f``, so the sum carries ~35 correct digits and its float is
+    the exact tail's, rounded."""
     if objects_per_file <= 0:
         raise ValueError("objects_per_file must be positive")
     if not 0 <= selection_fraction <= 1:
         raise ValueError("selection_fraction must be in [0, 1]")
-    from scipy.stats import binom
-
-    cutoff = math.floor(threshold * objects_per_file)
-    return float(binom.sf(cutoff, objects_per_file, selection_fraction))
+    n = objects_per_file
+    first = max(math.floor(threshold * n) + 1, 0)  # smallest k counted
+    if first > n:
+        return 0.0
+    p, d = float(selection_fraction).as_integer_ratio()  # f = p/d, 1-f = q/d
+    q = d - p
+    if p == 0 or q == 0:  # X is 0, or n, for certain
+        return float(q == 0 or first == 0)
+    with decimal.localcontext() as context:
+        context.prec = 40
+        term = (
+            (decimal.Decimal(p) / d) ** first
+            * (decimal.Decimal(q) / d) ** (n - first)
+            * math.comb(n, first)
+        )
+        total = term
+        for k in range(first, n):
+            term = term * ((n - k) * p) / ((k + 1) * q)
+            total += term
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -130,8 +174,8 @@ def compare_replication_strategies(
     objects_per_new_file: int = 1000,
 ) -> ReplicationComparison:
     """Run the full §5.1 comparison for one selection."""
-    selected_oids = catalog.oids_for(selected_events, type_name)
-    n_events = len(catalog.event_numbers)
+    selected = catalog.locations_for(selected_events, type_name)
+    n_events = catalog.event_count
     fraction = len(selected_events) / n_events if n_events else 0.0
     per_file = catalog.objects_per_file(type_name)
     typical_file_objects = (
@@ -139,11 +183,9 @@ def compare_replication_strategies(
     )
     return ReplicationComparison(
         selection_fraction=fraction,
-        selected_objects=len(selected_oids),
-        file_strategy=file_replication_cost(federation, catalog, selected_oids),
-        object_strategy=object_replication_cost(
-            federation, selected_oids, objects_per_new_file
-        ),
+        selected_objects=len(selected),
+        file_strategy=_file_cost(federation, catalog, selected),
+        object_strategy=_object_cost(federation, selected, objects_per_new_file),
         majority_probability=probability_file_majority_selected(
             typical_file_objects, fraction
         ),

@@ -22,7 +22,6 @@ from repro.simulation.kernel import Simulator
 __all__ = ["CopyCostModel", "CopyResult", "ObjectCopier"]
 
 
-
 @dataclass(frozen=True)
 class CopyCostModel:
     """Source-server resources burned per copied byte.
@@ -112,13 +111,11 @@ class ObjectCopier:
             for slot, obj in enumerate(objects)
         }
         for obj in objects:
-            container._next_slot = oid_map[obj.oid].slot
             container.add(obj.replicated_to(oid_map[obj.oid], remapped=oid_map))
-        container._next_slot = len(objects)
         return CopyResult(
             database=new_db,
             oid_map=oid_map,
-            bytes_copied=sum(o.size for o in objects),
+            bytes_copied=container.bytes,
             objects_copied=len(objects),
             closure_added=closure_added,
         )

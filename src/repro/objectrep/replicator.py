@@ -189,15 +189,14 @@ class ObjectReplicator:
                 src.pool.unpin(temp_path)
             src.fs.delete(temp_path)
         # attach at the destination (schema follows the objects)
-        for obj in db.iter_objects():
-            if not dst.federation.knows_type(obj.type_name):
-                dst.federation.declare_type(obj.type_name)
+        types = sorted(db.type_names)
+        for type_name in types:
+            dst.federation.declare_type(type_name)
         dst.federation.attach(db)
         # first-class citizenship: register in the GDMP replica catalog ...
-        schema = ";".join(sorted({o.type_name for o in db.iter_objects()}))
         yield dst.client.publish(
-            db.name, local_path, filetype="objectivity", schema=schema
+            db.name, local_path, filetype="objectivity", schema=";".join(types)
         )
         # ... and in the global object index (a future extraction source)
-        self.index.record_file(dst.name, db.name, db.iter_objects())
+        self.index.record_file(dst.name, db)
         return report

@@ -33,7 +33,7 @@ def select_events(
     mask = rng.random(len(events)) < fraction
     if not mask.any():
         mask[rng.integers(len(events))] = True
-    return [int(e) for e in events[mask]]
+    return events[mask].tolist()
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def test_new_object_assigns_sequential_oids(db):
 def test_get_by_oid(db):
     container = db.create_container()
     obj = db.new_object(container, "aod", 100, "0/aod")
-    assert db.get(obj.oid) is obj
+    assert db.get(obj.oid) == obj  # a fresh view of the same row
 
 
 def test_get_wrong_database_rejected(db):
@@ -68,7 +68,7 @@ def test_file_size_is_header_plus_objects(db):
 def test_find_by_key(db):
     container = db.create_container()
     obj = db.new_object(container, "aod", 10, "17/aod")
-    assert db.find_by_key("17/aod") is obj
+    assert db.find_by_key("17/aod") == obj
     assert db.find_by_key("18/aod") is None
 
 
@@ -110,3 +110,19 @@ def test_associations_and_replication_remap():
     # unmapped targets keep their original OID
     copy2 = aod.replicated_to(OID(9, 0, 2))
     assert copy2.targets("upstream") == [raw.oid]
+
+
+def test_associations_keep_role_then_target_order_in_the_row():
+    db = DatabaseFile(1, "a.db")
+    c = db.create_container()
+    x, y, z = (db.new_object(c, "raw", 100, f"{i}/raw") for i in range(3))
+    tag = db.new_object(c, "tag", 1, "0/tag")
+    tag.associate("a", x.oid)
+    tag.associate("b", y.oid)
+    tag.associate("a", z.oid)
+    tag.associate("b", y.oid)  # idempotent
+    stored = db.get(tag.oid)  # a fresh view reads the row
+    for obj in (tag, stored):
+        assert obj.associations == {"a": [x.oid, z.oid], "b": [y.oid]}
+        assert obj.all_targets() == [x.oid, z.oid, y.oid]
+        assert obj.targets("b") == [y.oid]

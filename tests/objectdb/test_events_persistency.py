@@ -1,6 +1,7 @@
 import pytest
 
 from repro.objectdb import (
+    OID,
     EventStoreBuilder,
     Federation,
     ObjectReader,
@@ -57,6 +58,23 @@ def test_files_for_groups_by_file(store):
     grouped = catalog.files_for(oids)
     assert sum(len(v) for v in grouped.values()) == 20
     assert len(grouped) == 4
+
+
+def test_recording_an_object_again_moves_its_count(store):
+    fed, catalog = store
+    moved_to = fed.database_names[-1]
+    before = catalog.objects_per_file("aod")
+    target = fed.database(moved_to).db_id
+    catalog.record_object(0, "aod", OID(target, 0, 0))
+    after = catalog.objects_per_file("aod")
+    assert after[moved_to] == before[moved_to] + 1
+    assert after[fed.database_names[0]] == before[fed.database_names[0]] - 1
+    assert catalog.oid_for(0, "aod") == OID(target, 0, 0)
+    # the last object of a file moved away: the file drops out
+    catalog.record_file(999, "lone.db")
+    catalog.record_object(7, "aod", OID(999, 0, 0))
+    catalog.record_object(7, "aod", OID(target, 0, 1))
+    assert "lone.db" not in catalog.objects_per_file("aod")
 
 
 def test_reconstruction_chain_associations():

@@ -28,7 +28,7 @@ def test_create_database_and_resolve(fed):
     db = fed.create_database("local.db")
     c = db.create_container()
     obj = db.new_object(c, "aod", 10, "0/aod")
-    assert fed.resolve(obj.oid) is obj
+    assert fed.resolve(obj.oid) == obj
 
 
 def test_duplicate_database_name_rejected(fed):
@@ -110,6 +110,29 @@ def test_navigation_to_detached_file_fails(fed):
     fed.detach("b.db")
     with pytest.raises(NavigationError):
         fed.navigate(aod, "upstream")
+
+
+def test_find_by_key_takes_the_first_match_in_attach_container_slot_order(fed):
+    a = fed.create_database("a.db")
+    a_first, a_second = a.create_container(), a.create_container()
+    a.new_object(a_second, "aod", 10, "other/aod")
+    later_container = a.new_object(a_second, "aod", 10, "7/aod")
+    a.new_object(a_first, "aod", 10, "other/aod")
+    in_a = a.new_object(a_first, "aod", 10, "7/aod")
+    a.new_object(a_first, "aod", 10, "7/aod")  # a later slot of the same key
+    b = fed.create_database("b.db")
+    in_b = b.new_object(b.create_container(), "aod", 10, "7/aod")
+
+    assert a.find_by_key("7/aod") == in_a
+    assert a.find_by_key("7/aod") != later_container
+    assert fed.find_by_key("7/aod") == in_a
+    fed.detach("a.db")
+    assert fed.find_by_key("7/aod") == in_b
+    fed.attach(a)  # attached again, it now comes after b.db
+    assert fed.find_by_key("7/aod") == in_b
+    fed.detach("b.db")
+    assert fed.find_by_key("7/aod") == in_a
+    assert fed.find_by_key("other/aod").oid == OID(a.db_id, 0, 0)
 
 
 def test_find_by_key_and_counts(fed):

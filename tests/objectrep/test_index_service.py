@@ -20,9 +20,7 @@ def grid_with_indices():
     )
     cern_index = GlobalObjectIndex()
     for name in cern.federation.database_names:
-        cern_index.record_file(
-            "cern", name, cern.federation.database(name).iter_objects()
-        )
+        cern_index.record_file("cern", cern.federation.database(name))
     cern_service = IndexService(cern, cern_index)
     anl_service = IndexService(grid.site("anl"))  # empty local view
     return grid, catalog, cern_service, anl_service

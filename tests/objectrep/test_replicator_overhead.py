@@ -27,8 +27,7 @@ def grid_with_store():
     )
     index = GlobalObjectIndex()
     for name in cern.federation.database_names:
-        db = cern.federation.database(name)
-        index.record_file("cern", name, db.iter_objects())
+        index.record_file("cern", cern.federation.database(name))
     return grid, catalog, index
 
 
@@ -120,7 +119,7 @@ def test_second_cycle_can_source_from_first_destination():
     )
     index = GlobalObjectIndex()
     for name in cern.federation.database_names:
-        index.record_file("cern", name, cern.federation.database(name).iter_objects())
+        index.record_file("cern", cern.federation.database(name))
     keys = keys_for(range(50))
     grid.run(until=ObjectReplicator(grid, "anl", index).replicate_objects(keys))
     # remove cern from the picture: an index without its entries
@@ -180,9 +179,7 @@ def test_multi_source_cycle_draws_from_each_holder():
             file_prefix=f"store-{site_name}",
         )
         for name in site.federation.database_names:
-            index.record_file(
-                site_name, name, site.federation.database(name).iter_objects()
-            )
+            index.record_file(site_name, site.federation.database(name))
     # cern holds events 0..99 under "N/aod"; anl holds its own 0..99 under
     # the same keys — disambiguate by re-keying anl's objects
     # (simpler: request keys that exist only at one site each)

@@ -1,5 +1,8 @@
 """Tests for sparse selections and the §5.1 cost analysis."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,42 @@ def test_majority_probability_vanishes_for_sparse_selection():
         for f in (0.01, 0.1, 0.4, 0.6, 0.9)
     ]
     assert probs == sorted(probs)
+
+
+def exact_majority_probability(n, f, threshold=0.5):
+    """The binomial tail summed in integers (the float f is p/d exactly),
+    then one correctly rounded division."""
+    first = max(math.floor(threshold * n) + 1, 0)
+    p, d = f.as_integer_ratio()
+    tail = 0
+    for k in range(n, first - 1, -1):  # Horner's rule in p
+        tail = tail * p + math.comb(n, k) * (d - p) ** (n - k)
+    return tail * p**first / d**n
+
+
+@pytest.mark.parametrize("n, f", [
+    (n, f)
+    for n in (1, 7, 200, 1000)
+    for f in (0.0, 0.0005, 0.1, 0.3, 0.499, 0.501, 0.6035, 0.9, 1.0)
+] + [(7, 1e-300), (200, 1e-300)])
+@pytest.mark.parametrize("threshold", [0.5, 0.0])
+def test_majority_probability_is_the_exact_tail(n, f, threshold):
+    assert probability_file_majority_selected(n, f, threshold) == (
+        exact_majority_probability(n, f, threshold)
+    )
+
+
+def test_majority_probability_prints_the_recorded_column(monkeypatch):
+    """EXP-OBJ1's P(majority) for its 1000-object files, as recorded when
+    scipy computed it — now with scipy unimportable."""
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+    printed = [
+        f"{probability_file_majority_selected(1000, selected / 100_000):.2e}"
+        for selected in (60, 4930, 10036, 29993, 60350, 100_000)
+    ]
+    assert printed == ["0.00e+00", "0.00e+00", "2.21e-224", "2.42e-40",
+                       "1.00e+00", "1.00e+00"]
 
 
 def test_majority_probability_validation():

@@ -156,6 +156,15 @@ def test_the_event_budget_is_the_measured_count_plus_a_tenth(capsys):
         assert events / requests <= budget <= 1.1 * events / requests + 0.05
 
 
+def test_the_object_census_is_the_measured_ratio_plus_a_tenth(capsys):
+    assert smoke.check_object_census() == []
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("object census: ")
+    tracked, stored = (int(word) for word in line.split() if word.isdigit())
+    per_stored = tracked / stored
+    assert per_stored <= smoke.TRACKED_PER_STORED <= 1.1 * per_stored + 0.0002
+
+
 def test_unknown_name_is_rejected_with_the_known_ones(capsys):
     assert gate(scripted(), names=("fake", "nope")) == 2
     out = capsys.readouterr().out

@@ -92,7 +92,7 @@ def test_analysis_session_end_to_end(grid):
     )
     index = GlobalObjectIndex()
     for name in cern.federation.database_names:
-        index.record_file("cern", name, cern.federation.database(name).iter_objects())
+        index.record_file("cern", cern.federation.database(name))
     chain = AnalysisChain(steps=(AnalysisStep("skim", 0.05, "aod"),), seed=2)
     session = AnalysisSession(
         grid, home_site="anl", store_site="cern",
@@ -120,7 +120,7 @@ def test_analysis_session_with_tag_cuts(grid):
     )
     index = GlobalObjectIndex()
     for name in cern.federation.database_names:
-        index.record_file("cern", name, cern.federation.database(name).iter_objects())
+        index.record_file("cern", cern.federation.database(name))
     tags = TagDatabase.generate(2000, seed=8)
     cuts = ["njets >= 4", "met > 60"]
     session = AnalysisSession(

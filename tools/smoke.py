@@ -13,10 +13,10 @@ checks, per leg:
   experiment extras + full Prometheus export) are byte-identical;
 * the suite's own assertions, declared beside its params below.
 
-Then the named checks in ``CHECKS``: six budgets that fail here in
+Then the named checks in ``CHECKS``: seven budgets that fail here in
 seconds instead of in a benchmark in minutes (``publish_path``,
 ``transfer_set_path``, ``warm_channels``, ``event_budget``,
-``claim_budget``, ``pipe_fill``); two
+``claim_budget``, ``pipe_fill``, ``object_census``); two
 scenarios run twice in this process and diffed part by part
 (``back_to_back``: ids, names and counts must restart with the
 simulator; ``exporters``: shape and determinism of the trace and metrics
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import difflib
+import gc
 import io
 import json
 import re
@@ -46,6 +47,7 @@ from repro.experiments.__main__ import main as experiments_cli
 from repro.experiments.scaffold import counter_total, legs
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import MB
+from repro.objectdb import EventStoreBuilder, Federation
 from repro.objectrep.index_service import IndexService
 from repro.rls import DigestConfig, RlsConfig
 from repro.telemetry import to_chrome_trace_json, to_prometheus_text
@@ -547,6 +549,41 @@ def check_pipe_fill() -> list[str]:
     return problems
 
 
+#: objects CPython's cyclic collector tracks per stored object after a
+#: 10 000-event build of the four standard types, plus 10 %: 322-329 /
+#: 40 000 = 0.0081 since a container keeps its objects as columns
+#: (140 741 / 40 000 = 3.52 when each was an OID, a PersistentObject and
+#: an association dict and list).  Lower it when a change lowers the count
+TRACKED_PER_STORED = 0.0089
+
+
+def check_object_census() -> list[str]:
+    """What an event store costs the cyclic collector, which walks every
+    object it tracks at each full collection: the tracked objects
+    (``gc.get_objects()`` after ``gc.collect()``) a 10 000-event
+    ``STANDARD_TYPES`` build adds, per object stored."""
+    # a small build first pays lazy imports and caches
+    EventStoreBuilder(seed=SEED).build(
+        Federation("warm", site="cern"), n_events=10, events_per_file=5
+    )
+    gc.collect()
+    before = len(gc.get_objects())
+    federation = Federation("census", site="cern")
+    EventStoreBuilder(seed=SEED).build(federation, n_events=10_000)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    per_stored = added / federation.object_count
+    report = (
+        f"object census: {added} tracked objects for "
+        f"{federation.object_count} stored, {per_stored:.4f} each "
+        f"(budget {TRACKED_PER_STORED})"
+    )
+    if per_stored > TRACKED_PER_STORED:
+        return [report]
+    print(f"  {report}")
+    return []
+
+
 def run_twice(label: str, scenario: Callable[[], dict], *shape_checks) -> list[str]:
     """Run ``scenario`` twice in this process and diff the runs part by
     part (a problem quotes the first differing lines), then ask each of
@@ -734,6 +771,7 @@ CHECKS = {
     "event_budget": check_event_budget,
     "claim_budget": check_claim_budget,
     "pipe_fill": check_pipe_fill,
+    "object_census": check_object_census,
     # global-state leaks: everything a run names or counts
     "back_to_back": lambda: run_twice("back to back", back_to_back_scenario),
     # the trace and metrics exports: deterministic and well formed
