@@ -90,7 +90,7 @@ def _add_island(topo: Topology, spec: dict) -> tuple[str, str]:
 
 
 def build_scenario(
-    specs: list[dict], seed: int = 2001, kernel: str | None = None,
+    specs: list[dict], seed: int = 2001, kernel: str = "auto",
 ) -> tuple[Simulator, NetworkEngine, list]:
     """One engine advancing every island's transfer concurrently."""
     sim = Simulator()
@@ -112,7 +112,7 @@ def run_flow_scale(
     flows_per_island: int = 20,
     base_size_mb: int = 60,
     seed: int = 2001,
-    kernel: str | None = None,
+    kernel: str = "auto",
 ) -> dict:
     """The monolithic scenario: one engine, every island, wall-clocked."""
     specs = island_specs(n_islands, flows_per_island, base_size_mb)

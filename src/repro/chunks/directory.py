@@ -44,6 +44,7 @@ from repro.gdmp.request_manager import (
 from repro.services.bus import ServiceRequest
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Process
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["ChunkDirectory", "ChunkDirectoryService", "ChunkDirectoryProxy"]
 
@@ -245,7 +246,7 @@ class ChunkDirectoryService:
     exactly-once behind the service's replay window)."""
 
     def __init__(self, server: RequestServer, directory: ChunkDirectory,
-                 *, metrics=None):
+                 *, metrics: MetricsRegistry = NO_METRICS):
         self.server = server
         self.directory = directory
         self.metrics = metrics
@@ -256,12 +257,7 @@ class ChunkDirectoryService:
             )
         for op in ("manifest", "list"):
             server.register(f"chunk.{op}", getattr(self, f"_op_{op}"))
-        if metrics is not None:
-            metrics.add_collector(self._collect)
-
-    def _count(self, op: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("chunks.directory", op=op).inc()
+        metrics.add_collector(self._collect)
 
     def _collect(self, registry) -> None:
         directory = self.directory
@@ -281,7 +277,7 @@ class ChunkDirectoryService:
         manifest, targets, needed = self.directory.init(
             p["object"], p["size"], p["content_key"], p["k"], p["m"]
         )
-        self._count("init")
+        self.metrics.counter("chunks.directory", op="init").inc()
         return {
             "manifest": manifest.to_wire(),
             "targets": targets,
@@ -293,14 +289,14 @@ class ChunkDirectoryService:
         result = self.directory.commit(
             p["object"], [tuple(item) for item in p["placements"]]
         )
-        self._count("commit")
+        self.metrics.counter("chunks.directory", op="commit").inc()
         return result
 
     def _op_manifest(self, request: ServiceRequest):
         manifest, locations, targets = self.directory.manifest_info(
             request.payload["object"]
         )
-        self._count("manifest")
+        self.metrics.counter("chunks.directory", op="manifest").inc()
         return {
             "manifest": manifest.to_wire(),
             "locations": locations,
@@ -318,7 +314,7 @@ class ChunkDirectoryService:
             [tuple(item) for item in p.get("repaired", ())],
             [tuple(item) for item in p.get("removed", ())],
         )
-        self._count("repair_done")
+        self.metrics.counter("chunks.directory", op="repair_done").inc()
         return result
 
 

@@ -16,8 +16,8 @@
   its own workload, not a tenant of a replication pipeline's queue;
 * the :class:`~repro.chunks.scrub.ScrubPlanner` plus one scrubber and
   one repairer per scrub site; and
-* the ``chunks.repair_backlog`` / ``chunks.scrub_backlog`` gauges the
-  health report renders.
+* the ``chunks.repair_backlog`` / ``chunks.scrub_backlog`` gauges, and
+  the scrub/repair section of the health report.
 
 Standing processes are spawned by :meth:`start`, never the constructor,
 so fault-free event schedules stay untouched until an experiment opts
@@ -40,9 +40,43 @@ from repro.chunks.scrub import Repairer, Scrubber, ScrubPlanner
 from repro.chunks.store import ChunkStoreClient
 from repro.simulation.kernel import Process
 from repro.storage.integrity import file_crc
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry, Section
+from repro.telemetry.report import fmt, labels_text, table
 from repro.workload.queue import TaskQueueProxy, TaskQueueService
 
-__all__ = ["ChunkConfig", "ChunkRuntime"]
+__all__ = ["ChunkConfig", "ChunkRuntime", "SCRUB_SECTION"]
+
+#: the probe outcomes, repair work and backlogs of the scrub fleet
+_SCRUB_FAMILIES = ("chunks.scrub", "chunks.repair")
+
+
+def _scrub_section(registry: MetricsRegistry, top_n: int) -> list[str]:
+    """The scrub/repair table: probe outcomes, repair work, and the
+    backlog gauges an operator watches for a repair loop falling
+    behind its damage rate."""
+    rows = []
+    for name in registry.families():
+        if name.startswith(_SCRUB_FAMILIES):
+            for child in registry.children(name):
+                rows.append((name, labels_text(child.labels),
+                             fmt(child.value)))
+    if not rows:
+        return []
+    lines = ["", "-- scrub/repair --"]
+    lines.extend(table(("metric", "labels", "value"), rows))
+    backlog = (
+        registry.value("chunks.scrub_backlog")
+        + registry.value("chunks.repair_backlog")
+    )
+    if backlog:
+        lines.append(
+            f"!! scrub/repair backlog: {fmt(backlog)} tasks outstanding"
+        )
+    return lines
+
+
+#: the chunk plane's part of the health report
+SCRUB_SECTION = Section(_SCRUB_FAMILIES, _scrub_section)
 
 
 @dataclass
@@ -93,7 +127,7 @@ class ChunkRuntime:
         #: the scrub fleet's own queue (``scrub``/``repair`` lanes)
         self.queue_service = TaskQueueService(
             host_site.request_server,
-            metrics=None,  # workload gauges belong to the pipeline queue
+            metrics=NO_METRICS,  # workload gauges belong to the pipeline queue
             default_lease=config.lease,
         )
         self.stores: dict[str, ChunkStoreClient] = {}
@@ -137,8 +171,8 @@ class ChunkRuntime:
             metrics=grid.metrics,
         )
         self.started = False
-        if grid.metrics is not None:
-            grid.metrics.add_collector(self._collect)
+        grid.metrics.add_collector(self._collect)
+        grid.metrics.add_section(SCRUB_SECTION)
 
     # -- catalog integration -------------------------------------------------
     def _register_manifest(self, manifest: Manifest) -> None:

@@ -41,6 +41,7 @@ from repro.chunks.manifest import Manifest, chunk_path
 from repro.chunks.store import ChunkStoreClient, ChunkStoreError
 from repro.gridftp.client import TransferError
 from repro.services.bus import ServiceError
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 from repro.workload.components import PipelineComponent
 
 __all__ = ["ScrubPlanner", "Scrubber", "Repairer",
@@ -107,10 +108,6 @@ class _ProbeMixin:
                     outcomes[(chunk_id, holder)] = "unreachable"
         return outcomes
 
-    def _scrub_count(self, outcome: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter("chunks.scrub", outcome=outcome).inc(amount)
-
 
 class Scrubber(_ProbeMixin, PipelineComponent):
     """Audit one object's chunk replicas without moving data."""
@@ -120,7 +117,8 @@ class Scrubber(_ProbeMixin, PipelineComponent):
     BATCH = 4
 
     def __init__(self, sim, proxy, site, store: ChunkStoreClient, *,
-                 poll: float = 5.0, lease: float = 60.0, metrics=None):
+                 poll: float = 5.0, lease: float = 60.0,
+                 metrics: MetricsRegistry = NO_METRICS):
         super().__init__(sim, proxy, site, poll=poll, lease=lease,
                          metrics=metrics)
         self.store = store
@@ -158,7 +156,7 @@ class Scrubber(_ProbeMixin, PipelineComponent):
         for _ in (entry for entry in bad if entry[2] == "lost"):
             tally["lost"] = tally.get("lost", 0) + 1
         for outcome, amount in sorted(tally.items()):
-            self._scrub_count(outcome, amount)
+            self.metrics.counter("chunks.scrub", outcome=outcome).inc(amount)
         if bad:
             yield self.proxy.submit(
                 "repair", task["site"],
@@ -176,14 +174,11 @@ class Repairer(_ProbeMixin, PipelineComponent):
     BATCH = 1
 
     def __init__(self, sim, proxy, site, store: ChunkStoreClient, *,
-                 poll: float = 5.0, lease: float = 60.0, metrics=None):
+                 poll: float = 5.0, lease: float = 60.0,
+                 metrics: MetricsRegistry = NO_METRICS):
         super().__init__(sim, proxy, site, poll=poll, lease=lease,
                          metrics=metrics)
         self.store = store
-
-    def _count_repair(self, event: str, amount: float = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter("chunks.repair", event=event).inc(amount)
 
     def work(self, task: dict):
         object_name = task["payload"]["object"]
@@ -217,7 +212,9 @@ class Repairer(_ProbeMixin, PipelineComponent):
                 still_bad.append((chunk_id, holder, verdict))
         healed = len(reported) - len(still_bad)
         if healed:
-            self._count_repair("already_healed", healed)
+            self.metrics.counter(
+                "chunks.repair", event="already_healed"
+            ).inc(healed)
         if not still_bad:
             return {"repaired": 0, "healed": healed}
         bad_ids = {chunk_id for chunk_id, _, _ in still_bad}
@@ -253,10 +250,14 @@ class Repairer(_ProbeMixin, PipelineComponent):
             raise ChunkStoreError(
                 f"repair_done for {object_name!r} failed: {exc}"
             ) from exc
-        self._count_repair("chunks_rebuilt", len(placements))
-        self._count_repair("bytes_fetched", fetched)
-        self._count_repair("bytes_uploaded", uploaded)
-        self._count_repair("objects")
+        for event, amount in (
+            ("chunks_rebuilt", len(placements)),
+            ("bytes_fetched", fetched),
+            ("bytes_uploaded", uploaded),
+            ("objects", 1),
+        ):
+            if amount:
+                self.metrics.counter("chunks.repair", event=event).inc(amount)
         self.store.purge_staging()
         return {"repaired": len(placements), "healed": healed,
                 "bytes_fetched": fetched, "bytes_uploaded": uploaded}
@@ -266,7 +267,8 @@ class ScrubPlanner:
     """Submit one keyed ``scrub`` task per committed object per pass."""
 
     def __init__(self, directory_proxy, queue_proxy,
-                 scrub_sites: list[str], *, metrics=None):
+                 scrub_sites: list[str], *,
+                 metrics: MetricsRegistry = NO_METRICS):
         if not scrub_sites:
             raise ValueError("need at least one scrub site")
         self.directory_proxy = directory_proxy
@@ -295,6 +297,5 @@ class ScrubPlanner:
         if tasks:
             yield self.queue_proxy.submit_bulk(tasks)
         self.passes += 1
-        if self.metrics is not None:
-            self.metrics.counter("chunks.scrub_passes").inc()
+        self.metrics.counter("chunks.scrub_passes").inc()
         return len(tasks)

@@ -44,6 +44,7 @@ from repro.gridftp.client import TransferError
 from repro.netsim.topology import RouteError
 from repro.services.bus import ServiceError
 from repro.simulation.kernel import Process
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["ChunkStoreClient", "ChunkStoreError", "PutReport", "FetchReport"]
 
@@ -98,7 +99,7 @@ class ChunkStoreClient:
     """Chunked transfer endpoint at one site."""
 
     def __init__(self, site, proxy: ChunkDirectoryProxy, topology, *,
-                 metrics=None, weather=None):
+                 metrics: MetricsRegistry = NO_METRICS, weather=None):
         self.site = site                # GdmpSite runtime
         self.sim = site.sim
         self.proxy = proxy
@@ -109,10 +110,9 @@ class ChunkStoreClient:
 
     # -- shared plumbing ----------------------------------------------------
     def _count(self, event: str, value: float = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "chunks.store", site=self.site.name, event=event,
-            ).inc(value)
+        self.metrics.counter(
+            "chunks.store", site=self.site.name, event=event,
+        ).inc(value)
 
     def purge_staging(self) -> int:
         """Remove abandoned in-flight chunk files (crash debris).  Chunk

@@ -77,7 +77,7 @@ def export_telemetry(
                 f"warning: {len(open_spans)} trace spans still in progress "
                 "at simulation end (listed in the health report)"
             )
-    if metrics_json is not None and registry is not None:
+    if metrics_json is not None:
         with open(metrics_json, "w", encoding="utf-8") as fh:
             json.dump(registry.snapshot(), fh, indent=2, sort_keys=True)
             fh.write("\n")

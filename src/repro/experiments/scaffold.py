@@ -111,8 +111,6 @@ def fingerprint(grid, *parts: str) -> str:
 
 def counter_total(grid, name: str, **labels) -> float:
     """Sum one metric family over the children matching ``labels``."""
-    if grid.metrics is None:
-        return 0.0
     wanted = {key: str(value) for key, value in labels.items()}
     return sum(
         child.value for child in grid.metrics.children(name)

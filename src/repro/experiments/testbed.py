@@ -22,6 +22,7 @@ from repro.netsim.channels import MessageNetwork
 from repro.netsim.units import GB, to_mbps
 from repro.security import CertificateAuthority, GridMap, new_user_credential
 from repro.storage.filesystem import FileSystem
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["GridFTPTestbed", "gridftp_testbed", "extended_get"]
 
@@ -39,14 +40,14 @@ class GridFTPTestbed:
 
 
 def gridftp_testbed(
-    params: TestbedParams | None = None, metrics=None
+    params: TestbedParams | None = None,
+    metrics: MetricsRegistry = NO_METRICS,
 ) -> GridFTPTestbed:
     """Build the simulated CERN-ANL GridFTP test environment of §6.
 
-    ``metrics`` optionally attaches a
-    :class:`~repro.telemetry.metrics.MetricsRegistry` to the engine and
-    server; the Fig. 5/6 benches leave it off, so their recorded outputs
-    are untouched."""
+    ``metrics`` is the :class:`~repro.telemetry.metrics.MetricsRegistry`
+    the engine and server record into; the Fig. 5/6 benches pass none,
+    so nothing is kept."""
     sim, topology, engine = cern_anl_testbed(params, metrics=metrics)
     msgnet = MessageNetwork(sim, topology)
     ca = CertificateAuthority()

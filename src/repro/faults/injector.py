@@ -125,10 +125,7 @@ class FaultInjector:
         else:
             getattr(self, "_apply_" + event.kind)(event)
         self.injected += 1
-        if self.grid.metrics is not None:
-            self.grid.metrics.counter(
-                "faults.injected", kind=event.kind
-            ).inc()
+        self.grid.metrics.counter("faults.injected", kind=event.kind).inc()
 
     # -- bookkeeping helpers ----------------------------------------------------
     def _bump(self, key: tuple[str, str], delta: int) -> int:

@@ -507,10 +507,9 @@ class GdmpClient:
                 )
 
             def on_failover(_source, _error):
-                if self.mover.metrics is not None:
-                    self.mover.metrics.counter(
-                        "gdmp.mover.failovers", site=self.site
-                    ).inc()
+                self.mover.metrics.counter(
+                    "gdmp.mover.failovers", site=self.site
+                ).inc()
 
             (report, stage_wait, transfer_duration), source, failed = (
                 yield from failover_walk(

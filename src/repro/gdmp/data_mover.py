@@ -21,6 +21,7 @@ from repro.gridftp.markers import RangeSet
 from repro.simulation.kernel import Simulator
 from repro.storage.filesystem import FileSystem, StoredFile
 from repro.storage.integrity import mixed_content_id
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["DataMover", "DataMoverError", "TransferAbandoned", "MoveReport"]
 
@@ -78,13 +79,13 @@ class DataMover:
         sim: Simulator,
         ftp_client: GridFTPClient,
         filesystem: FileSystem,
-        metrics=None,
+        metrics: MetricsRegistry = NO_METRICS,
         site: str = "",
     ):
         self.sim = sim
         self.ftp = ftp_client
         self.fs = filesystem
-        #: optional MetricsRegistry + site label for recovery counters
+        #: the registry + site label for recovery counters
         self.metrics = metrics
         self.site = site
 
@@ -253,7 +254,4 @@ class DataMover:
             ) from exc
 
     def _count(self, event: str, amount: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"gdmp.mover.{event}", site=self.site
-            ).inc(amount)
+        self.metrics.counter(f"gdmp.mover.{event}", site=self.site).inc(amount)

@@ -142,11 +142,15 @@ class DataGrid:
 
         self.sim = Simulator()
         self.tracelog = TraceLog(self.sim)
-        #: the grid-wide labelled-metrics registry (or None when disabled).
-        #: Instrumentation throughout the stack is purely observational —
-        #: it draws no random numbers and schedules no events — so the
-        #: simulated outcome is bit-identical with or without it.
-        self.metrics = MetricsRegistry(self.sim) if metrics else None
+        #: the grid-wide labelled-metrics registry (one that records
+        #: nothing when disabled).  Instrumentation throughout the stack
+        #: is purely observational — it draws no random numbers and
+        #: schedules no events — so the simulated outcome is bit-identical
+        #: whether or not it records.
+        self.metrics = (
+            MetricsRegistry(self.sim) if metrics
+            else MetricsRegistry.off(self.sim)
+        )
         self.topology = Topology()
         self.engine_seed = seed
         self.ca = CertificateAuthority()
@@ -210,8 +214,7 @@ class DataGrid:
             self._finish_site(site)
         #: the active ResilienceConfig once enable_resilience() has run
         self.resilience: Optional[ResilienceConfig] = None
-        if self.metrics is not None:
-            self.metrics.add_collector(self._collect_passive_state)
+        self.metrics.add_collector(self._collect_passive_state)
 
     # -- construction ------------------------------------------------------------
     def _build_site(self, config: GdmpConfig) -> None:

@@ -43,6 +43,7 @@ from repro.gdmp.request_manager import (
 from repro.services.bus import RemoteCallError, ServiceRequest
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Event, Process
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = [
     "ReplicaCatalogService",
@@ -65,10 +66,10 @@ class ReplicaCatalogService:
     """Hosts the central :class:`GdmpCatalog` behind the request manager."""
 
     def __init__(self, server: RequestServer, catalog: Optional[GdmpCatalog] = None,
-                 metrics=None):
+                 metrics: MetricsRegistry = NO_METRICS):
         self.catalog = catalog or GdmpCatalog()
         self.server = server
-        #: optional MetricsRegistry: bulk batch-size histograms per op
+        #: bulk batch-size histograms per op
         self.metrics = metrics
         #: called with (operation, payload) after each successful write —
         #: the hook :mod:`repro.gdmp.catalog_replication` propagates from.
@@ -88,7 +89,7 @@ class ReplicaCatalogService:
         """Every ``catalog.*`` request: catalog operations are in-memory
         and immediate, so the handler is a plain function."""
         payload = request.payload
-        if row.batch is not None and self.metrics is not None:
+        if row.batch is not None:
             self.metrics.histogram(
                 "catalog.bulk.batch_size", bounds=_BATCH_BOUNDS,
                 op=row.name.removesuffix("_bulk"),  # one series per operation

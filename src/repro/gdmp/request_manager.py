@@ -44,6 +44,7 @@ from repro.services.middleware import (
 from repro.services.replay import ReplayWindow
 from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Process, Simulator
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = [
     "GdmpError",
@@ -74,24 +75,22 @@ class RequestServer(ServiceEndpoint):
         gridmap: GridMap,
         service: str = SERVICE,
         tracelog: Optional[TraceLog] = None,
-        metrics=None,
+        metrics: MetricsRegistry = NO_METRICS,
     ):
         self.credential = credential
         self.trusted_cas = trusted_cas
         self.gridmap = gridmap
         self.authenticator = GsiAuthenticator(trusted_cas, gridmap)
-        middlewares = [
-            GsiAuthMiddleware(self.authenticator),
-            DeadlineMiddleware(metrics=metrics, service=service),
-        ]
-        if metrics is not None:
-            middlewares.insert(0, MetricsMiddleware(metrics, service=service))
         super().__init__(
             sim,
             msgnet,
             host,
             service,
-            middlewares=tuple(middlewares),
+            middlewares=(
+                MetricsMiddleware(metrics, service=service),
+                GsiAuthMiddleware(self.authenticator),
+                DeadlineMiddleware(metrics=metrics, service=service),
+            ),
             tracelog=tracelog,
             message_size=REQUEST_MESSAGE_SIZE,
         )

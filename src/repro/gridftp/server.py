@@ -44,6 +44,7 @@ from repro.services.tracelog import TraceLog
 from repro.simulation.kernel import Simulator
 from repro.storage.filesystem import FileSystem, StorageError
 from repro.storage.integrity import corrupt_content_id, partial_content_id
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["GridFTPServer", "FailureInjector", "TransferDescriptor"]
 
@@ -150,7 +151,7 @@ class GridFTPServer:
         gridmap: GridMap,
         data_nodes: tuple[str, ...] = (),
         tracelog: Optional[TraceLog] = None,
-        metrics=None,
+        metrics: MetricsRegistry = NO_METRICS,
     ):
         self.sim = sim
         self.msgnet = msgnet
@@ -166,23 +167,21 @@ class GridFTPServer:
         self.data_nodes = tuple(data_nodes)
         self.failures = FailureInjector()
         self.tracelog = tracelog
-        #: optional MetricsRegistry; per-stream throughput, marker counts,
-        #: and fan-out are recorded per transfer (never per tick)
+        #: per-stream throughput, marker counts, and fan-out are recorded
+        #: per transfer (never per tick)
         self.metrics = metrics
         self.authenticator = GsiAuthenticator(trusted_cas, gridmap)
         self._sessions: dict[str, _Session] = {}
         self._session_counter = 0
-        middlewares = [self._session_gate]
-        if metrics is not None:
-            middlewares.insert(
-                0, MetricsMiddleware(metrics, service=self.SERVICE)
-            )
         self.bus = ServiceEndpoint(
             sim,
             msgnet,
             host,
             self.SERVICE,
-            middlewares=tuple(middlewares),
+            middlewares=(
+                MetricsMiddleware(metrics, service=self.SERVICE),
+                self._session_gate,
+            ),
             tracelog=tracelog,
             message_size=CONTROL_MESSAGE_SIZE,
             unknown_operation=lambda request: ServiceFault(
@@ -260,10 +259,9 @@ class GridFTPServer:
         session.identity = auth.identity
         session.account = auth.account
         session.authenticated = True
-        if self.metrics is not None:
-            self.metrics.counter(
-                "gridftp.sessions_opened", host=self.host.name
-            ).inc()
+        self.metrics.counter(
+            "gridftp.sessions_opened", host=self.host.name
+        ).inc()
         return Reply(
             235,
             f"GSSAPI authentication succeeded; user {auth.account} logged in",
@@ -419,16 +417,15 @@ class GridFTPServer:
         metrics = self.metrics
 
         def on_open(pool, flows):
-            if metrics is not None:
-                metrics.histogram(
-                    "gridftp.transfer.fanout",
-                    bounds=_FANOUT_BOUNDS,
-                    host=self.host.name,
-                ).observe(len(flows))
-                if already > 0:
-                    metrics.counter(
-                        "gridftp.transfer.restarts", host=self.host.name
-                    ).inc()
+            metrics.histogram(
+                "gridftp.transfer.fanout",
+                bounds=_FANOUT_BOUNDS,
+                host=self.host.name,
+            ).observe(len(flows))
+            if already > 0:
+                metrics.counter(
+                    "gridftp.transfer.restarts", host=self.host.name
+                ).inc()
             abort_at = self.failures.take_abort(path)
             if abort_at is not None:
                 self.sim.spawn(
@@ -453,23 +450,22 @@ class GridFTPServer:
                     payload={"restart_marker": marker, "descriptor": descriptor},
                 )
             ) from exc
-        if metrics is not None:
-            metrics.counter("gridftp.bytes_sent", host=self.host.name).inc(
-                remaining
-            )
-            metrics.counter("gridftp.files_sent", host=self.host.name).inc()
-            elapsed = pool.completed_at - pool.started_at
-            for i, flow in enumerate(flows):
-                metrics.counter(
-                    "gridftp.stream.bytes", host=self.host.name, stream=i
-                ).inc(flow.delivered)
-                if elapsed > 0:
-                    metrics.observe(
-                        "gridftp.stream.throughput",
-                        flow.delivered / elapsed,
-                        host=self.host.name,
-                        stream=i,
-                    )
+        metrics.counter("gridftp.bytes_sent", host=self.host.name).inc(
+            remaining
+        )
+        metrics.counter("gridftp.files_sent", host=self.host.name).inc()
+        elapsed = pool.completed_at - pool.started_at
+        for i, flow in enumerate(flows):
+            metrics.counter(
+                "gridftp.stream.bytes", host=self.host.name, stream=i
+            ).inc(flow.delivered)
+            if elapsed > 0:
+                metrics.observe(
+                    "gridftp.stream.throughput",
+                    flow.delivered / elapsed,
+                    host=self.host.name,
+                    stream=i,
+                )
         return protocol.closing(
             payload={
                 "descriptor": descriptor,
@@ -508,7 +504,9 @@ class GridFTPServer:
         reused = sum(seed is not None for seed in seeds)
         channels = "warm" if reused else "cold"
         if reused:
-            self._count_channels("reused", reused)
+            self.metrics.counter(
+                "gridftp.channels_reused", host=self.host.name
+            ).inc(reused)
         # The transfer gets its own span; flows inherit it via the pool's
         # context, so the trace covers RPC -> control channel -> data flows.
         span = None
@@ -541,12 +539,14 @@ class GridFTPServer:
         try:
             yield pool.done
         except TransferAborted:
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "gridftp.transfers_aborted", host=self.host.name
-                ).inc()
+            self.metrics.counter(
+                "gridftp.transfers_aborted", host=self.host.name
+            ).inc()
             if reused:
-                self._count_channels("dropped", reused, reason="abort")
+                self.metrics.counter(
+                    "gridftp.channels_dropped", host=self.host.name,
+                    reason="abort",
+                ).inc(reused)
             if span is not None:
                 self.tracelog.finish(span, "error", detail="aborted")
             raise
@@ -566,21 +566,20 @@ class GridFTPServer:
             return None
         state, parked_at = parked
         if self.sim.now - parked_at > CHANNEL_IDLE_LIMIT:
-            self._count_channels("expired")
+            self.metrics.counter(
+                "gridftp.channels_expired", host=self.host.name
+            ).inc()
             return None
         return state
 
     def _drop_parked(self, session: _Session, reason: str) -> None:
         """Close the session's idle data channels."""
         if session.parked:
-            self._count_channels("dropped", len(session.parked), reason=reason)
-            session.parked.clear()
-
-    def _count_channels(self, event: str, count: int = 1, **labels) -> None:
-        if self.metrics is not None:
             self.metrics.counter(
-                f"gridftp.channels_{event}", host=self.host.name, **labels
-            ).inc(count)
+                "gridftp.channels_dropped", host=self.host.name,
+                reason=reason,
+            ).inc(len(session.parked))
+            session.parked.clear()
 
     def _abort_watchdog(self, pool, abort_at: float):
         while not pool.done.triggered:
@@ -608,13 +607,12 @@ class GridFTPServer:
                 )
                 request.preliminary(Reply(112, "Perf Marker", payload=perf))
                 request.preliminary(Reply(111, "Range Marker", payload=restart))
-                if metrics is not None:
-                    metrics.counter(
-                        "gridftp.markers_emitted", host=host, type="perf"
-                    ).inc()
-                    metrics.counter(
-                        "gridftp.markers_emitted", host=host, type="range"
-                    ).inc()
+                metrics.counter(
+                    "gridftp.markers_emitted", host=host, type="perf"
+                ).inc()
+                metrics.counter(
+                    "gridftp.markers_emitted", host=host, type="range"
+                ).inc()
 
         self.sim.spawn(emitter(), name="marker-emitter")
 
@@ -664,13 +662,12 @@ class GridFTPServer:
                 protocol.aborted("Data connection closed",
                                  payload={"received": exc.delivered})
             ) from exc
-        if self.metrics is not None:
-            self.metrics.counter(
-                "gridftp.bytes_received", host=self.host.name
-            ).inc(descriptor.size)
-            self.metrics.counter(
-                "gridftp.files_received", host=self.host.name
-            ).inc()
+        self.metrics.counter(
+            "gridftp.bytes_received", host=self.host.name
+        ).inc(descriptor.size)
+        self.metrics.counter(
+            "gridftp.files_received", host=self.host.name
+        ).inc()
         self.fs.create(
             path,
             descriptor.size,

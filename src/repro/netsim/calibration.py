@@ -30,6 +30,7 @@ from repro.netsim.link import Link
 from repro.netsim.topology import Host, Topology
 from repro.netsim.units import KiB, mbps
 from repro.simulation.kernel import Simulator
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["TestbedParams", "cern_anl_testbed"]
 
@@ -61,7 +62,7 @@ class TestbedParams:
 
 def cern_anl_testbed(
     params: TestbedParams | None = None,
-    metrics=None,
+    metrics: MetricsRegistry = NO_METRICS,
 ) -> tuple[Simulator, Topology, NetworkEngine]:
     """Build the simulated testbed of §6: CERN and ANL joined by one WAN link.
 

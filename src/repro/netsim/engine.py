@@ -40,8 +40,8 @@ Both kernels are bit-identical: array accumulation orders (``bincount`` /
 ``ufunc.at``), RNG batch draws, and guard-banded ``pow`` reproduce exactly
 the float sequences of the straightforward per-object implementation.
 ``Flow`` and ``SharedBytePool`` objects remain the public API as thin
-views over their table rows.  Select a kernel with
-``NetworkEngine(kernel=...)`` or ``REPRO_NETSIM_KERNEL``.
+views over their table rows.  ``NetworkEngine(kernel=...)`` forces one
+kernel (the differential tests and the flow-scale bench do).
 
 Whole passes are skipped when provably inert: queueing-delay sums when all
 queues are empty, NIC scaling when every host NIC is unbounded, loss
@@ -74,6 +74,7 @@ from repro.netsim.tcp import CongestionState, TcpParams, TcpState
 from repro.netsim.topology import Host, Topology
 from repro.simulation.kernel import Event, Interrupt, Simulator
 from repro.simulation.randomness import RandomStreams
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["SharedBytePool", "Flow", "NetworkEngine", "TransferAborted"]
 
@@ -362,31 +363,29 @@ class NetworkEngine:
         topology: Topology,
         seed: int = 0,
         adaptive_ticks: bool = True,
-        metrics=None,
-        kernel: Optional[str] = None,
+        metrics: MetricsRegistry = NO_METRICS,
+        kernel: str = "auto",
     ):
         self.sim = sim
         self.topology = topology
         self.random = RandomStreams(seed)
         self.adaptive_ticks = adaptive_ticks
         #: tick kernel: "vector" (numpy arrays), "scalar" (python lists),
-        #: or "auto" (per-table size cutover at VECTOR_MIN_FLOWS);
-        #: ``None`` takes ``REPRO_NETSIM_KERNEL``, else "auto".
+        #: or "auto" (per-table size cutover at VECTOR_MIN_FLOWS)
         self.kernel = resolve_kernel(kernel)
-        #: optional :class:`~repro.telemetry.metrics.MetricsRegistry`.
+        #: the :class:`~repro.telemetry.metrics.MetricsRegistry`.
         #: Instrumentation is event-driven (flow open/retire, drops) —
-        #: never per-tick — and purely observational, so attaching a
+        #: never per-tick — and purely observational, so a recording
         #: registry changes no simulation output and stays out of the
         #: hot loop.
         self.metrics = metrics
-        if metrics is not None:
-            for link in topology.links:
-                metrics.gauge(
-                    "netsim.link.capacity", link=link.name
-                ).set(link.capacity)
-                metrics.gauge(
-                    "netsim.link.cross_traffic", link=link.name
-                ).set(link.cross_traffic)
+        for link in topology.links:
+            metrics.gauge(
+                "netsim.link.capacity", link=link.name
+            ).set(link.capacity)
+            metrics.gauge(
+                "netsim.link.cross_traffic", link=link.name
+            ).set(link.cross_traffic)
         #: transfer-retirement observers: callables invoked once per pool
         #: as ``fn(src, dst, nbytes, started_at, completed_at, ok)`` when
         #: a transfer drains (ok=True, nbytes=pool size) or is cancelled
@@ -482,11 +481,9 @@ class NetworkEngine:
         flow.next_round_at = self.sim.now + max(flow.base_rtt, self.MIN_RTT)
         self._flows.append(flow)
         self._cache_dirty = True
-        if self.metrics is not None:
-            self.metrics.counter(
-                "netsim.flows_opened",
-                src=src_host.name, dst=dst_host.name,
-            ).inc()
+        self.metrics.counter(
+            "netsim.flows_opened", src=src_host.name, dst=dst_host.name,
+        ).inc()
         if self.topology.down and self.topology.severed(
             src_host.name, dst_host.name, path
         ):
@@ -576,10 +573,9 @@ class NetworkEngine:
         self._cache_dirty = True
         pool.completed_at = self.sim.now
         self.stats["bytes_delivered_aborted"] += pool._delivered
-        if self.metrics is not None:
-            self.metrics.counter("netsim.transfers_aborted").inc()
-            for f in cancelled:
-                self._record_flow_retired(f)
+        self.metrics.counter("netsim.transfers_aborted").inc()
+        for f in cancelled:
+            self._record_flow_retired(f)
         if self.transfer_observers and cancelled:
             first = cancelled[0]
             for observe in self.transfer_observers:
@@ -685,13 +681,12 @@ class NetworkEngine:
                 if dropped > 0.0:
                     dropped_any = True
                     link_dropped[slot] = dropped
-                    if metrics is not None:
-                        metrics.counter(
-                            "netsim.link.dropped_bytes", link=link.name
-                        ).inc(dropped)
-                        metrics.counter(
-                            "netsim.link.overflow_events", link=link.name
-                        ).inc()
+                    metrics.counter(
+                        "netsim.link.dropped_bytes", link=link.name
+                    ).inc(dropped)
+                    metrics.counter(
+                        "netsim.link.overflow_events", link=link.name
+                    ).inc()
             elif link.queue:
                 # draining: advance_queue shrinks the queue, cannot drop
                 link.advance_queue(demand, dt)
@@ -727,10 +722,8 @@ class NetworkEngine:
             t.flush_flow(f)
         for pool in finished_pools:
             t.flush_pool(pool)
-        metrics = self.metrics
-        if metrics is not None:
-            for f in retired:
-                self._record_flow_retired(f)
+        for f in retired:
+            self._record_flow_retired(f)
         if self.transfer_observers:
             pool_ends: dict[int, tuple[str, str]] = {}
             for f in retired:
@@ -748,16 +741,16 @@ class NetworkEngine:
                         pool.completed_at,
                         True,
                     )
+        metrics = self.metrics
         for pool in finished_pools:
-            if metrics is not None:
-                metrics.counter("netsim.transfers_completed").inc()
-                metrics.counter("netsim.bytes_delivered").inc(pool.size)
-                elapsed = pool.completed_at - pool.started_at
-                if elapsed > 0:
-                    metrics.histogram(
-                        "netsim.transfer.throughput",
-                        bounds=_THROUGHPUT_BOUNDS,
-                    ).observe(pool.size / elapsed)
+            metrics.counter("netsim.transfers_completed").inc()
+            metrics.counter("netsim.bytes_delivered").inc(pool.size)
+            elapsed = pool.completed_at - pool.started_at
+            if elapsed > 0:
+                metrics.histogram(
+                    "netsim.transfer.throughput",
+                    bounds=_THROUGHPUT_BOUNDS,
+                ).observe(pool.size / elapsed)
             pool.done.succeed(pool)
 
     # -- scalar tick kernel ------------------------------------------------

@@ -11,9 +11,9 @@ list-indexed loops, both over the same storage.
 The engine defaults to ``auto`` — each table picks the batched vector
 kernel (``float64`` ndarray columns) at :data:`VECTOR_MIN_FLOWS` flows
 and above, and the scalar kernel (plain-list columns, no per-tick ufunc
-dispatch overhead) below it.  With ``REPRO_NETSIM_KERNEL=scalar`` the
-scalar kernel always runs; forcing ``vector`` vectorizes every table
-regardless of size.  Both kernels are required to produce
+dispatch overhead) below it.  ``NetworkEngine(kernel="scalar")`` always
+runs the scalar kernel; ``"vector"`` vectorizes every table regardless
+of size.  Both kernels are required to produce
 **bit-identical** simulations — the accumulation orders baked into this
 layout (flow-major path pairs, link-major overflow pairs, pool rows in
 first-flow order) exist precisely to reproduce the scalar loops' float
@@ -22,8 +22,7 @@ rounding and RNG draw order.  See DESIGN.md ("Flow tables").
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as _np
 
@@ -31,11 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.engine import Flow, SharedBytePool
     from repro.netsim.link import Link
 
-__all__ = ["VECTOR_MIN_FLOWS", "FlowTable", "default_kernel", "resolve_kernel"]
-
-#: Environment override for the tick kernel: ``auto``, ``vector``, or
-#: ``scalar``.
-KERNEL_ENV = "REPRO_NETSIM_KERNEL"
+__all__ = ["VECTOR_MIN_FLOWS", "FlowTable", "resolve_kernel"]
 
 _VALID_KERNELS = ("auto", "vector", "scalar")
 
@@ -49,20 +44,8 @@ _VALID_KERNELS = ("auto", "vector", "scalar")
 VECTOR_MIN_FLOWS = 64
 
 
-def default_kernel() -> str:
-    """The kernel the engine uses when none is requested explicitly.
-
-    ``REPRO_NETSIM_KERNEL`` wins if set to a valid value; otherwise
-    ``auto`` (per-table size cutover).
-    """
-    env = os.environ.get(KERNEL_ENV, "").strip().lower()
-    return env if env in _VALID_KERNELS else "auto"
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Validate an explicit kernel request (``None`` -> the default)."""
-    if kernel is None:
-        return default_kernel()
+def resolve_kernel(kernel: str) -> str:
+    """Validate a kernel request."""
     if kernel not in _VALID_KERNELS:
         raise ValueError(
             f"unknown netsim kernel {kernel!r}; expected one of "

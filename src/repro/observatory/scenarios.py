@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..netsim.engine import TransferAborted
 from ..netsim.topology import RouteError
+from ..telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = [
     "TrafficEvent",
@@ -154,7 +155,8 @@ class ScenarioDriver:
     never errors a run.
     """
 
-    def __init__(self, sim, engine, script: ScenarioScript, metrics=None):
+    def __init__(self, sim, engine, script: ScenarioScript,
+                 metrics: MetricsRegistry = NO_METRICS):
         self.sim = sim
         self.engine = engine
         self.script = script
@@ -195,10 +197,7 @@ class ScenarioDriver:
                 continue
             self.stats["launched"] += 1
             self.stats["bytes_offered"] += int(event.size)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "scenario.transfers", kind=event.kind
-                ).inc()
+            self.metrics.counter("scenario.transfers", kind=event.kind).inc()
             self.sim.spawn(
                 self._watch(pool), name=f"bg-watch:{event.kind}"
             )

@@ -30,11 +30,14 @@ from typing import Dict
 from ..gdmp.request_manager import RequestServer
 from ..services.bus import ServiceRequest
 from ..services.softstate import PushNames, PushPlane, SoftStatePusher
+from ..telemetry.metrics import NO_METRICS, MetricsRegistry, Section
+from ..telemetry.report import fmt, table
 from .station import SiteWeather, WeatherConfig, WeatherStation
 
 __all__ = [
     "WeatherSubscriber",
     "WeatherRuntime",
+    "WEATHER_SECTION",
     "forecast_wire_size",
 ]
 
@@ -51,9 +54,86 @@ _PUSH_NAMES = PushNames(
 )
 
 
+#: the per-pair gauge families the grid-weather table joins on (src, dst)
+_PAIR_PREFIX = "weather.pair."
+
+
 def forecast_wire_size(payload: dict) -> int:
     """Modelled wire size of a forecast digest, in bytes."""
     return _DIGEST_HEADER_BYTES + _ENTRY_WIRE_BYTES * len(payload["sources"])
+
+
+def _pair_rows(registry: MetricsRegistry) -> dict:
+    """(src, dst) -> {metric suffix: value} from the weather.pair gauges."""
+    pairs: dict[tuple[str, str], dict] = {}
+    for name in registry.families():
+        if not name.startswith(_PAIR_PREFIX):
+            continue
+        suffix = name[len(_PAIR_PREFIX):]
+        for child in registry.children(name):
+            labels = dict(child.labels)
+            key = (labels.get("src", "-"), labels.get("dst", "-"))
+            pairs.setdefault(key, {})[suffix] = child.value
+    return pairs
+
+
+def _weather_section(registry: MetricsRegistry, top_n: int) -> list[str]:
+    """The grid-weather table — one row per observed (source,
+    destination) pair: predicted throughput, samples, failures,
+    staleness, confidence, congestion — plus the top-N most-congested
+    pairs, the paths an operator should reroute around."""
+    pairs = _pair_rows(registry)
+    if not pairs:
+        return []
+    lines = ["", "-- grid weather --"]
+
+    def row(key, values) -> tuple:
+        throughput = values.get("throughput")
+        return (
+            f"{key[0]}->{key[1]}",
+            f"{throughput / 1e6:.2f}" if throughput is not None else "-",
+            fmt(values.get("samples", 0)),
+            fmt(values.get("failures", 0)),
+            f"{values.get('staleness_seconds', 0.0):.1f}",
+            f"{values.get('confidence', 0.0):.2f}",
+            (f"{values['congestion']:.2f}"
+             if "congestion" in values else "-"),
+        )
+
+    lines.extend(
+        table(
+            ("pair", "pred MB/s", "samples", "failures", "stale (s)",
+             "confidence", "congestion"),
+            [row(key, pairs[key]) for key in sorted(pairs)],
+        )
+    )
+    congested = sorted(
+        (
+            (values["congestion"], key)
+            for key, values in pairs.items()
+            if values.get("congestion", 0.0) > 0.0
+        ),
+        key=lambda item: (-item[0], item[1]),
+    )[:top_n]
+    if congested:
+        lines.append("")
+        lines.append(
+            f"-- top {len(congested)} congested pairs (1 = starved) --"
+        )
+        lines.extend(
+            table(
+                ("congestion", "pair"),
+                [
+                    (f"{congestion:.2f}", f"{key[0]}->{key[1]}")
+                    for congestion, key in congested
+                ],
+            )
+        )
+    return lines
+
+
+#: the weather plane's part of the health report
+WEATHER_SECTION = Section((_PAIR_PREFIX,), _weather_section)
 
 
 class WeatherSubscriber:
@@ -63,7 +143,7 @@ class WeatherSubscriber:
         self,
         server: RequestServer,
         site_weather: SiteWeather,
-        metrics=None,
+        metrics: MetricsRegistry = NO_METRICS,
     ) -> None:
         self.server = server
         self.site_weather = site_weather
@@ -72,11 +152,10 @@ class WeatherSubscriber:
 
     def _op_push_digest(self, request: ServiceRequest):
         applied = self.site_weather.apply_digest(request.payload)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "weather.digests", site=self.site_weather.site,
-                outcome="applied" if applied else "stale",
-            ).inc()
+        self.metrics.counter(
+            "weather.digests", site=self.site_weather.site,
+            outcome="applied" if applied else "stale",
+        ).inc()
         return {"applied": applied}
 
 
@@ -122,13 +201,11 @@ class WeatherRuntime(PushPlane):
                     site, self.sim.now
                 ),
                 wire_size=forecast_wire_size,
-                phase=(
-                    i * period / len(grid.sites) if config.stagger else 0.0
-                ),
+                phase=self.stagger(i, len(grid.sites), period),
                 metrics=grid.metrics,
             )
-        if grid.metrics is not None:
-            grid.metrics.add_collector(self._collect)
+        grid.metrics.add_collector(self._collect)
+        grid.metrics.add_section(WEATHER_SECTION)
 
     def selection_stats(self) -> Dict[str, int]:
         totals = {

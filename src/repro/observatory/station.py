@@ -49,12 +49,10 @@ class WeatherConfig:
     #: a site-cached forecast older than this is not consulted at all:
     #: selection falls through to the probe ladder
     staleness_horizon: float = 90.0
-    #: forecast digest push cadence (and stagger base) per subscriber
+    #: forecast digest push cadence per subscriber
     push_period: float = 15.0
     #: host carrying the station (defaults to the grid's catalog host)
     weather_host: Optional[str] = None
-    #: stagger first pushes across subscribers (fraction of a period)
-    stagger: bool = True
 
     def __post_init__(self):
         if self.push_period <= 0:

@@ -24,6 +24,7 @@ from typing import Optional
 
 from ..gdmp.request_manager import RequestServer
 from ..services.bus import ServiceRequest
+from ..telemetry.metrics import NO_METRICS, MetricsRegistry
 from .digest import ReplicaLocationIndex
 
 __all__ = ["RliService"]
@@ -36,7 +37,7 @@ class RliService:
         self,
         server: RequestServer,
         index: Optional[ReplicaLocationIndex] = None,
-        metrics=None,
+        metrics: MetricsRegistry = NO_METRICS,
     ) -> None:
         self.server = server
         self.sim = server.sim
@@ -50,11 +51,10 @@ class RliService:
     def _op_push_digest(self, request: ServiceRequest):
         payload = request.payload
         applied = self.index.apply(payload, self.sim.now)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "rls.rli.digests", kind=payload["kind"],
-                outcome="applied" if applied else "stale",
-            ).inc()
+        self.metrics.counter(
+            "rls.rli.digests", kind=payload["kind"],
+            outcome="applied" if applied else "stale",
+        ).inc()
         return {
             "applied": applied,
             "generation": self.index.states[payload["site"]].generation,

@@ -41,6 +41,7 @@ from ..catalog.gdmp_catalog import LogicalFileInfo
 from ..gdmp.replica_service import CatalogProxy, _NegativeEntry
 from ..gdmp.request_manager import RequestClient
 from ..services.bus import RemoteCallError
+from ..telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["RlsCatalogProxy"]
 
@@ -58,7 +59,7 @@ class RlsCatalogProxy(CatalogProxy):
         rli_host: str,
         lrc_hosts: Dict[str, str],
         lookup_timeout: float = 30.0,
-        metrics=None,
+        metrics: MetricsRegistry = NO_METRICS,
     ):
         # the "catalog host" of the base class is the site's own LRC:
         # every inherited write path is already one-site-local.
@@ -137,12 +138,6 @@ class RlsCatalogProxy(CatalogProxy):
         self.stats["rli_lookups"] += 1
         return answer, True
 
-    def _observe_hops(self, hops: int) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
-            ).observe(hops)
-
     def _not_found(self, operation: str, lfn: str) -> RemoteCallError:
         return RemoteCallError(
             operation, "rls", f"unknown logical file {lfn!r}"
@@ -198,7 +193,9 @@ class RlsCatalogProxy(CatalogProxy):
             self.stats["fallback_broadcasts"] += 1
             yield from probe(rest)
             hops += len(rest)
-        self._observe_hops(hops)
+        self.metrics.histogram(
+            "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
+        ).observe(hops)
         if merged is None:
             if record_negative:
                 self._cache_put(

@@ -51,9 +51,6 @@ class RlsConfig:
     #: deadline on RLI lookups and LRC probes — a black-holed endpoint
     #: costs a timeout and a fallback, never a hung lookup
     lookup_timeout: float = 30.0
-    #: stagger first pushes across sites (fraction of a period apart)
-    #: so ten sites don't all push in the same instant
-    stagger: bool = True
 
 
 class RlsRuntime(PushPlane):
@@ -106,13 +103,10 @@ class RlsRuntime(PushPlane):
                 on_ack=source.ack,
                 kinds=("full", "delta"),
                 kind_of=itemgetter("kind"),
-                phase=(
-                    i * period / len(grid.sites) if config.stagger else 0.0
-                ),
+                phase=self.stagger(i, len(grid.sites), period),
                 metrics=grid.metrics,
             )
-        if grid.metrics is not None:
-            grid.metrics.add_collector(self._collect)
+        grid.metrics.add_collector(self._collect)
 
     @property
     def index(self) -> ReplicaLocationIndex:

@@ -258,14 +258,16 @@ class ServiceReply:
 
 
 class _Replies:
-    """The replies of one call in flight, in arrival order.  A reply that
-    arrives while its caller is parked wakes it; one that arrives while
-    the caller runs waits in ``items`` and is taken without an event."""
+    """The replies of one call in flight to ``host``, in arrival order.  A
+    reply that arrives while its caller is parked wakes it; one that
+    arrives while the caller runs waits in ``items`` and is taken without
+    an event."""
 
-    __slots__ = ("sim", "items", "waiter")
+    __slots__ = ("sim", "host", "items", "waiter")
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, host: str):
         self.sim = sim
+        self.host = host
         self.items: deque[ServiceReply] = deque()
         self.waiter: Optional[Event] = None
 
@@ -461,9 +463,8 @@ class ServiceClient:
         )
         msgnet.register(host, self.reply_service, self._receive)
         self._request_ids = itertools.count(1)
+        #: the calls in flight, by request id, in the order they were sent
         self._pending: dict[int, _Replies] = {}
-        self._pending_hosts: dict[int, str] = {}
-        self._abandoned: set[int] = set()
         #: idempotent-write serials (see :mod:`repro.services.replay`);
         #: the open set is insertion-ordered, so its first key is the
         #: lowest serial still in flight
@@ -496,11 +497,8 @@ class ServiceClient:
         resets rather than hanging until an application timeout).  Returns
         the number of calls reset."""
         failed = 0
-        for request_id, host in list(self._pending_hosts.items()):
-            if host != server_host:
-                continue
-            replies = self._pending.get(request_id)
-            if replies is None:
+        for request_id, replies in self._pending.items():
+            if replies.host != server_host:
                 continue
             replies.put(
                 ServiceReply(request_id, False, True, _ResetBody(message))
@@ -512,18 +510,16 @@ class ServiceClient:
 
     # -- reply routing ---------------------------------------------------
     def _receive(self, envelope: Envelope) -> None:
-        """Put a reply into the queue of the call it answers.  Replies to
-        timed-out calls are discarded (and counted); replies to requests
-        nobody ever waited on (markers after a final) are dropped, as a
-        real client drops data for a closed control channel."""
+        """Put a reply into the queue of the call it answers.  A reply to
+        a call no longer in flight is dropped, as a real client drops data
+        for a closed control channel; a final one answered a call that
+        timed out, was interrupted or was reset, and is counted late."""
         reply: ServiceReply = envelope.payload
         replies = self._pending.get(reply.request_id)
         if replies is not None:
             replies.put(reply)
-        elif reply.request_id in self._abandoned:
+        elif reply.final:
             self.stats["late_replies_discarded"] += 1
-            if reply.final:
-                self._abandoned.discard(reply.request_id)
 
     # -- calling ---------------------------------------------------------
     def invoke(
@@ -621,8 +617,7 @@ class ServiceClient:
                 timeout = max(ctx.deadline - self.sim.now, 0.0)
 
         request_id = next(self._request_ids)
-        replies = self._pending[request_id] = _Replies(self.sim)
-        self._pending_hosts[request_id] = server_host
+        replies = self._pending[request_id] = _Replies(self.sim, server_host)
         self.stats["calls"] += 1
         self.msgnet.send(
             self.host,
@@ -678,13 +673,11 @@ class ServiceClient:
                 deadline_at = next_deadline()
                 continue
             break
-        self._pending.pop(request_id, None)
-        self._pending_hosts.pop(request_id, None)
+        del self._pending[request_id]
         if isinstance(reply.payload, _ResetBody):
             # synthetic reply from fail_pending: the server crashed with
-            # this call in flight.  Remember the id so a late real reply
-            # (e.g. raced in just before the crash) is discarded.
-            self._abandoned.add(request_id)
+            # this call in flight; a late real reply (e.g. raced in just
+            # before the crash) finds no call and is discarded
             if span is not None:
                 self.tracelog.finish(span, "error", detail=reply.payload.message)
             exc = ConnectionReset(operation, server_host, reply.payload.message)
@@ -723,11 +716,8 @@ class ServiceClient:
         )
 
     def _discard(self, request_id: int) -> None:
-        """Timeout cleanup: drop the pending entry and remember the id so
-        the eventual late reply is discarded, never misdelivered."""
-        replies = self._pending.pop(request_id, None)
-        self._pending_hosts.pop(request_id, None)
-        if replies is not None:
-            # a reply may have raced in at this very instant: count it
-            self.stats["late_replies_discarded"] += len(replies.items)
-        self._abandoned.add(request_id)
+        """Timeout cleanup: drop the pending entry, so the eventual late
+        reply is discarded, never misdelivered."""
+        replies = self._pending.pop(request_id)
+        # a reply may have raced in at this very instant: count it
+        self.stats["late_replies_discarded"] += len(replies.items)

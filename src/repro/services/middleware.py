@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from repro.security.ca import CertificateAuthority, CertificateError, verify_chain
 from repro.security.gridmap import AuthorizationError, GridMap
 from repro.services.bus import ServiceError, ServiceFault, ServiceRequest
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = [
     "AuthResult",
@@ -91,7 +92,8 @@ class GsiAuthMiddleware:
 class DeadlineMiddleware:
     """Shed requests whose propagated deadline expired before dispatch."""
 
-    def __init__(self, metrics=None, service: str = ""):
+    def __init__(self, metrics: MetricsRegistry = NO_METRICS,
+                 service: str = ""):
         self.metrics = metrics
         self.service = service
 
@@ -102,12 +104,11 @@ class DeadlineMiddleware:
             and context.deadline is not None
             and request.sim.now > context.deadline
         ):
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "rpc.deadline_sheds",
-                    service=self.service,
-                    operation=request.operation,
-                ).inc()
+            self.metrics.counter(
+                "rpc.deadline_sheds",
+                service=self.service,
+                operation=request.operation,
+            ).inc()
             raise ServiceError(
                 f"deadline exceeded before dispatch of {request.operation!r}"
             )

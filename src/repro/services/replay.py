@@ -29,6 +29,7 @@ from typing import Any, Callable, Optional
 
 from repro.services.bus import ServiceError, run_handler
 from repro.simulation.kernel import Event, Simulator
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["ReplayWindow"]
 
@@ -54,10 +55,10 @@ class ReplayWindow:
     a ``task.claim`` and a ``catalog.publish`` from the same client draw
     serials from one counter but must never answer for each other.
     ``counter`` names the registry counter bumped per replayed write
-    (``None``, or no ``metrics``, keeps the window silent).
+    (``None`` keeps the window silent).
     """
 
-    def __init__(self, sim: Simulator, metrics=None,
+    def __init__(self, sim: Simulator, metrics: MetricsRegistry = NO_METRICS,
                  counter: Optional[str] = None):
         self.sim = sim
         self.metrics = metrics
@@ -92,7 +93,7 @@ class ReplayWindow:
             for settled in [s for s in state.results if s < low]:
                 del state.results[settled]
         if serial in state.results or serial in state.applying:
-            if self.metrics is not None and self.counter is not None:
+            if self.counter is not None:
                 self.metrics.counter(self.counter).inc()
             if serial in state.results:
                 return state.results[serial]

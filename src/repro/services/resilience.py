@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.services.bus import ClientCall, ServiceError
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = [
     "RetryPolicy",
@@ -91,7 +92,7 @@ class RetryMiddleware:
     """
 
     def __init__(self, policy: RetryPolicy | None = None, rng=None,
-                 metrics=None):
+                 metrics: MetricsRegistry = NO_METRICS):
         self.policy = policy if policy is not None else RetryPolicy()
         self.rng = rng
         self.metrics = metrics
@@ -124,12 +125,11 @@ class RetryMiddleware:
                     and sim.now + delay >= ctx.deadline
                 ):
                     raise
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "rpc.retries",
-                        service=call.client.service,
-                        operation=call.operation,
-                    ).inc()
+                self.metrics.counter(
+                    "rpc.retries",
+                    service=call.client.service,
+                    operation=call.operation,
+                ).inc()
                 slept += delay
                 yield sim.timeout(delay)
 
@@ -172,7 +172,7 @@ class CircuitBreakerMiddleware:
     """
 
     def __init__(self, failure_threshold: int = 5, cooldown: float = 30.0,
-                 metrics=None, service: str = ""):
+                 metrics: MetricsRegistry = NO_METRICS, service: str = ""):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = failure_threshold
@@ -211,16 +211,15 @@ class CircuitBreakerMiddleware:
         elif to == "closed":
             st.failures = 0
             st.stats["closed"] += 1
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "breaker.state", service=self.service, server=server,
-                endpoint=endpoint,
-            ).set(_STATE_VALUE[to])
-            self.metrics.counter(
-                "breaker.transitions",
-                service=self.service, server=server, endpoint=endpoint,
-                to=to,
-            ).inc()
+        self.metrics.gauge(
+            "breaker.state", service=self.service, server=server,
+            endpoint=endpoint,
+        ).set(_STATE_VALUE[to])
+        self.metrics.counter(
+            "breaker.transitions",
+            service=self.service, server=server, endpoint=endpoint,
+            to=to,
+        ).inc()
 
     def __call__(self, call: ClientCall, call_next):
         sim = call.sim
@@ -234,12 +233,11 @@ class CircuitBreakerMiddleware:
             elapsed = sim.now - st.opened_at
             if elapsed < self.cooldown:
                 st.stats["refused"] += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "breaker.refusals",
-                        service=self.service, server=server,
-                        endpoint=endpoint,
-                    ).inc()
+                self.metrics.counter(
+                    "breaker.refusals",
+                    service=self.service, server=server,
+                    endpoint=endpoint,
+                ).inc()
                 raise CircuitOpenError(
                     call.operation, server, self.cooldown - elapsed
                 )

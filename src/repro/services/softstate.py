@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 from repro.services.bus import ServiceClient
 from repro.simulation.kernel import Interrupt, Process
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["PushNames", "SoftStatePusher", "PushPlane"]
 
@@ -68,7 +69,7 @@ class SoftStatePusher:
         kinds: tuple[str, ...] = (),
         kind_of: Optional[Callable[[dict], str]] = None,
         phase: float = 0.0,
-        metrics=None,
+        metrics: MetricsRegistry = NO_METRICS,
     ) -> None:
         self.sim = client.sim
         self.client = client
@@ -147,8 +148,6 @@ class SoftStatePusher:
             return
 
     def _count(self, kind: str, size: int = 0) -> None:
-        if self.metrics is None:
-            return
         self.metrics.counter(
             self.names.pushes, site=self.site, **{self.names.label: kind}
         ).inc()
@@ -164,6 +163,13 @@ class PushPlane:
     def __init__(self) -> None:
         self.pushers: dict[str, SoftStatePusher] = {}
         self.started = False
+
+    @staticmethod
+    def stagger(index: int, sources: int, period: float) -> float:
+        """The first-push delay of a plane's ``index``-th of ``sources``
+        pushers: one period split evenly between them, so they do not all
+        push in the same instant."""
+        return index * period / sources
 
     def start(self) -> None:
         """Spawn the standing pushers (idempotent)."""

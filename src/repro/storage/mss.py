@@ -14,6 +14,7 @@ from repro.simulation.kernel import Event, Simulator
 from repro.simulation.resources import Resource
 from repro.storage.diskpool import DiskPool
 from repro.storage.filesystem import StorageError, StoredFile
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["MassStorageSystem", "TapeError"]
 
@@ -41,7 +42,7 @@ class MassStorageSystem:
         drives: int = 2,
         mount_seek_time: float = 45.0,
         tape_rate: float = 15e6,
-        metrics=None,
+        metrics: MetricsRegistry = NO_METRICS,
     ):
         if mount_seek_time < 0 or tape_rate <= 0:
             raise ValueError("invalid tape timing parameters")
@@ -151,15 +152,14 @@ class MassStorageSystem:
                         **record.attrs,
                     )
                 self.stats["staged_files"] += 1
-                if self.metrics is not None:
-                    # end-to-end staging latency: queue wait + mount/seek
-                    # + streaming time, observed once per staged file
-                    self.metrics.histogram(
-                        "storage.mss.stage_latency", site=self.site
-                    ).observe(sim.now - queued_at)
-                    self.metrics.counter(
-                        "storage.mss.staged_bytes", site=self.site
-                    ).inc(record.size)
+                # end-to-end staging latency: queue wait + mount/seek
+                # + streaming time, observed once per staged file
+                self.metrics.histogram(
+                    "storage.mss.stage_latency", site=self.site
+                ).observe(sim.now - queued_at)
+                self.metrics.counter(
+                    "storage.mss.staged_bytes", site=self.site
+                ).inc(record.size)
             except StorageError as exc:
                 self._drives.release(request)
                 done.fail(exc)

@@ -4,7 +4,9 @@ The grid's observability subsystem (see DESIGN.md "Telemetry"):
 
 * :mod:`repro.telemetry.metrics` — the sim-time-aware
   :class:`MetricsRegistry` of labelled counters, gauges, histograms, and
-  time-weighted series that every instrumented subsystem records into;
+  time-weighted series that every instrumented subsystem records into
+  (:data:`NO_METRICS` when it was given none), and the :class:`Section`
+  each plane hands it for the health report;
 * :mod:`repro.telemetry.prometheus` — Prometheus text-format export;
 * :mod:`repro.telemetry.chrome_trace` — Chrome trace-event JSON export of
   a :class:`~repro.services.tracelog.TraceLog` (Perfetto-loadable, with
@@ -23,7 +25,9 @@ from repro.telemetry.metrics import (  # noqa: F401
     Counter,
     Gauge,
     Histogram,
+    NO_METRICS,
     MetricsRegistry,
+    Section,
     TimeSeries,
 )
 from repro.telemetry.prometheus import (  # noqa: F401
@@ -42,6 +46,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NO_METRICS",
+    "Section",
     "TimeSeries",
     "chrome_trace_events",
     "dump_chrome_trace",

@@ -25,13 +25,20 @@ numbers, so two identical simulations produce byte-identical
 them.  *Collectors* (callbacks registered with
 :meth:`MetricsRegistry.add_collector`) let passive state (pool occupancy,
 catalog cache counters) be scraped into gauges right before a snapshot or
-export, Prometheus-style, keeping the owning hot paths untouched.
+export, Prometheus-style, keeping the owning hot paths untouched.  A
+plane's *section* (:meth:`MetricsRegistry.add_section`), registered
+beside its collector, is how that plane's families read in the health
+report.
+
+There is always a registry: a component built without one records into
+:data:`NO_METRICS`, made by :meth:`MetricsRegistry.off` to keep nothing,
+so instrumented code makes its call unconditionally.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 __all__ = [
     "DEFAULT_LATENCY_BOUNDS",
@@ -41,6 +48,8 @@ __all__ = [
     "Histogram",
     "TimeSeries",
     "MetricsRegistry",
+    "NO_METRICS",
+    "Section",
 ]
 
 #: Default histogram bounds for durations in simulated seconds: half-decade
@@ -175,6 +184,16 @@ class TimeSeries:
         return total / span if span > 0 else self.values[0]
 
 
+def _new_child(kind: str, labels: tuple, bounds):
+    if kind == "counter":
+        return Counter(labels)
+    if kind == "gauge":
+        return Gauge(labels)
+    if kind == "histogram":
+        return Histogram(labels, bounds)
+    return TimeSeries(labels)
+
+
 class _Family:
     """All children of one metric name, plus the family's fixed shape."""
 
@@ -185,6 +204,17 @@ class _Family:
         self.kind = kind
         self.bounds = bounds
         self.children: dict[tuple, Any] = {}
+
+
+class Section(NamedTuple):
+    """One plane's part of the health report."""
+
+    #: name prefixes of the families the section renders: the report
+    #: leaves them out of its per-subsystem tables
+    families: tuple[str, ...]
+    #: ``render(registry, top_n)`` -> the section's lines, none when the
+    #: plane has nothing to show
+    render: Callable[["MetricsRegistry", int], list[str]]
 
 
 class MetricsRegistry:
@@ -203,6 +233,17 @@ class MetricsRegistry:
             self._clock = lambda: clock.now
         self._families: dict[str, _Family] = {}
         self._collectors: list[Callable[["MetricsRegistry"], None]] = []
+        self._sections: list[Section] = []
+        self._recording = True
+
+    @classmethod
+    def off(cls, clock: Any = None) -> "MetricsRegistry":
+        """A registry that records nothing: each instrument it hands out
+        is a fresh one of no family, and collectors and sections are
+        dropped, so it stays empty however much is recorded into it."""
+        registry = cls(clock)
+        registry._recording = False
+        return registry
 
     @property
     def now(self) -> float:
@@ -213,6 +254,8 @@ class MetricsRegistry:
     def _child(self, name: str, kind: str, labels: dict, bounds=None):
         family = self._families.get(name)
         if family is None:
+            if not self._recording:
+                return _new_child(kind, (), bounds)   # kept by nobody
             family = self._families[name] = _Family(name, kind, bounds)
         elif family.kind != kind:
             raise ValueError(
@@ -226,15 +269,7 @@ class MetricsRegistry:
         key = _label_key(labels)
         child = family.children.get(key)
         if child is None:
-            if kind == "counter":
-                child = Counter(key)
-            elif kind == "gauge":
-                child = Gauge(key)
-            elif kind == "histogram":
-                child = Histogram(key, family.bounds)
-            else:
-                child = TimeSeries(key)
-            family.children[key] = child
+            child = family.children[key] = _new_child(kind, key, family.bounds)
         return child
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -272,12 +307,24 @@ class MetricsRegistry:
         """Register a callback run (in registration order) by
         :meth:`collect` before every snapshot/export; collectors scrape
         passive state into gauges so hot paths stay uninstrumented."""
-        self._collectors.append(collector)
+        if self._recording:
+            self._collectors.append(collector)
 
     def collect(self) -> None:
         """Run all registered collectors once."""
         for collector in self._collectors:
             collector(self)
+
+    # -- report sections --------------------------------------------------
+    def add_section(self, section: Section) -> None:
+        """Register a plane's health-report section; sections render in
+        registration order."""
+        if self._recording:
+            self._sections.append(section)
+
+    def sections(self) -> list[Section]:
+        """The registered report sections, in registration order."""
+        return list(self._sections)
 
     # -- introspection ----------------------------------------------------
     def families(self) -> list[str]:
@@ -337,3 +384,7 @@ class MetricsRegistry:
                 entry["bounds"] = list(family.bounds)
             out[name] = entry
         return out
+
+
+#: What a component built without a registry records into: nothing.
+NO_METRICS = MetricsRegistry.off()

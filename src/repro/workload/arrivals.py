@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 from repro.workload.admission import FairShareAdmission, TokenBucket
 
 __all__ = ["ArrivalProfile", "ArrivalGenerator"]
@@ -73,7 +74,7 @@ class ArrivalGenerator:
 
     def __init__(self, sim, proxy, profile: ArrivalProfile, *,
                  lfns: list[str], dest_sites: list[str],
-                 rng, total: int, metrics=None):
+                 rng, total: int, metrics: MetricsRegistry = NO_METRICS):
         self.sim = sim
         self.proxy = proxy
         self.profile = profile
@@ -113,11 +114,6 @@ class ArrivalGenerator:
         self.pick_tasks = 0
         self.done = sim.event()
 
-    # -- accounting -------------------------------------------------------
-    def _count(self, name: str, amount: float, **labels) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter(name, **labels).inc(amount)
-
     # -- one tick ---------------------------------------------------------
     def _draw_arrivals(self) -> None:
         """Poisson per-VO arrival counts for this tick, multinomially
@@ -132,9 +128,12 @@ class ArrivalGenerator:
             if n <= 0:
                 continue
             self.generated += n
-            self._count("workload.arrivals", n, vo=vo)
+            self.metrics.counter("workload.arrivals", vo=vo).inc(n)
             accepted = self.fairshare.offer(vo, n)
-            self._count("workload.arrivals_shed", n - accepted, vo=vo)
+            if accepted < n:
+                self.metrics.counter(
+                    "workload.arrivals_shed", vo=vo
+                ).inc(n - accepted)
             if accepted <= 0:
                 continue
             counts = self.rng.multinomial(accepted, self._probs)
@@ -177,7 +176,8 @@ class ArrivalGenerator:
         per_dest: dict[str, dict[str, int]] = {}
         for vo, count in released:
             self.admitted += count
-            self._count("workload.admitted", count, vo=vo)
+            if count:
+                self.metrics.counter("workload.admitted", vo=vo).inc(count)
             for (dest, lfn), c in sorted(self._pop_demand(vo, count).items()):
                 per_dest.setdefault(dest, {})
                 per_dest[dest][lfn] = per_dest[dest].get(lfn, 0) + c

@@ -46,6 +46,8 @@ from repro.gdmp.replica_selection import PipeWidth, pipe_width
 from repro.gdmp.request_manager import GdmpError
 from repro.services.bus import ServiceError
 from repro.simulation.kernel import Interrupt, Process
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry, Section
+from repro.telemetry.report import fmt
 
 __all__ = [
     "PipelineComponent",
@@ -53,6 +55,7 @@ __all__ = [
     "Bundler",
     "Replicator",
     "Verifier",
+    "SETS_IN_FLIGHT_SECTION",
     "xfer_key",
     "verify_key",
 ]
@@ -89,7 +92,7 @@ class PipelineComponent:
 
     def __init__(self, sim, proxy, site, *,
                  poll: float = 5.0, lease: float = 60.0,
-                 metrics=None):
+                 metrics: MetricsRegistry = NO_METRICS):
         self.sim = sim
         self.proxy = proxy
         self.site = site            # GdmpSite runtime
@@ -134,11 +137,10 @@ class PipelineComponent:
         )
 
     def _count(self, event: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "workload.component", component=self.TYPE,
-                site=self.site.name, event=event,
-            ).inc()
+        self.metrics.counter(
+            "workload.component", component=self.TYPE,
+            site=self.site.name, event=event,
+        ).inc()
 
     # -- the claim loop ---------------------------------------------------
     def _run(self):
@@ -281,6 +283,55 @@ class Bundler(PipelineComponent):
         )
 
 
+#: the per-site gauges of each Replicator's width decision
+#: (:func:`repro.gdmp.replica_selection.pipe_width`)
+_REPLICATOR_PREFIX = "workload.replicator."
+
+
+def _sets_in_flight_section(
+    registry: MetricsRegistry, top_n: int
+) -> list[str]:
+    """Why each site runs as many transfer sets at once as it does: the
+    width, the probed bandwidth and best pace it is the ratio of, and the
+    most sets the site ever had in flight — one line per site."""
+
+    def value(name: str, **labels) -> float:
+        return registry.value(_REPLICATOR_PREFIX + name, **labels)
+
+    # site -> the source its best pace came from (a source it moved away
+    # from reads 0)
+    paced = {
+        dict(child.labels)["site"]: dict(child.labels)["source"]
+        for child in registry.children(_REPLICATOR_PREFIX + "pace")
+        if child.value
+    }
+    lines = []
+    for child in registry.children(_REPLICATOR_PREFIX + "width"):
+        site = dict(child.labels)["site"]
+        why = " (no set has reported yet)"
+        if site in paced:
+            via = dict(site=site, source=paced[site])
+            why = (
+                f" = ceil({value('bandwidth', **via) / 1e6:.2f} MB/s from "
+                f"{paced[site]} / {value('pace', **via) / 1e6:.2f} MB/s "
+                "best pace)"
+            )
+        lines.append(
+            f"{site}: width {fmt(child.value)}{why}, "
+            f"peak {fmt(value('peak_sets', site=site))} sets "
+            f"({fmt(value('sets_in_flight', site=site))} in flight)"
+        )
+    if lines:
+        lines[:0] = ["", "-- sets in flight: the width of each site's pipe --"]
+    return lines
+
+
+#: the Replicators' part of the health report
+SETS_IN_FLIGHT_SECTION = Section(
+    (_REPLICATOR_PREFIX,), _sets_in_flight_section
+)
+
+
 class Replicator(PipelineComponent):
     """Campaigns → replicas, via the existing §4.1 machinery.
 
@@ -308,8 +359,7 @@ class Replicator(PipelineComponent):
         self.peak_sets = 0
         #: the sets in flight, oldest first, each with the files it moves
         self._sets: dict[Process, frozenset] = {}
-        if self.metrics is not None:
-            self.metrics.add_collector(self._collect)
+        self.metrics.add_collector(self._collect)
 
     def start(self) -> Process:
         """A restarted replicator remembers nothing: one solo set first."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from repro.workload.arrivals import ArrivalGenerator, ArrivalProfile
 from repro.workload.components import (
+    SETS_IN_FLIGHT_SECTION,
     Bundler,
     Picker,
     PipelineComponent,
@@ -87,6 +88,7 @@ class WorkloadEngine:
                     poll=poll, lease=lease, metrics=grid.metrics,
                 )
                 self.components[component.name] = component
+        grid.metrics.add_section(SETS_IN_FLIGHT_SECTION)
 
         # the arrival stream, admitted at the origin's proxy
         self.arrivals = ArrivalGenerator(

@@ -45,6 +45,7 @@ from repro.gdmp.request_manager import RequestProxy, RequestServer
 from repro.services.bus import ServiceRequest
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Event, Process, Simulator
+from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = ["Task", "TaskQueue", "TaskQueueService", "TaskQueueProxy"]
 
@@ -385,7 +386,7 @@ class TaskQueueService:
 
     def __init__(self, server: RequestServer,
                  queue: Optional[TaskQueue] = None, *,
-                 metrics=None,
+                 metrics: MetricsRegistry = NO_METRICS,
                  default_lease: float = 30.0,
                  max_attempts: int = 6):
         self.queue = queue or TaskQueue(
@@ -402,21 +403,16 @@ class TaskQueueService:
             )
         server.register("task.wait", self._op_wait)
         server.register("task.counts", self._op_counts)
-        if metrics is not None:
-            metrics.add_collector(self._collect)
+        metrics.add_collector(self._collect)
 
     # -- telemetry --------------------------------------------------------
-    def _count(self, event: str, type: str, amount: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "workload.tasks", event=event, type=type
-            ).inc(amount)
+    def _count(self, event: str, type: str) -> None:
+        self.metrics.counter("workload.tasks", event=event, type=type).inc()
 
     def _observe_age(self, name: str, type: str, age: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(
-                f"workload.{name}", bounds=_AGE_BOUNDS, type=type
-            ).observe(age)
+        self.metrics.histogram(
+            f"workload.{name}", bounds=_AGE_BOUNDS, type=type
+        ).observe(age)
 
     def _collect(self, registry) -> None:
         """Scrape queue depth per state into gauges at export time,

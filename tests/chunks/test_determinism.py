@@ -7,7 +7,7 @@ gate that keeps the chunk stack inside the repo's determinism contract.
 
 from repro.chunks import ChunkConfig, ChunkRuntime
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.netsim.flowtable import KERNEL_ENV
+from repro.netsim import flowtable
 
 SITES = ["hub", "s1", "s2", "s3"]
 SIZE = 4_000_000.0
@@ -50,8 +50,10 @@ def test_different_seed_moves_the_placement():
 
 
 def test_scalar_and_vector_kernels_agree(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "scalar")
+    # every table of the default "auto" kernel reads the cutover when it
+    # is built: above any flow count is all-scalar, zero is all-vector
+    monkeypatch.setattr(flowtable, "VECTOR_MIN_FLOWS", 10**9)
     scalar = _scenario()
-    monkeypatch.setenv(KERNEL_ENV, "vector")
+    monkeypatch.setattr(flowtable, "VECTOR_MIN_FLOWS", 0)
     vector = _scenario()
     assert scalar == vector

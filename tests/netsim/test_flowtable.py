@@ -4,12 +4,7 @@ import pytest
 
 from repro.netsim import TcpParams
 from repro.netsim.engine import NetworkEngine
-from repro.netsim.flowtable import (
-    KERNEL_ENV,
-    VECTOR_MIN_FLOWS,
-    default_kernel,
-    resolve_kernel,
-)
+from repro.netsim.flowtable import VECTOR_MIN_FLOWS, resolve_kernel
 from repro.netsim.link import Link
 from repro.netsim.topology import Host, Topology
 from repro.netsim.units import KiB, MB, mbps
@@ -23,20 +18,9 @@ def test_resolve_kernel_rejects_unknown():
         resolve_kernel("simd")
 
 
-def test_env_override_selects_scalar(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "scalar")
-    assert default_kernel() == "scalar"
-
-
-def test_env_garbage_falls_back_to_detection(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "warp-drive")
-    assert default_kernel() == "auto"
-
-
-def test_explicit_kernel_wins_over_env(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "scalar")
-    assert resolve_kernel("scalar") == "scalar"
-    assert resolve_kernel("vector") == "vector"
+def test_resolve_kernel_accepts_each_kernel():
+    for kernel in ("auto", "scalar", "vector"):
+        assert resolve_kernel(kernel) == kernel
 
 
 def test_auto_table_picks_kernel_by_flow_count():

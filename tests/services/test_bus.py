@@ -179,6 +179,26 @@ def test_timeout_raises_and_late_reply_is_discarded(net):
     assert client.stats["late_replies_discarded"] == 1
 
 
+def test_calls_to_a_black_hole_time_out_and_leave_no_client_state(net):
+    """A reply that never comes leaves nothing behind: no pending call,
+    and nothing remembered about the request, however many were lost."""
+    sim, msgnet = net
+    endpoint, client = make_pair(sim, msgnet)
+    endpoint.register("op", lambda request: "ok")
+    msgnet.set_service_down("cern", "svc")
+    for _ in range(3):
+        with pytest.raises(CallTimeout):
+            sim.run(until=client.call("cern", "op", timeout=0.5))
+    sim.run(until=sim.timeout(30.0))
+    assert client.stats["call_timeouts"] == 3
+    assert client.stats["late_replies_discarded"] == 0
+    assert client._pending == {}
+    assert not [
+        name for name, value in vars(client).items()
+        if isinstance(value, (set, dict)) and value and name != "stats"
+    ]
+
+
 def test_deadline_middleware_sheds_expired_requests(net):
     sim, msgnet = net
     registry = MetricsRegistry(sim)

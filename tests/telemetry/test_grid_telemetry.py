@@ -6,9 +6,16 @@ import json
 
 import pytest
 
+from repro.experiments.testbed import gridftp_testbed
 from repro.gdmp import DataGrid, GdmpConfig
+from repro.gdmp.data_mover import DataMover
 from repro.netsim.units import MB
-from repro.telemetry import to_chrome_trace_json, to_prometheus_text
+from repro.telemetry import (
+    NO_METRICS,
+    render_health_report,
+    to_chrome_trace_json,
+    to_prometheus_text,
+)
 
 
 def _replicate(metrics: bool = True):
@@ -95,10 +102,30 @@ def test_exporters_byte_identical_across_runs():
 def test_registry_off_is_pure_observation(replicated):
     grid_on, report_on = replicated
     grid_off, report_off = _replicate(metrics=False)
-    assert grid_off.metrics is None
     assert grid_off.sim.now == grid_on.sim.now
     assert report_off.total_duration == report_on.total_duration
     assert len(grid_off.tracelog) == len(grid_on.tracelog)
+    # the off registry was recorded into all along and kept nothing
+    assert grid_off.metrics.snapshot() == {}
+    assert to_prometheus_text(grid_off.metrics) == ""
+    assert render_health_report(grid_off.metrics).splitlines() == [
+        f"=== grid health report — t={grid_off.sim.now:.3f}s, 0 metric "
+        "series, 0 spans ===",
+    ]
+    assert "-- gridftp --" not in grid_off.health_report()
+
+
+def test_a_component_built_without_a_registry_records_nothing():
+    testbed = gridftp_testbed()
+    mover = DataMover(testbed.sim, testbed.client, testbed.client_fs)
+    assert testbed.engine.metrics is testbed.server.metrics is NO_METRICS
+    testbed.server_fs.create("/store/f", 2 * MB)
+    report = testbed.sim.run(until=testbed.sim.spawn(
+        mover.fetch("cern", "/store/f", "/recv/f", streams=2)
+    ))
+    assert report.throughput > 0
+    assert len(NO_METRICS) == 0
+    assert NO_METRICS.snapshot() == {} and NO_METRICS.sections() == []
 
 
 def test_registry_snapshot_covers_the_data_plane(replicated):

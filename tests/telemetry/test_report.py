@@ -1,8 +1,17 @@
 """Tests for the terminal grid health report."""
 
+from repro.gdmp import DataGrid, GdmpConfig
+from repro.observatory import WeatherConfig
+from repro.observatory.service import WEATHER_SECTION
 from repro.services import TraceLog
 from repro.simulation.kernel import Simulator
-from repro.telemetry import MetricsRegistry, render_health_report
+from repro.telemetry import (
+    NO_METRICS,
+    MetricsRegistry,
+    Section,
+    render_health_report,
+)
+from repro.workload.components import SETS_IN_FLIGHT_SECTION
 
 
 def _advance(sim, dt):
@@ -35,7 +44,7 @@ def test_span_summary_and_slowest_table():
     log.finish(fast)
     _advance(sim, 9.0)
     log.finish(slow, "error", detail="boom")
-    text = render_health_report(None, log, top_n=1)
+    text = render_health_report(NO_METRICS, log, top_n=1)
     assert "-- spans per host --" in text
     assert "-- top 1 slowest spans --" in text
     assert "slow-op" in text
@@ -51,7 +60,7 @@ def test_open_spans_warned():
     log = TraceLog(sim)
     log.finish(log.begin("done", host="a"))
     log.begin("hung", host="a", service="svc")
-    text = render_health_report(None, log)
+    text = render_health_report(NO_METRICS, log)
     assert "WARNING: 1 spans still in progress" in text
     assert "hung" in text
 
@@ -65,25 +74,26 @@ def test_parked_workers_are_counted_not_warned_about(capsys):
     for host in ("anl", "anl", "caltech"):
         log.begin("gdmp:task.wait", kind="client", host=host, service="gdmp")
         log.begin("gdmp:task.wait", kind="server", host="cern", service="gdmp")
-    text = render_health_report(None, log)
+    text = render_health_report(NO_METRICS, log)
     assert ("3 workers parked at their queue, waiting for work "
             "(task.wait): anl x2, caltech x1") in text
     assert "WARNING" not in text
-    export_telemetry(None, log)
+    export_telemetry(NO_METRICS, log)
     assert capsys.readouterr().out == ""
     # abandoned work is still warned about, and only it is listed
     log.begin("gdmp:task.claim", kind="client", host="anl", service="gdmp")
-    text = render_health_report(None, log)
+    text = render_health_report(NO_METRICS, log)
     assert "3 workers parked" in text
     assert "WARNING: 1 spans still in progress" in text
     assert "task.wait" not in text.split("WARNING")[1]
-    export_telemetry(None, log)
+    export_telemetry(NO_METRICS, log)
     assert "warning: 1 trace spans still in progress" \
         in capsys.readouterr().out
 
 
 def test_each_replicators_width_reads_as_the_ratio_it_came_from():
     registry = MetricsRegistry()
+    registry.add_section(SETS_IN_FLIGHT_SECTION)
 
     def gauge(name, value, **labels):
         registry.gauge(f"workload.replicator.{name}", **labels).set(value)
@@ -110,6 +120,29 @@ def test_each_replicators_width_reads_as_the_ratio_it_came_from():
     assert "sets in flight" not in render_health_report(MetricsRegistry())
 
 
+def test_a_family_no_section_claims_is_still_tabulated():
+    registry = MetricsRegistry()
+    registry.add_section(Section(
+        ("plane.own.",), lambda reg, top_n: ["", "-- plane --", "joined"]
+    ))
+    registry.gauge("plane.own.width", site="a").set(2)
+    registry.gauge("plane.other", site="a").set(3)
+    text = render_health_report(registry)
+    assert "-- plane --\njoined" in text
+    assert "plane.other" in text
+    assert "plane.own.width" not in text
+
+
+def test_a_plane_that_was_not_built_adds_no_section():
+    sites = [GdmpConfig("cern"), GdmpConfig("anl")]
+    assert DataGrid(sites).metrics.sections() == []
+    weather = DataGrid(sites, weather=WeatherConfig())
+    assert weather.metrics.sections() == [WEATHER_SECTION]
+    # nor does a grid that records nothing keep the sections it is handed
+    off = DataGrid(sites, weather=WeatherConfig(), metrics=False)
+    assert off.metrics.sections() == []
+
+
 def test_report_is_deterministic():
     def build():
         registry = MetricsRegistry()
@@ -124,6 +157,6 @@ def test_report_is_deterministic():
 
 
 def test_empty_inputs_render_header_only():
-    text = render_health_report(None, None)
+    text = render_health_report(NO_METRICS, None)
     assert "grid health report" in text
     assert "0 metric series, 0 spans" in text

@@ -223,7 +223,7 @@ def summarize_catalog(record: dict):
 
 def measure_telemetry(smoke: bool) -> dict:
     """The same gdmp replication scenario with the metrics registry
-    attached and detached (``DataGrid(metrics=False)``).  The
+    recording and keeping nothing (``DataGrid(metrics=False)``).  The
     instrumentation is event-driven and observational, so the overhead
     ratio should stay near 1.0; the record keeps that honest."""
     from repro.gdmp import DataGrid, GdmpConfig
@@ -251,7 +251,7 @@ def measure_telemetry(smoke: bool) -> dict:
             grid.run(until=anl.client.replicate(lfn))
         return {
             "sim_now": grid.sim.now,
-            "series": len(grid.metrics) if grid.metrics is not None else 0,
+            "series": len(grid.metrics),
         }
 
     def timed(metrics: bool) -> tuple[float, dict]:
