@@ -39,7 +39,6 @@ from __future__ import annotations
 from repro.chunks.gf256 import ReedSolomon
 from repro.chunks.manifest import Manifest, chunk_path
 from repro.chunks.store import ChunkStoreClient, ChunkStoreError
-from repro.gridftp.client import TransferError
 from repro.services.bus import ServiceError
 from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 from repro.workload.components import PipelineComponent
@@ -58,81 +57,49 @@ def repair_key(object_name: str, cycle: int) -> str:
     return f"repair:{object_name}#c{cycle}"
 
 
-class _ProbeMixin:
-    """CKSM probing shared by scrubber and repairer.
-
+class _ChunkWorker(PipelineComponent):
+    """What scrubber and repairer share: the site's chunk store, an
+    object's manifest, and ``CKSM`` probes of its replicas.  A probe
     ``plan`` maps holder site to ``[(chunk_id, expected_crc)]``; the
-    result maps ``(chunk_id, site)`` to an outcome: ``ok`` (CRC
-    matches), ``corrupt`` (CRC differs), ``missing`` (no such file), or
-    ``unreachable`` (the probe itself failed).  Probes of the local site
-    read the filesystem directly — no loopback transfer exists to ride.
-    """
+    result maps ``(chunk_id, holder)`` to the mover's verdict."""
+
+    def __init__(self, sim, proxy, site, store: ChunkStoreClient, **kwargs):
+        super().__init__(sim, proxy, site, **kwargs)
+        self.store = store
+
+    def _manifest(self, what: str, object_name: str):
+        """Generator: ``(manifest, directory answer)`` for the object."""
+        try:
+            info = yield self.store.proxy.manifest(object_name)
+        except ServiceError as exc:
+            raise ChunkStoreError(
+                f"{what} of {object_name!r}: manifest unavailable: {exc}"
+            ) from exc
+        return Manifest.from_wire(info["manifest"]), info
 
     def _probe(self, plan: dict[str, list[tuple[str, int]]]):
         outcomes: dict[tuple[str, str], str] = {}
-        site = self.site
         for holder in sorted(plan):
             checks = plan[holder]
-            if holder == site.name:
-                for chunk_id, crc in checks:
-                    path = chunk_path(chunk_id)
-                    if not site.fs.exists(path):
-                        outcomes[(chunk_id, holder)] = "missing"
-                    elif site.fs.stat(path).crc != crc:
-                        outcomes[(chunk_id, holder)] = "corrupt"
-                    else:
-                        outcomes[(chunk_id, holder)] = "ok"
-                continue
-
-            def check(session, holder=holder, checks=checks):
-                for chunk_id, crc in checks:
-                    try:
-                        remote = yield from site.gridftp_client.checksum(
-                            session, chunk_path(chunk_id)
-                        )
-                    except TransferError as exc:
-                        code = exc.reply.code if exc.reply else None
-                        outcomes[(chunk_id, holder)] = (
-                            "missing" if code == 550 else "unreachable"
-                        )
-                        continue
-                    outcomes[(chunk_id, holder)] = (
-                        "ok" if remote == crc else "corrupt"
-                    )
-
-            try:
-                yield from site.gridftp_client.session(holder, check)
-            except (TransferError, ServiceError):
-                # the dial failed (``check`` answers each CKSM failure)
-                for chunk_id, _ in checks:
-                    outcomes[(chunk_id, holder)] = "unreachable"
+            verdicts = yield from self.site.mover.probe(
+                holder, [(chunk_path(chunk_id), crc) for chunk_id, crc in checks]
+            )
+            for (chunk_id, _), verdict in zip(checks, verdicts):
+                outcomes[(chunk_id, holder)] = verdict
         return outcomes
 
 
-class Scrubber(_ProbeMixin, PipelineComponent):
+class Scrubber(_ChunkWorker):
     """Audit one object's chunk replicas without moving data."""
 
     NAME = "scrubber"
     TYPE = "scrub"
     BATCH = 4
 
-    def __init__(self, sim, proxy, site, store: ChunkStoreClient, *,
-                 poll: float = 5.0, lease: float = 60.0,
-                 metrics: MetricsRegistry = NO_METRICS):
-        super().__init__(sim, proxy, site, poll=poll, lease=lease,
-                         metrics=metrics)
-        self.store = store
-
     def work(self, task: dict):
         object_name = task["payload"]["object"]
         cycle = task["payload"]["cycle"]
-        try:
-            info = yield self.store.proxy.manifest(object_name)
-        except ServiceError as exc:
-            raise ChunkStoreError(
-                f"scrub of {object_name!r}: manifest unavailable: {exc}"
-            ) from exc
-        manifest = Manifest.from_wire(info["manifest"])
+        manifest, info = yield from self._manifest("scrub", object_name)
         locations: dict[str, list[str]] = info["locations"]
         plan: dict[str, list[tuple[str, int]]] = {}
         bad: list[list] = []
@@ -166,30 +133,17 @@ class Scrubber(_ProbeMixin, PipelineComponent):
         return {"checked": len(outcomes), "bad": len(bad)}
 
 
-class Repairer(_ProbeMixin, PipelineComponent):
+class Repairer(_ChunkWorker):
     """Re-encode and re-place exactly the lost stripe members."""
 
     NAME = "repairer"
     TYPE = "repair"
     BATCH = 1
 
-    def __init__(self, sim, proxy, site, store: ChunkStoreClient, *,
-                 poll: float = 5.0, lease: float = 60.0,
-                 metrics: MetricsRegistry = NO_METRICS):
-        super().__init__(sim, proxy, site, poll=poll, lease=lease,
-                         metrics=metrics)
-        self.store = store
-
     def work(self, task: dict):
         object_name = task["payload"]["object"]
         reported: list[list] = task["payload"]["bad"]
-        try:
-            info = yield self.store.proxy.manifest(object_name)
-        except ServiceError as exc:
-            raise ChunkStoreError(
-                f"repair of {object_name!r}: manifest unavailable: {exc}"
-            ) from exc
-        manifest = Manifest.from_wire(info["manifest"])
+        manifest, info = yield from self._manifest("repair", object_name)
         locations: dict[str, list[str]] = info["locations"]
         targets: dict[str, str] = info["targets"]
         # re-verify before spending traffic: a racing repair (lease

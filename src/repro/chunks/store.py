@@ -4,9 +4,10 @@
 the manifest locally (pure computation — the directory rebuilds it
 independently and would reject a disagreeing shape), ``chunk.init`` for
 targets + the dedup-filtered upload list, stage each needed chunk
-locally and STOR it to its placement site — weather-aware order, per-chunk
-CKSM verification, and a verify-don't-trust handler for the 553 "file
-exists" race — then ``chunk.commit`` exactly once.
+locally and store it at its placement site through the site's data mover
+— weather-aware order, per-chunk CKSM verification, and a
+verify-don't-trust handler for the 553 "file exists" race — then
+``chunk.commit`` exactly once.
 
 ``fetch_object`` is the read path: pull the manifest, rank every
 ``(chunk, holder site)`` pair by predicted transfer time (data chunks
@@ -33,14 +34,12 @@ from repro.chunks.manifest import (
     Manifest,
     build_manifest,
     chunk_content_id,
-    chunk_crc,
     chunk_path,
     object_fingerprint,
 )
-from repro.gdmp.data_mover import DataMoverError
+from repro.gdmp.data_mover import DataMoverError, SessionTable
 from repro.gdmp.replica_selection import estimate_transfer_time
 from repro.gdmp.request_manager import GdmpError
-from repro.gridftp.client import TransferError
 from repro.netsim.topology import RouteError
 from repro.services.bus import ServiceError
 from repro.simulation.kernel import Process
@@ -136,65 +135,38 @@ class ChunkStoreClient:
         except (RouteError, KeyError):
             return float("inf")
 
-    def _stage(self, chunk_id: str, witness: bytes, size: float):
-        """Materialize one chunk on local disk under the staging prefix."""
-        path = STAGE_PREFIX + chunk_id
-        if self.site.fs.exists(path):
-            self.site.fs.delete(path)
-        return self.site.fs.create(
-            path, size,
-            content_id=chunk_content_id(chunk_id),
-            now=self.sim.now,
-            payload=witness,
-        )
-
-    def _upload_chunk(self, session, chunk_id: str, witness: bytes,
-                      size: float):
-        """STOR one staged chunk to the connected site, verify-don't-trust.
-
-        A 553 "file exists" is the dedup/crash race: some earlier upload
-        (ours or another object's) already placed this chunk id.  The
-        existing replica is verified by CKSM — content addressing means a
-        matching CRC *is* the right content — and a mismatching one
-        (e.g. corrupted before our retry) is evicted with DELE and
-        re-uploaded.  Generator, driven with ``yield from``.
-        """
-        ftp = self.site.gridftp_client
-        remote = chunk_path(chunk_id)
-        stage = self._stage(chunk_id, witness, size)
-        expected = chunk_crc(chunk_id)
+    def _upload_chunk(self, sessions: SessionTable, target: str,
+                      chunk_id: str, witness: bytes, size: float):
+        """Generator: stage one chunk and ``put`` it, verified, at
+        ``target`` (content addressing: the right CRC is the right
+        content); returns the bytes sent."""
+        fs, stage = self.site.fs, STAGE_PREFIX + chunk_id
+        if fs.exists(stage):
+            fs.delete(stage)
+        fs.create(stage, size, content_id=chunk_content_id(chunk_id),
+                  now=self.sim.now, payload=witness)
         try:
-            uploaded = 0.0
-            try:
-                yield from ftp.put(session, stage.path, remote)
-                uploaded = size
-            except TransferError as exc:
-                if exc.reply is None or exc.reply.code != 553:
-                    raise ChunkStoreError(
-                        f"upload of {chunk_id} failed: {exc}"
-                    ) from exc
-            remote_crc = yield from ftp.checksum(session, remote)
-            if remote_crc != expected:
-                # losing half of the 553 race against a *corrupt* replica
-                # (or our own STOR raced a fault): evict and re-place
-                yield from ftp.delete(session, remote)
-                self._count("evicted_bad_replica")
-                yield from ftp.put(session, stage.path, remote)
-                uploaded += size
-                remote_crc = yield from ftp.checksum(session, remote)
-                if remote_crc != expected:
-                    raise ChunkStoreError(
-                        f"chunk {chunk_id} CRC still wrong after re-upload"
-                    )
-            return uploaded
+            sent, verified = yield from self.site.mover.put(
+                sessions, target, stage, chunk_path(chunk_id),
+                on_evict=lambda: self._count("evicted_bad_replica"),
+            )
+        except DataMoverError as exc:
+            raise ChunkStoreError(
+                f"upload of {chunk_id} failed: {exc}"
+            ) from exc
         finally:
-            if self.site.fs.exists(stage.path):
-                self.site.fs.delete(stage.path)
+            if fs.exists(stage):
+                fs.delete(stage)
+        if not verified:
+            raise ChunkStoreError(
+                f"chunk {chunk_id} CRC still wrong after re-upload"
+            )
+        return sent
 
     def upload_chunks(self, per_site: dict[str, list[tuple[str, bytes]]],
                       size: float):
-        """Upload witnesses to their target sites, one gridftp session
-        per site, cheapest-looking site first.  Generator; returns
+        """Upload witnesses to their target sites, one conversation per
+        site, cheapest-looking site first.  Generator; returns
         ``(placements, bytes_uploaded)``.  Shared by ``put_object`` and
         the repair worker."""
         order = sorted(
@@ -203,27 +175,23 @@ class ChunkStoreClient:
         )
         placements: list[tuple[str, str]] = []
         bytes_uploaded = 0.0
-        ftp = self.site.gridftp_client
+        sessions = SessionTable(self.site.mover)
         for target in order:
-            dialled = False
-
-            def upload(session, target=target):
-                nonlocal bytes_uploaded, dialled
-                dialled = True
+            try:
+                # dial before staging anything: a failed dial is no upload's
+                yield from sessions.session(target)
+            except DataMoverError as exc:
+                raise ChunkStoreError(
+                    f"connect to {target!r} failed: {exc.__cause__}"
+                ) from exc
+            try:
                 for chunk_id, witness in per_site[target]:
                     bytes_uploaded += yield from self._upload_chunk(
-                        session, chunk_id, witness, size
+                        sessions, target, chunk_id, witness, size
                     )
                     placements.append((chunk_id, target))
-
-            try:
-                yield from ftp.session(target, upload)
-            except TransferError as exc:
-                if dialled:  # an upload's own failure stays its own
-                    raise
-                raise ChunkStoreError(
-                    f"connect to {target!r} failed: {exc}"
-                ) from exc
+            finally:
+                yield from sessions.done(target)
         return placements, bytes_uploaded
 
     # -- write path ---------------------------------------------------------
@@ -320,7 +288,7 @@ class ChunkStoreClient:
                     local,
                     expected_crc=spec.crc,
                 )
-            except (DataMoverError, TransferError, ServiceError):
+            except DataMoverError:
                 failovers += 1
                 self._count("fetch_failover")
                 continue

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.gdmp.config import GdmpConfig
-from repro.gdmp.data_mover import DataMover
+from repro.gdmp.data_mover import DataMover, SessionTable
 from repro.gdmp.failover import failover_walk, ranked_sources
 from repro.gdmp.plugins import PluginRegistry
 from repro.gdmp.replica_service import BULK_ITEM_SIZE, CatalogProxy
@@ -33,7 +33,6 @@ from repro.gdmp.request_manager import (
 )
 from repro.gdmp.server import GdmpServer
 from repro.gdmp.storage_manager import StorageManager
-from repro.gridftp.client import ClientSession
 from repro.netsim.topology import Topology
 from repro.services.bus import RemoteCallError, ServiceError
 from repro.services.tracelog import TraceLog
@@ -69,8 +68,9 @@ class ReplicationReport:
 
 class _TransferSet:
     """The control-plane work one :meth:`GdmpClient.replicate_set` shares
-    across its files: per source, one GridFTP session, one staging wave
-    and one list of pins to hand back.
+    across its files: per source, one GridFTP session (the set's
+    :class:`SessionTable`), one staging wave and one list of pins to
+    hand back.
 
     Always a local of the set's own process, never state on the client
     or the mover: a set orphaned by a component crash keeps running
@@ -78,12 +78,13 @@ class _TransferSet:
     sessions and release only its own pins.
     """
 
-    def __init__(self, client: "GdmpClient"):
+    def __init__(self, client: "GdmpClient", streams: Optional[int],
+                 tcp_buffer: Optional[int]):
         self.client = client
-        #: source -> the open session with it; the mover dials into the
-        #: table for the first file from a source (and again after a
-        #: daemon restart), every later file rides what it finds
-        self.sessions: dict[str, ClientSession] = {}
+        self.sessions = SessionTable(
+            client.mover, tcp_buffer or client.config.tcp_buffer,
+            streams or client.config.parallel_streams, cache=True,
+        )
         #: lfn -> (source, leg) for every file the wave asked about; a
         #: leg is a process that *returns* {lfn: stage answer} for the
         #: files its source pinned, never raises
@@ -97,7 +98,7 @@ class _TransferSet:
     def counts(self) -> dict:
         """The set's span attributes."""
         return {
-            "sessions": len(self.sessions),
+            "sessions": len(self.sessions.open),
             "prestaged": self.prestaged,
             "restaged": self.restaged,
             "warm": self.warm,
@@ -176,7 +177,7 @@ class _TransferSet:
         moved (``member``), which keeps its pin and its session until it
         is done, and the wave's legs, whose pins are not known before
         they answer.  Then one ``release`` envelope per source for
-        every pin taken, used or not, and one ``QUIT`` per session fly —
+        every pin taken, used or not, and the table's goodbyes fly —
         none of them raises — while the deferred registrations of
         ``registered`` flush in one catalog envelope."""
         if member is not None and not member.processed:
@@ -193,13 +194,7 @@ class _TransferSet:
                 client._release(source, lfns), name=f"gdmp-release@{source}"
             )
             for source, lfns in self._pins.items()
-        ] + [
-            client.sim.spawn(
-                client.mover.ftp.close_session(session),
-                name=f"gridftp-close->{source}",
-            )
-            for source, session in self.sessions.items()
-        ]
+        ] + self.sessions.goodbyes()
         try:
             if registered:
                 yield client.catalog.add_replicas(registered, client.site)
@@ -435,10 +430,7 @@ class GdmpClient:
                     expected_crc=info.crc,
                     streams=streams,
                     tcp_buffer=tcp_buffer,
-                    sessions=(
-                        None if transfer_set is None
-                        else transfer_set.sessions
-                    ),
+                    sessions=transfer_set.sessions if transfer_set else None,
                 )
                 transfer_duration = self.sim.now - transfer_started
                 if transfer_set is not None and report.channels == "warm":
@@ -612,7 +604,7 @@ class GdmpClient:
             registered: list[str] = []
             # a local of this process, never client state: a set orphaned
             # by a component crash keeps running beside its re-run
-            transfer_set = _TransferSet(self)
+            transfer_set = _TransferSet(self, streams, tcp_buffer)
             with self._root_span(
                 "gdmp:replicate-set", count=len(lfns)
             ) as span:

@@ -9,12 +9,16 @@ The mover drives a GridFTP get with the site's negotiated buffer/stream
 settings; on a dropped data connection it resumes from the restart marker;
 after completion it compares the received CRC against the expected one
 (from the replica catalog) and re-transfers from scratch on mismatch.
+
+It is the data plane's one front to GridFTP: ``fetch``, the verified
+``put`` and the ``CKSM`` ``probe`` ride a :class:`SessionTable`, the one
+dialler.  Only the GDMP-1.2 baseline and the Fig. 5/6 testbed dial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.gridftp.client import ClientSession, GridFTPClient, TransferError
 from repro.gridftp.markers import RangeSet
@@ -23,7 +27,8 @@ from repro.storage.filesystem import FileSystem, StoredFile
 from repro.storage.integrity import mixed_content_id
 from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
-__all__ = ["DataMover", "DataMoverError", "TransferAbandoned", "MoveReport"]
+__all__ = ["DataMover", "DataMoverError", "TransferAbandoned", "MoveReport",
+           "SessionTable"]
 
 #: restarts that gained bytes before a transfer is abandoned
 MAX_RESTART_ATTEMPTS = 3
@@ -71,6 +76,57 @@ class MoveReport:
         return self.bytes_expected / self.duration if self.duration > 0 else 0.0
 
 
+class SessionTable:
+    """The GridFTP sessions one piece of work holds, by server host, all
+    negotiated alike, each dialled on first need.  A transfer set's table
+    (``cache``) asks for ``Cache=on``, counts each file that finds its
+    source's session open (``gdmp.mover.sessions_reused``), lets a fetch
+    redial a session the daemon forgot, and keeps its sessions for the
+    set's :meth:`goodbyes`.  Any other table is one conversation per
+    host, hung up in place when the work with it is :meth:`done`."""
+
+    def __init__(self, mover: "DataMover", tcp_buffer: Optional[int] = None,
+                 streams: int = 1, cache: bool = False):
+        self.mover = mover
+        self.tcp_buffer = tcp_buffer
+        self.streams = streams
+        self.cache = cache
+        #: server host -> the open session with it
+        self.open: dict[str, ClientSession] = {}
+
+    def session(self, host: str, redial: bool = False):
+        """Generator: the open session with ``host``, dialled on first need
+        or anew (``redial``); a failed dial raises :class:`DataMoverError`."""
+        if host in self.open and not redial:
+            if self.cache:
+                self.mover._count("sessions_reused")
+            return self.open[host]
+        try:
+            session = yield from self.mover.ftp.open_session(
+                host, self.tcp_buffer, self.streams, cache_channels=self.cache
+            )
+        except TransferError as exc:
+            raise DataMoverError(f"session with {host!r} failed: {exc}") from exc
+        self.open[host] = session
+        if redial:
+            self.mover._count("redials")
+        return session
+
+    def done(self, host: str):
+        """Generator: the work with ``host`` is done; say goodbye now,
+        unless the session is a set's.  Never raises."""
+        if not self.cache and host in self.open:
+            yield from self.mover.ftp.close_session(self.open.pop(host))
+
+    def goodbyes(self) -> list:
+        """A set's end: one ``QUIT`` process per session, none raising."""
+        sim, ftp = self.mover.sim, self.mover.ftp
+        return [
+            sim.spawn(ftp.close_session(session), name=f"gridftp-close->{host}")
+            for host, session in self.open.items()
+        ]
+
+
 class DataMover:
     """Reliable file movement for one site."""
 
@@ -97,29 +153,21 @@ class DataMover:
         expected_crc: Optional[int] = None,
         streams: int = 1,
         tcp_buffer: Optional[int] = None,
-        sessions: Optional[dict[str, ClientSession]] = None,
+        sessions: Optional[SessionTable] = None,
     ):
         """Generator: fetch ``remote_path`` from ``src_host`` into
         ``local_path`` with restart recovery and end-to-end CRC
         verification, inside the caller's process.  Returns a
         :class:`MoveReport`.
 
-        Without ``sessions`` the fetch is one whole conversation: dial,
-        negotiate ``tcp_buffer``/``streams``, transfer, ``QUIT``.  With
-        ``sessions`` — a transfer set's table of open sessions by source,
-        all negotiated to the same settings — it rides the table's
-        session with ``src_host``, dialling into the table when it is the
-        first to need one, and leaves it open for the next file: the
-        table's owner says the goodbyes.  A table's session is dialled
-        to keep its data channels open between files; whether a file
-        then finds them warm is the server's business alone."""
-
-        def dial():
-            return self.ftp.open_session(
-                src_host, tcp_buffer, streams, cache_channels=True
-            )
-
-        def transfer(session, started):
+        It rides ``sessions``' session with ``src_host``.  Without a
+        table it gets a one-file one negotiated to ``tcp_buffer`` /
+        ``streams``: dial, negotiate, transfer, ``QUIT``."""
+        if sessions is None:
+            sessions = SessionTable(self, tcp_buffer, streams)
+        started = self.sim.now
+        try:
+            session = yield from sessions.session(src_host)
             attempts = 0
             crc_retries = 0
             redialled = False
@@ -152,7 +200,7 @@ class DataMover:
                     except TransferError as exc:
                         marker = exc.restart_marker
                         if marker is None:
-                            if (exc.session_lost and sessions is not None
+                            if (exc.session_lost and sessions.cache
                                     and not redialled):
                                 # the source's daemon restarted under the
                                 # set's session: a 503 carries no restart
@@ -160,10 +208,9 @@ class DataMover:
                                 # source — dial again, once, and resume
                                 redialled = True
                                 attempts -= 1  # no data connection opened
-                                session = sessions[src_host] = (
-                                    yield from dial()
+                                session = yield from sessions.session(
+                                    src_host, redial=True
                                 )
-                                self._count("redials")
                                 continue
                             raise DataMoverError(str(exc)) from exc
                         before = progress.total
@@ -219,7 +266,7 @@ class DataMover:
                         attempts=attempts,
                         crc_retries=crc_retries,
                         duration=self.sim.now - started,
-                        streams=streams,
+                        streams=sessions.streams,
                         buffer=session.buffer,
                         channels=result.channels,
                     )
@@ -233,25 +280,65 @@ class DataMover:
                         f"CRC mismatch persists for {remote_path!r} "
                         f"after {crc_retries} re-transfers"
                     )
+        finally:
+            yield from sessions.done(src_host)
 
-        started = self.sim.now
+    def put(self, sessions: SessionTable, host: str, local_path: str,
+            remote_path: str, on_evict: Callable[[], None]):
+        """Generator: ``STOR`` ``local_path`` to ``host``, then trust
+        nothing: the copy there (ours, or an earlier one's that won a 553
+        race) must ``CKSM`` to the local CRC, or is evicted (``DELE``,
+        ``on_evict()``) and stored once more.  Returns ``(bytes sent,
+        verified)``; a failed command raises :class:`DataMoverError`."""
+        session = yield from sessions.session(host)
+        local = self.fs.stat(local_path)
+        sent = 0.0
         try:
-            if sessions is None:
-                return (yield from self.ftp.session(
-                    src_host,
-                    lambda session: transfer(session, started),
-                    tcp_buffer, streams,
-                ))
-            if src_host in sessions:
-                self._count("sessions_reused")
-            else:
-                sessions[src_host] = yield from dial()
-            return (yield from transfer(sessions[src_host], started))
+            try:
+                yield from self.ftp.put(session, local_path, remote_path)
+                sent = local.size
+            except TransferError as exc:
+                if exc.reply is None or exc.reply.code != 553:
+                    raise
+            remote_crc = yield from self.ftp.checksum(session, remote_path)
+            if remote_crc != local.crc:
+                yield from self.ftp.delete(session, remote_path)
+                on_evict()
+                yield from self.ftp.put(session, local_path, remote_path)
+                sent += local.size
+                remote_crc = yield from self.ftp.checksum(session, remote_path)
         except TransferError as exc:
-            # transfer() raises DataMoverError only: this is a dial's
-            raise DataMoverError(
-                f"session with {src_host!r} failed: {exc}"
-            ) from exc
+            raise DataMoverError(str(exc)) from exc
+        return sent, remote_crc == local.crc
+
+    def probe(self, host: str, checks: list[tuple[str, int]]):
+        """Generator: ``ok``, ``corrupt``, ``missing`` or ``unreachable``
+        for each ``(path, crc)`` of ``checks`` at ``host``, by ``CKSM``
+        (this site's own files: from its filesystem)."""
+        if host == self.site:
+            return [
+                "missing" if not self.fs.exists(path)
+                else "ok" if self.fs.stat(path).crc == crc else "corrupt"
+                for path, crc in checks
+            ]
+        sessions = SessionTable(self)
+        try:
+            session = yield from sessions.session(host)
+        except DataMoverError:
+            return ["unreachable"] * len(checks)
+        outcomes = []
+        try:
+            for path, crc in checks:
+                try:
+                    remote = yield from self.ftp.checksum(session, path)
+                except TransferError as exc:
+                    code = exc.reply.code if exc.reply else None
+                    outcomes.append("missing" if code == 550 else "unreachable")
+                else:
+                    outcomes.append("ok" if remote == crc else "corrupt")
+        finally:
+            yield from sessions.done(host)
+        return outcomes
 
     def _count(self, event: str, amount: float = 1.0) -> None:
         self.metrics.counter(f"gdmp.mover.{event}", site=self.site).inc(amount)

@@ -254,16 +254,14 @@ class GridFTPClient:
     def close_session(self, session: ClientSession):
         """QUIT.  Never raises: a dead server cannot answer, and the
         goodbye must not mask the failure being propagated (nor crash a
-        caller that does not wait for it) — the error is returned
-        instead, ``None`` for a clean goodbye."""
+        caller that does not wait for it) — one that is not heard is
+        said again at the next dial."""
         try:
             yield from self.quit(session)
-        except (TransferError, ServiceError) as exc:
+        except (TransferError, ServiceError):
             self._unclosed.setdefault(session.server_host, []).append(
                 session.session_id
             )
-            return exc
-        return None
 
     def _hang_up_unclosed(self, server_host: str):
         """``QUIT`` the sessions at ``server_host`` this client walked

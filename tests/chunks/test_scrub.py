@@ -76,6 +76,43 @@ def test_corruption_is_detected_and_repaired_in_place(grid, runtime):
     assert grid.metrics.value("chunks.repair", event="objects") == 1
 
 
+def _lose_first_cksm_after_a_stor(ftpd):
+    """Swallow the first final ``CKSM`` answer ``ftpd`` sends after it
+    has answered a ``STOR``: the client's control channel times out in
+    the middle of a verified upload.  Returns the list it is recorded in."""
+    bus = ftpd.bus
+    original, stored, lost = bus._respond, [], []
+
+    def respond(request, ok, payload, final=True):
+        if final and request.operation == "STOR":
+            stored.append(payload)
+        elif final and request.operation == "CKSM" and stored and not lost:
+            lost.append(payload)
+            return bus.sim.event()      # a delivery that never happens
+        return original(request, ok, payload, final)
+
+    bus._respond = respond
+    return lost
+
+
+def test_repair_whose_verify_loses_its_control_channel_is_retried(grid, runtime):
+    """A command after the repair's ``STOR`` that fails fails the repair
+    task retryably; it must not crash the repairer (and the simulation)."""
+    _put(grid, runtime, "obj")
+    # the repairer's client gives up on a command after 30 s of silence
+    grid.site("hub").gridftp_client.bus.default_timeout = 30.0
+    spec, holder = _chunk_holder(runtime, "obj")
+    grid.site(holder).fs.corrupt(spec.path)
+    lost = _lose_first_cksm_after_a_stor(grid.site(holder).gridftp_server)
+    _scrub(grid, runtime)
+    assert len(lost) == 1
+    queue = runtime.queue_service.queue
+    assert queue.terminal()
+    assert queue.counts()["dead"] == 0
+    assert grid.site(holder).fs.stat(spec.path).crc == spec.crc
+    assert grid.metrics.value("chunks.repair", event="chunks_rebuilt") == 1
+
+
 def test_wiped_site_is_reconstructed_from_survivors(grid, runtime):
     _put(grid, runtime, "obj-a")
     _put(grid, runtime, "obj-b")

@@ -5,8 +5,9 @@ its routed reads (an 8-site RLS grid answering ``catalog.info``), every
 process that its spawner waits on at its very next ``yield`` must be a
 command — a call its caller may hold — or a leg that, in general, has
 others in flight beside it.  A GridFTP command, a mover fetch, a
-stage-in, a failover attempt or a bus call made beneath a catalog or
-router command spawned only to be waited on shows up here by name.
+session table's dial or hang-up, a stage-in, a failover attempt or a
+bus call made beneath a catalog or router command spawned only to be
+waited on shows up here by name.
 """
 
 import sys
@@ -35,12 +36,16 @@ COMMANDS = {
 LEGS = {
     "GdmpServer._op_request_stage",     # one per file staged at a source
     "RlsCatalogProxy._wave",            # one per site asked
-    "_TransferSet.close",               # one goodbye per source
+    "_TransferSet.close",               # one release per source
+    "SessionTable.goodbyes",            # one QUIT per session of a set
 }
 #: nothing beneath these is ever a process its caller only waits on
 BENEATH_A_COMMAND = (
     "GridFTPClient.",
-    "DataMover.fetch",
+    "DataMover.",
+    "SessionTable.session",             # the data plane's one dial ...
+    "SessionTable.redial",
+    "SessionTable.done",                # ... and its one hang-up in place
     "StorageManager.ensure_on_disk",
     "failover_walk",
     "RlsCatalogProxy._ask_index",
