@@ -9,21 +9,27 @@ is a child of ``"rc=gdmp,o=grid"``.  DNs are normalized once at insert
 (whitespace around components and around the ``=`` is insignificant), so
 ``"lf=x, cn=c,o=grid"`` and ``"lf=x,cn=c, o=grid"`` address the same entry.
 
-Scaling architecture (the production-catalog fast path):
+Storage is columns, not one object per entry (DESIGN.md, "Catalog: rows,
+columns, postings and views"):
 
-* every attribute is equality-indexed — ``_index[attr][value]`` is an
-  insertion-ordered set of DNs, maintained incrementally by ``add`` /
-  ``modify_*`` / ``delete``;
-* the DN tree is materialized as a child map (``_children``), so subtree
-  walks and child listings are proportional to the subtree, not to the
-  whole directory;
+* an entry is a *row*: its DN, its parent's row, and an interned *shape*
+  — the tuple of its attribute names in the order they were added;
+  child rows are kept only for rows that have children;
+* each attribute is one value column indexed by row: a bare value when
+  the entry holds exactly one, a list otherwise;
+* every attribute is equality-indexed — ``attr → value → rows`` — where
+  the rows are a bare row id until a second row holds the value, then a
+  tuple, and past ``_TUPLE_POSTING_MAX`` rows a set;
 * filters are parsed once into an AST and cached per directory (keyed by
-  filter text); ``search`` plans each query by intersecting index hits for
-  equality/AND/OR shapes and falls back to a scope scan otherwise.
+  filter text); ``search`` plans each query from the postings for
+  equality/AND/OR shapes, falls back to a scope scan otherwise, and
+  matches candidates against column reads.
 
-Indexed search returns exactly the entries the naive scan would, in the
-same (DN-sorted) order; :meth:`LdapDirectory.search_naive` retains the
-original full-scan implementation as the differential-testing reference.
+:class:`Entry` is a snapshot view, built only for the entries a call
+returns: changing one changes nothing in the directory.  Indexed search
+returns exactly the entries the naive scan would, in the same (DN-sorted)
+order; :meth:`LdapDirectory.search_naive` retains the full-scan
+implementation over views as the differential-testing reference.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import fnmatch
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 __all__ = [
     "LdapError",
@@ -91,7 +97,9 @@ def parent_dn(dn: str) -> Optional[str]:
 
 @dataclass
 class Entry:
-    """One directory entry: a DN plus multi-valued attributes."""
+    """A snapshot of one directory entry: a DN plus multi-valued
+    attributes.  The directory builds one per entry it returns; changing
+    it changes nothing stored."""
 
     dn: str
     attributes: dict[str, list[str]] = field(default_factory=dict)
@@ -111,15 +119,18 @@ class Entry:
 # substring (*), >= and <=.  Comparisons are numeric when both operands
 # parse as floats, else lexicographic.
 #
-# The parser builds an AST; the AST doubles as the matcher (every node has
-# ``matches``) and as the input to the directory's index planner.
+# The parser builds an AST; the AST doubles as the matcher and as the
+# input to the directory's index planner.  A node's ``matches(read)``
+# takes ``read(attr)``: the attribute's values, or None when it is absent
+# — an entry's ``attributes.get`` or a directory row's column read.
 # --------------------------------------------------------------------------
 
 Matcher = Callable[[Entry], bool]
+Reader = Callable[[str], Optional[Collection[str]]]
 
 
-def _compare(entry: Entry, attr: str, op: str, literal: str) -> bool:
-    for value in entry.attributes.get(attr, []):
+def _compare(values: Iterable[str], op: str, literal: str) -> bool:
+    for value in values:
         try:
             lhs: object = float(value)
             rhs: object = float(literal)
@@ -136,24 +147,24 @@ def _compare(entry: Entry, attr: str, op: str, literal: str) -> bool:
 class AndFilter:
     children: tuple
 
-    def matches(self, entry: Entry) -> bool:
-        return all(child.matches(entry) for child in self.children)
+    def matches(self, read: Reader) -> bool:
+        return all(child.matches(read) for child in self.children)
 
 
 @dataclass(frozen=True)
 class OrFilter:
     children: tuple
 
-    def matches(self, entry: Entry) -> bool:
-        return any(child.matches(entry) for child in self.children)
+    def matches(self, read: Reader) -> bool:
+        return any(child.matches(read) for child in self.children)
 
 
 @dataclass(frozen=True)
 class NotFilter:
     child: object
 
-    def matches(self, entry: Entry) -> bool:
-        return not self.child.matches(entry)
+    def matches(self, read: Reader) -> bool:
+        return not self.child.matches(read)
 
 
 @dataclass(frozen=True)
@@ -161,16 +172,16 @@ class EqFilter:
     attr: str
     literal: str
 
-    def matches(self, entry: Entry) -> bool:
-        return self.literal in entry.attributes.get(self.attr, [])
+    def matches(self, read: Reader) -> bool:
+        return self.literal in (read(self.attr) or ())
 
 
 @dataclass(frozen=True)
 class PresentFilter:
     attr: str
 
-    def matches(self, entry: Entry) -> bool:
-        return bool(entry.attributes.get(self.attr))
+    def matches(self, read: Reader) -> bool:
+        return bool(read(self.attr))
 
 
 @dataclass(frozen=True)
@@ -178,10 +189,9 @@ class SubstringFilter:
     attr: str
     pattern: str
 
-    def matches(self, entry: Entry) -> bool:
+    def matches(self, read: Reader) -> bool:
         return any(
-            fnmatch.fnmatchcase(v, self.pattern)
-            for v in entry.attributes.get(self.attr, [])
+            fnmatch.fnmatchcase(v, self.pattern) for v in read(self.attr) or ()
         )
 
 
@@ -191,8 +201,8 @@ class CompareFilter:
     op: str
     literal: str
 
-    def matches(self, entry: Entry) -> bool:
-        return _compare(entry, self.attr, self.op, self.literal)
+    def matches(self, read: Reader) -> bool:
+        return _compare(read(self.attr) or (), self.op, self.literal)
 
 
 @dataclass(frozen=True)
@@ -203,7 +213,7 @@ class CompiledFilter:
     ast: object
 
     def __call__(self, entry: Entry) -> bool:
-        return self.ast.matches(entry)
+        return self.ast.matches(entry.attributes.get)
 
 
 class _FilterParser:
@@ -290,23 +300,73 @@ def parse_filter(text: str) -> Matcher:
 # The directory itself.
 # --------------------------------------------------------------------------
 
+#: a posting of up to this many rows is a tuple, which holds only ints and
+#: so drops out of the cyclic collector's view; a larger one is a set
+_TUPLE_POSTING_MAX = 8
+
+
+def _packed(rows: Collection[int]):
+    """The stored form of a non-empty posting: its one row, or a tuple /
+    set of rows."""
+    if len(rows) == 1:
+        return next(iter(rows))
+    if len(rows) <= _TUPLE_POSTING_MAX:
+        return tuple(rows)
+    return rows if type(rows) is set else set(rows)
+
+
+def _holds(posting, row: int) -> bool:
+    """Whether a stored posting (None, a row, a tuple or a set) has ``row``."""
+    if posting is None:
+        return False
+    if type(posting) is int:
+        return posting == row
+    return row in posting
+
+
+def _post(by_value: dict, value: str, row: int) -> bool:
+    """Post ``row`` under ``value``; False when it already was."""
+    held = by_value.get(value)
+    if held is None:
+        by_value[value] = row
+    elif _holds(held, row):
+        return False
+    elif type(held) is set:
+        held.add(row)
+    else:
+        by_value[value] = _packed((held, row) if type(held) is int else held + (row,))
+    return True
+
+
+def _as_list(value) -> list:
+    """A column cell as a fresh list of values."""
+    return list(value) if type(value) is list else [value]
+
 
 class LdapDirectory:
-    """A flat-stored, hierarchically-addressed entry store with
-    attribute-equality indexes and an incrementally-maintained DN tree."""
+    """A hierarchically-addressed entry store held as rows and columns,
+    with attribute-equality postings and a DN tree."""
 
     #: parsed-filter cache bound (per directory); far above any workload's
     #: distinct-filter count, but keeps a pathological caller bounded.
     FILTER_CACHE_MAX = 4096
 
     def __init__(self) -> None:
-        self._entries: dict[str, Entry] = {}
-        #: normalized DN -> insertion-ordered set of child DNs
-        self._children: dict[str, dict[str, None]] = {}
-        #: normalized DN -> normalized parent DN (None at the top level)
-        self._parent: dict[str, Optional[str]] = {}
-        #: attr -> value -> insertion-ordered set of DNs holding that value
-        self._index: dict[str, dict[str, dict[str, None]]] = {}
+        #: row -> DN (None for a free row) and DN -> row
+        self._dns: list[Optional[str]] = []
+        self._rows: dict[str, int] = {}
+        #: row -> parent row (-1 at the top level)
+        self._parents: list[int] = []
+        #: row -> child rows, for rows that have children only
+        self._kids: dict[int, set[int]] = {}
+        #: row -> interned tuple of attribute names, in the order added
+        self._shapes: list[tuple] = []
+        self._shape_pool: dict[tuple, tuple] = {}
+        #: attr -> row -> a bare value, or a list of 0 or 2+ values
+        self._columns: dict[str, list] = {}
+        #: attr -> value -> a bare row, or a tuple / set of rows
+        self._postings: dict[str, dict[str, object]] = {}
+        self._free: list[int] = []
         self._filter_cache: dict[str, CompiledFilter] = {}
         self.operations = 0  # directory calls served (search, get, add, ...)
         #: observable search-machinery counters (see DESIGN.md "Catalog")
@@ -318,7 +378,11 @@ class LdapDirectory:
         }
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
+
+    def dns(self) -> list[str]:
+        """Every DN in the directory, sorted."""
+        return sorted(self._rows)
 
     # -- filter cache ----------------------------------------------------------
     def compiled_filter(self, filter_text: str) -> CompiledFilter:
@@ -338,88 +402,146 @@ class LdapDirectory:
         self._filter_cache[filter_text] = compiled
         return compiled
 
-    # -- index maintenance -----------------------------------------------------
-    def _post(self, dn: str, attr: str, value: str) -> None:
-        self._index.setdefault(attr, {}).setdefault(value, {})[dn] = None
+    # -- rows, columns and postings ----------------------------------------------
+    def _row(self, dn: str) -> int:
+        """The row of ``dn`` (any spelling); raises LdapError when missing."""
+        row = self._rows.get(normalize_dn(dn))
+        if row is None:
+            raise LdapError(f"no such entry: {dn!r}")
+        return row
 
-    def _unpost(self, dn: str, attr: str, value: str) -> None:
-        by_value = self._index.get(attr)
+    def _shape(self, names: tuple) -> tuple:
+        return self._shape_pool.setdefault(names, names)
+
+    def _store(self, row: int, attr: str, values: list) -> None:
+        column = self._columns.get(attr)
+        if column is None:
+            column = self._columns[attr] = []
+        cell = values[0] if len(values) == 1 else values
+        if row < len(column):
+            column[row] = cell
+        else:
+            column.extend([None] * (row - len(column)))
+            column.append(cell)
+
+    def _read(self, row: int, attr: str) -> Optional[Collection[str]]:
+        """The values of one cell, or None when the row lacks ``attr``."""
+        column = self._columns.get(attr)
+        if column is None or row >= len(column):
+            return None
+        value = column[row]
+        if value is None or type(value) is list:
+            return value
+        return (value,)
+
+    def _reader(self, row: int) -> Reader:
+        read = self._read
+        return lambda attr: read(row, attr)
+
+    def _view(self, row: int, attributes: Optional[Collection[str]] = None) -> Entry:
+        """A snapshot of ``row``, optionally of only ``attributes``."""
+        columns = self._columns
+        return Entry(
+            self._dns[row],
+            {
+                attr: _as_list(columns[attr][row])
+                for attr in self._shapes[row]
+                if attributes is None or attr in attributes
+            },
+        )
+
+    def _by_value(self, attr: str) -> dict:
+        by_value = self._postings.get(attr)
         if by_value is None:
+            by_value = self._postings[attr] = {}
+        return by_value
+
+    def _unpost(self, attr: str, value: str, row: int) -> None:
+        by_value = self._postings.get(attr)
+        held = by_value.get(value) if by_value is not None else None
+        if not _holds(held, row):
             return
-        postings = by_value.get(value)
-        if postings is None:
-            return
-        postings.pop(dn, None)
-        if not postings:
+        if type(held) is int:
             del by_value[value]
             if not by_value:
-                del self._index[attr]
-
-    def _index_entry(self, entry: Entry) -> None:
-        for attr, values in entry.attributes.items():
-            for value in values:
-                self._post(entry.dn, attr, value)
-
-    def _unindex_entry(self, entry: Entry) -> None:
-        for attr, values in entry.attributes.items():
-            for value in values:
-                self._unpost(entry.dn, attr, value)
+                del self._postings[attr]
+        elif type(held) is set:
+            held.discard(row)
+            by_value[value] = _packed(held)
+        else:
+            by_value[value] = _packed(tuple(r for r in held if r != row))
 
     # -- basic operations -------------------------------------------------------
     def exists(self, dn: str) -> bool:
         """Whether an entry with this DN exists (False for malformed DNs)."""
         try:
-            return normalize_dn(dn) in self._entries
+            return normalize_dn(dn) in self._rows
         except LdapError:
             return False
 
-    def _insert(self, dn: str, attributes: dict[str, Iterable[str]]) -> Entry:
-        """Shared add path: DN already normalized, parent already checked."""
-        entry = Entry(dn=dn, attributes={k: list(v) for k, v in attributes.items()})
-        parent = parent_dn(dn)
-        self._entries[dn] = entry
-        self._parent[dn] = parent
-        self._children[dn] = {}
-        if parent is not None:
-            self._children[parent][dn] = None
-        self._index_entry(entry)
-        return entry
+    def _insert(self, dn: str, parent: Optional[str], attributes: dict) -> None:
+        """Shared add path: DN normalized, parent already checked."""
+        parent_row = -1 if parent is None else self._rows[parent]
+        if self._free:
+            row = self._free.pop()
+            self._dns[row] = dn
+            self._parents[row] = parent_row
+        else:
+            row = len(self._dns)
+            self._dns.append(dn)
+            self._parents.append(parent_row)
+            self._shapes.append(())
+        self._rows[dn] = row
+        if parent_row >= 0:
+            kids = self._kids.get(parent_row)
+            if kids is None:
+                kids = self._kids[parent_row] = set()
+            kids.add(row)
+        for attr, values in attributes.items():
+            values = list(values)
+            self._store(row, attr, values)
+            by_value = self._by_value(attr)
+            for value in values:
+                # the common case, a value no row holds yet, posts the row
+                if by_value.setdefault(value, row) is not row:
+                    _post(by_value, value, row)
+        self._shapes[row] = self._shape(tuple(attributes))
 
-    def add(self, dn: str, attributes: dict[str, Iterable[str]]) -> Entry:
+    def add(self, dn: str, attributes: dict[str, Iterable[str]]) -> None:
         """Add an entry; its parent must already exist."""
-        return self.add_many([(dn, attributes)])[0]
+        self.add_many([(dn, attributes)])
 
-    def add_many(self, items: Iterable[tuple[str, dict]]) -> list[Entry]:
+    def add_many(self, items: Iterable[tuple[str, dict]]) -> None:
         """Add a batch of entries in one operation.
 
         Parents may be earlier members of the same batch.  Validation runs
         before any mutation, so a bad batch leaves the directory unchanged.
         """
         self.operations += 1
-        batch: list[tuple[str, dict]] = []
+        batch: list[tuple[str, Optional[str], dict]] = []
         incoming: set[str] = set()
         for dn, attributes in items:
-            dn = normalize_dn(dn)
-            if dn in self._entries or dn in incoming:
+            parts = split_dn(dn)  # one parse gives the DN and its parent
+            dn = ",".join(parts)
+            if dn in self._rows or dn in incoming:
                 raise LdapError(f"entry exists: {dn!r}")
-            parent = parent_dn(dn)
+            parent = ",".join(parts[1:]) if len(parts) > 1 else None
             if (
                 parent is not None
-                and parent not in self._entries
+                and parent not in self._rows
                 and parent not in incoming
             ):
                 raise LdapError(f"parent {parent!r} of {dn!r} does not exist")
             incoming.add(dn)
-            batch.append((dn, attributes))
-        return [self._insert(dn, attributes) for dn, attributes in batch]
+            batch.append((dn, parent, attributes))
+        for dn, parent, attributes in batch:
+            self._insert(dn, parent, attributes)
 
-    def get(self, dn: str) -> Entry:
-        """Fetch an entry by DN; raises LdapError when missing."""
+    def get(self, dn: str, attributes: Optional[Collection[str]] = None) -> Entry:
+        """A view of one entry (of only ``attributes`` when given);
+        raises LdapError when missing."""
         self.operations += 1
-        try:
-            return self._entries[normalize_dn(dn)]
-        except KeyError:
-            raise LdapError(f"no such entry: {dn!r}") from None
+        return self._view(self._row(dn), attributes)
 
     def delete(self, dn: str) -> None:
         """Delete a leaf entry; entries with children are protected."""
@@ -428,36 +550,53 @@ class LdapDirectory:
     def delete_many(self, dns: Iterable[str]) -> None:
         """Delete a batch of leaf entries in one operation.
 
-        Members are deleted in order, so a subtree may be removed
-        leaves-first within a single batch.
+        A subtree may be removed leaves-first within a single batch.
+        Validation runs before any mutation, so a bad batch (a missing
+        DN, one named twice, a parent named before its children) leaves
+        the directory unchanged.
         """
         self.operations += 1
+        going: dict[int, None] = {}
         for dn in dns:
             dn = normalize_dn(dn)
-            entry = self._entries.get(dn)
-            if entry is None:
+            row = self._rows.get(dn)
+            if row is None or row in going:
                 raise LdapError(f"no such entry: {dn!r}")
-            if self._children[dn]:
+            if any(kid not in going for kid in self._kids.get(row, ())):
                 raise LdapError(f"entry {dn!r} has children")
-            self._unindex_entry(entry)
-            parent = self._parent.pop(dn)
-            if parent is not None:
-                self._children[parent].pop(dn, None)
-            del self._children[dn]
-            del self._entries[dn]
+            going[row] = None
+        for row in going:
+            self._remove(row)
+
+    def _remove(self, row: int) -> None:
+        for attr in self._shapes[row]:
+            column = self._columns[attr]
+            for value in _as_list(column[row]):
+                self._unpost(attr, value, row)
+            column[row] = None
+        parent_row = self._parents[row]
+        if parent_row >= 0:
+            kids = self._kids[parent_row]
+            kids.discard(row)
+            if not kids:
+                del self._kids[parent_row]
+        del self._rows[self._dns[row]]
+        self._dns[row] = None
+        self._shapes[row] = ()
+        self._free.append(row)
 
     def has_value(self, dn: str, attr: str, value: str) -> bool:
         """Index-backed membership test: does the entry hold ``attr=value``?
 
-        O(1) against the equality index — the scalable replacement for
+        O(1) against the equality postings — the scalable replacement for
         copying a million-element attribute list just to run ``in``.
         """
         self.operations += 1
         dn = normalize_dn(dn)
-        if dn not in self._entries:
+        row = self._rows.get(dn)
+        if row is None:
             raise LdapError(f"no such entry: {dn!r}")
-        postings = self._index.get(attr, {}).get(value)
-        return postings is not None and dn in postings
+        return _holds(self._postings.get(attr, {}).get(value), row)
 
     def modify_add(self, dn: str, attr: str, value: str) -> None:
         """Add a value to a (possibly new) attribute; idempotent."""
@@ -465,66 +604,86 @@ class LdapDirectory:
 
     def modify_add_many(self, dn: str, attr: str, values: Iterable[str]) -> None:
         """Add many values to one attribute in one operation; idempotent."""
-        entry = self.get(dn)
-        existing = entry.attributes.setdefault(attr, [])
-        by_value = self._index.setdefault(attr, {})
+        self.operations += 1
+        row = self._row(dn)
+        shape = self._shapes[row]
+        if attr in shape:
+            existing = self._columns[attr][row]
+            if type(existing) is not list:
+                existing = [existing]
+        else:
+            existing = []
+            self._shapes[row] = self._shape(shape + (attr,))
+        by_value = self._by_value(attr)
         for value in values:
-            postings = by_value.get(value)
-            if postings is not None and entry.dn in postings:
-                continue  # already present (index-backed O(1) membership)
-            existing.append(value)
-            by_value.setdefault(value, {})[entry.dn] = None
+            # the posting answers "already present?" in O(1)
+            if _post(by_value, value, row):
+                existing.append(value)
+        self._store(row, attr, existing)
 
     def modify_delete(self, dn: str, attr: str, value: Optional[str] = None) -> None:
         """Remove one value (or, with value=None, the whole attribute)."""
-        entry = self.get(dn)
-        if attr not in entry.attributes:
+        self.operations += 1
+        row = self._row(dn)
+        shape = self._shapes[row]
+        if attr not in shape:
             raise LdapError(f"{dn!r} has no attribute {attr!r}")
-        if value is None:
-            for old in entry.attributes[attr]:
-                self._unpost(entry.dn, attr, old)
-            del entry.attributes[attr]
-            return
-        try:
-            entry.attributes[attr].remove(value)
-        except ValueError:
-            raise LdapError(f"{dn!r}: {attr}={value!r} not present") from None
-        self._unpost(entry.dn, attr, value)
-        if not entry.attributes[attr]:
-            del entry.attributes[attr]
+        column = self._columns[attr]
+        values = _as_list(column[row])
+        if value is not None:
+            try:
+                values.remove(value)
+            except ValueError:
+                raise LdapError(f"{dn!r}: {attr}={value!r} not present") from None
+            if value not in values:  # the last copy of a repeated value
+                self._unpost(attr, value, row)
+            if values:
+                self._store(row, attr, values)
+                return
+        else:
+            for old in values:
+                self._unpost(attr, old, row)
+        column[row] = None
+        self._shapes[row] = self._shape(tuple(a for a in shape if a != attr))
 
     def children(self, dn: str) -> list[Entry]:
-        """Direct children of a DN, sorted by DN."""
+        """Views of the direct children of a DN, sorted by DN."""
         self.operations += 1
-        dn = normalize_dn(dn)
-        child_dns = self._children.get(dn)
-        if child_dns is None:
+        row = self._rows.get(normalize_dn(dn))
+        if row is None:
             return []
-        return sorted(
-            (self._entries[child] for child in child_dns), key=lambda e: e.dn
-        )
+        return self._views(self._kids.get(row, ()))
+
+    def _views(
+        self, rows: Iterable[int], attributes: Optional[Collection[str]] = None
+    ) -> list[Entry]:
+        """Views of ``rows``, sorted by DN."""
+        return [
+            self._view(row, attributes)
+            for row in sorted(rows, key=self._dns.__getitem__)
+        ]
 
     # -- search ----------------------------------------------------------------
-    def _subtree_dns(self, base: str) -> list[str]:
-        """Base plus every descendant DN (tree walk, not a full scan)."""
+    def _subtree_rows(self, base: int) -> list[int]:
+        """Base plus every descendant row (tree walk, not a full scan)."""
         result = []
         stack = [base]
         while stack:
-            dn = stack.pop()
-            result.append(dn)
-            stack.extend(self._children[dn])
+            row = stack.pop()
+            result.append(row)
+            stack.extend(self._kids.get(row, ()))
         return result
 
-    def _in_scope(self, dn: str, base: str, scope: str) -> bool:
+    def _in_scope(self, row: int, base: int, base_dn: str, scope: str) -> bool:
         if scope == "base":
-            return dn == base
+            return row == base
         if scope == "one":
-            return self._parent.get(dn) == base
-        return dn == base or dn.endswith("," + base)
+            return self._parents[row] == base
+        return row == base or self._dns[row].endswith("," + base_dn)
 
     def _plan_candidates(self, node):
-        """A candidate DN collection the equality indexes narrow ``node``
-        to, or None when the filter shape cannot be planned (presence,
+        """Candidate rows the equality postings narrow ``node`` to, or
+        None when the filter shape cannot be planned (presence,
         substring, ranges, negation) and a scope scan is required.
 
         Correctness does not depend on tightness: the full matcher is
@@ -533,11 +692,13 @@ class LdapDirectory:
         plannable conjunct — membership in the remaining conjuncts is
         exactly what the matcher re-checks — which keeps a selective
         equality inside a broad conjunction O(selective hits) with no
-        posting-set copies.  Returns a dict view or set; never mutated.
+        posting copies.  Returns a tuple or set; never mutated.
         """
         if isinstance(node, EqFilter):
-            postings = self._index.get(node.attr, {}).get(node.literal)
-            return postings if postings is not None else ()
+            held = self._postings.get(node.attr, {}).get(node.literal)
+            if held is None:
+                return ()
+            return (held,) if type(held) is int else held
         if isinstance(node, AndFilter):
             best = None
             for child in node.children:
@@ -548,7 +709,7 @@ class LdapDirectory:
                     best = candidates
             return best
         if isinstance(node, OrFilter):
-            union: set[str] = set()
+            union: set[int] = set()
             for child in node.children:
                 candidates = self._plan_candidates(child)
                 if candidates is None:
@@ -562,20 +723,25 @@ class LdapDirectory:
         base: str,
         filter_text: str = "(objectClass=*)",
         scope: str = "subtree",
+        attributes: Optional[Collection[str]] = None,
     ) -> list[Entry]:
         """Search ``base`` with an RFC 4515 filter.
 
         ``scope``: ``"base"`` (the entry itself), ``"one"`` (direct
         children), or ``"subtree"`` (base and all descendants).
+        ``attributes``, as in an LDAP search request, names the
+        attributes the returned views carry (all when None); the filter
+        sees every attribute either way.
 
         Equality and AND/OR-of-equality filters are served from the
-        attribute indexes; other shapes scan the scope (which is itself a
-        tree walk, not a whole-directory scan).  Results are identical to
-        :meth:`search_naive` — same entries, same DN-sorted order.
+        attribute postings; other shapes scan the scope (which is itself
+        a tree walk, not a whole-directory scan).  Results are identical
+        to :meth:`search_naive` — same entries, same DN-sorted order.
         """
         self.operations += 1
         base = normalize_dn(base)
-        if base not in self._entries:
+        base_row = self._rows.get(base)
+        if base_row is None:
             raise LdapError(f"search base {base!r} does not exist")
         if scope not in ("base", "one", "subtree"):
             raise ValueError(f"unknown scope {scope!r}")
@@ -583,22 +749,23 @@ class LdapDirectory:
         planned = self._plan_candidates(compiled.ast)
         if planned is not None:
             self.stats["index_searches"] += 1
-            matched = [
-                self._entries[dn]
-                for dn in planned
-                if self._in_scope(dn, base, scope)
-                and compiled(self._entries[dn])
+            candidates = [
+                row for row in planned
+                if self._in_scope(row, base_row, base, scope)
             ]
         else:
             self.stats["scan_searches"] += 1
             if scope == "base":
-                candidates = [self._entries[base]]
+                candidates = [base_row]
             elif scope == "one":
-                candidates = [self._entries[dn] for dn in self._children[base]]
+                candidates = list(self._kids.get(base_row, ()))
             else:
-                candidates = [self._entries[dn] for dn in self._subtree_dns(base)]
-            matched = [e for e in candidates if compiled(e)]
-        return sorted(matched, key=lambda e: e.dn)
+                candidates = self._subtree_rows(base_row)
+        matches = compiled.ast.matches
+        return self._views(
+            (row for row in candidates if matches(self._reader(row))),
+            attributes,
+        )
 
     def search_naive(
         self,
@@ -606,26 +773,28 @@ class LdapDirectory:
         filter_text: str = "(objectClass=*)",
         scope: str = "subtree",
     ) -> list[Entry]:
-        """The original unindexed search, retained as the reference
-        implementation: re-parses the filter and scans every entry.
-        Differential tests (and the catalog_scale bench baseline) compare
-        :meth:`search` against this, entry-for-entry and order-for-order.
+        """The unindexed search, retained as the reference
+        implementation: re-parses the filter, builds a view of every
+        entry and matches the views.  Differential tests (and the
+        catalog_scale bench baseline) compare :meth:`search` against
+        this, entry-for-entry and order-for-order.
         """
         base = normalize_dn(base)
-        if base not in self._entries:
+        if base not in self._rows:
             raise LdapError(f"search base {base!r} does not exist")
-        matcher = compile_filter(filter_text)  # deliberately uncached
-        if scope == "base":
-            candidates = [self._entries[base]]
-        elif scope == "one":
-            candidates = [
-                e for d, e in self._entries.items() if self._parent.get(d) == base
-            ]
-        elif scope == "subtree":
-            suffix = "," + base
-            candidates = [
-                e for d, e in self._entries.items() if d == base or d.endswith(suffix)
-            ]
-        else:
+        if scope not in ("base", "one", "subtree"):
             raise ValueError(f"unknown scope {scope!r}")
-        return sorted((e for e in candidates if matcher(e)), key=lambda e: e.dn)
+        matcher = compile_filter(filter_text)  # deliberately uncached
+
+        def in_scope(dn: str) -> bool:
+            if scope == "base":
+                return dn == base
+            if scope == "one":
+                return parent_dn(dn) == base
+            return dn == base or dn.endswith("," + base)
+
+        views = (self._view(row) for row in self._rows.values())
+        return sorted(
+            (e for e in views if in_scope(e.dn) and matcher(e)),
+            key=lambda e: e.dn,
+        )

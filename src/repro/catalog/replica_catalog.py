@@ -24,6 +24,7 @@ the service layer's batched RPCs sit on.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 from repro.catalog.ldapsim import LdapDirectory, LdapError
@@ -37,8 +38,11 @@ class CatalogError(Exception):
     """Replica catalog operation failure."""
 
 
+_RESERVED = re.compile(r"[,=()]").search
+
+
 def _escape(value: str) -> str:
-    if any(ch in value for ch in ",=()"):
+    if _RESERVED(value):
         raise CatalogError(f"name may not contain ',=()' characters: {value!r}")
     return value
 
@@ -104,7 +108,9 @@ class ReplicaCatalog:
     def collection_filenames(self, collection: str) -> list[str]:
         """All logical file names registered in the collection."""
         self._require_collection(collection)
-        return self.directory.get(self.collection_dn(collection)).values("filename")
+        return self.directory.get(
+            self.collection_dn(collection), ("filename",)
+        ).values("filename")
 
     def collection_contains(self, collection: str, lfn: str) -> bool:
         """Index-backed membership: is ``lfn`` registered in the collection?
@@ -187,9 +193,9 @@ class ReplicaCatalog:
     def location_filenames(self, collection: str, location: str) -> list[str]:
         """Logical file names the location holds replicas of."""
         try:
-            return self.directory.get(self.location_dn(collection, location)).values(
-                "filename"
-            )
+            return self.directory.get(
+                self.location_dn(collection, location), ("filename",)
+            ).values("filename")
         except LdapError as exc:
             raise CatalogError(str(exc)) from exc
 
@@ -255,7 +261,8 @@ class ReplicaCatalog:
         self._require_collection(collection)
         composed = f"(&(objectClass=GlobusReplicaLogicalFile){filter_text})"
         entries = self.directory.search(
-            self.collection_dn(collection), composed, scope="one"
+            self.collection_dn(collection), composed, scope="one",
+            attributes=("lfn",),
         )
         return [e.first("lfn", "") for e in entries]
 
@@ -283,6 +290,7 @@ class ReplicaCatalog:
             self.collection_dn(collection),
             "(objectClass=GlobusReplicaLocation)",
             scope="one",
+            attributes=("hostname", "urlPrefix"),
         ):
             location = entry.dn.split(",", 1)[0].split("=", 1)[1]
             hostname = entry.first("hostname", "")

@@ -76,7 +76,7 @@ def test_indexed_search_matches_naive_scan(seed):
     rng = random.Random(1000 + seed)
     directory = random_directory(rng, n_entries=rng.randint(30, 120))
     bases = ["o=grid"] + rng.sample(
-        sorted(directory._entries), min(5, len(directory._entries))
+        directory.dns(), min(5, len(directory))
     )
     for _ in range(40):
         base = rng.choice(bases)
@@ -97,7 +97,7 @@ def test_differential_survives_mutation(seed):
     rng = random.Random(7000 + seed)
     directory = random_directory(rng, n_entries=60)
     leaves = [
-        dn for dn in directory._entries
+        dn for dn in directory.dns()
         if not directory.children(dn) and dn != "o=grid"
     ]
     for dn in rng.sample(leaves, min(15, len(leaves))):

@@ -47,7 +47,7 @@ def test_subtree_search_equals_brute_force(data):
     found = {e.dn for e in directory.search("o=grid", filter_text)}
     brute = {
         e.dn
-        for e in (directory.get(dn) for dn in list(directory._entries))
+        for e in (directory.get(dn) for dn in directory.dns())
         if matcher(e)
     }
     assert found == brute
@@ -59,6 +59,6 @@ def test_negation_partitions_the_directory(data):
     directory, filter_text = data
     positive = {e.dn for e in directory.search("o=grid", filter_text)}
     negative = {e.dn for e in directory.search("o=grid", f"(!{filter_text})")}
-    everything = set(directory._entries)
+    everything = set(directory.dns())
     assert positive | negative == everything
     assert positive & negative == set()

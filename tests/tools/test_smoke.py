@@ -165,6 +165,15 @@ def test_the_object_census_is_the_measured_ratio_plus_a_tenth(capsys):
     assert per_stored <= smoke.TRACKED_PER_STORED <= 1.1 * per_stored + 0.0002
 
 
+def test_the_directory_census_is_the_measured_ratio_plus_a_tenth(capsys):
+    assert smoke.check_directory_census() == []
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("directory census: ")
+    tracked, entries = (int(word) for word in line.split() if word.isdigit())
+    per_entry = tracked / entries
+    assert per_entry <= smoke.TRACKED_PER_ENTRY <= 1.1 * per_entry + 0.0002
+
+
 def test_unknown_name_is_rejected_with_the_known_ones(capsys):
     assert gate(scripted(), names=("fake", "nope")) == 2
     out = capsys.readouterr().out

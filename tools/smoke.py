@@ -13,10 +13,11 @@ checks, per leg:
   experiment extras + full Prometheus export) are byte-identical;
 * the suite's own assertions, declared beside its params below.
 
-Then the named checks in ``CHECKS``: seven budgets that fail here in
+Then the named checks in ``CHECKS``: eight budgets that fail here in
 seconds instead of in a benchmark in minutes (``publish_path``,
 ``transfer_set_path``, ``warm_channels``, ``event_budget``,
-``claim_budget``, ``pipe_fill``, ``object_census``); two
+``claim_budget``, ``pipe_fill``, ``object_census``,
+``directory_census``); two
 scenarios run twice in this process and diffed part by part
 (``back_to_back``: ids, names and counts must restart with the
 simulator; ``exporters``: shape and determinism of the trace and metrics
@@ -36,12 +37,14 @@ import difflib
 import gc
 import io
 import json
+import random
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from repro.catalog import GdmpCatalog
 from repro.experiments import chaos, chunks, rls, weather, workload
 from repro.experiments.__main__ import main as experiments_cli
 from repro.experiments.scaffold import counter_total, legs
@@ -584,6 +587,64 @@ def check_object_census() -> list[str]:
     return []
 
 
+#: objects CPython's cyclic collector tracks per directory entry after an
+#: 8 × 3 000 ``GdmpCatalog.publish_bulk`` build (counted with everything
+#: older frozen out of ``gc.get_objects()``), plus 10 %: 442 / 24 011 =
+#: 0.0184 since the directory keeps rows, columns and postings (216 075 /
+#: 24 011 = 9.0 when each entry was an ``Entry``, a dict of one-element
+#: lists and a posting dict per distinct value).  Lower it when a change
+#: lowers the count
+TRACKED_PER_ENTRY = 0.0203
+CENSUS_SITES = ("cern", "anl", "caltech", "slac", "fnal", "bnl", "ral", "in2p3")
+CENSUS_FILES = 3000
+
+
+def census_files(site: str, count: int) -> list[dict]:
+    """``count`` registrations shaped like ``catalog_lookup``'s: a run
+    out of 400 and a kind out of three, drawn from the seed."""
+    rng = random.Random(f"{SEED}-{site}")
+    return [
+        {
+            "lfn": f"cl-{site}-{i:06d}.dat", "size": 1000.0 + i,
+            "modified": 0.0, "crc": i,
+            "attributes": {
+                "run": rng.randrange(400),
+                "kind": rng.choice(("aod", "esd", "raw")),
+            },
+        }
+        for i in range(count)
+    ]
+
+
+def check_directory_census() -> list[str]:
+    """What the replica catalog's directory costs the cyclic collector:
+    the tracked objects (``gc.get_objects()`` after ``gc.collect()``, with
+    what lived before frozen out) an 8 × 3 000 ``publish_bulk`` build
+    adds, per directory entry."""
+    # a small build first pays lazy imports and caches
+    GdmpCatalog().publish_bulk("warm", census_files("warm", 10))
+    gc.collect()
+    gc.freeze()  # what lives now is out of the count, whatever happens to it
+    try:
+        catalog = GdmpCatalog()
+        for site in CENSUS_SITES:
+            catalog.publish_bulk(site, census_files(site, CENSUS_FILES))
+        gc.collect()
+        added = len(gc.get_objects())
+    finally:
+        gc.unfreeze()
+    entries = len(catalog.catalog.directory)
+    per_entry = added / entries
+    report = (
+        f"directory census: {added} tracked objects for {entries} entries, "
+        f"{per_entry:.4f} each (budget {TRACKED_PER_ENTRY})"
+    )
+    if per_entry > TRACKED_PER_ENTRY:
+        return [report]
+    print(f"  {report}")
+    return []
+
+
 def run_twice(label: str, scenario: Callable[[], dict], *shape_checks) -> list[str]:
     """Run ``scenario`` twice in this process and diff the runs part by
     part (a problem quotes the first differing lines), then ask each of
@@ -772,6 +833,7 @@ CHECKS = {
     "claim_budget": check_claim_budget,
     "pipe_fill": check_pipe_fill,
     "object_census": check_object_census,
+    "directory_census": check_directory_census,
     # global-state leaks: everything a run names or counts
     "back_to_back": lambda: run_twice("back to back", back_to_back_scenario),
     # the trace and metrics exports: deterministic and well formed
