@@ -414,6 +414,10 @@ class NetworkEngine:
         self._realign_at = 0.0
         # scratch flags describing the most recent full tick
         self._tick_quiet = False
+        #: link name -> its ``[dropped_bytes, overflow_events]`` counter
+        #: children, bound on the link's first drop (so a link that never
+        #: drops has none)
+        self._drop_counters: dict[str, list] = {}
 
     # -- public API --------------------------------------------------------
     def new_pool(self, size: float) -> SharedBytePool:
@@ -667,7 +671,7 @@ class NetworkEngine:
         queue) are skipped exactly: their advance would be the identity."""
         links = t.links
         link_queue = t.link_queue
-        metrics = self.metrics
+        drop_counters = self._drop_counters
         congested = False
         dropped_any = False
         for slot in range(t.n_links):
@@ -681,12 +685,15 @@ class NetworkEngine:
                 if dropped > 0.0:
                     dropped_any = True
                     link_dropped[slot] = dropped
-                    metrics.counter(
-                        "netsim.link.dropped_bytes", link=link.name
-                    ).inc(dropped)
-                    metrics.counter(
-                        "netsim.link.overflow_events", link=link.name
-                    ).inc()
+                    handles = drop_counters.get(link.name)
+                    if handles is None:
+                        handles = drop_counters[link.name] = [
+                            self.metrics.counter(name, link=link.name)
+                            for name in ("netsim.link.dropped_bytes",
+                                         "netsim.link.overflow_events")
+                        ]
+                    handles[0].inc(dropped)
+                    handles[1].inc()
             elif link.queue:
                 # draining: advance_queue shrinks the queue, cannot drop
                 link.advance_queue(demand, dt)
@@ -1031,6 +1038,11 @@ class NetworkEngine:
         exhaustion fall back to the exact running-min loop, and loss draws
         within :data:`_POW_BAND` of the vectorized ``np.power`` are
         re-decided with python ``**``.
+
+        At a few hundred rows a numpy call costs more than its arithmetic,
+        so the passes are written for fewer calls: masks are tested with
+        ``np.count_nonzero`` (a third of the price of ``ndarray.any()``),
+        and scratch columns live on the table.
         """
         sim_now = self.sim.now
         n = t.n_flows
@@ -1038,7 +1050,7 @@ class NetworkEngine:
 
         # 1. effective RTTs and tick length (dt = the smallest flow RTT)
         link_queue = t.link_queue
-        queues_empty = not link_queue.any()
+        queues_empty = not np.count_nonzero(link_queue)
         if queues_empty:
             np.maximum(t.base_rtt, self.MIN_RTT, out=rtt)
         else:
@@ -1086,8 +1098,9 @@ class NetworkEngine:
             t.path_link, weights=offered[t.path_flow], minlength=t.n_links
         )
 
-        link_scale = np.ones(t.n_links)
-        link_dropped = np.zeros(t.n_links)
+        # scratch columns: all 1.0 / 0.0 between ticks, reset after use
+        link_scale = t.link_scale
+        link_dropped = t.link_dropped
         congested, dropped_any = self._advance_links(
             t, link_demand.tolist(), dt, link_scale, link_dropped
         )
@@ -1097,6 +1110,7 @@ class NetworkEngine:
             ach_scale = np.ones(n)
             np.minimum.at(ach_scale, t.path_flow, link_scale[t.path_link])
             np.multiply(offered, ach_scale, out=achieved)
+            link_scale.fill(1.0)
         else:
             # every scale is exactly 1.0
             achieved[:] = offered
@@ -1108,58 +1122,64 @@ class NetworkEngine:
         loss_pending = t.loss_pending
         timeout_pending = t.timeout_pending
         if dropped_any:
-            # (link, flow) pairs are link-major, flows in incidence order
-            # within a link — the scalar draw order
+            # the drop fraction is a per-link number; (link, flow) pairs
+            # are link-major, flows in incidence order within a link — the
+            # scalar draw order
+            drop_fraction = link_dropped / np.maximum(
+                (link_demand + t.link_cross) * dt, 1e-12
+            )
+            link_base = 1.0 - np.minimum(drop_fraction, 1.0)
             sel = link_dropped[t.ov_link] > 0.0
             pl = t.ov_link[sel]
             pf = t.ov_flow[sel]
-            packets = offered[pf] * dt / t.mss[pf]
+            packets = offered[pf] * dt / t.ov_mss[sel]
             elig = packets > 0
-            if not elig.all():
+            if np.count_nonzero(elig) < elig.size:
                 pl = pl[elig]
                 pf = pf[elig]
                 packets = packets[elig]
             k = pf.size
             if k:
-                demand_d = link_demand[pl] + t.link_cross[pl]
-                drop_fraction = link_dropped[pl] / np.maximum(
-                    demand_d * dt, 1e-12
-                )
-                capped = np.minimum(drop_fraction, 1.0)
-                base = 1.0 - capped
+                base = link_base[pl]
                 draws = rng.random(k)
                 p_hit = 1.0 - np.power(base, packets)
                 hit = draws < p_hit
                 band = np.abs(draws - p_hit) <= _POW_BAND
-                if band.any():
+                if np.count_nonzero(band):
                     for j in np.nonzero(band)[0]:
                         p_exact = 1.0 - float(base[j]) ** float(packets[j])
                         hit[j] = bool(draws[j] < p_exact)
-                if hit.any():
+                if np.count_nonzero(hit):
                     loss_pending[pf[hit]] = True
-                    severe = hit & (
-                        drop_fraction >= self.TIMEOUT_DROP_FRACTION
-                    )
-                    if severe.any():
-                        timeout_pending[pf[severe]] = True
+                    severe = drop_fraction >= self.TIMEOUT_DROP_FRACTION
+                    if np.count_nonzero(severe):
+                        timeout_pending[pf[hit & severe[pl]]] = True
+            link_dropped.fill(0.0)
         if t.has_lossy:
             # (flow, lossy link) pairs are flow-major — the scalar order;
             # a single batched draw consumes the identical stream values
-            elig = achieved[t.lossy_flow] > 0
-            lf = t.lossy_flow[elig]
+            lf = t.lossy_flow
+            surv = t.lossy_survive
+            lms = t.lossy_mss
+            ach = achieved[lf]
+            elig = ach > 0
+            if np.count_nonzero(elig) < elig.size:
+                lf = lf[elig]
+                surv = surv[elig]
+                lms = lms[elig]
+                ach = ach[elig]
             k = lf.size
             if k:
-                surv = t.lossy_survive[elig]
                 draws = rng.random(k)
-                packets = achieved[lf] * dt / t.mss[lf]
+                packets = ach * dt / lms
                 p_hit = 1.0 - np.power(surv, packets)
                 hit = draws < p_hit
                 band = np.abs(draws - p_hit) <= _POW_BAND
-                if band.any():
+                if np.count_nonzero(band):
                     for j in np.nonzero(band)[0]:
                         p_exact = 1.0 - float(surv[j]) ** float(packets[j])
                         hit[j] = bool(draws[j] < p_exact)
-                if hit.any():
+                if np.count_nonzero(hit):
                     loss_pending[lf[hit]] = True
 
         # 5. delivery: sequential per-pool settlement via unbuffered
@@ -1179,9 +1199,9 @@ class NetworkEngine:
         )
         margin = 1e-9 * (np.abs(pool_remaining) + pool_take) + 1e-9
         risky = pool_remaining - pool_take <= margin
-        if risky.any():
+        if np.count_nonzero(risky):
             safe = ~risky[pool_row]
-            if safe.any():
+            if np.count_nonzero(safe):
                 np.subtract.at(pool_remaining, pool_row[safe], amounts[safe])
                 np.add.at(pool_delivered, pool_row[safe], amounts[safe])
                 delivered[safe] += amounts[safe]
@@ -1200,13 +1220,13 @@ class NetworkEngine:
             np.subtract.at(pool_remaining, pool_row, amounts)
             np.add.at(pool_delivered, pool_row, amounts)
             delivered += amounts
-        any_exhausted = bool((pool_remaining <= 1e-9).any())
+        any_exhausted = np.count_nonzero(pool_remaining <= 1e-9) > 0
 
         # 6. RTT-boundary window updates (independent of deliveries, so
         # running them after the whole delivery pass is exact)
-        boundary = np.nonzero(round_edge >= t.next_round_at)[0]
-        if boundary.size:
-            self._on_round_rows(t, boundary, tick_end, use_pending=True)
+        mask = np.greater_equal(round_edge, t.next_round_at, out=t.round_mask)
+        if np.count_nonzero(mask):
+            self._on_round_mask(t, mask, tick_end)
 
         finished_rows = self._detect_finished(t) if any_exhausted else []
         self._tick_quiet = queues_empty and not congested
@@ -1214,43 +1234,51 @@ class NetworkEngine:
             self._retire_finished(t, finished_rows, tick_end)
         return dt
 
-    def _on_round_rows(self, t: FlowTable, idx, tick_end: float,
-                       use_pending: bool) -> None:
-        """Vectorized ``TcpState.on_round`` over the rows in ``idx``.
+    def _on_round_mask(self, t: FlowTable, mask, tick_end: float,
+                       stretched: bool = False) -> None:
+        """Vectorized ``TcpState.on_round`` over the rows ``mask`` selects.
 
-        Elementwise translation of the scalar branches: timeout collapses
-        to the initial window, loss deflates to the halved ssthresh, and
+        Whole-column passes written back under the mask, which at these
+        table sizes costs fewer numpy calls than a gather/scatter of the
+        selected rows.  Elementwise translation of the scalar branches:
         clean rounds grow (doubling in slow start, +MSS in avoidance,
-        clamped at twice the buffer).  With ``use_pending=False`` every
-        row takes the clean-round branch (the stretched-tick case).
+        clamped at twice the buffer), loss deflates to the halved
+        ssthresh, timeout collapses to the initial window.  When no
+        selected row carries a mark only ``cwnd``, ``rounds`` and
+        ``next_round_at`` are written; a ``stretched`` tick, like the
+        scalar replay, takes that clean-round branch for every row.
         """
-        cw = t.cwnd[idx]
-        bu = t.buffer[idx]
-        ss = t.ssthresh[idx]
-        ms = t.mss[idx]
-        t.rounds[idx] += 1.0
-        grow = np.where(
-            cw < ss,
-            np.minimum(cw * 2.0, np.maximum(ss, cw + ms)),
-            cw + ms,
-        )
-        grow = np.minimum(grow, t.buffer2[idx])
-        if use_pending:
-            lp = t.loss_pending[idx]
-            tp = t.timeout_pending[idx]
-            win = np.minimum(cw, bu)
-            cut = np.maximum(win / 2.0, 2.0 * ms)
-            t.cwnd[idx] = np.where(
-                tp, t.initial_cwnd[idx], np.where(lp, cut, grow)
+        cw = t.cwnd
+        ss = t.ssthresh
+        grow = cw + t.mss
+        slow = cw < ss
+        if np.count_nonzero(slow):
+            np.copyto(
+                grow, np.minimum(cw * 2.0, np.maximum(ss, grow)), where=slow
             )
-            t.ssthresh[idx] = np.where(lp | tp, cut, ss)
-            t.timeouts[idx] += tp
-            t.losses[idx] += lp & ~tp
-            t.loss_pending[idx] = False
-            t.timeout_pending[idx] = False
-        else:
-            t.cwnd[idx] = grow
-        t.next_round_at[idx] = tick_end + t.rtt[idx]
+        np.minimum(grow, t.buffer2, out=cw, where=mask)
+        t.rounds += mask
+        np.add(t.rtt, tick_end, out=t.next_round_at, where=mask)
+        if stretched:
+            return
+        lp = t.loss_pending
+        tp = t.timeout_pending
+        marked = lp | tp
+        marked &= mask
+        if np.count_nonzero(marked):
+            # window_used is this tick's min(cwnd, buffer) as it was before
+            # the update above: marks are set only by full ticks
+            cut = np.maximum(t.window_used / 2.0, 2.0 * t.mss)
+            np.copyto(ss, cut, where=marked)
+            np.copyto(cw, cut, where=marked)
+            if np.count_nonzero(tp):
+                timed_out = tp & marked
+                np.copyto(cw, t.initial_cwnd, where=timed_out)
+                t.timeouts += timed_out
+                marked ^= timed_out
+                np.copyto(tp, False, where=mask)
+            t.losses += marked
+            np.copyto(lp, False, where=mask)
 
     # -- adaptive tick stretching ------------------------------------------
     def _plan_stretch(self, dt: float) -> Optional[_Stretch]:
@@ -1403,9 +1431,11 @@ class NetworkEngine:
                 np.subtract.at(pool_remaining, pool_row, amounts)
                 np.add.at(pool_delivered, pool_row, amounts)
                 delivered += amounts
-                idx = np.nonzero(tick_end + 1e-12 >= next_round_at)[0]
-                if idx.size:
-                    self._on_round_rows(t, idx, tick_end, use_pending=False)
+                mask = np.greater_equal(
+                    tick_end + 1e-12, next_round_at, out=t.round_mask
+                )
+                if np.count_nonzero(mask):
+                    self._on_round_mask(t, mask, tick_end, stretched=True)
                 i += 1
         else:
             rtt = t.rtt

@@ -264,6 +264,13 @@ class FlowTable:
             self.pool_rows_of = [
                 _np.array(r, dtype=_np.intp) for r in pool_flow_rows
             ]
+            # per-pair columns the loss passes would otherwise gather per
+            # tick, and per-tick scratch (see the vector kernel)
+            self.ov_mss = self.mss[self.ov_flow]
+            self.lossy_mss = self.mss[self.lossy_flow]
+            self.link_scale = _np.ones(nlinks)
+            self.link_dropped = _np.zeros(nlinks)
+            self.round_mask = _np.zeros(n, dtype=bool)
             # NIC rates may be inf (unbounded); the masked divide in the
             # kernel never touches those lanes
             self.src_nics = _np.array(src_nics, dtype=f64)

@@ -69,7 +69,10 @@ DEFAULT_SIZE_BOUNDS = (
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
     """Canonical child identity: sorted ``(key, str(value))`` items."""
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    if len(labels) > 1:
+        return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    # zero or one label, the common lookups: already in order
+    return tuple([(k, str(v)) for k, v in labels.items()])
 
 
 class Counter:

@@ -17,6 +17,7 @@ from repro.netsim.link import Link
 from repro.netsim.topology import Host, Topology
 from repro.netsim.units import KiB, MB, mbps
 from repro.simulation import Simulator
+from repro.telemetry import MetricsRegistry
 
 #: (disjoint chains, streams per chain) -> 200 mixed lossy/clean flows
 N_ISLANDS = 20
@@ -198,3 +199,93 @@ def test_seeded_flows_identical_outcomes(loss_rate, mixed):
     elif mixed:
         # and neither is the seeding: the warm pool drains first
         assert pools[0][0] < pools[1][0]
+
+
+# ------------------------------------------------------- tier tree -------
+#: (T1 hubs, T2 leaves per hub) under one T0 -> 12 pools
+TREE_HUBS = 3
+TREE_LEAVES = 4
+TREE_STREAMS = 16
+
+
+def _tree_outcome(kernel):
+    """12 pools x 16 streams fanned out from T0 over a shared lossy
+    backbone: queue overflow on the backbone and a hub link, RTTs spread
+    over the leaves (a tick's RTT-boundary set is a partial one) and pool
+    sizes spread so completions are staggered and the table shrinks."""
+    sim = Simulator()
+    topo = Topology()
+    for name in ("t0", "core"):
+        topo.add_host(Host(name))
+    topo.connect("t0", "core", Link(
+        "backbone", capacity=mbps(622), delay=0.005, loss_rate=2e-5,
+        cross_traffic=mbps(60),
+    ))
+    leaves = []
+    for h in range(TREE_HUBS):
+        hub = f"t1-{h}"
+        topo.add_host(Host(hub))
+        # hub 0's uplink is a second, shallow bottleneck: 64 initial
+        # windows overload it twice over, so its drops cause timeouts
+        topo.connect("core", hub, Link(
+            f"core-{hub}", capacity=mbps(30 if h == 0 else 2500),
+            delay=0.003 + 0.002 * h, queue_capacity=32 * KiB,
+        ))
+        for leaf in range(TREE_LEAVES):
+            name = f"t2-{h}-{leaf}"
+            topo.add_host(Host(name))
+            # fast access links: on every path, never congested
+            topo.connect(hub, name, Link(
+                f"{hub}-{name}", capacity=mbps(10000),
+                delay=0.001 + 0.0015 * leaf,
+            ))
+            leaves.append(name)
+    metrics = MetricsRegistry(sim)
+    engine = NetworkEngine(sim, topo, seed=2001, kernel=kernel,
+                           metrics=metrics)
+    pools = [
+        engine.open_transfer(
+            "t0", leaf, nbytes=(6 + 3 * i) * MB, streams=TREE_STREAMS,
+            tcp=TcpParams(buffer=256 * KiB),
+        )
+        for i, leaf in enumerate(leaves)
+    ]
+    flows = list(engine.active_flows)
+    sim.run()
+    link_metrics = {
+        name: sorted(
+            (child.labels, child.value) for child in metrics.children(name)
+        )
+        for name in metrics.families() if name.startswith("netsim.link.")
+    }
+    return {
+        "sim_now": sim.now,
+        "ticks": (engine.tick_count, engine.settled_tick_count,
+                  engine.flow_tick_count),
+        "pools": [(p.completed_at, p.delivered, p.remaining) for p in pools],
+        "flows": [
+            (f.delivered, f.rtt, f.next_round_at, f.tcp.cwnd,
+             f.tcp.ssthresh, f.tcp.rounds, f.tcp.losses, f.tcp.timeouts)
+            for f in flows
+        ],
+        "links": [(link.name, link.queue) for link in topo.links],
+        "metrics": link_metrics,
+    }
+
+
+def test_tier_tree_identical_outcomes():
+    vector = _tree_outcome("vector")
+    scalar = _tree_outcome("scalar")
+    for field in ("sim_now", "ticks", "pools", "flows", "links", "metrics"):
+        assert vector[field] == scalar[field], field
+    # not vacuous: overflow, random loss, staggered completions
+    dropped = {labels for labels, _ in vector["metrics"][
+        "netsim.link.dropped_bytes"]}
+    assert (("link", "backbone"),) in dropped
+    assert vector["metrics"]["netsim.link.overflow_events"]
+    assert any(flow[6] for flow in vector["flows"])
+    assert any(flow[7] for flow in vector["flows"])
+    assert len({p[0] for p in vector["pools"]}) == len(vector["pools"])
+    # a link that never dropped has no dropped_bytes child
+    quiet = [name for name, _ in vector["links"] if name.startswith("t1-")]
+    assert quiet and not dropped & {(("link", n),) for n in quiet}

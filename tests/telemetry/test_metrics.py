@@ -4,7 +4,7 @@ import pytest
 
 from repro.simulation.kernel import Simulator
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.metrics import DEFAULT_LATENCY_BOUNDS
+from repro.telemetry.metrics import DEFAULT_LATENCY_BOUNDS, _label_key
 
 
 @pytest.fixture
@@ -28,6 +28,18 @@ def test_label_spelling_order_is_irrelevant(registry):
     b = registry.counter("x", stream=3, host="cern")
     assert a is b
     assert a.labels == (("host", "cern"), ("stream", "3"))
+
+
+@pytest.mark.parametrize("labels", [
+    {},
+    {"link": "cern-anl"},
+    {"stream": 3, "src": "cern", "dst": "anl"},
+])
+def test_label_key_is_the_sorted_items(labels):
+    # zero or one label skips the sort; the key must not tell
+    assert _label_key(labels) == tuple(
+        sorted((k, str(v)) for k, v in labels.items())
+    )
 
 
 def test_different_labels_are_different_children(registry):
