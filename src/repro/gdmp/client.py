@@ -444,7 +444,7 @@ class GdmpClient:
             finally:
                 if transfer_set is None:
                     yield from self._release(source, [lfn])
-            self.storage.commit_incoming(report.stored, reservation)
+            self.storage.commit_incoming(reservation)
             return report, stage_wait, transfer_duration
 
         def run():

@@ -46,7 +46,6 @@ from repro.simulation.kernel import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.storage.diskpool import DiskPool
 from repro.storage.filesystem import FileSystem, StoredFile
-from repro.storage.hrm import HierarchicalResourceManager
 from repro.storage.mss import MassStorageSystem
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -78,7 +77,6 @@ class GdmpSite:
     fs: FileSystem
     pool: DiskPool
     mss: Optional[MassStorageSystem]
-    hrm: HierarchicalResourceManager
     federation: Federation
     credential: object
     gridftp_server: GridFTPServer
@@ -234,7 +232,6 @@ class DataGrid:
         mss = None
         if config.has_mss:
             mss = MassStorageSystem(self.sim, name, metrics=self.metrics)
-        hrm = HierarchicalResourceManager(self.sim, pool, mss)
         federation = Federation(f"fed-{name}", site=name)
         gridftp_server = GridFTPServer(
             self.sim,
@@ -259,7 +256,7 @@ class DataGrid:
         request_client = RequestClient(
             self.sim, self.msgnet, host, credential, tracelog=self.tracelog
         )
-        storage = StorageManager(self.sim, hrm)
+        storage = StorageManager(self.sim, pool, mss)
         mover = DataMover(
             self.sim,
             gridftp_client,
@@ -276,7 +273,6 @@ class DataGrid:
             fs=fs,
             pool=pool,
             mss=mss,
-            hrm=hrm,
             federation=federation,
             credential=credential,
             gridftp_server=gridftp_server,

@@ -51,13 +51,11 @@ class FlatFilePlugin:
 
     def pre_process(self, site, info):
         """No preparation needed for flat files."""
-        return None
-        yield  # pragma: no cover - generator marker
+        yield from ()
 
     def post_process(self, site, stored: StoredFile):
         """No integration needed for flat files."""
-        return None
-        yield  # pragma: no cover
+        yield from ()
 
 
 class ObjectivityPlugin:

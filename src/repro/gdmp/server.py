@@ -22,11 +22,10 @@ from typing import Optional
 
 from repro.catalog.ldapsim import Entry, FilterSyntaxError, parse_filter
 from repro.gdmp.request_manager import GdmpError, RequestServer
-from repro.gdmp.storage_manager import StorageManager
+from repro.gdmp.storage_manager import StageStatus, StorageManager
 from repro.services.bus import ServiceRequest
 from repro.services.replay import ReplayWindow
 from repro.simulation.kernel import Simulator
-from repro.storage.hrm import StageStatus
 
 __all__ = ["GdmpServer"]
 
@@ -45,7 +44,8 @@ class GdmpServer:
         self.site = site
         self.request_server = request_server
         self.storage = storage
-        self.stats = {"subscriptions": 0, "notifications": 0, "stage_served": 0}
+        self.stats = {"subscriptions": 0, "notifications": 0, "stage_served": 0,
+                      "auto_replication_failures": 0}
         #: subscriber site -> LDAP filter text (None = everything); filters
         #: are evaluated against a published file's attributes, so a
         #: regional center can subscribe to, e.g.,
@@ -125,16 +125,27 @@ class GdmpServer:
         self.stats["notifications"] += 1
         client = self.client
         if client is not None and client.config.auto_replicate:
-            if len(news["lfns"]) > 1:
-                # a batched announcement is fetched as one transfer set —
-                # two catalog envelopes for the whole batch
-                client.replicate_set(news["lfns"], prefer_site=news["producer"])
-            else:
-                for lfn in news["lfns"]:
-                    client.replicate(lfn, prefer_site=news["producer"])
+            self.sim.spawn(self._auto_replicate(news), name="gdmp-auto-replicate")
         else:
             self.pending_news.append(news)
         return True
+
+    def _auto_replicate(self, news: dict):
+        """Fetch announced files at once: a leg nobody waits on, so it
+        *returns*.  A fetch that fails leaves its news in ``pending_news``,
+        where a manual site would have kept it."""
+        lfns, producer = news["lfns"], news["producer"]
+        try:
+            if len(lfns) > 1:
+                # a batched announcement is fetched as one transfer set —
+                # two catalog envelopes for the whole batch
+                yield self.client.replicate_set(lfns, prefer_site=producer)
+            else:
+                for lfn in lfns:
+                    yield self.client.replicate(lfn, prefer_site=producer)
+        except Exception:
+            self.stats["auto_replication_failures"] += 1
+            self.pending_news.append(news)
 
     def _op_get_catalog(self, request: ServiceRequest):
         return dict(self.held)

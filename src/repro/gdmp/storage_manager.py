@@ -5,24 +5,50 @@ not there, it is assumed to be available in the Mass Storage System.
 Consequently, a file stage request is issued" — the serving site pins the
 file in its disk pool for the duration of the transfer; the receiving site
 makes room in its pool (evicting cold replicas) before the transfer starts.
+The paper's HRM plug-in [Bern00] is this class too: the only caller of the
+MSS's ``stage_to_pool`` and ``migrate``.
 """
 
 from __future__ import annotations
 
-from repro.gdmp.request_manager import GdmpError
-from repro.simulation.kernel import Process, Simulator
-from repro.storage.filesystem import StorageError, StoredFile
-from repro.storage.hrm import HierarchicalResourceManager, StageStatus
+import enum
+from typing import Optional
 
-__all__ = ["StorageManager"]
+from repro.gdmp.request_manager import GdmpError
+from repro.simulation.kernel import Event, Process, Simulator
+from repro.storage.diskpool import DiskPool, Reservation
+from repro.storage.filesystem import StorageError
+from repro.storage.mss import MassStorageSystem, TapeError
+
+__all__ = ["StageStatus", "StorageManager"]
+
+
+class StageStatus(enum.Enum):
+    """Observable state of a file with respect to the disk pool."""
+
+    ON_DISK = "on_disk"
+    ON_TAPE = "on_tape"
+    STAGING = "staging"
+    UNKNOWN = "unknown"
 
 
 class StorageManager:
-    """Disk-pool + HRM orchestration for one site."""
+    """One site's storage: its disk pool, its tape (``mss`` None for a
+    disk-only site) and the stagings in flight between them.  A staging
+    is the MSS's own event; every requester of the file, first or
+    joining, yields it, after the callback that drops it from the table."""
 
-    def __init__(self, sim: Simulator, hrm: HierarchicalResourceManager):
+    def __init__(
+        self,
+        sim: Simulator,
+        pool: DiskPool,
+        mss: Optional[MassStorageSystem] = None,
+    ):
         self.sim = sim
-        self.hrm = hrm
+        self.pool = pool
+        self.fs = pool.fs
+        self.mss = mss
+        self._in_flight: dict[str, Event] = {}
         self.stats = {
             "stage_requests": 0,
             "evictions_for_incoming": 0,
@@ -30,25 +56,41 @@ class StorageManager:
             "files_archived": 0,
         }
 
-    @property
-    def pool(self):
-        return self.hrm.pool
-
-    @property
-    def fs(self):
-        return self.hrm.pool.fs
-
     def status(self, path: str) -> StageStatus:
-        """Stage status of a path (disk / tape / staging / unknown)."""
-        return self.hrm.status(path)
+        """Where a file currently is (disk / tape / staging / unknown)."""
+        if path in self._in_flight:
+            return StageStatus.STAGING
+        if self.fs.exists(path):
+            return StageStatus.ON_DISK
+        if self.mss is not None and self.mss.contains(path):
+            return StageStatus.ON_TAPE
+        return StageStatus.UNKNOWN
+
+    def _staging(self, path: str) -> Event:
+        """The event that fires with ``path`` on disk: fired already for a
+        disk hit, the staging in flight (joined), a new staging from tape,
+        or failed for a file on neither."""
+        cached = self.pool.lookup(path, self.sim.now)
+        if cached is not None:
+            return self.sim.event().succeed(cached)
+        staging = self._in_flight.get(path)
+        if staging is not None:
+            return staging
+        if self.mss is None or not self.mss.contains(path):
+            return self.sim.event().fail(
+                TapeError(f"{self.fs.site}: {path!r} neither on disk nor on tape")
+            )
+        self.stats["stage_requests"] += 1
+        staging = self.mss.stage_to_pool(self.pool, path)
+        self._in_flight[path] = staging
+        staging.callbacks.append(lambda _: self._in_flight.pop(path))
+        return staging
 
     def ensure_on_disk(self, path: str, pin: bool = True):
         """Generator: stage ``path`` to disk if needed and pin it, inside
         the caller's process; returns the :class:`StoredFile`."""
-        if self.hrm.status(path) is StageStatus.ON_TAPE:
-            self.stats["stage_requests"] += 1
         try:
-            stored = yield self.hrm.stage_file(path)
+            stored = yield self._staging(path)
         except StorageError as exc:
             raise GdmpError(f"staging {path!r} failed: {exc}") from exc
         if pin:
@@ -77,20 +119,18 @@ class StorageManager:
         )
         return reservation
 
-    def commit_incoming(self, stored: StoredFile, reservation=None,
-                        pin: bool = False) -> None:
+    def commit_incoming(self, reservation: Reservation) -> None:
         """Bookkeeping after the data mover materialized the replica."""
         self.stats["replicas_received"] += 1
-        if reservation is not None:
-            reservation.consume()
-        if pin:
-            self.pool.pin(stored.path)
+        reservation.consume()
 
     def archive(self, path: str) -> Process:
         """Migrate a local file to tape (producer-side lifecycle)."""
 
         def run():
-            record = yield self.hrm.archive_file(path)
+            if self.mss is None:
+                raise StorageError(f"{self.fs.site}: no MSS attached")
+            record = yield self.mss.migrate(self.pool, path)
             self.stats["files_archived"] += 1
             return record
 

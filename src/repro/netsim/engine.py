@@ -580,18 +580,23 @@ class NetworkEngine:
         self.metrics.counter("netsim.transfers_aborted").inc()
         for f in cancelled:
             self._record_flow_retired(f)
-        if self.transfer_observers and cancelled:
-            first = cancelled[0]
-            for observe in self.transfer_observers:
-                observe(
-                    first.src.name,
-                    first.dst.name,
-                    pool._delivered,
-                    pool.started_at,
-                    pool.completed_at,
-                    False,
-                )
+        if self.transfer_observers:
+            self._report_retired(cancelled, [pool], completed=False)
         pool.done.fail(TransferAborted(pool._delivered, reason))
+
+    def _report_retired(self, retired: list[Flow], pools: list,
+                        completed: bool) -> None:
+        """Hand each retired pool that had a flow to ``transfer_observers``:
+        its first flow's ends, bytes moved, start, end and ``completed``."""
+        ends: dict[int, tuple[str, str]] = {}
+        for f in retired:
+            ends.setdefault(id(f.pool), (f.src.name, f.dst.name))
+        for pool in pools:
+            if id(pool) in ends:
+                moved = pool.size if completed else pool._delivered
+                for observe in self.transfer_observers:
+                    observe(*ends[id(pool)], moved, pool.started_at,
+                            pool.completed_at, completed)
 
     def _record_flow_retired(self, f: Flow) -> None:
         """Export one retired flow's lifetime stats into the registry.
@@ -732,22 +737,7 @@ class NetworkEngine:
         for f in retired:
             self._record_flow_retired(f)
         if self.transfer_observers:
-            pool_ends: dict[int, tuple[str, str]] = {}
-            for f in retired:
-                pool_ends.setdefault(id(f.pool), (f.src.name, f.dst.name))
-            for pool in finished_pools:
-                ends = pool_ends.get(id(pool))
-                if ends is None:
-                    continue
-                for observe in self.transfer_observers:
-                    observe(
-                        ends[0],
-                        ends[1],
-                        pool.size,
-                        pool.started_at,
-                        pool.completed_at,
-                        True,
-                    )
+            self._report_retired(retired, finished_pools, completed=True)
         metrics = self.metrics
         for pool in finished_pools:
             metrics.counter("netsim.transfers_completed").inc()

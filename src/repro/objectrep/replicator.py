@@ -178,7 +178,7 @@ class ObjectReplicator:
                 streams=streams or dst.config.parallel_streams,
                 tcp_buffer=tcp_buffer or dst.config.tcp_buffer,
             )
-            dst.storage.commit_incoming(report.stored, reservation)
+            dst.storage.commit_incoming(reservation)
         except BaseException:
             if reservation is not None:
                 reservation.release()

@@ -208,7 +208,6 @@ class PipelineComponent:
     def work(self, task: dict):
         """Stage body; generator returning the task result."""
         raise NotImplementedError
-        yield  # pragma: no cover
 
 
 class Picker(PipelineComponent):

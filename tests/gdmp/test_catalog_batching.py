@@ -79,6 +79,22 @@ def test_batched_notify_auto_replicates_the_whole_set(grid):
         assert {loc["location"] for loc in locs} == {"cern", "anl"}
 
 
+def test_a_failed_batched_auto_replication_keeps_its_news(grid):
+    cern, anl = grid.site("cern"), grid.site("anl")
+    anl.config.auto_replicate = True
+    grid.run(until=anl.client.subscribe_to("cern"))
+    specs = make_files(grid, "cern", 3)
+    grid.run(until=cern.client.publish_set(specs))
+    cern.fs.delete(specs[2]["path"])
+    grid.run()
+    # the files before the failure still arrive and register
+    assert sorted(anl.server.held) == ["s0.db", "s1.db"]
+    assert [news["lfns"] for news in anl.server.pending_news] == [
+        ["s0.db", "s1.db", "s2.db"]
+    ]
+    assert anl.server.stats["auto_replication_failures"] == 1
+
+
 # -- replicate_set -------------------------------------------------------------
 
 def test_replicate_set_pays_two_envelopes_not_two_per_file(grid):

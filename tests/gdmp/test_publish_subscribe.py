@@ -73,6 +73,20 @@ def test_auto_replication_on_notify(grid):
     assert {loc["location"] for loc in locations} == {"cern", "anl"}
 
 
+def test_a_failed_auto_replication_keeps_its_news(grid):
+    """A notified file that cannot be fetched fails that fetch, not the
+    simulation: its news waits in ``pending_news`` and is counted."""
+    cern, anl = grid.site("cern"), grid.site("anl")
+    anl.config.auto_replicate = True
+    grid.run(until=anl.client.subscribe_to("cern"))
+    grid.run(until=cern.client.produce_and_publish("gone.db", 2 * MB))
+    cern.fs.delete("/storage/gone.db")
+    grid.run()
+    assert not anl.fs.exists("/storage/gone.db")
+    assert [news["lfns"] for news in anl.server.pending_news] == [["gone.db"]]
+    assert anl.server.stats["auto_replication_failures"] == 1
+
+
 def test_filtered_subscription_selects_matching_files(grid):
     """§4.2 filters applied to notifications: a subscriber hears only
     about files matching its filter."""

@@ -6,6 +6,10 @@ probe rides its session table.  Only the GDMP-1.2 baseline and the
 Figure 5/6 testbed (the paper's own measurement path) dial a client
 themselves.  Wiring a client up — building it, tuning its bus, failing
 its pending calls on a crash — is not a conversation.
+
+Between tape and disk there is one path as well: a site's storage
+manager is the only caller of the MSS's ``stage_to_pool`` and
+``migrate``, so every staging is in its in-flight table.
 """
 
 import re
@@ -13,7 +17,8 @@ from pathlib import Path
 
 from repro.gridftp.client import GridFTPClient
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 
 #: where a GridFTP command may be called
 ALLOWED = ("gridftp/", "gdmp/data_mover.py", "gdmp/legacy.py",
@@ -51,3 +56,29 @@ def test_the_pattern_still_sees_the_movers_own_commands():
 
 def test_no_gridftp_command_is_called_outside_the_mover():
     assert _calls(False) == []
+
+
+#: the one caller of the tape moves, and the program code searched for others
+TAPE_CALLER = SRC / "gdmp" / "storage_manager.py"
+PROGRAM = (SRC, ROOT / "tools", ROOT / "benchmarks", ROOT / "examples")
+TAPE_CALL = re.compile(r"\.(?:stage_to_pool|migrate)\(")
+
+
+def _tape_calls() -> dict[Path, list[str]]:
+    found: dict[Path, list[str]] = {}
+    for root in PROGRAM:
+        for path in sorted(root.rglob("*.py")):
+            lines = [
+                f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+                for number, line in enumerate(path.read_text().splitlines(), 1)
+                if TAPE_CALL.search(line)
+            ]
+            if lines:
+                found[path] = lines
+    return found
+
+
+def test_the_storage_manager_is_the_one_path_to_tape():
+    calls = _tape_calls()
+    assert len(calls.pop(TAPE_CALLER)) == 2  # one stage, one migrate
+    assert calls == {}
