@@ -233,13 +233,6 @@ class GdmpCatalog:
             self.catalog.delete_logical_file_entry(self.collection, lfn)
             self.catalog.remove_filename_from_collection(self.collection, lfn)
 
-    def remove_replicas(self, lfns: list[str], site: str) -> None:
-        """Remove a batch of replica records at one site (each removal
-        retires its LFN when it was the last copy, as in
-        :meth:`remove_replica`)."""
-        for lfn in lfns:
-            self.remove_replica(lfn, site)
-
     # -- queries --------------------------------------------------------------------
     def locations(self, lfn: str) -> list[dict]:
         """All physical locations of a logical file."""
@@ -285,12 +278,6 @@ class GdmpCatalog:
             for lfn, attrs in zip(lfns, attributes)
         ]
 
-    def locations_bulk(self, lfns: list[str]) -> dict[str, list[dict]]:
-        """Physical locations for a whole file set in one pass."""
-        if not lfns:
-            return {}
-        return self.catalog.bulk_locations_of(self.collection, lfns)
-
     def search(self, filter_text: str = "(lfn=*)") -> list[LogicalFileInfo]:
         """Filtered metadata search (§4.2: "Users can specify filters to
         obtain the exact information that they require")."""
@@ -300,11 +287,3 @@ class GdmpCatalog:
     def list_lfns(self) -> list[str]:
         """Every logical file name in the collection."""
         return self.catalog.collection_filenames(self.collection)
-
-    def site_files(self, site: str) -> list[str]:
-        """All LFNs a site holds — "obtaining a remote site's file catalog
-        for failure recovery" (§4.1)."""
-        try:
-            return self.catalog.location_filenames(self.collection, site)
-        except CatalogError:
-            return []

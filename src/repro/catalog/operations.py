@@ -1,15 +1,15 @@
 """The ``catalog.*`` operation table: one row per wire operation.
 
-Everything that must know the catalog's sixteen operations reads this
+Everything that must know the catalog's ten operations reads this
 table instead of spelling them out again — the service that hosts a
 catalog, the read replica that mirrors one, the site-side proxy and the
 digest feed of the Replica Location Index (all in :mod:`repro.gdmp` and
 :mod:`repro.rls`, which import downward to here).  Adding or changing an
 operation is one row, one :class:`GdmpCatalog` method and one proxy stub.
 
-The wire keeps a per-name and a ``*_bulk`` spelling of most operations
-(different payload shapes, different envelope sizes); in process a name
-is a batch of one, so both rows end in the same catalog code.
+A row stays while some caller sends it.  The wire keeps a per-name and a
+``*_bulk`` spelling only where both carry traffic (payload shapes and
+envelope sizes differ); in process a name is a batch of one.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class CatalogOperation:
 _Op = CatalogOperation
 
 #: every ``catalog.*`` operation, writes first, keyed by its bare name.
-#: The payload of a per-name ``publish`` / ``adopt`` is itself a valid
-#: batch item, so those rows hand it to the bulk method as a batch of one.
+#: The payload of a per-name ``publish`` is itself a valid batch item,
+#: so that row hands it to the bulk method as a batch of one.
 OPERATIONS: dict[str, CatalogOperation] = {
     row.name: row
     for row in (
@@ -88,17 +88,11 @@ OPERATIONS: dict[str, CatalogOperation] = {
         _Op("add_replica_bulk",
             lambda c, p: c.add_replicas(list(p["lfns"]), p["site"]),
             "add", "lfns"),
-        _Op("adopt", lambda c, p: c.adopt_bulk([p], p["site"]), "add"),
         _Op("adopt_bulk", lambda c, p: c.adopt_bulk(list(p["files"]), p["site"]),
             "add", "files"),
         _Op("remove_replica",
             lambda c, p: c.remove_replica(p["lfn"], p["site"]), "remove"),
-        _Op("remove_replica_bulk",
-            lambda c, p: c.remove_replicas(list(p["lfns"]), p["site"]),
-            "remove", "lfns"),
         _Op("locations", lambda c, p: c.locations(p["lfn"])),
-        _Op("locations_bulk", lambda c, p: c.locations_bulk(list(p["lfns"])),
-            batch="lfns"),
         _Op("info", lambda c, p: c.info(p["lfn"])),
         _Op("info_bulk",
             lambda c, p: c.info_bulk(
@@ -106,9 +100,6 @@ OPERATIONS: dict[str, CatalogOperation] = {
             ),
             batch="lfns"),
         _Op("search", lambda c, p: c.search(p["filter"])),
-        _Op("site_files", lambda c, p: c.site_files(p["site"])),
-        _Op("lfn_exists", lambda c, p: c.lfn_exists(p["lfn"])),
-        _Op("list_lfns", lambda c, p: c.list_lfns()),
     )
 }
 

@@ -70,18 +70,10 @@ def run(lookups: int = 20, seed: int = 2001) -> CatalogReplicationResult:
         lambda i: replicated.site("caltech").client.catalog.locations("f.db"),
         lookups,
     )
+    catalog = replicated.site("caltech").client.catalog
+    writes = (catalog.add_replica, catalog.remove_replica)
     replicated_write = _timed(
-        replicated,
-        lambda i: replicated.site("caltech").client.catalog.add_replica(
-            "f.db", "caltech"
-        )
-        if i == 0
-        else replicated.site("caltech").client.catalog.remove_replica(
-            "f.db", "caltech"
-        )
-        if i == 1
-        else replicated.site("caltech").client.catalog.lfn_exists("f.db"),
-        2,
+        replicated, lambda i: writes[i]("f.db", "caltech"), len(writes)
     )
 
     # --- staleness: write-ack to replica convergence ---------------------------

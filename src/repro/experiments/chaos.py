@@ -190,20 +190,7 @@ def run(
     audit = ReplicaAudit(errors)
     for lfn in lfns:
         audit.check(anl, lfn, grid.catalog_backend)
-    for site in grid.sites.values():
-        # every transfer is over: a pin still held will never be released
-        errors.extend(
-            f"{stored.path}: still pinned at {site.name}"
-            for stored in site.fs.listing()
-            if site.pool.pin_count(stored.path)
-        )
-        # ... and a GridFTP session still open (with whatever data
-        # channels it has parked) belongs to a set that never hung up
-        if site.gridftp_server.open_sessions:
-            errors.append(
-                f"{site.gridftp_server.open_sessions} GridFTP session(s) "
-                f"still open at {site.name}"
-            )
+    errors.extend(grid.leaks())
     no_active = faults.windows_closed(errors)
     export_telemetry(
         grid.metrics,

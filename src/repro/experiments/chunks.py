@@ -269,6 +269,7 @@ def run(
     queue_clean = counts["dead"] == 0 and queue.terminal()
     if not queue_clean:
         errors.append(f"scrub queue not clean at end: {counts}")
+    errors.extend(grid.leaks())
 
     export_telemetry(
         grid.metrics, grid.tracelog,

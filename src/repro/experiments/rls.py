@@ -347,6 +347,7 @@ def run(
         )
     replication_ok = replication_ok and adoption.ok
     no_active = faults.windows_closed(errors)
+    errors.extend(grid.leaks())
 
     # -- accounting: digest bandwidth vs naive per-write fan-out
     index_stats = grid.rls.index.stats

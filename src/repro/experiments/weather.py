@@ -296,6 +296,7 @@ def _run_leg(
     ):
         grid.run(until=proc)
     post_after = _selection_totals(grid)
+    errors.extend(grid.leaks())
 
     return {
         "grid": grid,

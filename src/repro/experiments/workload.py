@@ -210,6 +210,7 @@ def run(
         errors.append(f"{counts['dead']} tasks dead (want 0)")
     if leaked:
         errors.append(f"leaked claims: {leaked}")
+    errors.extend(grid.leaks())
     no_active = faults.windows_closed(errors)
 
     export_telemetry(

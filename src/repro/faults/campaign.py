@@ -168,6 +168,12 @@ def crash_restart_campaign(
     )
 
 
+#: bounds of one ``mss_stall`` window, sim-seconds
+MSS_STALL_BOUNDS = (20.0, 60.0)
+#: added one-way latency of a ``catalog_delay`` window, sim-seconds
+CATALOG_EXTRA_DELAY = 2.0
+
+
 def mss_stall_campaign(
     streams,
     site: str,
@@ -176,8 +182,6 @@ def mss_stall_campaign(
     errors: int = 2,
     start: float = 5.0,
     spread: float = 120.0,
-    min_stall: float = 20.0,
-    max_stall: float = 60.0,
 ) -> FaultCampaign:
     """Wedge and error a site's tape system: ``stalls`` windows during
     which stagings hold their drive without progress, plus ``errors``
@@ -186,7 +190,7 @@ def mss_stall_campaign(
     events = []
     for _ in range(stalls):
         at = start + float(rng.uniform(0.0, spread))
-        length = float(rng.uniform(min_stall, max_stall))
+        length = float(rng.uniform(*MSS_STALL_BOUNDS))
         events.append(
             FaultEvent(round(at, 6), "mss_stall", site, round(length, 6))
         )
@@ -234,7 +238,6 @@ def catalog_blackhole_campaign(
     spread: float = 70.0,
     min_down: float = 8.0,
     max_down: float = 20.0,
-    extra_delay: float = 2.0,
 ) -> FaultCampaign:
     """Black-hole catalog RPCs at the catalog host for random windows
     (requests vanish; callers see only their own timeouts), plus
@@ -249,7 +252,7 @@ def catalog_blackhole_campaign(
         at = start + float(rng.uniform(0.0, spread))
         length = float(rng.uniform(min_down, max_down))
         events.append(FaultEvent(
-            round(at, 6), "catalog_delay", catalog_host, extra_delay
+            round(at, 6), "catalog_delay", catalog_host, CATALOG_EXTRA_DELAY
         ))
         events.append(FaultEvent(
             round(at + length, 6), "catalog_delay_clear", catalog_host

@@ -137,8 +137,6 @@ class FaultInjector:
         return count
 
     def _open_span(self, key: tuple[str, str], name: str, **attrs) -> None:
-        if self.grid.tracelog is None:
-            return
         self._spans[key] = self.grid.tracelog.begin(
             name, kind="fault", host=key[1], service="faults", **attrs
         )
@@ -150,8 +148,6 @@ class FaultInjector:
 
     def _flash_span(self, name: str, target: str, **attrs) -> None:
         """An instantaneous fault (no window) still shows in the trace."""
-        if self.grid.tracelog is None:
-            return
         span = self.grid.tracelog.begin(
             name, kind="fault", host=target, service="faults", **attrs
         )

@@ -41,6 +41,11 @@ from repro.storage.filesystem import StoredFile
 
 __all__ = ["GdmpClient", "ReplicationReport"]
 
+#: a release its source did not hear is sent again after this pause,
+#: doubled per resend, at most this many times
+RELEASE_RESEND_PAUSE = 5.0
+RELEASE_RESENDS = 6
+
 
 @dataclass(frozen=True)
 class ReplicationReport:
@@ -246,6 +251,9 @@ class GdmpClient:
             "release_failures": 0,
         }
         self._replicating: set[str] = set()
+        #: source -> LFNs whose release that source did not hear; one
+        #: resend leg per source hands them back
+        self._unreleased: dict[str, list[str]] = {}
         server.client = self
 
     @contextmanager
@@ -553,13 +561,37 @@ class GdmpClient:
 
     def _release(self, source: str, lfns: list):
         """Generator: hand the transfer pins on ``lfns`` back to
-        ``source``.  Best-effort, and it never raises: a crashed source
-        cannot answer, and the goodbye must neither mask the failure
-        being propagated nor crash a caller that is not waiting yet."""
+        ``source``.  It never raises: the goodbye must neither mask the
+        failure being propagated nor crash a caller that is not waiting
+        yet.  A release the source did not hear is remembered and sent
+        again by a leg of its own, which nobody waits for."""
         try:
             yield from self._stage_call(source, "release", lfns)
         except ServiceError:
             self.stats["release_failures"] += 1
+            unheard = self._unreleased.setdefault(source, [])
+            if not unheard:
+                self.sim.spawn(self._resend_releases(source),
+                               name=f"gdmp-rerelease@{source}")
+            unheard.extend(lfns)
+
+    def _resend_releases(self, source: str):
+        """Generator, never raises: the releases ``source`` did not hear,
+        sent again after a pause that doubles per resend.  As with a
+        set's own releases, no reply is not no pins: a file no longer
+        pinned answers False and changes nothing."""
+        unheard = self._unreleased[source]
+        for resend in range(RELEASE_RESENDS):
+            yield self.sim.timeout(RELEASE_RESEND_PAUSE * 2 ** resend)
+            lfns = list(unheard)
+            try:
+                yield from self._stage_call(source, "release", lfns)
+            except ServiceError:
+                continue
+            del unheard[:len(lfns)]
+            if not unheard:
+                break
+        del self._unreleased[source]
 
     def replicate_set(
         self,

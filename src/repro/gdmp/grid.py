@@ -386,6 +386,34 @@ class DataGrid:
             self.metrics, self.tracelog, top_n=top_n
         )
 
+    def leaks(self) -> list[str]:
+        """What a drained grid still holds that nothing will hand back:
+        transfer pins, GridFTP sessions (with their parked data channels),
+        stagings in flight, reserved pool space.  A worker parked at its
+        queue is waiting, not leaking."""
+        found: list[str] = []
+        for site in self.sites.values():
+            found.extend(
+                f"{stored.path}: still pinned at {site.name}"
+                for stored in site.fs.listing()
+                if site.pool.pin_count(stored.path)
+            )
+            if site.gridftp_server.open_sessions:
+                found.append(
+                    f"{site.gridftp_server.open_sessions} GridFTP "
+                    f"session(s) still open at {site.name}"
+                )
+            found.extend(
+                f"{path}: still staging at {site.name}"
+                for path in site.storage.in_flight
+            )
+            if site.pool.reserved:
+                found.append(
+                    f"{site.pool.reserved:.0f} bytes still reserved at "
+                    f"{site.name}"
+                )
+        return found
+
     # -- access --------------------------------------------------------------------
     def site(self, name: str) -> GdmpSite:
         """Look up a site by name."""

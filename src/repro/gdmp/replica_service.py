@@ -125,10 +125,10 @@ class CatalogProxy(RequestProxy):
     network round trip to the catalog host) — or, on a location-cache
     hit, a plain :class:`Event` already triggered with the answer.
 
-    Negative lookups are cached too: an ``info`` miss (unknown LFN) and a
-    ``lfn_exists`` answer are remembered until a write to that LFN
-    invalidates them, so repeated probes for absent files — which the
-    RLI lookup path amplifies — cost no envelopes."""
+    Negative lookups are cached too: an ``info`` miss (unknown LFN) is
+    remembered until a write to that LFN invalidates it, so repeated
+    probes for absent files — which the RLI lookup path amplifies — cost
+    no envelopes."""
 
     ITEM_SIZE = BULK_ITEM_SIZE
 
@@ -177,31 +177,19 @@ class CatalogProxy(RequestProxy):
     def _read(self, op: str, payload: dict):
         return self._guarded(self.read_host, op, payload)
 
-    def _write(self, op: str, payload: dict):
-        return self._guarded(self.server_host, op, payload, idempotent=True)
-
-    def _spawn_read(self, name: str, op: str, **payload) -> Process:
-        return self.client.sim.spawn(self._read(op, payload), name=name)
-
     def _apply_write(self, op: str, payload: dict):
         """Generator: one write, then this site's cached answers dropped
         for every LFN the operation table says it touched (names the
         catalog generated come back in the answer)."""
-        answer = yield from self._write(op, payload)
+        answer = yield from self._guarded(
+            self.server_host, op, payload, idempotent=True
+        )
         for lfn in OPERATIONS[op].lfns(payload, answer):
             self.invalidate(lfn)
         return answer
 
     def _spawn_write(self, name: str, op: str, **payload) -> Process:
         return self.client.sim.spawn(self._apply_write(op, payload), name=name)
-
-    def _immediate(self, value) -> Event:
-        """A cached value, as an event already triggered with it."""
-        return self.client.sim.event().succeed(value)
-
-    def _immediate_error(self, error: Exception) -> Event:
-        """A cached negative answer, as an event already failed with it."""
-        return self.client.sim.event().fail(error)
 
     def _cache_get(self, key: tuple[str, str]):
         if not self.cache_enabled:
@@ -223,21 +211,18 @@ class CatalogProxy(RequestProxy):
 
     def _cached_read(self, kind: str, lfn: str, name: str, miss) -> Event:
         """One per-name read: the cached ``kind`` answer as a triggered
-        event (an absence re-raised or answered False, and counted) —
-        or, when the question has to travel, a process running
-        ``miss()``: a generator that fetches the answer, caches it and
-        returns it."""
+        event (an absence re-raised, and counted) — or, when the
+        question has to travel, a process running ``miss()``: a
+        generator that fetches the answer, caches it and returns it."""
         cached = self._cache_get((kind, lfn))
         if cached is None:
             return self.client.sim.spawn(miss(), name=f"{name} {lfn}")
         if isinstance(cached, _NegativeEntry):
             self.stats["negative_hits"] += 1
-            return self._immediate_error(cached.error)
-        if cached is False:
-            self.stats["negative_hits"] += 1
-        elif kind == "locations":
+            return self.client.sim.event().fail(cached.error)
+        if kind == "locations":
             cached = [dict(loc) for loc in cached]
-        return self._immediate(cached)
+        return self.client.sim.event().succeed(cached)
 
     def invalidate(self, lfn: Optional[str] = None) -> None:
         """Drop cached answers for one LFN (or all of them).
@@ -250,7 +235,6 @@ class CatalogProxy(RequestProxy):
         else:
             self._cache.pop(("info", lfn), None)
             self._cache.pop(("locations", lfn), None)
-            self._cache.pop(("exists", lfn), None)
 
     # -- writes (always to the primary; invalidate on completion) -----------------
     def publish(
@@ -294,13 +278,6 @@ class CatalogProxy(RequestProxy):
         """Remove a replica record (retiring the LFN when it was the last)."""
         return self._spawn_write(
             f"catalog-remove-replica {lfn}", "remove_replica", lfn=lfn, site=site
-        )
-
-    def remove_replicas(self, lfns: list[str], site: str) -> Process:
-        """Remove a batch of replica records in one envelope."""
-        return self._spawn_write(
-            f"catalog-remove-replicas x{len(lfns)}", "remove_replica_bulk",
-            lfns=list(lfns), site=site,
         )
 
     # -- reads (served by read_host; info/locations cached) -----------------------
@@ -362,40 +339,8 @@ class CatalogProxy(RequestProxy):
 
         return self.client.sim.spawn(run(), name=f"catalog-info-bulk x{len(lfns)}")
 
-    def locations_bulk(self, lfns: list[str]) -> Process:
-        """Physical locations for a whole file set in one envelope."""
-        lfns = list(lfns)
-
-        def run():
-            result = yield from self._read("locations_bulk", {"lfns": lfns})
-            for lfn, locs in result.items():
-                self._cache_locations(lfn, locs)
-            return result
-
-        return self.client.sim.spawn(
-            run(), name=f"catalog-locations-bulk x{len(lfns)}"
-        )
-
     def search(self, filter_text: str) -> Process:
         """Logical files matching an LDAP filter over their metadata."""
-        return self._spawn_read("catalog-search", "search", filter=filter_text)
-
-    def site_files(self, site: str) -> Process:
-        """All LFNs a site holds (failure-recovery catalog diff)."""
-        return self._spawn_read(
-            f"catalog-site-files {site}", "site_files", site=site
+        return self.client.sim.spawn(
+            self._read("search", {"filter": filter_text}), name="catalog-search"
         )
-
-    def lfn_exists(self, lfn: str) -> Event:
-        """Whether the logical file name is taken (both answers cached)."""
-
-        def miss():
-            result = yield from self._read("lfn_exists", {"lfn": lfn})
-            self._cache_put(("exists", lfn), bool(result))
-            return result
-
-        return self._cached_read("exists", lfn, "catalog-lfn-exists", miss)
-
-    def list_lfns(self) -> Process:
-        """Every logical file name in the catalog."""
-        return self._spawn_read("catalog-list-lfns", "list_lfns")

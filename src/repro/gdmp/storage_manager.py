@@ -48,7 +48,8 @@ class StorageManager:
         self.pool = pool
         self.fs = pool.fs
         self.mss = mss
-        self._in_flight: dict[str, Event] = {}
+        #: path -> the staging bringing it from tape, while it runs
+        self.in_flight: dict[str, Event] = {}
         self.stats = {
             "stage_requests": 0,
             "evictions_for_incoming": 0,
@@ -58,7 +59,7 @@ class StorageManager:
 
     def status(self, path: str) -> StageStatus:
         """Where a file currently is (disk / tape / staging / unknown)."""
-        if path in self._in_flight:
+        if path in self.in_flight:
             return StageStatus.STAGING
         if self.fs.exists(path):
             return StageStatus.ON_DISK
@@ -73,7 +74,7 @@ class StorageManager:
         cached = self.pool.lookup(path, self.sim.now)
         if cached is not None:
             return self.sim.event().succeed(cached)
-        staging = self._in_flight.get(path)
+        staging = self.in_flight.get(path)
         if staging is not None:
             return staging
         if self.mss is None or not self.mss.contains(path):
@@ -82,8 +83,8 @@ class StorageManager:
             )
         self.stats["stage_requests"] += 1
         staging = self.mss.stage_to_pool(self.pool, path)
-        self._in_flight[path] = staging
-        staging.callbacks.append(lambda _: self._in_flight.pop(path))
+        self.in_flight[path] = staging
+        staging.callbacks.append(lambda _: self.in_flight.pop(path))
         return staging
 
     def ensure_on_disk(self, path: str, pin: bool = True):

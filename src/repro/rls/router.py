@@ -143,7 +143,7 @@ class RlsCatalogProxy(CatalogProxy):
             operation, "rls", f"unknown logical file {lfn!r}"
         )
 
-    def _resolve(self, lfn: str, record_negative: bool = True):
+    def _resolve(self, lfn: str):
         """Generator: two-tier resolve of one LFN into a merged
         :class:`LogicalFileInfo` (or None when no LRC holds it).
 
@@ -197,22 +197,19 @@ class RlsCatalogProxy(CatalogProxy):
             "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
         ).observe(hops)
         if merged is None:
-            if record_negative:
-                self._cache_put(
-                    ("info", lfn),
-                    _NegativeEntry(self._not_found("catalog.info", lfn)),
-                )
-                self._cache_put(("exists", lfn), False)
+            self._cache_put(
+                ("info", lfn),
+                _NegativeEntry(self._not_found("catalog.info", lfn)),
+            )
             return None
         result = replace(merged, locations=tuple(locations))
         self._cache_put(("info", lfn), result)
         self._cache_locations(lfn, result.locations)
-        self._cache_put(("exists", lfn), True)
         return result
 
     # -- reads ----------------------------------------------------------------
 
-    def _lookup(self, kind: str, lfn: str, name: str, shape):
+    def _lookup(self, kind: str, lfn: str, shape):
         """One per-name read: the cached ``kind`` answer if there is one,
         else a two-tier resolve whose outcome (the merged info, or None)
         ``shape`` turns into this read's answer."""
@@ -220,7 +217,7 @@ class RlsCatalogProxy(CatalogProxy):
         def miss():
             return shape((yield from self._resolve(lfn)))
 
-        return self._cached_read(kind, lfn, f"rls-{name}", miss)
+        return self._cached_read(kind, lfn, f"rls-{kind}", miss)
 
     def info(self, lfn: str):
         def found(result):
@@ -228,18 +225,12 @@ class RlsCatalogProxy(CatalogProxy):
                 raise self._not_found("catalog.info", lfn)
             return result
 
-        return self._lookup("info", lfn, "info", found)
+        return self._lookup("info", lfn, found)
 
     def locations(self, lfn: str):
         return self._lookup(
-            "locations", lfn, "locations",
-            lambda result: [] if result is None
+            "locations", lfn, lambda result: [] if result is None
             else [dict(loc) for loc in result.locations],
-        )
-
-    def lfn_exists(self, lfn: str):
-        return self._lookup(
-            "exists", lfn, "lfn-exists", lambda result: result is not None
         )
 
     def _fetch_infos(self, lfns: list[str]):
@@ -318,32 +309,6 @@ class RlsCatalogProxy(CatalogProxy):
             self._cache_locations(lfn, full.locations)
         return results
 
-    def locations_bulk(self, lfns: list[str]):
-        lfns = list(lfns)
-
-        def run():
-            resolved = yield from self._resolve_bulk(
-                [
-                    lfn
-                    for lfn in lfns
-                    if self._cache_get(("locations", lfn)) is None
-                ]
-            )
-            out: dict[str, list[dict]] = {}
-            for lfn in lfns:
-                cached = self._cache.get(("locations", lfn))
-                if cached is not None:
-                    out[lfn] = [dict(loc) for loc in cached]
-                elif lfn in resolved:
-                    out[lfn] = [dict(loc) for loc in resolved[lfn].locations]
-                else:
-                    out[lfn] = []
-            return out
-
-        return self.client.sim.spawn(
-            run(), name=f"rls-locations-bulk x{len(lfns)}"
-        )
-
     def search(self, filter_text: str):
         """Filtered metadata search: one wave over every LRC, merged
         (locations concatenated per LFN; dead shards are skipped)."""
@@ -372,46 +337,11 @@ class RlsCatalogProxy(CatalogProxy):
 
         return self.client.sim.spawn(run(), name="rls-search")
 
-    def site_files(self, site: str):
-        """All LFNs a site holds — answered by that site's own LRC."""
-        host = self.lrc_hosts.get(site)
-        if host is None:
-            return self._immediate([])
-
-        def run():
-            found = yield from self._routed_call(
-                host, "catalog.site_files", {"site": site}
-            )
-            if isinstance(found, Exception):
-                raise found
-            return found
-
-        return self.client.sim.spawn(run(), name=f"rls-site-files {site}")
-
-    def list_lfns(self):
-        """Every logical file name in the grid (union over all LRCs in
-        one wave, sorted; dead shards are skipped)."""
-
-        def run():
-            names: set[str] = set()
-            for found in (
-                yield from self._wave(
-                    "catalog.list_lfns", dict.fromkeys(self.site_order, {})
-                )
-            ):
-                if isinstance(found, Exception):
-                    self.stats["lrc_failures"] += 1
-                else:
-                    names.update(found)
-            return sorted(names)
-
-        return self.client.sim.spawn(run(), name="rls-list-lfns")
-
     # -- writes ---------------------------------------------------------------
-    # publish/publish_bulk/remove_replica(s) are inherited: the base
-    # class already writes to ``server_host`` — this site's own LRC.
-    # Only explicit user-chosen LFNs need a grid-wide uniqueness probe,
-    # and replica registration becomes metadata-carrying adoption.
+    # publish/publish_bulk/remove_replica are inherited: the base class
+    # already writes to ``server_host`` — this site's own LRC.  Only
+    # explicit user-chosen LFNs need a grid-wide uniqueness probe, and
+    # replica registration becomes metadata-carrying adoption.
 
     def _publish_unique(self, operation: str, lfns: list[str], write, name):
         """Probe the whole grid for the explicit names of one publish —
@@ -467,45 +397,27 @@ class RlsCatalogProxy(CatalogProxy):
             f"rls-publish-bulk x{len(files)}",
         )
 
-    @staticmethod
-    def _adoption(info: LogicalFileInfo) -> dict:
-        """What an LRC needs to adopt a logical file it never saw."""
-        return {
-            "lfn": info.lfn,
-            "size": info.size,
-            "modified": info.modified,
-            "crc": info.crc,
-            "attributes": info.attributes,
-        }
-
     def add_replica(self, lfn: str, site: str):
-        """Register a replica at this site's LRC, adopting the logical
-        file (metadata and all) if the LRC has never seen it."""
-
-        def run():
-            info = yield self.info(lfn)  # warm from the replicate read
-            self.stats["adoptions"] += 1
-            return (
-                yield from self._apply_write(
-                    "adopt", {**self._adoption(info), "site": site}
-                )
-            )
-
-        return self.client.sim.spawn(run(), name=f"rls-adopt {lfn}")
+        """Register a replica at this site's LRC: an adoption of one."""
+        return self.add_replicas([lfn], site)
 
     def add_replicas(self, lfns: list[str], site: str):
+        """Register replicas at this site's LRC in one envelope, adopting
+        each logical file (metadata and all) the LRC has never seen."""
         lfns = list(lfns)
 
         def run():
             infos = yield self.info_bulk(lfns)  # cache-warm after a set
             self.stats["adoptions"] += len(infos)
-            return (
-                yield from self._apply_write(
-                    "adopt_bulk",
-                    {"files": [self._adoption(info) for info in infos],
-                     "site": site},
-                )
-            )
+            files = [
+                # what an LRC needs to adopt a logical file it never saw
+                {"lfn": info.lfn, "size": info.size, "modified": info.modified,
+                 "crc": info.crc, "attributes": info.attributes}
+                for info in infos
+            ]
+            return (yield from self._apply_write(
+                "adopt_bulk", {"files": files, "site": site}
+            ))
 
         return self.client.sim.spawn(
             run(), name=f"rls-adopt-bulk x{len(lfns)}"

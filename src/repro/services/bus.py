@@ -433,7 +433,6 @@ class ServiceClient:
         *,
         tracelog: Optional[TraceLog] = None,
         message_size: int = DEFAULT_MESSAGE_SIZE,
-        default_timeout: Optional[float] = None,
         middlewares: tuple = (),
     ):
         self.sim = sim
@@ -450,7 +449,8 @@ class ServiceClient:
             "fast_failures": 0,
         }
         self.message_size = message_size
-        self.default_timeout = default_timeout
+        #: whole-call timeout of a call that names none (None: wait)
+        self.default_timeout: Optional[float] = None
         #: refuse calls to hosts the msgnet knows are down instead of
         #: waiting out a timeout.  Off by default: a plain client should
         #: observe a crash exactly as a real one would — silence.

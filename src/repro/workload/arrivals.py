@@ -21,9 +21,9 @@ stream is a pure function of (seed, profile).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
+from repro.services.bus import ServiceError
 from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 from repro.workload.admission import FairShareAdmission, TokenBucket
 
@@ -69,7 +69,8 @@ class ArrivalGenerator:
     admission, take a token-bucket budget, drain deficit-round-robin,
     and flush the released demand to the queue as one ``pick`` task per
     destination site.  Runs until ``total`` requests have been generated
-    *and* the admission backlog has drained (sheds excepted).
+    *and* the admission backlog has drained (sheds excepted) *and* the
+    queue has taken every task released.
     """
 
     def __init__(self, sim, proxy, profile: ArrivalProfile, *,
@@ -108,6 +109,9 @@ class ArrivalGenerator:
         self._chunks: dict[str, list[dict]] = {
             vo: [] for vo in self.fairshare.weights
         }
+        #: released pick tasks the queue has not taken yet, offered again
+        #: each tick, keys and all (a key it already holds coalesces)
+        self._unsent: list[dict] = []
         self.generated = 0
         self.admitted = 0
         self.ticks = 0
@@ -165,6 +169,17 @@ class ArrivalGenerator:
 
     def _drain(self):
         """Token-bucket budget → fair-share drain → bulk pick tasks."""
+        self._release()
+        if not self._unsent:
+            return
+        tasks, self._unsent = self._unsent, []
+        try:
+            yield self.proxy.submit_bulk(tasks)
+        except ServiceError:
+            self._unsent = tasks  # the queue's host may be down: next tick
+
+    def _release(self) -> None:
+        """This tick's released demand, as pick tasks in ``_unsent``."""
         backlog = self.fairshare.backlog()
         if backlog == 0:
             return
@@ -181,19 +196,15 @@ class ArrivalGenerator:
             for (dest, lfn), c in sorted(self._pop_demand(vo, count).items()):
                 per_dest.setdefault(dest, {})
                 per_dest[dest][lfn] = per_dest[dest].get(lfn, 0) + c
-        if not per_dest:
-            return
-        tasks = []
         for dest in sorted(per_dest):
             serial = self.sim.next_serial("workload-pick")
-            tasks.append({
+            self._unsent.append({
                 "type": "pick",
                 "site": dest,
                 "key": f"pick:{dest}:{serial}",
                 "payload": {"demand": per_dest[dest]},
             })
-        self.pick_tasks += len(tasks)
-        yield self.proxy.submit_bulk(tasks)
+            self.pick_tasks += 1
 
     # -- the process body -------------------------------------------------
     def run(self):
@@ -204,7 +215,7 @@ class ArrivalGenerator:
             yield from self._drain()
             self.ticks += 1
             if (self.generated >= self.total
-                    and self.fairshare.backlog() == 0):
+                    and self.fairshare.backlog() == 0 and not self._unsent):
                 break
             yield self.sim.timeout(self.profile.tick)
         self.done.succeed()

@@ -402,7 +402,6 @@ class TaskQueueService:
                 f"task.{op}", getattr(self, f"_op_{op}"), replay=self.replay
             )
         server.register("task.wait", self._op_wait)
-        server.register("task.counts", self._op_counts)
         metrics.add_collector(self._collect)
 
     # -- telemetry --------------------------------------------------------
@@ -525,9 +524,6 @@ class TaskQueueService:
                     self._count("dead", task.type)
         return state
 
-    def _op_counts(self, request: ServiceRequest):
-        return self.queue.counts()
-
 
 class TaskQueueProxy(RequestProxy):
     """Site-side client of the queue service (one RPC per method)."""
@@ -598,6 +594,3 @@ class TaskQueueProxy(RequestProxy):
             "task_id": task_id, "claim_token": claim_token,
             "error": error, "retryable": retryable,
         })
-
-    def counts(self) -> Process:
-        return self._read("task.counts", {})

@@ -141,8 +141,9 @@ def test_add_and_remove_replicas_bulk():
         assert {loc["location"] for loc in catalog.locations(lfn)} == {
             "cern", "anl"
         }
-    catalog.remove_replicas(lfns, "anl")
-    catalog.remove_replicas(lfns[:1], "cern")
+    for lfn in lfns:
+        catalog.remove_replica(lfn, "anl")
+    catalog.remove_replica(lfns[0], "cern")
     # the last removal retired b0.db entirely
     assert not catalog.lfn_exists(lfns[0])
     assert catalog.lfn_exists(lfns[1])
@@ -200,15 +201,3 @@ def test_info_bulk_unknown_lfn_raises():
     catalog.publish_bulk("cern", files(1))
     with pytest.raises(CatalogError):
         catalog.info_bulk(["b0.db", "ghost.db"])
-
-
-def test_locations_bulk_matches_locations():
-    catalog = GdmpCatalog()
-    lfns = catalog.publish_bulk("cern", files(3))
-    catalog.add_replicas(lfns[1:], "anl")
-    assert catalog.locations_bulk(lfns) == {
-        "b0.db": [cern("b0.db")],
-        "b1.db": [anl("b1.db"), cern("b1.db")],
-        "b2.db": [anl("b2.db"), cern("b2.db")],
-    }
-    assert catalog.locations("b1.db") == [anl("b1.db"), cern("b1.db")]

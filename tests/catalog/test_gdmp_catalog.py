@@ -84,15 +84,6 @@ def test_search_returns_locations_and_metadata(gc):
     assert info.locations[0]["url"].endswith("/f")
 
 
-def test_site_files_for_failure_recovery(gc):
-    gc.publish("cern", size=1, modified=0, crc=0, lfn="a")
-    gc.publish("cern", size=1, modified=0, crc=0, lfn="b")
-    gc.add_replica("a", "anl")
-    assert sorted(gc.site_files("cern")) == ["a", "b"]
-    assert gc.site_files("anl") == ["a"]
-    assert gc.site_files("unknown-site") == []
-
-
 def test_register_site_idempotent(gc):
     gc.register_site("cern")
     gc.register_site("cern")

@@ -17,6 +17,12 @@ def catalog_envelopes(grid) -> int:
     )
 
 
+def catalog_view(grid, site: str) -> list[str]:
+    """The LFNs the central catalog lists at ``site``, read in process."""
+    backend = grid.catalog_backend
+    return backend.catalog.location_filenames(backend.collection, site)
+
+
 def make_files(grid, site_name, n, size=1 * MB, prefix="s"):
     site = grid.site(site_name)
     specs = []
@@ -40,8 +46,7 @@ def test_publish_set_registers_everything_in_one_envelope(grid):
     assert catalog_envelopes(grid) - before == 1
     for lfn in lfns:
         assert lfn in cern.server.held
-    catalog_view = grid.run(until=cern.client.catalog.site_files("cern"))
-    assert sorted(catalog_view) == sorted(lfns)
+    assert sorted(catalog_view(grid, "cern")) == sorted(lfns)
 
 
 def test_publish_set_sends_one_notify_per_subscriber(grid):
@@ -73,9 +78,8 @@ def test_batched_notify_auto_replicates_the_whole_set(grid):
     grid.run(until=cern.client.publish_set(specs))
     grid.run()  # drain the auto replicate_set
     assert sorted(anl.server.held) == ["s0.db", "s1.db", "s2.db"]
-    locations = grid.run(until=anl.client.catalog.locations_bulk(
-        ["s0.db", "s1.db", "s2.db"]))
-    for lfn, locs in locations.items():
+    for lfn in ["s0.db", "s1.db", "s2.db"]:
+        locs = grid.catalog_backend.locations(lfn)
         assert {loc["location"] for loc in locs} == {"cern", "anl"}
 
 
@@ -110,8 +114,7 @@ def test_replicate_set_pays_two_envelopes_not_two_per_file(grid):
     assert batched == 2  # one info_bulk + one add_replica_bulk
     # acceptance floor: >=5x fewer envelopes than 2-per-file
     assert 2 * len(lfns) >= 5 * batched
-    catalog_view = grid.run(until=anl.client.catalog.site_files("anl"))
-    assert sorted(catalog_view) == sorted(lfns)
+    assert sorted(catalog_view(grid, "anl")) == sorted(lfns)
 
 
 def test_replicate_set_flushes_registrations_on_mid_set_failure(grid):
@@ -123,8 +126,7 @@ def test_replicate_set_flushes_registrations_on_mid_set_failure(grid):
     with pytest.raises(GdmpError, match="already holds"):
         grid.run(until=anl.client.replicate_set(["s0.db", "s1.db", "s2.db"]))
     # ... but the replica fetched before the failure is still registered
-    catalog_view = grid.run(until=anl.client.catalog.site_files("anl"))
-    assert "s0.db" in catalog_view
+    assert "s0.db" in catalog_view(grid, "anl")
     assert "s0.db" in anl.server.held
 
 

@@ -57,14 +57,13 @@ def test_a_cached_answer_is_an_event_not_a_process(grid):
     absence is a cached answer too: the stored fault, raised again."""
     anl, proxy = _prime(grid)
     grid.run(until=proxy.locations("f.db"))
-    grid.run(until=proxy.lfn_exists("f.db"))
     with pytest.raises(RemoteCallError) as missed:
         grid.run(until=proxy.info("nope.db"))
     requests = counter_total(grid, "rpc.requests")
     hits = proxy.stats["cache_hits"]
     now = grid.sim.now
 
-    for read in (proxy.info, proxy.locations, proxy.lfn_exists):
+    for read in (proxy.info, proxy.locations):
         queued = len(grid.sim._queue)
         answer = read("f.db")
         assert not isinstance(answer, Process) and answer.triggered
@@ -77,5 +76,5 @@ def test_a_cached_answer_is_an_event_not_a_process(grid):
 
     assert grid.sim.now == now
     assert counter_total(grid, "rpc.requests") == requests
-    assert proxy.stats["cache_hits"] == hits + 7
+    assert proxy.stats["cache_hits"] == hits + 5
     assert proxy.stats["negative_hits"] == 1

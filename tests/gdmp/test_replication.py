@@ -238,8 +238,23 @@ def test_delete_last_replica_retires_lfn(grid):
     publish(grid, "cern", "solo.db", size=1 * MB)
     cern = grid.site("cern")
     grid.run(until=cern.client.delete_replica("solo.db"))
-    exists = grid.run(until=cern.client.catalog.lfn_exists("solo.db"))
-    assert not exists
+    assert not grid.catalog_backend.lfn_exists("solo.db")
+
+
+def test_leaks_name_what_a_drained_grid_still_holds(grid):
+    publish(grid, "cern", "kept.db", size=1 * MB)
+    grid.run(until=grid.site("anl").client.replicate("kept.db"))
+    assert grid.leaks() == []
+    cern = grid.site("cern")
+    cern.pool.pin("/storage/kept.db")
+    reservation = cern.pool.reserve(5.0)
+    assert grid.leaks() == [
+        "/storage/kept.db: still pinned at cern",
+        "5 bytes still reserved at cern",
+    ]
+    reservation.release()
+    cern.pool.unpin("/storage/kept.db")
+    assert grid.leaks() == []
 
 
 def test_delete_pinned_replica_refused(grid):

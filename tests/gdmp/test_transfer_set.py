@@ -59,7 +59,6 @@ def outcome(grid, dest, reports):
     """What a set leaves behind, without the clocks."""
     site = grid.site(dest)
     lfns = sorted(site.server.held)
-    locations = grid.run(until=site.client.catalog.locations_bulk(lfns))
     return {
         "reports": [
             (r.lfn, r.source, r.destination, r.size, r.attempts,
@@ -70,8 +69,10 @@ def outcome(grid, dest, reports):
         "held": dict(site.server.held),
         "crcs": {lfn: site.fs.stat(site.server.held[lfn]).crc for lfn in lfns},
         "locations": {
-            lfn: sorted(loc["location"] for loc in locs)
-            for lfn, locs in locations.items()
+            lfn: sorted(
+                loc["location"] for loc in grid.catalog_backend.locations(lfn)
+            )
+            for lfn in lfns
         },
     }
 
@@ -199,9 +200,9 @@ def test_replicas_before_a_failed_member_are_still_registered():
     with pytest.raises(GdmpError, match="replica sources failed"):
         grid.run(until=anl.client.replicate_set(names))
     assert sorted(anl.server.held) == names[:2]
-    locations = grid.run(until=anl.client.catalog.locations_bulk(names))
     assert [
-        sorted(loc["location"] for loc in locations[lfn]) for lfn in names
+        sorted(loc["location"] for loc in grid.catalog_backend.locations(lfn))
+        for lfn in names
     ] == [["anl", "cern"]] * 2 + [["cern"]] * 3
     # the two files after it were pre-staged and never fetched
     assert_no_pins(grid)
@@ -548,3 +549,27 @@ def test_login_whose_answer_was_lost_is_hung_up_at_the_next_dial():
         :2] == ["gridftp:QUIT", "gridftp:AUTH"]
     assert_no_sessions(grid)
     assert_no_pins(grid)
+
+
+# -- (j) a release the source did not hear ---------------------------------------
+
+def test_release_the_source_did_not_hear_is_sent_again_once_it_can():
+    grid = make_grid("cern", "anl")
+    publish(grid, "cern", ["f.db"])
+    anl, cern = grid.site("anl"), grid.site("cern")
+    path = cern.server.held["f.db"]
+    grid.run(until=grid.sim.spawn(
+        anl.client._stage_call("cern", "request_stage", ["f.db"])
+    ))
+    # the release is refused before it leaves anl, and nothing else
+    # will ever go to cern
+    anl.request_client.fail_fast_when_down = True
+    grid.msgnet.set_host_down("cern")
+    grid.run(until=grid.sim.spawn(anl.client._release("cern", ["f.db"])))
+    assert anl.client.stats["release_failures"] == 1
+    assert cern.pool.pin_count(path) == 1
+    grid.run(until=grid.sim.timeout(12.0))  # the first resend: still down
+    assert cern.pool.pin_count(path) == 1
+    grid.msgnet.set_host_down("cern", False)
+    grid.run()
+    assert grid.leaks() == [] and anl.client._unreleased == {}

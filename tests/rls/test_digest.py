@@ -108,7 +108,7 @@ def test_bulk_ops_feed_the_pending_sets():
     # keep pending small relative to |current| so this stays a delta
     holdings.update(f"f{i}" for i in range(40))
     source.on_write("publish_bulk", {"lfns": ["f0", "f1"]})
-    source.on_write("remove_replica_bulk", {"lfns": ["f1"]})
+    source.on_write("remove_replica", {"lfn": "f1"})
     payload = source.next_digest()
     assert payload["added"] == ["f0"]
     assert payload["removed"] == ["f1"]

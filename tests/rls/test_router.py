@@ -59,7 +59,7 @@ def test_false_positive_candidate_is_verified_not_trusted(rls_grid):
     with pytest.raises(RemoteCallError):
         grid.run(until=reader.info(ghost))
     assert reader.stats["verify_misses"] >= 1
-    assert grid.run(until=reader.lfn_exists(ghost)) is False
+    assert not grid.rls.backends["anl"].lfn_exists(ghost)
 
 
 def test_stale_index_racing_concurrent_delete(rls_grid):
@@ -89,11 +89,9 @@ def test_negative_cache_and_invalidation_on_publish(rls_grid):
     LFN later invalidates it so the new file is immediately visible."""
     grid = rls_grid
     reader = proxy_of(grid, "cern")
-    with pytest.raises(RemoteCallError):
-        grid.run(until=reader.info("later.dat"))
-    with pytest.raises(RemoteCallError):
-        grid.run(until=reader.info("later.dat"))
-    assert grid.run(until=reader.lfn_exists("later.dat")) is False
+    for _ in range(3):
+        with pytest.raises(RemoteCallError):
+            grid.run(until=reader.info("later.dat"))
     assert reader.stats["negative_hits"] >= 2
 
     # cern itself publishes: its proxy's publish path invalidates the
@@ -247,25 +245,11 @@ def test_wave_answers_equal_the_serial_router():
         record("shared.dat", 1, "cern", "anl", "fnal"),
         record("fnal-only.dat", 2, "fnal"),
     ]
-    reader.invalidate()
-    assert grid.run(
-        until=reader.locations_bulk(
-            ["shared.dat", "lost.dat", "nowhere.dat", "anl-only.dat"]
-        )
-    ) == {
-        "shared.dat": [loc(s, "shared.dat") for s in ("cern", "anl", "fnal")],
-        "lost.dat": [],
-        "nowhere.dat": [],
-        "anl-only.dat": [loc("anl", "anl-only.dat")],
-    }
     assert grid.run(until=reader.search("(run=1)")) == [
         record("anl-only.dat", 1, "anl"),
         record("shared.dat", 1, "cern", "anl", "fnal"),
     ]
-    assert grid.run(until=reader.list_lfns()) == [
-        "anl-only.dat", "fnal-only.dat", "shared.dat",
-    ]
-    assert reader.stats["lrc_failures"] >= 4  # caltech, once per wave
+    assert reader.stats["lrc_failures"] >= 3  # caltech, once per wave
 
 
 def test_dead_legs_share_one_timeout():
@@ -285,7 +269,8 @@ def test_dead_legs_share_one_timeout():
     assert 10.0 <= grid.sim.now - began < 11.0
 
     began = grid.sim.now
-    assert grid.run(until=reader.list_lfns()) == ["far.dat"]
+    found = grid.run(until=reader.search("(lfn=*)"))
+    assert [entry.lfn for entry in found] == ["far.dat"]
     assert 10.0 <= grid.sim.now - began < 11.0
 
 

@@ -15,24 +15,19 @@ from repro.simulation.randomness import RandomStreams
 from repro.workload import ArrivalProfile, WorkloadEngine
 
 #: every site: the GDMP daemon, its LRC (sharded mode gives each site
-#: the sixteen ``catalog.*`` operations) and the forecast subscriber
+#: the ten ``catalog.*`` operations) and the forecast subscriber
 PLAIN_SITE = {
     "subscribe", "unsubscribe", "notify", "get_catalog",
     "request_stage", "release",
     "catalog.publish", "catalog.publish_bulk",
-    "catalog.add_replica", "catalog.add_replica_bulk",
-    "catalog.adopt", "catalog.adopt_bulk",
-    "catalog.remove_replica", "catalog.remove_replica_bulk",
-    "catalog.info", "catalog.info_bulk",
-    "catalog.locations", "catalog.locations_bulk",
-    "catalog.lfn_exists", "catalog.list_lfns",
-    "catalog.search", "catalog.site_files",
+    "catalog.add_replica", "catalog.add_replica_bulk", "catalog.adopt_bulk",
+    "catalog.remove_replica", "catalog.locations",
+    "catalog.info", "catalog.info_bulk", "catalog.search",
     "weather.push_digest",
 }
 TASK_QUEUE = {
     "task.submit", "task.submit_bulk", "task.claim", "task.renew",
-    "task.complete", "task.complete_bulk", "task.fail", "task.counts",
-    "task.wait",
+    "task.complete", "task.complete_bulk", "task.fail", "task.wait",
 }
 #: the catalog host also carries the index and the pipeline's queue
 INDEX_HOST = PLAIN_SITE | TASK_QUEUE | {

@@ -388,6 +388,6 @@ def test_windows_are_bounded_after_the_data_challenge():
     writes = sum(
         c["value"] for c in served
         if c["labels"]["operation"].startswith("task.")
-        and c["labels"]["operation"] not in ("task.wait", "task.counts")
+        and c["labels"]["operation"] != "task.wait"
     )
     assert writes > 10 * len(engine.service.replay)

@@ -31,8 +31,7 @@ def test_production_publishes_all_files(grid):
         assert cern.federation.is_attached(lfn) is False  # producer keeps payloads in fs
         assert cern.fs.exists(f"/storage/{lfn}")
     # catalog agrees
-    lfns = grid.run(until=cern.client.catalog.list_lfns())
-    assert set(report.lfns) <= set(lfns)
+    assert set(report.lfns) <= set(grid.catalog_backend.list_lfns())
 
 
 def test_production_file_sizes_vary_lognormally(grid):

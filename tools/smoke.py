@@ -326,8 +326,9 @@ def check_warm_channels() -> list[str]:
     data channels from the windows the file before it left: at least
     (files − sets) × streams channels reused, fewer netsim flow-ticks
     per file than the same files pulled one conversation each (the cold
-    cost is measured on a twin grid, not remembered), and no control
-    session — so no parked channel — left at any server."""
+    cost is measured on a twin grid, not remembered), and nothing left
+    behind (``DataGrid.leaks``: no control session — so no parked
+    channel — pin, staging or reservation at any server)."""
     by_set, lfns = _set_grid()
     for puller in PULLERS:
         by_set.run(until=by_set.site(puller).client.replicate_set(lfns))
@@ -353,13 +354,7 @@ def check_warm_channels() -> list[str]:
             f"warm channels: {warm:.1f} netsim flow-ticks per file in a "
             f"set, {cold:.1f} one conversation each: no slow start saved"
         )
-    for site in by_set.sites.values():
-        left = site.gridftp_server.open_sessions
-        if left:
-            problems.append(
-                f"warm channels: {left} GridFTP session(s) left open at "
-                f"{site.name} after its sets closed"
-            )
+    problems.extend(f"warm channels: {leak}" for leak in by_set.leaks())
     if not problems:
         print(
             f"  warm channels: {reused:.0f} channels reused, {warm:.1f} "
