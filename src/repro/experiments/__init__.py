@@ -1,29 +1,11 @@
 """Experiment harness: one module per figure / table / claim of the paper.
 
 Every experiment exposes ``run(...)`` returning a plain data structure and
-``report(result)`` printing the same rows/series the paper shows.  The
-benchmarks under ``benchmarks/`` call ``run``; ``python -m repro.experiments
-<name>`` prints the report.
-
-Index (see DESIGN.md for the full mapping):
-
-========  ==========================================================
-figure5   Fig. 5 — transfer rate vs #streams, default 64 KiB buffers
-figure6   Fig. 6 — same with 1 MiB tuned buffers
-tuning    §6 claims T1-T3 (tuned-vs-untuned stream equivalences)
-buffer    EXP-BDP — throughput vs buffer size; optimal = RTT x bw
-objects   EXP-OBJ1 — §5.1 file-vs-object bytes, crossover, P(majority)
-pipeline  EXP-OBJ2 — §5.2 pipelined vs sequential object replication
-server    EXP-OBJ3 — §5.3 server overhead per serving mode
-catalog   EXP-CAT — replica catalog operation latency local vs WAN
-gdmp      EXP-GDMP — end-to-end replication pipeline with failures
-staging   EXP-MSS — stage-on-demand cost
-chaos     EXP-CHAOS — fault-injection campaigns; recovery convergence
-workload  EXP-WORKLOAD — claim-based standing pipeline at request scale
-rls       EXP-RLS — two-tier replica location: sharded LRCs + bloom RLI
-weather   EXP-WEATHER — history-based selection vs probes, tiered grid
-chunks    EXP-CHUNKS — erasure-coded chunk stripes; scrub/repair
-========  ==========================================================
+``report(result)`` printing the same rows/series the paper shows;
+``python -m repro.experiments <name>`` prints the report.  ``EXPERIMENTS``
+names them (DESIGN.md, "Experiment index", maps each to the paper), and
+:mod:`repro.experiments.claims` is the table of the paper's numbers their
+results are checked against (``python -m repro.experiments claims``).
 """
 
 from repro.experiments import (  # noqa: F401

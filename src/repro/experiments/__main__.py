@@ -2,6 +2,10 @@
 the paper's figures/tables as text reports — for each named experiment,
 ``report(run(**flags))`` with the flags its ``run`` accepts (the others
 are ignored, so one command line can name several experiments).
+``python -m repro.experiments claims [--seed=N]`` instead checks every
+row of :mod:`repro.experiments.claims`.  The exit code is 1 when a
+printed result failed (a campaign that did not converge, a claim out of
+its bound), 2 for an unknown name or campaign.
 
 Telemetry flags:
 
@@ -28,8 +32,8 @@ from __future__ import annotations
 import inspect
 import sys
 
-from repro.experiments import EXPERIMENTS
-from repro.experiments.scaffold import legs
+from repro.experiments import EXPERIMENTS, claims
+from repro.experiments.scaffold import Verdict, legs
 
 #: flag prefix -> (run() keyword, value converter)
 _FLAGS = {
@@ -72,13 +76,15 @@ def main(argv: list[str]) -> int:
                 break
         else:
             names.append(arg)
+    if names == ["claims"]:
+        return 0 if claims.report(claims.evaluate(flags.get("seed"))) else 1
     names = names or ["all"]
     if names == ["all"]:
         names = list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}")
-        print(f"available: {', '.join(EXPERIMENTS)}  (or 'all')")
+        print(f"available: {', '.join(EXPERIMENTS)}  (or 'all', or 'claims')")
         return 2
     if "campaign" in flags:
         for name in names:
@@ -87,12 +93,15 @@ def main(argv: list[str]) -> int:
                 print(f"unknown campaign {flags['campaign']!r} for {name} "
                       f"(one of: {', '.join(known)})")
                 return 2
+    failed = False
     for name in names:
         module = EXPERIMENTS[name]
         print(f"=== {name} ===")
         for kwargs in _calls(module, flags):
-            module.report(module.run(**kwargs))
-    return 0
+            result = module.run(**kwargs)
+            module.report(result)
+            failed |= isinstance(result, Verdict) and not result.converged
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Tests for the experiment harness CLI and registry."""
 
+import dataclasses
 import functools
 import io
 from contextlib import redirect_stdout
@@ -7,6 +8,7 @@ from contextlib import redirect_stdout
 from repro.experiments import EXPERIMENTS, chaos, rls
 from repro.experiments.__main__ import main
 from repro.experiments.common import format_table
+from repro.experiments.scaffold import Verdict
 
 
 def test_registry_modules_expose_run_and_report():
@@ -103,6 +105,17 @@ def test_cli_chaos_without_a_campaign_runs_all_four(monkeypatch):
     del ran[:]
     assert run_cli("chaos", "--campaign=mss_stall")[0] == 0
     assert ran == ["mss_stall"]
+
+
+def test_cli_exits_1_when_a_campaign_did_not_converge(monkeypatch):
+    failed = Verdict(seed=2001, campaign="", faults_injected=0,
+                     no_active_faults=True, fingerprint="", errors=("lost",))
+    monkeypatch.setattr(rls, "run", lambda seed=2001: failed)
+    monkeypatch.setattr(rls, "report", lambda result: None)
+    assert run_cli("rls")[0] == 1
+    monkeypatch.setattr(
+        rls, "run", lambda seed=2001: dataclasses.replace(failed, errors=()))
+    assert run_cli("rls")[0] == 0
 
 
 def test_cli_flags_reach_run_under_its_own_keywords(monkeypatch):

@@ -4,7 +4,7 @@
 # harness smoke tests, the smoke gate (every campaign experiment twice
 # per leg, the path and event budgets, two scenarios run back to back in
 # one process, the recorded experiment output), every performance record
-# at smoke size against its floors, the paper-shape benches, and (when
+# at smoke size against its floors, the paper's claims table, and (when
 # available) ruff.
 #
 #   tools/ci_check.sh
@@ -27,8 +27,8 @@ python tools/smoke.py
 echo "== performance records (smoke) + regression gates =="
 python tools/perf_report.py --suite all --smoke --output - > /dev/null
 
-echo "== paper-shape benches =="
-python -m pytest -q benchmarks --ignore=benchmarks/e2e
+echo "== paper claims: every row of repro.experiments.claims in its bound =="
+python -m repro.experiments claims
 
 if command -v ruff > /dev/null 2>&1; then
     echo "== ruff =="

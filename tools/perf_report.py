@@ -147,7 +147,7 @@ def measure_netsim(smoke: bool) -> dict:
         ranked = sorted((run[idx] for run in runs),
                         key=lambda s: s["wall_s"])
         micro.append(ranked[len(ranked) // 2])
-    current: dict = {"micro": micro}
+    current: dict = {"mode": "smoke" if smoke else "full", "micro": micro}
     speedup: dict = {}
     if not smoke:
         base = NETSIM_BASELINE
@@ -375,6 +375,15 @@ SUITES = {
         summary=lambda record: (
             f"{name}: {factor:.2f}x"
             for name, factor in sorted(record["speedup"].items())
+        ),
+        bounds=(
+            # the lossy testbed runs in the paper's ~23 Mbps regime, and the
+            # stretch fast path settles more fine ticks than it executes
+            Bound("micro.0.ticks", ">", 0),
+            Bound("micro.0.last_rate_mbps", ">", 15),
+            Bound("micro.0.last_rate_mbps", "<", 30),
+            Bound("micro.1.ticks", ">", 0),
+            Bound("micro.1.settled_ticks", ">", 1, of="micro.1.executed_ticks"),
         ),
     ),
     "catalog": Suite(
