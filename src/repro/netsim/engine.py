@@ -22,9 +22,9 @@ Hot-path architecture
 ---------------------
 
 Per-flow state lives in a :class:`~repro.netsim.flowtable.FlowTable` — a
-struct-of-arrays layout rebuilt only when the flow set changes
-(``open_flow`` / retirement / ``cancel_pool``).  Two tick kernels run over
-the same table:
+struct-of-arrays layout the engine keeps for its whole life: ``open_flow``
+appends a row, retirement and ``cancel_pool`` compact the leaving rows
+away.  Two tick kernels run over the same table:
 
 * the **vector** kernel executes every per-flow pass — window evolution,
   capacity sharing, batched loss draws, pool settlement — as whole-array
@@ -32,8 +32,8 @@ the same table:
 * the **scalar** kernel runs the same passes as tight list-indexed loops
   (the reference in differential tests).
 
-The default is **auto**: each table picks vector at
-:data:`~repro.netsim.flowtable.VECTOR_MIN_FLOWS` flows and above, scalar
+The default is **auto**: the table runs vector while it holds
+:data:`~repro.netsim.flowtable.VECTOR_MIN_FLOWS` flows or more, scalar
 below (where ufunc dispatch overhead would dominate).
 
 Both kernels are bit-identical: array accumulation orders (``bincount`` /
@@ -371,7 +371,7 @@ class NetworkEngine:
         self.random = RandomStreams(seed)
         self.adaptive_ticks = adaptive_ticks
         #: tick kernel: "vector" (numpy arrays), "scalar" (python lists),
-        #: or "auto" (per-table size cutover at VECTOR_MIN_FLOWS)
+        #: or "auto" (size cutover at VECTOR_MIN_FLOWS)
         self.kernel = resolve_kernel(kernel)
         #: the :class:`~repro.telemetry.metrics.MetricsRegistry`.
         #: Instrumentation is event-driven (flow open/retire, drops) —
@@ -392,7 +392,6 @@ class NetworkEngine:
         #: (ok=False, nbytes=bytes actually delivered).  Observers must be
         #: purely observational — the weather station's feed.
         self.transfer_observers: list = []
-        self._flows: list[Flow] = []
         self._running = False
         self._process = None
         #: bytes cancelled pools had delivered: with the registry's
@@ -406,9 +405,8 @@ class NetworkEngine:
         self.flow_tick_count = 0
         self._flow_seq = 0
         self._loss_rng = None
-        # the flow table, rebuilt lazily when the flow set changes
-        self._cache_dirty = True
-        self._table: Optional[FlowTable] = None
+        # the flow table, kept for the engine's life
+        self._table = FlowTable([], self.kernel)
         # stretched-tick state
         self._stretch: Optional[_Stretch] = None
         self._realign_at = 0.0
@@ -483,8 +481,7 @@ class NetworkEngine:
         if pool.started_at is None:
             pool.started_at = self.sim.now
         flow.next_round_at = self.sim.now + max(flow.base_rtt, self.MIN_RTT)
-        self._flows.append(flow)
-        self._cache_dirty = True
+        self._table.append(flow)
         self.metrics.counter(
             "netsim.flows_opened", src=src_host.name, dst=dst_host.name,
         ).inc()
@@ -528,14 +525,14 @@ class NetworkEngine:
 
     @property
     def active_flows(self) -> tuple[Flow, ...]:
-        return tuple(self._flows)
+        return tuple(self._table.flows)
 
     def pools_on_link(self, link_name: str) -> list[SharedBytePool]:
         """Distinct pools with an active flow routed across the named link
         (in flow order) — what a fibre cut on that link would sever."""
         pools: list[SharedBytePool] = []
         seen: set[int] = set()
-        for f in self._flows:
+        for f in self._table.flows:
             if id(f.pool) in seen:
                 continue
             if any(link.name == link_name for link in f.path):
@@ -548,7 +545,7 @@ class NetworkEngine:
         named host (in flow order) — what a crash of that host severs."""
         pools: list[SharedBytePool] = []
         seen: set[int] = set()
-        for f in self._flows:
+        for f in self._table.flows:
             if id(f.pool) in seen:
                 continue
             if f.src.name == host_name or f.dst.name == host_name:
@@ -565,16 +562,12 @@ class NetworkEngine:
                 raise ValueError("transfer already completed")
             raise ValueError("transfer already aborted")
         self._abort_stretch()
-        cancelled = [f for f in self._flows if f.pool is pool]
         t = self._table
-        if t is not None:
-            for f in cancelled:
-                if f._table is t:
-                    t.flush_flow(f)
-            if pool._table is t:
-                t.flush_pool(pool)
-        self._flows = [f for f in self._flows if f.pool is not pool]
-        self._cache_dirty = True
+        cancelled = []
+        if pool._table is t:
+            rows = list(t.pool_flow_rows[pool._row])
+            cancelled = [t.flows[i] for i in rows]
+            t.compact(rows)
         pool.completed_at = self.sim.now
         self.stats["bytes_delivered_aborted"] += pool._delivered
         self.metrics.counter("netsim.transfers_aborted").inc()
@@ -619,23 +612,9 @@ class NetworkEngine:
         metrics.observe("netsim.tcp.cwnd", tcp.cwnd, **labels)
         metrics.observe("netsim.tcp.ssthresh", tcp.ssthresh, **labels)
 
-    # -- the flow table ----------------------------------------------------
-    def _rebuild_cache(self) -> None:
-        """Flush the previous flow table and build one for the current set.
-
-        The table's column orders (flows in arrival order, link slots in
-        first-encounter order over flow paths) deliberately reproduce the
-        encounter order of the per-object implementation, so aggregation
-        and RNG draw sequences are unchanged.
-        """
-        if self._table is not None:
-            self._table.flush_all()
-        self._table = FlowTable(self._flows, self.kernel)
-        self._cache_dirty = False
-
     # -- engine loop ---------------------------------------------------------
     def _run(self):
-        while self._flows:
+        while self._table.n_flows:
             dt = self._tick()
             stretch = self._plan_stretch(dt) if self.adaptive_ticks else None
             if stretch is None:
@@ -658,8 +637,6 @@ class NetworkEngine:
         self._running = False
 
     def _tick(self) -> float:
-        if self._cache_dirty:
-            self._rebuild_cache()
         t = self._table
         self.tick_count += 1
         self.flow_tick_count += t.n_flows
@@ -718,22 +695,16 @@ class NetworkEngine:
 
     def _retire_finished(self, t: FlowTable, finished_rows: list[int],
                          tick_end: float) -> None:
-        """Retire the flows of drained pools: flush their table rows back
-        into the objects, shrink the flow set, and fire completions."""
-        finished_pools = []
-        for p in finished_rows:
-            pool = t.pools[p]
-            pool.completed_at = tick_end
-            finished_pools.append(pool)
-        done_ids = {id(p) for p in finished_pools}
-        flows = self._flows
-        retired = [f for f in flows if id(f.pool) in done_ids]
-        self._flows = [f for f in flows if id(f.pool) not in done_ids]
-        self._cache_dirty = True
-        for f in retired:
-            t.flush_flow(f)
+        """Retire the flows of drained pools: compact their rows out of the
+        table (flushing them back into the objects) and fire completions."""
+        finished_pools = [t.pools[p] for p in finished_rows]
         for pool in finished_pools:
-            t.flush_pool(pool)
+            pool.completed_at = tick_end
+        rows = sorted(
+            i for p in finished_rows for i in t.pool_flow_rows[p]
+        )
+        retired = [t.flows[i] for i in rows]
+        t.compact(rows)
         for f in retired:
             self._record_flow_retired(f)
         if self.transfer_observers:
@@ -1010,7 +981,9 @@ class NetworkEngine:
                 next_round_at[i] = tick_end + rtt[i]
 
         finished_rows = self._detect_finished(t) if any_exhausted else []
-        self._tick_quiet = queues_empty and not congested
+        # a tick that retires a transfer is never quiet: the flow set the
+        # stretch would be planned over has changed
+        self._tick_quiet = queues_empty and not congested and not finished_rows
         if finished_rows:
             self._retire_finished(t, finished_rows, tick_end)
         return dt
@@ -1122,7 +1095,7 @@ class NetworkEngine:
             sel = link_dropped[t.ov_link] > 0.0
             pl = t.ov_link[sel]
             pf = t.ov_flow[sel]
-            packets = offered[pf] * dt / t.ov_mss[sel]
+            packets = offered[pf] * dt / t.mss[pf]
             elig = packets > 0
             if np.count_nonzero(elig) < elig.size:
                 pl = pl[elig]
@@ -1219,7 +1192,9 @@ class NetworkEngine:
             self._on_round_mask(t, mask, tick_end)
 
         finished_rows = self._detect_finished(t) if any_exhausted else []
-        self._tick_quiet = queues_empty and not congested
+        # a tick that retires a transfer is never quiet: the flow set the
+        # stretch would be planned over has changed
+        self._tick_quiet = queues_empty and not congested and not finished_rows
         if finished_rows:
             self._retire_finished(t, finished_rows, tick_end)
         return dt
@@ -1280,11 +1255,8 @@ class NetworkEngine:
         evolution, no loss marks, no random draws, and window updates that
         cannot change the effective (buffer-clamped) window.
         """
-        if self._cache_dirty:
-            # flow set changed during this tick (a pool finished)
-            return None
         t = self._table
-        if t is None or not t.n_flows or t.has_lossy or not self._tick_quiet:
+        if not t.n_flows or t.has_lossy or not self._tick_quiet:
             return None
         if t.kernel == "vector":
             budget = self._stretch_budget_vector(t, dt)

@@ -8,27 +8,34 @@ per-flow / per-link / per-pool columns — so the vectorized kernel can run
 whole-array passes and the retained scalar kernel can run tight
 list-indexed loops, both over the same storage.
 
-The engine defaults to ``auto`` — each table picks the batched vector
-kernel (``float64`` ndarray columns) at :data:`VECTOR_MIN_FLOWS` flows
-and above, and the scalar kernel (plain-list columns, no per-tick ufunc
-dispatch overhead) below it.  ``NetworkEngine(kernel="scalar")`` always
-runs the scalar kernel; ``"vector"`` vectorizes every table regardless
-of size.  Both kernels are required to produce
-**bit-identical** simulations — the accumulation orders baked into this
-layout (flow-major path pairs, link-major overflow pairs, pool rows in
-first-flow order) exist precisely to reproduce the scalar loops' float
-rounding and RNG draw order.  See DESIGN.md ("Flow tables").
+An engine keeps one table for its whole life: :meth:`FlowTable.append`
+adds a flow as it opens and :meth:`FlowTable.compact` drops the flows of
+a retired or cancelled transfer, each leaving the table exactly as a
+fresh build over the surviving flows would lay it out.
+
+The engine defaults to ``auto`` — the table runs the batched vector
+kernel (``float64`` ndarray columns) while it holds
+:data:`VECTOR_MIN_FLOWS` flows or more, and the scalar kernel
+(plain-list columns, no per-tick ufunc dispatch overhead) below that,
+converting its columns in place when it crosses the threshold.
+``NetworkEngine(kernel="scalar")`` always runs the scalar kernel;
+``"vector"`` vectorizes the table regardless of size.  Both kernels are
+required to produce **bit-identical** simulations — the accumulation
+orders baked into this layout (flow-major path pairs, link-major
+overflow pairs, pool rows in first-flow order) exist precisely to
+reproduce the scalar loops' float rounding and RNG draw order.  See
+DESIGN.md ("Flow tables").
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.netsim.engine import Flow, SharedBytePool
-    from repro.netsim.link import Link
+    from repro.netsim.engine import Flow
 
 __all__ = ["VECTOR_MIN_FLOWS", "FlowTable", "resolve_kernel"]
 
@@ -43,6 +50,49 @@ _VALID_KERNELS = ("auto", "vector", "scalar")
 #: are bit-identical, so the cutover can never change simulation results.
 VECTOR_MIN_FLOWS = 64
 
+_F64 = _np.float64
+_INT = _np.intp
+_INF = float("inf")
+
+#: Column groups: ``group -> (dtype, columns)``.  The columns of one group
+#: always have one length, so a vector table stores each group as one
+#: 2-D buffer grown by doubling and exposes its rows as ``[:n]`` views.
+_GROUPS = {
+    "flow_f": (_F64, (
+        "base_rtt", "rtt", "rate_cap", "next_round_at", "delivered",
+        "cwnd", "ssthresh", "rounds", "losses", "timeouts", "buffer",
+        "buffer2", "mss", "initial_cwnd", "offered", "achieved",
+        "window_used",
+    )),
+    "flow_b": (_np.bool_, ("loss_pending", "timeout_pending", "round_mask")),
+    "flow_i": (_INT, ("pool_row", "src_slot", "dst_slot")),
+    "link": (_F64, (
+        "link_capacity", "link_cross", "link_queue_cap", "link_queue",
+        "link_scale", "link_dropped",
+    )),
+    "pool": (_F64, ("pool_remaining", "pool_delivered")),
+    "src": (_F64, ("src_nics",)),
+    "dst": (_F64, ("dst_nics",)),
+    # vector tables only: the scalar kernel walks path_slots, lossy_rows
+    # and link_flows instead
+    "path": (_INT, ("path_flow", "path_link")),
+    "lossy_i": (_INT, ("lossy_flow",)),
+    "lossy_f": (_F64, ("lossy_survive", "lossy_mss")),
+    "ov": (_INT, ("ov_link", "ov_flow")),
+}
+_VECTOR_ONLY = ("path", "lossy_i", "lossy_f", "ov")
+#: the columns of both kernels' tables, and those of vector tables only
+_COLUMNS = tuple(name for group, (_, names) in _GROUPS.items()
+                 if group not in _VECTOR_ONLY for name in names)
+_VECTOR_COLUMNS = tuple(name for group in _VECTOR_ONLY
+                        for name in _GROUPS[group][1])
+
+#: Per-tick scratch columns: every tick writes them before it reads them,
+#: so where a fresh build holds zeros a kept table may hold the values of
+#: its last tick.  (``link_scale`` / ``link_dropped`` are scratch too,
+#: but each tick resets them to 1.0 / 0.0 after use.)
+SCRATCH_COLUMNS = ("offered", "achieved", "window_used", "round_mask")
+
 
 def resolve_kernel(kernel: str) -> str:
     """Validate a kernel request."""
@@ -54,271 +104,446 @@ def resolve_kernel(kernel: str) -> str:
     return kernel
 
 
+def _inverse(order: list[int], size: int) -> list[int]:
+    """``order`` lists old indices in their new order; the map old -> new
+    (-1 for an index that is gone)."""
+    mapping = [-1] * size
+    for new, old in enumerate(order):
+        mapping[old] = new
+    return mapping
+
+
+def _gaps(idx: list[int], size: int):
+    """The slices, last first, whose deletion turns ``range(size)`` into
+    ``idx`` — None when ``idx`` is not increasing."""
+    gaps = []
+    prev = -1
+    for i in idx:
+        if i <= prev:
+            return None
+        if i > prev + 1:
+            gaps.append((prev + 1, i))
+        prev = i
+    if prev + 1 < size:
+        gaps.append((prev + 1, size))
+    gaps.reverse()
+    return gaps
+
+
 class FlowTable:
     """Parallel columns for the active flow set of one engine.
 
-    The table is rebuilt whenever the flow set changes (``open_flow``,
-    retirement, ``cancel_pool``); while attached it is the *authoritative*
-    store — ``Flow`` / ``SharedBytePool`` objects are thin views whose
-    properties read through to their row and are written back (flushed)
-    when they leave the table.
+    The engine keeps its table for as long as it lives: :meth:`append`
+    adds an opened flow, :meth:`compact` drops retired or cancelled ones.
+    While attached the table is the *authoritative* store — ``Flow`` /
+    ``SharedBytePool`` objects are thin views whose properties read
+    through to their row and are written back (flushed) when they leave
+    the table.
 
     Column orders deliberately reproduce the encounter orders of the
     original per-object loops, so aggregation (``bincount`` / running
-    sums) and RNG draw sequences are bit-identical:
+    sums) and RNG draw sequences are bit-identical.  After every append
+    and every compact they are exactly those of a fresh build over the
+    current flows:
 
     * flow rows in arrival order,
-    * link slots in first-encounter order over flow paths,
+    * pool rows in first-flow order,
+    * link slots and NIC slots in first-encounter order over flow paths,
     * path pairs flow-major (flow order, hop order within a flow),
-    * overflow pairs link-major (link slot, then incidence order),
-    * pool rows in first-flow-encounter order.
+    * overflow pairs link-major (link slot, then incidence order).
+
+    The constructor is ``append`` over ``flows`` onto an empty table.
     """
 
+    #: tables constructed in this process (an engine constructs one; the
+    #: smoke gate's ``table_builds`` check reads the difference)
+    builds = 0
+
     def __init__(self, flows: list, kernel: str):
-        if kernel == "auto":
-            # Size cutover: the kernels are bit-identical, so picking per
-            # table can never change results — only wall-clock.
-            kernel = (
-                "vector" if len(flows) >= VECTOR_MIN_FLOWS else "scalar"
-            )
-        self.kernel = kernel
-        vector = kernel == "vector"
-        inf = float("inf")
+        FlowTable.builds += 1
+        #: the engine's kernel request: "auto", "vector" or "scalar"
+        self.requested = kernel
+        #: in-place conversions between the kernels ("auto" only)
+        self.cutovers = 0
+        self._reset()
+        for f in flows:
+            self.append(f)
 
-        n = len(flows)
-        self.flows = list(flows)
-        self.n_flows = n
+    def _reset(self) -> None:
+        """Empty every column, laid out for the kernel an empty table
+        runs."""
+        #: the kernel the columns are laid out for now
+        self.kernel = "scalar"
+        self.flows: list["Flow"] = []
+        self.n_flows = 0
+        self.path_slots: list[list[int]] = []
+        self.lossy_rows: list[tuple[float, ...]] = []
+        self.has_lossy = False
+        self.links: list = []
+        self.link_flows: list[list[int]] = []
+        self.n_links = 0
+        self._link_slot: dict[int, int] = {}
+        self.pools: list = []
+        self.pool_flow_rows: list[list[int]] = []
+        self.n_pools = 0
+        self._src_key: dict[str, int] = {}
+        self._dst_key: dict[str, int] = {}
+        self.n_src_slots = 0
+        self.n_dst_slots = 0
+        self.nic_bounded = False
+        # vector tables: 2-D buffers per group and the rows in use
+        self._bufs: dict = {}
+        self._used: dict[str, int] = {}
+        for name in _COLUMNS:
+            setattr(self, name, [])
+        for name in _VECTOR_COLUMNS:
+            setattr(self, name, None)
+        self.pool_rows_of = None
+        if self._wants_vector():
+            self._to_vector()
 
-        base_rtt = [0.0] * n
-        rtt = [0.0] * n
-        rate_cap = [0.0] * n
-        next_round_at = [0.0] * n
-        delivered = [0.0] * n
-        cwnd = [0.0] * n
-        ssthresh = [0.0] * n
-        rounds = [0.0] * n
-        losses = [0.0] * n
-        timeouts = [0.0] * n
-        buffer = [0.0] * n
-        buffer2 = [0.0] * n
-        mss = [0.0] * n
-        initial_cwnd = [0.0] * n
-        loss_pending = [False] * n
-        timeout_pending = [False] * n
-        pool_row: list[int] = [0] * n
-        src_slot: list[int] = [0] * n
-        dst_slot: list[int] = [0] * n
-
-        links: list["Link"] = []
-        link_slot: dict[int, int] = {}
-        path_slots: list[list[int]] = []
-        lossy_rows: list[tuple[float, ...]] = []
-        path_flow: list[int] = []
-        path_link: list[int] = []
-        lossy_flow: list[int] = []
-        lossy_survive: list[float] = []
-
-        pools: list["SharedBytePool"] = []
-        pool_key: dict[int, int] = {}
-        pool_flow_rows: list[list[int]] = []
-
-        src_key: dict[str, int] = {}
-        dst_key: dict[str, int] = {}
-        src_nics: list[float] = []
-        dst_nics: list[float] = []
-
-        has_lossy = False
-        for i, f in enumerate(flows):
-            base_rtt[i] = f.base_rtt
-            rtt[i] = f._rtt
-            rate_cap[i] = f.rate_cap
-            next_round_at[i] = f.next_round_at
-            delivered[i] = f._delivered
-            t = f._tcp
-            cwnd[i] = t.cwnd
-            ssthresh[i] = t.ssthresh
-            rounds[i] = float(t.rounds)
-            losses[i] = float(t.losses)
-            timeouts[i] = float(t.timeouts)
-            buffer[i] = t._buffer_f
-            buffer2[i] = t._buffer2
-            mss[i] = t._mss_f
-            initial_cwnd[i] = t._initial_cwnd_f
-            loss_pending[i] = f._loss_pending
-            timeout_pending[i] = f._timeout_pending
-
-            slots = []
-            for link in f.path:
-                key = id(link)
-                slot = link_slot.get(key)
-                if slot is None:
-                    slot = len(links)
-                    link_slot[key] = slot
-                    links.append(link)
-                slots.append(slot)
-                path_flow.append(i)
-                path_link.append(slot)
-            path_slots.append(slots)
-            survive = tuple(
-                1.0 - link.loss_rate for link in f.path if link.loss_rate > 0
-            )
-            lossy_rows.append(survive)
-            if survive:
-                has_lossy = True
-                for s in survive:
-                    lossy_flow.append(i)
-                    lossy_survive.append(s)
-
-            key = id(f.pool)
-            prow = pool_key.get(key)
-            if prow is None:
-                prow = len(pools)
-                pool_key[key] = prow
-                pools.append(f.pool)
-                pool_flow_rows.append([])
-            pool_row[i] = prow
-            pool_flow_rows[prow].append(i)
-
-            slot = src_key.get(f.src.name)
-            if slot is None:
-                slot = len(src_nics)
-                src_key[f.src.name] = slot
-                src_nics.append(f.src.nic_rate)
-            src_slot[i] = slot
-            slot = dst_key.get(f.dst.name)
-            if slot is None:
-                slot = len(dst_nics)
-                dst_key[f.dst.name] = slot
-                dst_nics.append(f.dst.nic_rate)
-            dst_slot[i] = slot
-
-        nlinks = len(links)
-        link_flows: list[list[int]] = [[] for _ in range(nlinks)]
-        for k in range(len(path_flow)):
-            link_flows[path_link[k]].append(path_flow[k])
-        # overflow pairs: the queue-drop marking pass walks links in slot
-        # order and, within a link, flows in incidence order — which is
-        # ascending row order, since incidence lists are filled flow-major
-        ov_pairs = sorted(zip(path_link, path_flow))
-
-        self.links = links
-        self.link_flows = link_flows
-        self.n_links = nlinks
-        self.path_slots = path_slots
-        self.lossy_rows = lossy_rows
-        self.has_lossy = has_lossy
-        self.pools = pools
-        self.pool_flow_rows = pool_flow_rows
-        self.n_pools = len(pools)
-        self.src_nics = src_nics
-        self.dst_nics = dst_nics
-        self.n_src_slots = len(src_nics)
-        self.n_dst_slots = len(dst_nics)
-        self.nic_bounded = any(r != inf for r in src_nics) or any(
-            r != inf for r in dst_nics
-        )
-
-        link_capacity = [link.capacity for link in links]
-        link_cross = [link.cross_traffic for link in links]
-        link_queue_cap = [link.queue_capacity for link in links]
-        link_queue = [link.queue for link in links]
-        pool_remaining = [p._remaining for p in pools]
-        pool_delivered = [p._delivered for p in pools]
-
-        if vector:
-            f64 = _np.float64
-            self.base_rtt = _np.array(base_rtt, dtype=f64)
-            self.rtt = _np.array(rtt, dtype=f64)
-            self.rate_cap = _np.array(rate_cap, dtype=f64)
-            self.next_round_at = _np.array(next_round_at, dtype=f64)
-            self.delivered = _np.array(delivered, dtype=f64)
-            self.cwnd = _np.array(cwnd, dtype=f64)
-            self.ssthresh = _np.array(ssthresh, dtype=f64)
-            self.rounds = _np.array(rounds, dtype=f64)
-            self.losses = _np.array(losses, dtype=f64)
-            self.timeouts = _np.array(timeouts, dtype=f64)
-            self.buffer = _np.array(buffer, dtype=f64)
-            self.buffer2 = _np.array(buffer2, dtype=f64)
-            self.mss = _np.array(mss, dtype=f64)
-            self.initial_cwnd = _np.array(initial_cwnd, dtype=f64)
-            self.loss_pending = _np.array(loss_pending, dtype=bool)
-            self.timeout_pending = _np.array(timeout_pending, dtype=bool)
-            self.offered = _np.zeros(n, dtype=f64)
-            self.achieved = _np.zeros(n, dtype=f64)
-            self.window_used = _np.zeros(n, dtype=f64)
-            self.pool_row = _np.array(pool_row, dtype=_np.intp)
-            self.src_slot = _np.array(src_slot, dtype=_np.intp)
-            self.dst_slot = _np.array(dst_slot, dtype=_np.intp)
-            self.path_flow = _np.array(path_flow, dtype=_np.intp)
-            self.path_link = _np.array(path_link, dtype=_np.intp)
-            self.lossy_flow = _np.array(lossy_flow, dtype=_np.intp)
-            self.lossy_survive = _np.array(lossy_survive, dtype=f64)
-            self.ov_link = _np.array([p[0] for p in ov_pairs], dtype=_np.intp)
-            self.ov_flow = _np.array([p[1] for p in ov_pairs], dtype=_np.intp)
-            self.link_capacity = _np.array(link_capacity, dtype=f64)
-            self.link_cross = _np.array(link_cross, dtype=f64)
-            self.link_queue_cap = _np.array(link_queue_cap, dtype=f64)
-            self.link_queue = _np.array(link_queue, dtype=f64)
-            self.pool_remaining = _np.array(pool_remaining, dtype=f64)
-            self.pool_delivered = _np.array(pool_delivered, dtype=f64)
-            self.pool_rows_of = [
-                _np.array(r, dtype=_np.intp) for r in pool_flow_rows
-            ]
-            # per-pair columns the loss passes would otherwise gather per
-            # tick, and per-tick scratch (see the vector kernel)
-            self.ov_mss = self.mss[self.ov_flow]
-            self.lossy_mss = self.mss[self.lossy_flow]
-            self.link_scale = _np.ones(nlinks)
-            self.link_dropped = _np.zeros(nlinks)
-            self.round_mask = _np.zeros(n, dtype=bool)
-            # NIC rates may be inf (unbounded); the masked divide in the
-            # kernel never touches those lanes
-            self.src_nics = _np.array(src_nics, dtype=f64)
-            self.dst_nics = _np.array(dst_nics, dtype=f64)
+    # -- mutation -----------------------------------------------------------
+    def append(self, f: "Flow") -> None:
+        """Add ``f`` as the last row and attach its view; its pool, links
+        and NICs take the next free slot on first encounter."""
+        i = self.n_flows
+        pool = f.pool
+        if pool._table is self:
+            prow = pool._row
+            self.pool_flow_rows[prow].append(i)
         else:
-            self.base_rtt = base_rtt
-            self.rtt = rtt
-            self.rate_cap = rate_cap
-            self.next_round_at = next_round_at
-            self.delivered = delivered
-            self.cwnd = cwnd
-            self.ssthresh = ssthresh
-            self.rounds = rounds
-            self.losses = losses
-            self.timeouts = timeouts
-            self.buffer = buffer
-            self.buffer2 = buffer2
-            self.mss = mss
-            self.initial_cwnd = initial_cwnd
-            self.loss_pending = loss_pending
-            self.timeout_pending = timeout_pending
-            self.offered = [0.0] * n
-            self.achieved = [0.0] * n
-            self.window_used = [0.0] * n
-            self.pool_row = pool_row
-            self.src_slot = src_slot
-            self.dst_slot = dst_slot
-            self.path_flow = path_flow
-            self.path_link = path_link
-            self.lossy_flow = lossy_flow
-            self.lossy_survive = lossy_survive
-            self.ov_link = [p[0] for p in ov_pairs]
-            self.ov_flow = [p[1] for p in ov_pairs]
-            self.link_capacity = link_capacity
-            self.link_cross = link_cross
-            self.link_queue_cap = link_queue_cap
-            self.link_queue = link_queue
-            self.pool_remaining = pool_remaining
-            self.pool_delivered = pool_delivered
-            self.pool_rows_of = pool_flow_rows
+            prow = self.n_pools
+            self.n_pools = prow + 1
+            self.pools.append(pool)
+            self.pool_flow_rows.append([i])
+            self._push("pool", (pool._remaining, pool._delivered))
+            pool._table = self
+            pool._row = prow
 
-        # attach the views last, once every column is consistent
-        for i, f in enumerate(flows):
-            f._table = self
-            f._row = i
-        for prow, p in enumerate(pools):
-            p._table = self
-            p._row = prow
+        link_slot = self._link_slot
+        link_flows = self.link_flows
+        slots = []
+        for link in f.path:
+            slot = link_slot.get(id(link))
+            if slot is None:
+                slot = link_slot[id(link)] = self.n_links
+                self.n_links = slot + 1
+                self.links.append(link)
+                link_flows.append([])
+                self._push("link", (
+                    link.capacity, link.cross_traffic, link.queue_capacity,
+                    link.queue, 1.0, 0.0,
+                ))
+            slots.append(slot)
+            link_flows[slot].append(i)
+        self.path_slots.append(slots)
+        survive = tuple(
+            1.0 - link.loss_rate for link in f.path if link.loss_rate > 0
+        )
+        self.lossy_rows.append(survive)
+        if survive:
+            self.has_lossy = True
+        src = self._nic_slot(self._src_key, "src", f.src)
+        dst = self._nic_slot(self._dst_key, "dst", f.dst)
+        self.n_src_slots = len(self._src_key)
+        self.n_dst_slots = len(self._dst_key)
+
+        t = f._tcp
+        mss = t._mss_f
+        self._push("flow_f", (
+            f.base_rtt, f._rtt, f.rate_cap, f.next_round_at, f._delivered,
+            t.cwnd, t.ssthresh, float(t.rounds), float(t.losses),
+            float(t.timeouts), t._buffer_f, t._buffer2, mss,
+            t._initial_cwnd_f, 0.0, 0.0, 0.0,
+        ))
+        self._push("flow_b", (f._loss_pending, f._timeout_pending, False))
+        self._push("flow_i", (prow, src, dst))
+        self.flows.append(f)
+        self.n_flows = i + 1
+        f._table = self
+        f._row = i
+
+        if self.kernel == "vector":
+            self._extend("path", ([i] * len(slots), slots))
+            if survive:
+                self._extend("lossy_i", ([i] * len(survive),))
+                self._extend("lossy_f", (survive, [mss] * len(survive)))
+            self._insert_overflow(slots, i)
+            rows = _np.array(self.pool_flow_rows[prow], dtype=_INT)
+            if prow < len(self.pool_rows_of):
+                self.pool_rows_of[prow] = rows
+            else:
+                self.pool_rows_of.append(rows)
+        self._cutover()
+
+    def compact(self, rows: list[int]) -> None:
+        """Drop the flows at ``rows`` and every pool left without a flow.
+
+        Only the leaving flows and pools are flushed.  The survivors keep
+        their state and their relative order; pool, link and NIC slots
+        are re-derived from the survivors' integer columns (no object
+        reads) in first-encounter order, as a fresh build would meet them
+        — retiring the flow that first met a surviving link can move that
+        link behind one met later.  When every flow leaves, the table is
+        simply emptied.
+        """
+        flows = self.flows
+        if len(rows) == self.n_flows:   # the last transfer leaves
+            for f in flows:
+                self.flush_flow(f)
+            for pool in self.pools:
+                self.flush_pool(pool)
+            vector = self.kernel == "vector"
+            self._reset()
+            self.cutovers += vector != (self.kernel == "vector")
+            return
+        rows = sorted(rows)
+        for i in rows:
+            self.flush_flow(flows[i])
+        rowmap = list(range(self.n_flows))
+        for i in rows:
+            rowmap[i] = -1
+        keep = [i for i in rowmap if i >= 0]
+        for new, old in enumerate(keep):
+            rowmap[old] = new
+        gaps = _gaps(keep, self.n_flows)
+        for column in (flows, self.path_slots, self.lossy_rows):
+            for start, stop in gaps:
+                del column[start:stop]
+        for new, f in enumerate(flows):
+            f._row = new
+        self.n_flows = len(keep)
+        self.has_lossy = any(self.lossy_rows)
+        self._take(("flow_f", "flow_b", "flow_i"), keep, gaps)
+
+        # pools: first-flow order over the survivors
+        pool_order = list(dict.fromkeys(self._ints("pool_row")))
+        pools = self.pools
+        for p in set(range(self.n_pools)).difference(pool_order):
+            self.flush_pool(pools[p])
+        self.pools = [pools[p] for p in pool_order]
+        for new, pool in enumerate(self.pools):
+            pool._row = new
+        pool_flow_rows = self.pool_flow_rows
+        self.pool_flow_rows = [
+            [rowmap[i] for i in pool_flow_rows[p] if rowmap[i] >= 0]
+            for p in pool_order
+        ]
+        self.n_pools = len(pool_order)
+        self._take(("pool",), pool_order)
+        self._remap("pool_row", pool_order)
+
+        # links: first-encounter order over the surviving paths
+        link_order = list(dict.fromkeys(chain.from_iterable(self.path_slots)))
+        link_flows = self.link_flows
+        self.link_flows = [
+            [rowmap[i] for i in link_flows[s] if rowmap[i] >= 0]
+            for s in link_order
+        ]
+        if link_order != list(range(self.n_links)):
+            if link_order != list(range(len(link_order))):
+                lmap = _inverse(link_order, self.n_links)
+                self.path_slots = [
+                    [lmap[s] for s in p] for p in self.path_slots
+                ]
+            self.links = [self.links[s] for s in link_order]
+            self._link_slot = {
+                id(link): s for s, link in enumerate(self.links)
+            }
+            self.n_links = len(link_order)
+            self._take(("link",), link_order)
+
+        # NICs: first-encounter order over the surviving flows
+        self._src_key = self._keep_nics(self._src_key, "src", "src_slot")
+        self._dst_key = self._keep_nics(self._dst_key, "dst", "dst_slot")
+        self.n_src_slots = len(self._src_key)
+        self.n_dst_slots = len(self._dst_key)
+        self.nic_bounded = any(r != _INF for r in self.src_nics) or any(
+            r != _INF for r in self.dst_nics
+        )
+        if self.kernel == "vector":
+            self._derive_pairs()
+        self._cutover()
+
+    # -- column storage ------------------------------------------------------
+    def _nic_slot(self, keys: dict, group: str, host) -> int:
+        slot = keys.get(host.name)
+        if slot is None:
+            slot = keys[host.name] = len(keys)
+            self._push(group, (host.nic_rate,))
+            if host.nic_rate != _INF:
+                self.nic_bounded = True
+        return slot
+
+    def _keep_nics(self, keys: dict, group: str, column: str) -> dict:
+        """Re-derive one side's NIC slots from the surviving flows; the
+        new name -> slot map."""
+        order = list(dict.fromkeys(self._ints(column)))
+        if order == list(range(len(keys))):
+            return keys
+        self._take((group,), order)
+        self._remap(column, order)
+        names = list(keys)
+        return {names[s]: new for new, s in enumerate(order)}
+
+    def _push(self, group: str, row: tuple) -> None:
+        """Append one row (a value per column of ``group``)."""
+        names = _GROUPS[group][1]
+        if self.kernel != "vector":
+            for name, value in zip(names, row):
+                getattr(self, name).append(value)
+            return
+        n = self._used[group]
+        self._room(group, n + 1)[:, n] = row
+        self._used[group] = n + 1
+        self._view(group)
+
+    def _extend(self, group: str, columns: tuple) -> None:
+        """Append rows given column by column (vector tables only)."""
+        n = self._used[group]
+        end = n + len(columns[0])
+        self._room(group, end)[:, n:end] = columns
+        self._used[group] = end
+        self._view(group)
+
+    def _room(self, group: str, size: int):
+        """The group's buffer, grown by doubling to hold ``size`` rows."""
+        buf = self._bufs[group]
+        if size > buf.shape[1]:
+            grown = _np.empty((buf.shape[0], max(2 * size, 16)), buf.dtype)
+            n = self._used[group]
+            grown[:, :n] = buf[:, :n]
+            buf = self._bufs[group] = grown
+        return buf
+
+    def _take(self, groups: tuple, idx: list[int], gaps=None) -> None:
+        """Keep the rows ``idx`` of each group, in that order (``gaps``:
+        their :func:`_gaps`, when the caller has them)."""
+        if self.kernel == "vector":
+            idx = _np.array(idx, dtype=_INT)
+            for group in groups:
+                self._set(group, self._bufs[group][:, idx])
+            return
+        names = [name for group in groups for name in _GROUPS[group][1]]
+        if gaps is None:
+            gaps = _gaps(idx, len(getattr(self, names[0])))
+        for name in names:
+            column = getattr(self, name)
+            if gaps is None:
+                column[:] = [column[i] for i in idx]
+            else:
+                for start, stop in gaps:
+                    del column[start:stop]
+
+    def _remap(self, name: str, order: list[int]) -> None:
+        """Renumber an index column whose targets now stand in ``order``
+        (``order[new] == old``)."""
+        if order == list(range(len(order))):
+            return
+        mapping = _inverse(order, max(order) + 1)
+        column = getattr(self, name)
+        if self.kernel == "vector":
+            column[:] = _np.array(mapping, dtype=_INT)[column]
+        else:
+            column[:] = [mapping[x] for x in column]
+
+    def _ints(self, name: str) -> list[int]:
+        column = getattr(self, name)
+        return column.tolist() if self.kernel == "vector" else column
+
+    def _set(self, group: str, buf) -> None:
+        self._bufs[group] = buf
+        self._used[group] = buf.shape[1]
+        self._view(group)
+
+    def _view(self, group: str) -> None:
+        rows = self._bufs[group][:, :self._used[group]]
+        for name, row in zip(_GROUPS[group][1], rows):
+            setattr(self, name, row)
+
+    # -- kernel cutover ------------------------------------------------------
+    def _wants_vector(self) -> bool:
+        if self.requested == "auto":
+            return self.n_flows >= VECTOR_MIN_FLOWS
+        return self.requested == "vector"
+
+    def _cutover(self) -> None:
+        """Convert the columns in place when the flow count crossed
+        :data:`VECTOR_MIN_FLOWS` (either way)."""
+        if self._wants_vector() != (self.kernel == "vector"):
+            if self.kernel == "vector":
+                self._to_scalar()
+            else:
+                self._to_vector()
+            self.cutovers += 1
+
+    def _to_vector(self) -> None:
+        self.kernel = "vector"
+        for group, (dtype, names) in _GROUPS.items():
+            if group not in _VECTOR_ONLY:
+                self._set(group, _np.array(
+                    [getattr(self, name) for name in names], dtype=dtype,
+                ))
+        self._derive_pairs()
+
+    def _to_scalar(self) -> None:
+        self.kernel = "scalar"
+        for name in _COLUMNS:
+            setattr(self, name, getattr(self, name).tolist())
+        for name in _VECTOR_COLUMNS:
+            setattr(self, name, None)
+        self.pool_rows_of = None
+        self._bufs = {}
+        self._used = {}
+
+    def _derive_pairs(self) -> None:
+        """The vector-only pair columns, from ``path_slots``,
+        ``lossy_rows`` and ``pool_flow_rows``."""
+        rows = _np.arange(self.n_flows, dtype=_INT)
+        path_flow = _np.repeat(rows, [len(s) for s in self.path_slots])
+        path_link = _np.fromiter(
+            chain.from_iterable(self.path_slots), dtype=_INT,
+            count=path_flow.size,
+        )
+        self._set("path", _np.array([path_flow, path_link], dtype=_INT))
+        lossy_flow = _np.repeat(rows, [len(r) for r in self.lossy_rows])
+        survive = _np.fromiter(
+            chain.from_iterable(self.lossy_rows), dtype=_F64,
+            count=lossy_flow.size,
+        )
+        self._set("lossy_i", lossy_flow.reshape(1, -1))
+        self._set("lossy_f", _np.array(
+            [survive, self.mss[lossy_flow]], dtype=_F64,
+        ))
+        self._derive_overflow()
+        self.pool_rows_of = [
+            _np.array(r, dtype=_INT) for r in self.pool_flow_rows
+        ]
+
+    def _insert_overflow(self, slots: list[int], row: int) -> None:
+        """Add the pairs of ``row``, the highest row, to the overflow
+        pairs: each one closes its link's group.  From the last insertion
+        point back, the tail moves right by the pairs still to place."""
+        at = _np.searchsorted(self.ov_link, slots, side="right").tolist()
+        n = self._used["ov"]
+        buf = self._room("ov", n + len(slots))
+        stop = n
+        places = sorted(zip(at, slots), reverse=True)
+        for shift, (start, slot) in zip(range(len(slots), 0, -1), places):
+            buf[:, start + shift:stop + shift] = buf[:, start:stop]
+            buf[:, start + shift - 1] = (slot, row)
+            stop = start
+        self._used["ov"] = n + len(slots)
+        self._view("ov")
+
+    def _derive_overflow(self) -> None:
+        """Overflow pairs: the queue-drop marking pass walks links in slot
+        order and, within a link, flows in incidence order — a stable
+        sort of the flow-major path pairs by link."""
+        order = _np.argsort(self.path_link, kind="stable")
+        self._set("ov", _np.array(
+            [self.path_link[order], self.path_flow[order]], dtype=_INT,
+        ))
 
     # -- view synchronisation ---------------------------------------------
     def sync_tcp(self, row: int, tcp) -> None:
@@ -346,12 +571,3 @@ class FlowTable:
         p._remaining = float(self.pool_remaining[row])
         p._delivered = float(self.pool_delivered[row])
         p._table = None
-
-    def flush_all(self) -> None:
-        """Detach every view still attached to this table."""
-        for f in self.flows:
-            if f._table is self:
-                self.flush_flow(f)
-        for p in self.pools:
-            if p._table is self:
-                self.flush_pool(p)

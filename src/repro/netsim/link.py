@@ -16,8 +16,8 @@ touched link each tick and mirrors ``queue`` back into its table column
 — :meth:`queueing_delay` for control-message latency, ``tools.ping`` —
 always see the current value without any flush step.
 ``capacity``/``cross_traffic``/``loss_rate``/``queue_capacity`` are
-treated as immutable after construction; the table snapshots them once
-per rebuild.
+treated as immutable after construction; the table reads them when the
+link enters it (the first flow to cross it since no flow did).
 """
 
 from __future__ import annotations

@@ -102,9 +102,11 @@ class DiskPool:
         return None
 
     def evictable(self) -> list[StoredFile]:
-        """Unpinned files, least recently used first."""
+        """Unpinned files, least recently used first (ties by path, which
+        is unique: one sort orders them)."""
+        pins = self._pins
         return sorted(
-            (f for f in self.fs.listing() if self._pins.get(f.path, 0) == 0),
+            (f for f in self.fs.files() if pins.get(f.path, 0) == 0),
             key=lambda f: (f.last_access, f.path),
         )
 
@@ -116,6 +118,8 @@ class DiskPool:
                 f"{self.fs.site}: request of {nbytes:.0f} B exceeds pool capacity"
             )
         evicted: list[str] = []
+        if self.available >= nbytes:
+            return evicted  # fits: no LRU to build
         candidates = iter(self.evictable())
         while self.available < nbytes:
             victim = next(candidates, None)

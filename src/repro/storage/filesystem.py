@@ -88,6 +88,10 @@ class FileSystem:
         except KeyError:
             raise StorageError(f"{self.site}: no such file {path!r}") from None
 
+    def files(self) -> list[StoredFile]:
+        """Every stored file, in no particular order."""
+        return list(self._files.values())
+
     def listing(self, prefix: str = "") -> list[StoredFile]:
         """Files whose paths start with ``prefix``, sorted by path."""
         return sorted(

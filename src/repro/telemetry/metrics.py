@@ -200,12 +200,15 @@ def _new_child(kind: str, labels: tuple, bounds):
 class _Family:
     """All children of one metric name, plus the family's fixed shape."""
 
-    __slots__ = ("name", "kind", "bounds", "children")
+    __slots__ = ("name", "kind", "bounds", "given", "children")
 
-    def __init__(self, name: str, kind: str, bounds=None):
+    def __init__(self, name: str, kind: str, bounds=None, given=None):
         self.name = name
         self.kind = kind
         self.bounds = bounds
+        #: a histogram's bounds as its first caller passed them: a later
+        #: call passing the same tuple needs no normalising
+        self.given = given
         self.children: dict[tuple, Any] = {}
 
 
@@ -254,12 +257,13 @@ class MetricsRegistry:
         return self._clock()
 
     # -- instrument access -----------------------------------------------
-    def _child(self, name: str, kind: str, labels: dict, bounds=None):
+    def _child(self, name: str, kind: str, labels: dict, bounds=None,
+               given=None):
         family = self._families.get(name)
         if family is None:
             if not self._recording:
                 return _new_child(kind, (), bounds)   # kept by nobody
-            family = self._families[name] = _Family(name, kind, bounds)
+            family = self._families[name] = _Family(name, kind, bounds, given)
         elif family.kind != kind:
             raise ValueError(
                 f"metric {name!r} is a {family.kind}, not a {kind}"
@@ -290,11 +294,20 @@ class MetricsRegistry:
         **labels: Any,
     ) -> Histogram:
         """The histogram child of ``name``; ``bounds`` fixes the family's
-        bucket upper edges on first use (later mismatching bounds raise)."""
-        bounds = tuple(sorted(float(b) for b in bounds))
-        if not bounds:
+        bucket upper edges on first use (later mismatching bounds raise).
+        The bounds are normalised (sorted floats) when the family is
+        created, and later only when a call passes other than the
+        creating call's bounds."""
+        family = self._families.get(name)
+        if family is not None and family.kind == "histogram" \
+                and bounds == family.given:
+            return self._child(name, "histogram", labels)
+        given = tuple(bounds)
+        normalised = tuple(sorted(float(b) for b in given))
+        if not normalised:
             raise ValueError("histogram needs at least one bucket bound")
-        return self._child(name, "histogram", labels, bounds=bounds)
+        return self._child(name, "histogram", labels, bounds=normalised,
+                           given=given)
 
     def series(self, name: str, **labels: Any) -> TimeSeries:
         """The time series child of ``name`` for these labels."""

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.services.bus import ServiceError
 from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 from repro.workload.admission import FairShareAdmission, TokenBucket
@@ -104,9 +106,16 @@ class ArrivalGenerator:
             (p / pop_total) / len(self.dest_sites)
             for _ in self.dest_sites for p in pop
         ]
-        #: per-VO FIFO of per-tick demand chunks ({(dest, lfn): count});
+        #: the draw's rows, last category first: a chunk is built in this
+        #: order once and then consumed from its end
+        self._backwards = np.array(sorted(
+            range(len(self._categories)),
+            key=self._categories.__getitem__, reverse=True,
+        ))
+        #: per-VO FIFO of per-tick demand chunks, each a list of
+        #: ``[(dest, lfn), count]`` with the smallest category last;
         #: fair-share releases counts, these remember what they were for
-        self._chunks: dict[str, list[dict]] = {
+        self._chunks: dict[str, list[list]] = {
             vo: [] for vo in self.fairshare.weights
         }
         #: released pick tasks the queue has not taken yet, offered again
@@ -141,11 +150,12 @@ class ArrivalGenerator:
             if accepted <= 0:
                 continue
             counts = self.rng.multinomial(accepted, self._probs)
-            chunk = {
-                self._categories[i]: int(c)
-                for i, c in enumerate(counts) if c
-            }
-            self._chunks[vo].append(chunk)
+            rows = self._backwards[counts[self._backwards] > 0]
+            categories = self._categories
+            self._chunks[vo].append([
+                [categories[i], c]
+                for i, c in zip(rows.tolist(), counts[rows].tolist())
+            ])
 
     def _pop_demand(self, vo: str, n: int) -> dict:
         """Consume ``n`` released requests from ``vo``'s chunk FIFO, in
@@ -154,13 +164,14 @@ class ArrivalGenerator:
         fifo = self._chunks[vo]
         while n > 0 and fifo:
             chunk = fifo[0]
-            for cat in sorted(chunk):
-                if n <= 0:
-                    break
-                take = min(chunk[cat], n)
-                chunk[cat] -= take
-                if chunk[cat] == 0:
-                    del chunk[cat]
+            while n > 0 and chunk:
+                entry = chunk[-1]
+                cat, count = entry
+                take = count if count < n else n
+                if take == count:
+                    chunk.pop()
+                else:
+                    entry[1] = count - take
                 demand[cat] = demand.get(cat, 0) + take
                 n -= take
             if not chunk:

@@ -80,3 +80,53 @@ def test_pin_missing_file_rejected(pool):
         pool.pin("/nope")
 
 
+
+
+def test_evictable_orders_by_access_then_path_skipping_pins(pool):
+    """LRU order is (last_access, path) whatever the insertion order; a
+    tie in access time goes to the smaller path, pinned files never
+    appear."""
+    for path, at in (("/pool/d", 3.0), ("/pool/b", 1.0), ("/pool/c", 1.0),
+                     ("/pool/a", 2.0), ("/pool/e", 1.0)):
+        pool.fs.create(path, 10 * MB, now=at)
+        pool.fs.touch_access(path, at)
+    pool.pin("/pool/c")
+    assert [f.path for f in pool.evictable()] == [
+        "/pool/b", "/pool/e", "/pool/a", "/pool/d",
+    ]
+    pool.fs.create("/pool/f", 50 * MB, now=4.0)   # 100 of 100 MB used
+    assert pool.ensure_space(15 * MB) == ["/pool/b", "/pool/e"]
+
+
+def test_ensure_space_that_fits_builds_no_lru(pool, monkeypatch):
+    """Space already free: nothing is evicted, and neither the file
+    listing nor a sort runs."""
+    from repro.storage import diskpool
+
+    fill(pool, 5)   # 50 of 100 MB
+    calls = []
+    monkeypatch.setattr(pool, "evictable", lambda: calls.append("lru"))
+    monkeypatch.setattr(pool.fs, "files", lambda: calls.append("files"))
+    monkeypatch.setattr(pool.fs, "listing", lambda *a: calls.append("ls"))
+    monkeypatch.setattr(diskpool, "sorted",
+                        lambda *a, **k: calls.append("sort"), raising=False)
+    assert pool.ensure_space(50 * MB) == []
+    assert pool.reserve(30 * MB).active
+    assert calls == [] and pool.evictions == 0
+
+
+def test_an_eviction_sorts_once(pool, monkeypatch):
+    """The LRU list is one sort over the files, not a path sort first."""
+    from repro.storage import diskpool, filesystem
+
+    fill(pool, 10)
+    sorts = []
+
+    def counting(*args, **kwargs):
+        sorts.append(kwargs.get("key"))
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(diskpool, "sorted", counting, raising=False)
+    monkeypatch.setattr(filesystem, "sorted", counting, raising=False)
+    assert pool.ensure_space(15 * MB) == ["/pool/f0", "/pool/f1"]
+    assert len(sorts) == 1

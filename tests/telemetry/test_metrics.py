@@ -67,6 +67,34 @@ def test_histogram_bounds_fixed_at_creation(registry):
         registry.histogram("empty", bounds=())
 
 
+class Edge:
+    """A bucket bound that counts its conversions to float."""
+
+    converted = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __float__(self):
+        Edge.converted += 1
+        return float(self.value)
+
+
+def test_histogram_bounds_are_normalised_once_per_family(registry):
+    bounds = (Edge(10), Edge(1), Edge(5))
+    first = registry.histogram("lat", bounds=bounds, op="a")
+    assert first.bounds == (1.0, 5.0, 10.0)
+    for _ in range(3):
+        assert registry.histogram("lat", bounds=bounds, op="a") is first
+    registry.histogram("lat", bounds=bounds, op="b")
+    assert Edge.converted == 3   # at creation only
+    # other bounds are normalised and compared: the same set is accepted,
+    # a different one still raises
+    assert registry.histogram("lat", bounds=(5.0, 10.0, 1.0), op="a") is first
+    with pytest.raises(ValueError, match="already has bounds"):
+        registry.histogram("lat", bounds=(1.0, 5.0), op="a")
+
+
 def test_gauge_set_and_add(registry):
     gauge = registry.gauge("occupancy", site="cern")
     gauge.set(10)

@@ -200,3 +200,9 @@ def test_wall_derived_mask_hits_exactly_the_six_recorded_lines():
     assert len(masked) == 6
     assert sum("wall time (s)" in line for line in masked) == 3
     assert sum("sustained requests/s (wall)" in line for line in masked) == 1
+
+
+def test_the_engine_keeps_one_flow_table_for_a_whole_leg(capsys):
+    assert smoke.check_table_builds() == []
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("table builds: 1 flow table(s) for ")

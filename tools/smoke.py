@@ -13,10 +13,10 @@ checks, per leg:
   experiment extras + full Prometheus export) are byte-identical;
 * the suite's own assertions, declared beside its params below.
 
-Then the named checks in ``CHECKS``: eight budgets that fail here in
+Then the named checks in ``CHECKS``: nine budgets that fail here in
 seconds instead of in a benchmark in minutes (``publish_path``,
 ``transfer_set_path``, ``warm_channels``, ``event_budget``,
-``claim_budget``, ``pipe_fill``, ``object_census``,
+``claim_budget``, ``pipe_fill``, ``table_builds``, ``object_census``,
 ``directory_census``); two
 scenarios run twice in this process and diffed part by part
 (``back_to_back``: ids, names and counts must restart with the
@@ -49,6 +49,7 @@ from repro.experiments import chaos, chunks, rls, weather, workload
 from repro.experiments.__main__ import main as experiments_cli
 from repro.experiments.scaffold import counter_total, legs
 from repro.gdmp import DataGrid, GdmpConfig
+from repro.netsim.flowtable import FlowTable
 from repro.netsim.units import MB
 from repro.objectdb import EventStoreBuilder, Federation
 from repro.objectrep.index_service import IndexService
@@ -547,6 +548,29 @@ def check_pipe_fill() -> list[str]:
     return problems
 
 
+def check_table_builds() -> list[str]:
+    """The engine keeps one flow table for a whole run: the fault-free
+    leg of the ``workload`` suite (hundreds of opens and retirements)
+    constructs no more flow tables than one plus the kernel cutovers of
+    the table it keeps.  A plain count, so the check is deterministic."""
+    before = FlowTable.builds
+    grid, engine = workload.build(seed=SEED, **SUITES["workload"].params)
+    engine.start()
+    grid.run(until=engine.done)
+    built = FlowTable.builds - before
+    table = grid.engine._table
+    opened = counter_total(grid, "netsim.flows_opened")
+    report = (
+        f"table builds: {built} flow table(s) for {opened:.0f} flows "
+        f"opened, {table.cutovers} kernel cutover(s) (budget "
+        f"{1 + table.cutovers})"
+    )
+    if built > 1 + table.cutovers:
+        return [report]
+    print(f"  {report}")
+    return []
+
+
 #: objects CPython's cyclic collector tracks per stored object after a
 #: 10 000-event build of the four standard types, plus 10 %: 322-329 /
 #: 40 000 = 0.0081 since a container keeps its objects as columns
@@ -827,6 +851,7 @@ CHECKS = {
     "event_budget": check_event_budget,
     "claim_budget": check_claim_budget,
     "pipe_fill": check_pipe_fill,
+    "table_builds": check_table_builds,
     "object_census": check_object_census,
     "directory_census": check_directory_census,
     # global-state leaks: everything a run names or counts
