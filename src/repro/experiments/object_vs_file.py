@@ -57,10 +57,10 @@ def run(
     # the stream, so the draw order (and thus every selection) is part of
     # the experiment's determinism contract.
     rng = np.random.Generator(np.random.PCG64(seed + 1))
+    events = np.asarray(catalog.event_numbers)
     comparisons = [
         compare_replication_strategies(
-            federation, catalog,
-            select_events(catalog.event_numbers, fraction, rng), "aod",
+            federation, catalog, select_events(events, fraction, rng), "aod",
             objects_per_new_file=events_per_file,
         )
         for fraction in fractions

@@ -47,8 +47,9 @@ class RemoteAccessResult:
         return self.wan_remote_access_s / self.replicate_then_read_s
 
 
-def _remote_access_time(delay: float, oids, total_events: int, seed: int) -> float:
-    """Time to read ``oids`` through AMS over a link with one-way ``delay``."""
+def _remote_access_time(delay: float, oids, federation: Federation) -> float:
+    """Time to read ``oids`` out of ``federation`` through AMS over a link
+    with one-way ``delay``."""
     sim = Simulator()
     topo = Topology()
     topo.add_host(Host("store"))
@@ -57,10 +58,6 @@ def _remote_access_time(delay: float, oids, total_events: int, seed: int) -> flo
                  Link("l", capacity=mbps(45), delay=delay,
                       cross_traffic=mbps(20)))
     msgnet = MessageNetwork(sim, topo)
-    federation = Federation("cms", site="store")
-    EventStoreBuilder(seed=seed).build(
-        federation, n_events=total_events, types=AOD, events_per_file=500
-    )
     server = AmsPageServer(sim, msgnet, topo.host("store"), federation)
     reader = RemoteObjectReader(sim, msgnet, topo.host("client"), server)
     start = sim.now
@@ -74,24 +71,26 @@ def run(n_events: int = 2000, fraction: float = 0.05, seed: int = 17
     rng = np.random.Generator(np.random.PCG64(seed))
     selected = select_events(list(range(n_events)), fraction, rng)
 
-    # OIDs are deterministic for a given builder seed/layout, so the same
-    # oid list is valid in each freshly-built store below.
+    # One store serves all three legs: its objects are read-only (§2.2),
+    # the AMS server and the object copier only read it, and cern attaches
+    # its files with their db ids, so one oid list is valid everywhere.
     total_events = n_events * 10  # the selection probes a larger store
-    probe = Federation("cms", site="probe")
+    store = Federation("cms", site="store")
     catalog = EventStoreBuilder(seed=seed).build(
-        probe, n_events=total_events, types=AOD, events_per_file=500
+        store, n_events=total_events, types=AOD, events_per_file=500
     )
     oids = catalog.oids_for(selected, "aod")
 
-    wan_time = _remote_access_time(0.0625, oids, total_events, seed)
-    lan_time = _remote_access_time(0.0005, oids, total_events, seed)
+    wan_time = _remote_access_time(0.0625, oids, store)
+    lan_time = _remote_access_time(0.0005, oids, store)
 
     # replicate-then-read over the same WAN
     grid = DataGrid([GdmpConfig("cern"), GdmpConfig("anl")], seed=seed)
     cern = grid.site("cern")
-    EventStoreBuilder(seed=seed).build(
-        cern.federation, n_events=total_events, types=AOD, events_per_file=500
-    )
+    for spec in AOD:
+        cern.federation.declare_type(spec.name)
+    for name in store.database_names:
+        cern.federation.attach(store.database(name))
     index = GlobalObjectIndex()
     for name in cern.federation.database_names:
         index.record_file("cern", cern.federation.database(name))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
+from itertools import accumulate, islice, repeat
 from typing import Any, Iterator, Optional
 
 from repro.objectdb.objects import (
@@ -42,12 +43,16 @@ class Container:
     kept as rows are stored: ``bytes``, the running total of ``sizes``
     (added in slot order, as a sum over the objects adds them);
     ``offsets``, each slot's byte offset within the container (the prefix
-    sums of ``sizes``, which the page layout reads); and the first slot of
-    each logical key, for :meth:`slot_of`.
+    sums of ``sizes``, which the page layout reads); and ``type_names``,
+    the types stored here (a dict used as a set: the collector does not
+    track a dict of strs).  The first slot of each logical key, for
+    :meth:`slot_of`, is built at the first lookup and kept up to date by
+    writes after that.
     """
 
     __slots__ = ("db_id", "container_id", "name", "keys", "sizes", "types",
-                 "data", "links", "offsets", "bytes", "_slot_of_key")
+                 "data", "links", "offsets", "bytes", "type_names",
+                 "_slot_of_key")
 
     def __init__(self, db_id: int, container_id: int, name: str):
         self.db_id = db_id
@@ -60,7 +65,8 @@ class Container:
         self.links: list[Links] = []
         self.offsets = array("d")
         self.bytes: float = 0
-        self._slot_of_key: dict[str, int] = {}
+        self.type_names: dict[str, None] = {}
+        self._slot_of_key: Optional[dict[str, int]] = None
 
     def append(self, type_name: str, size: float, logical_key: str,
                data: Any = None, links: Links = ()) -> int:
@@ -76,8 +82,33 @@ class Container:
         self.links.append(links)
         self.offsets.append(self.bytes)
         self.bytes += size
-        self._slot_of_key.setdefault(logical_key, slot)
+        self.type_names[type_name] = None
+        if self._slot_of_key is not None:
+            self._slot_of_key.setdefault(logical_key, slot)
         return slot
+
+    def extend(self, type_name: str, size: float, logical_keys) -> int:
+        """Store one object of ``type_name`` and ``size`` per key, with no
+        payload and no links, in the next free slots; returns the first.
+        Each column grows by one run; the running total and the offsets
+        still add ``size`` one slot at a time."""
+        if size <= 0:
+            raise ValueError("object size must be positive")
+        first = len(self.keys)
+        self.keys.extend(logical_keys)
+        count = len(self.keys) - first
+        self.sizes.extend(repeat(size, count))
+        self.types.extend(repeat(type_name, count))
+        self.links.extend(repeat((), count))
+        running = accumulate(repeat(size, count), initial=self.bytes)
+        self.offsets.extend(islice(running, count))
+        self.bytes = next(running)
+        if count:
+            self.type_names[type_name] = None
+        if self._slot_of_key is not None:
+            for slot in range(first, first + count):
+                self._slot_of_key.setdefault(self.keys[slot], slot)
+        return first
 
     def add(self, obj: PersistentObject) -> None:
         """Store an object built outside the container at its OID's slot,
@@ -90,6 +121,8 @@ class Container:
 
     def link(self, slot: int, role: str, target: Location) -> Links:
         """Add an association to the object in ``slot``; returns its links."""
+        if not 0 <= slot < len(self.keys):
+            self.view(slot)  # raises the error that names the slot
         links = self.links[slot] = linked(self.links[slot], role, target)
         return links
 
@@ -106,6 +139,10 @@ class Container:
 
     def slot_of(self, logical_key: str) -> Optional[int]:
         """The first slot holding ``logical_key``, or None."""
+        if self._slot_of_key is None:
+            self._slot_of_key = {}
+            for slot, key in enumerate(self.keys):
+                self._slot_of_key.setdefault(key, slot)
         return self._slot_of_key.get(logical_key)
 
     @property
@@ -216,7 +253,7 @@ class DatabaseFile:
     @property
     def type_names(self) -> set[str]:
         """The object types this file holds."""
-        return set().union(*(c.types for c in self.containers.values()))
+        return set().union(*(c.type_names for c in self.containers.values()))
 
     @property
     def object_count(self) -> int:

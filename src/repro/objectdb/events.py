@@ -16,6 +16,7 @@ per-type objects are clustered into database files, and returns an
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -78,6 +79,19 @@ class EventCatalog:
         by_event[event_number] = where
         counts[where[0]] = counts.get(where[0], 0) + 1
 
+    def _record_run(self, event_numbers, type_name: str, db_id: int,
+                    container_id: int, first_slot: int) -> None:
+        """Register the objects of one type, in consecutive slots of one
+        container from ``first_slot``, of events with none recorded yet."""
+        by_event = self._locations.setdefault(type_name, {})
+        counts = self._per_database.setdefault(type_name, {})
+        before = len(by_event)
+        by_event.update(zip(event_numbers, zip(
+            repeat(db_id), repeat(container_id),
+            range(first_slot, first_slot + len(event_numbers)),
+        )))
+        counts[db_id] = counts.get(db_id, 0) + len(by_event) - before
+
     def record_file(self, db_id: int, file_name: str) -> None:
         """Register which file a database id corresponds to."""
         self._file_by_db_id[db_id] = file_name
@@ -85,6 +99,10 @@ class EventCatalog:
     def record_event(self, event_number: int) -> None:
         """Register an event number as part of this run."""
         self._events.append(event_number)
+
+    def record_events(self, event_numbers) -> None:
+        """Register event numbers as part of this run, in order."""
+        self._events.extend(event_numbers)
 
     # -- the three-step mapping -----------------------------------------------
     @property
@@ -193,13 +211,13 @@ class EventStoreBuilder:
                 chunk = order[
                     file_index * events_per_file : (file_index + 1) * events_per_file
                 ]
-                for event in chunk:
-                    slot = container.append(
-                        spec.name, spec.size, f"{event}/{spec.name}"
-                    )
-                    catalog._record(
-                        event, spec.name, (db.db_id, container.container_id, slot)
-                    )
+                first = container.extend(
+                    spec.name, spec.size,
+                    [f"{event}/{spec.name}" for event in chunk],
+                )
+                catalog._record_run(
+                    chunk, spec.name, db.db_id, container.container_id, first
+                )
 
         # wire the reconstruction-chain associations (tag -> aod -> esd -> raw)
         for spec in types:
@@ -214,6 +232,5 @@ class EventStoreBuilder:
                         slot, "upstream", there[event]
                     )
 
-        for event in event_numbers:
-            catalog.record_event(event)
+        catalog.record_events(event_numbers)
         return catalog

@@ -136,12 +136,21 @@ class Federation:
 
     def sizes_at(self, locations: Iterable[Location]) -> list[float]:
         """The size of the object at each ``(database, container, slot)``,
-        in order, read without building the objects."""
+        in order, read without building the objects.  A selection runs
+        through a container's objects before the next container's, so the
+        size column of the container read last is kept at hand."""
         databases = self._databases
         sizes = []
+        read = sizes.append
+        column = at_database = at_container = None
         for database, container, slot in locations:
             try:
-                sizes.append(databases[database].containers[container].sizes[slot])
+                if database != at_database or container != at_container:
+                    column = databases[database].containers[container].sizes
+                    at_database, at_container = database, container
+                if slot < 0:
+                    raise IndexError(slot)
+                read(column[slot])
             except (KeyError, IndexError):
                 # raises the error that names what is missing
                 self.resolve(OID(database, container, slot))

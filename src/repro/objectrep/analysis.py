@@ -54,17 +54,28 @@ def file_replication_cost(
     selected_oids: Sequence[OID],
 ) -> StrategyCost:
     """Ship every *existing* file that holds at least one selected object."""
-    return _file_cost(federation, catalog, [location(oid) for oid in selected_oids])
+    selected = [location(oid) for oid in selected_oids]
+    return _file_cost(
+        federation, catalog, selected, federation.sizes_at(selected)
+    )
 
 
 def _file_cost(
-    federation: Federation, catalog: EventCatalog, selected: Sequence[Location]
+    federation: Federation,
+    catalog: EventCatalog,
+    selected: Sequence[Location],
+    sizes: Sequence[float],
 ) -> StrategyCost:
-    by_database: dict[int, list[Location]] = {}
-    for where in selected:
-        by_database.setdefault(where[0], []).append(where)
+    """``sizes`` is the size of each ``selected`` object, in order."""
+    by_database: dict[int, list[float]] = {}
+    at = None  # a selection reaches a file's objects in runs
+    for where, size in zip(selected, sizes):
+        if where[0] != at:
+            at = where[0]
+            located = by_database.setdefault(at, [])
+        located.append(size)
     # the files in the order the selection first reaches them
-    grouped: dict[str, list[Location]] = {}
+    grouped: dict[str, list[float]] = {}
     for db_id, located in by_database.items():
         grouped.setdefault(catalog.database_file(db_id), []).extend(located)
     total = 0.0
@@ -72,7 +83,7 @@ def _file_cost(
     for file_name, located in grouped.items():
         db = federation.database(file_name)
         total += db.size
-        useful += sum(federation.sizes_at(located))
+        useful += sum(located)
     return StrategyCost(bytes_moved=total, useful_bytes=useful,
                         files_moved=len(grouped))
 
@@ -83,16 +94,14 @@ def object_replication_cost(
     objects_per_new_file: int = 1000,
 ) -> StrategyCost:
     """Ship freshly written files holding exactly the selected objects."""
-    return _object_cost(
-        federation, [location(oid) for oid in selected_oids], objects_per_new_file
-    )
+    sizes = federation.sizes_at(location(oid) for oid in selected_oids)
+    return _object_cost(sizes, objects_per_new_file)
 
 
-def _object_cost(
-    federation: Federation, selected: Sequence[Location], objects_per_new_file: int
-) -> StrategyCost:
-    useful = sum(federation.sizes_at(selected))
-    n_files = max(1, math.ceil(len(selected) / objects_per_new_file))
+def _object_cost(sizes: Sequence[float], objects_per_new_file: int) -> StrategyCost:
+    """``sizes`` is the size of each selected object, in order."""
+    useful = sum(sizes)
+    n_files = max(1, math.ceil(len(sizes) / objects_per_new_file))
     return StrategyCost(
         bytes_moved=useful + n_files * FILE_HEADER_SIZE,
         useful_bytes=useful,
@@ -175,6 +184,7 @@ def compare_replication_strategies(
 ) -> ReplicationComparison:
     """Run the full §5.1 comparison for one selection."""
     selected = catalog.locations_for(selected_events, type_name)
+    sizes = federation.sizes_at(selected)
     n_events = catalog.event_count
     fraction = len(selected_events) / n_events if n_events else 0.0
     per_file = catalog.objects_per_file(type_name)
@@ -184,8 +194,8 @@ def compare_replication_strategies(
     return ReplicationComparison(
         selection_fraction=fraction,
         selected_objects=len(selected),
-        file_strategy=_file_cost(federation, catalog, selected),
-        object_strategy=_object_cost(federation, selected, objects_per_new_file),
+        file_strategy=_file_cost(federation, catalog, selected, sizes),
+        object_strategy=_object_cost(sizes, objects_per_new_file),
         majority_probability=probability_file_majority_selected(
             typical_file_objects, fraction
         ),

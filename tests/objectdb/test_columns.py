@@ -1,13 +1,18 @@
-"""The column layout: what an event store costs the cyclic collector, and
-its write-time indexes against a naive recomputation over the views."""
+"""The column layout: what an event store costs the cyclic collector, its
+write-time indexes against a naive recomputation over the views, and a
+store written in runs against one written an object at a time."""
 
 import gc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.objectdb import (
+    OID,
+    Container,
+    EventCatalog,
     EventStoreBuilder,
     Federation,
     NavigationError,
@@ -17,6 +22,7 @@ from repro.objectdb import (
     STANDARD_TYPES,
 )
 from repro.objectdb.database import FILE_HEADER_SIZE
+from repro.objectdb.objects import location
 from repro.objectrep import ObjectCopier, file_replication_cost, object_replication_cost
 
 
@@ -169,3 +175,197 @@ def test_write_time_indexes_match_the_views(case):
     check_against_views(fed, catalog, types, names)
     fed.attach(db)
     check_against_views(fed, catalog, types, names)
+
+
+# -- a store written in runs ----------------------------------------------------
+def appended_one_at_a_time(fed, types, n_events, events_per_file, placement, seed):
+    """The builder's store, written one object and one record at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    catalog = EventCatalog()
+    for spec in types:
+        fed.declare_type(spec.name)
+    orders = {
+        spec.name: list(range(n_events)) if placement == "sequential"
+        else rng.permutation(n_events).tolist()
+        for spec in types
+    }
+    for spec in types:
+        for start in range(0, n_events, events_per_file):
+            name = f"run01.{spec.name}.{start // events_per_file:04d}.db"
+            db = fed.create_database(name)
+            container = db.create_container(spec.name)
+            catalog.record_file(db.db_id, name)
+            for event in orders[spec.name][start:start + events_per_file]:
+                slot = container.append(spec.name, spec.size, f"{event}/{spec.name}")
+                catalog.record_object(
+                    event, spec.name, OID(db.db_id, container.container_id, slot)
+                )
+    for spec in types:
+        if spec.upstream is not None:
+            for event in range(n_events):
+                here = catalog.oid_for(event, spec.name)
+                fed.container_of(here).link(
+                    here.slot, "upstream",
+                    location(catalog.oid_for(event, spec.upstream)),
+                )
+    for event in range(n_events):
+        catalog.record_event(event)
+    return catalog
+
+
+def assert_same_columns(ours, theirs):
+    for column in ("keys", "sizes", "types", "links", "offsets", "data"):
+        assert getattr(ours, column) == getattr(theirs, column), column
+    assert ours.bytes == theirs.bytes
+    assert ours.type_names == theirs.type_names
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=stores())
+def test_a_store_built_by_runs_equals_one_appended_object_by_object(case):
+    args = dict(n_events=case["n_events"], types=case["types"],
+                events_per_file=case["events_per_file"],
+                placement=case["placement"])
+    by_runs = Federation("runs", site="cern")
+    catalog = EventStoreBuilder(seed=case["seed"]).build(by_runs, **args)
+    by_objects = Federation("objects", site="cern")
+    expected = appended_one_at_a_time(by_objects, seed=case["seed"], **args)
+
+    assert by_runs.database_names == by_objects.database_names
+    for name in by_runs.database_names:
+        ours, theirs = by_runs.database(name), by_objects.database(name)
+        assert ours.db_id == theirs.db_id
+        assert sorted(ours.containers) == sorted(theirs.containers)
+        for container_id, container in ours.containers.items():
+            assert_same_columns(container, theirs.containers[container_id])
+    assert catalog.event_numbers == expected.event_numbers
+    for spec in case["types"]:
+        events = expected.event_numbers
+        assert catalog.locations_for(events, spec.name) == (
+            expected.locations_for(events, spec.name)
+        )
+        assert list(catalog.objects_per_file(spec.name).items()) == list(
+            expected.objects_per_file(spec.name).items()
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.lists(st.tuples(
+        st.sampled_from(["tag", "aod", "esd"]), SIZES,
+        st.lists(st.integers(0, 8).map(str), max_size=10),
+    ), max_size=8),
+    looked_up_after=st.integers(0, 8),
+)
+def test_extend_writes_the_rows_append_writes(runs, looked_up_after):
+    by_runs, by_objects = Container(1, 0, "runs"), Container(1, 0, "objects")
+    for i, (type_name, size, keys) in enumerate(runs):
+        if i == looked_up_after:  # the key index, built mid-way, is kept
+            assert by_runs.slot_of("0") == by_objects.slot_of("0")
+        first = by_runs.extend(type_name, size, keys)
+        assert first == len(by_objects)
+        for key in keys:
+            by_objects.append(type_name, size, key)
+    assert_same_columns(by_runs, by_objects)
+    for key in map(str, range(10)):  # repeated keys answer the first slot
+        first = next((s for s, k in enumerate(by_objects.keys) if k == key), None)
+        assert by_runs.slot_of(key) == by_objects.slot_of(key) == first
+
+
+def test_extend_rejects_a_non_positive_size():
+    with pytest.raises(ValueError, match="positive"):
+        Container(1, 0, "c").extend("aod", 0.0, ["0/aod"])
+
+
+def test_find_by_key_sees_objects_stored_after_the_first_lookup():
+    fed = Federation("cms", site="cern")
+    fed.declare_type("aod")
+    db = fed.create_database("a.db")
+    container = db.create_container()
+    container.extend("aod", 10.0, ["0/aod", "1/aod"])
+    assert fed.find_by_key("2/aod") is None  # builds the index
+    assert fed.find_by_key("1/aod").oid.slot == 1
+    db.new_object(container, "aod", 10.0, "2/aod")
+    container.extend("aod", 10.0, ["3/aod", "0/aod"])
+    assert fed.find_by_key("2/aod").oid.slot == 2
+    assert fed.find_by_key("3/aod").oid.slot == 3
+    assert fed.find_by_key("0/aod").oid.slot == 0  # still the first slot
+
+
+# -- a negative slot names no object ---------------------------------------------
+def raised_by(call):
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+def small_store():
+    fed = Federation("cms", site="cern")
+    catalog = EventStoreBuilder(seed=1).build(
+        fed, n_events=10, types=(ObjectTypeSpec("aod", 5.0),),
+    )
+    db_id = catalog.oid_for(0, "aod").database
+    return fed, fed.database_by_id(db_id).container(0)
+
+
+def test_sizes_at_rejects_a_negative_slot_as_view_does():
+    fed, container = small_store()
+    expected = raised_by(lambda: container.view(-1))
+    assert raised_by(lambda: fed.sizes_at([(container.db_id, 0, -1)])) == expected
+    assert raised_by(lambda: fed.sizes_at(
+        [(container.db_id, 0, 0), (container.db_id, 0, -1)]
+    )) == expected
+    assert raised_by(lambda: fed.sizes_at([(container.db_id, 0, 10)])) == (
+        raised_by(lambda: container.view(10))
+    )
+
+
+def test_link_rejects_a_slot_with_no_object_as_view_does():
+    _, container = small_store()
+    before = list(container.links)
+    for slot in (-1, 10):
+        assert raised_by(
+            lambda: container.link(slot, "upstream", (9, 0, 0))
+        ) == raised_by(lambda: container.view(slot))
+    assert container.links == before
+
+
+# -- the types a file holds --------------------------------------------------------
+def scanned_types(db):
+    return {obj.type_name for obj in db.iter_objects()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=stores())
+def test_type_names_match_a_scan_after_copies_detach_and_attach(case):
+    fed = Federation("cms", site="cern")
+    EventStoreBuilder(seed=case["seed"]).build(
+        fed, n_events=case["n_events"], types=case["types"],
+        events_per_file=case["events_per_file"], placement=case["placement"],
+    )
+    extra = fed.create_database("extra.db")
+    containers = [extra.create_container() for _ in range(3)]
+    for i, (which, size) in enumerate(case["extra"]):
+        extra.new_object(containers[which], ("tag", "aod", "esd")[which], size,
+                         f"{i}/x")
+
+    def check():
+        for name in fed.database_names:
+            db = fed.database(name)
+            assert db.type_names == scanned_types(db)
+
+    check()
+    everything = [obj.oid for obj in fed.iter_objects()]
+    copier = ObjectCopier(fed)
+    for i, picks in enumerate(case["copies"]):
+        result = copier.copy(
+            [everything[p % len(everything)] for p in picks], f"copy{i}.db",
+            include_closure=case["closure"],
+        )
+        fed.attach(result.database)
+        check()
+    gone = fed.detach(fed.database_names[case["detach"] % len(fed.database_names)])
+    assert gone.type_names == scanned_types(gone)
+    check()
+    fed.attach(gone)
+    check()

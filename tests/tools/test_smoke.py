@@ -206,3 +206,9 @@ def test_the_engine_keeps_one_flow_table_for_a_whole_leg(capsys):
     assert smoke.check_table_builds() == []
     line = capsys.readouterr().out.strip()
     assert line.startswith("table builds: 1 flow table(s) for ")
+
+
+def test_an_event_store_is_written_one_extend_per_chunk(capsys):
+    assert smoke.check_store_runs() == []
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("store runs: 40 Container.extend and 0 Container.append")

@@ -13,11 +13,11 @@ checks, per leg:
   experiment extras + full Prometheus export) are byte-identical;
 * the suite's own assertions, declared beside its params below.
 
-Then the named checks in ``CHECKS``: nine budgets that fail here in
+Then the named checks in ``CHECKS``: ten budgets that fail here in
 seconds instead of in a benchmark in minutes (``publish_path``,
 ``transfer_set_path``, ``warm_channels``, ``event_budget``,
-``claim_budget``, ``pipe_fill``, ``table_builds``, ``object_census``,
-``directory_census``); two
+``claim_budget``, ``pipe_fill``, ``table_builds``, ``store_runs``,
+``object_census``, ``directory_census``); two
 scenarios run twice in this process and diffed part by part
 (``back_to_back``: ids, names and counts must restart with the
 simulator; ``exporters``: shape and determinism of the trace and metrics
@@ -43,6 +43,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 from repro.catalog import GdmpCatalog
 from repro.experiments import chaos, chunks, rls, weather, workload
@@ -51,7 +52,7 @@ from repro.experiments.scaffold import counter_total, legs
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.flowtable import FlowTable
 from repro.netsim.units import MB
-from repro.objectdb import EventStoreBuilder, Federation
+from repro.objectdb import Container, EventStoreBuilder, Federation
 from repro.objectrep.index_service import IndexService
 from repro.rls import DigestConfig, RlsConfig
 from repro.telemetry import to_chrome_trace_json, to_prometheus_text
@@ -571,6 +572,31 @@ def check_table_builds() -> list[str]:
     return []
 
 
+def check_store_runs() -> list[str]:
+    """An event store is written in runs: a 10 000-event
+    ``STANDARD_TYPES`` build stores each (type, file) chunk with one
+    ``Container.extend`` call, 40 in all, and calls ``Container.append``
+    for no object.  A plain count, so the check is deterministic."""
+    with mock.patch.object(
+        Container, "append", autospec=True, side_effect=Container.append
+    ) as append, mock.patch.object(
+        Container, "extend", autospec=True, side_effect=Container.extend
+    ) as extend:
+        federation = Federation("runs", site="cern")
+        EventStoreBuilder(seed=SEED).build(federation, n_events=10_000)
+    chunks = len(federation.database_names)
+    report = (
+        f"store runs: {extend.call_count} Container.extend and "
+        f"{append.call_count} Container.append call(s) for "
+        f"{federation.object_count} objects in {chunks} (type, file) "
+        f"chunks (budget one extend per chunk, no append)"
+    )
+    if append.call_count or extend.call_count != chunks or chunks != 40:
+        return [report]
+    print(f"  {report}")
+    return []
+
+
 #: objects CPython's cyclic collector tracks per stored object after a
 #: 10 000-event build of the four standard types, plus 10 %: 322-329 /
 #: 40 000 = 0.0081 since a container keeps its objects as columns
@@ -852,6 +878,7 @@ CHECKS = {
     "claim_budget": check_claim_budget,
     "pipe_fill": check_pipe_fill,
     "table_builds": check_table_builds,
+    "store_runs": check_store_runs,
     "object_census": check_object_census,
     "directory_census": check_directory_census,
     # global-state leaks: everything a run names or counts
