@@ -61,7 +61,7 @@ from repro.faults import (
     weather_blackhole_campaign,
 )
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.netsim.tiered import TieredSpec, tiered_grid_spec
+from repro.netsim.tiered import T0, TieredSpec, tiered_grid_spec
 from repro.netsim.units import MB
 from repro.observatory import ScenarioDriver, diurnal_scenario
 from repro.observatory.station import WeatherConfig
@@ -76,7 +76,8 @@ DEGRADATION_BOUND = 1.15
 #: observatory cadence used by the experiment: pushes every 5 s, caches
 #: stale after 20 s — so a 25 s+ black-hole window demonstrably forces
 #: the probe fallback, and one landed push reconverges selection
-_WEATHER = dict(
+_WEATHER = WeatherConfig(
+    weather_host=T0,
     push_period=5.0,
     staleness_horizon=20.0,
     half_life=120.0,
@@ -205,9 +206,7 @@ def _run_leg(
 ):
     """One full leg (smart or static) from a fresh grid; returns a dict
     of everything the caller folds into the result/fingerprint."""
-    weather = (
-        WeatherConfig(weather_host=tspec.t0, **_WEATHER) if smart else None
-    )
+    weather = _WEATHER if smart else None
     # tuned 1 MiB buffers (the §6 result) so measured transfers are
     # bandwidth-limited, not window-limited — congestion on the path is
     # what decides completion time
@@ -281,7 +280,7 @@ def _run_leg(
 
     # -- settle: close any remaining fault windows, let pushes land
     faults.drain()
-    grid.run(until=grid.sim.timeout(3 * _WEATHER["push_period"]))
+    grid.run(until=grid.sim.timeout(3 * _WEATHER.push_period))
 
     # -- post wave: one fresh file per T2, after the faults/peak — the
     #    smart leg must be back on (or still on) history selections

@@ -37,6 +37,7 @@ from repro.security.ca import CertificateAuthority
 from repro.security.credentials import new_user_credential
 from repro.security.gridmap import GridMap
 from repro.services.resilience import (
+    IDLE_TIMEOUT,
     CircuitBreakerMiddleware,
     ResilienceConfig,
     RetryMiddleware,
@@ -333,8 +334,7 @@ class DataGrid:
             rpc.fail_fast_when_down = True
             rpc.use_middlewares((
                 RetryMiddleware(
-                    rng=streams[f"resilience.retry.{name}"],
-                    metrics=self.metrics,
+                    streams[f"resilience.retry.{name}"], metrics=self.metrics,
                 ),
                 CircuitBreakerMiddleware(
                     metrics=self.metrics, service=rpc.service,
@@ -343,7 +343,7 @@ class DataGrid:
             ftp_bus = site.gridftp_client.bus
             ftp_bus.default_timeout = config.rpc_timeout
             ftp_bus.fail_fast_when_down = True
-            site.gridftp_client.idle_timeout = config.idle_timeout
+            site.gridftp_client.idle_timeout = IDLE_TIMEOUT
         return config
 
     # -- telemetry ---------------------------------------------------------------

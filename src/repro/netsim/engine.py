@@ -5,7 +5,7 @@ The engine advances all active flows in fluid *ticks*.  Each tick:
 1. every flow's effective RTT is its base propagation RTT plus the current
    queueing delay along its path;
 2. every flow offers ``window / rtt`` bytes/s, clamped by per-flow rate caps
-   (disk speed), per-host NIC rates, and the remaining bytes of its pool;
+   (disk speed) and the remaining bytes of its pool;
 3. every link sees the total offered rate (plus cross-traffic); when demand
    exceeds capacity the excess builds queue, overflow becomes packet loss
    distributed over flows in proportion to their offered share, and achieved
@@ -44,10 +44,9 @@ views over their table rows.  ``NetworkEngine(kernel=...)`` forces one
 kernel (the differential tests and the flow-scale bench do).
 
 Whole passes are skipped when provably inert: queueing-delay sums when all
-queues are empty, NIC scaling when every host NIC is unbounded, loss
-marking when nothing was dropped and no path link has a nonzero
-``loss_rate``.  All skips are *exact*: they elide work only when the
-skipped pass would compute the identity.
+queues are empty, loss marking when nothing was dropped and no path link
+has a nonzero ``loss_rate``.  All skips are *exact*: they elide work only
+when the skipped pass would compute the identity.
 
 When the dynamics are provably linear — no lossy link on any active path,
 all queues empty and no link congested, every window buffer-clamped and no
@@ -170,30 +169,6 @@ class SharedBytePool:
             return float(t.pool_delivered[self._row])
         return self._delivered
 
-    def draw(self, amount: float) -> float:
-        """Take up to ``amount`` bytes from the remaining supply.
-
-        Never returns a negative take: if float drift (or an external
-        ``remaining`` override) left the residual below zero, the draw is
-        clamped to 0.0 instead of un-delivering bytes.
-        """
-        t = self._table
-        if t is not None:
-            row = self._row
-            remaining = float(t.pool_remaining[row])
-            take = amount if amount <= remaining else remaining
-            if take < 0.0:
-                take = 0.0
-            t.pool_remaining[row] = remaining - take
-            t.pool_delivered[row] = float(t.pool_delivered[row]) + take
-            return take
-        take = amount if amount <= self._remaining else self._remaining
-        if take < 0.0:
-            take = 0.0
-        self._remaining -= take
-        self._delivered += take
-        return take
-
     def conservation_error(self) -> float:
         """|size - delivered - remaining| — float drift of the byte ledger.
 
@@ -285,36 +260,6 @@ class Flow:
             return self._delivered
         self._settle()
         return float(t.delivered[self._row])
-
-    @property
-    def loss_pending(self) -> bool:
-        t = self._table
-        if t is not None:
-            return bool(t.loss_pending[self._row])
-        return self._loss_pending
-
-    @loss_pending.setter
-    def loss_pending(self, value: bool) -> None:
-        t = self._table
-        if t is not None:
-            t.loss_pending[self._row] = value
-        else:
-            self._loss_pending = value
-
-    @property
-    def timeout_pending(self) -> bool:
-        t = self._table
-        if t is not None:
-            return bool(t.timeout_pending[self._row])
-        return self._timeout_pending
-
-    @timeout_pending.setter
-    def timeout_pending(self, value: bool) -> None:
-        t = self._table
-        if t is not None:
-            t.timeout_pending[self._row] = value
-        else:
-            self._timeout_pending = value
 
     @property
     def rtt(self) -> float:
@@ -768,9 +713,8 @@ class NetworkEngine:
         if dt < self.MIN_TICK:
             dt = self.MIN_TICK
 
-        # 2. offered rates (window-limited, rate-capped, supply-limited),
-        # fused with the per-link demand accumulation when no NIC can bind
-        # (the scale pass would multiply by exactly 1.0).
+        # 2+3. offered rates (window-limited, rate-capped, supply-limited),
+        # fused with the per-link demand accumulation
         offered = t.offered
         window_used = t.window_used
         cwnd = t.cwnd
@@ -779,64 +723,21 @@ class NetworkEngine:
         pool_row = t.pool_row
         pool_remaining = t.pool_remaining
         link_demand = [0.0] * nlinks
-        if t.nic_bounded:
-            for i in range(n):
-                cw = cwnd[i]
-                bu = buffer[i]
-                window_used[i] = window = cw if cw < bu else bu
-                off = window / rtt[i]
-                cap = rate_cap[i]
-                if off > cap:
-                    off = cap
-                # do not offer more than the pool can supply this tick
-                supply = pool_remaining[pool_row[i]] / dt
-                if off > supply:
-                    off = supply
-                offered[i] = off
-            # NIC caps: proportional scale-down at each endpoint.
-            src_slot = t.src_slot
-            dst_slot = t.dst_slot
-            out_demand = [0.0] * t.n_src_slots
-            in_demand = [0.0] * t.n_dst_slots
-            for i in range(n):
-                off = offered[i]
-                out_demand[src_slot[i]] += off
-                in_demand[dst_slot[i]] += off
-            src_nics = t.src_nics
-            dst_nics = t.dst_nics
-            for i in range(n):
-                scale = 1.0
-                s = src_slot[i]
-                demand = out_demand[s]
-                nic = src_nics[s]
-                if demand > nic:
-                    scale = min(scale, nic / demand)
-                s = dst_slot[i]
-                demand = in_demand[s]
-                nic = dst_nics[s]
-                if demand > nic:
-                    scale = min(scale, nic / demand)
-                offered[i] *= scale
-            # 3. link demand (after NIC scaling)
-            for i in range(n):
-                off = offered[i]
-                for slot in path_slots[i]:
-                    link_demand[slot] += off
-        else:
-            for i in range(n):
-                cw = cwnd[i]
-                bu = buffer[i]
-                window_used[i] = window = cw if cw < bu else bu
-                off = window / rtt[i]
-                cap = rate_cap[i]
-                if off > cap:
-                    off = cap
-                supply = pool_remaining[pool_row[i]] / dt
-                if off > supply:
-                    off = supply
-                offered[i] = off
-                for slot in path_slots[i]:
-                    link_demand[slot] += off
+        for i in range(n):
+            cw = cwnd[i]
+            bu = buffer[i]
+            window_used[i] = window = cw if cw < bu else bu
+            off = window / rtt[i]
+            cap = rate_cap[i]
+            if off > cap:
+                off = cap
+            # do not offer more than the pool can supply this tick
+            supply = pool_remaining[pool_row[i]] / dt
+            if off > supply:
+                off = supply
+            offered[i] = off
+            for slot in path_slots[i]:
+                link_demand[slot] += off
 
         link_scale = [1.0] * nlinks
         link_dropped = [0.0] * nlinks
@@ -1034,28 +935,6 @@ class NetworkEngine:
         np.minimum(offered, t.rate_cap, out=offered)
         supply = t.pool_remaining[t.pool_row] / dt
         np.minimum(offered, supply, out=offered)
-        if t.nic_bounded:
-            # NIC caps: proportional scale-down at each endpoint; the
-            # masked divide leaves 1.0 where the NIC has headroom, exactly
-            # the scalar min(1, nic/demand) chain
-            out_demand = np.bincount(
-                t.src_slot, weights=offered, minlength=t.n_src_slots
-            )
-            in_demand = np.bincount(
-                t.dst_slot, weights=offered, minlength=t.n_dst_slots
-            )
-            nic = t.src_nics[t.src_slot]
-            demand = out_demand[t.src_slot]
-            scale = np.divide(
-                nic, demand, out=np.ones(n), where=demand > nic
-            )
-            nic = t.dst_nics[t.dst_slot]
-            demand = in_demand[t.dst_slot]
-            ratio = np.divide(
-                nic, demand, out=np.ones(n), where=demand > nic
-            )
-            np.minimum(scale, ratio, out=scale)
-            offered *= scale
         # 3. link demand (flow-major accumulation, as the scalar loop)
         link_demand = np.bincount(
             t.path_link, weights=offered[t.path_flow], minlength=t.n_links

@@ -52,7 +52,6 @@ VECTOR_MIN_FLOWS = 64
 
 _F64 = _np.float64
 _INT = _np.intp
-_INF = float("inf")
 
 #: Column groups: ``group -> (dtype, columns)``.  The columns of one group
 #: always have one length, so a vector table stores each group as one
@@ -65,14 +64,12 @@ _GROUPS = {
         "window_used",
     )),
     "flow_b": (_np.bool_, ("loss_pending", "timeout_pending", "round_mask")),
-    "flow_i": (_INT, ("pool_row", "src_slot", "dst_slot")),
+    "flow_i": (_INT, ("pool_row",)),
     "link": (_F64, (
         "link_capacity", "link_cross", "link_queue_cap", "link_queue",
         "link_scale", "link_dropped",
     )),
     "pool": (_F64, ("pool_remaining", "pool_delivered")),
-    "src": (_F64, ("src_nics",)),
-    "dst": (_F64, ("dst_nics",)),
     # vector tables only: the scalar kernel walks path_slots, lossy_rows
     # and link_flows instead
     "path": (_INT, ("path_flow", "path_link")),
@@ -148,7 +145,7 @@ class FlowTable:
 
     * flow rows in arrival order,
     * pool rows in first-flow order,
-    * link slots and NIC slots in first-encounter order over flow paths,
+    * link slots in first-encounter order over flow paths,
     * path pairs flow-major (flow order, hop order within a flow),
     * overflow pairs link-major (link slot, then incidence order).
 
@@ -186,11 +183,6 @@ class FlowTable:
         self.pools: list = []
         self.pool_flow_rows: list[list[int]] = []
         self.n_pools = 0
-        self._src_key: dict[str, int] = {}
-        self._dst_key: dict[str, int] = {}
-        self.n_src_slots = 0
-        self.n_dst_slots = 0
-        self.nic_bounded = False
         # vector tables: 2-D buffers per group and the rows in use
         self._bufs: dict = {}
         self._used: dict[str, int] = {}
@@ -204,8 +196,8 @@ class FlowTable:
 
     # -- mutation -----------------------------------------------------------
     def append(self, f: "Flow") -> None:
-        """Add ``f`` as the last row and attach its view; its pool, links
-        and NICs take the next free slot on first encounter."""
+        """Add ``f`` as the last row and attach its view; its pool and
+        links take the next free slot on first encounter."""
         i = self.n_flows
         pool = f.pool
         if pool._table is self:
@@ -243,10 +235,6 @@ class FlowTable:
         self.lossy_rows.append(survive)
         if survive:
             self.has_lossy = True
-        src = self._nic_slot(self._src_key, "src", f.src)
-        dst = self._nic_slot(self._dst_key, "dst", f.dst)
-        self.n_src_slots = len(self._src_key)
-        self.n_dst_slots = len(self._dst_key)
 
         t = f._tcp
         mss = t._mss_f
@@ -257,7 +245,7 @@ class FlowTable:
             t._initial_cwnd_f, 0.0, 0.0, 0.0,
         ))
         self._push("flow_b", (f._loss_pending, f._timeout_pending, False))
-        self._push("flow_i", (prow, src, dst))
+        self._push("flow_i", (prow,))
         self.flows.append(f)
         self.n_flows = i + 1
         f._table = self
@@ -280,10 +268,10 @@ class FlowTable:
         """Drop the flows at ``rows`` and every pool left without a flow.
 
         Only the leaving flows and pools are flushed.  The survivors keep
-        their state and their relative order; pool, link and NIC slots
-        are re-derived from the survivors' integer columns (no object
-        reads) in first-encounter order, as a fresh build would meet them
-        — retiring the flow that first met a surviving link can move that
+        their state and their relative order; pool and link slots are
+        re-derived from the survivors' integer columns (no object reads)
+        in first-encounter order, as a fresh build would meet them —
+        retiring the flow that first met a surviving link can move that
         link behind one met later.  When every flow leaves, the table is
         simply emptied.
         """
@@ -352,40 +340,11 @@ class FlowTable:
             }
             self.n_links = len(link_order)
             self._take(("link",), link_order)
-
-        # NICs: first-encounter order over the surviving flows
-        self._src_key = self._keep_nics(self._src_key, "src", "src_slot")
-        self._dst_key = self._keep_nics(self._dst_key, "dst", "dst_slot")
-        self.n_src_slots = len(self._src_key)
-        self.n_dst_slots = len(self._dst_key)
-        self.nic_bounded = any(r != _INF for r in self.src_nics) or any(
-            r != _INF for r in self.dst_nics
-        )
         if self.kernel == "vector":
             self._derive_pairs()
         self._cutover()
 
     # -- column storage ------------------------------------------------------
-    def _nic_slot(self, keys: dict, group: str, host) -> int:
-        slot = keys.get(host.name)
-        if slot is None:
-            slot = keys[host.name] = len(keys)
-            self._push(group, (host.nic_rate,))
-            if host.nic_rate != _INF:
-                self.nic_bounded = True
-        return slot
-
-    def _keep_nics(self, keys: dict, group: str, column: str) -> dict:
-        """Re-derive one side's NIC slots from the surviving flows; the
-        new name -> slot map."""
-        order = list(dict.fromkeys(self._ints(column)))
-        if order == list(range(len(keys))):
-            return keys
-        self._take((group,), order)
-        self._remap(column, order)
-        names = list(keys)
-        return {names[s]: new for new, s in enumerate(order)}
-
     def _push(self, group: str, row: tuple) -> None:
         """Append one row (a value per column of ``group``)."""
         names = _GROUPS[group][1]

@@ -35,24 +35,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["TcpParams", "TcpState", "CongestionState"]
+__all__ = ["MSS", "TcpParams", "TcpState", "CongestionState"]
+
+
+#: segment size, bytes (Ethernet)
+MSS = 1460
+#: initial congestion window, segments (RFC 2414 era)
+INITIAL_CWND_SEGMENTS = 2
 
 
 @dataclass(frozen=True)
 class TcpParams:
-    """Static per-connection TCP parameters."""
+    """Static per-connection TCP parameters: the socket buffer is the one
+    a caller tunes; segment size and initial window are :data:`MSS` and
+    :data:`INITIAL_CWND_SEGMENTS`."""
 
-    mss: int = 1460
     buffer: int = 64 * 1024          # socket send/receive buffer clamp
-    initial_cwnd_segments: int = 2   # RFC 2414-era initial window
 
     def __post_init__(self) -> None:
-        if self.mss <= 0:
-            raise ValueError("mss must be positive")
-        if self.buffer < self.mss:
+        if self.buffer < MSS:
             raise ValueError("buffer smaller than one MSS")
-        if self.initial_cwnd_segments < 1:
-            raise ValueError("initial cwnd must be >= 1 segment")
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class TcpState:
     def __init__(self, params: TcpParams,
                  resume: Optional[CongestionState] = None):
         self.params = params
-        self.cwnd = float(params.initial_cwnd_segments * params.mss)
+        self.cwnd = float(INITIAL_CWND_SEGMENTS * MSS)
         # Classic BSD behaviour: initial ssthresh is the receiver window,
         # i.e. the socket buffer — slow start runs until the buffer clamp
         # (untuned) or until the first loss (tuned, large buffer).
@@ -88,10 +90,8 @@ class TcpState:
         # the flow table snapshots these into its columns
         self._buffer_f = float(params.buffer)
         self._buffer2 = 2.0 * self._buffer_f
-        self._mss_f = float(params.mss)
-        self._initial_cwnd_f = float(
-            params.initial_cwnd_segments * params.mss
-        )
+        self._mss_f = float(MSS)
+        self._initial_cwnd_f = float(INITIAL_CWND_SEGMENTS * MSS)
 
     @property
     def window(self) -> float:

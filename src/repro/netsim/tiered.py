@@ -4,17 +4,19 @@ The "Simulation Study for T0/T1 Data Replication" line of work (Legrand
 et al., PAPERS.md) models the LHC computing grid as a tree: one Tier-0
 centre (CERN) feeding a handful of national Tier-1 centres over fat
 transatlantic backbones, each T1 fanning out to regional Tier-2 sites
-over slimmer links.  Routing is therefore *unique* — a T2 reaches a
-sibling region only through its T1 and the T0 — which both matches the
-static routing of the era and keeps shortest-path selection free of
-equal-cost ties (a determinism property the experiments lean on).
+over slimmer links.  Minimum-delay routing on it is *unique* — a T2
+reaches a sibling region through its T1 and the T1 mesh, never over two
+paths of equal delay — which both matches the static routing of the era
+and keeps shortest-path selection free of equal-cost ties (a
+determinism property the experiments lean on).
 
 :func:`tiered_grid_spec` produces the site list and the ``wan_links``
-specs :class:`~repro.gdmp.grid.DataGrid` accepts, with optionally
-*asymmetric* T2 tails: a regional site's uplink (T2 -> T1) can be far
-slimmer than its downlink, exactly the situation where probing the
-wrong direction (the old ``estimate_transfer_time`` bug) misprices a
-source by an order of magnitude.
+specs :class:`~repro.gdmp.grid.DataGrid` accepts.  The T1s are meshed
+over full-duplex circuits, and each T2 hangs off its T1 on one
+symmetric tail.  A caller picks the tree's shape, its backbone and its
+loss rate; every other link figure is a module constant.  An asymmetric
+tail (a T2 uplink far slimmer than its downlink) is built by handing
+``DataGrid`` a ``(t1, t2, down, up)`` spec directly.
 """
 
 from __future__ import annotations
@@ -27,33 +29,34 @@ from .units import mbps
 
 __all__ = ["TieredSpec", "tiered_grid_spec"]
 
+#: the Tier-0 site
+T0 = "t0-cern"
+#: T0 <-> T1 backbone one-way delay (transatlantic)
+BACKBONE_DELAY = 0.030
+#: T1 <-> T2 tail (regional distribution): capacity, delay, cross-traffic
+T2_MBPS = 45.0
+T2_DELAY = 0.010
+T2_CROSS_MBPS = 5.0
+#: direct T1 <-> T1 mesh circuits.  The real LHC topology meshes the
+#: national centres; a slimmer, longer mesh path gives replica selection
+#: a genuine alternative to the T0 backbone — on a pure tree the last hop
+#: is always shared, so no selection policy can route around congestion
+MESH_MBPS = 45.0
+MESH_DELAY = 0.040
+MESH_CROSS_MBPS = 10.0
+#: every link's queue, bytes
+QUEUE_CAPACITY = 256 * 1024
+
 
 @dataclass(frozen=True)
 class TieredSpec:
-    """Shape and link characteristics of a T0/T1/T2 tree."""
+    """Shape, backbone and loss rate of a T0/T1/T2 tree."""
 
-    t0: str = "t0-cern"
     t1_count: int = 2
     t2_per_t1: int = 2
-    #: T0 <-> T1 backbone (symmetric fat pipe, transatlantic delay)
+    #: T0 <-> T1 backbone (symmetric fat pipe)
     backbone_mbps: float = 155.0
-    backbone_delay: float = 0.030
     backbone_cross_mbps: float = 20.0
-    #: T1 -> T2 downlink (regional distribution)
-    t2_down_mbps: float = 45.0
-    #: T2 -> T1 uplink; smaller than the downlink -> asymmetric tails
-    t2_up_mbps: float = 45.0
-    t2_delay: float = 0.010
-    t2_cross_mbps: float = 5.0
-    #: direct T1 <-> T1 mesh links (0 disables them).  The real LHC
-    #: topology meshes the national centres; a slimmer, longer mesh
-    #: path gives replica selection a genuine alternative to the T0
-    #: backbone — on a pure tree the last hop is always shared, so no
-    #: selection policy can route around congestion
-    t1_mesh_mbps: float = 45.0
-    t1_mesh_delay: float = 0.040
-    t1_mesh_cross_mbps: float = 10.0
-    queue_capacity: float = 256 * 1024
     loss_rate: float = 0.0
 
     def __post_init__(self):
@@ -82,69 +85,44 @@ class TieredGridSpec:
 def tiered_grid_spec(spec: Optional[TieredSpec] = None) -> TieredGridSpec:
     """Expand a :class:`TieredSpec` into sites and ``wan_links`` specs."""
     spec = spec or TieredSpec()
+
+    def link(name, mbps_, delay, cross_mbps):
+        return Link(
+            name=name,
+            capacity=mbps(mbps_),
+            delay=delay,
+            queue_capacity=QUEUE_CAPACITY,
+            cross_traffic=mbps(cross_mbps),
+            loss_rate=spec.loss_rate,
+        )
+
     t1_sites = tuple(f"t1-{i}" for i in range(spec.t1_count))
     t2_sites: list[str] = []
     links: list[tuple] = []
     parents: dict[str, str] = {}
     for t1 in t1_sites:
-        links.append((
-            spec.t0,
-            t1,
-            Link(
-                name=f"bb-{spec.t0}-{t1}",
-                capacity=mbps(spec.backbone_mbps),
-                delay=spec.backbone_delay,
-                queue_capacity=spec.queue_capacity,
-                cross_traffic=mbps(spec.backbone_cross_mbps),
-                loss_rate=spec.loss_rate,
-            ),
-        ))
-    if spec.t1_mesh_mbps > 0:
-        # full-duplex circuits: a distinct link per direction, so the
-        # two regions' opposing mesh flows don't contend with each other
-        def mesh_link(a, b):
-            return Link(
-                name=f"t1x-{a}-{b}",
-                capacity=mbps(spec.t1_mesh_mbps),
-                delay=spec.t1_mesh_delay,
-                queue_capacity=spec.queue_capacity,
-                cross_traffic=mbps(spec.t1_mesh_cross_mbps),
-                loss_rate=spec.loss_rate,
-            )
-
-        for i, a in enumerate(t1_sites):
-            for b in t1_sites[i + 1:]:
-                links.append((a, b, mesh_link(a, b), mesh_link(b, a)))
+        links.append((T0, t1, link(
+            f"bb-{T0}-{t1}", spec.backbone_mbps, BACKBONE_DELAY,
+            spec.backbone_cross_mbps,
+        )))
+    # full-duplex circuits: a distinct link per direction, so the two
+    # regions' opposing mesh flows don't contend with each other
+    for i, a in enumerate(t1_sites):
+        for b in t1_sites[i + 1:]:
+            links.append((a, b, *(
+                link(f"t1x-{x}-{y}", MESH_MBPS, MESH_DELAY, MESH_CROSS_MBPS)
+                for x, y in ((a, b), (b, a))
+            )))
     for i, t1 in enumerate(t1_sites):
         for j in range(spec.t2_per_t1):
             t2 = f"t2-{i}{chr(ord('a') + j)}"
             t2_sites.append(t2)
             parents[t2] = t1
-            down = Link(
-                name=f"dl-{t1}-{t2}",
-                capacity=mbps(spec.t2_down_mbps),
-                delay=spec.t2_delay,
-                queue_capacity=spec.queue_capacity,
-                cross_traffic=mbps(spec.t2_cross_mbps),
-                loss_rate=spec.loss_rate,
-            )
-            if spec.t2_up_mbps == spec.t2_down_mbps:
-                # symmetric tail: one shared link, as the full mesh does
-                links.append((t1, t2, down))
-            else:
-                up = Link(
-                    name=f"ul-{t2}-{t1}",
-                    capacity=mbps(spec.t2_up_mbps),
-                    delay=spec.t2_delay,
-                    queue_capacity=spec.queue_capacity,
-                    cross_traffic=mbps(spec.t2_cross_mbps),
-                    loss_rate=spec.loss_rate,
-                )
-                # DataGrid/Topology convention: (a, b, link, reverse)
-                # installs a->b on `link` and b->a on `reverse`
-                links.append((t1, t2, down, up))
+            links.append((t1, t2, link(
+                f"dl-{t1}-{t2}", T2_MBPS, T2_DELAY, T2_CROSS_MBPS,
+            )))
     return TieredGridSpec(
-        t0=spec.t0,
+        t0=T0,
         t1_sites=t1_sites,
         t2_sites=tuple(t2_sites),
         wan_links=tuple(links),

@@ -31,18 +31,13 @@ class RouteError(Exception):
 class Host:
     """A network endpoint (a grid site's storage/server node).
 
-    ``nic_rate`` caps the host's aggregate send+receive rate (bytes/s) —
-    this models the "single box driving a very high-end network card"
-    discussion in §5.3.  ``attrs`` is free-form site metadata.
+    ``attrs`` is free-form site metadata.  A host puts no cap of its own
+    on the flows it ends: the §5.3 "single box driving a very high-end
+    network card" is :class:`repro.objectrep.overhead.ServerResources`.
     """
 
     name: str
-    nic_rate: float = float("inf")
     attrs: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.nic_rate <= 0:
-            raise ValueError(f"host {self.name}: nic_rate must be positive")
 
     def __hash__(self) -> int:
         return hash(self.name)

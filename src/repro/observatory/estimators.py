@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
+    "bin_index",
+    "nearest_bin",
     "Ewma",
     "DecayedStats",
     "ThroughputRegressor",
@@ -38,6 +40,33 @@ __all__ = [
     "Forecast",
     "PairHistory",
 ]
+
+
+#: retired transfers a pair keeps verbatim (the health report's peak)
+RING_SIZE = 64
+
+
+def bin_index(size: float, base_size: float, bins: int) -> int:
+    """The size bin of ``size``: ``floor(log2(size / base_size))``,
+    clamped to ``[0, bins)`` — the one rule the regressor and every
+    digest reader bin by."""
+    if size <= base_size:
+        return 0
+    return min(bins - 1, int(math.log2(size / base_size)))
+
+
+def nearest_bin(bins: int, home: int, value_at) -> Optional[float]:
+    """The first ``value_at(idx)`` that is not None, walking out from bin
+    ``home``: its own bin, then the nearest populated one (smaller sizes
+    first on ties, since underestimating throughput is the safe
+    direction); None when every bin is empty."""
+    for distance in range(bins):
+        for idx in (home - distance, home + distance):
+            if 0 <= idx < bins:
+                value = value_at(idx)
+                if value is not None:
+                    return value
+    return None
 
 
 class Ewma:
@@ -120,11 +149,9 @@ class DecayedStats:
 class ThroughputRegressor:
     """Log-size-binned throughput predictor (Vazhkudai et al. §4).
 
-    Observed throughputs land in bins keyed by ``floor(log2(size /
-    base_size))``, clamped to ``[0, bins)`` — one decayed estimator per
-    bin.  Prediction for a size picks its own bin when it has evidence,
-    else the nearest populated bin (smaller sizes first on ties, since
-    underestimating throughput is the safe direction), else nothing.
+    Observed throughputs land in bins by :func:`bin_index` — one decayed
+    estimator per bin.  Prediction for a size is :func:`nearest_bin`
+    over the bins that still have evidence, else nothing.
     """
 
     #: decayed evidence below which a bin is silent rather than serving
@@ -141,31 +168,25 @@ class ThroughputRegressor:
         self.base_size = base_size
         self._stats = [DecayedStats(half_life) for _ in range(bins)]
 
-    def bin_index(self, size: float) -> int:
-        if size <= self.base_size:
-            return 0
-        return min(self.bins - 1, int(math.log2(size / self.base_size)))
-
     def observe(self, t: float, size: float, throughput: float) -> None:
-        self._stats[self.bin_index(size)].update(t, throughput)
+        home = bin_index(size, self.base_size, self.bins)
+        self._stats[home].update(t, throughput)
+
+    def _mean_at(self, idx: int, now: float) -> Optional[float]:
+        """Bin ``idx``'s decayed mean, None where evidence decayed away."""
+        stats = self._stats[idx]
+        return stats.mean if stats.weight(now) >= self.MIN_WEIGHT else None
 
     def predict(self, size: float, now: float) -> Optional[float]:
-        home = self.bin_index(size)
-        for distance in range(self.bins):
-            for idx in (home - distance, home + distance):
-                if 0 <= idx < self.bins:
-                    stats = self._stats[idx]
-                    if stats.weight(now) >= self.MIN_WEIGHT:
-                        return stats.mean
-        return None
+        home = bin_index(size, self.base_size, self.bins)
+        return nearest_bin(
+            self.bins, home, lambda idx: self._mean_at(idx, now)
+        )
 
     def bin_means(self, now: float) -> list[Optional[float]]:
         """Per-bin decayed means (None where evidence decayed away) —
         the payload a forecast digest carries."""
-        return [
-            s.mean if s.weight(now) >= self.MIN_WEIGHT else None
-            for s in self._stats
-        ]
+        return [self._mean_at(idx, now) for idx in range(self.bins)]
 
 
 @dataclass(frozen=True)
@@ -201,10 +222,10 @@ class Forecast:
 class PairHistory:
     """Everything the observatory knows about one (src, dst) pair."""
 
-    def __init__(self, ring_size: int = 64, ewma_alpha: float = 0.3,
-                 half_life: float = 120.0, bins: int = 8,
-                 base_size: float = 1e6):
-        self.ring: deque[TransferSample] = deque(maxlen=ring_size)
+    def __init__(self, ewma_alpha: float = 0.3, half_life: float = 120.0,
+                 bins: int = 8, base_size: float = 1e6):
+        #: the last :data:`RING_SIZE` samples
+        self.ring: deque[TransferSample] = deque(maxlen=RING_SIZE)
         self.ewma = Ewma(ewma_alpha)
         self.stats = DecayedStats(half_life)
         self.regressor = ThroughputRegressor(

@@ -22,13 +22,18 @@ outcome, and identical runs yield byte-identical station fingerprints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.netsim.tools import ping
 from repro.netsim.topology import RouteError
-from repro.observatory.estimators import Forecast, PairHistory, TransferSample
+from repro.observatory.estimators import (
+    Forecast,
+    PairHistory,
+    TransferSample,
+    bin_index,
+    nearest_bin,
+)
 
 __all__ = ["WeatherConfig", "WeatherStation", "SiteWeather"]
 
@@ -59,13 +64,6 @@ class WeatherConfig:
             raise ValueError("push_period must be positive")
         if self.staleness_horizon <= 0:
             raise ValueError("staleness_horizon must be positive")
-
-
-def bin_index(size: float, base_size: float, bins: int) -> int:
-    """The regressor's bin for ``size`` (shared with digest readers)."""
-    if size <= base_size:
-        return 0
-    return min(bins - 1, int(math.log2(size / base_size)))
 
 
 class WeatherStation:
@@ -214,7 +212,13 @@ class SiteWeather:
         entry = self._sources.get(src)
         if entry is None:
             return None
-        throughput = self._bin_throughput(entry, size)
+        # the station's own rule over the digest's bins: the nearest
+        # populated bin, else the smoothed fallback
+        bins = entry["bins"]
+        home = bin_index(size, self.config.base_size, self.config.bins)
+        throughput = nearest_bin(len(bins), home, bins.__getitem__)
+        if throughput is None:
+            throughput = entry.get("ewma")
         if throughput is None or throughput <= 0.0:
             return None
         # the push itself ages: decay the station-side confidence by the
@@ -230,15 +234,6 @@ class SiteWeather:
             samples=entry["samples"],
             staleness=age,
         )
-
-    def _bin_throughput(self, entry: dict, size: float) -> Optional[float]:
-        bins = entry["bins"]
-        home = bin_index(size, self.config.base_size, self.config.bins)
-        for distance in range(len(bins)):
-            for idx in (home - distance, home + distance):
-                if 0 <= idx < len(bins) and bins[idx] is not None:
-                    return bins[idx]
-        return entry.get("ewma")
 
     def note_selection(self, basis: str) -> None:
         """Ranking provenance counters (the degradation signal)."""

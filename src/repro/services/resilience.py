@@ -18,6 +18,10 @@ Determinism: retry jitter is drawn from a seeded
 :class:`~repro.simulation.randomness.RandomStreams` generator, so the same
 seed gives the same backoff schedule; everything else is pure sim-time
 arithmetic.
+
+The backoff schedule, the breaker's threshold and cooldown and the
+transfer idle timeout are module constants: no deployment varies them.
+What a caller does vary — the RPC timeout — is :class:`ResilienceConfig`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from repro.services.bus import ClientCall, ServiceError
 from repro.telemetry.metrics import NO_METRICS, MetricsRegistry
 
 __all__ = [
-    "RetryPolicy",
     "RetryMiddleware",
     "CircuitOpenError",
     "CircuitBreakerMiddleware",
@@ -53,55 +56,33 @@ class CircuitOpenError(ServiceError):
         self.remaining = remaining
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with seeded jitter and a cumulative budget.
-
-    Attempt ``n`` (1-based) failing retryably sleeps
-    ``min(base_delay * multiplier**(n-1), max_delay) * (1 + jitter*u)``
-    with ``u`` uniform in [0, 1) from the policy's random stream.  The
-    call gives up early when attempts, the sleep budget, or the caller's
-    shrink-only deadline would be exceeded.
-    """
-
-    max_attempts: int = 4
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.25
-    budget: float = 120.0
-
-    def delay(self, attempt: int, rng=None) -> float:
-        raw = min(
-            self.base_delay * self.multiplier ** (attempt - 1),
-            self.max_delay,
-        )
-        if rng is not None and self.jitter:
-            raw *= 1.0 + self.jitter * float(rng.random())
-        return raw
+#: Retry schedule: a call is tried up to :data:`RETRY_ATTEMPTS` times, and
+#: retry ``n`` (1-based) first sleeps ``RETRY_BASE_DELAY * 2**(n-1) *
+#: (1 + RETRY_JITTER * u)``, ``u`` uniform in [0, 1) — at most 0.625 +
+#: 1.25 + 2.5 s in all, so no cap on one sleep or on their sum can bind.
+RETRY_ATTEMPTS = 4
+RETRY_BASE_DELAY = 0.5
+RETRY_JITTER = 0.25
 
 
 class RetryMiddleware:
-    """Re-issue transport-failed calls per a :class:`RetryPolicy`.
+    """Re-issue transport-failed calls on the seeded backoff schedule.
 
-    Counts ``rpc.retries{service,operation}`` in the registry for every
-    re-issued attempt.  A retry is abandoned (the original error
-    re-raised) when the policy's attempt or budget cap is hit, or when
+    Each retry draws exactly one ``u`` from ``rng``, the site's seeded
+    stream.  Counts ``rpc.retries{service,operation}`` in the registry
+    for every re-issued attempt.  A retry is abandoned (the original
+    error re-raised) after :data:`RETRY_ATTEMPTS` attempts, or when
     backing off would cross the caller's propagated deadline — deadlines
     only ever shrink, so sleeping past one can never help.
     """
 
-    def __init__(self, policy: RetryPolicy | None = None, rng=None,
-                 metrics: MetricsRegistry = NO_METRICS):
-        self.policy = policy if policy is not None else RetryPolicy()
+    def __init__(self, rng, metrics: MetricsRegistry = NO_METRICS):
         self.rng = rng
         self.metrics = metrics
 
     def __call__(self, call: ClientCall, call_next):
         sim = call.sim
-        policy = self.policy
         attempt = 0
-        slept = 0.0
         while True:
             attempt += 1
             try:
@@ -110,11 +91,10 @@ class RetryMiddleware:
             except ServiceError as exc:
                 if not getattr(exc, "retryable", False):
                     raise
-                if attempt >= policy.max_attempts:
+                if attempt >= RETRY_ATTEMPTS:
                     raise
-                delay = policy.delay(attempt, self.rng)
-                if slept + delay > policy.budget:
-                    raise
+                delay = RETRY_BASE_DELAY * 2.0 ** (attempt - 1)
+                delay *= 1.0 + RETRY_JITTER * float(self.rng.random())
                 ctx = (
                     call.context if call.context is not None
                     else sim.current_context
@@ -130,9 +110,13 @@ class RetryMiddleware:
                     service=call.client.service,
                     operation=call.operation,
                 ).inc()
-                slept += delay
                 yield sim.timeout(delay)
 
+
+#: Consecutive retryable failures that open a circuit, and the seconds it
+#: then refuses calls before letting one probe through.
+BREAKER_THRESHOLD = 5
+BREAKER_COOLDOWN = 30.0
 
 #: Gauge encoding of breaker states.
 _STATE_VALUE = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
@@ -153,13 +137,14 @@ class CircuitBreakerMiddleware:
     """Per-(server-host, endpoint) circuit breaker: closed → open →
     half-open.
 
-    ``failure_threshold`` consecutive retryable failures open the circuit;
-    while open, calls are refused locally with :class:`CircuitOpenError`
-    until ``cooldown`` has elapsed, after which a single probe call is let
-    through (half-open).  A successful probe closes the circuit; a failed
-    one re-opens it for another cooldown.  Application faults (not
-    retryable) neither trip nor reset the breaker's failure count — a
-    server answering "no such file" is healthy.
+    :data:`BREAKER_THRESHOLD` consecutive retryable failures open the
+    circuit; while open, calls are refused locally with
+    :class:`CircuitOpenError` until :data:`BREAKER_COOLDOWN` has
+    elapsed, after which a single probe call is let through (half-open).
+    A successful probe closes the circuit; a failed one re-opens it for
+    another cooldown.  Application faults (not retryable) neither trip
+    nor reset the breaker's failure count — a server answering "no such
+    file" is healthy.
 
     Breaker state is tracked per *endpoint* on a host, where the endpoint
     is the operation's family prefix (``catalog.info`` → ``catalog``,
@@ -171,12 +156,8 @@ class CircuitBreakerMiddleware:
     (0 closed, 1 half-open, 2 open) and counts opens/refusals.
     """
 
-    def __init__(self, failure_threshold: int = 5, cooldown: float = 30.0,
-                 metrics: MetricsRegistry = NO_METRICS, service: str = ""):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
+    def __init__(self, metrics: MetricsRegistry = NO_METRICS,
+                 service: str = ""):
         self.metrics = metrics
         self.service = service
         self._servers: dict[tuple[str, str], _BreakerState] = {}
@@ -231,7 +212,7 @@ class CircuitBreakerMiddleware:
             st = self._servers[key] = _BreakerState()
         if st.state == "open":
             elapsed = sim.now - st.opened_at
-            if elapsed < self.cooldown:
+            if elapsed < BREAKER_COOLDOWN:
                 st.stats["refused"] += 1
                 self.metrics.counter(
                     "breaker.refusals",
@@ -239,7 +220,7 @@ class CircuitBreakerMiddleware:
                     endpoint=endpoint,
                 ).inc()
                 raise CircuitOpenError(
-                    call.operation, server, self.cooldown - elapsed
+                    call.operation, server, BREAKER_COOLDOWN - elapsed
                 )
             self._transition(st, server, endpoint, "half-open", sim.now)
         if st.state == "half-open" and st.probing:
@@ -257,7 +238,7 @@ class CircuitBreakerMiddleware:
                 st.failures += 1
                 if (
                     st.state == "half-open"
-                    or st.failures >= self.failure_threshold
+                    or st.failures >= BREAKER_THRESHOLD
                 ):
                     self._transition(st, server, endpoint, "open", sim.now)
             raise
@@ -272,17 +253,19 @@ class CircuitBreakerMiddleware:
         return outcome
 
 
+#: Max silence on the GridFTP control channel once resilience is on; a
+#: healthy transfer streams restart markers every 5 s, so 15 s of silence
+#: means the link or server is gone.
+IDLE_TIMEOUT = 15.0
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs for :meth:`repro.gdmp.grid.DataGrid.enable_resilience`
-    (retries follow the default :class:`RetryPolicy`, breakers their
-    default threshold and cooldown)."""
+    (retries follow the fixed backoff schedule, breakers the fixed
+    threshold and cooldown, transfers :data:`IDLE_TIMEOUT`)."""
 
     #: whole-call timeout applied to request-manager/catalog RPCs that do
     #: not carry their own.  Generous enough for a healthy MSS staging
     #: (tape mount + seek is ~45 s) to finish inside one attempt.
     rpc_timeout: float = 120.0
-    #: max silence on the GridFTP control channel; a healthy transfer
-    #: streams 111 restart markers every 5 s, so 15 s of silence means the
-    #: link or server is gone.
-    idle_timeout: float = 15.0

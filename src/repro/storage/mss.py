@@ -32,25 +32,27 @@ class _ArchivedFile:
     attrs: dict = field(default_factory=dict)
 
 
+#: tape drives per site
+DRIVES = 2
+#: seconds from a drive's grant to the first byte (mount + seek)
+MOUNT_SEEK_TIME = 45.0
+#: sustained tape streaming rate, bytes/s
+TAPE_RATE = 15e6
+
+
 class MassStorageSystem:
-    """A site's tape store."""
+    """A site's tape store: :data:`DRIVES` drives, each staging in
+    :data:`MOUNT_SEEK_TIME` plus the file at :data:`TAPE_RATE`."""
 
     def __init__(
         self,
         sim: Simulator,
         site: str,
-        drives: int = 2,
-        mount_seek_time: float = 45.0,
-        tape_rate: float = 15e6,
         metrics: MetricsRegistry = NO_METRICS,
     ):
-        if mount_seek_time < 0 or tape_rate <= 0:
-            raise ValueError("invalid tape timing parameters")
         self.sim = sim
         self.site = site
-        self.mount_seek_time = mount_seek_time
-        self.tape_rate = tape_rate
-        self._drives = Resource(sim, capacity=drives)
+        self._drives = Resource(sim, capacity=DRIVES)
         self._archive: dict[str, _ArchivedFile] = {}
         self.stats = {
             "staged_files": 0,
@@ -114,7 +116,7 @@ class MassStorageSystem:
     # -- staging ---------------------------------------------------------------
     def stage_time(self, size: float) -> float:
         """Drive-occupancy time for one staging (excludes queueing)."""
-        return self.mount_seek_time + size / self.tape_rate
+        return MOUNT_SEEK_TIME + size / TAPE_RATE
 
     def stage_to_pool(self, pool: DiskPool, path: str) -> Event:
         """Start staging ``path`` from tape into ``pool``; the returned event

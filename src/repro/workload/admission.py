@@ -81,28 +81,32 @@ class VOQueueStats:
     backlog_peak: int = 0
 
 
+#: deficit credited per unit of weight per drain round
+QUANTUM = 4.0
+#: per-VO backlog cap; arrivals beyond it are shed
+MAX_BACKLOG = 200_000
+
+
 class FairShareAdmission:
     """Deficit round-robin admission across virtual organisations.
 
     Arrivals are ``offer``-ed into per-VO backlogs (bounded by
-    ``max_backlog``; overflow is shed and counted — an open-loop source
-    does not wait).  ``drain(budget)`` releases up to ``budget`` requests
-    using deficit round-robin: each round credits every backlogged VO
-    ``quantum * weight`` deficit, then releases floor(deficit) requests
-    from VOs in sorted-name order.  Weighted shares emerge over rounds
-    while every VO with backlog is guaranteed progress each round —
-    starvation-free regardless of how skewed the offered load is.
+    :data:`MAX_BACKLOG`; overflow is shed and counted — an open-loop
+    source does not wait).  ``drain(budget)`` releases up to ``budget``
+    requests using deficit round-robin: each round credits every
+    backlogged VO ``QUANTUM * weight`` deficit, then releases
+    floor(deficit) requests from VOs in sorted-name order.  Weighted
+    shares emerge over rounds while every VO with backlog is guaranteed
+    progress each round — starvation-free regardless of how skewed the
+    offered load is.
     """
 
-    def __init__(self, weights: dict[str, float], *,
-                 quantum: float = 4.0, max_backlog: int = 100_000):
+    def __init__(self, weights: dict[str, float]):
         if not weights:
             raise ValueError("fair-share admission needs at least one VO")
         if any(w <= 0 for w in weights.values()):
             raise ValueError("VO weights must be > 0")
         self.weights = dict(sorted(weights.items()))
-        self.quantum = quantum
-        self.max_backlog = max_backlog
         self._backlog: dict[str, int] = {vo: 0 for vo in self.weights}
         self._deficit: dict[str, float] = {vo: 0.0 for vo in self.weights}
         self.stats: dict[str, VOQueueStats] = {
@@ -114,7 +118,7 @@ class FairShareAdmission:
         accepted (the rest shed at the cap)."""
         stats = self.stats[vo]
         stats.offered += n
-        room = self.max_backlog - self._backlog[vo]
+        room = MAX_BACKLOG - self._backlog[vo]
         accepted = min(n, max(0, room))
         self._backlog[vo] += accepted
         stats.shed += n - accepted
@@ -146,7 +150,7 @@ class FairShareAdmission:
                     # fair share is over *backlogged* VOs only
                     self._deficit[vo] = 0.0
                     continue
-                self._deficit[vo] += self.quantum * self.weights[vo]
+                self._deficit[vo] += QUANTUM * self.weights[vo]
                 take = min(
                     int(self._deficit[vo]), self._backlog[vo], remaining
                 )

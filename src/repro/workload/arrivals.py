@@ -48,7 +48,6 @@ class ArrivalProfile:
     diurnal_amplitude: float = 0.0       # 0..1; 0 = flat rate
     admit_rate: float = 600.0            # token-bucket refill, requests/s
     admit_burst: float = 20_000.0        # token-bucket capacity
-    max_backlog: int = 200_000           # per-VO backlog cap (then shed)
 
     def shares(self) -> dict[str, float]:
         """Normalised VO shares, sorted by name."""
@@ -90,10 +89,7 @@ class ArrivalGenerator:
             raise ValueError("arrival generator needs files and destinations")
 
         self.bucket = TokenBucket(profile.admit_rate, profile.admit_burst)
-        self.fairshare = FairShareAdmission(
-            dict(VO_MIX),
-            max_backlog=profile.max_backlog,
-        )
+        self.fairshare = FairShareAdmission(dict(VO_MIX))
         # fixed (dest, lfn) category grid: destinations uniform, files
         # Zipf-popular by position in the supplied list
         pop = [1.0 / (rank + 1) ** POPULARITY_ALPHA

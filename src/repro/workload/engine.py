@@ -42,15 +42,17 @@ __all__ = ["WorkloadEngine"]
 COMPONENT_KINDS = (Picker, Bundler, Replicator, Verifier)
 #: sim-seconds between the supervisor's looks at a drained stream's queue
 SUPERVISE_INTERVAL = 10.0
+#: claim lease of the engine's queue and components, sim-seconds
+LEASE = 60.0
+#: a component's back-off after a failed claim, sim-seconds
+POLL = 5.0
 
 
 class WorkloadEngine:
     """The standing data-management service over one grid."""
 
     def __init__(self, grid, profile: ArrivalProfile, *,
-                 lfns: list[str], total: int, rng,
-                 lease: float = 60.0, poll: float = 5.0,
-                 max_attempts: int = 6):
+                 lfns: list[str], total: int, rng):
         self.grid = grid
         self.sim = grid.sim
         self.profile = profile
@@ -68,8 +70,7 @@ class WorkloadEngine:
         self.service = TaskQueueService(
             grid.sites[grid.catalog_host].request_server,
             metrics=grid.metrics,
-            default_lease=lease,
-            max_attempts=max_attempts,
+            default_lease=LEASE,
         )
         self.proxies = {
             name: TaskQueueProxy(
@@ -85,7 +86,7 @@ class WorkloadEngine:
             for kind in COMPONENT_KINDS:
                 component = kind(
                     self.sim, self.proxies[name], site,
-                    poll=poll, lease=lease, metrics=grid.metrics,
+                    poll=POLL, lease=LEASE, metrics=grid.metrics,
                 )
                 self.components[component.name] = component
         grid.metrics.add_section(SETS_IN_FLIGHT_SECTION)

@@ -56,6 +56,9 @@ STATES = ("pending", "claimed", "done", "dead")
 #: wire-size increment per task in a bulk envelope (submit/claim replies)
 TASK_ITEM_SIZE = 128
 
+#: claims a task gets: a retryable failure on the last one leaves it dead
+MAX_ATTEMPTS = 6
+
 #: histogram bounds for queue latencies (sim-seconds)
 _AGE_BOUNDS = (
     0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0,
@@ -123,12 +126,9 @@ class TaskQueue:
     depends on it.
     """
 
-    def __init__(self, sim: Simulator, *,
-                 default_lease: float = 30.0,
-                 max_attempts: int = 6):
+    def __init__(self, sim: Simulator, *, default_lease: float = 30.0):
         self.sim = sim
         self.default_lease = default_lease
-        self.max_attempts = max_attempts
         self.tasks: dict[int, Task] = {}
         #: (type, site) -> FIFO of pending task ids
         self._pending: dict[tuple[str, str], deque[int]] = {}
@@ -297,7 +297,7 @@ class TaskQueue:
         task.claimant = ""
         task.claim_token = 0
         self.stats.failed += 1
-        if retryable and task.attempts < self.max_attempts:
+        if retryable and task.attempts < MAX_ATTEMPTS:
             task.state = "pending"
             self._enqueue(task)
         else:
@@ -384,15 +384,10 @@ class TaskQueueService:
     re-issue a claim or completion whose reply was lost.
     """
 
-    def __init__(self, server: RequestServer,
-                 queue: Optional[TaskQueue] = None, *,
+    def __init__(self, server: RequestServer, *,
                  metrics: MetricsRegistry = NO_METRICS,
-                 default_lease: float = 30.0,
-                 max_attempts: int = 6):
-        self.queue = queue or TaskQueue(
-            server.sim, default_lease=default_lease,
-            max_attempts=max_attempts,
-        )
+                 default_lease: float = 30.0):
+        self.queue = TaskQueue(server.sim, default_lease=default_lease)
         self.server = server
         self.metrics = metrics
         self.replay = ReplayWindow(server.sim, metrics, "workload.txn_replays")

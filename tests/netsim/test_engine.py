@@ -2,7 +2,7 @@
 
 These assert the *physics* the Figure 5/6 benchmarks rely on: window-limited
 throughput, parallel-stream scaling, slow-start penalty for small files,
-buffer tuning, NIC caps, and rate caps.
+buffer tuning, and rate caps.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.netsim import (
 from repro.netsim.channels import MessageNetwork
 from repro.netsim.engine import NetworkEngine, TransferAborted
 from repro.netsim.link import Link
-from repro.netsim.topology import Host, Topology
+from repro.netsim.topology import Topology
 from repro.netsim.units import KiB, MB, mbps
 from repro.simulation import Simulator
 
@@ -99,19 +99,6 @@ def test_rate_cap_limits_flow():
                      tcp=TcpParams(buffer=1024 * KiB))
     sim.run(until=pool.done)
     assert to_mbps(pool.throughput()) <= 1.05
-
-
-def test_nic_rate_caps_aggregate():
-    sim = Simulator()
-    topo = Topology()
-    topo.add_host(Host("src", nic_rate=mbps(5)))
-    topo.add_host(Host("dst"))
-    topo.connect("src", "dst", Link("l", capacity=mbps(100), delay=0.01))
-    engine = NetworkEngine(sim, topo)
-    pool = engine.open_transfer("src", "dst", nbytes=10 * MB, streams=8,
-                                tcp=TcpParams(buffer=1024 * KiB))
-    sim.run(until=pool.done)
-    assert to_mbps(pool.throughput()) <= 5.2
 
 
 def test_two_transfers_share_the_bottleneck():

@@ -7,7 +7,7 @@ pool error paths.
 import pytest
 
 from repro.netsim import TcpParams
-from repro.netsim.engine import NetworkEngine, SharedBytePool, TransferAborted
+from repro.netsim.engine import NetworkEngine, TransferAborted
 from repro.netsim.link import Link
 from repro.netsim.topology import Host, Topology
 from repro.netsim.units import KiB, MB, mbps
@@ -166,20 +166,6 @@ def test_pool_byte_conservation_invariant():
         pool.delivered, abs=1e-6
     )
     assert pool.delivered == pytest.approx(pool.size, abs=1e-6)
-
-
-def test_pool_draw_clamps_at_exhaustion():
-    """A draw against a drifted-negative residual must return 0.0 (and
-    never un-deliver bytes), leaving the pool exactly exhausted."""
-    sim = Simulator()
-    pool = SharedBytePool(sim, 10.0)
-    assert pool.draw(6.0) == 6.0
-    assert pool.draw(6.0) == 4.0  # clamped to the residual
-    assert pool.draw(6.0) == 0.0  # exhausted: nothing more to take
-    # simulate float drift pushing the residual below zero
-    pool._remaining = -1e-12
-    assert pool.draw(1.0) == 0.0
-    assert pool.delivered == 10.0
 
 
 def test_stretch_abort_replays_ticks_without_double_counting():

@@ -97,12 +97,11 @@ def test_midflight_reads_see_table_state():
 def _line(kernel):
     """Five hosts in a line, h0 - h1 - h2 - h3 - h4: every route is a run
     of the line, so flows meet shared links in many orders.  l12 is
-    lossy and h3's NIC is bounded."""
+    lossy."""
     sim = Simulator()
     topo = Topology()
     for i in range(5):
-        topo.add_host(Host(f"h{i}", nic_rate=mbps(300) if i == 3
-                           else float("inf")))
+        topo.add_host(Host(f"h{i}"))
     for i in range(4):
         topo.connect(f"h{i}", f"h{i + 1}", Link(
             f"l{i}{i + 1}", capacity=mbps(100), delay=0.002 * (i + 1),
@@ -138,7 +137,6 @@ def _assert_fresh(kept: FlowTable) -> None:
     for name in (
         "kernel", "n_flows", "path_slots", "lossy_rows", "has_lossy",
         "link_flows", "n_links", "_link_slot", "pool_flow_rows", "n_pools",
-        "_src_key", "_dst_key", "n_src_slots", "n_dst_slots", "nic_bounded",
         *columns,
     ):
         assert _same(getattr(kept, name), getattr(fresh, name)), name

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.link import Link
-from repro.netsim.tcp import TcpParams, TcpState
+from repro.netsim.tcp import MSS, TcpParams, TcpState
 from repro.netsim.units import KiB, mbps
 
 
@@ -58,11 +58,8 @@ def test_available_capacity_subtracts_cross_traffic():
 # ---------------------------------------------------------------- TCP -----
 def test_tcp_params_validation():
     with pytest.raises(ValueError):
-        TcpParams(mss=0)
-    with pytest.raises(ValueError):
-        TcpParams(buffer=100, mss=1460)
-    with pytest.raises(ValueError):
-        TcpParams(initial_cwnd_segments=0)
+        TcpParams(buffer=MSS - 1)
+    assert TcpParams(buffer=MSS).buffer == MSS == 1460
 
 
 def test_window_clamped_by_buffer():
@@ -81,8 +78,7 @@ def test_slow_start_doubles():
 
 
 def test_loss_halves_window_and_enters_congestion_avoidance():
-    params = TcpParams(buffer=64 * KiB)
-    state = TcpState(params)
+    state = TcpState(TcpParams(buffer=64 * KiB))
     for _ in range(20):
         state.on_round(loss=False)
     w = state.window
@@ -92,26 +88,24 @@ def test_loss_halves_window_and_enters_congestion_avoidance():
     # linear growth afterwards: +MSS per round
     w_after = state.cwnd
     state.on_round(loss=False)
-    assert state.cwnd == pytest.approx(w_after + params.mss)
+    assert state.cwnd == pytest.approx(w_after + MSS)
 
 
 def test_timeout_collapses_to_initial_window():
-    params = TcpParams(buffer=1024 * KiB)
-    state = TcpState(params)
+    state = TcpState(TcpParams(buffer=1024 * KiB))
     for _ in range(8):
         state.on_round(loss=False)
     state.on_round(loss=True, timeout=True)
-    assert state.cwnd == params.initial_cwnd_segments * params.mss
+    assert state.cwnd == 2 * MSS
     assert state.cwnd < state.ssthresh  # still in slow start
     assert state.timeouts == 1
 
 
 def test_halving_floor_two_mss():
-    params = TcpParams(mss=1460, buffer=4 * 1460)
-    state = TcpState(params)
+    state = TcpState(TcpParams(buffer=4 * MSS))
     for _ in range(10):
         state.on_round(loss=True)
-    assert state.window >= 2 * params.mss
+    assert state.window >= 2 * MSS
 
 
 def test_cwnd_bounded_by_twice_buffer():

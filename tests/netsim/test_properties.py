@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import TcpParams, TestbedParams, cern_anl_testbed
-from repro.netsim.tcp import TcpState
+from repro.netsim.tcp import MSS, TcpState
 from repro.netsim.units import KiB, MB, mbps
 
 
@@ -44,7 +44,7 @@ def test_tcp_window_always_within_bounds(losses, buffer_kib):
     state = TcpState(params)
     for loss in losses:
         state.on_round(loss=loss)
-        assert 2 * params.mss <= state.window <= params.buffer
+        assert 2 * MSS <= state.window <= params.buffer
         assert state.cwnd <= 2 * params.buffer
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.netsim.link import Link
-from repro.netsim.topology import Host, RouteError, Topology
+from repro.netsim.topology import RouteError, Topology
 from repro.netsim.units import mbps
 
 
@@ -74,11 +74,6 @@ def test_duplicate_host_rejected(grid):
 def test_duplicate_edge_rejected(grid):
     with pytest.raises(ValueError):
         grid.connect("cern", "anl", wan("dup"))
-
-
-def test_host_nic_rate_validation():
-    with pytest.raises(ValueError):
-        Host("bad", nic_rate=0)
 
 
 def test_reset_drains_queues(grid):

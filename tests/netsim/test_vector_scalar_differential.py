@@ -5,7 +5,7 @@ python loops).  The accumulation orders, RNG batch draws and guard-banded
 ``pow`` in the vector kernel exist precisely so that both produce the
 same float sequences; these tests hold them to *exact* equality — no
 tolerances — on a scenario mixing every regime the engine has: congested
-bottlenecks, random per-packet loss, NIC caps, shared pools, and
+bottlenecks, random per-packet loss, rate caps, shared pools, and
 stretch-eligible clean paths.
 """
 
@@ -25,7 +25,7 @@ STREAMS = 10
 
 
 def _build(kernel):
-    """20 chains x 10 streams: lossy, congested, NIC-capped and clean
+    """20 chains x 10 streams: lossy, congested, rate-capped and clean
     chains all advanced by one engine."""
     sim = Simulator()
     topo = Topology()
@@ -35,9 +35,8 @@ def _build(kernel):
     for i in range(N_ISLANDS):
         lossy = i % 4 == 0
         capped = i % 4 == 1
-        nic = mbps(300) if i % 4 == 2 else float("inf")
         src, mid, dst = f"s{i}", f"m{i}", f"d{i}"
-        topo.add_host(Host(src, nic_rate=nic))
+        topo.add_host(Host(src))
         topo.add_host(Host(mid))
         topo.add_host(Host(dst))
         topo.connect(src, mid, Link(f"l{i}a", capacity=mbps(1000),

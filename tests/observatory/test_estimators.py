@@ -11,12 +11,14 @@ import math
 import pytest
 
 from repro.observatory.estimators import (
+    RING_SIZE,
     DecayedStats,
     Ewma,
     Forecast,
     PairHistory,
     ThroughputRegressor,
     TransferSample,
+    bin_index,
 )
 
 
@@ -103,14 +105,13 @@ def test_decayed_stats_rejects_bad_half_life():
 
 
 def test_regressor_bin_boundaries_snap_at_powers_of_two():
-    reg = ThroughputRegressor(bins=8, base_size=1e6)
-    assert reg.bin_index(0.0) == 0
-    assert reg.bin_index(1e6) == 0           # exactly base_size
-    assert reg.bin_index(1e6 + 1) == 0       # log2(1+eps) floors to 0
-    assert reg.bin_index(2e6) == 1           # exactly one doubling
-    assert reg.bin_index(4e6 - 1) == 1
-    assert reg.bin_index(4e6) == 2
-    assert reg.bin_index(1e12) == 7          # clamped to the last bin
+    assert bin_index(0.0, 1e6, 8) == 0
+    assert bin_index(1e6, 1e6, 8) == 0           # exactly base_size
+    assert bin_index(1e6 + 1, 1e6, 8) == 0       # log2(1+eps) floors to 0
+    assert bin_index(2e6, 1e6, 8) == 1           # exactly one doubling
+    assert bin_index(4e6 - 1, 1e6, 8) == 1
+    assert bin_index(4e6, 1e6, 8) == 2
+    assert bin_index(1e12, 1e6, 8) == 7          # clamped to the last bin
 
 
 def test_regressor_empty_predicts_nothing():
@@ -196,11 +197,12 @@ def test_failures_erode_confidence_but_not_throughput():
 
 
 def test_ring_buffer_caps_retained_samples():
-    history = PairHistory(ring_size=4)
-    for t in range(10):
+    history = PairHistory()
+    for t in range(RING_SIZE + 6):
         history.observe(sample(t=float(t)))
-    assert len(history.ring) == 4
-    assert history.samples == 10  # lifetime counter keeps counting
+    assert len(history.ring) == RING_SIZE == 64
+    assert history.ring[0].time == 6.0        # the oldest six dropped
+    assert history.samples == RING_SIZE + 6   # lifetime count keeps counting
 
 
 def test_identical_streams_give_identical_estimates():

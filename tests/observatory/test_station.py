@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.observatory.estimators import bin_index
 from repro.observatory.service import forecast_wire_size
 from repro.observatory.station import (
     SiteWeather,
     WeatherConfig,
     WeatherStation,
-    bin_index,
 )
 
 
@@ -163,12 +163,32 @@ def test_cache_bin_fallback_reaches_the_ewma():
     assert cache.predict("a", "b", 1e6).throughput == pytest.approx(2.5e6)
 
 
-def test_shared_bin_index_matches_the_regressor():
-    from repro.observatory.estimators import ThroughputRegressor
-
-    reg = ThroughputRegressor(bins=8, base_size=1e6)
-    for size in (1.0, 1e6, 2e6, 3e6, 64e6, 1e12):
-        assert bin_index(size, 1e6, 8) == reg.bin_index(size)
+def test_site_cache_predicts_what_the_station_forecasts(station):
+    """At the moment a digest is built, the site cache and the station
+    answer the same throughput: for a size in every bin, for a bin whose
+    weight has decayed away, and where only the EWMA is left."""
+    config = station.config
+    feed(station, "a", "b", t=0.0, size=64e6, rate=9e6)       # bin 6
+    feed(station, "c", "b", t=0.0, size=4e6, rate=2e6)        # c: old only
+    for size, rate in ((1.5e6, 1e6), (12e6, 3e6), (40e6, 6e6), (200e6, 7e6)):
+        feed(station, "a", "b", t=1000.0, size=size, rate=rate)
+    station.sim.now = 1000.0
+    digest = station.digest_for("b", station.sim.now)
+    a_bins = digest["sources"]["a"]["bins"]
+    assert a_bins[6] is None and a_bins[5] is not None   # decayed away
+    assert digest["sources"]["c"]["bins"] == [None] * config.bins
+    cache = SiteWeather("b", config, station.sim)
+    assert cache.apply_digest(digest)
+    sizes = [0.5e6] + [config.base_size * 1.5 * 2 ** k
+                       for k in range(config.bins)] + [1e12]
+    assert {bin_index(size, config.base_size, config.bins)
+            for size in sizes} == set(range(config.bins))
+    for src in ("a", "c"):
+        for size in sizes:
+            expected = station.forecast(src, "b", size).throughput
+            assert cache.predict(src, "b", size).throughput == expected
+    # c's answer is its EWMA: no bin has evidence left
+    assert cache.predict("c", "b", 4e6).throughput == pytest.approx(2e6)
 
 
 def test_empty_cache_counts_fallbacks():

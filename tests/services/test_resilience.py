@@ -1,14 +1,18 @@
-"""The client-side resilience layer: retry policy, retry middleware,
-and the per-server circuit breaker."""
+"""The client-side resilience layer: the retry middleware's backoff
+schedule and the per-server circuit breaker, at their fixed constants."""
 
 import pytest
 
 from repro.services.bus import CallTimeout, ClientCall, ServiceError
 from repro.services.resilience import (
+    BREAKER_COOLDOWN,
+    BREAKER_THRESHOLD,
+    RETRY_ATTEMPTS,
+    RETRY_BASE_DELAY,
+    RETRY_JITTER,
     CircuitBreakerMiddleware,
     CircuitOpenError,
     RetryMiddleware,
-    RetryPolicy,
 )
 from repro.simulation.kernel import Simulator
 from repro.simulation.randomness import RandomStreams
@@ -40,23 +44,63 @@ def _drive(sim, gen):
     return holder["result"]
 
 
-# -- RetryPolicy -----------------------------------------------------------------
+def _always_down(sim, attempts):
+    """A callee that records when it was tried and always times out."""
+    def call_next(call):
+        attempts.append(sim.now)
+        raise CallTimeout(call.operation, call.server_host, 1.0)
+        yield  # pragma: no cover - generator marker
 
-def test_policy_backoff_is_exponential_and_capped():
-    policy = RetryPolicy(base_delay=1.0, multiplier=2.0, max_delay=5.0,
-                         jitter=0.0)
-    assert [policy.delay(n) for n in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 5.0]
+    return call_next
 
 
-def test_policy_jitter_is_seeded_and_bounded():
-    policy = RetryPolicy(base_delay=1.0, jitter=0.5)
-    a = [policy.delay(1, RandomStreams(7)["retry"]) for _ in range(3)]
-    b = [policy.delay(1, RandomStreams(7)["retry"]) for _ in range(3)]
-    assert a == b  # same seed, same jitter sequence
-    assert all(1.0 <= d < 1.5 for d in a)
+def _seeded():
+    return RandomStreams(2001)["resilience.retry.test"]
 
 
 # -- RetryMiddleware -------------------------------------------------------------
+
+def test_retry_schedule_is_exponential_with_one_draw_per_retry():
+    """Retry n sleeps 0.5 * 2**(n-1) * (1 + 0.25 u), one u per retry, in
+    order.  The draw order is what keeps a run's fingerprints
+    reproducible."""
+    sim = Simulator()
+    attempts = []
+    with pytest.raises(CallTimeout):
+        _drive(sim, RetryMiddleware(_seeded())(
+            _call(sim), _always_down(sim, attempts)
+        ))
+    twin = _seeded()
+    expected = [0.0]
+    for n in (1, 2, 3):
+        delay = RETRY_BASE_DELAY * 2.0 ** (n - 1)
+        delay *= 1.0 + RETRY_JITTER * float(twin.random())
+        expected.append(expected[-1] + delay)
+    assert attempts == expected
+    # exactly three draws: the middleware's stream is where the twin's is
+    rng = _seeded()
+    sim = Simulator()
+    with pytest.raises(CallTimeout):
+        _drive(sim, RetryMiddleware(rng)(_call(sim), _always_down(sim, [])))
+    assert rng.random() == twin.random()
+
+
+def test_policy_jitter_is_seeded_and_bounded():
+    """Every sleep lies in its jitter band, [1, 1.25) times its base, so
+    the three together stay under 4.4 s: no cap could bind."""
+    sim = Simulator()
+    attempts = []
+    with pytest.raises(CallTimeout):
+        _drive(sim, RetryMiddleware(_seeded())(
+            _call(sim), _always_down(sim, attempts)
+        ))
+    gaps = [b - a for a, b in zip(attempts, attempts[1:])]
+    assert all(
+        0.5 * 2 ** n <= gap < 0.5 * 2 ** n * 1.25
+        for n, gap in enumerate(gaps)
+    )
+    assert attempts[-1] < 4.4
+
 
 def test_retry_reissues_until_success():
     sim = Simulator()
@@ -70,27 +114,21 @@ def test_retry_reissues_until_success():
         return "ok"
         yield  # pragma: no cover - generator marker
 
-    mw = RetryMiddleware(RetryPolicy(jitter=0.0, base_delay=1.0))
-    assert _drive(sim, mw(call, flaky)) == "ok"
+    assert _drive(sim, RetryMiddleware(_seeded())(call, flaky)) == "ok"
     assert len(attempts) == 3
-    # exponential spacing: attempt 2 after 1 s, attempt 3 after 2 more
-    assert attempts == [0.0, 1.0, 3.0]
+    # exponential spacing: attempt 2 after ~0.5 s, attempt 3 ~1 s later
+    assert 0.5 <= attempts[1] < 0.625
+    assert 1.0 <= attempts[2] - attempts[1] < 1.25
 
 
 def test_retry_gives_up_after_max_attempts():
     sim = Simulator()
-    call = _call(sim)
     attempts = []
-
-    def always_down(call):
-        attempts.append(sim.now)
-        raise CallTimeout(call.operation, call.server_host, 1.0)
-        yield  # pragma: no cover - generator marker
-
-    mw = RetryMiddleware(RetryPolicy(max_attempts=3, jitter=0.0))
     with pytest.raises(CallTimeout):
-        _drive(sim, mw(call, always_down))
-    assert len(attempts) == 3
+        _drive(sim, RetryMiddleware(_seeded())(
+            _call(sim), _always_down(sim, attempts)
+        ))
+    assert len(attempts) == RETRY_ATTEMPTS == 4
 
 
 def test_retry_never_reissues_application_faults():
@@ -103,48 +141,19 @@ def test_retry_never_reissues_application_faults():
         raise ServiceError("no such file")  # retryable = False
         yield  # pragma: no cover - generator marker
 
-    mw = RetryMiddleware(RetryPolicy(jitter=0.0))
     with pytest.raises(ServiceError):
-        _drive(sim, mw(call, faulting))
-    assert len(attempts) == 1
-
-
-def test_retry_respects_sleep_budget():
-    sim = Simulator()
-    call = _call(sim)
-    attempts = []
-
-    def always_down(call):
-        attempts.append(sim.now)
-        raise CallTimeout(call.operation, call.server_host, 1.0)
-        yield  # pragma: no cover - generator marker
-
-    # first backoff (10 s) would blow the 5 s budget: exactly one attempt
-    mw = RetryMiddleware(
-        RetryPolicy(max_attempts=10, base_delay=10.0, jitter=0.0, budget=5.0)
-    )
-    with pytest.raises(CallTimeout):
-        _drive(sim, mw(call, always_down))
+        _drive(sim, RetryMiddleware(_seeded())(call, faulting))
     assert len(attempts) == 1
 
 
 def test_retry_jitter_schedule_is_deterministic():
     def schedule():
         sim = Simulator()
-        call = _call(sim)
         times = []
-
-        def always_down(call):
-            times.append(sim.now)
-            raise CallTimeout(call.operation, call.server_host, 1.0)
-            yield  # pragma: no cover - generator marker
-
-        mw = RetryMiddleware(
-            RetryPolicy(max_attempts=4),
-            rng=RandomStreams(2001)["resilience.retry.test"],
-        )
         with pytest.raises(CallTimeout):
-            _drive(sim, mw(call, always_down))
+            _drive(sim, RetryMiddleware(_seeded())(
+                _call(sim), _always_down(sim, times)
+            ))
         return times
 
     assert schedule() == schedule()
@@ -165,9 +174,12 @@ def _tripping_breaker(sim, breaker, call, n):
 
 def test_breaker_opens_after_threshold_and_refuses():
     sim = Simulator()
-    breaker = CircuitBreakerMiddleware(failure_threshold=3, cooldown=30.0)
+    breaker = CircuitBreakerMiddleware()
     call = _call(sim)
-    _tripping_breaker(sim, breaker, call, 3)
+    _tripping_breaker(sim, breaker, call, BREAKER_THRESHOLD - 1)
+    assert breaker.state_of("srv") == "closed"
+    _tripping_breaker(sim, breaker, call, 1)
+    assert BREAKER_THRESHOLD == 5
     assert breaker.state_of("srv") == "open"
 
     def never_reached(call):
@@ -176,13 +188,17 @@ def test_breaker_opens_after_threshold_and_refuses():
 
     with pytest.raises(CircuitOpenError):
         _drive(sim, breaker(call, never_reached))
+    # still open a moment before the cooldown runs out
+    sim.run(until=BREAKER_COOLDOWN - 0.5)
+    with pytest.raises(CircuitOpenError):
+        _drive(sim, breaker(call, never_reached))
 
 
 def test_breaker_half_open_probe_closes_on_success():
     sim = Simulator()
-    breaker = CircuitBreakerMiddleware(failure_threshold=2, cooldown=10.0)
+    breaker = CircuitBreakerMiddleware()
     call = _call(sim)
-    _tripping_breaker(sim, breaker, call, 2)
+    _tripping_breaker(sim, breaker, call, BREAKER_THRESHOLD)
     assert breaker.state_of("srv") == "open"
 
     def healthy(call):
@@ -191,7 +207,7 @@ def test_breaker_half_open_probe_closes_on_success():
 
     # cooldown elapses -> next call is the half-open probe
     def tick():
-        yield sim.timeout(11.0)
+        yield sim.timeout(BREAKER_COOLDOWN + 1.0)
 
     sim.run(until=sim.spawn(tick(), name="tick"))
     assert _drive(sim, breaker(call, healthy)) == "pong"
@@ -200,12 +216,12 @@ def test_breaker_half_open_probe_closes_on_success():
 
 def test_breaker_failed_probe_reopens():
     sim = Simulator()
-    breaker = CircuitBreakerMiddleware(failure_threshold=2, cooldown=10.0)
+    breaker = CircuitBreakerMiddleware()
     call = _call(sim)
-    _tripping_breaker(sim, breaker, call, 2)
+    _tripping_breaker(sim, breaker, call, BREAKER_THRESHOLD)
 
     def tick():
-        yield sim.timeout(11.0)
+        yield sim.timeout(BREAKER_COOLDOWN + 1.0)
 
     sim.run(until=sim.spawn(tick(), name="tick"))
     _tripping_breaker(sim, breaker, call, 1)  # the probe fails
@@ -217,10 +233,10 @@ def test_interrupted_probe_lets_the_next_call_probe():
     drives its call in its own process) settles nothing, but must not
     leave the circuit refusing every later call as "probe in flight"."""
     sim = Simulator()
-    breaker = CircuitBreakerMiddleware(failure_threshold=2, cooldown=10.0)
+    breaker = CircuitBreakerMiddleware()
     call = _call(sim)
-    _tripping_breaker(sim, breaker, call, 2)
-    sim.run(until=11.0)
+    _tripping_breaker(sim, breaker, call, BREAKER_THRESHOLD)
+    sim.run(until=BREAKER_COOLDOWN + 1.0)
 
     def hanging(call):
         yield sim.event()           # the reply that never comes
@@ -230,17 +246,17 @@ def test_interrupted_probe_lets_the_next_call_probe():
         yield  # pragma: no cover - generator marker
 
     probe = sim.spawn(breaker(call, hanging), name="probe")
-    sim.run(until=12.0)
+    sim.run(until=BREAKER_COOLDOWN + 2.0)
     probe.interrupt("stopped")
-    sim.run(until=13.0)
+    sim.run(until=BREAKER_COOLDOWN + 3.0)
     assert _drive(sim, breaker(call, healthy)) == "pong"
     assert breaker.state_of("srv") == "closed"
 
 
 def test_breaker_is_per_server():
     sim = Simulator()
-    breaker = CircuitBreakerMiddleware(failure_threshold=2, cooldown=30.0)
-    _tripping_breaker(sim, breaker, _call(sim, server="a"), 2)
+    breaker = CircuitBreakerMiddleware()
+    _tripping_breaker(sim, breaker, _call(sim, server="a"), BREAKER_THRESHOLD)
     assert breaker.state_of("a") == "open"
     assert breaker.state_of("b") == "closed"
 
@@ -255,8 +271,9 @@ def test_breaker_is_per_endpoint_on_one_host():
     """A host runs several daemons behind one bus: a wedged RLI must
     not refuse calls to the healthy co-located catalog service."""
     sim = Simulator()
-    breaker = CircuitBreakerMiddleware(failure_threshold=2, cooldown=30.0)
-    _tripping_breaker(sim, breaker, _call(sim, operation="rli.lookup"), 2)
+    breaker = CircuitBreakerMiddleware()
+    _tripping_breaker(sim, breaker, _call(sim, operation="rli.lookup"),
+                      BREAKER_THRESHOLD)
     assert breaker.state_of("srv", "rli") == "open"
     assert breaker.state_of("srv", "catalog") == "closed"
     assert breaker.state_of("srv") == "open"  # worst state across the host
@@ -275,14 +292,14 @@ def test_breaker_is_per_endpoint_on_one_host():
 
 def test_application_faults_do_not_trip_the_breaker():
     sim = Simulator()
-    breaker = CircuitBreakerMiddleware(failure_threshold=2, cooldown=30.0)
+    breaker = CircuitBreakerMiddleware()
     call = _call(sim)
 
     def faulting(call):
         raise ServiceError("no such file")
         yield  # pragma: no cover - generator marker
 
-    for _ in range(5):
+    for _ in range(2 * BREAKER_THRESHOLD):
         with pytest.raises(ServiceError):
             _drive(sim, breaker(call, faulting))
     assert breaker.state_of("srv") == "closed"

@@ -20,8 +20,7 @@ from repro.storage import (
 def site():
     sim = Simulator()
     pool = DiskPool(FileSystem("cern", capacity=100 * MB))
-    mss = MassStorageSystem(sim, "cern", drives=1, mount_seek_time=30.0,
-                            tape_rate=10 * MB)
+    mss = MassStorageSystem(sim, "cern")
     storage = StorageManager(sim, pool, mss)
     return sim, pool, mss, storage
 
@@ -40,10 +39,10 @@ def request(storage, path):
 
 def test_stage_from_tape_takes_mount_plus_stream_time(site):
     sim, pool, mss, storage = site
-    mss.ingest_raw("/data/f1", 20 * MB)
+    mss.ingest_raw("/data/f1", 30 * MB)
     stored = sim.run(until=request(storage, "/data/f1"))
-    assert stored.size == 20 * MB
-    assert sim.now == pytest.approx(30.0 + 2.0)  # mount + 20MB / 10MBps
+    assert stored.size == 30 * MB
+    assert sim.now == pytest.approx(45.0 + 2.0)  # mount + 30MB / 15MBps
     assert pool.fs.exists("/data/f1")
     assert storage.stats["stage_requests"] == 1
 
@@ -64,27 +63,30 @@ def test_stage_unknown_file_fails(site):
     assert isinstance(error.__cause__, TapeError)
 
 
-def test_concurrent_stages_queue_for_the_single_drive(site):
+def test_concurrent_stages_queue_for_the_two_drives(site):
     sim, _pool, mss, storage = site
-    mss.ingest_raw("/a", 10 * MB)
-    mss.ingest_raw("/b", 10 * MB)
-    first, second = request(storage, "/a"), request(storage, "/b")
-    sim.run(until=first)
-    first_done = sim.now
-    sim.run(until=second)
-    # second stage waits for the drive: ~2x the single-stage time
-    assert sim.now == pytest.approx(2 * first_done)
+    for path in ("/a", "/b", "/c"):
+        mss.ingest_raw(path, 15 * MB)
+    first, second, third = (
+        request(storage, path) for path in ("/a", "/b", "/c")
+    )
+    sim.run(until=sim.all_of([first, second]))
+    # two drives: the first two stage side by side, in one stage time
+    assert sim.now == pytest.approx(46.0)
+    sim.run(until=third)
+    # the third waits for a drive: 2x the single-stage time
+    assert sim.now == pytest.approx(2 * 46.0)
 
 
 def test_duplicate_stage_requests_join(site):
     sim, _pool, mss, storage = site
-    mss.ingest_raw("/a", 10 * MB)
+    mss.ingest_raw("/a", 15 * MB)
     first, second = request(storage, "/a"), request(storage, "/a")
     sim.run(until=first)
     stored = sim.run(until=second)
     assert stored.path == "/a"
     # only one drive occupancy: both done at single-stage time
-    assert sim.now == pytest.approx(31.0)
+    assert sim.now == pytest.approx(46.0)
     assert mss.stats["staged_files"] == 1
     assert storage.stats["stage_requests"] == 1
 
@@ -105,11 +107,11 @@ def test_status_transitions(site):
 
 def test_migrate_to_tape(site):
     sim, pool, mss, storage = site
-    pool.fs.create("/d", 10 * MB)
+    pool.fs.create("/d", 15 * MB)
     record = sim.run(until=storage.archive("/d"))
     assert mss.contains("/d")
     assert record.path == "/d"
-    assert sim.now == pytest.approx(31.0)
+    assert sim.now == pytest.approx(46.0)
     assert storage.stats["files_archived"] == 1
 
 

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.simulation.randomness import RandomStreams
-from repro.workload.admission import FairShareAdmission, TokenBucket
+from repro.workload.admission import (
+    MAX_BACKLOG,
+    FairShareAdmission,
+    TokenBucket,
+)
 
 
 # -- token bucket ----------------------------------------------------------
@@ -40,11 +44,8 @@ def test_bucket_rejects_nonsense_parameters():
 
 # -- fair share ------------------------------------------------------------
 
-def _skewed(max_backlog=100_000):
-    fair = FairShareAdmission(
-        {"atlas": 3.0, "cms": 2.0, "alice": 1.0},
-        quantum=4.0, max_backlog=max_backlog,
-    )
+def _skewed():
+    fair = FairShareAdmission({"atlas": 3.0, "cms": 2.0, "alice": 1.0})
     fair.offer("atlas", 9_000)     # dominant demand
     fair.offer("cms", 60)
     fair.offer("alice", 25)
@@ -121,15 +122,20 @@ def test_admitted_shares_track_weights_under_saturation():
 
 
 def test_backlog_cap_sheds_and_counts():
-    fair = FairShareAdmission({"atlas": 1.0}, max_backlog=100)
-    assert fair.offer("atlas", 250) == 100
-    assert fair.stats["atlas"].shed == 150
-    assert fair.stats["atlas"].offered == 250
-    assert fair.backlog("atlas") == 100
+    fair = FairShareAdmission({"atlas": 1.0})
+    assert fair.offer("atlas", 150_000) == 150_000
+    assert fair.offer("atlas", 100_000) == MAX_BACKLOG - 150_000
+    assert fair.stats["atlas"].shed == 250_000 - MAX_BACKLOG == 50_000
+    assert fair.stats["atlas"].offered == 250_000
+    assert fair.backlog("atlas") == MAX_BACKLOG
+    # a full backlog takes nothing until a drain makes room
+    assert fair.offer("atlas", 1) == 0
+    fair.drain(40)
+    assert fair.offer("atlas", 100) == 40
 
 
 def test_idle_vo_carries_no_deficit_windfall():
-    fair = FairShareAdmission({"atlas": 1.0, "cms": 1.0}, quantum=4.0)
+    fair = FairShareAdmission({"atlas": 1.0, "cms": 1.0})
     fair.offer("atlas", 1_000)
     for _ in range(25):                  # cms idle while atlas drains
         fair.drain(40)

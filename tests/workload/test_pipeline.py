@@ -18,7 +18,11 @@ from repro.workload.components import (
     Verifier,
     verify_key,
 )
-from repro.workload.queue import TaskQueueProxy, TaskQueueService
+from repro.workload.queue import (
+    MAX_ATTEMPTS,
+    TaskQueueProxy,
+    TaskQueueService,
+)
 
 
 def _small_engine(seed=11, total=4000, files=10, **profile_kw):
@@ -106,9 +110,11 @@ def test_token_bucket_throttles_admission():
 
 
 def test_backlog_cap_sheds_under_overload():
+    # one 10 s tick offers a million requests (700 000 are generated):
+    # atlas's half alone overflows the 200 000 per-VO backlog cap
     grid, engine = _small_engine(
-        total=5000, rate=400.0, tick=10.0,
-        admit_rate=10.0, admit_burst=50.0, max_backlog=300,
+        total=700_000, rate=100_000.0, tick=10.0,
+        admit_rate=20_000.0, admit_burst=50_000.0,
     )
     engine.start()
     grid.run(until=engine.done)
@@ -316,7 +322,7 @@ def test_one_bad_replica_fails_alone():
     by_lfn = {t.payload["lfn"]: t for t in engine.queue.tasks.values()}
     bad = by_lfn[lfns[3]]
     assert verifier.completed == 7
-    assert verifier.failed_tasks == bad.attempts == engine.queue.max_attempts
+    assert verifier.failed_tasks == bad.attempts == MAX_ATTEMPTS
     assert bad.state == "dead" and "corrupt" in bad.error
     assert all(by_lfn[lfn].state == "done" for lfn in lfns if lfn != lfns[3])
 

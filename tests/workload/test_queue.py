@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.services.resilience import ResilienceConfig
 from repro.simulation.kernel import Simulator
-from repro.workload.queue import TaskQueue, TaskQueueProxy, TaskQueueService
+from repro.workload.queue import (
+    MAX_ATTEMPTS,
+    TaskQueue,
+    TaskQueueProxy,
+    TaskQueueService,
+)
 from tests.services.test_replay import lose_first_reply
 
 
@@ -19,7 +24,7 @@ def sim():
 
 @pytest.fixture
 def queue(sim):
-    return TaskQueue(sim, default_lease=30.0, max_attempts=3)
+    return TaskQueue(sim, default_lease=30.0)
 
 
 # -- TaskQueue state machine ----------------------------------------------
@@ -106,11 +111,12 @@ def test_renew_extends_the_lease(sim, queue):
 
 def test_retryable_failures_requeue_until_max_attempts(queue):
     tid = queue.submit("xfer", "anl", {})
-    for attempt in range(1, 4):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         [task] = queue.claim("w", "xfer", "anl")
         assert task.attempts == attempt
         state = queue.fail(tid, task.claim_token, error="boom")
-        assert state == ("pending" if attempt < 3 else "dead")
+        assert state == ("pending" if attempt < MAX_ATTEMPTS else "dead")
+    assert MAX_ATTEMPTS == 6
     assert queue.tasks[tid].state == "dead"
     assert queue.stats.dead == 1
     assert queue.claim("w", "xfer", "anl") == []
@@ -239,7 +245,7 @@ def test_no_waiter_stays_parked_at_a_lane_with_work(steps):
     its length, and the waiter table ends empty — its size follows the
     waiters alive, not the waits served."""
     sim = Simulator()
-    queue = TaskQueue(sim, default_lease=30.0, max_attempts=3)
+    queue = TaskQueue(sim, default_lease=30.0)
     answered: list = []
     claimed: list = []
     give_up: list[float] = []       # per waiter, in spawn order
