@@ -10,7 +10,6 @@ without entering the fluid congestion engine.  Bulk data must use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.netsim.topology import Host, Topology
@@ -21,7 +20,6 @@ __all__ = ["Envelope", "MessageNetwork"]
 #: Host-side cost of handling one message (seconds), paid even on loopback.
 PER_MESSAGE_OVERHEAD = 0.001
 
-@dataclass(frozen=True)
 class Envelope:
     """A delivered message.
 
@@ -31,14 +29,30 @@ class Envelope:
     keep one causal trace id across every delivery.
     """
 
-    src: str
-    dst: str
-    service: str
-    payload: Any
-    size: int
-    sent_at: float
-    delivered_at: float
-    context: Any = None
+    __slots__ = (
+        "src", "dst", "service", "payload", "size", "sent_at",
+        "delivered_at", "context",
+    )
+
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        service: str,
+        payload: Any,
+        size: int,
+        sent_at: float,
+        delivered_at: float,
+        context: Any = None,
+    ):
+        self.src = src
+        self.dst = dst
+        self.service = service
+        self.payload = payload
+        self.size = size
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
+        self.context = context
 
 
 #: What an endpoint registers: called with each envelope as it arrives.
@@ -175,10 +189,9 @@ class MessageNetwork:
         dst_name = dst.name if isinstance(dst, Host) else dst
         if src_name == dst_name:
             return PER_MESSAGE_OVERHEAD
-        links = self.topology.route(src_name, dst_name)
-        propagation = sum(link.delay for link in links)
-        queueing = sum(link.queueing_delay for link in links)
-        bandwidth = min(link.available_capacity for link in links)
+        links, propagation, bandwidth = self.topology.path(src_name, dst_name)
+        # only the queues move between messages (Link.queueing_delay)
+        queueing = sum(link.queue / link.capacity for link in links)
         return PER_MESSAGE_OVERHEAD + propagation + queueing + size / bandwidth
 
     def send(
@@ -222,17 +235,10 @@ class MessageNetwork:
                 ):
                     self.dropped_messages += 1
                     return  # black-holed at the endpoint
-            envelope = Envelope(
-                src=src_name,
-                dst=dst_name,
-                service=service,
-                payload=payload,
-                size=size,
-                sent_at=sent_at,
-                delivered_at=self.sim.now,
-                context=context,
-            )
-            deliver_to(envelope)
+            deliver_to(Envelope(
+                src_name, dst_name, service, payload, size, sent_at,
+                self.sim.now, context,
+            ))
 
         # One timer per message, not a process: timers of equal delay fire
         # in the order they were set, which is the per-pair FIFO.

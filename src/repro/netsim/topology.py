@@ -54,6 +54,10 @@ class Topology:
         self._hosts: dict[str, Host] = {}
         self._links: list[Link] = []
         self._route_cache: dict[tuple[str, str], list[Link]] = {}
+        #: (src, dst) -> what :meth:`path` returns; cleared with the routes
+        self._path_cache: dict[
+            tuple[str, str], tuple[tuple[Link, ...], float, float]
+        ] = {}
         #: names of the hosts and links that are down (crashed,
         #: partitioned): the one record of it, which the message network
         #: and the flow engine both read
@@ -96,6 +100,7 @@ class Topology:
         if back is not link:
             self._links.append(back)
         self._route_cache.clear()
+        self._path_cache.clear()
         return link
 
     # -- lookup ------------------------------------------------------------
@@ -141,6 +146,22 @@ class Topology:
             ]
             self._route_cache[(name_src, name_dst)] = cached
         return list(cached)
+
+    def path(self, src: str, dst: str) -> tuple[tuple[Link, ...], float, float]:
+        """``(links, propagation, bandwidth)`` of the route from ``src`` to
+        ``dst`` (distinct host names): its links, the sum of their delays
+        and the least capacity any leaves to messages.  Kept per pair:
+        what a link's message latency reads besides its queue is fixed
+        once the link is built (see :mod:`repro.netsim.link`)."""
+        cached = self._path_cache.get((src, dst))
+        if cached is None:
+            links = self.route(src, dst)
+            cached = self._path_cache[(src, dst)] = (
+                tuple(links),
+                sum(link.delay for link in links),
+                min(link.available_capacity for link in links),
+            )
+        return cached
 
     def severed(self, src: str, dst: str, path: list[Link]) -> bool:
         """Whether traffic from ``src`` to ``dst`` along ``path`` touches a

@@ -18,12 +18,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import islice
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = ["BloomFilter", "hash_pair"]
 
 #: lower bound on bits so tiny/empty filters still have a sane shape
 _MIN_BITS = 64
+#: keys hashed per array pass of :meth:`BloomFilter.update` (bounds its
+#: position arrays at ``n_hashes`` x this many int64s)
+_UPDATE_CHUNK = 1 << 16
 
 
 def hash_pair(key: str) -> tuple[int, int]:
@@ -94,8 +100,30 @@ class BloomFilter:
         self.n_added += 1
 
     def update(self, keys: Iterable[str]) -> None:
-        for key in keys:
-            self.add(key)
+        """:meth:`add` every key, setting byte-identical bits: the k
+        positions of a chunk of keys are computed and set as whole arrays,
+        from the same two words of each key's digest as :func:`hash_pair`.
+        ``(h1 + i*h2) mod n == (h1 mod n + i*(h2 mod n)) mod n``, and the
+        right side stays below ``n_hashes * n_bits``: exact in int64."""
+        keys = iter(keys)
+        blake2b = hashlib.blake2b
+        n_bits = np.uint64(self.n_bits)
+        probes = np.arange(self.n_hashes, dtype=np.int64)
+        bits = np.frombuffer(self._bits, dtype=np.uint8)
+        while chunk := b"".join(
+            blake2b(key.encode("utf-8"), digest_size=16).digest()
+            for key in islice(keys, _UPDATE_CHUNK)
+        ):
+            words = np.frombuffer(chunk, dtype="<u8").reshape(-1, 2)
+            h1 = (words[:, 0] % n_bits).astype(np.int64)
+            h2 = ((words[:, 1] | np.uint64(1)) % n_bits).astype(np.int64)
+            positions = (h1[:, None] + probes * h2[:, None]) % self.n_bits
+            positions = positions.ravel()
+            np.bitwise_or.at(
+                bits, positions >> 3,
+                np.left_shift(1, positions & 7).astype(np.uint8),
+            )
+            self.n_added += len(words)
 
     def __contains__(self, key: str) -> bool:
         return self.contains_pair(hash_pair(key))

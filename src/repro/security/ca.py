@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+
 from repro.security.keys import KeyPair, verify
 
 __all__ = ["Certificate", "CertificateAuthority", "CertificateError"]
@@ -49,12 +51,22 @@ class Certificate:
 
     def check_validity(self, now: float) -> None:
         """Raise CertificateError unless signed and within validity at ``now``."""
-        if not self.check_signature():
-            raise CertificateError(f"bad signature on {self.subject!r}")
+        if self not in _SIGNED:
+            if not self.check_signature():
+                raise CertificateError(f"bad signature on {self.subject!r}")
+            _SIGNED.add(self)
         if now < self.valid_from:
             raise CertificateError(f"certificate for {self.subject!r} not yet valid")
         if now > self.valid_until:
             raise CertificateError(f"certificate for {self.subject!r} expired")
+
+
+#: certificates whose signature verified, by value: a key pair is never
+#: forgotten (``keys._KEYSPACE``), so a signature that verified once always
+#: will, and each certificate pays for the check once.  Kept here, not on
+#: the certificate, so no copy of one (``_make_cert``) inherits a verdict;
+#: weakly, so a verdict lives no longer than a certificate holding it.
+_SIGNED: "weakref.WeakSet[Certificate]" = weakref.WeakSet()
 
 
 def _make_cert(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
@@ -134,14 +133,22 @@ class _ResetBody:
         self.message = message
 
 
-@dataclass
 class CallOutcome:
     """What one bus call produced."""
 
-    ok: bool
-    payload: Any
-    preliminaries: list = field(default_factory=list)
-    context: Optional[RequestContext] = None
+    __slots__ = ("ok", "payload", "preliminaries", "context")
+
+    def __init__(
+        self,
+        ok: bool,
+        payload: Any,
+        preliminaries: Optional[list] = None,
+        context: Optional[RequestContext] = None,
+    ):
+        self.ok = ok
+        self.payload = payload
+        self.preliminaries = [] if preliminaries is None else preliminaries
+        self.context = context
 
 
 #: A server middleware: ``middleware(request, call_next)`` returning a
@@ -164,25 +171,40 @@ def run_handler(handler: Callable[[Any], Any], request: Any):
     return result
 
 
-@dataclass
 class ClientCall:
     """One outbound call as seen by *client* middleware (retry policies,
     circuit breakers).  The terminal stage issues the wire request via
     :meth:`ServiceClient._invoke_once`; a middleware that re-invokes
     ``call_next`` re-issues the call with a fresh request id."""
 
-    client: "ServiceClient"
-    server_host: str
-    operation: str
-    payload: Any = None
-    size: Optional[int] = None
-    timeout: Optional[float] = None
-    idle_timeout: Optional[float] = None
-    context: Optional[RequestContext] = None
-    meta: Optional[dict] = None
-    raise_on_fault: bool = True
-    #: middleware scratch space (attempt counts, breaker tokens, ...)
-    state: dict = field(default_factory=dict)
+    __slots__ = (
+        "client", "server_host", "operation", "payload", "size", "timeout",
+        "idle_timeout", "context", "meta", "raise_on_fault",
+    )
+
+    def __init__(
+        self,
+        client: "ServiceClient",
+        server_host: str,
+        operation: str,
+        payload: Any = None,
+        size: Optional[int] = None,
+        timeout: Optional[float] = None,
+        idle_timeout: Optional[float] = None,
+        context: Optional[RequestContext] = None,
+        meta: Optional[dict] = None,
+        raise_on_fault: bool = True,
+    ):
+        self.client = client
+        self.server_host = server_host
+        self.operation = operation
+        self.payload = payload
+        self.size = size
+        self.timeout = timeout
+        self.idle_timeout = idle_timeout
+        self.context = context
+        self.meta = meta
+        self.raise_on_fault = raise_on_fault
 
     @property
     def sim(self) -> Simulator:
@@ -388,7 +410,7 @@ class ServiceEndpoint:
                 request.context.deadline if request.context is not None
                 else None
             )
-            request.context = span.context.with_deadline(deadline)
+            request.context = span.context_until(deadline)
         # Everything this handler spawns — nested calls, transfers, flows —
         # inherits the request's context through the ambient mechanism.
         self.sim.active_process.context = request.context
@@ -560,16 +582,8 @@ class ServiceClient:
                 next(iter(self._open_txns)),
             )}
         call = ClientCall(
-            client=self,
-            server_host=server_host,
-            operation=operation,
-            payload=payload,
-            size=size,
-            timeout=timeout,
-            idle_timeout=idle_timeout,
-            context=context,
-            meta=meta,
-            raise_on_fault=raise_on_fault,
+            self, server_host, operation, payload, size, timeout,
+            idle_timeout, context, meta, raise_on_fault,
         )
         try:
             return (yield from self._client_chain(call))
@@ -604,9 +618,9 @@ class ServiceClient:
                 host=self.host.name,
                 service=self.service,
             )
-            ctx: Optional[RequestContext] = span.context
-            if parent is not None:
-                ctx = ctx.with_deadline(parent.deadline)
+            ctx: Optional[RequestContext] = span.context_until(
+                parent.deadline if parent is not None else None
+            )
         else:
             ctx = parent
         if ctx is not None:
@@ -683,12 +697,7 @@ class ServiceClient:
             exc = ConnectionReset(operation, server_host, reply.payload.message)
             exc.preliminaries = preliminaries
             raise exc
-        outcome = CallOutcome(
-            ok=reply.ok,
-            payload=reply.payload,
-            preliminaries=preliminaries,
-            context=ctx,
-        )
+        outcome = CallOutcome(reply.ok, reply.payload, preliminaries, ctx)
         if not outcome.ok:
             self.stats["call_failures"] += 1
             if span is not None:

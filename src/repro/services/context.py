@@ -16,28 +16,54 @@ remaining budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["RequestContext"]
 
 
-@dataclass(frozen=True)
 class RequestContext:
-    """One span's identity within a trace, plus propagated call metadata."""
+    """One span's identity within a trace, plus propagated call metadata.
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str] = None
-    deadline: Optional[float] = None
+    A value: two contexts naming the same span with the same deadline are
+    equal and hash alike.  Nothing changes one after it is built —
+    :meth:`child` and :meth:`with_deadline` build new ones."""
+
+    __slots__ = ("trace_id", "span_id", "parent_id", "deadline")
+
+    def __init__(
+        self,
+        trace_id: str,
+        span_id: str,
+        parent_id: Optional[str] = None,
+        deadline: Optional[float] = None,
+    ):
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.deadline = deadline
+
+    def _key(self) -> tuple:
+        return (self.trace_id, self.span_id, self.parent_id, self.deadline)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RequestContext:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"RequestContext(trace_id={self.trace_id!r}, "
+            f"span_id={self.span_id!r}, parent_id={self.parent_id!r}, "
+            f"deadline={self.deadline!r})"
+        )
 
     def child(self, span_id: str) -> "RequestContext":
         """A context for a child span: same trace, this span as parent."""
         return RequestContext(
-            trace_id=self.trace_id,
-            span_id=span_id,
-            parent_id=self.span_id,
-            deadline=self.deadline,
+            self.trace_id, span_id, self.span_id, self.deadline
         )
 
     def with_deadline(self, deadline: Optional[float]) -> "RequestContext":
@@ -49,8 +75,5 @@ class RequestContext:
         if self.deadline is not None:
             deadline = min(deadline, self.deadline)
         return RequestContext(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            deadline=deadline,
+            self.trace_id, self.span_id, self.parent_id, deadline
         )

@@ -121,16 +121,22 @@ class MetricsMiddleware:
 
     Placed outermost in a chain it times the whole server-side handling
     (middlewares + handler, in simulated time) of every request and counts
-    outcomes: ``ok``, ``error`` (:class:`ServiceError`, including deadline
-    sheds), ``fault`` (protocol-level :class:`ServiceFault`).  Series:
+    outcomes: ``ok``, ``fault`` (protocol-level :class:`ServiceFault`),
+    ``error`` (any other exception: a :class:`ServiceError`, deadline
+    sheds included, or a handler bug the endpoint answers as a fault).
+    Series:
 
     * ``rpc.latency{service,operation}`` — histogram, seconds;
     * ``rpc.requests{service,operation,outcome}`` — counter.
+
+    Both handles of an ``(operation, outcome)`` are looked up in the
+    registry once, on its first request, and kept.
     """
 
     def __init__(self, registry, service: str):
         self.registry = registry
         self.service = service
+        self._handles: dict[tuple[str, str], tuple] = {}
 
     def __call__(self, request: ServiceRequest, call_next):
         start = request.sim.now
@@ -140,20 +146,24 @@ class MetricsMiddleware:
         except ServiceFault:
             outcome = "fault"
             raise
-        except ServiceError:
+        except Exception:
             outcome = "error"
             raise
         finally:
-            registry = self.registry
-            registry.counter(
-                "rpc.requests",
-                service=self.service,
-                operation=request.operation,
-                outcome=outcome,
-            ).inc()
-            registry.histogram(
-                "rpc.latency",
-                service=self.service,
-                operation=request.operation,
-            ).observe(request.sim.now - start)
+            key = (request.operation, outcome)
+            handles = self._handles.get(key)
+            if handles is None:
+                handles = self._handles[key] = (
+                    self.registry.counter(
+                        "rpc.requests", service=self.service,
+                        operation=request.operation, outcome=outcome,
+                    ),
+                    self.registry.histogram(
+                        "rpc.latency", service=self.service,
+                        operation=request.operation,
+                    ),
+                )
+            requests, latency = handles
+            requests.inc()
+            latency.observe(request.sim.now - start)
         return result

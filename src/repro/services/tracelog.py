@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.services.context import RequestContext
@@ -25,30 +24,58 @@ from repro.simulation.kernel import Simulator
 __all__ = ["Span", "TraceLog"]
 
 
-@dataclass
 class Span:
     """One timed unit of work inside a trace."""
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
-    name: str               # e.g. "gdmp:request_stage", "gridftp:RETR"
-    kind: str               # "client" | "server" | "local" | "transfer"
-    host: str
-    service: str
-    start: float
-    end: Optional[float] = None
-    status: str = "ok"      # "ok" | "error" | "timeout" | "in_progress"
-    detail: str = ""
-    attrs: dict = field(default_factory=dict)
+    __slots__ = (
+        "trace_id", "span_id", "parent_id", "name", "kind", "host",
+        "service", "start", "end", "status", "detail", "attrs",
+    )
+
+    def __init__(
+        self,
+        trace_id: str,
+        span_id: str,
+        parent_id: Optional[str],
+        name: str,      # e.g. "gdmp:request_stage", "gridftp:RETR"
+        kind: str,      # "client" | "server" | "local" | "transfer"
+        host: str,
+        service: str,
+        start: float,
+        end: Optional[float] = None,
+        status: str = "ok",     # "ok" | "error" | "timeout" | "in_progress"
+        detail: str = "",
+        attrs: Optional[dict] = None,
+    ):
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.kind = kind
+        self.host = host
+        self.service = service
+        self.start = start
+        self.end = end
+        self.status = status
+        self.detail = detail
+        self.attrs = {} if attrs is None else attrs
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<Span {self.name} {self.span_id} of {self.trace_id} "
+            f"{self.status}>"
+        )
 
     @property
     def context(self) -> RequestContext:
         """The context naming this span (pass to children/envelopes)."""
+        return RequestContext(self.trace_id, self.span_id, self.parent_id)
+
+    def context_until(self, deadline: Optional[float]) -> RequestContext:
+        """:attr:`context` carrying ``deadline`` — the same value as
+        ``span.context.with_deadline(deadline)``, built once."""
         return RequestContext(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
+            self.trace_id, self.span_id, self.parent_id, deadline
         )
 
     @property
@@ -113,16 +140,8 @@ class TraceLog:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         span = Span(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            name=name,
-            kind=kind,
-            host=host,
-            service=service,
-            start=self.sim.now,
-            status="in_progress",
-            attrs=dict(attrs),
+            trace_id, span_id, parent_id, name, kind, host, service,
+            self.sim.now, None, "in_progress", "", attrs,
         )
         self._spans.append(span)
         return span

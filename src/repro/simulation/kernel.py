@@ -4,11 +4,15 @@ The kernel keeps a single priority queue of ``(time, priority, seq, event)``
 entries.  Triggering an event schedules it; when the simulator pops it, the
 event's callbacks run, which typically resume suspended processes.  Time is a
 float in seconds.
+
+Every event class is slotted and :meth:`Simulator.run` drains the queue
+in one local loop (:func:`step`): what one event costs the host is the
+heap pop, its callbacks and a crash check, not a chain of method calls.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -26,6 +30,10 @@ __all__ = [
 #: at the current instant; URGENT events (process bootstraps) run first.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
+
+_FOREVER = float("inf")
+#: a deadline no next event meets: the loop stops after one event
+_NEVER = float("-inf")
 
 
 class SimulationError(Exception):
@@ -52,6 +60,8 @@ class Event:
     until the event is processed; yielding an already-processed event resumes
     the process immediately (at the same simulation time).
     """
+
+    __slots__ = ("sim", "callbacks", "_value", "_exception", "_triggered")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -91,7 +101,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._triggered = True
         self._value = value
-        self.sim._schedule(self, delay=0.0, priority=PRIORITY_NORMAL)
+        self.sim._schedule(self, 0.0, PRIORITY_NORMAL)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -102,13 +112,8 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._triggered = True
         self._exception = exception
-        self.sim._schedule(self, delay=0.0, priority=PRIORITY_NORMAL)
+        self.sim._schedule(self, 0.0, PRIORITY_NORMAL)
         return self
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks or ():
-            callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -120,24 +125,33 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._triggered = True
+        # Event.__init__ and Simulator._schedule, written out: a timer is
+        # the kernel's most frequent event
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay=delay, priority=PRIORITY_NORMAL)
+        self._exception = None
+        self._triggered = True
+        self.delay = delay
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now + delay, PRIORITY_NORMAL, seq, self))
 
 
 class _Initialize(Event):
     """Internal event used to bootstrap a freshly spawned process."""
 
+    __slots__ = ()
+
     def __init__(self, sim: "Simulator", process: "Process"):
         super().__init__(sim)
         self._triggered = True
         self.callbacks.append(process._resume)
-        sim._schedule(self, delay=0.0, priority=PRIORITY_URGENT)
+        sim._schedule(self, 0.0, PRIORITY_URGENT)
 
 
 class Process(Event):
@@ -153,12 +167,14 @@ class Process(Event):
     argument through every call signature.
     """
 
+    __slots__ = ("name", "context", "_generator", "_waiting_on")
+
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
             raise TypeError(f"spawn() needs a generator, got {generator!r}")
         super().__init__(sim)
         self.name = name or getattr(generator, "__name__", "process")
-        active = sim.active_process
+        active = sim._active_process
         self.context: Any = active.context if active is not None else None
         self._generator = generator
         self._waiting_on: Optional[Event] = None
@@ -187,7 +203,7 @@ class Process(Event):
                 pass
         self._waiting_on = None
         interrupt_event.callbacks = [self._resume]
-        self.sim._schedule(interrupt_event, delay=0.0, priority=PRIORITY_URGENT)
+        self.sim._schedule(interrupt_event, 0.0, PRIORITY_URGENT)
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
@@ -231,7 +247,7 @@ class Process(Event):
             resume._value = target._value
             resume._exception = target._exception
             resume.callbacks = [self._resume]
-            sim._schedule(resume, delay=0.0, priority=PRIORITY_URGENT)
+            sim._schedule(resume, 0.0, PRIORITY_URGENT)
             self._waiting_on = resume
         else:
             target.callbacks.append(self._resume)
@@ -239,60 +255,105 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+    """Base for AllOf/AnyOf composite events.  A constituent already
+    processed at construction is settled at once, in list order; every
+    other one is observed when it is processed."""
+
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
-        self._pending = 0
         for event in self.events:
             if event.callbacks is None:
-                self._observe(event)
+                self._settle(event)
             else:
-                self._pending += 1
                 event.callbacks.append(self._observe)
-        if not self._triggered and self._check_initial():
-            self.succeed(self._result())
 
-    def _check_initial(self) -> bool:
+    def _settle(self, event: Event) -> None:
         raise NotImplementedError
 
     def _observe(self, event: Event) -> None:
         raise NotImplementedError
-
-    def _result(self) -> Any:
-        return [e._value for e in self.events if e.processed and e._exception is None]
 
 
 class AllOf(_Condition):
-    """Triggers when every constituent event has triggered."""
+    """Triggers when every constituent event has triggered.
 
-    def _check_initial(self) -> bool:
-        return all(e.processed for e in self.events)
+    ``_pending`` counts the constituents not processed at construction (a
+    duplicate once per place in the list); each arrival counts it down,
+    so the last one triggers the condition without a rescan of the list.
+    """
 
-    def _observe(self, event: Event) -> None:
+    __slots__ = ("_pending",)
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        events = list(events)
+        self._pending = sum(event.callbacks is not None for event in events)
+        super().__init__(sim, events)
+        if not self.events:
+            self.succeed([])
+
+    def _settle(self, event: Event) -> None:
         if self._triggered:
             return
         if event._exception is not None:
             self.fail(event._exception)
-            return
-        if all(e.processed or e is event for e in self.events):
+        elif not self._pending:
             self.succeed([e._value for e in self.events])
+
+    def _observe(self, event: Event) -> None:
+        self._pending -= 1
+        self._settle(event)
 
 
 class AnyOf(_Condition):
     """Triggers as soon as one constituent event triggers."""
 
-    def _check_initial(self) -> bool:
-        return any(e.processed for e in self.events)
+    __slots__ = ()
 
-    def _observe(self, event: Event) -> None:
+    def _settle(self, event: Event) -> None:
         if self._triggered:
             return
         if event._exception is not None:
             self.fail(event._exception)
             return
         self.succeed(event._value)
+
+    _observe = _settle
+
+
+def step(
+    sim: "Simulator", deadline: float, stop: Optional[Event]
+) -> Generator[None, None, None]:
+    """The simulator's one event loop, shared by :meth:`Simulator.step`
+    and both modes of :meth:`Simulator.run`.
+
+    Each resume pops one event — in ``(time, priority, seq)`` order —
+    moves the clock to it, runs its callbacks and surfaces a process
+    crash.  It then yields while the next event is due by ``deadline``
+    and ``stop`` (if any) is not processed, and returns otherwise, so the
+    caller checks only the first event and a profile counts exactly one
+    call of ``step`` per event processed.
+    """
+    queue = sim._queue
+    crashed = sim._crashed_processes
+    pop = heappop
+    while True:
+        now, _priority, _seq, event = pop(queue)
+        sim._now = now
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+        if crashed:
+            process, exc = crashed.pop(0)
+            raise SimulationError(
+                f"process {process.name!r} crashed at t={now}: {exc!r}"
+            ) from exc
+        if (not queue or queue[0][0] > deadline
+                or (stop is not None and stop.callbacks is None)):
+            return
+        yield
 
 
 class Simulator:
@@ -358,20 +419,12 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
     def step(self) -> None:
         """Process exactly one event."""
-        time, _prio, _seq, event = heapq.heappop(self._queue)
-        if time < self._now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self._now = time
-        event._run_callbacks()
-        if self._crashed_processes:
-            process, exc = self._crashed_processes.pop(0)
-            raise SimulationError(
-                f"process {process.name!r} crashed at t={self._now}: {exc!r}"
-            ) from exc
+        for _ in step(self, _NEVER, None):
+            pass
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
@@ -380,24 +433,25 @@ class Simulator:
         (run until it is processed and return its value), or ``None``
         (run until no events remain).
         """
+        queue = self._queue
         if isinstance(until, Event):
             stop_event = until
             if stop_event.callbacks is not None:
                 # Mark the event observed: a process failure awaited through
                 # run(until=...) is handled by the caller, not a crash.
                 stop_event.callbacks.append(lambda _event: None)
-            while self._queue:
-                if stop_event.processed:
-                    return stop_event.value
-                self.step()
+                if queue:
+                    for _ in step(self, _FOREVER, stop_event):
+                        pass
             if stop_event.processed:
                 return stop_event.value
             raise SimulationError("simulation ran out of events before `until` fired")
-        deadline = float("inf") if until is None else float(until)
+        deadline = _FOREVER if until is None else float(until)
         if deadline < self._now:
             raise ValueError(f"until={deadline} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= deadline:
-            self.step()
+        if queue and queue[0][0] <= deadline:
+            for _ in step(self, deadline, None):
+                pass
         if until is not None:
             self._now = deadline
         return None

@@ -18,6 +18,8 @@ __all__ = ["Resource", "Request"]
 class Request(Event):
     """Event returned by :meth:`Resource.request`; triggers on acquisition."""
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
         self.resource = resource

@@ -4,8 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.netsim import cern_anl_testbed
-from repro.netsim.channels import MessageNetwork
+from repro.netsim import TcpParams, TestbedParams, cern_anl_testbed
+from repro.netsim.channels import PER_MESSAGE_OVERHEAD, MessageNetwork
+from repro.netsim.link import Link
+from repro.netsim.topology import Topology
+from repro.netsim.units import KiB, MB, mbps
+from repro.simulation import Simulator
 
 
 @pytest.fixture
@@ -145,3 +149,56 @@ def test_a_service_delay_slows_matching_requests_at_send_time(net):
     fast, slow = delivered
     assert slow.payload.operation == "catalog.info"
     assert slow.delivered_at == pytest.approx(fast.delivered_at + 1.0)
+
+
+def _uncached_latency(topology, src, dst, size):
+    """The latency formula over a fresh route, nothing kept."""
+    links = topology.route(src, dst)
+    return (
+        PER_MESSAGE_OVERHEAD
+        + sum(link.delay for link in links)
+        + sum(link.queueing_delay for link in links)
+        + size / min(link.available_capacity for link in links)
+    )
+
+
+def test_latency_is_the_uncached_formula_bit_for_bit():
+    """The kept per-pair route figures change no latency, even with a
+    standing queue on the path (a transfer running over it)."""
+    sim, topo, engine = cern_anl_testbed(TestbedParams(extra_sites=("ral",)))
+    msgnet = MessageNetwork(sim, topo)
+    delivered = endpoint(msgnet, "ral", "svc")
+    engine.open_transfer("cern", "anl", nbytes=50 * MB, streams=4,
+                         tcp=TcpParams(buffer=1024 * KiB))
+    pairs = [("cern", "anl"), ("anl", "cern"), ("anl", "ral"), ("ral", "anl")]
+    queued = 0
+    for _ in range(40):
+        sim.run(until=sim.now + 0.25)
+        queued += any(link.queue > 0 for link in topo.links)
+        for src, dst in pairs:
+            for size in (1, 512, 65536):
+                assert msgnet.latency(src, dst, size) == _uncached_latency(
+                    topo, src, dst, size
+                )
+        expected = sim.now + _uncached_latency(topo, "anl", "ral", 512)
+        sim.run(until=msgnet.send("anl", "ral", "svc", None, size=512))
+        assert delivered[-1].delivered_at == expected
+    assert queued                       # the path did hold a queue
+
+
+def test_a_new_link_reroutes_the_next_message():
+    sim = Simulator()
+    topo = Topology()
+    for name in ("a", "b", "c"):
+        topo.add_host(name)
+    topo.connect("a", "b", Link("ab", capacity=mbps(10), delay=0.1))
+    topo.connect("b", "c", Link("bc", capacity=mbps(10), delay=0.1))
+    msgnet = MessageNetwork(sim, topo)
+    delivered = endpoint(msgnet, "c", "svc")
+    sim.run(until=msgnet.send("a", "c", "svc", payload=1, size=100))
+    topo.connect("a", "c", Link("ac", capacity=mbps(10), delay=0.05))
+    sim.run(until=msgnet.send("a", "c", "svc", payload=2, size=100))
+    before, after = (e.delivered_at - e.sent_at for e in delivered)
+    assert after < before
+    assert msgnet.latency("a", "c", 100) == _uncached_latency(topo, "a", "c", 100)
+    assert [link.name for link in topo.path("a", "c")[0]] == ["ac"]

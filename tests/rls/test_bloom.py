@@ -1,6 +1,8 @@
 """Bloom filter unit behaviour: determinism, membership, sizing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rls.bloom import BloomFilter, hash_pair
 
@@ -89,3 +91,42 @@ def test_validation():
         BloomFilter.for_capacity(-1)
     with pytest.raises(ValueError):
         BloomFilter.for_capacity(10, fpp=1.5)
+
+
+key_sets = st.lists(
+    st.one_of(st.text(max_size=12), st.sampled_from(["a", "lfn-1", "é"])),
+    max_size=60,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    keys=key_sets,
+    n_bits=st.integers(min_value=1, max_value=3000),
+    n_hashes=st.integers(min_value=1, max_value=12),
+)
+def test_update_sets_the_bits_add_sets(keys, n_bits, n_hashes):
+    """Whole-array ``update`` == per-key ``add``: empty, duplicate and
+    unicode key sets, sizes off a byte boundary, 1..12 hashes."""
+    one_by_one = BloomFilter(n_bits, n_hashes)
+    for key in keys:
+        one_by_one.add(key)
+    at_once = BloomFilter(n_bits, n_hashes)
+    at_once.update(iter(keys))
+    assert at_once._bits == one_by_one._bits
+    assert at_once.n_added == one_by_one.n_added == len(keys)
+    assert all(key in at_once for key in keys)
+
+
+def test_update_across_chunks_matches_add(monkeypatch):
+    from repro.rls import bloom as bloom_module
+
+    monkeypatch.setattr(bloom_module, "_UPDATE_CHUNK", 7)
+    keys = [f"lfn-{i % 40}" for i in range(100)]
+    one_by_one = BloomFilter(1001, 5)
+    for key in keys:
+        one_by_one.add(key)
+    at_once = BloomFilter(1001, 5)
+    at_once.update(keys)
+    assert at_once.to_bytes() == one_by_one.to_bytes()
+    assert at_once.n_added == 100

@@ -1,5 +1,8 @@
 """Tests for the GSI security substrate: keys, CA, proxies, gridmap."""
 
+import dataclasses
+import gc
+
 import pytest
 
 from repro.security import (
@@ -11,7 +14,7 @@ from repro.security import (
     new_user_credential,
     verify,
 )
-from repro.security.ca import verify_chain
+from repro.security.ca import Certificate, verify_chain
 
 
 @pytest.fixture
@@ -171,3 +174,45 @@ def test_gridmap_dn_validation():
     gm = GridMap()
     with pytest.raises(ValueError):
         gm.add("CN=relative", "user")
+
+
+# ------------------------------------------------ remembered verdicts -------
+def test_a_tampered_copy_of_a_verified_certificate_still_fails(ca, alice):
+    assert verify_chain(alice.chain, [ca], now=0.0) == alice.subject
+    forged = dataclasses.replace(
+        alice.certificate, subject="/O=Grid/OU=cern.ch/CN=Mallory"
+    )
+    with pytest.raises(CertificateError, match="bad signature"):
+        verify_chain([forged], [ca], now=0.0)
+    # the genuine one is still accepted after the forgery was refused
+    assert verify_chain(alice.chain, [ca], now=1.0) == alice.subject
+
+
+def test_a_verified_certificate_still_expires(ca):
+    cred = new_user_credential(ca, "/O=Grid/CN=Brief", now=0.0, lifetime=10.0)
+    proxy = cred.create_proxy(now=0.0, lifetime=5.0)
+    assert verify_chain(proxy.chain, [ca], now=0.0) == cred.subject
+    with pytest.raises(CertificateError, match="expired"):
+        verify_chain(proxy.chain, [ca], now=6.0)
+    with pytest.raises(CertificateError, match="expired"):
+        verify_chain(cred.chain, [ca], now=10.5)
+
+
+def test_a_verdict_is_not_copied_with_the_certificate(ca, alice):
+    """``_make_cert`` builds a certificate from another's ``__dict__``:
+    a verdict kept there would ride into the copy."""
+    verify_chain(alice.chain, [ca], now=0.0)
+    fields = {field.name for field in dataclasses.fields(Certificate)}
+    assert set(vars(alice.certificate)) == fields
+
+
+def test_a_verdict_lives_no_longer_than_its_certificate(ca):
+    from repro.security import ca as ca_module
+
+    subject = "/O=Grid/CN=Transient"
+    cred = new_user_credential(ca, subject)
+    verify_chain(cred.chain, [ca], now=0.0)
+    assert cred.certificate in ca_module._SIGNED
+    del cred
+    gc.collect()
+    assert [c for c in ca_module._SIGNED if c.subject == subject] == []

@@ -15,6 +15,8 @@ from repro.services import (
     ServiceFault,
     TraceLog,
 )
+from repro.services.bus import ClientCall
+from repro.services.middleware import MetricsMiddleware
 from repro.telemetry import MetricsRegistry
 
 
@@ -81,7 +83,10 @@ def test_service_error_maps_to_remote_error(net):
 
 def test_handler_bug_is_surfaced_and_counted(net):
     sim, msgnet = net
-    endpoint, client = make_pair(sim, msgnet)
+    metrics = MetricsRegistry(sim)
+    endpoint, client = make_pair(
+        sim, msgnet, middlewares=(MetricsMiddleware(metrics, "svc"),)
+    )
 
     def broken(request):
         raise KeyError("oops")
@@ -91,6 +96,14 @@ def test_handler_bug_is_surfaced_and_counted(net):
     with pytest.raises(RemoteCallError, match="KeyError"):
         sim.run(until=client.call("cern", "broken"))
     assert endpoint.stats["handler_errors"] == 1
+    # a crashed handler is an error, never an ok request
+    assert metrics.value(
+        "rpc.requests", service="svc", operation="broken", outcome="error"
+    ) == 1.0
+    assert [
+        dict(child.labels)["outcome"]
+        for child in metrics.children("rpc.requests")
+    ] == ["error"]
 
 
 def test_service_fault_carries_protocol_payload(net):
@@ -318,3 +331,46 @@ def test_nested_calls_share_one_trace(net):
     outer_server = tracelog.find("svc:outer", kind="server")
     assert leaf_client.parent_id == outer_server.span_id
     assert leaf_server.parent_id == leaf_client.span_id
+
+
+def test_message_records_are_slotted(net):
+    """What a request builds per hop carries no instance dict."""
+    sim, msgnet = net
+    tracelog = TraceLog(sim)
+    endpoint, client = make_pair(sim, msgnet, tracelog=tracelog)
+    endpoint.register("echo", lambda request: request.payload)
+    delivered = []
+    msgnet.register("anl", "watch", delivered.append)
+    msgnet.send("cern", "anl", "watch", payload="x")
+
+    def run():
+        return (yield from client.invoke("cern", "echo", 1))
+
+    outcome = sim.run(until=sim.spawn(run()))
+    [envelope] = delivered
+    span = tracelog.spans(kind="client")[0]
+    records = [
+        envelope, outcome.context, span, outcome,
+        ClientCall(client, "cern", "echo"),
+    ]
+    assert [type(record).__name__ for record in records] == [
+        "Envelope", "RequestContext", "Span", "CallOutcome", "ClientCall",
+    ]
+    assert [
+        type(record).__name__ for record in records
+        if hasattr(record, "__dict__")
+    ] == []
+
+
+def test_request_context_is_a_value():
+    context = RequestContext("t1", "s1", deadline=4.0)
+    twin = RequestContext("t1", "s1", None, 4.0)
+    assert context == twin and hash(context) == hash(twin)
+    assert context != RequestContext("t1", "s1")
+    assert context != ("t1", "s1", None, 4.0)
+    assert len({context, twin, context.with_deadline(9.0)}) == 1
+    assert repr(context) == (
+        "RequestContext(trace_id='t1', span_id='s1', parent_id=None, "
+        "deadline=4.0)"
+    )
+    assert context.child("s2") == RequestContext("t1", "s2", "s1", 4.0)
