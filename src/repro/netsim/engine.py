@@ -48,12 +48,14 @@ queues are empty, loss marking when nothing was dropped and no path link
 has a nonzero ``loss_rate``.  All skips are *exact*: they elide work only
 when the skipped pass would compute the identity.
 
-When the dynamics are provably linear — no lossy link on any active path,
-all queues empty and no link congested, every window buffer-clamped and no
-loss marks pending — the engine enters *stretched ticking*: it precomputes
-the next ``m`` tick boundaries, sleeps once across all of them, and settles
-deliveries and RTT-boundary window updates lazily (on wake, or on demand
-when a pool is observed or the flow set changes mid-stretch).  See
+When the dynamics are provably linear — all queues empty and no link
+congested, every window buffer-clamped and no loss marks pending — the
+engine enters *stretched ticking*: it precomputes the next ``m`` tick
+boundaries, sleeps once across all of them, and settles deliveries and
+RTT-boundary window updates lazily (on wake, or on demand when a pool is
+observed or the flow set changes mid-stretch).  On a lossy path the random
+draws are the one thing left that could change: the planner reads them
+ahead and ends the window before the first tick that holds a hit.  See
 DESIGN.md ("Adaptive tick stretching" and "Flow tables").
 
 Instrumentation is kept out of the hot loop: counts are taken when a flow
@@ -273,10 +275,10 @@ class Flow:
 class _Stretch:
     """State of one stretched-tick window (see DESIGN.md)."""
 
-    __slots__ = ("bounds", "dt", "table", "amounts", "settled")
+    __slots__ = ("bounds", "dt", "table", "amounts", "draws", "settled")
 
     def __init__(self, bounds: list[float], dt: float,
-                 table: FlowTable, amounts):
+                 table: FlowTable, amounts, draws: int):
         #: tick boundaries: ``bounds[j]`` is the start of stretched tick j,
         #: ``bounds[-1]`` is the end of the window (next full-tick time).
         self.bounds = bounds
@@ -285,6 +287,9 @@ class _Stretch:
         #: per-flow delivery per stretched tick (rate * dt, constant across
         #: the window — precomputed once, bit-identical every tick)
         self.amounts = amounts
+        #: loss-stream uniforms a full tick of this window draws (one per
+        #: (flow, lossy link) pair); settling a tick consumes them
+        self.draws = draws
         #: number of stretched ticks already settled
         self.settled = 0
 
@@ -301,6 +306,9 @@ class NetworkEngine:
     TIMEOUT_DROP_FRACTION = 0.5
     #: Upper bound on how many fine ticks one stretched window may span.
     MAX_STRETCH_TICKS = 4096
+    #: Upper bound on the loss-stream uniforms one stretch plan reads ahead
+    #: (and so on the ticks a window of many lossy pairs may span).
+    MAX_PEEK_DRAWS = 32768
 
     def __init__(
         self,
@@ -331,6 +339,7 @@ class NetworkEngine:
             metrics.gauge(
                 "netsim.link.cross_traffic", link=link.name
             ).set(link.cross_traffic)
+        topology.link_watchers.append(self._link_changed)
         #: transfer-retirement observers: callables invoked once per pool
         #: as ``fn(src, dst, nbytes, started_at, completed_at, ok)`` when
         #: a transfer drains (ok=True, nbytes=pool size) or is cancelled
@@ -521,6 +530,16 @@ class NetworkEngine:
         if self.transfer_observers:
             self._report_retired(cancelled, [pool], completed=False)
         pool.done.fail(TransferAborted(pool._delivered, reason))
+
+    def _link_changed(self, link: Link) -> None:
+        """``link``'s cross-traffic changed (:meth:`Topology.
+        set_cross_traffic`): settle any stretched window, which was planned
+        on the old load, and refresh the table's copy of the link."""
+        self._abort_stretch()
+        self._table.refresh_link(link)
+        self.metrics.gauge(
+            "netsim.link.cross_traffic", link=link.name
+        ).set(link.cross_traffic)
 
     def _report_retired(self, retired: list[Flow], pools: list,
                         completed: bool) -> None:
@@ -1131,16 +1150,21 @@ class NetworkEngine:
         Returns a :class:`_Stretch` spanning ``m >= 2`` fine ticks when, for
         every one of them, a full tick would compute exactly what the
         settlement loop computes: constant per-flow rates, no queue
-        evolution, no loss marks, no random draws, and window updates that
-        cannot change the effective (buffer-clamped) window.
+        evolution, no loss marks, and window updates that cannot change the
+        effective (buffer-clamped) window.  On lossy paths each of those
+        ticks still draws its uniforms; :meth:`_loss_horizon` reads them
+        ahead and ends the window before the first one that is a hit.
         """
         t = self._table
-        if not t.n_flows or t.has_lossy or not self._tick_quiet:
+        if not t.n_flows or not self._tick_quiet:
             return None
         if t.kernel == "vector":
             budget = self._stretch_budget_vector(t, dt)
         else:
             budget = self._stretch_budget_scalar(t, dt)
+        draws = 0
+        if budget >= 2 and t.has_lossy:
+            budget, draws = self._loss_horizon(t, dt, budget)
         if budget < 2:
             return None
 
@@ -1158,7 +1182,56 @@ class NetworkEngine:
         else:
             achieved = t.achieved
             amounts = [achieved[i] * dt for i in range(t.n_flows)]
-        return _Stretch(bounds=bounds, dt=dt, table=t, amounts=amounts)
+        return _Stretch(bounds=bounds, dt=dt, table=t, amounts=amounts,
+                        draws=draws)
+
+    def _loss_horizon(self, t: FlowTable, dt: float,
+                      budget: int) -> tuple[int, int]:
+        """Hit-free ticks ahead on the loss stream, and draws per tick.
+
+        In a quiet, clamped window every (flow, lossy link) pair's hit
+        probability is the constant the scalar kernel computes (same pairs,
+        same order, same python ``**``); the vector kernel's ``_POW_BAND``
+        recheck makes its decisions equal to these.  The stream is read
+        ahead — a few ticks first, doubling up to the budget — and put
+        back where it was; settlement then consumes the draws of exactly
+        the ticks it settles.  Returns ``(ticks, draws)``: the ticks before
+        the first one that holds a hit (at most ``budget``).
+        """
+        achieved = t.achieved
+        mss = t.mss
+        if t.kernel == "vector":
+            achieved = achieved.tolist()
+            mss = mss.tolist()
+        p_hit = []
+        for i, survive_row in enumerate(t.lossy_rows):
+            if not survive_row or achieved[i] <= 0:
+                continue
+            packets = achieved[i] * dt / mss[i]
+            for survive in survive_row:
+                p_hit.append(1.0 - survive ** packets)
+        k = len(p_hit)
+        if not k:
+            return budget, 0
+        horizon = min(budget, self.MAX_PEEK_DRAWS // k)
+        rng = self._loss_rng
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        p_hit = np.array(p_hit)
+        seen = 0
+        chunk = 4
+        try:
+            while seen < horizon:
+                n = min(chunk, horizon - seen)
+                hits = rng.random((n, k)) < p_hit
+                first = int(hits.argmax())
+                if hits.flat[first]:
+                    return seen + first // k, k
+                seen += n
+                chunk *= 2
+        finally:
+            bit_generator.state = state
+        return horizon, k
 
     def _stretch_budget_vector(self, t: FlowTable, dt: float) -> int:
         """Stretchable tick count under the vector kernel (0 = don't)."""
@@ -1246,10 +1319,12 @@ class NetworkEngine:
 
         Each replayed tick performs exactly the delivery and RTT-boundary
         passes a full tick would have performed, in the same order with the
-        same floating-point operations; all other passes are identities
-        under the stretch preconditions.  The vector replay settles pools
-        with an unclamped ``subtract.at``: the planner's one-tick headroom
-        margin guarantees the scalar running-min clamp would never engage.
+        same floating-point operations, and consumes the loss draws it
+        would have made (all misses, by the plan's horizon); all other
+        passes are identities under the stretch preconditions.  The vector
+        replay settles pools with an unclamped ``subtract.at``: the
+        planner's one-tick headroom margin guarantees the scalar running-min
+        clamp would never engage.
         """
         st = self._stretch
         if st is None:
@@ -1315,6 +1390,9 @@ class NetworkEngine:
                         next_round_at[k] = tick_end + rtt[k]
                 i += 1
         settled_now = i - start
+        if st.draws and settled_now:
+            # the uniforms these ticks would have drawn, all misses
+            self._loss_rng.random(settled_now * st.draws)
         self.settled_tick_count += settled_now
         self.flow_tick_count += settled_now * n
         st.settled = i

@@ -264,6 +264,12 @@ class FlowTable:
                 self.pool_rows_of.append(rows)
         self._cutover()
 
+    def refresh_link(self, link) -> None:
+        """Re-read ``link``'s cross-traffic into its slot, if it has one."""
+        slot = self._link_slot.get(id(link))
+        if slot is not None:
+            self.link_cross[slot] = link.cross_traffic
+
     def compact(self, rows: list[int]) -> None:
         """Drop the flows at ``rows`` and every pool left without a flow.
 

@@ -15,11 +15,13 @@ touched link each tick and mirrors ``queue`` back into its table column
 (a read-only copy used for the whole-array RTT pass), so external readers
 — :meth:`queueing_delay` for control-message latency, ``tools.ping`` —
 always see the current value without any flush step.
-``capacity``/``cross_traffic``/``loss_rate``/``queue_capacity`` (and
-``delay``) are treated as immutable after construction; the table reads
-them when the link enters it (the first flow to cross it since no flow
-did), and the topology keeps each route's delay sum and least available
-capacity for message latency (:meth:`Topology.path`).
+``capacity``/``loss_rate``/``queue_capacity`` (and ``delay``) are
+treated as immutable after construction; the table reads them when the
+link enters it (the first flow to cross it since no flow did), and the
+topology keeps each route's delay sum and least available capacity for
+message latency (:meth:`Topology.path`).  ``cross_traffic`` changes on a
+built link only through :meth:`Topology.set_cross_traffic`, which drops
+those kept figures and refreshes the engines' copies.
 """
 
 from __future__ import annotations

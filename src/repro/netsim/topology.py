@@ -62,6 +62,9 @@ class Topology:
         #: partitioned): the one record of it, which the message network
         #: and the flow engine both read
         self.down: set[str] = set()
+        #: callables ``fn(link)`` told after :meth:`set_cross_traffic`
+        #: changed a link (each engine over this topology registers one)
+        self.link_watchers: list = []
 
     # -- construction ------------------------------------------------------
     def add_host(self, host: Host | str, **kwargs) -> Host:
@@ -102,6 +105,21 @@ class Topology:
         self._route_cache.clear()
         self._path_cache.clear()
         return link
+
+    def set_cross_traffic(self, link: Link, rate: float) -> None:
+        """Change a built link's constant background load to ``rate``
+        bytes/s.  Every reader sees it from the next tick or message: the
+        kept routes and paths are dropped and each engine over this
+        topology is told (:attr:`link_watchers`)."""
+        if not 0 <= rate < link.capacity:
+            raise ValueError(
+                f"link {link.name}: cross traffic must be in [0, capacity)"
+            )
+        link.cross_traffic = rate
+        self._route_cache.clear()
+        self._path_cache.clear()
+        for watcher in self.link_watchers:
+            watcher(link)
 
     # -- lookup ------------------------------------------------------------
     def host(self, name: str) -> Host:
@@ -151,8 +169,8 @@ class Topology:
         """``(links, propagation, bandwidth)`` of the route from ``src`` to
         ``dst`` (distinct host names): its links, the sum of their delays
         and the least capacity any leaves to messages.  Kept per pair:
-        what a link's message latency reads besides its queue is fixed
-        once the link is built (see :mod:`repro.netsim.link`)."""
+        what a link's message latency reads besides its queue changes only
+        through :meth:`set_cross_traffic`, which drops what is kept."""
         cached = self._path_cache.get((src, dst))
         if cached is None:
             links = self.route(src, dst)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.security.keys import KeyPair, verify
 
@@ -20,7 +21,10 @@ class Certificate:
 
     ``issuer`` is the signer's DN; ``issuer_public`` its public key, so a
     verifier can walk the chain without a directory lookup.  Validity is in
-    simulation seconds.
+    simulation seconds.  ``issuer_keys`` is no part of what is signed or
+    compared: it keeps the issuer's pair alive in the weakly held key space
+    (:mod:`repro.security.keys`) for as long as the certificate is, so the
+    certificate stays verifiable.
     """
 
     subject: str
@@ -31,6 +35,9 @@ class Certificate:
     valid_until: float
     signature: str
     is_proxy: bool = False
+    issuer_keys: Optional[KeyPair] = field(
+        default=None, compare=False, repr=False
+    )
 
     def signed_payload(self) -> str:
         """The canonical string the signature covers."""
@@ -61,11 +68,12 @@ class Certificate:
             raise CertificateError(f"certificate for {self.subject!r} expired")
 
 
-#: certificates whose signature verified, by value: a key pair is never
-#: forgotten (``keys._KEYSPACE``), so a signature that verified once always
-#: will, and each certificate pays for the check once.  Kept here, not on
-#: the certificate, so no copy of one (``_make_cert``) inherits a verdict;
-#: weakly, so a verdict lives no longer than a certificate holding it.
+#: certificates whose signature verified, by value: a certificate keeps
+#: its issuer's pair in the key space (``issuer_keys``), so a signature
+#: that verified once always will, and each certificate pays for the check
+#: once.  Kept here, not on the certificate, so no copy of one
+#: (``_make_cert``) inherits a verdict; weakly, so a verdict lives no
+#: longer than a certificate holding it.
 _SIGNED: "weakref.WeakSet[Certificate]" = weakref.WeakSet()
 
 
@@ -87,6 +95,7 @@ def _make_cert(
         valid_until=valid_until,
         signature="",
         is_proxy=is_proxy,
+        issuer_keys=issuer_keys,
     )
     return Certificate(
         **{**unsigned.__dict__, "signature": issuer_keys.sign(unsigned.signed_payload())}

@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import hashlib
 import secrets
+import weakref
 from dataclasses import dataclass
 
 __all__ = ["KeyPair", "sign", "verify"]
 
-#: The "mathematics": public key -> private key.  Populated at key
-#: generation; consulted only by :func:`verify`.
-_KEYSPACE: dict[str, str] = {}
+#: The "mathematics": public key -> its pair.  Populated at key generation;
+#: consulted only by :func:`verify`.  Held weakly: a pair lives as long as
+#: something holding it does (a credential, a CA, a certificate it signed),
+#: so a dropped grid takes its keys with it.
+_KEYSPACE: "weakref.WeakValueDictionary[str, KeyPair]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def _digest(*parts: str) -> str:
@@ -40,9 +45,9 @@ class KeyPair:
     @classmethod
     def generate(cls) -> "KeyPair":
         private = secrets.token_hex(16)
-        public = _digest("public-of", private)
-        _KEYSPACE[public] = private
-        return cls(public=public, private=private)
+        pair = cls(public=_digest("public-of", private), private=private)
+        _KEYSPACE[pair.public] = pair
+        return pair
 
     def sign(self, data: str) -> str:
         """Signature over ``data`` with this pair's private key."""
@@ -59,7 +64,7 @@ def verify(public_key: str, data: str, signature: str) -> bool:
 
     Returns False for unknown keys, tampered data, or forged signatures.
     """
-    private = _KEYSPACE.get(public_key)
-    if private is None:
+    pair = _KEYSPACE.get(public_key)
+    if pair is None:
         return False
-    return signature == _digest("signature", private, data)
+    return signature == _digest("signature", pair.private, data)

@@ -202,3 +202,37 @@ def test_a_new_link_reroutes_the_next_message():
     assert after < before
     assert msgnet.latency("a", "c", 100) == _uncached_latency(topo, "a", "c", 100)
     assert [link.name for link in topo.path("a", "c")[0]] == ["ac"]
+
+
+def test_cross_traffic_change_reaches_messages_and_flows_at_the_next_tick():
+    """``Topology.set_cross_traffic`` is the one way a built link changes:
+    message latency reads the new load at once, and a live flow's first
+    tick after the change runs at the new share of the link."""
+    sim, topo, engine = cern_anl_testbed()
+    msgnet = MessageNetwork(sim, topo)
+    [link] = topo.route("cern", "anl")
+    before = msgnet.latency("cern", "anl", 512)
+    pool = engine.open_transfer("cern", "anl", nbytes=100 * MB,
+                                tcp=TcpParams(buffer=64 * KiB))
+    sim.run(until=60.0)
+    assert engine._stretch is not None     # the change lands mid-window
+    cross = mbps(43)                        # 2 Mbit/s left of the 45
+    topo.set_cross_traffic(link, cross)
+    assert engine._stretch is None
+    assert engine._table.link_cross == [cross]
+    after = msgnet.latency("cern", "anl", 512)
+    assert after > before
+    assert after == pytest.approx(
+        PER_MESSAGE_OVERHEAD + link.delay + 512 / (link.capacity - cross),
+        rel=1e-12,
+    )
+    # the engine resumes full ticks at the next fine boundary; that tick
+    # moves the stream's window scaled to what the link now has left
+    moved = pool.delivered
+    rtt = 2 * link.delay
+    sim.run(until=engine._realign_at + rtt / 2)
+    offered = 64 * KiB / rtt
+    share = offered * (link.capacity / (offered + cross))
+    assert pool.delivered - moved == pytest.approx(share * rtt, rel=1e-12)
+    with pytest.raises(ValueError):
+        topo.set_cross_traffic(link, link.capacity)

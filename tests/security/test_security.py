@@ -216,3 +216,29 @@ def test_a_verdict_lives_no_longer_than_its_certificate(ca):
     del cred
     gc.collect()
     assert [c for c in ca_module._SIGNED if c.subject == subject] == []
+
+
+def test_dropped_grids_leave_no_key_pairs_behind():
+    """The key space holds pairs weakly: two grids built, used and dropped
+    leave it where it was, while a live certificate keeps its issuer's
+    pair — and so its signature — verifiable."""
+    from repro.gdmp import DataGrid, GdmpConfig
+    from repro.netsim.units import MB
+    from repro.security import keys
+
+    gc.collect()
+    start = len(keys._KEYSPACE)
+    for _ in range(2):
+        grid = DataGrid([GdmpConfig("cern"), GdmpConfig("anl")],
+                        catalog_host="cern", seed=3)
+        grid.run(until=grid.site("cern").client.produce_and_publish(
+            "kept.db", 1 * MB))
+        assert len(keys._KEYSPACE) > start
+        del grid
+    gc.collect()
+    assert len(keys._KEYSPACE) == start
+
+    cert = CertificateAuthority("/C=CH/O=Brief/CN=Gone CA").issue(
+        "/O=Grid/CN=Orphan", KeyPair.generate().public)
+    gc.collect()
+    assert cert.check_signature()

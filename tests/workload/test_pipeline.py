@@ -460,7 +460,7 @@ def _lane_behind_a_filled_pipe(kind):
     replicator.start()
     _drain(grid, tasks)
     [link] = grid.topology.route("cern", "anl")
-    link.cross_traffic = mbps(35)           # 10 Mbit/s left of the 45
+    grid.topology.set_cross_traffic(link, mbps(35))   # 10 of the 45 left
     tasks += [_submit_bundle(queue, b) for b in (1, 2, 3)]
     _drain(grid, tasks)
     return queue, replicator, tasks
