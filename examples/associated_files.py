@@ -78,7 +78,9 @@ def main() -> None:
     print(f"derived association graph: {aod_db.name} requires "
           f"{sorted(graph.requires(aod_db.name))}")
     policy = AssociatedFilesPolicy(graph)
-    reports = grid.run(until=anl.client.replicate_consistent(aod_db.name, policy))
+    reports = grid.run(until=anl.client.replicate_set(
+        policy.replication_set(aod_db.name), skip_held=True
+    ))
     print("consistent replication moved, dependencies first:",
           [r.lfn for r in reports])
 

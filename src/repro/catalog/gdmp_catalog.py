@@ -166,10 +166,6 @@ class GdmpCatalog:
         self.catalog.bulk_add_filenames_to_location(self.collection, site, lfns)
         return lfns
 
-    def add_replica(self, lfn: str, site: str) -> None:
-        """Record that ``site`` now also holds ``lfn``."""
-        self.add_replicas([lfn], site)
-
     def adopt(
         self,
         lfn: str,
@@ -184,7 +180,7 @@ class GdmpCatalog:
 
         This is the write path of a sharded deployment: when a file born
         at site A is replicated to site B, B's Local Replica Catalog has
-        no entry for the LFN, so a bare :meth:`add_replica` would fail.
+        no entry for the LFN, so a bare :meth:`add_replicas` would fail.
         ``adopt`` creates the logical-file entry on first contact and is
         idempotent throughout (re-adoption updates nothing).
         """

@@ -1,6 +1,6 @@
 """The ``catalog.*`` operation table: one row per wire operation.
 
-Everything that must know the catalog's ten operations reads this
+Everything that must know the catalog's nine operations reads this
 table instead of spelling them out again — the service that hosts a
 catalog, the read replica that mirrors one, the site-side proxy and the
 digest feed of the Replica Location Index (all in :mod:`repro.gdmp` and
@@ -83,8 +83,6 @@ OPERATIONS: dict[str, CatalogOperation] = {
             "add", mints=True),
         _Op("publish_bulk", lambda c, p: c.publish_bulk(p["site"], p["files"]),
             "add", "files", mints=True),
-        _Op("add_replica", lambda c, p: c.add_replica(p["lfn"], p["site"]),
-            "add"),
         _Op("add_replica_bulk",
             lambda c, p: c.add_replicas(list(p["lfns"]), p["site"]),
             "add", "lfns"),

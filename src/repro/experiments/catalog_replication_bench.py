@@ -71,7 +71,10 @@ def run(lookups: int = 20, seed: int = 2001) -> CatalogReplicationResult:
         lookups,
     )
     catalog = replicated.site("caltech").client.catalog
-    writes = (catalog.add_replica, catalog.remove_replica)
+    writes = (
+        lambda lfn, site: catalog.add_replicas([lfn], site),
+        catalog.remove_replica,
+    )
     replicated_write = _timed(
         replicated, lambda i: writes[i]("f.db", "caltech"), len(writes)
     )

@@ -9,16 +9,17 @@
 * obtaining a remote site's file catalog for failure recovery, and
 * transferring files from a remote location to the local site."
 
-``replicate`` implements the full §4.1 pipeline: locate (catalog) ->
-select source (cost function) -> stage at source (MSS) -> pre-process ->
-GridFTP transfer with CRC + restart recovery -> post-process (e.g.
-Objectivity attach) -> register the new replica in the catalog.
+``replicate_set`` implements the full §4.1 pipeline once: locate
+(catalog) -> select source (cost function) -> stage at source (MSS) ->
+pre-process -> GridFTP transfer with CRC + restart recovery ->
+post-process (e.g. Objectivity attach) -> register the new replicas in
+the catalog.  ``replicate`` is a transfer set of one.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.gdmp.config import GdmpConfig
@@ -55,7 +56,11 @@ class ReplicationReport:
     source: str
     destination: str
     size: float
-    total_duration: float       # locate + stage + transfer + post-process
+    #: a set member's: from its turn in the set to its bytes being
+    #: held (stage + transfer + post-process); :meth:`GdmpClient.
+    #: replicate`'s: from the call until the set closed (locate -> ...
+    #: -> register)
+    total_duration: float
     transfer_duration: float
     stage_wait: float
     attempts: int
@@ -94,7 +99,8 @@ class _TransferSet:
         #: leg is a process that *returns* {lfn: stage answer} for the
         #: files its source pinned, never raises
         self._wave: dict[str, tuple[str, Process]] = {}
-        #: source -> LFNs pinned there for this set, wave or single
+        #: source -> LFNs pinned there for this set, by the wave or at
+        #: a file's turn
         self._pins: dict[str, list[str]] = {}
         self.prestaged = 0   # files that found the wave's answer waiting
         self.restaged = 0    # files that had to ask at their turn
@@ -165,8 +171,8 @@ class _TransferSet:
     def take_prestaged(self, source: str, lfn: str):
         """Generator: the wave's stage answer for ``lfn`` if it asked
         ``source`` and the source had the file on disk, else None — the
-        caller then stages singly, exactly as outside a set.  A pin the
-        wave took at another source stays on the set's list."""
+        caller then asks at its turn.  A pin the wave took at another
+        source stays on the set's list."""
         asked, leg = self._wave.get(lfn, (None, None))
         if asked == source:
             answer = (yield leg).get(lfn)
@@ -371,44 +377,49 @@ class GdmpClient:
         streams: Optional[int] = None,
         tcp_buffer: Optional[int] = None,
     ) -> Process:
-        """Create a local replica of ``lfn`` (the §4.1 pipeline).
+        """Create a local replica of ``lfn`` (the §4.1 pipeline): a
+        :meth:`replicate_set` of one.
 
-        One file pays its whole control conversation — stage request,
-        GridFTP dial and negotiation, goodbye, release — which is the
-        per-transfer setup cost Figure 5 measures; :meth:`replicate_set`
-        pays it once per source for a whole transfer set.
+        The file pays a set's whole control conversation alone — one
+        ``info_bulk``, one stage request, one GridFTP dial and
+        negotiation, one ``add_replicas`` flush, one ``release`` and one
+        ``QUIT`` — which is the per-transfer setup cost EXP-GDMP
+        measures.  Returns the set's one :class:`ReplicationReport`, its
+        ``total_duration`` counted from this call until the set closed.
         """
-        return self._replicate(lfn, prefer_site, streams, tcp_buffer)
+
+        def run():
+            started = self.sim.now
+            (report,) = yield self.replicate_set(
+                [lfn], prefer_site, streams, tcp_buffer
+            )
+            return replace(report, total_duration=self.sim.now - started)
+
+        return self.sim.spawn(run(), name=f"gdmp-replicate {lfn}")
 
     def _replicate(
         self,
-        lfn: str,
+        info,
         prefer_site: Optional[str],
         streams: Optional[int],
         tcp_buffer: Optional[int],
-        info=None,
-        transfer_set: Optional[_TransferSet] = None,
+        transfer_set: _TransferSet,
     ) -> Process:
-        """The §4.1 pipeline for one file, alone or as a member of
-        ``transfer_set``.  A member arrives with its already-fetched
-        :class:`LogicalFileInfo`, rides the set's session with its source
-        and the set's staging wave, and leaves its pin and its catalog
-        registration to the set's end."""
+        """The §4.1 pipeline for one file of ``transfer_set``, from its
+        already-fetched :class:`LogicalFileInfo`: it rides the set's
+        session with its source and the set's staging wave, and leaves
+        its pin and its catalog registration to the set's end."""
+        lfn = info.lfn
         streams = streams or self.config.parallel_streams
         tcp_buffer = tcp_buffer or self.config.tcp_buffer
 
         def stage_at(source):
             """The stage answer for this file at ``source``: the wave's
-            when it asked this source, else one request of its own."""
-            if transfer_set is None:
-                answers = yield from self._stage_call(
-                    source, "request_stage", [lfn]
-                )
-            else:
-                answer = yield from transfer_set.take_prestaged(source, lfn)
-                if answer is not None:
-                    return answer
-                answers = yield from transfer_set.stage(source, [lfn])
+            when it asked this source, else one request of the set's."""
+            answer = yield from transfer_set.take_prestaged(source, lfn)
+            if answer is not None:
+                return answer
+            answers = yield from transfer_set.stage(source, [lfn])
             answer = answers[lfn]
             if "error" in answer:
                 raise RemoteCallError(
@@ -416,7 +427,7 @@ class GdmpClient:
                 )
             return answer
 
-        def attempt_from(source, info, local_path):
+        def attempt_from(source, local_path):
             """One full attempt against one source.  Returns
             (move_report, stage_wait, transfer_duration)."""
             stage_started = self.sim.now
@@ -438,10 +449,10 @@ class GdmpClient:
                     expected_crc=info.crc,
                     streams=streams,
                     tcp_buffer=tcp_buffer,
-                    sessions=transfer_set.sessions if transfer_set else None,
+                    sessions=transfer_set.sessions,
                 )
                 transfer_duration = self.sim.now - transfer_started
-                if transfer_set is not None and report.channels == "warm":
+                if report.channels == "warm":
                     transfer_set.warm += 1
                 # post-processing (e.g. attach to the local federation)
                 yield from plugin.post_process(self.site_runtime, report.stored)
@@ -449,9 +460,6 @@ class GdmpClient:
                 if reservation is not None:
                     reservation.release()
                 raise
-            finally:
-                if transfer_set is None:
-                    yield from self._release(source, [lfn])
             self.storage.commit_incoming(reservation)
             return report, stage_wait, transfer_duration
 
@@ -470,10 +478,6 @@ class GdmpClient:
             return result
 
         def replicate_body(started):
-            if info is None:
-                file_info = yield self.catalog.info(lfn)
-            else:
-                file_info = info
             local_path = self.config.storage_path(lfn)
             if self.storage.fs.exists(local_path):
                 if lfn in self.server.held:
@@ -492,9 +496,9 @@ class GdmpClient:
             # (§4.3's pluggable error recovery: alternate-replica failover)
             ranking = ranked_sources(
                 self.topology,
-                file_info.locations,
+                info.locations,
                 self.site,
-                file_info.size,
+                info.size,
                 prefer_site=prefer_site,
                 weather=self.weather,
             )
@@ -514,23 +518,20 @@ class GdmpClient:
             (report, stage_wait, transfer_duration), source, failed = (
                 yield from failover_walk(
                     [score.site for score in ranking],
-                    lambda source: attempt_from(source, file_info, local_path),
+                    lambda source: attempt_from(source, local_path),
                     describe=repr(lfn),
                     on_failover=on_failover,
                 )
             )
-            # make the replica visible to the grid (a set defers this to
-            # one bulk registration at the transfer-set boundary)
-            if transfer_set is None:
-                yield self.catalog.add_replica(lfn, self.site)
+            # the set registers the new replica at its end
             self.server.record_held(lfn, local_path)
             self.stats["replicated"] += 1
-            self.stats["bytes_replicated"] += file_info.size
+            self.stats["bytes_replicated"] += info.size
             return ReplicationReport(
                 lfn=lfn,
                 source=source,
                 destination=self.site,
-                size=file_info.size,
+                size=info.size,
                 total_duration=self.sim.now - started,
                 transfer_duration=transfer_duration,
                 stage_wait=stage_wait,
@@ -625,7 +626,7 @@ class GdmpClient:
 
         ``skip_held`` makes the call re-entrant after an interruption:
         files already held locally are not transferred again, but still
-        join the registration flush — ``add_replica`` is idempotent at
+        join the registration flush — ``add_replicas`` is idempotent at
         the catalog, so this repairs a registration that a previous,
         interrupted pass transferred but never managed to flush.
         """
@@ -653,8 +654,8 @@ class GdmpClient:
                                 registered.append(file_info.lfn)
                                 continue
                             member = self._replicate(
-                                file_info.lfn, prefer_site, streams,
-                                tcp_buffer, file_info, transfer_set,
+                                file_info, prefer_site, streams, tcp_buffer,
+                                transfer_set,
                             )
                             reports.append((yield member))
                             registered.append(file_info.lfn)
@@ -735,23 +736,6 @@ class GdmpClient:
             return lfns
 
         return self.sim.spawn(run(), name=f"gdmp-publish-set x{len(specs)}")
-
-    def replicate_consistent(self, lfn: str, policy, **kwargs) -> Process:
-        """Replicate ``lfn`` under a consistency policy (§2.2): the policy
-        expands the request to the set of associated files that must travel
-        together; already-held members are skipped.  Returns the list of
-        :class:`ReplicationReport` (dependencies first)."""
-
-        def run():
-            reports = []
-            for member in policy.replication_set(lfn):
-                if member in self.server.held:
-                    continue
-                report = yield self.replicate(member, **kwargs)
-                reports.append(report)
-            return reports
-
-        return self.sim.spawn(run(), name=f"gdmp-replicate-consistent {lfn}")
 
     def delete_replica(self, lfn: str) -> Process:
         """Reliably delete this site's replica of ``lfn`` (§3.1's replica

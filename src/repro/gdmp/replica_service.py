@@ -56,11 +56,6 @@ __all__ = [
 #: request messages.
 BULK_ITEM_SIZE = 96
 
-#: Histogram bounds for bulk-envelope batch sizes (items per envelope).
-_BATCH_BOUNDS = (
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-)
-
 
 class ReplicaCatalogService:
     """Hosts the central :class:`GdmpCatalog` behind the request manager."""
@@ -69,8 +64,6 @@ class ReplicaCatalogService:
                  metrics: MetricsRegistry = NO_METRICS):
         self.catalog = catalog or GdmpCatalog()
         self.server = server
-        #: bulk batch-size histograms per op
-        self.metrics = metrics
         #: called with (operation, payload) after each successful write —
         #: the hook :mod:`repro.gdmp.catalog_replication` propagates from.
         self.write_listeners: list = []
@@ -89,11 +82,6 @@ class ReplicaCatalogService:
         """Every ``catalog.*`` request: catalog operations are in-memory
         and immediate, so the handler is a plain function."""
         payload = request.payload
-        if row.batch is not None:
-            self.metrics.histogram(
-                "catalog.bulk.batch_size", bounds=_BATCH_BOUNDS,
-                op=row.name.removesuffix("_bulk"),  # one series per operation
-            ).observe(row.n_items(payload))
         try:
             answer = row.apply(self.catalog, payload)
         except CatalogError as exc:
@@ -258,12 +246,6 @@ class CatalogProxy(RequestProxy):
         return self._spawn_write(
             f"catalog-publish-bulk x{len(files)}", "publish_bulk",
             site=site, files=files,
-        )
-
-    def add_replica(self, lfn: str, site: str) -> Process:
-        """Record an additional replica of a logical file."""
-        return self._spawn_write(
-            f"catalog-add-replica {lfn}", "add_replica", lfn=lfn, site=site
         )
 
     def add_replicas(self, lfns: list[str], site: str) -> Process:

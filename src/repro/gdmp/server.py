@@ -136,13 +136,9 @@ class GdmpServer:
         where a manual site would have kept it."""
         lfns, producer = news["lfns"], news["producer"]
         try:
-            if len(lfns) > 1:
-                # a batched announcement is fetched as one transfer set —
-                # two catalog envelopes for the whole batch
-                yield self.client.replicate_set(lfns, prefer_site=producer)
-            else:
-                for lfn in lfns:
-                    yield self.client.replicate(lfn, prefer_site=producer)
+            # one transfer set per announcement: two catalog envelopes
+            # for the whole batch
+            yield self.client.replicate_set(lfns, prefer_site=producer)
         except Exception:
             self.stats["auto_replication_failures"] += 1
             self.pending_news.append(news)

@@ -13,8 +13,7 @@ Protocol features reproduced from the paper's list:
 
 :class:`~repro.gridftp.server.GridFTPServer` runs one wuftpd-style daemon
 per site; :class:`~repro.gridftp.client.GridFTPClient` is the
-``globus_ftp_client`` equivalent, and :func:`~repro.gridftp.url.globus_url_copy`
-the scripting tool.
+``globus_ftp_client`` equivalent.
 """
 
 from repro.gridftp.client import GridFTPClient, TransferError, TransferResult
@@ -26,7 +25,6 @@ from repro.gridftp.protocol import (
     Reply,
 )
 from repro.gridftp.server import FailureInjector, GridFTPServer
-from repro.gridftp.url import GridFTPUrl, globus_url_copy, parse_url
 
 __all__ = [
     "Command",
@@ -34,7 +32,6 @@ __all__ = [
     "FailureInjector",
     "GridFTPClient",
     "GridFTPServer",
-    "GridFTPUrl",
     "PerfMarker",
     "ProtocolError",
     "RangeSet",
@@ -42,6 +39,4 @@ __all__ = [
     "RestartMarker",
     "TransferError",
     "TransferResult",
-    "globus_url_copy",
-    "parse_url",
 ]

@@ -397,10 +397,6 @@ class RlsCatalogProxy(CatalogProxy):
             f"rls-publish-bulk x{len(files)}",
         )
 
-    def add_replica(self, lfn: str, site: str):
-        """Register a replica at this site's LRC: an adoption of one."""
-        return self.add_replicas([lfn], site)
-
     def add_replicas(self, lfns: list[str], site: str):
         """Register replicas at this site's LRC in one envelope, adopting
         each logical file (metadata and all) the LRC has never seen."""

@@ -46,7 +46,7 @@ def test_replica_add_remove_round_trip(lfn, replica_sites):
     first, rest = replica_sites[0], replica_sites[1:]
     gc.publish(first, size=1, modified=0, crc=0, lfn=lfn)
     for site in rest:
-        gc.add_replica(lfn, site)
+        gc.add_replicas([lfn], site)
     assert {loc["location"] for loc in gc.locations(lfn)} == set(replica_sites)
     for site in replica_sites:
         gc.remove_replica(lfn, site)

@@ -43,19 +43,19 @@ def test_publish_negative_size_rejected(gc):
 
 def test_add_replica_and_locations(gc):
     gc.publish("cern", size=1, modified=0, crc=0, lfn="f")
-    gc.add_replica("f", "anl")
+    gc.add_replicas(["f"], "anl")
     sites = {loc["location"] for loc in gc.locations("f")}
     assert sites == {"cern", "anl"}
 
 
 def test_add_replica_unknown_lfn_rejected(gc):
     with pytest.raises(CatalogError, match="unknown logical file"):
-        gc.add_replica("ghost", "anl")
+        gc.add_replicas(["ghost"], "anl")
 
 
 def test_remove_replica_keeps_lfn_while_copies_remain(gc):
     gc.publish("cern", size=1, modified=0, crc=0, lfn="f")
-    gc.add_replica("f", "anl")
+    gc.add_replicas(["f"], "anl")
     gc.remove_replica("f", "cern")
     assert gc.lfn_exists("f")
     assert [loc["location"] for loc in gc.locations("f")] == ["anl"]

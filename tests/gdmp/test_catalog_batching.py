@@ -169,7 +169,7 @@ def test_local_writes_invalidate_the_cache(grid):
     proxy = anl.client.catalog
     locations = grid.run(until=proxy.locations("c.db"))
     assert [loc["location"] for loc in locations] == ["cern"]
-    # replicating writes add_replica through the same proxy -> invalidation
+    # replicating writes add_replicas through the same proxy -> invalidation
     grid.run(until=anl.client.replicate("c.db"))
     locations = grid.run(until=proxy.locations("c.db"))
     assert [loc["location"] for loc in locations] == ["anl", "cern"]

@@ -45,7 +45,7 @@ def test_local_reads_are_fast_remote_writes_still_pay_wan(rgrid):
     assert read_latency < 0.01
     # write from caltech: still one WAN trip to the primary
     start = grid.sim.now
-    grid.run(until=caltech.client.catalog.add_replica("f.db", "caltech"))
+    grid.run(until=caltech.client.catalog.add_replicas(["f.db"], "caltech"))
     write_latency = grid.sim.now - start
     assert write_latency > 0.12
 
@@ -58,7 +58,7 @@ def test_replication_pipeline_works_over_replicated_catalog(rgrid):
     report = grid.run(until=caltech.client.replicate("data.db"))
     assert report.source == "cern"
     drain(grid)
-    # the add_replica write reached every replica
+    # the add_replicas write reached every replica
     for replica in replicas.values():
         sites = {loc["location"] for loc in replica.catalog.locations("data.db")}
         assert sites == {"cern", "caltech"}

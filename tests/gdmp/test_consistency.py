@@ -109,7 +109,9 @@ def test_consistent_replication_preserves_navigation(grid):
     graph = FileAssociationGraph.from_federation(cern.federation)
     policy = AssociatedFilesPolicy(graph)
     reports = grid.run(
-        until=anl.client.replicate_consistent("aod.db", policy)
+        until=anl.client.replicate_set(
+            policy.replication_set("aod.db"), skip_held=True
+        )
     )
     assert [r.lfn for r in reports] == ["raw.db", "aod.db"]
     aod = anl.federation.find_by_key("0/aod")
@@ -124,6 +126,8 @@ def test_consistent_replication_skips_already_held(grid):
     policy = AssociatedFilesPolicy(graph)
     grid.run(until=anl.client.replicate("raw.db"))
     reports = grid.run(
-        until=anl.client.replicate_consistent("aod.db", policy)
+        until=anl.client.replicate_set(
+            policy.replication_set("aod.db"), skip_held=True
+        )
     )
     assert [r.lfn for r in reports] == ["aod.db"]

@@ -1,9 +1,9 @@
 """Every GridFTP conversation of the data plane rides the mover's session
 table.  A one-file conversation — a chunk upload, a scrub probe, a
-repair, ``replicate()``, an object shipment — dials without asking the
-server to keep its data channels, hangs up in place and leaves nothing
-behind; a transfer set's table keeps its sessions and says every
-goodbye at the set's end."""
+repair, an object shipment — dials without asking the server to keep
+its data channels, hangs up in place and leaves nothing behind; a
+transfer set's table, ``replicate()``'s set of one included, keeps its
+sessions and says every goodbye at the set's end."""
 
 from collections import Counter
 
@@ -72,8 +72,13 @@ def test_one_file_conversations_never_cache_and_leave_nothing_behind():
     assert grid.metrics.value("chunks.repair", event="chunks_rebuilt") == 1
     assert grid.site(holder).fs.stat(spec.path).crc == spec.crc
     assert_nothing_left(grid, "scrub pass with a repair")
+    dialled = len(dials)
     grid.run(until=anl.client.replicate("f.db"))
     assert_nothing_left(grid, "replicate()")
+    # replicate() is a transfer set of one: its table asks to cache, and
+    # its one file still finds the channels cold
+    assert [cache for *_, cache in dials[dialled:]] == [True]
+    del dials[dialled:]
     report = grid.run(until=ObjectReplicator(grid, "anl", index)
                       .replicate_objects(
                           [f"{e}/aod" for e in catalog.event_numbers[:20]]))

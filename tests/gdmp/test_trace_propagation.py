@@ -42,7 +42,7 @@ def test_replicate_produces_one_trace_end_to_end():
     assert transfer.kind == "transfer"
     # catalog update: the new replica registered under the same trace
     add_replica_spans = grid.tracelog.spans(
-        trace_id=root.trace_id, name="gdmp:catalog.add_replica"
+        trace_id=root.trace_id, name="gdmp:catalog.add_replica_bulk"
     )
     assert any(span.kind == "server" for span in add_replica_spans)
 

@@ -124,25 +124,27 @@ def test_eight_file_set_from_one_source_costs_seventeen_requests():
 
 
 def test_single_replicate_keeps_its_eight_requests_in_order():
-    """The per-transfer setup cost is Figure 5's measurement."""
+    """The per-transfer setup cost is Figure 5's measurement: a set of
+    one dials, negotiates and moves its file, then says its three
+    goodbyes — release, ``QUIT``, registration — at once."""
     grid = make_grid("cern", "anl")
     publish(grid, "cern", ["one.db", "two.db"])
     mark = len(grid.tracelog)
     anl = grid.site("anl").client
     report = grid.run(until=anl.replicate("one.db"))
     assert client_requests(grid, mark) == [
-        "gdmp:catalog.info",
+        "gdmp:catalog.info_bulk",
         "gdmp:request_stage",
         "gridftp:AUTH", "gridftp:ADAT", "gridftp:SBUF", "gridftp:OPTS",
-        "gridftp:RETR", "gridftp:QUIT",
-        "gdmp:release",
-        "gdmp:catalog.add_replica",
+        "gridftp:RETR",
+        "gdmp:release", "gridftp:QUIT", "gdmp:catalog.add_replica_bulk",
     ]
-    # ... to the tick: the timings of the commit before cached channels
-    assert report.total_duration == 2.210343199999999
-    assert report.transfer_duration == 1.7010324799999998
-    # a single conversation never asks for cached channels, so the next
-    # one, an instant later, pays its slow start again
+    # ... to the tick: the goodbyes no longer queue behind each other,
+    # and the QUIT is no longer inside the transfer
+    assert report.total_duration == 1.9559950400000001
+    assert report.transfer_duration == 1.57395056
+    # a set's session ends with the set, so the next one, an instant
+    # later, pays its slow start again
     again = grid.run(until=anl.replicate("two.db"))
     assert again.transfer_duration == pytest.approx(
         report.transfer_duration, rel=1e-9)
@@ -150,6 +152,43 @@ def test_single_replicate_keeps_its_eight_requests_in_order():
     assert grid.metrics.value("gridftp.channels_reused", host="cern") == 0
     assert_no_pins(grid)
     assert_no_sessions(grid)
+
+
+def test_replicate_is_a_transfer_set_of_one():
+    """``replicate(lfn)`` pays one of each envelope a set pays per
+    source, leaves nothing behind, and reports the whole call."""
+    grid = make_grid("cern", "anl")
+    publish(grid, "cern", ["one.db"])
+    mark = len(grid.tracelog)
+    called = grid.sim.now
+    report = grid.run(until=grid.site("anl").client.replicate("one.db"))
+    returned = grid.sim.now
+    assert Counter(client_requests(grid, mark)) == {
+        "gdmp:catalog.info_bulk": 1,
+        "gdmp:request_stage": 1,
+        "gridftp:AUTH": 1, "gridftp:ADAT": 1,
+        "gridftp:SBUF": 1, "gridftp:OPTS": 1,
+        "gridftp:RETR": 1,
+        "gridftp:QUIT": 1,
+        "gdmp:release": 1,
+        "gdmp:catalog.add_replica_bulk": 1,
+    }
+    assert grid.leaks() == []
+    # locate -> ... -> register: from the call until the set closed,
+    # which is when the registration landed
+    registration = grid.tracelog.find(
+        "gdmp:catalog.add_replica_bulk", kind="client")
+    assert report.total_duration == returned - called
+    assert registration.end == returned
+    span = grid.tracelog.find("gdmp:replicate-set")
+    assert span.start == called and span.end == returned
+    # the set's member keeps the member's clock: its turn to its bytes
+    member = grid.tracelog.find("gdmp:replicate")
+    assert member.parent_id == span.span_id
+    assert report.total_duration > member.end - member.start
+    assert sorted(grid.site("anl").server.held) == ["one.db"]
+    assert sorted(loc["location"] for loc in
+                  grid.catalog_backend.locations("one.db")) == ["anl", "cern"]
 
 
 # -- (b) same outcome as file-by-file ------------------------------------------

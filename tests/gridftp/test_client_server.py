@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.scaffold import counter_total
-from repro.gridftp import RangeSet, TransferError, globus_url_copy
+from repro.gridftp import RangeSet, TransferError
 from repro.netsim.units import KiB, MB, to_mbps
 from repro.security import new_user_credential
 
@@ -214,31 +214,6 @@ def test_third_party_transfer(grid):
         grid.fs["anl"].stat("/mirror/data.db").crc
         == grid.fs["cern"].stat("/store/data.db").crc
     )
-
-
-def test_globus_url_copy_get(grid):
-    result = grid.sim.run(
-        until=globus_url_copy(
-            grid.client,
-            "gsiftp://cern/store/data.db",
-            "file:///pool/copied.db",
-            streams=4,
-            tcp_buffer=1024 * KiB,
-        ),
-    )
-    assert result.streams == 4
-    assert grid.fs["anl"].exists("/pool/copied.db")
-
-
-def test_globus_url_copy_third_party(grid):
-    result = grid.sim.run(
-        until=globus_url_copy(
-            grid.client,
-            "gsiftp://cern/store/data.db",
-            "gsiftp://anl/mirror/tp.db",
-        ),
-    )
-    assert grid.fs["anl"].exists("/mirror/tp.db")
 
 
 def test_unauthenticated_command_rejected(grid):

@@ -135,13 +135,13 @@ def test_explicit_publish_rejects_grid_wide_duplicate(rls_grid):
 
 
 def test_replication_adopts_metadata_at_destination(rls_grid):
-    """add_replica at a site that never saw the file adopts it into the
+    """add_replicas at a site that never saw the file adopts it into the
     local LRC, metadata included, and the next digest advertises it."""
     grid = rls_grid
     publish(grid, "anl", "spread.dat", size=123_456, crc=99)
     converge(grid)
     dest = proxy_of(grid, "cern")
-    grid.run(until=dest.add_replica("spread.dat", "cern"))
+    grid.run(until=dest.add_replicas(["spread.dat"], "cern"))
     assert dest.stats["adoptions"] == 1
     backend = grid.rls.backends["cern"]
     assert backend.lfn_exists("spread.dat")
@@ -208,7 +208,7 @@ def test_wave_answers_equal_the_serial_router():
         grid.run(until=proxy.publish(site, 1000.0, 0.0, 7, lfn=lfn, run=run))
     converge(grid)
     for dest in ("fnal", "caltech", "cern"):
-        grid.run(until=proxy_of(grid, dest).add_replica("shared.dat", dest))
+        grid.run(until=proxy_of(grid, dest).add_replicas(["shared.dat"], dest))
     grid.run(until=grid.sim.timeout(FAST_DIGESTS.period * 5))
     grid.rls.stop()
     # false positive: the index believes cern also holds anl-only.dat

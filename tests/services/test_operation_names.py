@@ -15,12 +15,12 @@ from repro.simulation.randomness import RandomStreams
 from repro.workload import ArrivalProfile, WorkloadEngine
 
 #: every site: the GDMP daemon, its LRC (sharded mode gives each site
-#: the ten ``catalog.*`` operations) and the forecast subscriber
+#: the nine ``catalog.*`` operations) and the forecast subscriber
 PLAIN_SITE = {
     "subscribe", "unsubscribe", "notify", "get_catalog",
     "request_stage", "release",
     "catalog.publish", "catalog.publish_bulk",
-    "catalog.add_replica", "catalog.add_replica_bulk", "catalog.adopt_bulk",
+    "catalog.add_replica_bulk", "catalog.adopt_bulk",
     "catalog.remove_replica", "catalog.locations",
     "catalog.info", "catalog.info_bulk", "catalog.search",
     "weather.push_digest",

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 tests (which include the recorded-figure determinism
-# record and the netsim/catalog differential suites), the e2e benchmark
-# harness smoke tests, the smoke gate (every campaign experiment twice
-# per leg, the path and event budgets, two scenarios run back to back in
-# one process, the recorded experiment output), every performance record
-# at smoke size against its floors, the paper's claims table, and (when
-# available) ruff.
+# record, the netsim/catalog differential suites and the rule tests of
+# tests/tools/: the option, operation, process, transfer, telemetry and
+# module rules, the last one "every module has a caller that is not a
+# test"), the e2e benchmark harness smoke tests, the smoke gate (every
+# campaign experiment twice per leg, the path and event budgets, two
+# scenarios run back to back in one process, the recorded experiment
+# output), every performance record at smoke size against its floors,
+# the paper's claims table, and (when available) ruff.
 #
 #   tools/ci_check.sh
 #
