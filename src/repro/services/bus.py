@@ -343,6 +343,8 @@ class ServiceEndpoint:
             )
         )
         self._handlers: dict[str, Handler] = {}
+        #: span name per operation, built once: ``service:operation``
+        self._span_names: dict[str, str] = {}
         self._chain = self._build_chain(tuple(middlewares))
         msgnet.register(host, service, self._receive)
 
@@ -399,8 +401,13 @@ class ServiceEndpoint:
         request.context = envelope.context
         span: Optional[Span] = None
         if self.tracelog is not None:
+            name = self._span_names.get(request.operation)
+            if name is None:
+                name = self._span_names[request.operation] = (
+                    f"{self.service}:{request.operation}"
+                )
             span = self.tracelog.begin(
-                f"{self.service}:{request.operation}",
+                name,
                 parent=request.context,
                 kind="server",
                 host=self.host.name,
@@ -478,6 +485,8 @@ class ServiceClient:
         #: observe a crash exactly as a real one would — silence.
         self.fail_fast_when_down = False
         self._client_chain = self._build_client_chain(tuple(middlewares))
+        #: span name per operation, built once: ``service:operation``
+        self._span_names: dict[str, str] = {}
         # Per-simulator serial, not a module global: back-to-back
         # simulations in one process name their endpoints identically.
         self.reply_service = (
@@ -611,8 +620,13 @@ class ServiceClient:
         )
         span: Optional[Span] = None
         if self.tracelog is not None:
+            name = self._span_names.get(operation)
+            if name is None:
+                name = self._span_names[operation] = (
+                    f"{self.service}:{operation}"
+                )
             span = self.tracelog.begin(
-                f"{self.service}:{operation}",
+                name,
                 parent=parent,
                 kind="client",
                 host=self.host.name,

@@ -16,7 +16,7 @@ remaining budget.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 __all__ = ["RequestContext"]
 
@@ -26,21 +26,41 @@ class RequestContext:
 
     A value: two contexts naming the same span with the same deadline are
     equal and hash alike.  Nothing changes one after it is built —
-    :meth:`child` and :meth:`with_deadline` build new ones."""
+    :meth:`child` and :meth:`with_deadline` build new ones.
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "deadline")
+    A context a trace log's span made (``span.context``) holds that view
+    in ``span`` and no id strings: its ids are read from the view when
+    asked, so no id is formatted on the request path, and the log finds
+    a child's parent row through it.  ``span`` is not part of the value;
+    a context built by hand has none."""
+
+    __slots__ = ("_trace_id", "_span_id", "_parent_id", "deadline", "span")
 
     def __init__(
         self,
-        trace_id: str,
-        span_id: str,
+        trace_id: Optional[str],
+        span_id: Optional[str],
         parent_id: Optional[str] = None,
         deadline: Optional[float] = None,
+        span: Any = None,
     ):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self._trace_id = trace_id
+        self._span_id = span_id
+        self._parent_id = parent_id
         self.deadline = deadline
+        self.span = span
+
+    @property
+    def trace_id(self) -> str:
+        return self._trace_id if self.span is None else self.span.trace_id
+
+    @property
+    def span_id(self) -> str:
+        return self._span_id if self.span is None else self.span.span_id
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        return self._parent_id if self.span is None else self.span.parent_id
 
     def _key(self) -> tuple:
         return (self.trace_id, self.span_id, self.parent_id, self.deadline)
@@ -75,5 +95,6 @@ class RequestContext:
         if self.deadline is not None:
             deadline = min(deadline, self.deadline)
         return RequestContext(
-            self.trace_id, self.span_id, self.parent_id, deadline
+            self._trace_id, self._span_id, self._parent_id, deadline,
+            self.span,
         )

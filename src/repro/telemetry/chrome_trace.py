@@ -12,9 +12,9 @@ Renders the grid's request spans in the Trace Event Format understood by
 * spans still in progress become instant (``"i"``) events so an aborted
   simulation remains inspectable instead of silently dropping work;
 * each parent/child edge that crosses hosts becomes a flow arrow
-  (``"s"``/``"f"`` pair keyed by the child's span id), so a ``replicate``
-  request can be followed hop by hop: RPC -> GridFTP control -> transfer
-  flows -> catalog update.
+  (``"s"``/``"f"`` pair keyed by the number in the child's span id), so
+  a ``replicate`` request can be followed hop by hop: RPC -> GridFTP
+  control -> transfer flows -> catalog update.
 
 All ordering is the trace log's span order plus sorted host/service
 tables, so two identical simulations export byte-identical JSON.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 
-from repro.services.tracelog import Span, TraceLog
+from repro.services.tracelog import TraceLog, json_attrs
 
 __all__ = ["chrome_trace_events", "to_chrome_trace_json", "dump_chrome_trace"]
 
@@ -32,49 +32,45 @@ __all__ = ["chrome_trace_events", "to_chrome_trace_json", "dump_chrome_trace"]
 GRID_PROCESS = "grid"
 
 
-def _rows(spans: list[Span]) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
+def _places(tracelog: TraceLog) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
     """Stable pid/tid assignment: hosts sorted (pid from 1), services
-    sorted within each host (tid from 1)."""
-    hosts = sorted({span.host or GRID_PROCESS for span in spans})
+    sorted within each host (tid from 1).  Every interned key has a
+    span, so the key table names every row there is."""
+    by_host: dict[str, set[str]] = {}
+    for _name, kind, host, service in tracelog.keys:
+        by_host.setdefault(host or GRID_PROCESS, set()).add(service or kind)
+    hosts = sorted(by_host)
     pids = {host: i + 1 for i, host in enumerate(hosts)}
     tids: dict[tuple[str, str], int] = {}
-    by_host: dict[str, set[str]] = {}
-    for span in spans:
-        host = span.host or GRID_PROCESS
-        by_host.setdefault(host, set()).add(span.service or span.kind)
     for host in hosts:
         for i, service in enumerate(sorted(by_host[host])):
             tids[(host, service)] = i + 1
     return pids, tids
 
 
-def _span_args(span: Span) -> dict:
+def _span_args(tracelog: TraceLog, row: int) -> dict:
     args = {
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "status": span.status,
+        "trace_id": tracelog.trace_id_of(row),
+        "span_id": f"s{row + 1:06d}",
+        "status": tracelog.statuses[tracelog.status_codes[row]],
     }
-    if span.parent_id is not None:
-        args["parent_id"] = span.parent_id
-    if span.detail:
-        args["detail"] = span.detail
-    for key, value in span.attrs.items():
-        if not isinstance(value, (str, int, float, bool)) and value is not None:
-            value = str(value)
-        args[key] = value
+    parent_id = tracelog.parent_id_of(row)
+    if parent_id is not None:
+        args["parent_id"] = parent_id
+    detail = tracelog.details.get(row)
+    if detail:
+        args["detail"] = detail
+    attrs = tracelog.attrs.get(row)
+    if attrs:
+        args.update(json_attrs(attrs))
     return args
 
 
-def _numeric_id(span_id: str) -> int:
-    """A span's flow-arrow id: the numeric tail of ``s000123``."""
-    digits = "".join(c for c in span_id if c.isdigit())
-    return int(digits) if digits else abs(hash(span_id)) % (1 << 31)
-
-
 def chrome_trace_events(tracelog: TraceLog) -> list[dict]:
-    """The trace log as a list of Chrome trace-event dicts."""
-    spans = tracelog.spans()
-    pids, tids = _rows(spans)
+    """The trace log as a list of Chrome trace-event dicts, read from its
+    columns.  A flow arrow's id is the child's row + 1, the number in its
+    span id."""
+    pids, tids = _places(tracelog)
     events: list[dict] = []
     for host in sorted(pids):
         events.append({
@@ -92,58 +88,64 @@ def chrome_trace_events(tracelog: TraceLog) -> list[dict]:
             "tid": tids[(host, service)],
             "args": {"name": service},
         })
-    by_id = {span.span_id: span for span in spans}
-    for span in spans:
-        host = span.host or GRID_PROCESS
-        pid = pids[host]
-        tid = tids[(host, span.service or span.kind)]
-        ts = span.start * 1e6
-        if span.end is None:
+    # per interned key: (name, kind, host row, pid, tid)
+    places = []
+    for name, kind, host, service in tracelog.keys:
+        host = host or GRID_PROCESS
+        places.append(
+            (name, kind, host, pids[host], tids[(host, service or kind)])
+        )
+    key_ids, starts, ends = tracelog.key_ids, tracelog.starts, tracelog.ends
+    for row in range(len(tracelog)):
+        name, kind, host, pid, tid = places[key_ids[row]]
+        start, end = starts[row], ends[row]
+        ts = start * 1e6
+        if end != end:  # still open
             events.append({
-                "name": span.name,
-                "cat": span.kind,
+                "name": name,
+                "cat": kind,
                 "ph": "i",
                 "s": "t",       # thread-scoped instant
                 "ts": ts,
                 "pid": pid,
                 "tid": tid,
-                "args": _span_args(span),
+                "args": _span_args(tracelog, row),
             })
         else:
             events.append({
-                "name": span.name,
-                "cat": span.kind,
+                "name": name,
+                "cat": kind,
                 "ph": "X",
                 "ts": ts,
-                "dur": (span.end - span.start) * 1e6,
+                "dur": (end - start) * 1e6,
                 "pid": pid,
                 "tid": tid,
-                "args": _span_args(span),
+                "args": _span_args(tracelog, row),
             })
-        parent = by_id.get(span.parent_id) if span.parent_id else None
-        if parent is not None:
-            parent_host = parent.host or GRID_PROCESS
-            if parent_host != host:
-                flow_id = _numeric_id(span.span_id)
-                events.append({
-                    "name": span.name,
-                    "cat": "flow",
-                    "ph": "s",
-                    "id": flow_id,
-                    "ts": parent.start * 1e6,
-                    "pid": pids[parent_host],
-                    "tid": tids[(parent_host, parent.service or parent.kind)],
-                })
-                events.append({
-                    "name": span.name,
-                    "cat": "flow",
-                    "ph": "f",
-                    "bp": "e",
-                    "id": flow_id,
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": tid,
-                })
+        parent = tracelog.parent_row(row)
+        if parent < 0:
+            continue
+        _, _, parent_host, parent_pid, parent_tid = places[key_ids[parent]]
+        if parent_host != host:
+            events.append({
+                "name": name,
+                "cat": "flow",
+                "ph": "s",
+                "id": row + 1,
+                "ts": starts[parent] * 1e6,
+                "pid": parent_pid,
+                "tid": parent_tid,
+            })
+            events.append({
+                "name": name,
+                "cat": "flow",
+                "ph": "f",
+                "bp": "e",
+                "id": row + 1,
+                "ts": ts,
+                "pid": pid,
+                "tid": tid,
+            })
     return events
 
 

@@ -142,16 +142,21 @@ def render_health_report(
             lines.extend(section.render(registry, top_n))
 
     if tracelog is not None and len(tracelog):
-        finished = [s for s in tracelog.spans() if s.end is not None]
+        keys, key_ids = tracelog.keys, tracelog.key_ids
+        starts, ends = tracelog.starts, tracelog.ends
+        statuses, codes = tracelog.statuses, tracelog.status_codes
         per_host: dict[str, list[int]] = {}
-        for span in tracelog.spans():
-            host = span.host or "-"
+        finished: list[int] = []
+        for row in range(len(tracelog)):
+            host = keys[key_ids[row]][2] or "-"
             counts = per_host.setdefault(host, [0, 0, 0])
             counts[0] += 1
-            if span.status == "error":
+            if statuses[codes[row]] == "error":
                 counts[1] += 1
-            if span.end is None:
+            if ends[row] != ends[row]:
                 counts[2] += 1
+            else:
+                finished.append(row)
         lines.append("")
         lines.append("-- spans per host --")
         lines.extend(
@@ -164,9 +169,12 @@ def render_health_report(
             )
         )
 
-        slowest = sorted(
-            finished, key=lambda s: (-(s.end - s.start), s.span_id)
-        )[:top_n]
+        slowest = [
+            Span(tracelog, row) for row in sorted(
+                finished,
+                key=lambda r: (-(ends[r] - starts[r]), f"s{r + 1:06d}"),
+            )[:top_n]
+        ]
         if slowest:
             lines.append("")
             lines.append(f"-- top {len(slowest)} slowest spans --")

@@ -13,11 +13,12 @@ checks, per leg:
   experiment extras + full Prometheus export) are byte-identical;
 * the suite's own assertions, declared beside its params below.
 
-Then the named checks in ``CHECKS``: eleven budgets that fail here in
+Then the named checks in ``CHECKS``: twelve budgets that fail here in
 seconds instead of in a benchmark in minutes (``publish_path``,
 ``transfer_set_path``, ``warm_channels``, ``event_budget``,
 ``claim_budget``, ``pipe_fill``, ``table_builds``, ``lossy_stretch``,
-``store_runs``, ``object_census``, ``directory_census``); two
+``store_runs``, ``object_census``, ``directory_census``,
+``span_census``); two
 scenarios run twice in this process and diffed part by part
 (``back_to_back``: ids, names and counts must restart with the
 simulator; ``exporters``: shape and determinism of the trace and metrics
@@ -56,6 +57,8 @@ from repro.netsim.units import MB
 from repro.objectdb import Container, EventStoreBuilder, Federation
 from repro.objectrep.index_service import IndexService
 from repro.rls import DigestConfig, RlsConfig
+from repro.services import TraceLog
+from repro.simulation.kernel import Simulator
 from repro.telemetry import to_chrome_trace_json, to_prometheus_text
 from repro.workload.components import Replicator
 from repro.workload.production import ProductionRun
@@ -718,6 +721,61 @@ def check_directory_census() -> list[str]:
     return []
 
 
+#: objects CPython's cyclic collector tracks per span after
+#: ``CENSUS_PAIRS`` bus-shaped client + server span pairs, plus 10 %:
+#: 15 / 20 001 = 0.00075 since the trace log keeps columns (20 008 /
+#: 20 001 = 1.0 when each span was a ``Span`` object).  Lower it when a
+#: change lowers the count
+TRACKED_PER_SPAN = 0.00082
+CENSUS_PAIRS = 10_000
+
+
+def census_spans(log: TraceLog, pairs: int) -> None:
+    """``pairs`` spans shaped like one bus request each: a client span
+    under one root, with an attribute, and the server span it causes."""
+    root = log.begin("gdmp:replicate-set", host="anl", service="gdmp",
+                     count=pairs)
+    for i in range(pairs):
+        client = log.begin(
+            "gdmp:catalog.info", parent=root.context, kind="client",
+            host="anl", service="gdmp", lfn=f"census-{i:06d}.dat",
+        )
+        server = log.begin(
+            "gdmp:catalog.info", parent=client.context_until(30.0),
+            kind="server", host="cern", service="gdmp",
+        )
+        log.finish(server)
+        log.finish(client, "error", detail="no such lfn")
+    log.finish(root)
+
+
+def check_span_census() -> list[str]:
+    """What the trace log costs the cyclic collector: the tracked objects
+    (``gc.get_objects()`` after ``gc.collect()``, with what lived before
+    frozen out) ``CENSUS_PAIRS`` client + server span pairs add, per
+    span."""
+    # a small log first pays lazy imports and caches
+    census_spans(TraceLog(Simulator()), 10)
+    gc.collect()
+    gc.freeze()  # what lives now is out of the count, whatever happens to it
+    try:
+        log = TraceLog(Simulator())
+        census_spans(log, CENSUS_PAIRS)
+        gc.collect()
+        added = len(gc.get_objects())
+    finally:
+        gc.unfreeze()
+    per_span = added / len(log)
+    report = (
+        f"span census: {added} tracked objects for {len(log)} spans, "
+        f"{per_span:.5f} each (budget {TRACKED_PER_SPAN})"
+    )
+    if per_span > TRACKED_PER_SPAN:
+        return [report]
+    print(f"  {report}")
+    return []
+
+
 def run_twice(label: str, scenario: Callable[[], dict], *shape_checks) -> list[str]:
     """Run ``scenario`` twice in this process and diff the runs part by
     part (a problem quotes the first differing lines), then ask each of
@@ -910,6 +968,7 @@ CHECKS = {
     "store_runs": check_store_runs,
     "object_census": check_object_census,
     "directory_census": check_directory_census,
+    "span_census": check_span_census,
     # global-state leaks: everything a run names or counts
     "back_to_back": lambda: run_twice("back to back", back_to_back_scenario),
     # the trace and metrics exports: deterministic and well formed
