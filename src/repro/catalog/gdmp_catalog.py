@@ -116,10 +116,10 @@ class GdmpCatalog:
         return lfn
 
     def _register(self, specs: list[tuple[str, dict]]) -> None:
-        """Name-list and attribute entries for new logical files."""
-        self.catalog.bulk_add_filenames_to_collection(
-            self.collection, [lfn for lfn, _ in specs]
-        )
+        """Attribute entries, then name-list entries, for new logical
+        files.  The entries' batch refuses a bad name (reserved
+        characters, a spelling that normalizes onto a stored DN) before
+        it writes, so a refused batch leaves no name without an entry."""
         self.catalog.bulk_create_logical_file_entries(
             self.collection,
             (
@@ -128,15 +128,15 @@ class GdmpCatalog:
                     {
                         "size": f"{item.get('size', 0):.0f}",
                         "modified": f"{item.get('modified', 0):.6f}",
-                        "crc": str(item.get("crc", 0)),
-                        **{
-                            k: str(v)
-                            for k, v in (item.get("attributes") or {}).items()
-                        },
+                        "crc": item.get("crc", 0),
+                        **(item.get("attributes") or {}),
                     },
                 )
                 for lfn, item in specs
             ),
+        )
+        self.catalog.bulk_add_filenames_to_collection(
+            self.collection, [lfn for lfn, _ in specs]
         )
 
     def publish_bulk(self, site: str, files: list[dict]) -> list[str]:
@@ -150,13 +150,18 @@ class GdmpCatalog:
         the in-memory half of "one envelope carrying N registrations".
         Returns the LFNs in input order.
         """
+        taken = self.catalog.collection_members(
+            self.collection, (item.get("lfn") for item in files)
+        )
         specs: list[tuple[str, dict]] = []
         seen: set[str] = set()
         for item in files:
             lfn = self._checked(item)
             if lfn is None:
                 lfn = self.generate_lfn()
-            elif lfn in seen or self.lfn_exists(lfn):
+                while lfn in seen:  # named earlier in this batch
+                    lfn = self.generate_lfn()
+            elif lfn in seen or lfn in taken:
                 raise CatalogError(f"logical file name {lfn!r} already in use")
             seen.add(lfn)
             specs.append((lfn, item))
@@ -197,13 +202,16 @@ class GdmpCatalog:
         and optional ``attributes``; already-known LFNs only gain the
         location record (idempotent, like :meth:`adopt`).
         """
+        known = self.catalog.collection_members(
+            self.collection, (item.get("lfn") for item in files)
+        )
         fresh: list[tuple[str, dict]] = []
         seen: set[str] = set()
         for item in files:
             lfn = self._checked(item)
             if lfn is None:  # only a publish may leave the name to us
                 raise CatalogError(f"invalid logical file name {lfn!r}")
-            if lfn not in seen and not self.lfn_exists(lfn):
+            if lfn not in seen and lfn not in known:
                 fresh.append((lfn, item))
             seen.add(lfn)
         self.register_site(site)
@@ -215,8 +223,9 @@ class GdmpCatalog:
 
     def add_replicas(self, lfns: list[str], site: str) -> None:
         """Record that ``site`` now holds every LFN in the batch."""
+        known = self.catalog.collection_members(self.collection, lfns)
         for lfn in lfns:
-            if not self.lfn_exists(lfn):
+            if lfn not in known:
                 raise CatalogError(f"unknown logical file {lfn!r}")
         self.register_site(site)
         self.catalog.bulk_add_filenames_to_location(self.collection, site, lfns)

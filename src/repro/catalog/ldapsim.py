@@ -479,34 +479,6 @@ class LdapDirectory:
         except LdapError:
             return False
 
-    def _insert(self, dn: str, parent: Optional[str], attributes: dict) -> None:
-        """Shared add path: DN normalized, parent already checked."""
-        parent_row = -1 if parent is None else self._rows[parent]
-        if self._free:
-            row = self._free.pop()
-            self._dns[row] = dn
-            self._parents[row] = parent_row
-        else:
-            row = len(self._dns)
-            self._dns.append(dn)
-            self._parents.append(parent_row)
-            self._shapes.append(())
-        self._rows[dn] = row
-        if parent_row >= 0:
-            kids = self._kids.get(parent_row)
-            if kids is None:
-                kids = self._kids[parent_row] = set()
-            kids.add(row)
-        for attr, values in attributes.items():
-            values = list(values)
-            self._store(row, attr, values)
-            by_value = self._by_value(attr)
-            for value in values:
-                # the common case, a value no row holds yet, posts the row
-                if by_value.setdefault(value, row) is not row:
-                    _post(by_value, value, row)
-        self._shapes[row] = self._shape(tuple(attributes))
-
     def add(self, dn: str, attributes: dict[str, Iterable[str]]) -> None:
         """Add an entry; its parent must already exist."""
         self.add_many([(dn, attributes)])
@@ -516,26 +488,90 @@ class LdapDirectory:
 
         Parents may be earlier members of the same batch.  Validation runs
         before any mutation, so a bad batch leaves the directory unchanged.
+        A DN whose text after its first comma is a normalized DN already
+        in the directory or earlier in the batch has only its leading RDN
+        parsed; any other spelling goes through :func:`split_dn`, so both
+        ways accept, spell and refuse exactly the same DNs.
         """
         self.operations += 1
+        rows = self._rows
         batch: list[tuple[str, Optional[str], dict]] = []
         incoming: set[str] = set()
         for dn, attributes in items:
-            parts = split_dn(dn)  # one parse gives the DN and its parent
-            dn = ",".join(parts)
-            if dn in self._rows or dn in incoming:
+            head, comma, parent = dn.partition(",")
+            if comma and (parent in rows or parent in incoming):
+                rdn = head.strip()
+                attr, equals, value = rdn.partition("=")
+                attr = attr.strip()
+                if not (equals and attr):
+                    raise LdapError(f"malformed DN component {rdn!r} in {dn!r}")
+                dn = f"{attr}={value.strip()},{parent}"
+            else:
+                parts = split_dn(dn)  # one parse gives the DN and its parent
+                dn = ",".join(parts)
+                parent = ",".join(parts[1:]) if len(parts) > 1 else None
+                if (
+                    parent is not None
+                    and parent not in rows
+                    and parent not in incoming
+                ):
+                    raise LdapError(f"parent {parent!r} of {dn!r} does not exist")
+            if dn in rows or dn in incoming:
                 raise LdapError(f"entry exists: {dn!r}")
-            parent = ",".join(parts[1:]) if len(parts) > 1 else None
-            if (
-                parent is not None
-                and parent not in self._rows
-                and parent not in incoming
-            ):
-                raise LdapError(f"parent {parent!r} of {dn!r} does not exist")
             incoming.add(dn)
             batch.append((dn, parent, attributes))
+        dns, parents, shapes, kids = self._dns, self._parents, self._shapes, self._kids
+        columns, postings, free = self._columns, self._postings, self._free
         for dn, parent, attributes in batch:
-            self._insert(dn, parent, attributes)
+            parent_row = -1 if parent is None else rows[parent]
+            if free:
+                row = free.pop()
+                dns[row] = dn
+                parents[row] = parent_row
+            else:
+                row = len(dns)
+                dns.append(dn)
+                parents.append(parent_row)
+                shapes.append(())
+            rows[dn] = row
+            if parent_row >= 0:
+                siblings = kids.get(parent_row)
+                if siblings is None:
+                    kids[parent_row] = {row}
+                else:
+                    siblings.add(row)
+            for attr, values in attributes.items():
+                if type(values) is not tuple and type(values) is not list:
+                    values = list(values)
+                by_value = postings.get(attr)
+                if by_value is None:
+                    by_value = postings[attr] = {}
+                for value in values:  # _post's cases, inline
+                    held = by_value.get(value)
+                    if held is None:
+                        by_value[value] = row
+                    elif type(held) is set:
+                        held.add(row)
+                    elif type(held) is int:
+                        if held != row:
+                            by_value[value] = (held, row)
+                    elif row not in held:
+                        by_value[value] = (
+                            held + (row,) if len(held) < _TUPLE_POSTING_MAX
+                            else {*held, row}
+                        )
+                cell = values[0] if len(values) == 1 else list(values)
+                column = columns.get(attr)
+                if column is None:
+                    column = columns[attr] = []
+                size = len(column)
+                if row < size:
+                    column[row] = cell
+                else:
+                    if row > size:
+                        column.extend([None] * (row - size))
+                    column.append(cell)
+            shapes[row] = self._shape(tuple(attributes))
 
     def get(self, dn: str, attributes: Optional[Collection[str]] = None) -> Entry:
         """A view of one entry (of only ``attributes`` when given);
@@ -597,6 +633,18 @@ class LdapDirectory:
         if row is None:
             raise LdapError(f"no such entry: {dn!r}")
         return _holds(self._postings.get(attr, {}).get(value), row)
+
+    def held_values(self, dn: str, attr: str, values: Iterable[str]) -> set[str]:
+        """The members of ``values`` the entry holds under ``attr``: one
+        operation and one posting probe per value, however large the
+        batch."""
+        self.operations += 1
+        dn = normalize_dn(dn)
+        row = self._rows.get(dn)
+        if row is None:
+            raise LdapError(f"no such entry: {dn!r}")
+        posted = self._postings.get(attr, {}).get
+        return {value for value in values if _holds(posted(value), row)}
 
     def modify_add(self, dn: str, attr: str, value: str) -> None:
         """Add a value to a (possibly new) attribute; idempotent."""

@@ -125,6 +125,16 @@ class ReplicaCatalog:
         except LdapError as exc:
             raise CatalogError(str(exc)) from exc
 
+    def collection_members(self, collection: str, lfns: Iterable[str]) -> set[str]:
+        """The members of ``lfns`` registered in the collection: one
+        index probe for the whole batch."""
+        try:
+            return self.directory.held_values(
+                self.collection_dn(collection), "filename", lfns
+            )
+        except LdapError as exc:
+            raise CatalogError(str(exc)) from exc
+
     def bulk_add_filenames_to_collection(
         self, collection: str, lfns: Iterable[str]
     ) -> None:
@@ -168,8 +178,9 @@ class ReplicaCatalog:
     ) -> None:
         """Record many replicas at one location in one directory operation."""
         lfns = list(lfns)
+        registered = self.collection_members(collection, lfns)
         for lfn in lfns:
-            if not self.collection_contains(collection, lfn):
+            if lfn not in registered:
                 raise CatalogError(
                     f"{lfn!r} is not in collection {collection!r}; "
                     f"register it first"
@@ -226,18 +237,21 @@ class ReplicaCatalog:
         ``entries`` yields ``(lfn, attributes)`` pairs.
         """
         self._require_collection(collection)
+        parent = self.collection_dn(collection)
+
+        def directory_entries():
+            for lfn, attributes in entries:
+                # one-value tuples, not lists: the cyclic collector stops
+                # tracking a tuple of strings, so the batch add_many holds
+                # while it validates promotes fewer objects to the older
+                # generations, and triggers fewer full collections
+                fields = {"objectClass": ("GlobusReplicaLogicalFile",), "lfn": (lfn,)}
+                for name, value in attributes.items():
+                    fields[name] = (str(value),)
+                yield f"lf={_escape(lfn)},{parent}", fields
+
         try:
-            self.directory.add_many(
-                (
-                    self.logical_file_dn(collection, lfn),
-                    {
-                        "objectClass": ["GlobusReplicaLogicalFile"],
-                        "lfn": [lfn],
-                        **{k: [str(v)] for k, v in attributes.items()},
-                    },
-                )
-                for lfn, attributes in entries
-            )
+            self.directory.add_many(directory_entries())
         except LdapError as exc:
             raise CatalogError(str(exc)) from exc
 
