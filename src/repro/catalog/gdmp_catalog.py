@@ -16,7 +16,6 @@ user selection of new logical file names."
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,20 +51,29 @@ class GdmpCatalog:
         #: Local Replica Catalog a site-unique stem so names generated
         #: independently at different sites can never collide.
         self.lfn_stem = lfn_stem
-        self._auto_lfn = itertools.count(1)
+        #: the counter behind generated LFNs: every candidate drawn, taken
+        #: or not, uses up one number
+        self._auto_lfn = 1
         # automatic creation of required entries
         if not self.catalog.collection_exists(collection):
             self.catalog.create_collection(collection)
 
     # -- namespace ------------------------------------------------------------
-    def generate_lfn(self, stem: Optional[str] = None) -> str:
-        """Automatic logical file name generation (collision-free)."""
-        if stem is None:
-            stem = self.lfn_stem
+    def _generated_lfns(self, run: int):
+        """Automatic logical file name generation (collision-free): the
+        candidates no catalog entry holds, in counter order, checked
+        ``run`` at a time with one membership probe.  Read it only while
+        the catalog is unchanged."""
         while True:
-            candidate = f"{stem}.{next(self._auto_lfn):06d}"
-            if not self.lfn_exists(candidate):
-                return candidate
+            first = self._auto_lfn
+            candidates = [
+                f"{self.lfn_stem}.{n:06d}" for n in range(first, first + run)
+            ]
+            taken = self.catalog.collection_members(self.collection, candidates)
+            for candidate in candidates:
+                self._auto_lfn += 1
+                if candidate not in taken:
+                    yield candidate
 
     def lfn_exists(self, lfn: str) -> bool:
         """Whether the logical file name is already taken (O(1), via the
@@ -153,20 +161,25 @@ class GdmpCatalog:
         taken = self.catalog.collection_members(
             self.collection, (item.get("lfn") for item in files)
         )
+        generated = self._generated_lfns(
+            sum(item.get("lfn") is None for item in files)
+        )
         specs: list[tuple[str, dict]] = []
         seen: set[str] = set()
         for item in files:
             lfn = self._checked(item)
             if lfn is None:
-                lfn = self.generate_lfn()
+                lfn = next(generated)
                 while lfn in seen:  # named earlier in this batch
-                    lfn = self.generate_lfn()
+                    lfn = next(generated)
             elif lfn in seen or lfn in taken:
                 raise CatalogError(f"logical file name {lfn!r} already in use")
             seen.add(lfn)
             specs.append((lfn, item))
-        self.register_site(site)
+        # the location only once the entries are written: a refused
+        # batch leaves nothing behind
         self._register(specs)
+        self.register_site(site)
         lfns = [lfn for lfn, _ in specs]
         self.catalog.bulk_add_filenames_to_location(self.collection, site, lfns)
         return lfns
@@ -214,9 +227,9 @@ class GdmpCatalog:
             if lfn not in seen and lfn not in known:
                 fresh.append((lfn, item))
             seen.add(lfn)
-        self.register_site(site)
         if fresh:
             self._register(fresh)
+        self.register_site(site)
         self.catalog.bulk_add_filenames_to_location(
             self.collection, site, [item["lfn"] for item in files]
         )

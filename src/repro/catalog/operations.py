@@ -1,15 +1,15 @@
 """The ``catalog.*`` operation table: one row per wire operation.
 
-Everything that must know the catalog's nine operations reads this
+Everything that must know the catalog's six operations reads this
 table instead of spelling them out again — the service that hosts a
 catalog, the read replica that mirrors one, the site-side proxy and the
 digest feed of the Replica Location Index (all in :mod:`repro.gdmp` and
 :mod:`repro.rls`, which import downward to here).  Adding or changing an
 operation is one row, one :class:`GdmpCatalog` method and one proxy stub.
 
-A row stays while some caller sends it.  The wire keeps a per-name and a
-``*_bulk`` spelling only where both carry traffic (payload shapes and
-envelope sizes differ); in process a name is a batch of one.
+A row stays while some caller sends it.  A name is a batch of one on
+the wire as in process: a per-name read or publish is an ``info_bulk``
+or ``publish_bulk`` envelope carrying one item.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class CatalogOperation:
         the catalog may leave names to it: pass the ``answer`` to read
         them from there (a propagated payload has them filled in)."""
         if self.mints and answer is not None:
-            return [answer] if self.batch is None else list(answer)
+            return list(answer)
         if self.batch is None:
             return [payload["lfn"]]
         if "lfns" in payload:  # the batch itself, or a propagated list
@@ -73,14 +73,10 @@ class CatalogOperation:
 
 _Op = CatalogOperation
 
-#: every ``catalog.*`` operation, writes first, keyed by its bare name.
-#: The payload of a per-name ``publish`` is itself a valid batch item,
-#: so that row hands it to the bulk method as a batch of one.
+#: every ``catalog.*`` operation, writes first, keyed by its bare name
 OPERATIONS: dict[str, CatalogOperation] = {
     row.name: row
     for row in (
-        _Op("publish", lambda c, p: c.publish_bulk(p["site"], [p])[0],
-            "add", mints=True),
         _Op("publish_bulk", lambda c, p: c.publish_bulk(p["site"], p["files"]),
             "add", "files", mints=True),
         _Op("add_replica_bulk",
@@ -90,8 +86,6 @@ OPERATIONS: dict[str, CatalogOperation] = {
             "add", "files"),
         _Op("remove_replica",
             lambda c, p: c.remove_replica(p["lfn"], p["site"]), "remove"),
-        _Op("locations", lambda c, p: c.locations(p["lfn"])),
-        _Op("info", lambda c, p: c.info(p["lfn"])),
         _Op("info_bulk",
             lambda c, p: c.info_bulk(
                 list(p["lfns"]), missing_ok=p.get("missing_ok", False)

@@ -295,6 +295,10 @@ def _run_leg(
     ):
         grid.run(until=proc)
     post_after = _selection_totals(grid)
+    if smart:
+        # the measured work is done: stop the forecast pushers, letting a
+        # push on the wire land, so the run ends with no call in flight
+        grid.run(until=grid.sim.all_of(grid.weather.finish()))
     errors.extend(grid.leaks())
 
     return {

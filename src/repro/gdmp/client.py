@@ -311,37 +311,15 @@ class GdmpClient:
     # -- service 2: publish -----------------------------------------------------
     def publish(self, lfn: str, path: str, **attributes) -> Process:
         """Publish an existing local file: register it (and its metadata) in
-        the replica catalog and notify all subscribers."""
+        the replica catalog and notify all subscribers — a
+        :meth:`publish_set` of one.  Returns the LFN."""
 
         def run():
-            with self._root_span("gdmp:publish", lfn=lfn):
-                stored = self.storage.fs.stat(path)
-                yield self.catalog.publish(
-                    self.site,
-                    size=stored.size,
-                    modified=stored.created_at,
-                    crc=stored.crc,
-                    lfn=lfn,
-                    **attributes,
-                )
-                self.server.record_held(lfn, path)
-                self.stats["published"] += 1
-                # §4.2: "The subscribers are notified of the existence of
-                # new files." — subscription filters select who hears
-                # about this one
-                file_attrs = {
-                    "lfn": lfn,
-                    "size": f"{stored.size:.0f}",
-                    **{k: str(v) for k, v in attributes.items()},
-                }
-                for subscriber in self.server.subscribers_for(file_attrs):
-                    yield from self.rpc.invoke(
-                        subscriber,
-                        "notify",
-                        {"producer": self.site, "lfns": [lfn],
-                         "attributes": file_attrs},
-                    )
-            return lfn
+            (name,) = yield from self._publish_set(
+                [{"path": path, "lfn": lfn, "attributes": attributes}],
+                "gdmp:publish", lfn=lfn,
+            )
+            return name
 
         return self.sim.spawn(run(), name=f"gdmp-publish {lfn}")
 
@@ -683,59 +661,43 @@ class GdmpClient:
         order.
         """
         specs = list(specs)
+        return self.sim.spawn(
+            self._publish_set(specs, "gdmp:publish-set", count=len(specs)),
+            name=f"gdmp-publish-set x{len(specs)}",
+        )
 
-        def run():
-            with self._root_span("gdmp:publish-set", count=len(specs)):
-                files = []
-                stats = []
-                for spec in specs:
-                    stored = self.storage.fs.stat(spec["path"])
-                    stats.append(stored)
-                    files.append(
-                        {
-                            "size": stored.size,
-                            "modified": stored.created_at,
-                            "crc": stored.crc,
-                            "lfn": spec.get("lfn"),
-                            "attributes": spec.get("attributes", {}),
-                        }
-                    )
-                lfns = []
-                if specs:
-                    lfns = yield self.catalog.publish_bulk(self.site, files)
-                    per_subscriber: dict[str, list[str]] = {}
-                    attrs_by_lfn: dict[str, dict] = {}
-                    for spec, stored, lfn in zip(specs, stats, lfns):
-                        self.server.record_held(lfn, spec["path"])
-                        self.stats["published"] += 1
-                        file_attrs = {
-                            "lfn": lfn,
-                            "size": f"{stored.size:.0f}",
-                            **{
-                                k: str(v)
-                                for k, v in spec.get("attributes", {}).items()
-                            },
-                        }
-                        attrs_by_lfn[lfn] = file_attrs
-                        for subscriber in self.server.subscribers_for(file_attrs):
-                            per_subscriber.setdefault(subscriber, []).append(lfn)
-                    # one notification per subscriber for the whole set
-                    for subscriber in sorted(per_subscriber):
-                        matched = per_subscriber[subscriber]
-                        yield from self.rpc.invoke(
-                            subscriber,
-                            "notify",
-                            {
-                                "producer": self.site,
-                                "lfns": matched,
-                                "attributes": {
-                                    lfn: attrs_by_lfn[lfn] for lfn in matched
-                                },
-                            },
-                        )
-            return lfns
-
-        return self.sim.spawn(run(), name=f"gdmp-publish-set x{len(specs)}")
+    def _publish_set(self, specs: list, span_name: str, **span_attrs):
+        """Generator: the body of :meth:`publish_set` under a root span
+        ``span_name``."""
+        with self._root_span(span_name, **span_attrs):
+            if not specs:
+                return []
+            stored = [self.storage.fs.stat(spec["path"]) for spec in specs]
+            lfns = yield self.catalog.publish_bulk(self.site, [
+                {"size": st.size, "modified": st.created_at, "crc": st.crc,
+                 "lfn": spec.get("lfn"), "attributes": spec.get("attributes", {})}
+                for spec, st in zip(specs, stored)
+            ])
+            # subscriber -> {lfn: attributes} of the files its filter selects
+            news: dict[str, dict[str, dict]] = {}
+            for spec, st, lfn in zip(specs, stored, lfns):
+                self.server.record_held(lfn, spec["path"])
+                self.stats["published"] += 1
+                attributes = {
+                    "lfn": lfn,
+                    "size": f"{st.size:.0f}",
+                    **{k: str(v) for k, v in spec.get("attributes", {}).items()},
+                }
+                for subscriber in self.server.subscribers_for(attributes):
+                    news.setdefault(subscriber, {})[lfn] = attributes
+            # §4.2: "The subscribers are notified of the existence of new
+            # files." — one notification per subscriber for the whole set
+            for subscriber in sorted(news):
+                yield from self.rpc.invoke(subscriber, "notify", {
+                    "producer": self.site, "lfns": list(news[subscriber]),
+                    "attributes": news[subscriber],
+                })
+        return lfns
 
     def delete_replica(self, lfn: str) -> Process:
         """Reliably delete this site's replica of ``lfn`` (§3.1's replica

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from repro.catalog.gdmp_catalog import GdmpCatalog, LogicalFileInfo
+from repro.catalog.gdmp_catalog import GdmpCatalog
 from repro.catalog.operations import OPERATIONS, CatalogOperation
 from repro.catalog.replica_catalog import CatalogError
 from repro.gdmp.request_manager import (
@@ -225,6 +225,12 @@ class CatalogProxy(RequestProxy):
             self._cache.pop(("locations", lfn), None)
 
     # -- writes (always to the primary; invalidate on completion) -----------------
+    def _publish(self, site: str, files: list[dict]):
+        """Generator: one ``publish_bulk`` envelope; answers the LFNs."""
+        return (yield from self._apply_write(
+            "publish_bulk", {"site": site, "files": files}
+        ))
+
     def publish(
         self,
         site: str,
@@ -234,18 +240,23 @@ class CatalogProxy(RequestProxy):
         lfn: Optional[str] = None,
         **attributes,
     ) -> Process:
-        """Register a new logical file and its first replica (one WAN call)."""
-        return self._spawn_write(
-            f"catalog-publish {lfn}", "publish", site=site, size=size,
-            modified=modified, crc=crc, lfn=lfn, attributes=attributes,
-        )
+        """Register a new logical file and its first replica: a
+        :meth:`publish_bulk` of one.  Returns the LFN."""
+        files = [{"size": size, "modified": modified, "crc": crc, "lfn": lfn,
+                  "attributes": attributes}]
+
+        def run():
+            (name,) = yield from self._publish(site, files)
+            return name
+
+        return self.client.sim.spawn(run(), name=f"catalog-publish {lfn}")
 
     def publish_bulk(self, site: str, files: list[dict]) -> Process:
         """Register a whole file set in one envelope carrying N
         registrations.  Returns the list of LFNs."""
-        return self._spawn_write(
-            f"catalog-publish-bulk x{len(files)}", "publish_bulk",
-            site=site, files=files,
+        return self.client.sim.spawn(
+            self._publish(site, files),
+            name=f"catalog-publish-bulk x{len(files)}",
         )
 
     def add_replicas(self, lfns: list[str], site: str) -> Process:
@@ -264,38 +275,43 @@ class CatalogProxy(RequestProxy):
 
     # -- reads (served by read_host; info/locations cached) -----------------------
     def locations(self, lfn: str) -> Event:
-        """All physical locations of a logical file."""
-
-        def miss():
-            result = yield from self._read("locations", {"lfn": lfn})
-            self._cache_locations(lfn, result)
-            return result
-
-        return self._cached_read("locations", lfn, "catalog-locations", miss)
+        """All physical locations of a logical file (``[]`` for an
+        unknown one)."""
+        return self._lookup("locations", lfn)
 
     def info(self, lfn: str) -> Event:
         """Metadata and locations of a logical file."""
+        return self._lookup("info", lfn)
+
+    def _lookup(self, kind: str, lfn: str) -> Event:
+        """One per-name read: the cached ``kind`` answer, else an
+        ``info_bulk`` of one whose answer is cached as that kind."""
 
         def miss():
+            if kind == "locations":
+                found = yield from self._fetch_infos([lfn], missing_ok=True)
+                result = [dict(loc) for loc in found[lfn].locations] if found else []
+                self._cache_locations(lfn, result)
+                return result
             try:
-                result = yield from self._read("info", {"lfn": lfn})
+                found = yield from self._fetch_infos([lfn])
             except RemoteCallError as exc:
                 # An application-level "unknown logical file" is a stable
                 # answer until someone publishes it: cache the absence.
                 self._cache_put(("info", lfn), _NegativeEntry(exc))
                 raise
-            if isinstance(result, LogicalFileInfo):
-                self._cache_put(("info", lfn), result)
-            return result
+            self._cache_put(("info", lfn), found[lfn])
+            return found[lfn]
 
-        return self._cached_read("info", lfn, "catalog-info", miss)
+        return self._cached_read(kind, lfn, f"catalog-{kind}", miss)
 
-    def _fetch_infos(self, lfns: list[str]):
+    def _fetch_infos(self, lfns: list[str], missing_ok: bool = False):
         """Generator: ``{lfn: info}`` for names the cache could not
-        answer, in one envelope; an unknown name raises."""
-        fetched = yield from self._read("info_bulk", {"lfns": lfns})
-        for info in fetched:
-            self._cache_put(("info", info.lfn), info)
+        answer, in one envelope; an unknown name raises, or with
+        ``missing_ok`` is left out."""
+        fetched = yield from self._read(
+            "info_bulk", {"lfns": lfns, "missing_ok": missing_ok}
+        )
         return {info.lfn: info for info in fetched}
 
     def info_bulk(self, lfns: list[str]) -> Process:
@@ -316,7 +332,10 @@ class CatalogProxy(RequestProxy):
                     # for unknown LFNs, so let the catalog say so
                     missing.append(lfn)
             if missing:
-                known.update((yield from self._fetch_infos(missing)))
+                fetched = yield from self._fetch_infos(missing)
+                for lfn, info in fetched.items():
+                    self._cache_put(("info", lfn), info)
+                known.update(fetched)
             return [known[lfn] for lfn in lfns]
 
         return self.client.sim.spawn(run(), name=f"catalog-info-bulk x{len(lfns)}")

@@ -7,9 +7,10 @@ use):
 
 * ``rli.push_digest`` — a site pushes a full or delta digest; the reply
   acknowledges the generation so the source can clear its pending sets.
-* ``rli.lookup`` / ``rli.lookup_bulk`` — "which sites *might* hold LFN
-  X?".  Answers may be stale or contain bloom false positives; callers
-  must verify at the candidate LRCs (the router does).
+* ``rli.lookup_bulk`` — "which sites *might* hold each of these LFNs?"
+  (a single name is a batch of one).  Answers may be stale or contain
+  bloom false positives; callers must verify at the candidate LRCs (the
+  router does).
 
 Because every ``rli.*`` operation shares the GDMP service endpoint,
 fault campaigns can black-hole the whole index (prefix ``rli.``) or
@@ -43,7 +44,7 @@ class RliService:
         self.sim = server.sim
         self.index = index if index is not None else ReplicaLocationIndex()
         self.metrics = metrics
-        for op in ("push_digest", "lookup", "lookup_bulk"):
+        for op in ("push_digest", "lookup_bulk"):
             server.register(f"rli.{op}", getattr(self, f"_op_{op}"))
 
     # Handlers are plain functions: the index is in-memory and immediate.
@@ -59,10 +60,6 @@ class RliService:
             "applied": applied,
             "generation": self.index.states[payload["site"]].generation,
         }
-
-    def _op_lookup(self, request: ServiceRequest):
-        lfn = request.payload["lfn"]
-        return self.index.candidate_sites(lfn)
 
     def _op_lookup_bulk(self, request: ServiceRequest):
         lfns = request.payload["lfns"]

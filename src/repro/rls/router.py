@@ -8,9 +8,10 @@ central catalog:
 * **writes stay local** — publish / adopt / remove go to the owning
   site's Local Replica Catalog on the site's own host; cross-site
   knowledge travels as periodic compressed digests, not per-file RPCs;
-* **reads go index-first** — ``rli.lookup`` prunes the probe set to the
-  sites that *might* hold the LFN, then each candidate LRC is verified
-  with a real ``catalog.*`` read (verify-on-use).  A bloom false
+* **reads go index-first** — ``rli.lookup_bulk`` prunes the probe set to
+  the sites that *might* hold each LFN, then each candidate LRC is
+  verified with a real ``catalog.info_bulk`` read (verify-on-use); a
+  single name is a batch of one.  A bloom false
   positive or a stale index entry costs one wasted probe, never a wrong
   answer;
 * **every fan-out is one wave** — the per-site RPCs of a multi-site
@@ -35,7 +36,7 @@ every location in an answer came from the owning LRC itself.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..catalog.gdmp_catalog import LogicalFileInfo
 from ..gdmp.replica_service import CatalogProxy, _NegativeEntry
@@ -143,95 +144,27 @@ class RlsCatalogProxy(CatalogProxy):
             operation, "rls", f"unknown logical file {lfn!r}"
         )
 
-    def _resolve(self, lfn: str):
-        """Generator: two-tier resolve of one LFN into a merged
-        :class:`LogicalFileInfo` (or None when no LRC holds it).
-
-        One wave probes the own site and every candidate (each
-        confirming LRC contributes its locations); if nobody confirmed,
-        a second wave asks the sites not yet probed — index staleness
-        costs probes, never answers."""
-        candidates, used_index = yield from self._ask_index(
-            "rli.lookup", {"lfn": lfn}
-        )
-        if not candidates:
-            # unusable index or empty candidate set: widen to everyone
-            if used_index:
-                self.stats["fallback_broadcasts"] += 1
-            candidates = self.site_order
-        first = [self.own_site]
-        first.extend(
-            s for s in candidates if s != self.own_site and s in self.lrc_hosts
-        )
-        merged: Optional[LogicalFileInfo] = None
-        locations: list[dict] = []
-
-        def probe(sites: List[str]):
-            nonlocal merged
-            for info in (
-                yield from self._wave(
-                    "catalog.info", dict.fromkeys(sites, {"lfn": lfn})
-                )
-            ):
-                if isinstance(info, RemoteCallError):
-                    # verified miss: bloom false positive or stale entry
-                    self.stats["verify_misses"] += 1
-                elif isinstance(info, Exception):
-                    # dead/unreachable LRC: degrade to the remaining sites
-                    self.stats["lrc_failures"] += 1
-                else:
-                    locations.extend(dict(loc) for loc in info.locations)
-                    if merged is None:
-                        merged = info
-
-        yield from probe(first)
-        hops = len(first)
-        rest = [s for s in self.site_order if s not in first]
-        if merged is None and rest:
-            # every candidate denied the file; the holder may simply be
-            # younger than the last digest push — ask everyone else.
-            self.stats["fallback_broadcasts"] += 1
-            yield from probe(rest)
-            hops += len(rest)
-        self.metrics.histogram(
-            "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
-        ).observe(hops)
-        if merged is None:
-            self._cache_put(
-                ("info", lfn),
-                _NegativeEntry(self._not_found("catalog.info", lfn)),
-            )
-            return None
-        result = replace(merged, locations=tuple(locations))
-        self._cache_put(("info", lfn), result)
-        self._cache_locations(lfn, result.locations)
-        return result
-
     # -- reads ----------------------------------------------------------------
 
-    def _lookup(self, kind: str, lfn: str, shape):
+    def _lookup(self, kind: str, lfn: str):
         """One per-name read: the cached ``kind`` answer if there is one,
-        else a two-tier resolve whose outcome (the merged info, or None)
-        ``shape`` turns into this read's answer."""
+        else a :meth:`_resolve_bulk` of one.  An absence is cached as a
+        negative ``info``, which ``info`` raises and ``locations``
+        answers as ``[]``."""
 
         def miss():
-            return shape((yield from self._resolve(lfn)))
+            found = (yield from self._resolve_bulk([lfn])).get(lfn)
+            if found is None:
+                error = self._not_found("catalog.info", lfn)
+                self._cache_put(("info", lfn), _NegativeEntry(error))
+                if kind == "info":
+                    raise error
+                return []
+            if kind == "info":
+                return found
+            return [dict(loc) for loc in found.locations]
 
         return self._cached_read(kind, lfn, f"rls-{kind}", miss)
-
-    def info(self, lfn: str):
-        def found(result):
-            if result is None:
-                raise self._not_found("catalog.info", lfn)
-            return result
-
-        return self._lookup("info", lfn, found)
-
-    def locations(self, lfn: str):
-        return self._lookup(
-            "locations", lfn, lambda result: [] if result is None
-            else [dict(loc) for loc in result.locations],
-        )
 
     def _fetch_infos(self, lfns: list[str]):
         """The misses of an ``info_bulk``: one two-tier bulk resolve."""
@@ -242,15 +175,16 @@ class RlsCatalogProxy(CatalogProxy):
                 raise self._not_found("catalog.info_bulk", lfn)
         return found
 
-    def _resolve_bulk(
-        self, lfns: list[str], widened: str = "fallback_broadcasts"
-    ):
+    def _resolve_bulk(self, lfns: list[str], lookup: bool = True):
         """Generator: two-tier bulk resolve — one ``rli.lookup_bulk``,
         then one wave of speculative ``catalog.info_bulk(missing_ok)``
         envelopes, one per involved site, locations merged across
-        confirming sites.  Names nobody confirmed go, in a second wave,
-        to the sites not yet asked about them.  ``widened`` is the stat a
-        wave that had to go beyond the index's candidates counts under."""
+        confirming sites in site order.  Names nobody confirmed go, in a
+        second wave, to the sites not yet asked about them.  A
+        ``lookup`` (a read, not a publish's uniqueness probe) counts a
+        wave beyond the index's candidates as a fallback broadcast and
+        observes each name's LRC probes in ``rls.lookup.hops``."""
+        widened = "fallback_broadcasts" if lookup else "uniqueness_probes"
         cand_map, used_index = yield from self._ask_index(
             "rli.lookup_bulk", {"lfns": lfns}
         )
@@ -298,9 +232,15 @@ class RlsCatalogProxy(CatalogProxy):
             self.stats[widened] += 1
         yield from sweep(lfns, everywhere=False)
         unresolved = [lfn for lfn in lfns if lfn not in merged]
-        if (yield from sweep(unresolved, everywhere=True)):
+        if unresolved and (yield from sweep(unresolved, everywhere=True)):
             self.stats[widened] += 1
 
+        if lookup:
+            hops = self.metrics.histogram(
+                "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
+            )
+            for lfn in lfns:
+                hops.observe(sum(lfn in names for names in asked.values()))
         results: dict[str, LogicalFileInfo] = {}
         for lfn, info in merged.items():
             full = replace(info, locations=tuple(locations[lfn]))
@@ -338,64 +278,31 @@ class RlsCatalogProxy(CatalogProxy):
         return self.client.sim.spawn(run(), name="rls-search")
 
     # -- writes ---------------------------------------------------------------
-    # publish/publish_bulk/remove_replica are inherited: the base class
-    # already writes to ``server_host`` — this site's own LRC.  Only
-    # explicit user-chosen LFNs need a grid-wide uniqueness probe, and
-    # replica registration becomes metadata-carrying adoption.
+    # Every write goes where the base class sends it, ``server_host`` —
+    # this site's own LRC.  A publish first probes the grid for its
+    # explicit names, and replica registration becomes metadata-carrying
+    # adoption.
 
-    def _publish_unique(self, operation: str, lfns: list[str], write, name):
+    def _publish(self, site: str, files: list[dict]):
         """Probe the whole grid for the explicit names of one publish —
-        one bulk resolve, however many names — then write locally.  A
-        fresh name's empty candidate set is the expected answer here, so
-        the widening counts as a uniqueness probe, not index degradation.
-        Probe-then-write is check-then-act: two sites publishing the
-        same new name within one probe round trip both succeed."""
-
-        def run():
-            taken = yield from self._resolve_bulk(lfns, "uniqueness_probes")
-            for lfn in lfns:
+        one bulk resolve, however many names — then write locally.
+        Auto-generated names carry the site-unique stem: the local LRC
+        alone can guarantee them.  A fresh name's empty candidate set is
+        the expected answer here, so the widening counts as a uniqueness
+        probe, not index degradation.  Probe-then-write is
+        check-then-act: two sites publishing the same new name within
+        one probe round trip both succeed."""
+        explicit = [f["lfn"] for f in files if f.get("lfn") is not None]
+        if explicit:
+            taken = yield from self._resolve_bulk(explicit, lookup=False)
+            for lfn in explicit:
                 if lfn in taken:
                     raise RemoteCallError(
-                        operation,
+                        "catalog.publish_bulk",
                         "rls",
                         f"logical file name {lfn!r} already in use",
                     )
-            return (yield write())
-
-        return self.client.sim.spawn(run(), name=name)
-
-    def publish(
-        self,
-        site: str,
-        size: float,
-        modified: float,
-        crc: int,
-        lfn: Optional[str] = None,
-        **attributes,
-    ):
-        if lfn is None:
-            # auto-generated names carry the site-unique stem; the local
-            # LRC alone can guarantee uniqueness
-            return super().publish(site, size, modified, crc, **attributes)
-        return self._publish_unique(
-            "catalog.publish",
-            [lfn],
-            lambda: CatalogProxy.publish(
-                self, site, size, modified, crc, lfn=lfn, **attributes
-            ),
-            f"rls-publish {lfn}",
-        )
-
-    def publish_bulk(self, site: str, files: list[dict]):
-        explicit = [f["lfn"] for f in files if f.get("lfn") is not None]
-        if not explicit:
-            return super().publish_bulk(site, files)
-        return self._publish_unique(
-            "catalog.publish_bulk",
-            explicit,
-            lambda: CatalogProxy.publish_bulk(self, site, files),
-            f"rls-publish-bulk x{len(files)}",
-        )
+        return (yield from super()._publish(site, files))
 
     def add_replicas(self, lfns: list[str], site: str):
         """Register replicas at this site's LRC in one envelope, adopting

@@ -52,7 +52,7 @@ class ReplayWindow:
     client's in-flight watermark.
 
     Several services share one request server, so each owns its window:
-    a ``task.claim`` and a ``catalog.publish`` from the same client draw
+    a ``task.claim`` and a ``catalog.publish_bulk`` from the same client draw
     serials from one counter but must never answer for each other.
     ``counter`` names the registry counter bumped per replayed write
     (``None`` keeps the window silent).

@@ -147,8 +147,8 @@ class CircuitBreakerMiddleware:
     file" is healthy.
 
     Breaker state is tracked per *endpoint* on a host, where the endpoint
-    is the operation's family prefix (``catalog.info`` → ``catalog``,
-    ``rli.lookup`` → ``rli``): hosts run several daemons, and a wedged
+    is the operation's family prefix (``catalog.info_bulk`` → ``catalog``,
+    ``rli.lookup_bulk`` → ``rli``): hosts run several daemons, and a wedged
     replica-location index must not refuse calls to the healthy local
     replica catalog sharing its host.
 

@@ -85,6 +85,10 @@ class SoftStatePusher:
         self.phase = phase
         self.metrics = metrics
         self.process: Optional[Process] = None
+        self._pushing = False
+        #: set by :meth:`finish` while a push is on the wire: the pusher
+        #: ends once that push is answered
+        self._finishing = False
         self.stats = {
             "pushes": 0,
             **{f"pushes_{kind}": 0 for kind in kinds},
@@ -93,6 +97,7 @@ class SoftStatePusher:
         }
 
     def start(self) -> Process:
+        self._pushing = self._finishing = False
         self.process = self.sim.spawn(
             self._run(), name=f"{self.names.process}@{self.site}"
         )
@@ -101,6 +106,15 @@ class SoftStatePusher:
     def stop(self) -> None:
         if self.running():
             self.process.interrupt(self.names.shutdown)
+
+    def finish(self) -> Optional[Process]:
+        """Stop pushing, letting a push on the wire land first (where
+        :meth:`stop` drops it): the pusher's process, which ends then."""
+        if self._pushing:
+            self._finishing = True
+        else:
+            self.stop()
+        return self.process
 
     def running(self) -> bool:
         return self.process is not None and self.process.is_alive
@@ -142,7 +156,11 @@ class SoftStatePusher:
             if self.phase > 0:
                 yield self.sim.timeout(self.phase)
             while True:
+                self._pushing = True
                 yield from self.push_once()
+                self._pushing = False
+                if self._finishing:
+                    return
                 yield self.sim.timeout(self.period)
         except Interrupt:
             return
@@ -183,6 +201,12 @@ class PushPlane:
         for pusher in self.pushers.values():
             pusher.stop()
         self.started = False
+
+    def finish(self) -> list[Process]:
+        """Stop every pusher, each letting a push on the wire land first:
+        their processes, which end then."""
+        self.started = False
+        return [p.finish() for p in self.pushers.values() if p.running()]
 
     def push_stats(self) -> dict[str, int]:
         """Every pusher stat summed over the plane."""

@@ -210,12 +210,36 @@ def test_a_name_refused_by_its_dn_leaves_no_name_behind(bad):
 
 
 def test_a_generated_name_skips_one_named_earlier_in_the_batch():
-    catalog = GdmpCatalog()
-    first = catalog.generate_lfn()
+    (first,) = GdmpCatalog().publish_bulk("cern", files(None))
     catalog = GdmpCatalog()
     lfns = catalog.publish_bulk("cern", files(first, None))
     assert lfns[0] == first and lfns[1] != first
     assert sorted(catalog.list_lfns()) == sorted(lfns)
+
+
+@pytest.mark.parametrize("write", ["publish_bulk", "adopt_bulk"])
+def test_a_batch_refused_by_a_dn_leaves_no_location_behind(write):
+    catalog = GdmpCatalog()
+    batch = files("ok", "a=b")
+    with pytest.raises(CatalogError):
+        if write == "publish_bulk":
+            catalog.publish_bulk("anl", batch)
+        else:
+            catalog.adopt_bulk(batch, "anl")
+    assert not catalog.catalog.location_exists("gdmp", "anl")
+    assert catalog.list_lfns() == []
+
+
+def test_generated_names_skip_taken_ones_in_counter_order():
+    catalog = GdmpCatalog()
+    catalog.publish_bulk("cern", files("file.000002", "file.000003"))
+    assert catalog.publish_bulk("cern", files(None, None, None)) == [
+        "file.000001", "file.000004", "file.000005"
+    ]
+    # a refused batch still used up the numbers it drew
+    with pytest.raises(CatalogError):
+        catalog.publish_bulk("cern", files(None, "file.000001"))
+    assert catalog.publish_bulk("cern", files(None)) == ["file.000007"]
 
 
 def test_an_unregistered_name_mid_batch_refuses_the_location_write():
@@ -241,15 +265,20 @@ def test_an_unknown_name_mid_batch_refuses_add_replicas():
 #: directory operations one ``publish_bulk`` at a known site costs,
 #: whatever its size: the uniqueness probe, the collection's name list,
 #: the logical-file entries, the location's membership probe and its
-#: name list
+#: name list — plus one probe of generated candidates when the catalog
+#: chooses the names
 PUBLISH_OPERATIONS = 5
 
 
+@pytest.mark.parametrize("named", [True, False])
 @pytest.mark.parametrize("count", [1, 10, 300])
-def test_a_publish_costs_the_directory_the_same_operations_at_any_size(count):
+def test_a_publish_costs_the_directory_the_same_operations_at_any_size(
+    count, named
+):
     catalog = GdmpCatalog()
     catalog.publish_bulk("cern", files("first"))
     directory = catalog.catalog.directory
     before = directory.operations
-    catalog.publish_bulk("cern", files(*(f"f{i:04d}" for i in range(count))))
-    assert directory.operations - before == PUBLISH_OPERATIONS
+    lfns = [f"f{i:04d}" if named else None for i in range(count)]
+    catalog.publish_bulk("cern", files(*lfns))
+    assert directory.operations - before == PUBLISH_OPERATIONS + (not named)

@@ -21,8 +21,10 @@ META = {"size": 10.0, "modified": 1.0, "crc": 3}
 #: one wire payload per write, in an order each can succeed in, with the
 #: names it touches at the catalog (``None`` = the catalog's choice)
 WRITES = [
-    ("publish", {"site": "cern", **META, "lfn": "a.db"}, "add", ["a.db"]),
-    ("publish", {"site": "cern", **META, "lfn": None, "attributes": {"k": 1}},
+    ("publish_bulk", {"site": "cern", "files": [{**META, "lfn": "a.db"}]},
+     "add", ["a.db"]),
+    ("publish_bulk",
+     {"site": "cern", "files": [{**META, "lfn": None, "attributes": {"k": 1}}]},
      "add", ["file.000001"]),
     ("publish_bulk",
      {"site": "cern", "files": [{**META, "lfn": "b.db"}, dict(META)]},
@@ -44,15 +46,14 @@ def catalog_names(site):
     }
 
 
-def test_the_table_is_the_ten_operations_split_by_effect():
-    assert len(OPERATIONS) == 9
+def test_the_table_is_the_six_operations_split_by_effect():
+    # a name is a batch of one on the wire: no per-name twin of a batch
+    assert list(OPERATIONS) == [
+        "publish_bulk", "add_replica_bulk", "adopt_bulk", "remove_replica",
+        "info_bulk", "search",
+    ]
     assert set(WRITE_OPERATIONS) | set(READ_OPERATIONS) == set(OPERATIONS)
     assert {op for op, *_ in WRITES} == set(WRITE_OPERATIONS)
-    for name in OPERATIONS:
-        bulk = OPERATIONS.get(f"{name}_bulk")
-        if bulk is not None:  # both spellings are one operation
-            assert bulk.batch and not OPERATIONS[name].batch
-            assert bulk.effect == OPERATIONS[name].effect
 
 
 def test_every_catalog_host_registers_exactly_the_tables_names():
@@ -103,8 +104,8 @@ def test_every_write_reaches_the_replica_and_the_digest_feed():
     assert primary.list_lfns() == [
         "a.db", "file.000001", "b.db", "file.000002"
     ]
-    with pytest.raises(GdmpError, match="unknown catalog write 'info'"):
-        replica.apply("info", {"lfn": "a.db"})
+    with pytest.raises(GdmpError, match="unknown catalog write 'info_bulk'"):
+        replica.apply("info_bulk", {"lfns": ["a.db"]})
 
 
 def test_a_replica_answers_a_speculative_probe_for_an_unknown_name():

@@ -104,8 +104,10 @@ def test_filtered_subscription_selects_matching_files(grid):
         "big-objy.db", 5 * MB, filetype="objectivity"))
     notified = [news["lfns"][0] for news in anl.server.pending_news]
     assert notified == ["big-objy.db"]
-    # the notification carries the file's metadata
-    assert anl.server.pending_news[0]["attributes"]["filetype"] == "objectivity"
+    # the notification carries the file's metadata, keyed by LFN as a
+    # set's does
+    attributes = anl.server.pending_news[0]["attributes"]
+    assert attributes["big-objy.db"]["filetype"] == "objectivity"
 
 
 def test_filtered_subscription_with_wildcards(grid):

@@ -40,7 +40,7 @@ def test_deltas_follow_acked_full_until_refresh_due():
     for i in range(4):
         lfn = f"new-{i}.dat"
         holdings.add(lfn)
-        source.on_write("publish", {"lfn": lfn})
+        source.on_write("publish_bulk", {"lfns": [lfn]})
         payload = source.next_digest()
         kinds.append(payload["kind"])
         source.ack(payload)
@@ -53,7 +53,7 @@ def test_unacked_push_changes_are_recarried():
     source = make_source(holdings)
     source.ack(source.next_digest())
     holdings.add("b.dat")
-    source.on_write("publish", {"lfn": "b.dat"})
+    source.on_write("publish_bulk", {"lfns": ["b.dat"]})
     lost = source.next_digest()  # never acked: the push was dropped
     assert lost["added"] == ["b.dat"]
     retry = source.next_digest()
@@ -72,12 +72,12 @@ def test_write_during_push_survives_the_ack(kind):
     if kind == "delta":
         source.ack(source.next_digest())
         holdings.add("before.dat")
-        source.on_write("publish", {"lfn": "before.dat"})
+        source.on_write("publish_bulk", {"lfns": ["before.dat"]})
     in_flight = source.next_digest()
     assert in_flight["kind"] == kind
     # the push is on the wire: one publish and one removal land now
     holdings.add("during.dat")
-    source.on_write("publish", {"lfn": "during.dat"})
+    source.on_write("publish_bulk", {"lfns": ["during.dat"]})
     holdings.discard("f0.dat")
     source.on_write("remove_replica", {"lfn": "f0.dat"})
     source.ack(in_flight)
@@ -93,7 +93,7 @@ def test_publish_then_remove_nets_to_nothing():
     holdings = {"a.dat"}
     source = make_source(holdings)
     source.ack(source.next_digest())
-    source.on_write("publish", {"lfn": "temp.dat"})
+    source.on_write("publish_bulk", {"lfns": ["temp.dat"]})
     source.on_write("remove_replica", {"lfn": "temp.dat"})
     payload = source.next_digest()
     assert payload["kind"] == "delta"
@@ -121,7 +121,7 @@ def test_large_delta_promotes_to_full():
     for i in range(10, 15):  # 5 pending > 25% of 15 current
         lfn = f"f{i}"
         holdings.add(lfn)
-        source.on_write("publish", {"lfn": lfn})
+        source.on_write("publish_bulk", {"lfns": [lfn]})
     assert source.next_digest()["kind"] == "full"
 
 
@@ -194,8 +194,8 @@ def test_wire_sizes():
     )
     source.ack(full)
     holdings.update({"g1", "g2"})
-    source.on_write("publish", {"lfn": "g1"})
-    source.on_write("publish", {"lfn": "g2"})
+    source.on_write("publish_bulk", {"lfns": ["g1"]})
+    source.on_write("publish_bulk", {"lfns": ["g2"]})
     holdings.discard("f0")
     source.on_write("remove_replica", {"lfn": "f0"})
     delta = source.next_digest()

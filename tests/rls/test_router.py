@@ -229,15 +229,15 @@ def test_wave_answers_equal_the_serial_router():
         )
 
     reader = proxy_of(grid, "fnal")
-    # one LFN: the reader's own site first, then the index's candidates
+    # one LFN is a batch of one: locations in site order, as below
     assert grid.run(until=reader.info("shared.dat")) == record(
-        "shared.dat", 1, "fnal", "cern", "anl"
+        "shared.dat", 1, "cern", "anl", "fnal"
     )
     assert grid.run(until=reader.info("anl-only.dat")) == record(
         "anl-only.dat", 1, "anl"
     )
     reader.invalidate()
-    # bulk and search: locations in site order, answers in request order
+    # bulk and search: answers in request order
     assert grid.run(
         until=reader.info_bulk(["anl-only.dat", "shared.dat", "fnal-only.dat"])
     ) == [

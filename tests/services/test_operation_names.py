@@ -15,14 +15,12 @@ from repro.simulation.randomness import RandomStreams
 from repro.workload import ArrivalProfile, WorkloadEngine
 
 #: every site: the GDMP daemon, its LRC (sharded mode gives each site
-#: the nine ``catalog.*`` operations) and the forecast subscriber
+#: the six ``catalog.*`` operations) and the forecast subscriber
 PLAIN_SITE = {
     "subscribe", "unsubscribe", "notify", "get_catalog",
     "request_stage", "release",
-    "catalog.publish", "catalog.publish_bulk",
-    "catalog.add_replica_bulk", "catalog.adopt_bulk",
-    "catalog.remove_replica", "catalog.locations",
-    "catalog.info", "catalog.info_bulk", "catalog.search",
+    "catalog.publish_bulk", "catalog.add_replica_bulk", "catalog.adopt_bulk",
+    "catalog.remove_replica", "catalog.info_bulk", "catalog.search",
     "weather.push_digest",
 }
 TASK_QUEUE = {
@@ -31,7 +29,7 @@ TASK_QUEUE = {
 }
 #: the catalog host also carries the index and the pipeline's queue
 INDEX_HOST = PLAIN_SITE | TASK_QUEUE | {
-    "rli.push_digest", "rli.lookup", "rli.lookup_bulk",
+    "rli.push_digest", "rli.lookup_bulk",
 }
 #: the directory host carries the manifests and the scrub fleet's queue
 DIRECTORY_HOST = PLAIN_SITE | TASK_QUEUE | {

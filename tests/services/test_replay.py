@@ -68,21 +68,21 @@ class Case:
 
 
 class CatalogPublish(Case):
-    operation, counter = "catalog.publish", "catalog.txn_replays"
+    operation, counter = "catalog.publish_bulk", "catalog.txn_replays"
     listeners = 1
 
     def __init__(self, grid):
         super().__init__(grid)
         grid.catalog_service.write_listeners.append(
-            lambda op, payload: self.notified.append(payload["lfn"])
+            lambda op, payload: self.notified.append(payload["lfns"])
         )
 
     def window(self):
         return self.grid.catalog_service.replay
 
     def write(self):
-        return self.grid.site("s1").client.catalog.publish(
-            "s1", 1000.0, self.grid.sim.now, 7
+        return self.grid.site("s1").client.catalog.publish_bulk(
+            "s1", [{"size": 1000.0, "modified": self.grid.sim.now, "crc": 7}]
         )
 
     def applied(self):

@@ -185,6 +185,35 @@ def test_stop_mid_call_ends_the_loop_without_counting_a_loss(feed_type):
 
 
 @pytest.mark.parametrize("feed_type", FEEDS)
+def test_finish_mid_call_lets_the_push_land_then_ends_the_loop(feed_type):
+    """Where ``stop`` drops a push on the wire, ``finish`` waits for its
+    answer: the run ends with the push counted and nothing in flight."""
+    grid = _grid()
+    feed = feed_type(grid)
+    feed.plane.start()
+    grid.run(until=2 * PERIOD)
+    before = dict(feed.pusher.stats)
+    feed.change_state()
+    pusher, sent = feed.pusher, []
+    build = pusher.build
+    pusher.build = lambda: (sent.append(grid.sim.now), build())[1]
+    grid.msgnet.set_service_delay(
+        pusher.target_host, "gdmp", 2.0, prefix=feed.prefix
+    )
+    while not sent:
+        grid.run(until=grid.sim.now + 0.25)
+    grid.run(until=grid.sim.all_of(feed.plane.finish()))
+    assert sent[0] + 2.0 <= grid.sim.now < sent[0] + PERIOD
+    assert not any(p.running() for p in feed.plane.pushers.values())
+    assert not feed.plane.started
+    assert pusher.stats["pushes"] == before["pushes"] + 1
+    assert len(sent) == 1
+    assert feed.unacknowledged() == 0
+    assert feed.target_saw_latest()
+    assert not grid.tracelog.open_spans()
+
+
+@pytest.mark.parametrize("feed_type", FEEDS)
 def test_stop_mid_call_to_a_black_hole_leaves_nothing_behind(feed_type):
     """The push the stop interrupts is waiting inside its pusher's own
     process on a target that will never answer: the interrupt drops the

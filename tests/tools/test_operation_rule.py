@@ -1,12 +1,12 @@
 """Every wire operation has a sender (DESIGN.md, "The operation table").
 
-A row of the ``catalog.*`` operation table, or a ``task.*`` operation
-the queue service registers, stays only while code in ``src/repro``
-sends it: a string literal naming it — ``"info_bulk"`` as the catalog
-proxy spells it, or ``"catalog.info_bulk"`` — somewhere other than the
-table itself and the registration.  An operation nobody sends still
-costs a row, a proxy stub, a router override and a backend method; it
-fails here by name.
+A row of the ``catalog.*`` operation table, or a ``task.*`` / ``rli.*``
+operation the queue service / the Replica Location Index registers,
+stays only while code in ``src/repro`` sends it: a string literal
+naming it — ``"info_bulk"`` as the catalog proxy spells it, or
+``"catalog.info_bulk"`` — somewhere other than the table itself and the
+registration.  An operation nobody sends still costs a row, a proxy
+stub, a router override and a backend method; it fails here by name.
 """
 
 import ast
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from repro.catalog.operations import OPERATIONS
 from repro.gdmp import DataGrid, GdmpConfig
+from repro.rls.rli import RliService
 from repro.workload.queue import TaskQueueService
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -45,11 +46,12 @@ def _literals() -> set[str]:
     return found
 
 
-def _task_operations() -> list[str]:
+def _registered(service, prefix: str) -> list[str]:
+    """The ``prefix`` operations ``service`` registers on a server."""
     grid = DataGrid([GdmpConfig("cern"), GdmpConfig("anl")])
     server = grid.site("cern").request_server
-    TaskQueueService(server)
-    return sorted(op for op in server._handlers if op.startswith("task."))
+    service(server)
+    return sorted(op for op in server._handlers if op.startswith(prefix))
 
 
 def test_every_catalog_operation_has_a_sender():
@@ -61,7 +63,14 @@ def test_every_catalog_operation_has_a_sender():
 
 
 def test_every_task_operation_has_a_sender():
-    operations = _task_operations()
+    operations = _registered(TaskQueueService, "task.")
     assert {"task.submit", "task.claim", "task.wait"} <= set(operations)
+    sent = _literals()
+    assert [op for op in operations if op not in sent] == []
+
+
+def test_every_rli_operation_has_a_sender():
+    operations = _registered(RliService, "rli.")
+    assert {"rli.push_digest", "rli.lookup_bulk"} <= set(operations)
     sent = _literals()
     assert [op for op in operations if op not in sent] == []

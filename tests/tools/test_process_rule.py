@@ -27,10 +27,10 @@ COMMANDS = {
     "GdmpClient._replicate",
     "GdmpClient.replicate_set",
     "CatalogProxy._spawn_write",
-    "CatalogProxy._spawn_read",
+    "CatalogProxy.publish",
+    "CatalogProxy.publish_bulk",
     "CatalogProxy._cached_read",
     "CatalogProxy.info_bulk",
-    "RlsCatalogProxy._publish_unique",
     "RlsCatalogProxy.add_replicas",
 }
 LEGS = {
