@@ -17,6 +17,9 @@ columns, postings and views"):
   child rows are kept only for rows that have children;
 * each attribute is one value column indexed by row: a bare value when
   the entry holds exactly one, a list otherwise;
+* every ``str`` value stored is interned, so a value many entries hold
+  (a run number, a timestamp, a size repeated at every site) is one
+  object across column cells, posting keys and directories;
 * every attribute is equality-indexed — ``attr → value → rows`` — where
   the rows are a bare row id until a second row holds the value, then a
   tuple, and past ``_TUPLE_POSTING_MAX`` rows a set;
@@ -37,6 +40,7 @@ from __future__ import annotations
 import fnmatch
 from dataclasses import dataclass, field
 from functools import lru_cache
+from sys import intern
 from typing import Callable, Collection, Iterable, Optional
 
 __all__ = [
@@ -338,6 +342,12 @@ def _post(by_value: dict, value: str, row: int) -> bool:
     return True
 
 
+def _shared(values: Iterable) -> list:
+    """``values`` as a fresh list, each ``str`` swapped for the one
+    interned object of its text."""
+    return [intern(v) if type(v) is str else v for v in values]
+
+
 def _as_list(value) -> list:
     """A column cell as a fresh list of values."""
     return list(value) if type(value) is list else [value]
@@ -414,6 +424,8 @@ class LdapDirectory:
         return self._shape_pool.setdefault(names, names)
 
     def _store(self, row: int, attr: str, values: list) -> None:
+        """Write one cell; ``values`` are already shared (interned on
+        their way in, or read from a stored cell)."""
         column = self._columns.get(attr)
         if column is None:
             column = self._columns[attr] = []
@@ -502,10 +514,11 @@ class LdapDirectory:
             if comma and (parent in rows or parent in incoming):
                 rdn = head.strip()
                 attr, equals, value = rdn.partition("=")
-                attr = attr.strip()
+                attr, value = attr.strip(), value.strip()
                 if not (equals and attr):
                     raise LdapError(f"malformed DN component {rdn!r} in {dn!r}")
-                dn = f"{attr}={value.strip()},{parent}"
+                if len(attr) + len(value) + 1 < len(head):  # whitespace went
+                    dn = f"{attr}={value},{parent}"
             else:
                 parts = split_dn(dn)  # one parse gives the DN and its parent
                 dn = ",".join(parts)
@@ -543,6 +556,13 @@ class LdapDirectory:
             for attr, values in attributes.items():
                 if type(values) is not tuple and type(values) is not list:
                     values = list(values)
+                if len(values) == 1:  # _shared's case, inline
+                    cell = values[0]
+                    if type(cell) is str:
+                        cell = intern(cell)
+                    values = (cell,)
+                else:
+                    values = cell = _shared(values)
                 by_value = postings.get(attr)
                 if by_value is None:
                     by_value = postings[attr] = {}
@@ -560,7 +580,6 @@ class LdapDirectory:
                             held + (row,) if len(held) < _TUPLE_POSTING_MAX
                             else {*held, row}
                         )
-                cell = values[0] if len(values) == 1 else list(values)
                 column = columns.get(attr)
                 if column is None:
                     column = columns[attr] = []
@@ -664,6 +683,8 @@ class LdapDirectory:
             self._shapes[row] = self._shape(shape + (attr,))
         by_value = self._by_value(attr)
         for value in values:
+            if type(value) is str:  # _shared's case, inline
+                value = intern(value)
             # the posting answers "already present?" in O(1)
             if _post(by_value, value, row):
                 existing.append(value)

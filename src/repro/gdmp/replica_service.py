@@ -98,8 +98,9 @@ class ReplicaCatalogService:
 
 class _NegativeEntry:
     """Cached proof of absence: the remote application error an ``info``
-    lookup produced for an unknown LFN.  Served back without an RPC
-    until a write to that LFN invalidates it."""
+    lookup produced for an unknown LFN.  Served back without an RPC —
+    raised to an ``info`` read, ``[]`` to a ``locations`` read — until a
+    write to that LFN invalidates it."""
 
     __slots__ = ("error",)
 
@@ -193,10 +194,6 @@ class CatalogProxy(RequestProxy):
         if self.cache_enabled:
             self._cache[key] = value
 
-    def _cache_locations(self, lfn: str, locations) -> None:
-        # snapshot copies: callers may mutate the dicts they receive
-        self._cache_put(("locations", lfn), tuple(dict(loc) for loc in locations))
-
     def _cached_read(self, kind: str, lfn: str, name: str, miss) -> Event:
         """One per-name read: the cached ``kind`` answer as a triggered
         event (an absence re-raised, and counted) — or, when the
@@ -207,8 +204,11 @@ class CatalogProxy(RequestProxy):
             return self.client.sim.spawn(miss(), name=f"{name} {lfn}")
         if isinstance(cached, _NegativeEntry):
             self.stats["negative_hits"] += 1
-            return self.client.sim.event().fail(cached.error)
+            if kind == "info":
+                return self.client.sim.event().fail(cached.error)
+            cached = ()
         if kind == "locations":
+            # the cache keeps one tuple of dicts; every caller gets copies
             cached = [dict(loc) for loc in cached]
         return self.client.sim.event().succeed(cached)
 
@@ -290,9 +290,10 @@ class CatalogProxy(RequestProxy):
         def miss():
             if kind == "locations":
                 found = yield from self._fetch_infos([lfn], missing_ok=True)
-                result = [dict(loc) for loc in found[lfn].locations] if found else []
-                self._cache_locations(lfn, result)
-                return result
+                # the answer's own tuple is cached, copies go to the caller
+                kept = found[lfn].locations if found else ()
+                self._cache_put(("locations", lfn), kept)
+                return [dict(loc) for loc in kept]
             try:
                 found = yield from self._fetch_infos([lfn])
             except RemoteCallError as exc:

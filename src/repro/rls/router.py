@@ -36,13 +36,14 @@ every location in an answer came from the owning LRC itself.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 from typing import Dict
 
 from ..catalog.gdmp_catalog import LogicalFileInfo
 from ..gdmp.replica_service import CatalogProxy, _NegativeEntry
 from ..gdmp.request_manager import RequestClient
 from ..services.bus import RemoteCallError
-from ..telemetry.metrics import NO_METRICS, MetricsRegistry
+from ..telemetry.metrics import NO_METRICS, Histogram, MetricsRegistry
 
 __all__ = ["RlsCatalogProxy"]
 
@@ -146,19 +147,27 @@ class RlsCatalogProxy(CatalogProxy):
 
     # -- reads ----------------------------------------------------------------
 
+    @cached_property
+    def _hops(self) -> Histogram:
+        """LRC probes per looked-up name at this site, made on first use."""
+        return self.metrics.histogram(
+            "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
+        )
+
     def _lookup(self, kind: str, lfn: str):
         """One per-name read: the cached ``kind`` answer if there is one,
-        else a :meth:`_resolve_bulk` of one.  An absence is cached as a
-        negative ``info``, which ``info`` raises and ``locations``
-        answers as ``[]``."""
+        else a :meth:`_resolve_bulk` of one.  An absence is cached under
+        both kinds as one negative entry, which ``info`` raises and
+        ``locations`` answers as ``[]``."""
 
         def miss():
             found = (yield from self._resolve_bulk([lfn])).get(lfn)
             if found is None:
-                error = self._not_found("catalog.info", lfn)
-                self._cache_put(("info", lfn), _NegativeEntry(error))
+                absent = _NegativeEntry(self._not_found("catalog.info", lfn))
+                self._cache_put(("info", lfn), absent)
+                self._cache_put(("locations", lfn), absent)
                 if kind == "info":
-                    raise error
+                    raise absent.error
                 return []
             if kind == "info":
                 return found
@@ -189,26 +198,37 @@ class RlsCatalogProxy(CatalogProxy):
             "rli.lookup_bulk", {"lfns": lfns}
         )
         cand_map = cand_map or {}
+        if used_index and not all(cand_map.get(lfn) for lfn in lfns):
+            self.stats[widened] += 1
+        own, site_order = self.own_site, self.site_order
+        #: name -> the sites asked about it so far
+        asked: dict[str, set[str]] = {lfn: set() for lfn in lfns}
         merged: dict[str, LogicalFileInfo] = {}
-        locations: dict[str, list[dict]] = {lfn: [] for lfn in lfns}
-        asked: dict[str, set[str]] = {site: set() for site in self.site_order}
-
-        def sweep(pending: list[str], everywhere: bool):
-            by_site: dict[str, list[str]] = {}
-            for site in self.site_order:
-                wanted = [
-                    lfn
-                    for lfn in pending
-                    if lfn not in asked[site]
-                    and (
-                        everywhere
-                        or site == self.own_site
-                        or site in (cand_map.get(lfn) or self.site_order)
-                    )
-                ]
-                if wanted:
-                    by_site[site] = wanted
-                    asked[site].update(wanted)
+        locations: dict[str, list[dict]] = {}
+        pending = lfns
+        for everywhere in (False, True):
+            # one pass over the names: each joins the list of every site
+            # it is meant for and not yet asked about it, so a site's
+            # list keeps the names' order
+            lists: dict[str, list[str]] = {site: [] for site in site_order}
+            for lfn in pending:
+                sites = site_order
+                if not everywhere:
+                    sites = cand_map.get(lfn) or site_order
+                    if own not in sites:
+                        sites = [own, *sites]
+                done = asked[lfn]
+                for site in sites:
+                    if site not in done:
+                        wanted = lists.get(site)
+                        if wanted is not None:
+                            wanted.append(lfn)
+            by_site = {site: wanted for site, wanted in lists.items() if wanted}
+            if not by_site:
+                break
+            for site, wanted in by_site.items():
+                for lfn in wanted:
+                    asked[lfn].add(site)
             answers = yield from self._wave(
                 "catalog.info_bulk",
                 {
@@ -221,32 +241,35 @@ class RlsCatalogProxy(CatalogProxy):
                     self.stats["lrc_failures"] += 1
                     continue
                 for info in found:
-                    locations[info.lfn].extend(
-                        dict(loc) for loc in info.locations
-                    )
-                    merged.setdefault(info.lfn, info)
+                    # the one copy of an LRC's dicts; the first info wins
+                    held = locations.get(info.lfn)
+                    if held is None:
+                        merged[info.lfn] = info
+                        held = locations[info.lfn] = []
+                    held.extend(map(dict, info.locations))
                 self.stats["verify_misses"] += len(wanted) - len(found)
-            return bool(by_site)
-
-        if used_index and not all(cand_map.get(lfn) for lfn in lfns):
-            self.stats[widened] += 1
-        yield from sweep(lfns, everywhere=False)
-        unresolved = [lfn for lfn in lfns if lfn not in merged]
-        if unresolved and (yield from sweep(unresolved, everywhere=True)):
-            self.stats[widened] += 1
+            if everywhere:
+                self.stats[widened] += 1
+                break
+            pending = [lfn for lfn in lfns if lfn not in merged]
+            if not pending:
+                break
 
         if lookup:
-            hops = self.metrics.histogram(
-                "rls.lookup.hops", bounds=_HOP_BOUNDS, site=self.own_site
-            )
+            hops = self._hops
             for lfn in lfns:
-                hops.observe(sum(lfn in names for names in asked.values()))
+                hops.observe(len(asked[lfn]))
+        # the merged tuple is the answer and both cache entries: a
+        # ``locations`` read hands out copies of its dicts
         results: dict[str, LogicalFileInfo] = {}
         for lfn, info in merged.items():
-            full = replace(info, locations=tuple(locations[lfn]))
+            full = LogicalFileInfo(
+                info.lfn, info.size, info.modified, info.crc,
+                info.attributes, tuple(locations[lfn]),
+            )
             results[lfn] = full
             self._cache_put(("info", lfn), full)
-            self._cache_locations(lfn, full.locations)
+            self._cache_put(("locations", lfn), full.locations)
         return results
 
     def search(self, filter_text: str):

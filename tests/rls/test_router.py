@@ -101,6 +101,38 @@ def test_negative_cache_and_invalidation_on_publish(rls_grid):
     assert {loc["location"] for loc in info.locations} == {"cern"}
 
 
+def test_an_absence_answers_later_locations_reads_without_envelopes(rls_grid):
+    """A name no LRC holds costs one two-tier resolve; the absence it
+    caches answers the later ``locations`` reads with ``[]`` and an
+    ``info`` with the error, none of them on the wire.  Before the
+    absence answered ``locations`` too, three reads cost 4, 8 and 12
+    envelopes."""
+    grid = rls_grid
+    reader = proxy_of(grid, "cern")
+    envelopes = []
+    for _ in range(3):
+        assert grid.run(until=reader.locations("ghost.dat")) == []
+        envelopes.append(reader.stats["envelopes"])
+    assert envelopes == [4, 4, 4]
+    assert reader.stats["negative_hits"] == 2
+    with pytest.raises(RemoteCallError):
+        grid.run(until=reader.info("ghost.dat"))
+    assert reader.stats["envelopes"] == 4
+    assert reader.stats["negative_hits"] == 3
+
+    # an absence an ``info`` read found answers ``locations`` the same way
+    with pytest.raises(RemoteCallError):
+        grid.run(until=reader.info("other.dat"))
+    assert grid.run(until=reader.locations("other.dat")) == []
+    assert reader.stats["envelopes"] == 8
+    assert reader.stats["negative_hits"] == 4
+
+    # a write of the name drops the absence under both kinds
+    publish(grid, "cern", "ghost.dat")
+    assert [loc["location"] for loc in grid.run(
+        until=reader.locations("ghost.dat"))] == ["cern"]
+
+
 def test_dead_lrc_degrades_to_remaining_sites(rls_grid):
     """With one site's host down, lookups for files elsewhere still
     answer; the dead shard costs a counted failure, not an error."""

@@ -41,6 +41,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -672,6 +673,15 @@ def check_object_census() -> list[str]:
 #: lists and a posting dict per distinct value).  Lower it when a change
 #: lowers the count
 TRACKED_PER_ENTRY = 0.0203
+#: bytes tracemalloc traces per directory entry after the same build,
+#: plus 10 %: 23 486 667 / 24 011 = 978 since the directory interns the
+#: ``str`` values it stores (a run number, a timestamp, a size repeated
+#: at every site is one object); 1 104 when every entry held its own
+#: copy of each.  978 is the check run first in its process: about 80 B
+#: of it is the interpreter's table of interned strings growing, which
+#: a later build in the same process finds grown (898).  Lower it when
+#: a change lowers the count
+TRACED_PER_ENTRY = 1076
 CENSUS_SITES = ("cern", "anl", "caltech", "slac", "fnal", "bnl", "ral", "in2p3")
 CENSUS_FILES = 3000
 
@@ -694,29 +704,35 @@ def census_files(site: str, count: int) -> list[dict]:
 
 
 def check_directory_census() -> list[str]:
-    """What the replica catalog's directory costs the cyclic collector:
-    the tracked objects (``gc.get_objects()`` after ``gc.collect()``, with
-    what lived before frozen out) an 8 × 3 000 ``publish_bulk`` build
-    adds, per directory entry."""
+    """What the replica catalog's directory costs the cyclic collector
+    and the heap: the tracked objects (``gc.get_objects()`` after
+    ``gc.collect()``, with what lived before frozen out) and the bytes
+    tracemalloc traces that an 8 × 3 000 ``publish_bulk`` build adds,
+    per directory entry."""
     # a small build first pays lazy imports and caches
     GdmpCatalog().publish_bulk("warm", census_files("warm", 10))
     gc.collect()
     gc.freeze()  # what lives now is out of the count, whatever happens to it
+    tracemalloc.start()
     try:
         catalog = GdmpCatalog()
         for site in CENSUS_SITES:
             catalog.publish_bulk(site, census_files(site, CENSUS_FILES))
         gc.collect()
+        traced = tracemalloc.get_traced_memory()[0]
         added = len(gc.get_objects())
     finally:
+        tracemalloc.stop()
         gc.unfreeze()
     entries = len(catalog.catalog.directory)
     per_entry = added / entries
+    bytes_per_entry = traced / entries
     report = (
         f"directory census: {added} tracked objects for {entries} entries, "
-        f"{per_entry:.4f} each (budget {TRACKED_PER_ENTRY})"
+        f"{per_entry:.4f} each (budget {TRACKED_PER_ENTRY}); {traced} B "
+        f"traced, {bytes_per_entry:.0f} B each (budget {TRACED_PER_ENTRY})"
     )
-    if per_entry > TRACKED_PER_ENTRY:
+    if per_entry > TRACKED_PER_ENTRY or bytes_per_entry > TRACED_PER_ENTRY:
         return [report]
     print(f"  {report}")
     return []
